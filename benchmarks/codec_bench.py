@@ -1,12 +1,14 @@
-"""Cold encode/decode throughput benchmark: reference vs vectorized codec.
+"""Cold encode/decode throughput benchmark: production codec vs the spec.
 
 Times a cold ``GroupCodec`` encode+decode pass (plain and per-group
 CRC-8) plus the ``RLEZeroCodec`` zero-skip path on a seeded Laplacian
-delta map under both ``REPRO_CODEC_BACKEND`` values, recording MB/s and
-the vectorized/reference speedup into ``BENCH_codec.json``.  Exits
-non-zero if any encode+decode speedup falls below ``--min-speedup``
-(or if the backends ever disagree on bytes or decoded values — the
-benchmark double-checks byte-identity on every stream it times).
+delta map, once through the production (``vectorized``) bit-plane codec
+and once through the value-at-a-time ``reference`` spec in
+``tests/oracles``, recording MB/s and the vectorized/reference speedup
+into ``BENCH_codec.json``.  Exits non-zero if any encode+decode speedup
+falls below ``--min-speedup`` (or if the two ever disagree on bytes or
+decoded values — the benchmark double-checks byte-identity on every
+stream it times).
 
 The default size is an HD delta trace (1080x1920 values); ``--smoke``
 drops to 2^16 values for CI, where the gate is 5x rather than 10x
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -30,22 +31,41 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
-from repro.compression.codec import (  # noqa: E402
-    CODEC_BACKENDS,
-    GroupCodec,
-    RLEZeroCodec,
-)
+from tests import oracles  # noqa: E402
+
+from repro.compression.codec import GroupCodec, RLEZeroCodec  # noqa: E402
 from repro.utils.rng import DEFAULT_SEED  # noqa: E402
 
 HD_VALUES = 1080 * 1920
 SMOKE_VALUES = 1 << 16
 BYTES_PER_VALUE = 2  # 16-bit storage words
 
+def _group_case(checksum: bool) -> dict:
+    codec = GroupCodec(16, signed=True, checksum=checksum)
+    return {
+        "vectorized": (codec.encode, codec.decode),
+        "reference": (
+            lambda data: oracles.group_encode(data, 16, True, checksum),
+            lambda enc: oracles.group_decode_flagged(enc, 16, True, checksum)[0],
+        ),
+    }
+
+
+def _rle_case() -> dict:
+    codec = RLEZeroCodec()
+    return {
+        "vectorized": (codec.encode, codec.decode),
+        "reference": (oracles.rlez_encode, oracles.rlez_decode),
+    }
+
+
+#: Per case, the (encode, decode) pair of each implementation.
 CASES = (
-    ("group_plain", lambda: GroupCodec(16, signed=True, checksum=False)),
-    ("group_checksum", lambda: GroupCodec(16, signed=True, checksum=True)),
-    ("rle_zero", lambda: RLEZeroCodec()),
+    ("group_plain", lambda: _group_case(checksum=False)),
+    ("group_checksum", lambda: _group_case(checksum=True)),
+    ("rle_zero", _rle_case),
 )
 
 
@@ -57,16 +77,15 @@ def make_deltas(values: int, seed: int) -> np.ndarray:
     return np.clip(np.round(deltas), -(1 << 15), (1 << 15) - 1).astype(np.int64)
 
 
-def time_backend(codec, data: np.ndarray, backend: str, repeats: int) -> dict:
-    """Best-of-N cold encode and decode wall times for one backend."""
-    os.environ["REPRO_CODEC_BACKEND"] = backend
+def time_path(encode, decode, data: np.ndarray, repeats: int) -> dict:
+    """Best-of-N cold encode and decode wall times for one implementation."""
     best_enc = best_dec = float("inf")
     encoded = decoded = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        encoded = codec.encode(data)
+        encoded = encode(data)
         t1 = time.perf_counter()
-        decoded = codec.decode(encoded)
+        decoded = decode(encoded)
         t2 = time.perf_counter()
         best_enc = min(best_enc, t1 - t0)
         best_dec = min(best_dec, t2 - t1)
@@ -86,16 +105,17 @@ def run(values: int, seed: int, repeats: dict) -> dict:
     data = make_deltas(values, seed)
     cases = {}
     for name, make in CASES:
-        codec = make()
-        per_backend = {}
-        for backend in CODEC_BACKENDS:
-            per_backend[backend] = time_backend(codec, data, backend, repeats[backend])
-        ref, vec = per_backend["reference"], per_backend["vectorized"]
+        paths = make()
+        per_path = {
+            path: time_path(encode, decode, data, repeats[path])
+            for path, (encode, decode) in paths.items()
+        }
+        ref, vec = per_path["reference"], per_path["vectorized"]
         if ref["_encoded"].data != vec["_encoded"].data:
-            raise AssertionError(f"{name}: backends emitted different bytes")
+            raise AssertionError(f"{name}: codec and spec emitted different bytes")
         if not np.array_equal(ref["_decoded"], vec["_decoded"]):
-            raise AssertionError(f"{name}: backends decoded different values")
-        for timing in per_backend.values():
+            raise AssertionError(f"{name}: codec and spec decoded different values")
+        for timing in per_path.values():
             timing.pop("_encoded")
             timing.pop("_decoded")
         cases[name] = {
@@ -142,14 +162,7 @@ def main(argv=None) -> int:
     # already stable there, while the fast paths get best-of-3.
     repeats = {"reference": 1 if not args.smoke else 3, "vectorized": 3}
 
-    prior = os.environ.get("REPRO_CODEC_BACKEND")
-    try:
-        result = run(values, args.seed, repeats)
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_CODEC_BACKEND", None)
-        else:
-            os.environ["REPRO_CODEC_BACKEND"] = prior
+    result = run(values, args.seed, repeats)
     result["min_speedup"] = min_speedup
     result["smoke"] = args.smoke
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")

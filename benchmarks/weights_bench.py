@@ -10,9 +10,10 @@ guards the subsystem's contract, exiting non-zero if any gate fails:
 2. **Compaction** — the MSR4W stream must be strictly smaller than the
    Raw8W stream for every model (and therefore far below the dense
    Raw16W baseline every ladder charges).
-3. **Backend byte-identity** — the reference and vectorized codecs must
-   emit identical bytes and decode losslessly on each model's largest
-   layer; a divergence here poisons every golden downstream.
+3. **Spec byte-identity** — the production codec must emit the same
+   bytes as the value-at-a-time spec in ``tests/oracles`` and decode
+   losslessly on each model's largest layer; a divergence here poisons
+   every golden downstream.
 
 Results land in ``BENCH_weights.json``.
 
@@ -25,14 +26,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 import numpy as np  # noqa: E402
+from tests import oracles  # noqa: E402
 
 from repro.models.registry import prepare_model  # noqa: E402
 from repro.utils.rng import DEFAULT_SEED  # noqa: E402
@@ -52,20 +54,12 @@ BENCH_MODELS = ("DnCNN",)
 BENCH_FULL_MODELS = ("DnCNN", "IRCNN", "FFDNet")
 
 
-def _backend_identity(int_weights: np.ndarray, codec: MSRCodec) -> dict:
-    """Encode under both backends; return sizes and the identity verdict."""
-    prior = os.environ.get("REPRO_CODEC_BACKEND")
-    streams = {}
-    try:
-        for name in ("reference", "vectorized"):
-            os.environ["REPRO_CODEC_BACKEND"] = name
-            streams[name] = codec.encode(int_weights)
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_CODEC_BACKEND", None)
-        else:
-            os.environ["REPRO_CODEC_BACKEND"] = prior
-    ref, vec = streams["reference"], streams["vectorized"]
+def _spec_identity(int_weights: np.ndarray, codec: MSRCodec) -> dict:
+    """Encode with the codec and the spec; return sizes and the identity verdict."""
+    ref = oracles.msr_encode(
+        int_weights, codec.bits, codec.max_msr, codec.column_size, codec.checksum
+    )
+    vec = codec.encode(int_weights)
     return {
         "identical": ref.data == vec.data and ref.bits == vec.bits,
         "roundtrip_ok": bool(np.array_equal(codec.decode(vec), int_weights)),
@@ -93,7 +87,7 @@ def sweep(models: "tuple[str, ...]", seed: int) -> dict:
                 "bits": bits,
                 "bits_per_weight": bits["MSR4W"] / flat.size,
                 "msr_vs_raw8": bits["MSR4W"] / bits["Raw8W"],
-                "backends": _backend_identity(largest, codec),
+                "spec_identity": _spec_identity(largest, codec),
             }
         )
     return {
@@ -123,9 +117,9 @@ def check(result: dict) -> "list[str]":
                 f"{row['model']}: MSR4W stream ({row['bits']['MSR4W']} bits) "
                 f"not below Raw8W ({row['bits']['Raw8W']} bits)"
             )
-        if not row["backends"]["identical"]:
-            failures.append(f"{row['model']}: backend streams diverge")
-        if not row["backends"]["roundtrip_ok"]:
+        if not row["spec_identity"]["identical"]:
+            failures.append(f"{row['model']}: codec and spec streams diverge")
+        if not row["spec_identity"]["roundtrip_ok"]:
             failures.append(f"{row['model']}: MSR roundtrip is lossy")
     return failures
 

@@ -128,23 +128,6 @@ def geometry_occupancies(
     return filter_occ, channel_occ
 
 
-def _window_slice(
-    arr: np.ndarray,
-    fy: int,
-    fx: int,
-    stride: int,
-    dilation: int,
-    out_h: int,
-    out_w: int,
-) -> np.ndarray:
-    """The (..., out_h, out_w) view of tap (fy, fx) across all windows."""
-    return arr[
-        ...,
-        fy * dilation : fy * dilation + (out_h - 1) * stride + 1 : stride,
-        fx * dilation : fx * dilation + (out_w - 1) * stride + 1 : stride,
-    ]
-
-
 def _brick_tap_view(
     arr: np.ndarray,
     kernel: int,
@@ -159,9 +142,9 @@ def _brick_tap_view(
     ``arr`` is a (bricks * brick, Hp, Wp) term map; element
     ``[cb, l, fy, fx, oy, ox]`` of the view is the term count the lane
     ``l`` of channel-brick ``cb`` streams for weight tap (fy, fx) of the
-    output window (oy, ox) — i.e. every operand of the triple loop the
-    reference implementations walk, expressed as strides so the
-    reductions below run in C.
+    output window (oy, ox) — i.e. every operand of the triple loop in
+    ``tests/oracles/cycles.py``, expressed as strides so the reductions
+    below run in C.
     """
     c, hp, wp = arr.shape
     bricks = c // brick
@@ -217,7 +200,7 @@ def step_term_maxima(
     gathered = _brick_tap_view(
         per_pos_max, kernel, stride, dilation, out_h, out_w, brick=1
     )
-    # (bricks, 1, fy, fx, oh, ow) -> C-order copy matches the reference
+    # (bricks, 1, fy, fx, oh, ow) -> C-order copy matches the loop spec's
     # step ordering s = (cb*kernel + fy)*kernel + fx.
     maxima = np.ascontiguousarray(gathered, dtype=np.int64).reshape(
         -1, out_h, out_w
@@ -255,61 +238,6 @@ def lane_term_totals(
     )
     view = _brick_tap_view(folded, kernel, stride, dilation, out_h, out_w, brick)
     totals = view.sum(axis=(2, 3), dtype=np.int64)[0]
-    return totals, int(totals.sum())
-
-
-def _step_term_maxima_loops(
-    term_map: np.ndarray,
-    kernel: int,
-    stride: int,
-    dilation: int,
-    out_h: int,
-    out_w: int,
-    brick: int,
-) -> tuple[np.ndarray, int]:
-    """Reference loop implementation of :func:`step_term_maxima`.
-
-    Kept (with :func:`_lane_term_totals_loops`) as the executable spec the
-    vectorized kernels are property-tested against.
-    """
-    c = term_map.shape[0]
-    bricks = math.ceil(c / brick)
-    steps = bricks * kernel * kernel
-    maxima = np.empty((steps, out_h, out_w), dtype=np.int64)
-    total_terms = 0
-    s = 0
-    for cb in range(bricks):
-        sub = term_map[cb * brick : (cb + 1) * brick]
-        for fy in range(kernel):
-            for fx in range(kernel):
-                sl = _window_slice(sub, fy, fx, stride, dilation, out_h, out_w)
-                maxima[s] = sl.max(axis=0)
-                total_terms += int(sl.sum())
-                s += 1
-    return maxima, total_terms
-
-
-def _lane_term_totals_loops(
-    term_map: np.ndarray,
-    kernel: int,
-    stride: int,
-    dilation: int,
-    out_h: int,
-    out_w: int,
-    brick: int,
-) -> tuple[np.ndarray, int]:
-    """Reference loop implementation of :func:`lane_term_totals`."""
-    c = term_map.shape[0]
-    bricks = math.ceil(c / brick)
-    pad = bricks * brick - c
-    arr = term_map
-    if pad:
-        arr = np.pad(term_map, ((0, pad), (0, 0), (0, 0)))
-    folded = arr.reshape(bricks, brick, arr.shape[1], arr.shape[2]).sum(axis=0)
-    totals = np.zeros((brick, out_h, out_w), dtype=np.int64)
-    for fy in range(kernel):
-        for fx in range(kernel):
-            totals += _window_slice(folded, fy, fx, stride, dilation, out_h, out_w)
     return totals, int(totals.sum())
 
 

@@ -23,13 +23,9 @@ from repro.compression.footprint import (
     am_requirement_bytes,
 )
 from repro.compression.codec import (
-    BitReader,
-    BitWriter,
-    CODEC_BACKENDS,
     Encoded,
     GroupCodec,
     RLEZeroCodec,
-    active_codec_backend,
     codec_stats,
     reset_codec_stats,
 )
@@ -53,13 +49,9 @@ __all__ = [
     "network_footprint",
     "normalized_footprints",
     "am_requirement_bytes",
-    "CODEC_BACKENDS",
-    "BitReader",
-    "BitWriter",
     "Encoded",
     "GroupCodec",
     "RLEZeroCodec",
-    "active_codec_backend",
     "codec_stats",
     "reset_codec_stats",
     "LayerTraffic",

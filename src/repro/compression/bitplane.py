@@ -1,11 +1,8 @@
-"""Vectorized bit-plane backend for the bitstream codecs.
+"""Whole-array bit-plane kernels behind the bitstream codecs.
 
-The reference codecs in :mod:`repro.compression.codec` pack and unpack
-one value at a time through Python-level ``BitWriter``/``BitReader``
-loops — correct, legible, and the wall-clock floor under every sweep,
-fault campaign, and serving run that touches a packed stream.  This
-module implements the same wire formats as whole-array numpy bit-plane
-operations:
+The wire formats are defined one field at a time (the value-at-a-time
+spec in ``tests/oracles/``); this module implements them as whole-array
+numpy bit-plane operations:
 
 - **encode** computes every group width at once (:func:`group_precisions`
   is already vectorized), lays out per-group bit offsets with one
@@ -22,15 +19,15 @@ operations:
   class reduces to one masked XOR-reduction over the already-materialized
   value bit planes.
 
-Every function here is property-tested byte-identical to the reference
-path — same bytes out of encode, same values/flags/exceptions out of
-decode, including lenient decodes of corrupted and truncated streams
-(the contract :mod:`repro.faults` and :mod:`repro.protect` rely on).
+Every function here is property-tested byte-identical to the spec —
+same bytes out of encode, same values/flags/exceptions out of decode,
+including lenient decodes of corrupted and truncated streams (the
+contract :mod:`repro.faults` and :mod:`repro.protect` rely on).
 
-This module is the low-level backend; callers go through the
+This module is the low-level layer; callers go through the
 :class:`~repro.compression.codec.GroupCodec` /
-:class:`~repro.compression.codec.RLEZeroCodec` APIs, which select the
-backend via ``REPRO_CODEC_BACKEND``.
+:class:`~repro.compression.codec.RLEZeroCodec` APIs, which validate
+inputs and keep the codec counters.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from repro.core.precision import HEADER_BITS, group_precisions
 __all__ = [
     "CHECKSUM_BITS",
     "CRC8_POLY",
-    "crc8_table",
     "crc8_contrib",
     "group_encode",
     "group_decode_flagged",
@@ -74,18 +70,6 @@ _INDEX_BUDGET = 1 << 22
 def _crc8_shift(crc: int) -> int:
     """Advance the CRC-8 register by one zero input bit."""
     return ((crc << 1) ^ CRC8_POLY) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
-
-
-@lru_cache(maxsize=None)
-def crc8_table() -> "tuple[int, ...]":
-    """The 256-entry byte-wise CRC-8 LUT: ``crc' = table[crc ^ byte]``."""
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = _crc8_shift(crc)
-        table.append(crc)
-    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -146,10 +130,10 @@ def group_encode(
 ) -> "tuple[bytes, int]":
     """Pack a validated flat int64 stream; returns ``(data, bits)``.
 
-    Byte-identical to the reference ``BitWriter`` path: 4-bit ``width-1``
-    header per group, ``group_size`` values at that width (two's
-    complement when signed), optional CRC-8 of each group's header+payload
-    bits, zero padding to a whole byte.
+    Byte-identical to the spec: 4-bit ``width-1`` header per group,
+    ``group_size`` values at that width (two's complement when signed),
+    optional CRC-8 of each group's header+payload bits, zero padding to a
+    whole byte.
     """
     enc = group_precisions(flat, group_size, signed=signed)
     widths = np.asarray(enc.precisions, dtype=np.int64)
@@ -216,9 +200,9 @@ def group_decode_flagged(
     strict: bool,
     suspect_bits: "Sequence[tuple[int, int]]" = (),
 ) -> "tuple[np.ndarray, tuple[int, ...]]":
-    """Vectorized twin of ``GroupCodec.decode_flagged`` (post-validation).
+    """Bit-plane ``GroupCodec.decode_flagged`` (post-validation).
 
-    Replicates the reference decoder exactly, including its lenient-mode
+    Replicates the spec decoder exactly, including its lenient-mode
     contract on corrupted streams: reads succeed anywhere inside the
     physical byte buffer (padding bits included), exhaustion keeps a
     partial group's values only without checksums, rejected groups
@@ -360,10 +344,10 @@ def group_decode_flagged(
 def rlez_encode(flat: np.ndarray) -> "tuple[bytes, int]":
     """Pack a validated flat int64 stream into (skip, value) tokens.
 
-    Byte-identical to the reference path: a nonzero value preceded by
-    ``z`` zeros emits ``z // 16`` escape tokens (skip 15, stored zero)
-    then ``(z % 16, value)``; trailing zeros emit escape tokens whose
-    last carries the remainder.
+    Byte-identical to the spec: a nonzero value preceded by ``z`` zeros
+    emits ``z // 16`` escape tokens (skip 15, stored zero) then
+    ``(z % 16, value)``; trailing zeros emit escape tokens whose last
+    carries the remainder.
     """
     n = flat.size
     nz = np.flatnonzero(flat)
@@ -399,7 +383,7 @@ def rlez_encode(flat: np.ndarray) -> "tuple[bytes, int]":
 def rlez_decode(
     data: bytes, stream_bits: int, values: int, strict: bool
 ) -> np.ndarray:
-    """Vectorized twin of ``RLEZeroCodec.decode`` (post-validation)."""
+    """Bit-plane ``RLEZeroCodec.decode`` (post-validation)."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     phys = bits.size
     attempted = -(-stream_bits // RLE_TOKEN_BITS)

@@ -23,96 +23,59 @@ Both operate on flat integer streams (use
 :func:`repro.compression.schemes.storage_order` /
 :func:`repro.compression.schemes.planar_order` to linearize maps).
 
-Two interchangeable backends implement each format:
-
-- ``"reference"`` — the original value-at-a-time ``BitWriter``/``BitReader``
-  loops below: legible, obviously correct, slow.
-- ``"vectorized"`` (default) — whole-array numpy bit-plane pack/unpack in
-  :mod:`repro.compression.bitplane`, property-tested byte-identical to
-  the reference path on every stream either emits (corrupted and
-  truncated streams included).
-
-Selection is per call via the ``REPRO_CODEC_BACKEND`` environment
-variable; an unknown value raises ``ValueError`` at first codec use
-rather than silently falling back.  :func:`codec_stats` reports the
-active backend and per-backend call counters, mirroring
-:func:`repro.cache.store.cache_stats`.
+Both encode and decode are whole-array numpy bit-plane operations
+(:mod:`repro.compression.bitplane`).  The value-at-a-time definition of
+each format lives in ``tests/oracles/`` as the executable spec; the
+property suites hold these codecs byte-identical to it on every stream,
+corrupted and truncated ones included.  :func:`codec_stats` reports
+per-family call counters, mirroring :func:`repro.cache.store.cache_stats`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.compression import bitplane
-from repro.compression.bitplane import CHECKSUM_BITS, _crc8_shift, crc8_table
-from repro.compression.schemes import RLE_COUNT_BITS, _RLE_SPAN
-from repro.core.precision import HEADER_BITS, MAX_PRECISION, group_precisions
+from repro.compression.bitplane import CHECKSUM_BITS  # noqa: F401  (public re-export)
+from repro.compression.schemes import RLE_COUNT_BITS
+from repro.core.precision import MAX_PRECISION
 from repro.utils import timing
 from repro.utils.validation import (
     check_dtype,
     check_finite,
+    check_integer,
     check_nonnegative,
     check_positive,
     check_shape,
 )
 
-#: The selectable codec backends, in documentation order.
-CODEC_BACKENDS = ("reference", "vectorized")
-
-#: Backend used when ``REPRO_CODEC_BACKEND`` is unset or empty.
-DEFAULT_CODEC_BACKEND = "vectorized"
-
-_BACKEND_ENV = "REPRO_CODEC_BACKEND"
-
-
-def active_codec_backend() -> str:
-    """The backend the next codec call will use.
-
-    Read from ``REPRO_CODEC_BACKEND`` on every call (so tests and
-    experiments can flip it via the environment); an unknown value is a
-    hard ``ValueError``, never a silent fallback.
-    """
-    raw = os.environ.get(_BACKEND_ENV, "").strip().lower()
-    if not raw:
-        return DEFAULT_CODEC_BACKEND
-    if raw not in CODEC_BACKENDS:
-        raise ValueError(
-            f"unknown {_BACKEND_ENV} value {raw!r}; "
-            f"expected one of {CODEC_BACKENDS}"
-        )
-    return raw
-
 
 @dataclass
 class CodecStats:
-    """Process-lifetime codec counters plus the currently active backend."""
+    """Process-lifetime codec counters."""
 
-    backend: str
     encodes: int = 0
     decodes: int = 0
     encoded_bits: int = 0
     decoded_values: int = 0
-    reference_calls: int = 0
-    vectorized_calls: int = 0
     #: Per-codec-family breakdown ("activation" vs "weight"): each entry
     #: carries its own encodes/decodes/encoded_bits/decoded_values, so the
     #: two stream families stay distinguishable once both exist.
     per_codec: "dict[str, dict[str, int]]" = field(default_factory=dict)
 
 
-_CODEC_STATS = CodecStats(backend=DEFAULT_CODEC_BACKEND)
+_CODEC_STATS = CodecStats()
 _CODEC_STATS_LOCK = threading.Lock()
 
 
 def _note_codec_call(
-    kind: str, backend: str, bits: int, values: int, codec: str = "activation"
+    kind: str, bits: int, values: int, codec: str = "activation"
 ) -> None:
-    """Record one encode/decode under the backend that served it."""
-    timing.count(f"codec.{backend}.{kind}")
+    """Record one encode/decode of the ``codec`` stream family."""
+    timing.count(f"codec.{kind}")
     with _CODEC_STATS_LOCK:
         bucket = _CODEC_STATS.per_codec.setdefault(
             codec, {"encodes": 0, "decodes": 0, "encoded_bits": 0, "decoded_values": 0}
@@ -127,136 +90,23 @@ def _note_codec_call(
             _CODEC_STATS.decoded_values += values
             bucket["decodes"] += 1
             bucket["decoded_values"] += values
-        if backend == "reference":
-            _CODEC_STATS.reference_calls += 1
-        else:
-            _CODEC_STATS.vectorized_calls += 1
 
 
 def codec_stats() -> CodecStats:
-    """Consistent snapshot of the codec counters (cache_stats-style).
-
-    ``backend`` is resolved at snapshot time, so an invalid
-    ``REPRO_CODEC_BACKEND`` raises here exactly as it would at first use.
-    """
-    backend = active_codec_backend()
+    """Consistent snapshot of the codec counters (cache_stats-style)."""
     with _CODEC_STATS_LOCK:
         snapshot = CodecStats(**vars(_CODEC_STATS))
         # Deep-copy the per-codec buckets so callers' snapshots don't
         # mutate under them as later calls land.
         snapshot.per_codec = {k: dict(v) for k, v in _CODEC_STATS.per_codec.items()}
-    snapshot.backend = backend
     return snapshot
 
 
 def reset_codec_stats() -> None:
     """Zero the codec counters (tests, repeated measurements)."""
     with _CODEC_STATS_LOCK:
-        for field_name, value in vars(CodecStats(backend=DEFAULT_CODEC_BACKEND)).items():
+        for field_name, value in vars(CodecStats()).items():
             setattr(_CODEC_STATS, field_name, value)
-
-
-class BitWriter:
-    """Append-only MSB-first bit buffer."""
-
-    def __init__(self) -> None:
-        self._bits: list[int] = []
-
-    def write(self, value: int, width: int) -> None:
-        """Append ``width`` bits of the unsigned ``value`` (MSB first)."""
-        if width < 0:
-            raise ValueError(f"width must be >= 0, got {width}")
-        if value < 0 or value >= (1 << width):
-            raise ValueError(f"value {value} does not fit {width} unsigned bits")
-        for i in reversed(range(width)):
-            self._bits.append((value >> i) & 1)
-
-    def bit_slice(self, start: int, end: int) -> "list[int]":
-        """The written 0/1 bits in ``[start, end)`` (for checksumming)."""
-        return self._bits[start:end]
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def getvalue(self) -> bytes:
-        """The buffer padded to a whole number of bytes."""
-        bits = self._bits + [0] * ((-len(self._bits)) % 8)
-        out = bytearray()
-        for i in range(0, len(bits), 8):
-            byte = 0
-            for b in bits[i : i + 8]:
-                byte = (byte << 1) | b
-            out.append(byte)
-        return bytes(out)
-
-
-class BitReader:
-    """MSB-first bit reader over bytes."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def read(self, width: int) -> int:
-        """Read ``width`` bits as an unsigned integer."""
-        if width < 0:
-            raise ValueError(f"width must be >= 0, got {width}")
-        end = self._pos + width
-        if end > len(self._data) * 8:
-            raise EOFError("bitstream exhausted")
-        value = 0
-        for i in range(self._pos, end):
-            byte = self._data[i // 8]
-            bit = (byte >> (7 - (i % 8))) & 1
-            value = (value << 1) | bit
-        self._pos = end
-        return value
-
-    @property
-    def bits_read(self) -> int:
-        return self._pos
-
-    def bit_slice(self, start: int, end: int) -> "list[int]":
-        """The 0/1 bits in ``[start, end)`` without moving the cursor."""
-        if start < 0 or end > len(self._data) * 8 or start > end:
-            raise ValueError(f"bit range [{start}, {end}) out of bounds")
-        return [
-            (self._data[i // 8] >> (7 - (i % 8))) & 1 for i in range(start, end)
-        ]
-
-
-_CRC8_POLY = bitplane.CRC8_POLY
-
-
-def _crc8_bits_bitwise(bits: "list[int]") -> int:
-    """Bit-at-a-time CRC-8: the defining implementation the table-driven
-    :func:`crc8_bits` is verified bit-exact against."""
-    crc = 0
-    for b in bits:
-        crc ^= (b & 1) << 7
-        crc = ((crc << 1) ^ _CRC8_POLY) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
-    return crc
-
-
-def crc8_bits(bits: "list[int] | np.ndarray") -> int:
-    """CRC-8 (poly 0x07, init 0) over a 0/1 bit sequence, MSB first.
-
-    Table-driven: whole bytes go through the 256-entry LUT
-    (:func:`repro.compression.bitplane.crc8_table`), the sub-byte tail
-    through the shift register — bit-exact with the per-bit definition at
-    roughly 8x fewer Python-level steps.
-    """
-    arr = np.asarray(bits, dtype=np.uint8) & 1
-    table = crc8_table()
-    crc = 0
-    full = arr.size - arr.size % 8
-    if full:
-        for byte in np.packbits(arr[:full]).tolist():
-            crc = table[crc ^ byte]
-    for b in arr[full:].tolist():
-        crc ^= b << 7
-        crc = _crc8_shift(crc)
-    return crc
 
 
 def _as_int_stream(name: str, values: np.ndarray, signed: bool) -> np.ndarray:
@@ -303,15 +153,6 @@ def _check_encoded(encoded: Encoded) -> None:
         )
 
 
-def _to_twos_complement(value: int, width: int) -> int:
-    return value & ((1 << width) - 1)
-
-
-def _from_twos_complement(raw: int, width: int) -> int:
-    sign_bit = 1 << (width - 1)
-    return raw - (1 << width) if raw & sign_bit else raw
-
-
 @dataclass(frozen=True)
 class Encoded:
     """An encoded stream plus the exact payload size in bits."""
@@ -332,6 +173,7 @@ class GroupCodec:
     def __init__(
         self, group_size: int = 16, signed: bool = False, checksum: bool = False
     ):
+        group_size = check_integer("group_size", group_size)
         check_positive("group_size", group_size)
         self.group_size = group_size
         self.signed = signed
@@ -340,44 +182,11 @@ class GroupCodec:
     def encode(self, values: np.ndarray) -> Encoded:
         """Pack a flat integer stream; tail groups are zero padded."""
         flat = _as_int_stream("values", values, signed=self.signed)
-        backend = active_codec_backend()
-        if backend == "vectorized":
-            data, bits = bitplane.group_encode(
-                flat, self.group_size, self.signed, self.checksum
-            )
-            encoded = Encoded(data=data, bits=bits, values=int(flat.size))
-        else:
-            encoded = self._encode_reference(flat)
-        _note_codec_call("encode", backend, encoded.bits, encoded.values)
-        return encoded
-
-    def _encode_reference(self, flat: np.ndarray) -> Encoded:
-        """The value-at-a-time ``BitWriter`` path (backend ``reference``)."""
-        enc = group_precisions(flat, self.group_size, signed=self.signed)
-        writer = BitWriter()
-        padded = np.zeros(len(enc.precisions) * self.group_size, dtype=np.int64)
-        padded[: flat.size] = flat
-        for g, width in enumerate(enc.precisions):
-            width = int(width)
-            start = len(writer)
-            # Headers store width-1 so 4 bits cover widths 1..16.
-            writer.write(width - 1, HEADER_BITS)
-            chunk = padded[g * self.group_size : (g + 1) * self.group_size]
-            for v in chunk:
-                v = int(v)
-                raw = _to_twos_complement(v, width) if self.signed else v
-                writer.write(raw, width)
-            if self.checksum:
-                writer.write(crc8_bits(writer.bit_slice(start, len(writer))), CHECKSUM_BITS)
-        bits = len(writer)
-        expected = enc.total_bits + (
-            len(enc.precisions) * CHECKSUM_BITS if self.checksum else 0
+        data, bits = bitplane.group_encode(
+            flat, self.group_size, self.signed, self.checksum
         )
-        if bits != expected:
-            raise AssertionError(
-                f"codec wrote {bits} bits but accounting says {expected}"
-            )
-        return Encoded(data=writer.getvalue(), bits=bits, values=int(flat.size))
+        _note_codec_call("encode", bits, int(flat.size))
+        return Encoded(data=data, bits=bits, values=int(flat.size))
 
     def decode(self, encoded: Encoded, strict: bool = True) -> np.ndarray:
         """Unpack back to the original flat stream (padding stripped).
@@ -422,95 +231,18 @@ class GroupCodec:
         """
         if strict:
             _check_encoded(encoded)
-        backend = active_codec_backend()
-        if backend == "vectorized":
-            result = bitplane.group_decode_flagged(
-                encoded.data,
-                encoded.bits,
-                encoded.values,
-                self.group_size,
-                self.signed,
-                self.checksum,
-                strict,
-                tuple(suspect_bits),
-            )
-        else:
-            result = self._decode_flagged_reference(encoded, strict, suspect_bits)
-        _note_codec_call("decode", backend, encoded.bits, encoded.values)
+        result = bitplane.group_decode_flagged(
+            encoded.data,
+            encoded.bits,
+            encoded.values,
+            self.group_size,
+            self.signed,
+            self.checksum,
+            strict,
+            tuple(suspect_bits),
+        )
+        _note_codec_call("decode", encoded.bits, encoded.values)
         return result
-
-    def _decode_flagged_reference(
-        self,
-        encoded: Encoded,
-        strict: bool,
-        suspect_bits: "tuple[tuple[int, int], ...]",
-    ) -> "tuple[np.ndarray, tuple[int, ...]]":
-        """The value-at-a-time ``BitReader`` path (backend ``reference``)."""
-        reader = BitReader(encoded.data)
-        out: list[int] = []
-        flagged: list[int] = []
-        groups = -(-encoded.values // self.group_size)
-        exhausted_at: "int | None" = None
-        group_vals: list[int] = []
-        try:
-            for g in range(groups):
-                group_vals = []
-                start = reader.bits_read
-                width = reader.read(HEADER_BITS) + 1
-                for _ in range(self.group_size):
-                    raw = reader.read(width)
-                    group_vals.append(
-                        _from_twos_complement(raw, width) if self.signed else raw
-                    )
-                if self.checksum:
-                    end = reader.bits_read
-                    stored = reader.read(CHECKSUM_BITS)
-                    span_end = reader.bits_read
-                    known_bad = any(
-                        start < hi and lo < span_end for lo, hi in suspect_bits
-                    )
-                    if known_bad or stored != crc8_bits(reader.bit_slice(start, end)):
-                        if strict:
-                            raise ValueError(
-                                f"corrupt stream: checksum mismatch in group {g}"
-                            )
-                        flagged.append(g)
-                        group_vals = [0] * self.group_size
-                out.extend(group_vals)
-        except EOFError:
-            if strict:
-                raise ValueError(
-                    f"corrupt stream: exhausted after {reader.bits_read} of "
-                    f"{encoded.bits} bits"
-                ) from None
-            if not self.checksum:
-                # Without checksums the hardware unit keeps whatever values
-                # it managed to shift in before the stream ran dry; with
-                # them the partial group is unverifiable, so it zero-fills.
-                out.extend(group_vals)
-            exhausted_at = len(out) // self.group_size
-        if strict and reader.bits_read != encoded.bits:
-            raise ValueError(
-                f"decoded {reader.bits_read} bits, expected {encoded.bits}"
-            )
-        if self.checksum:
-            # Exhaustion or an end misalignment after a checksum failure is
-            # the signature of a header desync, under which every later
-            # group decoded from the wrong offsets — and a garbage group
-            # still passes its CRC-8 with probability 2^-8.  Flag the whole
-            # tail from the first failure rather than trusting those coin
-            # flips.  (A payload-only error keeps the stream aligned and
-            # keeps the precise per-group flags.)
-            if exhausted_at is not None:
-                flagged.extend(range(exhausted_at, groups))
-            desynced = exhausted_at is not None or (
-                bool(flagged) and reader.bits_read != encoded.bits
-            )
-            if desynced and flagged:
-                flagged = list(range(flagged[0], groups))
-        if len(out) < encoded.values:
-            out.extend([0] * (encoded.values - len(out)))
-        return np.array(out[: encoded.values], dtype=np.int64), tuple(flagged)
 
 
 class RLEZeroCodec:
@@ -526,71 +258,15 @@ class RLEZeroCodec:
 
     def encode(self, values: np.ndarray) -> Encoded:
         flat = _as_int_stream("values", values, signed=True)
-        backend = active_codec_backend()
-        if backend == "vectorized":
-            data, bits = bitplane.rlez_encode(flat)
-            encoded = Encoded(data=data, bits=bits, values=int(flat.size))
-        else:
-            encoded = self._encode_reference(flat)
-        _note_codec_call("encode", backend, encoded.bits, encoded.values)
-        return encoded
-
-    def _encode_reference(self, flat: np.ndarray) -> Encoded:
-        """The token-at-a-time ``BitWriter`` path (backend ``reference``)."""
-        writer = BitWriter()
-        pending_zeros = 0
-
-        def emit(value: int, skip: int) -> None:
-            writer.write(skip, RLE_COUNT_BITS)
-            writer.write(_to_twos_complement(value, 16), 16)
-
-        for v in flat:
-            v = int(v)
-            if v == 0:
-                pending_zeros += 1
-                if pending_zeros == _RLE_SPAN + 1:
-                    emit(0, _RLE_SPAN)  # escape: 15 skipped + stored zero
-                    pending_zeros = 0
-                continue
-            emit(v, pending_zeros)
-            pending_zeros = 0
-        while pending_zeros > 0:
-            chunk = min(pending_zeros, _RLE_SPAN + 1)
-            emit(0, chunk - 1)
-            pending_zeros -= chunk
-        return Encoded(data=writer.getvalue(), bits=len(writer), values=int(flat.size))
+        data, bits = bitplane.rlez_encode(flat)
+        _note_codec_call("encode", bits, int(flat.size))
+        return Encoded(data=data, bits=bits, values=int(flat.size))
 
     def decode(self, encoded: Encoded, strict: bool = True) -> np.ndarray:
         if strict:
             _check_encoded(encoded)
-        backend = active_codec_backend()
-        if backend == "vectorized":
-            result = bitplane.rlez_decode(
-                encoded.data, encoded.bits, encoded.values, strict
-            )
-        else:
-            result = self._decode_reference(encoded, strict)
-        _note_codec_call("decode", backend, encoded.bits, encoded.values)
+        result = bitplane.rlez_decode(
+            encoded.data, encoded.bits, encoded.values, strict
+        )
+        _note_codec_call("decode", encoded.bits, encoded.values)
         return result
-
-    def _decode_reference(self, encoded: Encoded, strict: bool) -> np.ndarray:
-        """The token-at-a-time ``BitReader`` path (backend ``reference``)."""
-        reader = BitReader(encoded.data)
-        out: list[int] = []
-        try:
-            while reader.bits_read < encoded.bits:
-                skip = reader.read(RLE_COUNT_BITS)
-                value = _from_twos_complement(reader.read(16), 16)
-                out.extend([0] * skip)
-                out.append(value)
-        except EOFError:
-            if strict:
-                raise ValueError(
-                    f"corrupt stream: exhausted after {reader.bits_read} of "
-                    f"{encoded.bits} bits"
-                ) from None
-        # Trailing stored zeros may have been emitted as escape values;
-        # the value count disambiguates.
-        if len(out) < encoded.values:
-            out.extend([0] * (encoded.values - len(out)))
-        return np.array(out[: encoded.values], dtype=np.int64)

@@ -24,8 +24,8 @@ corruption split (``full`` must show zero silent), and crash recovery —
 the re-anchor spike when a node's state dies and the warm-fraction
 climb as sessions re-anchor and go warm again.
 
-All cells are byte-deterministic across cold runs, worker counts, and
-codec backends, so the experiment carries ci/full goldens.
+All cells are byte-deterministic across cold runs and worker counts, so
+the experiment carries ci/full goldens.
 """
 
 from __future__ import annotations

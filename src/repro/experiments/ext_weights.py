@@ -7,7 +7,7 @@ speculative engine built on it:
 - **MSR compaction** — the network's weights are quantile-calibrated to
   INT8 (:mod:`repro.weights.quant`) and compacted by the per-column MSR
   codec (:mod:`repro.weights.msr`): coverage fraction, per-scheme stored
-  bits (``Raw16W``/``Raw8W``/``MSR4W``), and a both-backends roundtrip
+  bits (``Raw16W``/``Raw8W``/``MSR4W``), and a per-layer roundtrip
   smoke, plus a protected round trip through
   :meth:`repro.arch.memory.MemorySystem.read_weight_stream` (SECDED +
   stream checksum composing on weights exactly as on activations).
@@ -25,7 +25,6 @@ speculative engine built on it:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +83,8 @@ class WeightStudyResult:
     weight_values: int
     #: Adaptive per-column MSR coverage (in-band fraction).
     msr_coverage: float
-    #: Vectorized encode/decode reproduced every layer's weights exactly.
+    #: Encode/decode reproduced every layer's weights exactly.
     roundtrip_ok: bool
-    #: Reference and vectorized backends produced identical bytes.
-    backends_identical: bool
     #: SECDED+checksum round trip through ``read_weight_stream`` corrected
     #: an injected single-bit storage fault back to the exact weights.
     memory_roundtrip_ok: bool
@@ -166,33 +163,14 @@ def _mean_frame_cycles(model, traces) -> float:
     )
 
 
-def _roundtrip_checks(
+def _roundtrip_ok(
     int_weights: "dict[str, tuple[np.ndarray, int]]", codec: MSRCodec
-) -> "tuple[bool, bool]":
-    """(every layer roundtrips, backends byte-identical on a sample)."""
-    roundtrip_ok = True
-    for weights, _scale in int_weights.values():
-        encoded = codec.encode(weights)
-        if not np.array_equal(codec.decode(encoded), weights):
-            roundtrip_ok = False
-            break
-    sample = next(iter(int_weights.values()))[0]
-    prior = os.environ.get("REPRO_CODEC_BACKEND")
-    streams = {}
-    try:
-        for backend in ("reference", "vectorized"):
-            os.environ["REPRO_CODEC_BACKEND"] = backend
-            streams[backend] = codec.encode(sample)
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_CODEC_BACKEND", None)
-        else:
-            os.environ["REPRO_CODEC_BACKEND"] = prior
-    backends_identical = (
-        streams["reference"].data == streams["vectorized"].data
-        and streams["reference"].bits == streams["vectorized"].bits
+) -> bool:
+    """Every layer's weights survive an encode/decode round trip."""
+    return all(
+        np.array_equal(codec.decode(codec.encode(weights)), weights)
+        for weights, _scale in int_weights.values()
     )
-    return roundtrip_ok, backends_identical
 
 
 def _memory_roundtrip_ok(sample: np.ndarray) -> bool:
@@ -235,7 +213,7 @@ def run(
         name: sum(network_weight_bits(net, name).values())
         for name in WEIGHT_SCHEME_NAMES
     }
-    roundtrip_ok, backends_identical = _roundtrip_checks(int_weights, codec)
+    roundtrip_ok = _roundtrip_ok(int_weights, codec)
     sample = next(iter(int_weights.values()))[0]
 
     footprints = composed_footprints(net, traces, COMPOSED_PAIRS)
@@ -271,7 +249,6 @@ def run(
         weight_values=total,
         msr_coverage=coverage,
         roundtrip_ok=roundtrip_ok,
-        backends_identical=backends_identical,
         memory_roundtrip_ok=_memory_roundtrip_ok(sample),
         scheme_bits=scheme_bits,
         footprints=footprints,
@@ -339,8 +316,7 @@ def format_result(result: WeightStudyResult) -> str:
             f"traffic {result.traffic[key]:.3f}"
         )
     lines.append(
-        f"roundtrip ok: {result.roundtrip_ok}; backends identical: "
-        f"{result.backends_identical}; protected memory roundtrip: "
+        f"roundtrip ok: {result.roundtrip_ok}; protected memory roundtrip: "
         f"{result.memory_roundtrip_ok}; serve weight-load ratio "
         f"{result.serve_overhead_ratio:.3f}x dense"
     )

@@ -84,11 +84,11 @@ def inject_encoded(
     """Corrupt the payload bits of a packed stream before decode.
 
     Only the ``encoded.bits`` payload bits are exposed — the zero padding
-    :class:`~repro.compression.codec.BitWriter` adds to reach a whole byte
-    never leaves the encoder, so it cannot fault.
+    the encoder adds to reach a whole byte never leaves it, so it cannot
+    fault.
     """
     # Unpack the *physical* bits (payload + byte padding) so the repack
-    # preserves any padding content byte-for-byte on both codec backends.
+    # preserves any padding content byte-for-byte.
     bits = unpack_payload(encoded.data, len(encoded.data) * 8)
     payload = bits[: encoded.bits]
     faults = inject_bits(payload, rate, model, rng)

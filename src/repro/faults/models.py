@@ -1,11 +1,11 @@
 """Deterministic fault models over bit streams.
 
 Every model operates on a *bit array* — a flat ``uint8`` vector of 0/1
-values, MSB-first, matching the order :class:`repro.compression.codec.BitWriter`
-emits.  Fault *events* are selected by an independent Bernoulli draw per
-bit at the configured rate (the standard soft-error abstraction: a raw
-bit-error rate per stored bit), and each model defines what one event does
-to the stream:
+values, MSB-first, matching the order the codecs in
+:mod:`repro.compression.bitplane` pack bits into bytes.  Fault *events*
+are selected by an independent Bernoulli draw per bit at the configured
+rate (the standard soft-error abstraction: a raw bit-error rate per
+stored bit), and each model defines what one event does to the stream:
 
 - :class:`BitFlip` — flips the event bit, plus ``count - 1`` additional
   independently-drawn bits per event (``count=1`` is the classic

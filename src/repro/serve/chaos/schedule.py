@@ -5,8 +5,8 @@ node crashes, degraded-node windows, correlated fault+load bursts — is
 drawn ahead of the simulation from one :func:`repro.utils.rng.rng_for`
 stream keyed by the spec's seed, then pinned into a frozen
 :class:`ChaosSchedule`.  The simulation itself draws no randomness, so a
-chaos run is byte-identical across cold runs, worker counts, and codec
-backends, exactly like the fault-free fleet.
+chaos run is byte-identical across cold runs and worker counts, exactly
+like the fault-free fleet.
 
 Three event classes, matching the three injection levels:
 

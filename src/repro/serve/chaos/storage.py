@@ -203,9 +203,7 @@ def price_ladder(
     """Measure one ladder's serve-path probabilities at one fault rate.
 
     Pure function of its arguments (map, faults, and recovery are all
-    seeded), so the result is disk-cached like the service times; the
-    probabilities are byte-identical on both codec backends because the
-    protection stack itself is.
+    seeded), so the result is disk-cached like the service times.
     """
     policy = serve_ladder(ladder)
     fault_model(fault_model_name)  # fail fast on unknown names

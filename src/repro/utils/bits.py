@@ -17,9 +17,9 @@ from repro.utils.validation import check_positive
 def words_to_bits(words: np.ndarray, width: int) -> np.ndarray:
     """Explode unsigned ``width``-bit words into a flat MSB-first bit array.
 
-    The bit order matches :class:`repro.compression.codec.BitWriter`, which
-    is what lets fault models and ECC codecs share one bit-level view of
-    stored words.
+    The bit order matches the codecs' packed streams (MSB first, as
+    ``np.packbits`` emits them), which is what lets fault models and ECC
+    codecs share one bit-level view of stored words.
     """
     check_positive("width", width)
     arr = np.asarray(words, dtype=np.int64).reshape(-1)

@@ -17,6 +17,17 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
+def check_integer(name: str, value: object) -> int:
+    """Raise ``ValueError`` unless ``value`` is an integer; return it as ``int``.
+
+    numpy integer scalars pass; bools and floats do not, integral or not
+    (``16.0`` is a float that happens to be whole, not a count).
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_nonnegative(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` is >= 0."""
     if not value >= 0:

@@ -8,7 +8,7 @@ package adds the weight axis:
   quantization (quantile-calibrated power-of-two scales, lossless).
 - :mod:`repro.weights.msr` — the MSR (Most-Significant-Run) compaction
   codec: per-column run-width headers, a compensation list for
-  out-of-band weights, both codec backends byte-identical.
+  out-of-band weights.
 - :mod:`repro.weights.schemes` — weight storage schemes (``Raw16W``,
   ``Raw8W``, ``MSR4W``) and network-level pricing helpers, composable
   with the activation schemes in the Fig 5/Fig 14 ladders.

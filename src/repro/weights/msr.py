@@ -21,14 +21,15 @@ Wire format (per ``column_size``-weight column, tail zero padded):
 - with ``checksum=True``, a CRC-8 of the column's header+entry+payload
   bits (the same detection rung the activation streams use).
 
-Both codec backends (``REPRO_CODEC_BACKEND={reference,vectorized}``)
-implement the format byte-identically, including the lenient-decode
-semantics of the activation codecs: strict decodes raise on checksum
-mismatch / exhaustion / bit-count disagreement with the same message
-shapes as :class:`repro.compression.codec.GroupCodec` (with "column"
-in place of "group"), lenient decodes zero-fill and flag rejected
-columns, keep a partial column's shifted-in values without checksums,
-and flag the whole tail on desynchronization.
+Encode and decode are whole-array bit-plane operations, property-tested
+byte-identical to the value-at-a-time spec in ``tests/oracles/``.  They
+share the lenient-decode semantics of the activation codecs: strict
+decodes raise on checksum mismatch / exhaustion / bit-count
+disagreement with the same message shapes as
+:class:`repro.compression.codec.GroupCodec` (with "column" in place of
+"group"), lenient decodes zero-fill and flag rejected columns, keep a
+partial column's shifted-in values without checksums, and flag the
+whole tail on desynchronization.
 """
 
 from __future__ import annotations
@@ -38,28 +39,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.compression import bitplane
-from repro.compression.bitplane import CHECKSUM_BITS, _chunked, crc8_contrib
+from repro.compression.bitplane import (
+    CHECKSUM_BITS,
+    _bit_weights,
+    _chunked,
+    _from_twos_complement_array,
+    crc8_contrib,
+)
 from repro.compression.codec import (
-    BitReader,
-    BitWriter,
     Encoded,
     _as_int_stream,
     _check_encoded,
-    _from_twos_complement,
     _note_codec_call,
-    _to_twos_complement,
-    active_codec_backend,
-    crc8_bits,
 )
 from repro.utils.bits import signed_range
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_integer, check_positive
 
 __all__ = ["MSRCodec", "MSRLayout"]
-
-
-def _bit_weights(width: int) -> np.ndarray:
-    return bitplane._bit_weights(width)
 
 
 def _scatter_field(
@@ -111,6 +107,9 @@ class MSRCodec:
         column_size: int = 256,
         checksum: bool = False,
     ):
+        bits = check_integer("bits", bits)
+        max_msr = check_integer("max_msr", max_msr)
+        column_size = check_integer("column_size", column_size)
         check_positive("column_size", column_size)
         if not 2 <= bits <= 16:
             raise ValueError(f"bits must be in [2, 16], got {bits}")
@@ -118,9 +117,9 @@ class MSRCodec:
             raise ValueError(
                 f"max_msr must be in [1, bits-1] = [1, {bits - 1}], got {max_msr}"
             )
-        self.bits = int(bits)
-        self.max_msr = int(max_msr)
-        self.column_size = int(column_size)
+        self.bits = bits
+        self.max_msr = max_msr
+        self.column_size = column_size
         self.checksum = bool(checksum)
         self._run_bits = max(1, (self.max_msr - 1).bit_length())
         if (1 << self._run_bits) > self.bits:
@@ -168,8 +167,8 @@ class MSRCodec:
             counts[:, r - 1] = m
             sizes[:, r - 1] = m * self._entry_bits + self.column_size * compact
         # Per-column argmin; ties break toward the larger run (better
-        # coverage at equal size).  Matches the reference encoder's
-        # ascending scan with `<=`.
+        # coverage at equal size).  Matches the spec encoder's ascending
+        # scan with `<=`.
         if columns:
             choice = n_runs - 1 - sizes[:, ::-1].argmin(axis=1)
         else:
@@ -226,61 +225,6 @@ class MSRCodec:
     def encode(self, values: np.ndarray) -> Encoded:
         """Pack a flat weight stream; tail columns are zero padded."""
         flat = self._validated(values)
-        backend = active_codec_backend()
-        if backend == "vectorized":
-            encoded = self._encode_vectorized(flat)
-        else:
-            encoded = self._encode_reference(flat)
-        _note_codec_call("encode", backend, encoded.bits, encoded.values, codec="weight")
-        return encoded
-
-    def _choose_run(self, col: np.ndarray) -> "tuple[int, list[int]]":
-        """Reference run choice: minimal size, ties to the larger run."""
-        best_run, best_size, best_comp = 1, None, np.zeros(0, dtype=np.int64)
-        for run in range(1, self.max_msr + 1):
-            compact = self.bits - run + 1
-            lo, hi = signed_range(compact)
-            oob = np.flatnonzero((col < lo) | (col > hi))
-            size = oob.size * self._entry_bits + self.column_size * compact
-            if best_size is None or size <= best_size:
-                best_run, best_size, best_comp = run, size, oob
-        return best_run, [int(i) for i in best_comp]
-
-    def _encode_reference(self, flat: np.ndarray) -> Encoded:
-        """The value-at-a-time ``BitWriter`` path (backend ``reference``)."""
-        writer = BitWriter()
-        columns = -(-flat.size // self.column_size) if flat.size else 0
-        padded = np.zeros(columns * self.column_size, dtype=np.int64)
-        padded[: flat.size] = flat
-        for c in range(columns):
-            col = padded[c * self.column_size : (c + 1) * self.column_size]
-            run, comp = self._choose_run(col)
-            compact = self.bits - run + 1
-            lo, hi = signed_range(compact)
-            start = len(writer)
-            writer.write(run - 1, self._run_bits)
-            writer.write(len(comp), self._count_bits)
-            for idx in comp:
-                writer.write(idx, self._index_bits)
-                writer.write(_to_twos_complement(int(col[idx]), self.bits), self.bits)
-            for v in col:
-                v = int(v)
-                stored = v if lo <= v <= hi else 0
-                writer.write(_to_twos_complement(stored, compact), compact)
-            if self.checksum:
-                writer.write(
-                    crc8_bits(writer.bit_slice(start, len(writer))), CHECKSUM_BITS
-                )
-        bits = len(writer)
-        expected = self._layout(flat).total_bits
-        if bits != expected:
-            raise AssertionError(
-                f"codec wrote {bits} bits but accounting says {expected}"
-            )
-        return Encoded(data=writer.getvalue(), bits=bits, values=int(flat.size))
-
-    def _encode_vectorized(self, flat: np.ndarray) -> Encoded:
-        """Whole-array bit-plane path (backend ``vectorized``)."""
         lay = self._layout(flat)
         bits_arr = np.zeros(lay.total_bits, dtype=np.uint8)
         if lay.columns:
@@ -326,6 +270,7 @@ class MSRCodec:
                         _scatter_field(
                             bits_arr, offs[chunk] + s, crc.astype(np.int64), CHECKSUM_BITS
                         )
+        _note_codec_call("encode", lay.total_bits, int(flat.size), codec="weight")
         return Encoded(
             data=np.packbits(bits_arr).tobytes(),
             bits=lay.total_bits,
@@ -356,104 +301,17 @@ class MSRCodec:
         """
         if strict:
             _check_encoded(encoded)
-        backend = active_codec_backend()
-        if backend == "vectorized":
-            result = self._decode_flagged_vectorized(encoded, strict, tuple(suspect_bits))
-        else:
-            result = self._decode_flagged_reference(encoded, strict, tuple(suspect_bits))
-        _note_codec_call(
-            "decode", backend, encoded.bits, encoded.values, codec="weight"
-        )
+        result = self._unpack(encoded, strict, tuple(suspect_bits))
+        _note_codec_call("decode", encoded.bits, encoded.values, codec="weight")
         return result
 
-    def _decode_flagged_reference(
-        self,
-        encoded: Encoded,
-        strict: bool,
-        suspect_bits: "tuple[tuple[int, int], ...]",
-    ) -> "tuple[np.ndarray, tuple[int, ...]]":
-        """The value-at-a-time ``BitReader`` path (backend ``reference``)."""
-        reader = BitReader(encoded.data)
-        out: list[int] = []
-        flagged: list[int] = []
-        columns = -(-encoded.values // self.column_size)
-        exhausted_at: "Optional[int]" = None
-        col_vals: list[int] = []
-        try:
-            for g in range(columns):
-                col_vals = []
-                comp: "list[tuple[int, int]]" = []
-                start = reader.bits_read
-                run = reader.read(self._run_bits) + 1
-                m = reader.read(self._count_bits)
-                for _ in range(m):
-                    idx = reader.read(self._index_bits)
-                    raw = reader.read(self.bits)
-                    comp.append((idx, _from_twos_complement(raw, self.bits)))
-                compact = self.bits - run + 1
-                for _ in range(self.column_size):
-                    raw = reader.read(compact)
-                    col_vals.append(_from_twos_complement(raw, compact))
-                if self.checksum:
-                    end = reader.bits_read
-                    stored = reader.read(CHECKSUM_BITS)
-                    span_end = reader.bits_read
-                    known_bad = any(
-                        start < hi and lo < span_end for lo, hi in suspect_bits
-                    )
-                    if known_bad or stored != crc8_bits(reader.bit_slice(start, end)):
-                        if strict:
-                            raise ValueError(
-                                f"corrupt stream: checksum mismatch in column {g}"
-                            )
-                        flagged.append(g)
-                        col_vals = [0] * self.column_size
-                        comp = []
-                # Compensation applies only on column completion; entries
-                # whose index exceeds the column (corruption) are ignored.
-                for idx, val in comp:
-                    if idx < self.column_size:
-                        col_vals[idx] = val
-                out.extend(col_vals)
-        except EOFError:
-            if strict:
-                raise ValueError(
-                    f"corrupt stream: exhausted after {reader.bits_read} of "
-                    f"{encoded.bits} bits"
-                ) from None
-            if not self.checksum:
-                # Without checksums the hardware unit keeps whatever compact
-                # values it managed to shift in before the stream ran dry
-                # (uncompensated); with them the partial column is
-                # unverifiable, so it zero-fills.
-                out.extend(col_vals)
-            exhausted_at = len(out) // self.column_size
-        if strict and reader.bits_read != encoded.bits:
-            raise ValueError(
-                f"decoded {reader.bits_read} bits, expected {encoded.bits}"
-            )
-        if self.checksum:
-            # Same desync rule as the activation streams: exhaustion or an
-            # end misalignment after a checksum failure means later columns
-            # decoded from the wrong offsets — flag the whole tail.
-            if exhausted_at is not None:
-                flagged.extend(range(exhausted_at, columns))
-            desynced = exhausted_at is not None or (
-                bool(flagged) and reader.bits_read != encoded.bits
-            )
-            if desynced and flagged:
-                flagged = list(range(flagged[0], columns))
-        if len(out) < encoded.values:
-            out.extend([0] * (encoded.values - len(out)))
-        return np.array(out[: encoded.values], dtype=np.int64), tuple(flagged)
-
-    def _decode_flagged_vectorized(
+    def _unpack(
         self,
         encoded: Encoded,
         strict: bool,
         suspect_bits: "Sequence[tuple[int, int]]",
     ) -> "tuple[np.ndarray, tuple[int, ...]]":
-        """Whole-array bit-plane path, byte-identical to the reference."""
+        """Whole-array bit-plane decode (post-validation)."""
         columns = -(-encoded.values // self.column_size)
         bitarr = np.unpackbits(np.frombuffer(encoded.data, dtype=np.uint8))
         phys = bitarr.size
@@ -526,7 +384,7 @@ class MSRCodec:
                     len(chunk), self.column_size, compact
                 )
                 raw = planes.astype(np.int64) @ weights
-                out[chunk] = bitplane._from_twos_complement_array(raw, compact)
+                out[chunk] = _from_twos_complement_array(raw, compact)
 
         if self.checksum and complete:
             span_nocrc = head + ms_c * self._entry_bits + (
@@ -571,7 +429,7 @@ class MSRCodec:
         out[bad] = 0
         # Compensation entries of complete, unrejected columns; duplicate
         # or out-of-range indices (corruption) resolve exactly as the
-        # reference's in-order scan: last in-range entry wins.
+        # spec's in-order scan: last in-range entry wins.
         live = np.flatnonzero((ms_c > 0) & ~rejected[:complete])
         out_flat = out.reshape(-1)
         for mval in (map(int, np.unique(ms_c[live])) if live.size else ()):
@@ -582,7 +440,7 @@ class MSRCodec:
             ent = bitarr[pos.reshape(-1)].reshape(len(sel), mval, self._entry_bits)
             ent = ent.astype(np.int64)
             idx = ent[:, :, : self._index_bits] @ _bit_weights(self._index_bits)
-            val = bitplane._from_twos_complement_array(
+            val = _from_twos_complement_array(
                 ent[:, :, self._index_bits :] @ _bit_weights(self.bits), self.bits
             )
             tcol = np.repeat(sel, mval)
@@ -614,7 +472,7 @@ class MSRCodec:
                     + np.arange(compact, dtype=np.int64)
                 )
                 raw = bitarr[pos.reshape(-1)].reshape(done, compact).astype(np.int64)
-                out[complete, :done] = bitplane._from_twos_complement_array(
+                out[complete, :done] = _from_twos_complement_array(
                     raw @ weights, compact
                 )
         return out.reshape(-1)[: encoded.values].copy(), tuple(flagged)

@@ -1,0 +1,47 @@
+"""Executable specifications the production fast paths are tested against.
+
+Production keeps one implementation of each bitstream codec and cycle
+kernel: the whole-array numpy versions in :mod:`repro.compression`,
+:mod:`repro.weights.msr` and :mod:`repro.arch.cycles`.  This package
+holds the value-at-a-time and loop versions they replaced — legible,
+obviously correct, slow — as plain functions that take the codec's or
+kernel's parameters.  The property suites assert production is
+byte-identical to them; ``benchmarks/codec_bench.py`` and
+``benchmarks/weights_bench.py`` time production against them.
+
+Nothing under ``src/repro`` imports this package
+(``tests/test_oracle_isolation.py`` enforces it).
+"""
+
+from tests.oracles.bitio import (
+    BitReader,
+    BitWriter,
+    crc8_bits,
+    crc8_bits_bitwise,
+    crc8_table,
+)
+from tests.oracles.codecs import (
+    group_decode_flagged,
+    group_encode,
+    rlez_decode,
+    rlez_encode,
+)
+from tests.oracles.cycles import lane_term_totals_loops, step_term_maxima_loops
+from tests.oracles.msr import msr_choose_run, msr_decode_flagged, msr_encode
+
+__all__ = [
+    "BitReader",
+    "BitWriter",
+    "crc8_bits",
+    "crc8_bits_bitwise",
+    "crc8_table",
+    "group_encode",
+    "group_decode_flagged",
+    "rlez_encode",
+    "rlez_decode",
+    "msr_choose_run",
+    "msr_encode",
+    "msr_decode_flagged",
+    "step_term_maxima_loops",
+    "lane_term_totals_loops",
+]

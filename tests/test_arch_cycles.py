@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.config import DIFFY_CONFIG, AcceleratorConfig
 from repro.arch.cycles import (
-    _lane_term_totals_loops,
-    _step_term_maxima_loops,
     filter_passes,
     geometry_occupancies,
     lane_term_totals,
     pallet_cycles,
     step_term_maxima,
 )
+from tests.oracles import lane_term_totals_loops, step_term_maxima_loops
 
 
 def _cfg(**kw):
@@ -193,7 +192,7 @@ def _random_term_map(seed, c, h, w):
 
 class TestVectorizedKernelsMatchLoops:
     """The strided-view kernels are drop-in replacements for the loop
-    reference implementations — exact equality on every geometry."""
+    spec in ``tests/oracles`` — exact equality on every geometry."""
 
     @settings(max_examples=60, deadline=None)
     @given(geometries)
@@ -203,7 +202,7 @@ class TestVectorizedKernelsMatchLoops:
         w = (kernel - 1) * dilation + (out_w - 1) * stride + 1
         tm = _random_term_map(seed, c, h, w)
         maxima, total = step_term_maxima(tm, kernel, stride, dilation, out_h, out_w, brick)
-        ref_maxima, ref_total = _step_term_maxima_loops(
+        ref_maxima, ref_total = step_term_maxima_loops(
             tm, kernel, stride, dilation, out_h, out_w, brick
         )
         assert maxima.shape == ref_maxima.shape
@@ -219,7 +218,7 @@ class TestVectorizedKernelsMatchLoops:
         w = (kernel - 1) * dilation + (out_w - 1) * stride + 1
         tm = _random_term_map(seed, c, h, w)
         totals, total = lane_term_totals(tm, kernel, stride, dilation, out_h, out_w, brick)
-        ref_totals, ref_total = _lane_term_totals_loops(
+        ref_totals, ref_total = lane_term_totals_loops(
             tm, kernel, stride, dilation, out_h, out_w, brick
         )
         assert totals.shape == ref_totals.shape
@@ -231,8 +230,8 @@ class TestVectorizedKernelsMatchLoops:
         # strided view must respect out_h/out_w, not consume the margin.
         tm = _random_term_map(7, 20, 30, 33)
         for fn, ref in (
-            (step_term_maxima, _step_term_maxima_loops),
-            (lane_term_totals, _lane_term_totals_loops),
+            (step_term_maxima, step_term_maxima_loops),
+            (lane_term_totals, lane_term_totals_loops),
         ):
             got = fn(tm, 3, 1, 1, 10, 12, 16)
             want = ref(tm, 3, 1, 1, 10, 12, 16)
@@ -250,17 +249,17 @@ class TestVectorizedKernelsMatchLoops:
         _, out_h, out_w = layer.omap_shape
         args = (layer.kernel, layer.stride, layer.dilation, out_h, out_w, 16)
         got = step_term_maxima(tm, *args)
-        want = _step_term_maxima_loops(tm, *args)
+        want = step_term_maxima_loops(tm, *args)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
         got = lane_term_totals(tm, *args)
-        want = _lane_term_totals_loops(tm, *args)
+        want = lane_term_totals_loops(tm, *args)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
     def test_non_contiguous_input(self):
         base = _random_term_map(3, 24, 12, 12)
         tm = base[::2]  # strided channel view
         got = step_term_maxima(tm, 3, 1, 1, 10, 10, 16)
-        want = _step_term_maxima_loops(tm, 3, 1, 1, 10, 10, 16)
+        want = step_term_maxima_loops(tm, 3, 1, 1, 10, 10, 16)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
     def test_too_small_map_raises(self):

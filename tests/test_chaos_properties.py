@@ -4,16 +4,12 @@ The claim the chaos experiment's goldens pin at a few grid points is
 checked here across random maps, fault rates, fault models, and seeds:
 a corrupted read under the ``full`` protection ladder is *never*
 classified silent — it is corrected exactly or flagged for re-anchor —
-and the classification is byte-identical on both codec backends.
+and the classification is reproducible from the seeds alone.
 """
-
-import contextlib
-import os
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.compression.codec import CODEC_BACKENDS
 from repro.faults.models import FAULT_MODELS, fault_model
 from repro.protect import store_protected
 from repro.serve.chaos.schedule import BurstWindow
@@ -25,21 +21,6 @@ from repro.serve.chaos.storage import (
     corrupt_protected_read,
 )
 from repro.utils.rng import rng_for
-
-
-@contextlib.contextmanager
-def backend(name):
-    """Pin ``REPRO_CODEC_BACKEND`` for the block (hypothesis-safe: no
-    function-scoped fixture, restores the prior value on exit)."""
-    prior = os.environ.get("REPRO_CODEC_BACKEND")
-    os.environ["REPRO_CODEC_BACKEND"] = name
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_CODEC_BACKEND", None)
-        else:
-            os.environ["REPRO_CODEC_BACKEND"] = prior
 
 
 def _random_map(seed: int, side: int) -> np.ndarray:
@@ -62,37 +43,34 @@ class TestFullLadderNeverSilent:
     def test_corrupted_reads_are_never_silent(self, map_seed, side, rate, model_name, seed):
         truth = _random_map(map_seed, side)
         model = fault_model(model_name)
-        for name in CODEC_BACKENDS:
-            with backend(name):
-                pmap = store_protected(truth, SERVE_LADDERS["full"])
-                observed, report, faults = corrupt_protected_read(
-                    pmap, rate, model, rng_for(seed, "chaos-prop-inject")
-                )
-                outcome = classify_trial(truth, observed, report)
-                assert outcome != "silent", (
-                    f"{faults} {model_name} faults at rate {rate:g} served "
-                    f"silently under the full ladder ({name} backend)"
-                )
-                # Unflagged reads must be exact — that is what makes the
-                # re-anchor decision safe to gate on the flags alone.
-                if outcome in ("clean", "corrected"):
-                    assert np.array_equal(observed, truth)
+        pmap = store_protected(truth, SERVE_LADDERS["full"])
+        observed, report, faults = corrupt_protected_read(
+            pmap, rate, model, rng_for(seed, "chaos-prop-inject")
+        )
+        outcome = classify_trial(truth, observed, report)
+        assert outcome != "silent", (
+            f"{faults} {model_name} faults at rate {rate:g} served "
+            f"silently under the full ladder"
+        )
+        # Unflagged reads must be exact — that is what makes the
+        # re-anchor decision safe to gate on the flags alone.
+        if outcome in ("clean", "corrected"):
+            assert np.array_equal(observed, truth)
 
     @settings(max_examples=10, deadline=None)
     @given(map_seed=maps, side=sides, rate=rates, model_name=models, seed=seeds)
-    def test_classification_is_backend_invariant(self, map_seed, side, rate, model_name, seed):
+    def test_classification_is_reproducible(self, map_seed, side, rate, model_name, seed):
         truth = _random_map(map_seed, side)
         model = fault_model(model_name)
         outcomes = []
-        for name in CODEC_BACKENDS:
-            with backend(name):
-                pmap = store_protected(truth, SERVE_LADDERS["full"])
-                observed, report, faults = corrupt_protected_read(
-                    pmap, rate, model, rng_for(seed, "chaos-prop-inject")
-                )
-                outcomes.append(
-                    (observed.tolist(), classify_trial(truth, observed, report), faults)
-                )
+        for _ in range(2):
+            pmap = store_protected(truth, SERVE_LADDERS["full"])
+            observed, report, faults = corrupt_protected_read(
+                pmap, rate, model, rng_for(seed, "chaos-prop-inject")
+            )
+            outcomes.append(
+                (observed.tolist(), classify_trial(truth, observed, report), faults)
+            )
         assert outcomes[0] == outcomes[1]
 
 

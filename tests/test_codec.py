@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression.codec import (
-    CHECKSUM_BITS,
-    BitReader,
-    BitWriter,
-    GroupCodec,
-    RLEZeroCodec,
-)
+from repro.compression.codec import CHECKSUM_BITS, GroupCodec, RLEZeroCodec
 from repro.compression.schemes import RLEZero
 from repro.core.deltas import spatial_deltas
 from repro.core.precision import group_precisions
+from repro.weights import MSRCodec
+from tests.oracles import BitReader, BitWriter
 
 
 class TestBitIO:
@@ -145,6 +141,32 @@ class TestInputValidation:
     trip cleanly) — never leak numpy shape/dtype tracebacks."""
 
     CODECS = [GroupCodec(signed=True), GroupCodec(signed=False), RLEZeroCodec()]
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: GroupCodec(2.5), "group_size"),
+            (lambda: GroupCodec(16.0), "group_size"),
+            (lambda: GroupCodec(True), "group_size"),
+            (lambda: MSRCodec(column_size=2.5), "column_size"),
+            (lambda: MSRCodec(bits=8.0), "bits"),
+            (lambda: MSRCodec(max_msr=4.0), "max_msr"),
+        ],
+        ids=["group-2.5", "group-16.0", "group-bool", "msr-column", "msr-bits", "msr-run"],
+    )
+    def test_rejects_non_integral_geometry(self, make, name):
+        # Caught at construction, naming the parameter — not as a
+        # TypeError deep inside the first encode, and never silently
+        # truncated to a narrower geometry.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make()
+
+    def test_numpy_integer_geometry_accepted(self):
+        codec = GroupCodec(np.int64(16), signed=True)
+        values = np.arange(-20, 20)
+        assert np.array_equal(codec.decode(codec.encode(values)), values)
+        msr = MSRCodec(np.int32(8), np.uint8(4), np.int64(16))
+        assert (msr.bits, msr.max_msr, msr.column_size) == (8, 4, 16)
 
     @pytest.mark.parametrize("codec", CODECS, ids=lambda c: type(c).__name__)
     def test_rejects_garbage_inputs(self, codec):

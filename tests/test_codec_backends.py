@@ -1,54 +1,18 @@
-"""Backend-identity tests: the vectorized codec must be byte-identical
-to the reference path on every stream, flag, and failure it produces."""
-
-import contextlib
-import os
+"""Oracle-identity tests: the production codecs must be byte-identical
+to the value-at-a-time spec in ``tests/oracles`` on every stream, flag,
+and failure they produce."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import term_maps
-from repro.compression.bitplane import crc8_table
-from repro.compression.codec import (
-    CODEC_BACKENDS,
-    DEFAULT_CODEC_BACKEND,
-    GroupCodec,
-    RLEZeroCodec,
-    _crc8_bits_bitwise,
-    active_codec_backend,
-    codec_stats,
-    crc8_bits,
-    reset_codec_stats,
-)
+from repro.compression.codec import GroupCodec, RLEZeroCodec
 from repro.faults.inject import inject_encoded
 from repro.faults.models import BitFlip
 from repro.protect.policy import ProtectionPolicy
 from repro.protect.stream import read_protected, store_protected
-
-
-@contextlib.contextmanager
-def backend(name):
-    """Pin ``REPRO_CODEC_BACKEND`` for the block (hypothesis-safe: no
-    function-scoped fixture, restores the prior value on exit)."""
-    prior = os.environ.get("REPRO_CODEC_BACKEND")
-    os.environ["REPRO_CODEC_BACKEND"] = name
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_CODEC_BACKEND", None)
-        else:
-            os.environ["REPRO_CODEC_BACKEND"] = prior
-
-
-def both_backends(fn):
-    """Run ``fn()`` under each backend and return the two results."""
-    results = []
-    for name in CODEC_BACKENDS:
-        with backend(name):
-            results.append(fn())
-    return results
+from tests import oracles
 
 
 def _outcome(fn):
@@ -76,10 +40,12 @@ class TestGroupCodecIdentity:
     def test_signed_streams_byte_identical(self, values, group, checksum):
         codec = GroupCodec(group_size=group, signed=True, checksum=checksum)
         arr = np.array(values, dtype=np.int64)
-        ref, vec = both_backends(lambda: codec.encode(arr))
+        ref = oracles.group_encode(arr, group, True, checksum)
+        vec = codec.encode(arr)
         assert ref.data == vec.data
         assert (ref.bits, ref.values) == (vec.bits, vec.values)
-        dec_ref, dec_vec = both_backends(lambda: codec.decode_flagged(ref))
+        dec_ref = oracles.group_decode_flagged(ref, group, True, checksum)
+        dec_vec = codec.decode_flagged(ref)
         assert np.array_equal(dec_ref[0], dec_vec[0])
         assert dec_ref[1] == dec_vec[1]
 
@@ -88,10 +54,11 @@ class TestGroupCodecIdentity:
     def test_unsigned_streams_byte_identical(self, values, group):
         codec = GroupCodec(group_size=group, signed=False)
         arr = np.array(values, dtype=np.int64)
-        ref, vec = both_backends(lambda: codec.encode(arr))
+        ref = oracles.group_encode(arr, group, False, False)
+        vec = codec.encode(arr)
         assert ref.data == vec.data
-        dec_ref, dec_vec = both_backends(lambda: codec.decode(ref))
-        assert np.array_equal(dec_ref, dec_vec)
+        dec_ref, _ = oracles.group_decode_flagged(ref, group, False, False)
+        assert np.array_equal(dec_ref, codec.decode(ref))
 
     @given(
         values=st.lists(st.integers(-32768, 32767), min_size=1, max_size=120),
@@ -122,14 +89,16 @@ class TestGroupCodecIdentity:
             values=encoded.values,
         )
         suspect_bits = tuple((lo, lo + span) for lo, span in suspect)
-        outcomes = both_backends(
-            lambda: _outcome(
-                lambda: codec.decode_flagged(
-                    corrupt, strict=strict, suspect_bits=suspect_bits
-                )
+        kind_ref, res_ref = _outcome(
+            lambda: oracles.group_decode_flagged(
+                corrupt, 16, True, checksum, strict=strict, suspect_bits=suspect_bits
             )
         )
-        (kind_ref, res_ref), (kind_vec, res_vec) = outcomes
+        kind_vec, res_vec = _outcome(
+            lambda: codec.decode_flagged(
+                corrupt, strict=strict, suspect_bits=suspect_bits
+            )
+        )
         assert kind_ref == kind_vec
         if kind_ref == "ok":
             assert np.array_equal(res_ref[0], res_vec[0])
@@ -144,11 +113,11 @@ class TestRLEZeroIdentity:
     def test_streams_byte_identical(self, values):
         codec = RLEZeroCodec()
         arr = np.array(values, dtype=np.int64)
-        ref, vec = both_backends(lambda: codec.encode(arr))
+        ref = oracles.rlez_encode(arr)
+        vec = codec.encode(arr)
         assert ref.data == vec.data
         assert (ref.bits, ref.values) == (vec.bits, vec.values)
-        dec_ref, dec_vec = both_backends(lambda: codec.decode(ref))
-        assert np.array_equal(dec_ref, dec_vec)
+        assert np.array_equal(oracles.rlez_decode(ref), codec.decode(ref))
 
     @given(
         values=st.lists(
@@ -166,10 +135,10 @@ class TestRLEZeroIdentity:
             bits=encoded.bits,
             values=encoded.values,
         )
-        outcomes = both_backends(
-            lambda: _outcome(lambda: codec.decode(truncated, strict=strict))
+        kind_ref, res_ref = _outcome(
+            lambda: oracles.rlez_decode(truncated, strict=strict)
         )
-        (kind_ref, res_ref), (kind_vec, res_vec) = outcomes
+        kind_vec, res_vec = _outcome(lambda: codec.decode(truncated, strict=strict))
         assert kind_ref == kind_vec
         if kind_ref == "ok":
             assert np.array_equal(res_ref, res_vec)
@@ -181,51 +150,14 @@ class TestCRC8:
     @given(bits=st.lists(st.integers(0, 1), max_size=400))
     @settings(max_examples=100, deadline=None)
     def test_table_driven_matches_bitwise(self, bits):
-        assert crc8_bits(bits) == _crc8_bits_bitwise(bits)
+        assert oracles.crc8_bits(bits) == oracles.crc8_bits_bitwise(bits)
 
     def test_table_is_the_shift_register(self):
-        table = crc8_table()
+        table = oracles.crc8_table()
         assert len(table) == 256
         assert table[0] == 0
         # One-byte message: LUT pass must equal eight bitwise steps.
-        assert crc8_bits([1, 0, 1, 1, 0, 0, 1, 0]) == table[0b10110010]
-
-
-class TestBackendSelection:
-    def test_default_backend(self):
-        with backend(""):
-            # Empty value falls back to the default rather than erroring.
-            os.environ.pop("REPRO_CODEC_BACKEND")
-            assert active_codec_backend() == DEFAULT_CODEC_BACKEND
-
-    def test_unknown_backend_raises_at_first_use(self):
-        codec = GroupCodec(group_size=16, signed=True)
-        encoded = codec.encode(np.arange(8))
-        with backend("turbo"):
-            with pytest.raises(ValueError, match="REPRO_CODEC_BACKEND"):
-                codec.encode(np.arange(8))
-            with pytest.raises(ValueError, match="turbo"):
-                codec.decode(encoded)
-
-    def test_stats_report_backend_and_counters(self):
-        reset_codec_stats()
-        codec = GroupCodec(group_size=16, signed=True)
-        arr = np.arange(-16, 16)
-        with backend("vectorized"):
-            codec.decode(codec.encode(arr))
-            stats = codec_stats()
-            assert stats.backend == "vectorized"
-        with backend("reference"):
-            codec.encode(arr)
-            stats = codec_stats()
-            assert stats.backend == "reference"
-        assert stats.encodes == 2
-        assert stats.decodes == 1
-        assert stats.vectorized_calls == 2
-        assert stats.reference_calls == 1
-        assert stats.decoded_values == arr.size
-        reset_codec_stats()
-        assert codec_stats().encodes == 0
+        assert oracles.crc8_bits([1, 0, 1, 1, 0, 0, 1, 0]) == table[0b10110010]
 
 
 class TestLowering:
@@ -258,8 +190,8 @@ class TestLowering:
 
 
 class TestDownstreamIdentity:
-    """The fault injector and protection ladder must behave identically on
-    streams from either backend."""
+    """The fault injector and protection ladder must see the same streams
+    and decodes from production as from the spec."""
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -268,15 +200,18 @@ class TestDownstreamIdentity:
         arr = rng.integers(-500, 500, size=96)
         codec = GroupCodec(group_size=16, signed=True, checksum=True)
 
-        def run():
-            encoded = codec.encode(arr)
+        def run(encoded, decode):
             hit, faults = inject_encoded(
                 encoded, 0.01, BitFlip(1), np.random.default_rng(seed)
             )
-            decoded, flagged = codec.decode_flagged(hit, strict=False)
+            decoded, flagged = decode(hit)
             return hit.data, faults, decoded, flagged
 
-        ref, vec = both_backends(run)
+        ref = run(
+            oracles.group_encode(arr, 16, True, True),
+            lambda hit: oracles.group_decode_flagged(hit, 16, True, True, strict=False),
+        )
+        vec = run(codec.encode(arr), lambda hit: codec.decode_flagged(hit, strict=False))
         assert ref[0] == vec[0]
         assert ref[1] == vec[1]
         assert np.array_equal(ref[2], vec[2])
@@ -294,13 +229,12 @@ class TestDownstreamIdentity:
             group_checksum=True,
             keyframe_interval=8,
         )
-
-        def run():
-            pmap = store_protected(fmap, policy)
-            out, report = read_protected(pmap)
-            return pmap.stream.data, out, report.flagged_mask.copy()
-
-        ref, vec = both_backends(run)
-        assert ref[0] == vec[0]
-        assert np.array_equal(ref[1], vec[1])
-        assert np.array_equal(ref[2], vec[2])
+        pmap = store_protected(fmap, policy)
+        # The stored stream is exactly what the spec writes for the same
+        # delta payload, and the spec reads the same payload back out.
+        payload, flagged = oracles.group_decode_flagged(pmap.stream, 16, True, True)
+        assert flagged == ()
+        assert oracles.group_encode(payload, 16, True, True) == pmap.stream
+        out, report = read_protected(pmap)
+        assert np.array_equal(out, fmap)
+        assert not report.flagged_mask.any()

@@ -1,44 +1,20 @@
-"""MSR weight-codec property suite: byte-identity across both backends,
-random widths and compensation densities, and corruption/truncation
-lenient-decode flags matching the activation codecs' semantics."""
-
-import contextlib
-import os
+"""MSR weight-codec property suite: byte-identity with the
+value-at-a-time spec in ``tests/oracles``, random widths and
+compensation densities, and corruption/truncation lenient-decode flags
+matching the activation codecs' semantics."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression.codec import (
-    CODEC_BACKENDS,
-    codec_stats,
-    reset_codec_stats,
-)
+from repro.compression.codec import codec_stats, reset_codec_stats
 from repro.weights import MSRCodec
+from tests import oracles
 
 
-@contextlib.contextmanager
-def backend(name):
-    """Pin ``REPRO_CODEC_BACKEND`` for the block (hypothesis-safe: no
-    function-scoped fixture, restores the prior value on exit)."""
-    prior = os.environ.get("REPRO_CODEC_BACKEND")
-    os.environ["REPRO_CODEC_BACKEND"] = name
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_CODEC_BACKEND", None)
-        else:
-            os.environ["REPRO_CODEC_BACKEND"] = prior
-
-
-def both_backends(fn):
-    """Run ``fn()`` under each backend and return the two results."""
-    results = []
-    for name in CODEC_BACKENDS:
-        with backend(name):
-            results.append(fn())
-    return results
+def _spec(codec):
+    """The codec's parameters, in the oracle functions' argument order."""
+    return codec.bits, codec.max_msr, codec.column_size, codec.checksum
 
 
 def _outcome(fn):
@@ -89,11 +65,13 @@ class TestMSRRoundtrip:
     def test_streams_byte_identical_and_roundtrip(self, stream, checksum):
         bits, max_msr, column_size, arr = stream
         codec = MSRCodec(bits, max_msr, column_size, checksum=checksum)
-        ref, vec = both_backends(lambda: codec.encode(arr))
+        ref = oracles.msr_encode(arr, *_spec(codec))
+        vec = codec.encode(arr)
         assert ref.data == vec.data
         assert (ref.bits, ref.values) == (vec.bits, vec.values)
         assert ref.bits == codec.encoded_bits(arr)
-        dec_ref, dec_vec = both_backends(lambda: codec.decode_flagged(ref))
+        dec_ref = oracles.msr_decode_flagged(ref, *_spec(codec))
+        dec_vec = codec.decode_flagged(ref)
         assert np.array_equal(dec_ref[0], arr)
         assert np.array_equal(dec_vec[0], arr)
         assert dec_ref[1] == dec_vec[1] == ()
@@ -157,14 +135,16 @@ class TestMSRCorruption:
             values=encoded.values,
         )
         suspect_bits = tuple((lo, lo + span) for lo, span in suspect)
-        outcomes = both_backends(
-            lambda: _outcome(
-                lambda: codec.decode_flagged(
-                    corrupt, strict=strict, suspect_bits=suspect_bits
-                )
+        kind_ref, res_ref = _outcome(
+            lambda: oracles.msr_decode_flagged(
+                corrupt, *_spec(codec), strict=strict, suspect_bits=suspect_bits
             )
         )
-        (kind_ref, res_ref), (kind_vec, res_vec) = outcomes
+        kind_vec, res_vec = _outcome(
+            lambda: codec.decode_flagged(
+                corrupt, strict=strict, suspect_bits=suspect_bits
+            )
+        )
         assert kind_ref == kind_vec
         if kind_ref == "ok":
             assert np.array_equal(res_ref[0], res_vec[0])
@@ -180,12 +160,14 @@ class TestMSRCorruption:
         raw[1] ^= 0x40
         corrupt = type(encoded)(data=bytes(raw), bits=encoded.bits, values=encoded.values)
 
-        def run():
-            with pytest.raises(ValueError, match="checksum mismatch in column"):
-                codec.decode(corrupt, strict=True)
-            return codec.decode_flagged(corrupt, strict=False)
-
-        (vals_ref, flags_ref), (vals_vec, flags_vec) = both_backends(run)
+        with pytest.raises(ValueError, match="checksum mismatch in column"):
+            codec.decode(corrupt, strict=True)
+        with pytest.raises(ValueError, match="checksum mismatch in column"):
+            oracles.msr_decode_flagged(corrupt, *_spec(codec), strict=True)
+        vals_ref, flags_ref = oracles.msr_decode_flagged(
+            corrupt, *_spec(codec), strict=False
+        )
+        vals_vec, flags_vec = codec.decode_flagged(corrupt, strict=False)
         assert flags_ref == flags_vec
         assert 0 in flags_ref
         # Flagged columns zero-fill; clean columns survive exactly.
@@ -205,14 +187,16 @@ class TestMSRCorruption:
             values=encoded.values,
         )
 
-        def run():
-            # Strict decodes validate the container first, exactly like
-            # the activation codecs' _check_encoded gate.
-            with pytest.raises(ValueError, match="truncated"):
-                codec.decode(truncated, strict=True)
-            return codec.decode_flagged(truncated, strict=False)
-
-        (vals_ref, flags_ref), (vals_vec, flags_vec) = both_backends(run)
+        # Strict decodes validate the container first, exactly like the
+        # activation codecs' _check_encoded gate.
+        with pytest.raises(ValueError, match="truncated"):
+            codec.decode(truncated, strict=True)
+        with pytest.raises(ValueError, match="truncated"):
+            oracles.msr_decode_flagged(truncated, *_spec(codec), strict=True)
+        vals_ref, flags_ref = oracles.msr_decode_flagged(
+            truncated, *_spec(codec), strict=False
+        )
+        vals_vec, flags_vec = codec.decode_flagged(truncated, strict=False)
         assert np.array_equal(vals_ref, vals_vec)
         assert flags_ref == flags_vec == ()
         # The head of the stream survives; only the lost tail zero-fills.
@@ -223,12 +207,12 @@ class TestMSRCorruption:
         arr = np.arange(-16, 16, dtype=np.int64)
         encoded = codec.encode(arr)
 
-        def run():
-            return codec.decode_flagged(
-                encoded, strict=False, suspect_bits=((0, 4),)
-            )
-
-        (vals_ref, flags_ref), (vals_vec, flags_vec) = both_backends(run)
+        vals_ref, flags_ref = oracles.msr_decode_flagged(
+            encoded, *_spec(codec), strict=False, suspect_bits=((0, 4),)
+        )
+        vals_vec, flags_vec = codec.decode_flagged(
+            encoded, strict=False, suspect_bits=((0, 4),)
+        )
         assert flags_ref == flags_vec
         assert 0 in flags_ref
         assert np.array_equal(vals_ref, vals_vec)
@@ -256,14 +240,14 @@ class TestMSRValidation:
 
     def test_empty_stream(self):
         codec = MSRCodec(8, 4, 8)
-        ref, vec = both_backends(
-            lambda: codec.encode(np.array([], dtype=np.int64))
-        )
+        empty = np.array([], dtype=np.int64)
+        ref = oracles.msr_encode(empty, *_spec(codec))
+        vec = codec.encode(empty)
         assert ref.data == vec.data == b""
         assert ref.bits == 0
-        assert codec.coverage(np.array([], dtype=np.int64)) == 1.0
-        dec_ref, dec_vec = both_backends(lambda: codec.decode(ref))
-        assert dec_ref.size == dec_vec.size == 0
+        assert codec.coverage(empty) == 1.0
+        dec_ref, _ = oracles.msr_decode_flagged(ref, *_spec(codec))
+        assert dec_ref.size == codec.decode(ref).size == 0
 
 
 class TestPerCodecStats:
@@ -275,9 +259,8 @@ class TestPerCodecStats:
         activations = np.arange(32, dtype=np.int64)
         msr = MSRCodec(8, 4, 8)
         group = GroupCodec(group_size=16, signed=True)
-        with backend("vectorized"):
-            msr.decode(msr.encode(weights))
-            group.decode(group.encode(activations))
+        msr.decode(msr.encode(weights))
+        group.decode(group.encode(activations))
         stats = codec_stats()
         assert stats.per_codec["weight"]["encodes"] == 1
         assert stats.per_codec["weight"]["decodes"] == 1
@@ -291,8 +274,7 @@ class TestPerCodecStats:
     def test_snapshot_is_isolated_and_reset_clears(self):
         reset_codec_stats()
         msr = MSRCodec(8, 4, 8)
-        with backend("vectorized"):
-            msr.encode(np.arange(-8, 8, dtype=np.int64))
+        msr.encode(np.arange(-8, 8, dtype=np.int64))
         snapshot = codec_stats()
         snapshot.per_codec["weight"]["encodes"] = 999
         assert codec_stats().per_codec["weight"]["encodes"] == 1
