@@ -1,14 +1,14 @@
 """Cold encode/decode throughput benchmark: production codec vs the spec.
 
 Times a cold ``GroupCodec`` encode+decode pass (plain and per-group
-CRC-8) plus the ``RLEZeroCodec`` zero-skip path on a seeded Laplacian
-delta map, once through the production (``vectorized``) bit-plane codec
-and once through the value-at-a-time ``reference`` spec in
-``tests/oracles``, recording MB/s and the vectorized/reference speedup
-into ``BENCH_codec.json``.  Exits non-zero if any encode+decode speedup
-falls below ``--min-speedup`` (or if the two ever disagree on bytes or
-decoded values — the benchmark double-checks byte-identity on every
-stream it times).
+CRC-8), the ``RLEZeroCodec`` zero-skip path and the SECDED round trip of
+the 16-bit words on a seeded Laplacian delta map, once through the
+production (``vectorized``) path and once through the value-at-a-time or
+bit-matrix ``reference`` spec in ``tests/oracles``, recording MB/s and
+the vectorized/reference speedup into ``BENCH_codec.json``.  Exits
+non-zero if any encode+decode speedup falls below ``--min-speedup`` (or
+if the two ever disagree on bytes or decoded values — the benchmark
+double-checks byte-identity on every stream it times).
 
 The default size is an HD delta trace (1080x1920 values); ``--smoke``
 drops to 2^16 values for CI, where the gate is 5x rather than 10x
@@ -36,6 +36,7 @@ sys.path.insert(0, str(REPO_ROOT))
 from tests import oracles  # noqa: E402
 
 from repro.compression.codec import GroupCodec, RLEZeroCodec  # noqa: E402
+from repro.protect.ecc import secded_decode, secded_encode  # noqa: E402
 from repro.utils.rng import DEFAULT_SEED  # noqa: E402
 
 HD_VALUES = 1080 * 1920
@@ -61,12 +62,35 @@ def _rle_case() -> dict:
     }
 
 
+def _secded_case() -> dict:
+    return {
+        "vectorized": (
+            lambda data: secded_encode(data, 16, signed=True),
+            lambda codes: secded_decode(codes, 16, signed=True),
+        ),
+        "reference": (
+            lambda data: oracles.secded_encode(data, 16, signed=True),
+            lambda codes: oracles.secded_decode(codes, 16, signed=True),
+        ),
+    }
+
+
 #: Per case, the (encode, decode) pair of each implementation.
 CASES = (
     ("group_plain", lambda: _group_case(checksum=False)),
     ("group_checksum", lambda: _group_case(checksum=True)),
     ("rle_zero", _rle_case),
+    ("secded", _secded_case),
 )
+
+
+def identical(a, b) -> bool:
+    """Byte and value identity of two encode or decode results."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(identical(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
 
 
 def make_deltas(values: int, seed: int) -> np.ndarray:
@@ -111,9 +135,9 @@ def run(values: int, seed: int, repeats: dict) -> dict:
             for path, (encode, decode) in paths.items()
         }
         ref, vec = per_path["reference"], per_path["vectorized"]
-        if ref["_encoded"].data != vec["_encoded"].data:
+        if not identical(ref["_encoded"], vec["_encoded"]):
             raise AssertionError(f"{name}: codec and spec emitted different bytes")
-        if not np.array_equal(ref["_decoded"], vec["_decoded"]):
+        if not identical(ref["_decoded"], vec["_decoded"]):
             raise AssertionError(f"{name}: codec and spec decoded different values")
         for timing in per_path.values():
             timing.pop("_encoded")

@@ -184,32 +184,19 @@ class MemorySystem:
         Returns ``(decoded_weights, WeightStreamReport)``.
         """
         from repro.compression.bitplane import pack_payload, unpack_payload
-        from repro.utils.bits import bits_to_words, words_to_bits
 
         encoded = codec.encode(weights)
         suspect: "tuple[tuple[int, int], ...]" = ()
         corrected = detected = 0
         if self.ecc:
-            from repro.protect.ecc import secded_decode, secded_encode
+            from repro.protect.stream import decode_stream_chunks, encode_stream_chunks
 
-            word_bits = 16
-            bits = unpack_payload(encoded.data, encoded.bits)
-            pad = (-encoded.bits) % word_bits
-            padded = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-            codes = secded_encode(bits_to_words(padded, word_bits), word_bits)
+            codes = encode_stream_chunks(encoded)
             if self.fault_hook is not None:
                 codes = np.asarray(self.fault_hook(codes))
-            words, rep = secded_decode(codes, word_bits)
-            restored = words_to_bits(words, word_bits)[: encoded.bits]
-            encoded = type(encoded)(
-                data=pack_payload(restored), bits=encoded.bits, values=encoded.values
-            )
+            encoded, rep, suspect = decode_stream_chunks(codes, encoded)
             corrected = int(rep.corrected)
             detected = int(rep.detected)
-            suspect = tuple(
-                (int(i) * word_bits, (int(i) + 1) * word_bits)
-                for i in np.flatnonzero(rep.detected_mask)
-            )
         elif self.fault_hook is not None:
             bits = unpack_payload(encoded.data, encoded.bits)
             bits = np.asarray(self.fault_hook(bits)) & 1

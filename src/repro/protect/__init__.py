@@ -13,7 +13,9 @@ downstream value of its reconstruction chain (measured by
   every K-th chain position stored raw, bounding error runs to K;
 - :mod:`repro.protect.policy` — named compositions of the above;
 - :mod:`repro.protect.stream` — the protected storage container and the
-  graceful-degradation read path tying them together.
+  graceful-degradation read path tying them together, plus the 16-bit
+  chunk SECDED of packed streams that weight streams in
+  :meth:`repro.arch.memory.MemorySystem.read_weight_stream` share.
 """
 
 from repro.protect.ecc import (
@@ -32,6 +34,8 @@ from repro.protect.policy import (
 from repro.protect.stream import (
     ProtectedMap,
     RecoveryReport,
+    decode_stream_chunks,
+    encode_stream_chunks,
     protected_bits,
     read_protected,
     store_protected,
@@ -49,6 +53,8 @@ __all__ = [
     "protection_policy",
     "ProtectedMap",
     "RecoveryReport",
+    "decode_stream_chunks",
+    "encode_stream_chunks",
     "protected_bits",
     "read_protected",
     "store_protected",

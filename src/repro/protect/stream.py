@@ -31,7 +31,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.compression.bitplane import pack_payload, unpack_payload
 from repro.compression.codec import CHECKSUM_BITS, Encoded, GroupCodec
 from repro.compression.schemes import planar_order
 from repro.core.differential import (
@@ -40,9 +39,13 @@ from repro.core.differential import (
     reconstruct_from_keyframes,
 )
 from repro.core.precision import group_precisions
-from repro.protect.ecc import codeword_bits, secded_decode, secded_encode
+from repro.protect.ecc import (
+    SecdedReport,
+    codeword_bits,
+    secded_decode,
+    secded_encode,
+)
 from repro.protect.policy import ProtectionPolicy
-from repro.utils.bits import bits_to_words, words_to_bits
 
 __all__ = [
     "ProtectedMap",
@@ -50,10 +53,53 @@ __all__ = [
     "store_protected",
     "read_protected",
     "protected_bits",
+    "encode_stream_chunks",
+    "decode_stream_chunks",
 ]
 
 #: Raw storage word width (anchors, stream ECC chunks).
 WORD_BITS = 16
+
+
+def _clip_payload(data: bytes, bits: int) -> bytes:
+    """The first ``bits`` bits of ``data`` as whole bytes, tail bits zeroed."""
+    buf = bytearray(data[: -(-bits // 8)])
+    if bits % 8 and len(buf) * 8 > bits:
+        buf[-1] &= (0xFF << (8 - bits % 8)) & 0xFF
+    return bytes(buf)
+
+
+def encode_stream_chunks(encoded: Encoded) -> np.ndarray:
+    """SECDED codewords of a packed stream cut into 16-bit chunks.
+
+    The payload bits, zero-padded to a whole chunk, are read as big-endian
+    16-bit words (MSB first, the packed stream's own bit order) and each
+    word becomes one codeword.  :func:`decode_stream_chunks` inverts it.
+    """
+    payload = _clip_payload(encoded.data, encoded.bits)
+    payload += bytes(len(payload) % 2)
+    words = np.frombuffer(payload, dtype=">u2").astype(np.int64)
+    return secded_encode(words, WORD_BITS)
+
+
+def decode_stream_chunks(
+    codes: np.ndarray, encoded: Encoded
+) -> "tuple[Encoded, SecdedReport, tuple[tuple[int, int], ...]]":
+    """Correct stream chunk codewords and rebuild the packed stream.
+
+    ``encoded`` supplies the payload size and value count of the stream
+    the codes were made from.  Returns ``(stream, report, suspect_bits)``:
+    ``suspect_bits`` holds the payload bit range of every chunk ECC
+    detected but could not correct (zero-filled), for the codec's
+    ``decode_flagged`` to distrust whatever group touches it.
+    """
+    chunks, report = secded_decode(codes, WORD_BITS)
+    data = _clip_payload(chunks.astype(">u2").tobytes(), encoded.bits)
+    suspect = tuple(
+        (int(i) * WORD_BITS, (int(i) + 1) * WORD_BITS)
+        for i in np.flatnonzero(report.detected_mask)
+    )
+    return Encoded(data=data, bits=encoded.bits, values=encoded.values), report, suspect
 
 
 def _anchor_mask_flat(shape: "tuple[int, ...]", interval: Optional[int]) -> np.ndarray:
@@ -142,12 +188,7 @@ def store_protected(
         if policy.word_ecc
         else anchor_vals.copy()
     )
-    stream_codes = None
-    if policy.stream_ecc:
-        bits = unpack_payload(stream.data, stream.bits)
-        pad = (-stream.bits) % WORD_BITS
-        padded = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-        stream_codes = secded_encode(bits_to_words(padded, WORD_BITS), WORD_BITS)
+    stream_codes = encode_stream_chunks(stream) if policy.stream_ecc else None
     return ProtectedMap(
         shape=tuple(arr.shape),
         policy=policy,
@@ -218,21 +259,11 @@ def read_protected(
         codes = pmap.stream_codes
         if stream_hook is not None:
             codes = np.asarray(stream_hook(codes), dtype=np.int64)
-        chunks, rep = secded_decode(codes, WORD_BITS)
-        corrected += rep.corrected
-        detected += rep.detected
-        bits = words_to_bits(chunks, WORD_BITS)[: pmap.stream.bits]
-        encoded = Encoded(
-            data=pack_payload(bits),
-            bits=pmap.stream.bits,
-            values=pmap.stream.values,
-        )
         # The decoder must not trust any group touching a zero-filled
         # chunk, CRC pass or not — ECC already localized the damage.
-        suspect_bits = tuple(
-            (int(i) * WORD_BITS, (int(i) + 1) * WORD_BITS)
-            for i in np.flatnonzero(rep.detected_mask)
-        )
+        encoded, rep, suspect_bits = decode_stream_chunks(codes, pmap.stream)
+        corrected += rep.corrected
+        detected += rep.detected
         # Without group checksums a zero-filled chunk cannot be localized
         # to specific decoded groups — the whole stream is suspect.
         stream_blind_damage = rep.detected > 0 and not policy.group_checksum

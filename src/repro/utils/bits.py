@@ -14,6 +14,15 @@ from repro.utils import timing
 from repro.utils.validation import check_positive
 
 
+def _word_dtype(width: int) -> np.dtype:
+    """Smallest big-endian unsigned dtype holding a ``width``-bit word."""
+    check_positive("width", width)
+    for size in (1, 2, 4, 8):
+        if width <= 8 * size:
+            return np.dtype(f">u{size}")
+    raise ValueError(f"width must be <= 64 bits, got {width}")
+
+
 def words_to_bits(words: np.ndarray, width: int) -> np.ndarray:
     """Explode unsigned ``width``-bit words into a flat MSB-first bit array.
 
@@ -21,22 +30,32 @@ def words_to_bits(words: np.ndarray, width: int) -> np.ndarray:
     ``np.packbits`` emits them), which is what lets fault models and ECC
     codecs share one bit-level view of stored words.
     """
-    check_positive("width", width)
+    dtype = _word_dtype(width)
     arr = np.asarray(words, dtype=np.int64).reshape(-1)
     if arr.size and (arr.min() < 0 or arr.max() >= (1 << width)):
         raise ValueError(f"words do not fit {width} unsigned bits")
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((arr[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    as_bytes = arr.astype(dtype).view(np.uint8).reshape(arr.size, dtype.itemsize)
+    return np.unpackbits(as_bytes, axis=1)[:, 8 * dtype.itemsize - width :].reshape(-1)
 
 
 def bits_to_words(bits: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of :func:`words_to_bits` (bit count must divide evenly)."""
-    check_positive("width", width)
-    flat = np.asarray(bits, dtype=np.int64).reshape(-1)
+    """Inverse of :func:`words_to_bits` (bit count must divide evenly).
+
+    Every element must be 0 or 1; anything else raises ``ValueError``
+    rather than being weighted into a garbage word.
+    """
+    dtype = _word_dtype(width)
+    flat = np.asarray(bits).reshape(-1)
     if flat.size % width:
         raise ValueError(f"{flat.size} bits is not a whole number of {width}-bit words")
-    weights = np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (flat.reshape(-1, width) * weights).sum(axis=1)
+    bad = np.flatnonzero((flat != 0) & (flat != 1))
+    if bad.size:
+        raise ValueError(
+            f"bits must be 0 or 1, got {flat[bad[0]].item()!r} at index {int(bad[0])}"
+        )
+    rows = np.zeros((flat.size // width, 8 * dtype.itemsize), dtype=np.uint8)
+    rows[:, rows.shape[1] - width :] = flat.reshape(-1, width)
+    return np.packbits(rows, axis=1).view(dtype).reshape(-1).astype(np.int64)
 
 
 def bits_for_magnitude(values: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Executable specifications the production fast paths are tested against.
 
-Production keeps one implementation of each bitstream codec and cycle
-kernel: the whole-array numpy versions in :mod:`repro.compression`,
-:mod:`repro.weights.msr` and :mod:`repro.arch.cycles`.  This package
-holds the value-at-a-time and loop versions they replaced — legible,
-obviously correct, slow — as plain functions that take the codec's or
-kernel's parameters.  The property suites assert production is
-byte-identical to them; ``benchmarks/codec_bench.py`` and
-``benchmarks/weights_bench.py`` time production against them.
+Production keeps one implementation of each bitstream codec, cycle
+kernel and ECC: the whole-array numpy versions in
+:mod:`repro.compression`, :mod:`repro.weights.msr`, :mod:`repro.arch.cycles`
+and :mod:`repro.protect.ecc`.  This package holds the value-at-a-time,
+loop and bit-matrix versions they replaced — legible, obviously correct,
+slow — as plain functions that take the codec's or kernel's parameters.
+The property suites assert production is byte-identical to them;
+``benchmarks/codec_bench.py`` and ``benchmarks/weights_bench.py`` time
+production against them.
 
 Nothing under ``src/repro`` imports this package
 (``tests/test_oracle_isolation.py`` enforces it).
@@ -28,6 +29,12 @@ from tests.oracles.codecs import (
 )
 from tests.oracles.cycles import lane_term_totals_loops, step_term_maxima_loops
 from tests.oracles.msr import msr_choose_run, msr_decode_flagged, msr_encode
+from tests.oracles.secded import (
+    bits_to_words,
+    secded_decode,
+    secded_encode,
+    words_to_bits,
+)
 
 __all__ = [
     "BitReader",
@@ -44,4 +51,8 @@ __all__ = [
     "msr_decode_flagged",
     "step_term_maxima_loops",
     "lane_term_totals_loops",
+    "secded_encode",
+    "secded_decode",
+    "words_to_bits",
+    "bits_to_words",
 ]
