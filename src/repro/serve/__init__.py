@@ -8,15 +8,12 @@ for the headline VAA-vs-PRA-vs-Diffy comparison under identical load.
 """
 
 from repro.serve import chaos, fleet
-from repro.serve.clock import VirtualClock
 from repro.serve.latency import (
     DEFAULT_ENGINES,
     ServiceTimes,
     measure_service_times,
 )
-from repro.serve.scheduler import BatchPolicy, BoundedQueue
 from repro.serve.service import (
-    InferenceService,
     ServeConfig,
     ServingReport,
     serve_workload,
@@ -34,13 +31,9 @@ from repro.serve.workload import (
 __all__ = [
     "chaos",
     "fleet",
-    "VirtualClock",
     "DEFAULT_ENGINES",
     "ServiceTimes",
     "measure_service_times",
-    "BatchPolicy",
-    "BoundedQueue",
-    "InferenceService",
     "ServeConfig",
     "ServingReport",
     "serve_workload",

@@ -1,21 +1,20 @@
 """Fleet-scale serving: N accelerator nodes behind a session-affinity router.
 
-One node (:mod:`repro.serve.service`) answers "what does serving look
-like on a single Diffy-class accelerator?".  This package answers the
-deployment question above it: how should a *front end* spread video
-sessions across a fleet so that per-session temporal state — the thing
-that makes a differential engine fast — actually stays where the next
-frame lands?
+One node (:func:`repro.serve.service.serve_workload`) answers "what
+does serving look like on a single Diffy-class accelerator?".  This
+package answers the deployment question above it: how should a *front
+end* spread video sessions across a fleet so that per-session temporal
+state — the thing that makes a differential engine fast — actually
+stays where the next frame lands?
 
 The pieces:
 
 - :mod:`repro.serve.fleet.routing` — pluggable affinity policies
   (random, consistent hashing with virtual nodes, least-loaded,
   state-aware), all deterministic and drain-aware.
-- :mod:`repro.serve.fleet.shard` — a vectorized per-node engine that
-  reproduces :class:`repro.serve.service.InferenceService` semantics
-  exactly (greedy dispatch) while batching homogeneous events into
-  numpy steps.
+- :mod:`repro.serve.fleet.shard` — the per-node serving engine (queue,
+  dynamic batching, state pricing, chaos and calibration hooks); the
+  single-node :func:`repro.serve.service.serve_workload` runs it too.
 - :mod:`repro.serve.fleet.autoscale` — a deterministic watermark
   autoscaler driving node add/drain/remove under diurnal load.
 - :mod:`repro.serve.fleet.service` — the orchestration: one routing

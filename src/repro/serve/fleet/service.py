@@ -9,7 +9,7 @@ substream.  The split here exploits that:
    over the time-sorted arrival stream.  All cross-node coupling lives
    here: the policy's tables, the autoscaler's windowed rate estimate,
    migration detection.  Output is a columnar substream per node.
-2. **Shard pass** — each substream runs through the vectorized shard
+2. **Shard pass** — each substream runs through the shard
    engine (:mod:`repro.serve.fleet.shard`) *independently*, so shards
    go to pool workers via the shared runner (:mod:`repro.utils.pool`)
    with bounded retry and serial fallback.
@@ -69,7 +69,7 @@ class FleetConfig:
 
     nodes: int = 4
     routing: str = "state_aware"
-    node: ServeConfig = field(default_factory=lambda: ServeConfig(max_wait_s=0.0))
+    node: ServeConfig = field(default_factory=ServeConfig)
     #: Virtual nodes per physical node on the consistent-hash ring.
     vnodes: int = 64
     #: Idle time after which a routing-table session entry expires
@@ -93,8 +93,6 @@ class FleetConfig:
             serve_ladder(self.chaos.protection)  # fail fast on unknown ladders
         if self.routing not in ROUTING_POLICIES:
             raise ValueError(f"routing must be one of {ROUTING_POLICIES}, got {self.routing!r}")
-        if self.node.max_wait_s != 0.0:
-            raise ValueError("fleet nodes use greedy dispatch; node.max_wait_s must be 0")
         if self.session_ttl_s is not None:
             check_positive("session_ttl_s", self.session_ttl_s)
         if self.est_service_s is not None:

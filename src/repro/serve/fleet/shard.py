@@ -1,28 +1,23 @@
-"""Vectorized per-node serving engine for the fleet simulation.
+"""The serving engine: one accelerator node serving its arrival stream.
 
-Semantically this is :class:`repro.serve.service.InferenceService` with
-greedy dispatch (``max_wait_s=0``) — same admission, shedding, batching,
-state pricing and telemetry, verified request-for-request by the
-equivalence tests.  Structurally it is rebuilt around the observation
-that a greedy-dispatch node alternates between two homogeneous regimes:
+Every serving path runs this engine — each fleet node on its routed
+substream (:mod:`repro.serve.fleet.service`) and the single-node
+:func:`repro.serve.service.serve_workload` on the whole stream.  It
+implements admission (a bounded queue that sheds when full), deadline
+shedding at every dispatch attempt, dynamic batching (a full batch
+dispatches at once; a partial one once its oldest request has waited
+``max_wait_s``, so ``max_wait_s=0`` is greedy dispatch), per-session
+temporal state pricing, and telemetry; fleets add chaos and
+calibration hooks on top.
 
-- **idle regime** — a worker is free, the queue is empty (the service
-  invariant), and each arrival dispatches immediately as a batch of one.
-- **busy window** — all workers are busy until the earliest completion
-  at ``t_free``.  Every arrival in ``(now, t_free]`` can only be
-  admitted or shed; the queue monotonically grows.  That whole run of
-  arrivals is one ``numpy.searchsorted`` slice and one vectorized
-  telemetry update instead of per-event heap traffic.
-
-Completions stay discrete (each frees a worker and may dispatch), but
-their per-request bookkeeping — latencies, deadline outcomes — is done
-on array slices via :meth:`StreamingHistogram.record_values`.
-
-Determinism: the event order reproduces the virtual-clock order of the
-reference service (arrivals at a tied timestamp fire before completions,
-because the service schedules all arrivals first and the clock breaks
-ties by sequence number).  All integer telemetry is bit-identical to the
-reference; float aggregates differ only in summation order.
+The loop walks a time-ordered event sequence over plain Python lists
+(batches hold at most a few requests, where numpy per-call overhead
+dominates).  Ties at one timestamp resolve in a fixed order: a crash,
+then arrivals, then completions in dispatch order, then the wait timer.
+That is the order of the per-event virtual-clock engine kept in
+``tests/oracles/serve.py``, and every telemetry hook fires in the same
+sequence as there — so every counter, histogram bin and float total is
+bit-identical to the oracle, as the equivalence tests assert.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig
 from repro.serve.state import StateStats, TemporalStateStore
 from repro.serve.telemetry import CalibTelemetry, ServeTelemetry
-from repro.serve.workload import Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; the controller spec
     # is duck-typed (built via .build()) so serve never imports calib.
@@ -53,11 +47,10 @@ __all__ = ["ShardStream", "ShardResult", "simulate_shard"]
 class ShardStream:
     """The arrival substream one router pass assigned to one node.
 
-    Columnar (one array per field) so the shard engine can slice busy
-    windows without touching Python objects, and so streams pickle
-    compactly into pool workers.  ``migrated`` marks requests whose
-    session previously lived on another node (router-observed; the
-    node's state store independently confirms the cold re-anchor).
+    Columnar (one array per field) so streams pickle compactly into
+    pool workers.  ``migrated`` marks requests whose session previously
+    lived on another node (router-observed; the node's state store
+    independently confirms the cold re-anchor).
     ``scene_cut``/``motion`` carry the per-frame video dynamics of
     :func:`repro.serve.workload.apply_scene_dynamics`; omitting them
     yields the static-pan defaults (no cuts, baseline motion).
@@ -94,7 +87,7 @@ class ShardStream:
 
     @classmethod
     def from_requests(cls, node_id, requests, migrated=None):
-        """Build a stream from :class:`Request` objects (tests, adapters)."""
+        """Build a stream from :class:`~repro.serve.workload.Request` objects."""
         reqs = list(requests)
         flags = list(migrated) if migrated is not None else [False] * len(reqs)
         return cls(
@@ -106,18 +99,6 @@ class ShardStream:
             scene_cut=np.array([r.scene_cut for r in reqs], dtype=bool),
             motion=np.array([r.motion for r in reqs], dtype=np.float64),
         )
-
-    def requests(self) -> "list[Request]":
-        return [
-            Request(
-                session_id=int(self.session_id[i]),
-                frame_index=int(self.frame_index[i]),
-                arrival_s=float(self.arrival_s[i]),
-                scene_cut=bool(self.scene_cut[i]),
-                motion=float(self.motion[i]),
-            )
-            for i in range(len(self))
-        ]
 
 
 @dataclass
@@ -140,7 +121,7 @@ def simulate_shard(
     chaos: Optional[NodeChaos] = None,
     calib: "Optional[CalibSpec]" = None,
 ) -> ShardResult:
-    """Serve one node's substream to quiescence (greedy dispatch only).
+    """Serve one node's substream to quiescence.
 
     With ``chaos`` the node additionally executes its slice of the chaos
     timeline: crash windows shed the queue, kill in-flight batches and
@@ -160,16 +141,18 @@ def simulate_shard(
     so resident sessions re-anchor cold (priced as ``reanchors_recal``).
     Without ``calib`` nothing changes.
     """
-    if config.max_wait_s != 0.0:
-        raise ValueError("the vectorized shard engine requires max_wait_s=0 (greedy dispatch)")
     n = len(stream)
-    arr = stream.arrival_s
-    sid = stream.session_id
-    fidx = stream.frame_index
-    cut = stream.scene_cut
-    motion = stream.motion
-    deadline = arr + config.deadline_s
-    telemetry = ServeTelemetry(max_batch=config.max_batch, queue_capacity=config.queue_capacity)
+    arr = stream.arrival_s.tolist()
+    sid = stream.session_id.tolist()
+    fidx = stream.frame_index.tolist()
+    cut = stream.scene_cut.tolist()
+    motion = stream.motion.tolist()
+    deadline = (stream.arrival_s + config.deadline_s).tolist()
+    max_batch = config.max_batch
+    max_wait_s = config.max_wait_s
+    capacity = config.queue_capacity
+    overhead_s = config.batch_overhead_s(times)
+    telemetry = ServeTelemetry(max_batch=max_batch, queue_capacity=capacity)
     storage = chaos.storage if chaos is not None else None
     state_bytes = times.state_bytes
     if storage is not None:
@@ -191,17 +174,14 @@ def simulate_shard(
     idle = config.workers
     queue: "list[int]" = []  # admitted request indices, FIFO via head pointer
     head = 0
-    busy: "list[tuple[float, int, np.ndarray]]" = []  # (completion time, seq, batch)
+    busy: "list[tuple[float, int, list[int]]]" = []  # (completion time, seq, batch)
     seq = 0
     i = 0  # next arrival index
-
-    def queued() -> int:
-        return len(queue) - head
 
     def crash(at_s: float) -> None:
         """Lose the node: queue, in-flight work, and temporal state."""
         nonlocal head, idle
-        shed = queued()
+        shed = len(queue) - head
         head = len(queue)
         killed = sum(len(batch) for _, _, batch in busy)
         busy.clear()
@@ -211,31 +191,15 @@ def simulate_shard(
             recovering.setdefault(session, at_s)
         ctel.on_crash(shed, killed, len(lost))
 
-    def dispatch(now: float) -> bool:
-        """Shed expired, then dispatch one batch; False if queue drained."""
-        nonlocal head, idle, seq
-        expired = 0
-        while head < len(queue) and deadline[queue[head]] < now:
-            head += 1
-            expired += 1
-        if expired:
-            telemetry.on_deadline_shed(expired)
-        if head >= len(queue):
-            return False
-        take = min(queued(), config.max_batch)
-        batch = np.asarray(queue[head : head + take], dtype=np.int64)
-        head += take
-        # Price the batch through the state store in FIFO order.  The
-        # per-item float accumulation mirrors the reference service
-        # exactly, so busy_s stays bit-identical.
-        service_s = times.batch_overhead_s
+    def price(batch: "list[int]", now: float) -> float:
+        """Serve a batch through the state store in FIFO order."""
+        service_s = overhead_s
         if controller is not None:
             # Complete any due measured recalibration before pricing the
-            # batch (mirrors the reference service's dispatch hook).
+            # batch: every frame in it is served under one table generation.
             controller.advance(now, state)
         for j in batch:
-            s, f = int(sid[j]), int(fidx[j])
-            is_cut = bool(cut[j])
+            s, f, is_cut = sid[j], fidx[j], cut[j]
             if storage is not None and not is_cut and state.is_warm(s, f):
                 outcome = storage.outcome(s, f, now)
                 ctel.on_storage(outcome)
@@ -247,9 +211,9 @@ def simulate_shard(
             if ctel is not None:
                 before = state.stats.reanchors
             mode = state.serve(s, f, scene_cut=is_cut)
-            service_s += times.request_s(mode, float(motion[j]))
+            service_s += times.request_s(mode, motion[j])
             if controller is not None:
-                controller.on_frame(now, s, f, float(arr[j]), state)
+                controller.on_frame(now, s, f, arr[j], state)
             if ctel is not None:
                 warm = mode == "temporal"
                 ctel.on_serve(now, warm, state.stats.reanchors > before)
@@ -261,58 +225,64 @@ def simulate_shard(
             slowdown = chaos.slowdown_at(now)
             if slowdown != 1.0:
                 service_s *= slowdown
-        idle -= 1
-        telemetry.on_batch(take, service_s)
-        heapq.heappush(busy, (now + service_s, seq, batch))
-        seq += 1
-        return True
+        return service_s
 
+    def try_dispatch(now: float) -> None:
+        """Fill idle workers: shed expired requests, then dispatch while ready."""
+        nonlocal head, idle, seq
+        while idle > 0:
+            expired = head
+            while head < len(queue) and deadline[queue[head]] < now:
+                head += 1
+            if head > expired:
+                telemetry.on_deadline_shed(head - expired)
+            depth = len(queue) - head
+            # A full batch goes at once; a partial one once its oldest
+            # request has waited max_wait_s.  The wait test is written
+            # exactly as the timer's expiry below: the algebraically equal
+            # (now - oldest) >= max_wait_s can round false at the expiry
+            # instant and re-arm the timer there forever.
+            if not depth or (depth < max_batch and not now >= arr[queue[head]] + max_wait_s):
+                break
+            take = min(depth, max_batch)
+            batch = queue[head : head + take]
+            head += take
+            service_s = price(batch, now)
+            idle -= 1
+            telemetry.on_batch(take, service_s)
+            heapq.heappush(busy, (now + service_s, seq, batch))
+            seq += 1
+
+    # Event order at a tied timestamp: crash, arrivals, completions (in
+    # dispatch order), then the wait timer.  The timer is the oldest
+    # queued request's wait expiry; it is live only while a worker idles
+    # with requests queued — exactly when the last dispatch attempt left
+    # a partial batch waiting to fill.
     while i < n or head < len(queue) or busy:
-        t_free = busy[0][0] if busy else math.inf
         t_arr = arr[i] if i < n else math.inf
-        if di < len(down) and down[di][0] <= min(t_arr, t_free):
-            # The crash fires before any arrival/completion at or past
-            # its timestamp (ties break toward the crash): queued and
-            # in-flight work at the instant of the crash is lost.
+        t_free = busy[0][0] if busy else math.inf
+        t_wait = arr[queue[head]] + max_wait_s if idle and head < len(queue) else math.inf
+        if di < len(down) and down[di][0] <= min(t_arr, t_free, t_wait):
+            # The crash fires before any event at or past its timestamp:
+            # queued and in-flight work at the instant of the crash is lost.
             crash(down[di][0])
             di += 1
-            continue
-        if t_arr <= t_free:
-            if idle > 0:
-                # Idle regime: queue is empty (service invariant), so
-                # this arrival admits at depth 1 and dispatches at once.
+        elif t_arr <= t_free and t_arr <= t_wait:
+            admitted = len(queue) - head < capacity
+            if admitted:
                 queue.append(i)
-                telemetry.on_arrival(True, queued())
-                i += 1
-                now = t_arr
-                while idle > 0 and head < len(queue):
-                    if not dispatch(now):
-                        break
-            else:
-                # Busy window: every arrival up to t_free (inclusive —
-                # tied arrivals precede the completion, matching the
-                # virtual clock's sequence order) is admitted or shed in
-                # one vectorized step.
-                stop = int(np.searchsorted(arr, t_free, side="right")) if busy else n
-                stop = max(stop, i + 1)
-                block = stop - i
-                admit = min(config.queue_capacity - queued(), block)
-                depth0 = queued()
-                queue.extend(range(i, i + admit))
-                telemetry.on_arrival_block(
-                    np.arange(depth0 + 1, depth0 + admit + 1, dtype=np.int64),
-                    block - admit,
-                )
-                i = stop
-        else:
+            i += 1
+            telemetry.on_arrival(admitted, len(queue) - head)
+            if admitted and idle:
+                try_dispatch(t_arr)
+        elif t_free <= t_wait:
             now, _, batch = heapq.heappop(busy)
             idle += 1
-            latencies = now - arr[batch]
-            good = int(np.count_nonzero(now <= deadline[batch]))
-            telemetry.on_completion_block(latencies, good)
-            while idle > 0 and head < len(queue):
-                if not dispatch(now):
-                    break
+            for j in batch:
+                telemetry.on_completion(now - arr[j], now <= deadline[j])
+            try_dispatch(now)
+        else:
+            try_dispatch(t_wait)
 
     # Crash windows past quiescence still wipe resident state, so the
     # node's crash/lost-session accounting matches its schedule slice

@@ -1,51 +1,26 @@
-"""The inference service: virtual-clock simulation of serving under load.
+"""Single-node serving: the operator's knobs and one workload's report.
 
-:class:`InferenceService` wires the pieces together — an arrival stream
-(:mod:`repro.serve.workload`), a bounded queue with dynamic batching
-(:mod:`repro.serve.scheduler`), a worker pool whose batch times come
-from the cycle-accurate latency model (:mod:`repro.serve.latency`),
+:func:`serve_workload` serves a pre-generated arrival stream on one
+accelerator node and digests the run into a :class:`ServingReport`.  It
+runs the one serving engine, :func:`repro.serve.fleet.shard.simulate_shard`
+— the same engine every fleet node runs — on the whole stream: a
+bounded queue with dynamic batching, a worker pool whose batch times
+come from the cycle-accurate latency model (:mod:`repro.serve.latency`),
 per-session temporal state (:mod:`repro.serve.state`), and telemetry
-(:mod:`repro.serve.telemetry`) — and runs them on one
-:class:`repro.serve.clock.VirtualClock`.
-
-The event loop:
-
-- **arrival** — admit to the queue or shed (queue full = backpressure);
-  then try to dispatch.
-- **dispatch** — whenever a worker is idle and the batch policy says go
-  (full batch, or the oldest request has waited out ``max_wait_s``):
-  shed already-expired requests (deadline policy), pull up to
-  ``max_batch``, price each request cold/warm via the state store, and
-  occupy the worker for ``batch_overhead + sum(request times)``.
-- **completion** — free the worker, record per-request latency and
-  deadline outcome, dispatch again.
+(:mod:`repro.serve.telemetry`).
 
 Everything is deterministic: arrivals are pre-generated from a seed and
-the loop itself draws no randomness.
+the engine itself draws no randomness.  ``tests/oracles/serve.py`` keeps
+a per-event virtual-clock engine as the executable spec; the equivalence
+tests pin this report to its report byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.serve.chaos.storage import StorageChaos
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; serve never imports
-    # calib at runtime (the dependency points the other way).
-    from repro.calib.recalibrate import CalibrationController
-from repro.serve.chaos.telemetry import ChaosTelemetry
-from repro.serve.clock import VirtualClock
 from repro.serve.latency import ServiceTimes
-from repro.serve.scheduler import (
-    BatchPolicy,
-    BoundedQueue,
-    QueuedRequest,
-    batch_ready,
-    next_deadline_check,
-)
-from repro.serve.state import StateStats, TemporalStateStore
-from repro.serve.telemetry import ServeTelemetry
 from repro.serve.workload import Request
 from repro.utils.validation import check_positive
 
@@ -55,7 +30,11 @@ class ServeConfig:
     """Service-side knobs (the things an operator tunes)."""
 
     workers: int = 2
+    #: Requests per dispatched batch, at most.
     max_batch: int = 4
+    #: How long the oldest queued request may wait for co-batching before
+    #: a partial batch dispatches anyway; 0 is greedy dispatch (batches
+    #: form only while every worker is busy).
     max_wait_s: float = 0.0
     queue_capacity: int = 16
     #: Latency budget per request; arrival + deadline_s is the drop-dead
@@ -64,8 +43,8 @@ class ServeConfig:
     #: Total bytes of per-session temporal state the service may keep
     #: resident (0 disables temporal serving entirely).
     state_capacity_bytes: int = 0
-    #: Optional compressed weight-stream load time replacing the measured
-    #: dense per-batch overhead (see :class:`BatchPolicy.weight_stream_s`).
+    #: Optional per-batch weight-stream load time (e.g. a compressed MSR4W
+    #: stream) replacing the measured dense ``batch_overhead_s``.
     #: ``None`` keeps every existing golden byte-identical.
     weight_stream_s: Optional[float] = None
 
@@ -78,8 +57,21 @@ class ServeConfig:
         check_positive("deadline_s", self.deadline_s)
         if self.state_capacity_bytes < 0:
             raise ValueError(f"state_capacity_bytes must be >= 0, got {self.state_capacity_bytes}")
-        # BatchPolicy validates max_batch / max_wait_s / weight_stream_s.
-        BatchPolicy(self.max_batch, self.max_wait_s, self.weight_stream_s)
+        check_positive("max_batch", self.max_batch)
+        if self.max_wait_s < 0:
+            raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
+        if self.weight_stream_s is not None and self.weight_stream_s < 0:
+            raise ValueError(f"weight_stream_s must be >= 0, got {self.weight_stream_s}")
+
+    def batch_overhead_s(self, times: ServiceTimes) -> float:
+        """Per-batch fixed cost: one weight-stream load.
+
+        ``weight_stream_s`` overrides the engine's measured dense
+        overhead when set; unset, the measured float is used unchanged.
+        """
+        if self.weight_stream_s is not None:
+            return self.weight_stream_s
+        return times.batch_overhead_s
 
 
 @dataclass(frozen=True)
@@ -118,202 +110,37 @@ class ServingReport:
         return self.warm_served / served if served else 0.0
 
 
-class InferenceService:
-    """One engine's simulated service instance.
-
-    ``storage`` attaches storage-fault chaos
-    (:class:`repro.serve.chaos.storage.StorageChaos`): each warm state
-    read resolves to a seeded clean/corrected/detected/silent outcome,
-    detected reads invalidate the session (the next frame re-anchors
-    cold), and the ladder's storage overhead inflates each session's
-    resident footprint.  Chaos counters land in :attr:`chaos`
-    (a :class:`~repro.serve.chaos.telemetry.ChaosTelemetry`, created by
-    :meth:`run`); the fault-free telemetry and report are untouched.
-    """
-
-    def __init__(
-        self,
-        times: ServiceTimes,
-        config: ServeConfig,
-        storage: Optional[StorageChaos] = None,
-        calib: "Optional[CalibrationController]" = None,
-    ):
-        self.times = times
-        self.config = config
-        self.policy = BatchPolicy(
-            config.max_batch, config.max_wait_s, config.weight_stream_s
-        )
-        self.queue = BoundedQueue(config.queue_capacity)
-        state_bytes = times.state_bytes
-        if storage is not None:
-            state_bytes = max(1, int(round(times.state_bytes * storage.overhead)))
-        self.state = TemporalStateStore(config.state_capacity_bytes, state_bytes)
-        self.telemetry = ServeTelemetry(
-            max_batch=config.max_batch, queue_capacity=config.queue_capacity
-        )
-        self.clock = VirtualClock()
-        self.idle_workers = config.workers
-        self._wait_timer = None
-        self._storage = storage
-        self.chaos: Optional[ChaosTelemetry] = None
-        self._recovering: "dict[int, float]" = {}
-        #: Precision-calibration control loop (None = uncalibrated run;
-        #: the serve path and its goldens are then bit-identical to a
-        #: build without the calib package).
-        self.calib = calib
-
-    # ---- event handlers --------------------------------------------------
-
-    def _on_arrival(self, request: Request) -> None:
-        now = self.clock.now
-        item = QueuedRequest(
-            request=request,
-            admitted_s=now,
-            deadline_s=now + self.config.deadline_s,
-        )
-        admitted = self.queue.offer(item)
-        self.telemetry.on_arrival(admitted, len(self.queue))
-        if admitted:
-            self._try_dispatch()
-
-    def _on_completion(self, batch: "list[QueuedRequest]") -> None:
-        now = self.clock.now
-        self.idle_workers += 1
-        for item in batch:
-            latency = now - item.request.arrival_s
-            self.telemetry.on_completion(latency, now <= item.deadline_s)
-        self._try_dispatch()
-
-    def _on_wait_expiry(self) -> None:
-        self._wait_timer = None
-        self._try_dispatch()
-
-    # ---- scheduling ------------------------------------------------------
-
-    def _batch_overhead_s(self) -> float:
-        """Per-batch fixed cost: one weight-stream load.
-
-        The policy's ``weight_stream_s`` (compressed-weight pricing)
-        overrides the measured dense overhead when set; the ``None``
-        default reproduces the measured float exactly.
-        """
-        if self.policy.weight_stream_s is not None:
-            return self.policy.weight_stream_s
-        return self.times.batch_overhead_s
-
-    def _try_dispatch(self) -> None:
-        now = self.clock.now
-        while self.idle_workers > 0:
-            expired = self.queue.pop_expired(now)
-            if expired:
-                self.telemetry.on_deadline_shed(len(expired))
-            if not batch_ready(self.queue, self.policy, now):
-                break
-            batch = self.queue.take(self.policy.max_batch)
-            service_s = self._batch_overhead_s()
-            if self.calib is not None:
-                # Complete any due measured recalibration before pricing
-                # this batch: every frame below is served entirely under
-                # one table generation (the atomic-swap guarantee).
-                self.calib.advance(now, self.state)
-            for item in batch:
-                request = item.request
-                sid, fidx = request.session_id, request.frame_index
-                if (
-                    self.chaos is not None
-                    and self._storage is not None
-                    and not request.scene_cut
-                    and self.state.is_warm(sid, fidx)
-                ):
-                    outcome = self._storage.outcome(sid, fidx, now)
-                    self.chaos.on_storage(outcome)
-                    if outcome == "detected":
-                        # The ladder flagged the stored state: drop it
-                        # and re-anchor instead of serving corrupt output.
-                        self.state.invalidate(sid)
-                        self._recovering.setdefault(sid, now)
-                if self.chaos is not None:
-                    reanchors_before = self.state.stats.reanchors
-                mode = self.state.serve(sid, fidx, scene_cut=request.scene_cut)
-                service_s += self.times.request_s(mode, request.motion)
-                if self.calib is not None:
-                    self.calib.on_frame(now, sid, fidx, request.arrival_s, self.state)
-                if self.chaos is not None:
-                    warm = mode == "temporal"
-                    self.chaos.on_serve(
-                        now, warm, self.state.stats.reanchors > reanchors_before
-                    )
-                    if warm and self._recovering:
-                        invalidated_at = self._recovering.pop(sid, None)
-                        if invalidated_at is not None:
-                            self.chaos.on_recovery(now - invalidated_at)
-            self.idle_workers -= 1
-            self.telemetry.on_batch(len(batch), service_s)
-            self.clock.schedule(service_s, self._on_completion, batch)
-        self._arm_wait_timer()
-
-    def _arm_wait_timer(self) -> None:
-        """Keep exactly one timer at the oldest request's wait expiry."""
-        if self._wait_timer is not None:
-            self._wait_timer.cancel()
-            self._wait_timer = None
-        expiry = next_deadline_check(self.queue, self.policy)
-        if expiry is not None and self.idle_workers > 0:
-            self._wait_timer = self.clock.schedule_at(
-                max(expiry, self.clock.now), self._on_wait_expiry
-            )
-
-    # ---- driver ----------------------------------------------------------
-
-    def run(self, requests: Sequence[Request], duration_s: float) -> ServingReport:
-        """Serve a pre-generated arrival stream to quiescence.
-
-        ``duration_s`` is the workload's generation window — the
-        normalizer for offered load, goodput and utilization.  The loop
-        itself runs until every admitted request has completed or been
-        shed, so tail requests are fully accounted.
-        """
-        check_positive("duration_s", duration_s)
-        if self._storage is not None and self.chaos is None:
-            self.chaos = ChaosTelemetry(duration_s=float(duration_s))
-        for request in requests:
-            self.clock.schedule_at(request.arrival_s, self._on_arrival, request)
-        self.clock.run()
-        # Drain stragglers: requests still queued when arrivals stop can
-        # only be waiting on the wait timer; the final timer fires within
-        # max_wait_s, so by quiescence the queue is empty.
-        stats: StateStats = self.state.stats
-        return ServingReport(
-            engine=self.times.engine,
-            duration_s=float(duration_s),
-            offered_rps=len(requests) / duration_s,
-            cold_service_s=self.times.cold_s,
-            warm_service_s=self.times.warm_s,
-            batch_overhead_s=self._batch_overhead_s(),
-            metrics=self.telemetry.snapshot(duration_s, self.config.workers),
-            warm_served=stats.warm,
-            cold_served=stats.cold,
-            state_evictions=stats.evictions,
-            state_insertions=stats.insertions,
-        )
-
-
 def serve_workload(
     requests: Sequence[Request],
     times: ServiceTimes,
     config: ServeConfig,
     duration_s: Optional[float] = None,
-    storage: Optional[StorageChaos] = None,
-    calib: "Optional[CalibrationController]" = None,
 ) -> ServingReport:
-    """Convenience wrapper: one service instance, one workload, one report.
+    """Serve one arrival stream on one node to quiescence; one report.
 
-    Pass ``storage`` to run under storage-fault chaos, or ``calib`` to
-    attach the precision-calibration control loop; callers that need the
-    chaos/calibration counters should drive :class:`InferenceService`
-    directly (or keep a reference to the controller's telemetry).
+    ``duration_s`` is the workload's generation window — the normalizer
+    for offered load, goodput and utilization (default: the last
+    arrival).  The engine runs until every admitted request has
+    completed or been shed, so tail requests are fully accounted.
     """
+    # Imported here: the fleet package imports ServeConfig from this module.
+    from repro.serve.fleet.shard import ShardStream, simulate_shard
+
     if duration_s is None:
         duration_s = max((r.arrival_s for r in requests), default=0.0) or 1.0
-    service = InferenceService(times, config, storage=storage, calib=calib)
-    return service.run(requests, duration_s)
+    check_positive("duration_s", duration_s)
+    result = simulate_shard(ShardStream.from_requests(0, requests), times, config)
+    stats = result.state
+    return ServingReport(
+        engine=times.engine,
+        duration_s=float(duration_s),
+        offered_rps=len(requests) / duration_s,
+        cold_service_s=times.cold_s,
+        warm_service_s=times.warm_s,
+        batch_overhead_s=config.batch_overhead_s(times),
+        metrics=result.telemetry.snapshot(duration_s, config.workers),
+        warm_served=stats.warm,
+        cold_served=stats.cold,
+        state_evictions=stats.evictions,
+        state_insertions=stats.insertions,
+    )

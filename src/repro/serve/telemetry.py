@@ -6,9 +6,11 @@ merge exactly across workers (the same property the sweep runner's
 per-process accumulators need), and their percentile estimates are
 deterministic — which is what lets serving goldens be byte-identical.
 
-One :class:`ServeTelemetry` instance records one engine's run; its
-:meth:`snapshot` is the golden-serializable digest the experiment and
-benchmark layers consume.
+One :class:`ServeTelemetry` instance records one node's run, one hook
+call per event in event order — so its float totals (latency sum,
+busy time) are exact functions of the event sequence, not of how a
+caller chunks it.  Its :meth:`snapshot` is the golden-serializable
+digest the experiment and benchmark layers consume.
 """
 
 from __future__ import annotations
@@ -88,40 +90,6 @@ class ServeTelemetry:
             self.good += 1
         else:
             self.late += 1
-
-    # ---- vectorized hooks (fleet shard engine) ---------------------------
-
-    def on_arrival_block(self, admitted_depths, shed: int) -> None:
-        """Vectorized :meth:`on_arrival` for a run of busy-window arrivals.
-
-        ``admitted_depths`` are the post-offer queue depths of the
-        admitted requests (an increasing integer array — during a busy
-        window the queue only grows); ``shed`` requests found the queue
-        full, so their recorded depth is exactly ``queue_capacity``.
-        Counter-for-counter identical to the per-arrival hook.
-        """
-        k = len(admitted_depths)
-        self.arrived += k + shed
-        self.admitted += k
-        self.shed_queue_full += shed
-        if k:
-            self.queue_depths.record_values(admitted_depths)
-            self.max_queue_depth = max(self.max_queue_depth, int(admitted_depths[-1]))
-        if shed:
-            self.queue_depths.record(float(self.queue_capacity), weight=shed)
-            self.max_queue_depth = max(self.max_queue_depth, self.queue_capacity)
-
-    def on_completion_block(self, latencies, good: int) -> None:
-        """Vectorized :meth:`on_completion` for one completed batch.
-
-        Histogram counts match a per-request loop exactly; only the
-        float accumulation order of the latency *total* differs.
-        """
-        k = len(latencies)
-        self.completed += k
-        self.latency.record_values(latencies)
-        self.good += good
-        self.late += k - good
 
     # ---- derived metrics -------------------------------------------------
 

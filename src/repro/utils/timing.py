@@ -37,7 +37,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 __all__ = [
     "timed",
@@ -215,35 +215,16 @@ class StreamingHistogram:
         self.vmin = min(self.vmin, v)
         self.vmax = max(self.vmax, v)
 
-    def record_many(self, values: Sequence[float]) -> None:
-        for v in values:
-            self.record(v)
-
     def record_values(self, values) -> None:
-        """Vectorized :meth:`record` of a float array (weight 1 each).
+        """:meth:`record` each value in order (weight 1 each).
 
-        Bin selection matches :meth:`record` sample-for-sample
-        (``searchsorted(side="right")`` is ``bisect_right``); only the
-        float accumulation order of ``total`` differs, so counts and
-        percentiles are identical to a ``record`` loop and ``mean``
-        agrees to rounding.  Imported lazily so the histogram itself
-        stays numpy-free for pure-Python consumers.
+        Exactly a ``record`` loop — counts, extremes and the float
+        ``total`` alike, since the total accumulates in the same order.
+        A numpy array of any shape is taken in flattened order.
         """
-        import numpy as np
-
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 1:
-            v = v.reshape(-1)
-        if v.size == 0:
-            return
-        idx = np.searchsorted(self._edges, v, side="right") - 1
-        np.clip(idx, 0, self.bins - 1, out=idx)
-        for i, c in zip(*np.unique(idx, return_counts=True)):
-            self.counts[int(i)] += int(c)
-        self.n += int(v.size)
-        self.total += float(v.sum())
-        self.vmin = min(self.vmin, float(v.min()))
-        self.vmax = max(self.vmax, float(v.max()))
+        ravel = getattr(values, "ravel", None)
+        for v in ravel() if ravel is not None else values:
+            self.record(v)
 
     @property
     def mean(self) -> float:

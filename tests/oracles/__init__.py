@@ -1,11 +1,13 @@
 """Executable specifications the production fast paths are tested against.
 
 Production keeps one implementation of each bitstream codec, cycle
-kernel and ECC: the whole-array numpy versions in
+kernel, ECC and serving engine: the whole-array numpy versions in
 :mod:`repro.compression`, :mod:`repro.weights.msr`, :mod:`repro.arch.cycles`
-and :mod:`repro.protect.ecc`.  This package holds the value-at-a-time,
-loop and bit-matrix versions they replaced — legible, obviously correct,
-slow — as plain functions that take the codec's or kernel's parameters.
+and :mod:`repro.protect.ecc`, and the shard engine in
+:mod:`repro.serve.fleet.shard`.  This package holds the value-at-a-time,
+loop, bit-matrix and per-event versions they replaced — legible,
+obviously correct, slow — as plain functions that take the codec's or
+kernel's parameters, plus the virtual-clock ``InferenceService``.
 The property suites assert production is byte-identical to them;
 ``benchmarks/codec_bench.py`` and ``benchmarks/weights_bench.py`` time
 production against them.
@@ -35,6 +37,15 @@ from tests.oracles.secded import (
     secded_encode,
     words_to_bits,
 )
+from tests.oracles.serve import (
+    BatchPolicy,
+    BoundedQueue,
+    InferenceService,
+    QueuedRequest,
+    VirtualClock,
+    batch_ready,
+    next_deadline_check,
+)
 
 __all__ = [
     "BitReader",
@@ -55,4 +66,11 @@ __all__ = [
     "secded_decode",
     "words_to_bits",
     "bits_to_words",
+    "VirtualClock",
+    "BatchPolicy",
+    "QueuedRequest",
+    "BoundedQueue",
+    "batch_ready",
+    "next_deadline_check",
+    "InferenceService",
 ]

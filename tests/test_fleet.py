@@ -1,5 +1,7 @@
 """Tests for fleet-scale serving (repro.serve.fleet.*, ext_fleet)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from repro.serve.fleet import (
     simulate_shard,
 )
 from repro.serve.latency import ServiceTimes
-from repro.serve.service import InferenceService, ServeConfig
+from repro.serve.service import ServeConfig, serve_workload
 from repro.serve.workload import WorkloadSpec, generate_diurnal_requests, generate_requests
+from tests.oracles import InferenceService
 
 
 def _times(cold=0.05, warm=0.01, overhead=0.004, state_bytes=1000, engine="Diffy"):
@@ -55,8 +58,12 @@ def _spec(**kw):
     return WorkloadSpec(**base)
 
 
+def _canonical(report) -> str:
+    return canonical_dumps(to_jsonable(report))
+
+
 class TestShardEquivalence:
-    """The vectorized shard engine IS InferenceService at max_wait_s=0."""
+    """The shard engine IS the per-event oracle, greedy or waiting."""
 
     INT_COUNTERS = (
         "arrived",
@@ -73,7 +80,7 @@ class TestShardEquivalence:
     def _assert_equivalent(self, cfg, spec, times):
         reqs = generate_requests(spec)
         ref = InferenceService(times, cfg)
-        ref.run(reqs, spec.duration_s)
+        report = ref.run(reqs, spec.duration_s)
         res = simulate_shard(ShardStream.from_requests(0, reqs), times, cfg)
         for name in self.INT_COUNTERS:
             assert getattr(res.telemetry, name) == getattr(ref.telemetry, name), name
@@ -81,13 +88,16 @@ class TestShardEquivalence:
         assert res.telemetry.latency.counts == ref.telemetry.latency.counts
         assert res.telemetry.batch_sizes.counts == ref.telemetry.batch_sizes.counts
         assert res.telemetry.queue_depths.counts == ref.telemetry.queue_depths.counts
-        # busy_s accumulates in dispatch order in both engines: exact.
+        # Both engines accumulate busy time in dispatch order and
+        # latencies in completion order: the float totals are exact.
         assert res.telemetry.busy_s == ref.telemetry.busy_s
-        # Latency totals differ only in float summation order.
-        assert res.telemetry.latency.total == pytest.approx(ref.telemetry.latency.total, rel=1e-12)
+        assert res.telemetry.latency.total == ref.telemetry.latency.total
         counters = ("warm", "cold", "insertions", "evictions", "reanchors_gap", "reanchors_evicted")
         for name in counters:
             assert getattr(res.state, name) == getattr(ref.state.stats, name), name
+        served = serve_workload(reqs, times, cfg, duration_s=spec.duration_s)
+        assert _canonical(served) == _canonical(report)
+        return report
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("rate", [2.0, 10.0, 40.0])
@@ -96,6 +106,78 @@ class TestShardEquivalence:
         self._assert_equivalent(
             _node(), _spec(session_rate=rate, seed=seed, process=process), _times()
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rate", [2.0, 10.0, 40.0])
+    @pytest.mark.parametrize("wait", [0.002, 0.01, 0.05])
+    def test_telemetry_identical_with_wait_timer(self, seed, rate, wait):
+        process = "bursty" if seed % 2 else "poisson"
+        report = self._assert_equivalent(
+            _node(max_wait_s=wait),
+            _spec(session_rate=rate, seed=seed, process=process),
+            _times(),
+        )
+        assert report.metrics["completed"] > 0
+
+    def test_wait_timer_fractional_wait(self):
+        # The float-ulp livelock workload: (oldest + w) - oldest rounds
+        # below w, so the timer must test readiness with its own expiry
+        # expression or it re-arms at the same instant forever.
+        spec = WorkloadSpec(
+            duration_s=57.48,
+            session_rate=0.35,
+            frames_per_session=5,
+            frame_interval_s=2.874,
+            seed=53759,
+        )
+        cfg = _node(
+            max_wait_s=0.359250072114515,
+            deadline_s=5.748,
+            state_capacity_bytes=80,
+        )
+        self._assert_equivalent(cfg, spec, _times(cold=1.437, warm=0.21, state_bytes=10))
+
+    def test_wait_timer_under_shedding_pressure(self):
+        # Deadlines shorter than the wait and a queue smaller than a
+        # batch: expired requests shed at every dispatch attempt,
+        # including arrivals that find the node waiting for a batch.
+        cfg = _node(workers=1, queue_capacity=3, deadline_s=0.02, max_wait_s=0.03)
+        report = self._assert_equivalent(cfg, _spec(session_rate=30.0), _times(cold=0.08))
+        assert report.metrics["shed_deadline"] > 0
+        assert report.metrics["shed_queue_full"] > 0
+
+    def test_arrivals_tied_with_completions_and_timer(self):
+        # Dyadic times make arrivals, completions and wait expiries land
+        # on identical floats: arrivals fire first, then completions in
+        # dispatch order, then the wait timer.
+        spec = _spec(duration_s=8.0, session_rate=6.0, frame_interval_s=0.125)
+        reqs = [
+            dataclasses.replace(r, arrival_s=round(r.arrival_s * 8) / 8)
+            for r in generate_requests(spec)
+        ]
+        reqs.sort(key=lambda r: r.arrival_s)
+        times = _times(cold=0.25, warm=0.125, overhead=0.0)
+        for wait in (0.0, 0.125, 0.25):
+            cfg = _node(max_wait_s=wait, deadline_s=1.0, workers=1)
+            ref = InferenceService(times, cfg).run(reqs, 8.0)
+            served = serve_workload(reqs, times, cfg, duration_s=8.0)
+            assert _canonical(served) == _canonical(ref), wait
+            assert ref.metrics["completed"] > 0
+
+    def test_weight_stream_prices_every_batch(self):
+        # A fleet configured for a compressed weight stream prices its
+        # batches with it, exactly as the single-node service does.
+        reqs = generate_requests(_spec())
+        cfg = _node(weight_stream_s=0.001)
+        ref = InferenceService(_times(), cfg)
+        ref.run(reqs, 10.0)
+        res = simulate_shard(ShardStream.from_requests(0, reqs), _times(), cfg)
+        assert res.telemetry.busy_s == ref.telemetry.busy_s
+        fleet = simulate_fleet(reqs, _times(), FleetConfig(nodes=1, node=cfg), 10.0)
+        served = serve_workload(reqs, _times(), cfg, duration_s=10.0)
+        assert fleet.metrics["utilization"] == served.metrics["utilization"]
+        dense = serve_workload(reqs, _times(), _node(), duration_s=10.0)
+        assert served.metrics["utilization"] < dense.metrics["utilization"]
 
     def test_telemetry_identical_under_shedding_pressure(self):
         cfg = _node(workers=1, queue_capacity=3, deadline_s=0.1, state_capacity_bytes=3000)
@@ -110,10 +192,16 @@ class TestShardEquivalence:
         assert res.routed == 0
         assert res.telemetry.arrived == 0
 
-    def test_rejects_wait_batching(self):
-        cfg = _node(max_wait_s=0.5)
-        with pytest.raises(ValueError, match="max_wait_s"):
-            simulate_shard(ShardStream.from_requests(0, []), _times(), cfg)
+    def test_wait_batching_forms_partial_batches(self):
+        # Light load: greedy dispatch serves nearly every request alone,
+        # while a wait window co-batches requests the greedy node would
+        # have started at once.
+        reqs = generate_requests(_spec(session_rate=4.0))
+        stream = ShardStream.from_requests(0, reqs)
+        greedy = simulate_shard(stream, _times(), _node())
+        waiting = simulate_shard(stream, _times(), _node(max_wait_s=0.05))
+        assert waiting.telemetry.completed == greedy.telemetry.completed == len(reqs)
+        assert waiting.telemetry.batches < greedy.telemetry.batches
 
     def test_stream_validation(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -185,12 +273,19 @@ class TestFleetSimulation:
         reqs = generate_requests(_spec())
         cfg = FleetConfig(nodes=1, routing="hash", node=_node())
         fleet = simulate_fleet(reqs, _times(), cfg, 10.0)
-        ref = InferenceService(_times(), _node())
-        report = ref.run(reqs, 10.0)
-        assert fleet.metrics["completed"] == report.metrics["completed"]
-        assert fleet.metrics["good"] == report.metrics["good"]
+        report = InferenceService(_times(), _node()).run(reqs, 10.0)
+        assert fleet.metrics == report.metrics
         assert fleet.warm_served == report.warm_served
         assert fleet.migrations == 0
+
+    def test_fleet_matches_single_service_with_wait_timer(self):
+        reqs = generate_requests(_spec())
+        node = _node(max_wait_s=0.02)
+        fleet = simulate_fleet(reqs, _times(), FleetConfig(nodes=1, node=node), 10.0)
+        report = serve_workload(reqs, _times(), node, duration_s=10.0)
+        assert fleet.metrics == report.metrics
+        assert fleet.warm_served == report.warm_served
+        assert fleet.cold_served == report.cold_served
 
     def test_request_conservation(self):
         reqs = generate_requests(_spec(session_rate=25.0))
@@ -228,7 +323,7 @@ class TestFleetSimulation:
         with pytest.raises(ValueError, match="routing"):
             FleetConfig(nodes=2, routing="round_robin")
         with pytest.raises(ValueError, match="max_wait_s"):
-            FleetConfig(nodes=2, node=_node(max_wait_s=0.1))
+            FleetConfig(nodes=2, node=_node(max_wait_s=-0.1))
         with pytest.raises(ValueError, match="nodes"):
             FleetConfig(nodes=0)
 

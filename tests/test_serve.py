@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serve.clock import VirtualClock
 from repro.serve.latency import ServiceTimes, measure_service_times
-from repro.serve.scheduler import (
-    BatchPolicy,
-    BoundedQueue,
-    QueuedRequest,
-    batch_ready,
-    next_deadline_check,
-)
 from repro.serve.service import ServeConfig, serve_workload
 from repro.serve.state import TemporalStateStore
 from repro.serve.workload import (
@@ -22,9 +14,19 @@ from repro.serve.workload import (
     generate_requests,
     offered_rps,
 )
+from tests.oracles.serve import (
+    BatchPolicy,
+    BoundedQueue,
+    QueuedRequest,
+    VirtualClock,
+    batch_ready,
+    next_deadline_check,
+)
 
 
 class TestVirtualClock:
+    """The oracle's event loop (tests/oracles/serve.py)."""
+
     def test_fires_in_time_order(self):
         clock = VirtualClock()
         fired = []
@@ -123,14 +125,10 @@ class TestWorkload:
         assert by_session  # rate 2/s over 10s: sessions exist
         for frames in by_session.values():
             frames.sort(key=lambda r: r.frame_index)
-            assert [f.frame_index for f in frames] == list(
-                range(spec.frames_per_session)
-            )
+            assert [f.frame_index for f in frames] == list(range(spec.frames_per_session))
             start = frames[0].arrival_s
             for f in frames:
-                assert f.arrival_s == pytest.approx(
-                    start + f.frame_index * spec.frame_interval_s
-                )
+                assert f.arrival_s == pytest.approx(start + f.frame_index * spec.frame_interval_s)
         assert reqs[0].is_session_head or reqs[0].frame_index > 0
 
     def test_poisson_rate_roughly_matches(self):
@@ -317,6 +315,8 @@ def _queued(arrival, admitted=None, deadline=float("inf"), sid=0, frame=0):
 
 
 class TestSchedulerPolicies:
+    """The oracle's queue and batch policy (tests/oracles/serve.py)."""
+
     def test_bounded_queue_sheds_when_full(self):
         queue = BoundedQueue(2)
         assert queue.offer(_queued(0.0))
@@ -383,6 +383,8 @@ def _spec(**kw):
 
 
 class TestInferenceService:
+    """``serve_workload`` end to end (the shard engine on one node)."""
+
     def test_underload_serves_everything(self):
         reqs = generate_requests(_spec(session_rate=0.1))
         config = ServeConfig(workers=2, queue_capacity=32, deadline_s=10.0)
@@ -406,25 +408,19 @@ class TestInferenceService:
         report = serve_workload(reqs, _times(cold=2.0, warm=2.0), config)
         m = report.metrics
         assert m["shed_queue_full"] > 0
-        assert m["completed"] + m["shed_queue_full"] + m["shed_deadline"] == m[
-            "arrived"
-        ]
+        assert m["completed"] + m["shed_queue_full"] + m["shed_deadline"] == m["arrived"]
 
     def test_deadline_shedding_accounted(self):
         # One slow worker, generous queue, tight deadline: queued requests
         # expire before a worker frees up and are shed at dispatch.
         reqs = generate_requests(_spec(session_rate=1.0))
-        config = ServeConfig(
-            workers=1, queue_capacity=16, deadline_s=0.5, max_batch=1
-        )
+        config = ServeConfig(workers=1, queue_capacity=16, deadline_s=0.5, max_batch=1)
         report = serve_workload(reqs, _times(cold=1.0, warm=1.0), config)
         assert report.metrics["shed_deadline"] > 0
 
     def test_batches_form_while_workers_busy(self):
         reqs = generate_requests(_spec(session_rate=1.0))
-        config = ServeConfig(
-            workers=1, max_batch=4, queue_capacity=16, deadline_s=50.0
-        )
+        config = ServeConfig(workers=1, max_batch=4, queue_capacity=16, deadline_s=50.0)
         report = serve_workload(reqs, _times(cold=0.5, warm=0.5), config)
         assert report.metrics["mean_batch_size"] > 1.0
         assert report.metrics["batches"] < report.metrics["completed"]
@@ -434,7 +430,10 @@ class TestInferenceService:
         # the wait timer), and every admitted request completes.
         reqs = generate_requests(_spec(session_rate=0.05, frames_per_session=2))
         config = ServeConfig(
-            workers=1, max_batch=4, max_wait_s=0.2, queue_capacity=8,
+            workers=1,
+            max_batch=4,
+            max_wait_s=0.2,
+            queue_capacity=8,
             deadline_s=10.0,
         )
         report = serve_workload(reqs, _times(cold=0.01, warm=0.01), config)
@@ -443,9 +442,7 @@ class TestInferenceService:
 
     def test_warm_sessions_use_temporal_state(self):
         reqs = generate_requests(_spec(session_rate=0.1))
-        config = ServeConfig(
-            workers=2, deadline_s=10.0, state_capacity_bytes=1000
-        )
+        config = ServeConfig(workers=2, deadline_s=10.0, state_capacity_bytes=1000)
         report = serve_workload(reqs, _times(cold=0.05, warm=0.01), config)
         assert report.warm_served > 0
         assert report.warm_fraction > 0.5  # 4 of 5 frames per session warm
@@ -461,15 +458,17 @@ class TestInferenceService:
         with zero shedding, the cold service (temporal state disabled)
         already sheds — per-session state expands serviceable load."""
         times = _times(cold=1.0, warm=0.1)
-        reqs = generate_requests(
-            _spec(duration_s=60.0, session_rate=0.25, frame_interval_s=1.0)
-        )
+        reqs = generate_requests(_spec(duration_s=60.0, session_rate=0.25, frame_interval_s=1.0))
         warm_cfg = ServeConfig(
-            workers=1, queue_capacity=8, deadline_s=4.0,
+            workers=1,
+            queue_capacity=8,
+            deadline_s=4.0,
             state_capacity_bytes=1000,
         )
         cold_cfg = ServeConfig(
-            workers=1, queue_capacity=8, deadline_s=4.0,
+            workers=1,
+            queue_capacity=8,
+            deadline_s=4.0,
             state_capacity_bytes=0,
         )
         warm = serve_workload(reqs, times, warm_cfg)
@@ -498,9 +497,7 @@ class TestServiceTimesModel:
 
     @pytest.mark.slow
     def test_measured_times_ordering(self):
-        times = measure_service_times(
-            "IRCNN", crop=32, frames=2, resolution=(32, 32)
-        )
+        times = measure_service_times("IRCNN", crop=32, frames=2, resolution=(32, 32))
         assert set(times) == {"VAA", "PRA", "Diffy"}
         for t in times.values():
             assert t.cold_s > 0 and t.warm_s > 0 and t.batch_overhead_s > 0
@@ -526,13 +523,14 @@ class TestEndToEndDeterminism:
         spec = _spec(session_rate=0.5)
         times = _times(cold=0.4, warm=0.05, overhead=0.02)
         config = ServeConfig(
-            workers=2, max_batch=3, max_wait_s=0.05, queue_capacity=8,
-            deadline_s=2.0, state_capacity_bytes=50,
+            workers=2,
+            max_batch=3,
+            max_wait_s=0.05,
+            queue_capacity=8,
+            deadline_s=2.0,
+            state_capacity_bytes=50,
         )
-        reports = [
-            serve_workload(generate_requests(spec), times, config)
-            for _ in range(2)
-        ]
+        reports = [serve_workload(generate_requests(spec), times, config) for _ in range(2)]
         assert reports[0] == reports[1]
         snap = reports[0].metrics
         assert np.isfinite(snap["latency_ms"]["p99"])
@@ -558,12 +556,14 @@ class TestWaitTimerFloatSafety:
         # End-to-end regression for the livelock: irrational-ish service
         # times and wait windows, single worker, partial batches.
         reqs = generate_requests(
-            _spec(duration_s=57.48, session_rate=0.35,
-                  frame_interval_s=2.874, seed=53759)
+            _spec(duration_s=57.48, session_rate=0.35, frame_interval_s=2.874, seed=53759)
         )
         config = ServeConfig(
-            workers=2, max_batch=4, max_wait_s=0.359250072114515,
-            queue_capacity=16, deadline_s=5.748,
+            workers=2,
+            max_batch=4,
+            max_wait_s=0.359250072114515,
+            queue_capacity=16,
+            deadline_s=5.748,
             state_capacity_bytes=80,
         )
         report = serve_workload(reqs, _times(cold=1.437, warm=0.21), config)

@@ -7,7 +7,6 @@ import dataclasses
 import pytest
 
 from repro.serve.latency import ServiceTimes, measure_service_times
-from repro.serve.scheduler import BatchPolicy
 from repro.serve.service import ServeConfig, serve_workload
 from repro.serve.workload import WorkloadSpec, generate_requests
 
@@ -37,16 +36,16 @@ def _spec(**kw):
 
 class TestBatchPolicyKnob:
     def test_default_is_off(self):
-        assert BatchPolicy().weight_stream_s is None
+        assert ServeConfig().weight_stream_s is None
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="weight_stream_s"):
-            BatchPolicy(weight_stream_s=-0.001)
+            ServeConfig(weight_stream_s=-0.001)
         with pytest.raises(ValueError, match="weight_stream_s"):
             ServeConfig(weight_stream_s=-1.0)
 
     def test_zero_is_legal(self):
-        assert BatchPolicy(weight_stream_s=0.0).weight_stream_s == 0.0
+        assert ServeConfig(weight_stream_s=0.0).weight_stream_s == 0.0
 
 
 class TestGoldenSchemaStability:
