@@ -22,7 +22,7 @@ from repro.arch.cycles import LayerCycles, SyncModel
 from repro.arch.vaa import VAAModel
 from repro.arch.pra import PRAModel
 from repro.arch.diffy import DiffyModel
-from repro.arch.scnn import SCNNModel, sparsify_weights
+from repro.arch.scnn import SCNNModel
 from repro.arch.energy import EnergyModel, POWER_TABLE, AREA_TABLE
 from repro.arch.metrics import (
     ScalingChoice,
@@ -48,7 +48,6 @@ __all__ = [
     "PRAModel",
     "DiffyModel",
     "SCNNModel",
-    "sparsify_weights",
     "EnergyModel",
     "POWER_TABLE",
     "AREA_TABLE",

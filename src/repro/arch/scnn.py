@@ -66,28 +66,6 @@ class SCNNConfig:
 DEFAULT_SCNN_CONFIG = SCNNConfig()
 
 
-def sparsify_weights(
-    weights: np.ndarray, sparsity: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Randomly sparsify a filter bank to the requested zero fraction.
-
-    Mirrors the paper's "randomly sparsified versions of the models":
-    weights are zeroed uniformly at random (not by magnitude), on top of
-    any zeros already present.
-    """
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    w = np.asarray(weights).copy()
-    target_zeros = int(round(sparsity * w.size))
-    nz_idx = np.flatnonzero(w.reshape(-1))
-    already = w.size - nz_idx.size
-    extra = target_zeros - already
-    if extra > 0:
-        kill = rng.choice(nz_idx, size=min(extra, nz_idx.size), replace=False)
-        w.reshape(-1)[kill] = 0
-    return w
-
-
 def _pe_nonzeros(imap: np.ndarray, pe_rows: int, pe_cols: int) -> np.ndarray:
     """Nonzero activation counts per (PE, channel).
 

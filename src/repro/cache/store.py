@@ -21,8 +21,7 @@ Design points:
   layout, calibration).  Old entries simply stop being addressed; a
   ``purge()`` helper deletes them.
 - **Atomicity** — payloads are pickled to a temp file and ``os.replace``d
-  into place, so concurrent processes (the sweep runner's workers) never
-  observe a torn entry.
+  into place, so concurrent processes never observe a torn entry.
 - **Quarantine** — a corrupt or unreadable entry is treated as a miss,
   but instead of being silently overwritten it is moved to
   ``<root>/quarantine/<namespace>/<digest>.pkl`` for post-mortem (torn

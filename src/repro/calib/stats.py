@@ -9,7 +9,7 @@ make that cheap:
    scaling the input brightness/contrast by ``g > 0`` scales every
    layer's activation magnitudes by ``g`` (``relu(g*x) = g*relu(x)``),
    so one scalar gain models a brightness ramp through the whole
-   network (:func:`repro.core.precision.drift_values`).
+   network.
 2. **Low magnitude entropy.**  A layer's imap holds few distinct
    magnitudes relative to its size, so the full magnitude distribution
    compresses to a sorted unique-value/count pair a ``searchsorted``
@@ -49,7 +49,7 @@ DEFAULT_CALIB_PROFILES: "tuple[str, ...]" = ("nature", "city", "noisy")
 
 
 def _drifted(mags: np.ndarray, gain: float) -> np.ndarray:
-    """Magnitudes after the gain drift (matches ``drift_values`` exactly)."""
+    """Magnitudes after the gain drift, rounded half away from zero."""
     if gain == 1.0:
         return mags
     return np.floor(mags.astype(np.float64) * gain + 0.5).astype(np.int64)

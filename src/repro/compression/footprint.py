@@ -232,23 +232,3 @@ def am_requirement_bytes(
         worst = max(worst, (imap_rows_bits + omap_row_bits) / 8.0)
     return worst
 
-
-def scaled_imap_bits(
-    network: Network,
-    traces: Sequence[ActivationTrace],
-    compression: CompressionScheme | str,
-    height: int,
-    width: int,
-    precisions: Optional[Sequence[int]] = None,
-) -> float:
-    """Total imap bits for all layers at a target resolution."""
-    if isinstance(compression, str):
-        compression = get_scheme(compression)
-    if precisions is None:
-        precisions = imap_precisions(traces)
-    shapes = conv_layer_shapes(network, height, width)
-    total = 0.0
-    for shp in shapes:
-        bpv = layer_bits_per_value(traces, shp.index, compression, precisions, "imap")
-        total += bpv * shp.imap_values
-    return total

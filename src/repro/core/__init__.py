@@ -14,16 +14,14 @@
 
 from repro.core.booth import (
     booth_terms,
-    booth_digits,  # deprecated alias of naf_digits; see repro.core.booth
     naf_digits,
     r4_booth_digits,
     term_count_lut,
 )
 from repro.core.deltas import spatial_deltas, reconstruct_from_deltas
-from repro.core.differential import differential_conv2d, DifferentialConv2d
+from repro.core.differential import differential_conv2d
 from repro.core.precision import (
     profiled_precision,
-    profile_network_precisions,
     group_precisions,
     GroupPrecisionEncoding,
 )
@@ -32,26 +30,17 @@ from repro.core.temporal import (
     FrameSequenceTrace,
     LayerModeStats,
 )
-from repro.core.dataflow import (
-    BRICK_SIZE,
-    PALLET_SIZE,
-    num_bricks,
-    num_pallets,
-    raw_window_mask,
-)
+from repro.core.dataflow import BRICK_SIZE, PALLET_SIZE
 
 __all__ = [
     "booth_terms",
-    "booth_digits",
     "naf_digits",
     "r4_booth_digits",
     "term_count_lut",
     "spatial_deltas",
     "reconstruct_from_deltas",
     "differential_conv2d",
-    "DifferentialConv2d",
     "profiled_precision",
-    "profile_network_precisions",
     "group_precisions",
     "GroupPrecisionEncoding",
     "temporal_deltas",
@@ -59,7 +48,4 @@ __all__ = [
     "LayerModeStats",
     "BRICK_SIZE",
     "PALLET_SIZE",
-    "num_bricks",
-    "num_pallets",
-    "raw_window_mask",
 ]

@@ -25,7 +25,6 @@ fancy index.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -67,23 +66,6 @@ def naf_digits(value: int) -> list[int]:
         v >>= 1
         k += 1
     return terms
-
-
-def booth_digits(value: int) -> list[int]:
-    """Deprecated: despite the name, this returns **NAF** terms.
-
-    Historical alias kept for backwards compatibility; it never performed
-    radix-4 modified-Booth recoding.  Call :func:`naf_digits` for the
-    minimal signed-digit form or :func:`r4_booth_digits` for the recoding
-    PRA's offset generators actually implement.
-    """
-    warnings.warn(
-        "booth_digits is a misleading alias: it returns NAF terms, not "
-        "radix-4 Booth digits; use naf_digits or r4_booth_digits",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return naf_digits(value)
 
 
 def r4_booth_digits(value: int) -> list[int]:

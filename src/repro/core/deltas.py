@@ -87,22 +87,3 @@ def reconstruct_from_deltas(
         out[tuple(idx)] = np.cumsum(arr[tuple(idx)], axis=ax)
     return out
 
-
-def delta_magnitude_stats(fmap: np.ndarray, axis: str = "x") -> dict[str, float]:
-    """Summary statistics comparing raw and delta magnitudes of a map.
-
-    Returns mean absolute value, sparsity (fraction of zeros), and the
-    mean-magnitude compression ratio raw/delta — a quick scalar view of the
-    spatial correlation the paper's Section II-C establishes.
-    """
-    arr = np.asarray(fmap, dtype=np.int64)
-    deltas = spatial_deltas(arr, axis=axis)
-    raw_mean = float(np.abs(arr).mean()) if arr.size else 0.0
-    delta_mean = float(np.abs(deltas).mean()) if deltas.size else 0.0
-    return {
-        "raw_mean_abs": raw_mean,
-        "delta_mean_abs": delta_mean,
-        "raw_sparsity": float((arr == 0).mean()) if arr.size else 0.0,
-        "delta_sparsity": float((deltas == 0).mean()) if deltas.size else 0.0,
-        "magnitude_ratio": raw_mean / delta_mean if delta_mean > 0 else float("inf"),
-    }

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.nn.functional import conv2d_int, im2col
+from repro.nn.functional import conv2d_int
 from repro.core.deltas import reconstruct_from_deltas, spatial_deltas
 from repro.utils.validation import check_axis, check_positive
 
@@ -105,77 +105,6 @@ def differential_conv2d(
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.int64).reshape(-1, 1, 1)
     return out
-
-
-class DifferentialConv2d:
-    """A reusable differential-convolution operator with work accounting.
-
-    Wraps :func:`differential_conv2d` and reports the term-level work split
-    the accelerator models consume: how many windows were computed raw vs
-    differentially, and the reconstruction additions required.
-
-    Parameters
-    ----------
-    weights, bias, stride, padding, dilation, axis:
-        As in :func:`differential_conv2d`.
-    """
-
-    def __init__(
-        self,
-        weights: np.ndarray,
-        bias: Optional[np.ndarray] = None,
-        stride: int = 1,
-        padding: int = 0,
-        dilation: int = 1,
-        axis: str = "x",
-        delta_hook: Optional[DeltaHook] = None,
-    ):
-        check_axis("axis", axis)
-        self.weights = np.asarray(weights, dtype=np.int64)
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.int64)
-        self.stride = stride
-        self.padding = padding
-        self.dilation = dilation
-        self.axis = axis
-        self.delta_hook = delta_hook
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return differential_conv2d(
-            x,
-            self.weights,
-            self.bias,
-            self.stride,
-            self.padding,
-            self.dilation,
-            self.axis,
-            self.delta_hook,
-        )
-
-    def work_summary(self, x: np.ndarray) -> dict[str, int]:
-        """Raw/differential window counts and reconstruction adds.
-
-        ``reconstruction_adds`` is one addition per differentially computed
-        output activation (Section III-D: "a single addition per output is
-        all that is needed").
-        """
-        arr = np.asarray(x, dtype=np.int64)
-        c, h, w_ = arr.shape
-        eff_h = (self.weights.shape[2] - 1) * self.dilation + 1
-        eff_w = (self.weights.shape[3] - 1) * self.dilation + 1
-        ho = (h + 2 * self.padding - eff_h) // self.stride + 1
-        wo = (w_ + 2 * self.padding - eff_w) // self.stride + 1
-        if self.axis == "x":
-            raw_windows = ho
-        else:
-            raw_windows = wo
-        total = ho * wo
-        k = self.weights.shape[0]
-        return {
-            "total_windows": total,
-            "raw_windows": raw_windows,
-            "differential_windows": total - raw_windows,
-            "reconstruction_adds": (total - raw_windows) * k,
-        }
 
 
 def reconstruct_map(
@@ -287,26 +216,3 @@ def reconstruct_from_keyframes(
             sub[tuple(seg)] = np.cumsum(sub[tuple(seg)], axis=ax)
     return out
 
-
-def windows_and_deltas(
-    x: np.ndarray,
-    kernel: tuple[int, int],
-    stride: int = 1,
-    padding: int = 0,
-    dilation: int = 1,
-    axis: str = "x",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (raw windows, delta windows) in im2col layout.
-
-    Debug/analysis helper: materializes, for each output position, both the
-    raw activation window and the differential window Diffy would process.
-    Shapes are ``(Ho, Wo, C, Hf, Wf)``.
-    """
-    check_axis("axis", axis)
-    arr = np.asarray(x, dtype=np.int64)
-    if padding:
-        arr = np.pad(arr, ((0, 0), (padding, padding), (padding, padding)))
-    raw = im2col(arr, kernel, stride, 0, dilation)
-    deltas = spatial_deltas(arr, axis=axis, stride=stride)
-    dwin = im2col(deltas, kernel, stride, 0, dilation)
-    return raw, dwin

@@ -16,11 +16,10 @@ The paper uses two precision mechanisms:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.nn.trace import ActivationTrace
 from repro.utils.bits import bits_for_magnitude, bits_for_signed, quantize_to_width
 from repro.utils.validation import check_positive
 
@@ -29,12 +28,8 @@ __all__ = [
     "MAX_PRECISION",
     "profiled_precision",
     "profiled_precision_tolerant",
-    "profiled_precision_drifted",
-    "profile_network_precisions",
     "GroupPrecisionEncoding",
     "group_precisions",
-    "group_precisions_drifted",
-    "drift_values",
     "quantize_to_width",
 ]
 
@@ -114,26 +109,6 @@ def profiled_precision_tolerant(
     return int(np.clip(bits, 1, MAX_PRECISION))
 
 
-def profile_network_precisions(
-    traces: Sequence[ActivationTrace], signed: bool = False
-) -> list[int]:
-    """Per-layer profiled precisions for a network (Table III).
-
-    Layer ``i``'s precision covers the *imap* of conv layer ``i`` across
-    all provided traces — this is the stored representation the precision
-    applies to.
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
-    n_layers = len(traces[0])
-    if any(len(t) != n_layers for t in traces):
-        raise ValueError("traces have inconsistent layer counts")
-    return [
-        profiled_precision((t[i].imap for t in traces), signed=signed)
-        for i in range(n_layers)
-    ]
-
-
 @dataclass(frozen=True)
 class GroupPrecisionEncoding:
     """Result of dynamic per-group precision detection over one array.
@@ -199,53 +174,3 @@ def group_precisions(
     precisions = np.minimum(bits.max(axis=1), MAX_PRECISION)
     return GroupPrecisionEncoding(group_size, precisions, flat.size, signed)
 
-
-# ---- drift-aware variants (the calibration control loop's model) --------
-#
-# Input drift is modeled as a multiplicative gain on activation
-# magnitudes: for post-ReLU networks, scaling the input brightness /
-# contrast by ``g`` scales every layer's activations by ``g`` (ReLU is
-# positively homogeneous, ReLU(g*x) = g*ReLU(x) for g > 0), so a single
-# gain parameter propagates a brightness ramp through the whole network
-# without re-tracing.  ``repro.calib`` builds its shadow statistics on
-# exactly this model; the functions here are the reference definitions
-# the calibration tables are checked against.
-
-
-def drift_values(values: np.ndarray, gain: float) -> np.ndarray:
-    """Integer activations after a magnitude gain (round half away).
-
-    ``gain=1.0`` returns the input values unchanged (same array, no
-    arithmetic), so drift-free paths stay bit-identical.
-    """
-    if gain <= 0.0:
-        raise ValueError(f"gain must be > 0, got {gain}")
-    arr = np.asarray(values, dtype=np.int64)
-    if gain == 1.0:
-        return arr
-    mags = np.floor(np.abs(arr).astype(np.float64) * gain + 0.5).astype(np.int64)
-    return np.sign(arr) * mags
-
-
-def profiled_precision_drifted(
-    arrays: Iterable[np.ndarray], gain: float, signed: bool = False
-) -> int:
-    """Profiled per-layer precision of the gain-drifted values.
-
-    The width a *fresh* profiling pass would pick if the input statistics
-    had drifted by ``gain`` — what the online recalibrator must converge
-    to.  ``gain=1.0`` reduces exactly to :func:`profiled_precision`.
-    """
-    return profiled_precision((drift_values(a, gain) for a in arrays), signed=signed)
-
-
-def group_precisions_drifted(
-    values: np.ndarray, gain: float, group_size: int = 16, signed: bool = False
-) -> GroupPrecisionEncoding:
-    """Dynamic per-group precisions of the gain-drifted values.
-
-    ``gain=1.0`` reduces exactly to :func:`group_precisions`; larger
-    gains widen exactly the groups whose maxima cross a power of two —
-    the overflow signal the shadow counters watch for.
-    """
-    return group_precisions(drift_values(values, gain), group_size, signed=signed)

@@ -20,7 +20,6 @@ combination for the trace-driven simulators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -10,10 +10,6 @@ The per-experiment index lives in DESIGN.md §4; paper-vs-measured numbers
 are recorded in EXPERIMENTS.md.  All experiments run on seeded synthetic
 traces (see DESIGN.md §2 for the substitutions) and scale analytically to
 the paper's resolutions.
-
-:mod:`repro.experiments.sweep` generalizes the per-figure slices into a
-parallel (model × accelerator × scheme × memory) grid runner sharing
-work through the :mod:`repro.cache` disk store.
 """
 
 from repro.experiments import common

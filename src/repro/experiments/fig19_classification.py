@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.arch.diffy import DiffyModel
 from repro.arch.pra import PRAModel
 from repro.arch.sim import simulate_network

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -561,14 +561,3 @@ def summarize_protected(rows: Sequence[ProtectedRow]) -> "list[tuple[str, ...]]"
         )
     return out
 
-
-def default_campaign_kwargs(
-    rates: Optional[Sequence[float]] = None,
-) -> dict:
-    """Keyword defaults shared by the experiment entry points."""
-    return {
-        "schemes": ("Raw16", "RawD16", "DeltaD16"),
-        "sites": ("memory", "stream", "delta"),
-        "rates": tuple(rates) if rates is not None else DEFAULT_RATES,
-        "fault_models": DEFAULT_FAULT_MODELS,
-    }

@@ -145,13 +145,3 @@ def _calibrate(name: str, seed: int, calib_count: int, calib_dataset: str) -> Ne
 
 cache_store.register_memory_cache(prepare_model.cache_clear)
 
-
-def trace_model(
-    name: str,
-    images,
-    seed: int = DEFAULT_SEED,
-):
-    """Trace a prepared model over RGB images (adapter applied per image)."""
-    spec = get_model_spec(name)
-    net = prepare_model(name, seed)
-    return [net.trace(adapt_input(spec.input_adapter, img)) for img in images]

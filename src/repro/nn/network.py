@@ -9,7 +9,7 @@ objects for the accelerator models.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -235,13 +235,3 @@ class Network:
             f"relus={self.num_relu_layers}, quantized={self._quantized})"
         )
 
-
-def trace_network(
-    network: Network,
-    images: Sequence[np.ndarray],
-    calibration_images: Optional[Sequence[np.ndarray]] = None,
-) -> list[ActivationTrace]:
-    """Convenience: calibrate (if needed) and trace a batch of images."""
-    if not network.is_quantized:
-        network.calibrate(calibration_images if calibration_images is not None else images)
-    return [network.trace(img) for img in images]

@@ -195,13 +195,13 @@ def _cell_from_json(doc: dict) -> ChaosCell:
 class _Checkpoint:
     """Crash-safe JSONL checkpoint with fault-seed verification.
 
-    Same layout contract as the sweep checkpoint (meta header pinning a
-    settings digest, one flushed line per completed cell, torn final
-    line tolerated) plus one chaos-specific guarantee: each row carries
-    the fault seed its cell ran under, and loading re-derives the seed
-    the current grid would use for that coordinate.  A mismatch raises —
-    resuming must rerun missing points under the *same* fault schedule
-    the finished points saw, or the grid's cells are not comparable.
+    A meta header pins a settings digest, each completed cell is one
+    flushed line, and a torn final line is tolerated.  On top of that,
+    each row carries the fault seed its cell ran under, and loading
+    re-derives the seed the current grid would use for that coordinate.
+    A mismatch raises — resuming must rerun missing points under the
+    *same* fault schedule the finished points saw, or the grid's cells
+    are not comparable.
     """
 
     def __init__(self, path: "str | os.PathLike", digest: str, seed: int):

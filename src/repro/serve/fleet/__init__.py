@@ -19,9 +19,8 @@ The pieces:
   autoscaler driving node add/drain/remove under diurnal load.
 - :mod:`repro.serve.fleet.service` — the orchestration: one routing
   pass over the global arrival stream, independent per-shard clocks run
-  through the shared pool runner (:mod:`repro.utils.pool`), telemetry
-  merged exactly in node-id order so results are invariant to worker
-  count.
+  serially or on a process pool, telemetry merged exactly in node-id
+  order so results are invariant to worker count.
 """
 
 from repro.serve.fleet.autoscale import Autoscaler, AutoscalePolicy, ScaleEvent

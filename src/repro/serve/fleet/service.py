@@ -11,8 +11,8 @@ substream.  The split here exploits that:
    migration detection.  Output is a columnar substream per node.
 2. **Shard pass** — each substream runs through the shard
    engine (:mod:`repro.serve.fleet.shard`) *independently*, so shards
-   go to pool workers via the shared runner (:mod:`repro.utils.pool`)
-   with bounded retry and serial fallback.
+   can run on a process pool, with a serial fallback when no pool is
+   available.
 3. **Merge** — per-node telemetry folds into one
    :class:`~repro.serve.telemetry.ServeTelemetry` in ascending node-id
    order.  Histogram merges are exact and the order is pinned, so the
@@ -23,6 +23,8 @@ substream.  The split here exploits that:
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -49,9 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; the calib spec is
     # duck-typed (shards call .build()), so serve never imports calib.
     from repro.calib.recalibrate import CalibSpec
 from repro.utils import timing
-from repro.utils.pool import run_tasks
 from repro.utils.rng import DEFAULT_SEED
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_integer, check_nonnegative, check_positive
 
 __all__ = [
     "FleetConfig",
@@ -319,6 +320,23 @@ def _simulate_shard_task(
     return simulate_shard(stream, times, node_config, chaos=chaos, calib=calib)
 
 
+def _run_shards(tasks: list, max_workers: int) -> "list[ShardResult]":
+    """Run every shard task; results come back in task order.
+
+    Two or more tasks with ``max_workers > 0`` go to a process pool.  A
+    pool that cannot start (``OSError``) or dies (``BrokenProcessPool``)
+    falls back to serial in-process execution.  A shard that raises is
+    not retried: shards are deterministic, so its error propagates.
+    """
+    if max_workers and len(tasks) > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=max_workers) as pool:
+                return list(pool.map(_simulate_shard_task, tasks))
+        except (OSError, BrokenProcessPool):
+            timing.count("fleet.pool_fallback")
+    return [_simulate_shard_task(task) for task in tasks]
+
+
 def simulate_fleet(
     requests: Sequence[Request],
     times: ServiceTimes,
@@ -329,11 +347,13 @@ def simulate_fleet(
     """Serve one workload on the fleet; deterministic across worker counts.
 
     ``max_workers=0`` runs shards serially in-process; any positive
-    value fans them out through :func:`repro.utils.pool.run_tasks`
-    (bounded retry, serial fallback).  Both paths produce byte-identical
-    reports: shards are independent and the merge order is pinned to
-    ascending node id.
+    value fans them out over a process pool (serial fallback when the
+    pool is unavailable).  Both paths produce byte-identical reports:
+    shards are independent and the merge order is pinned to ascending
+    node id.
     """
+    max_workers = check_integer("max_workers", max_workers)
+    check_nonnegative("max_workers", max_workers)
     if duration_s is None:
         duration_s = max((r.arrival_s for r in requests), default=0.0) or 1.0
     check_positive("duration_s", duration_s)
@@ -388,15 +408,7 @@ def simulate_fleet(
         for stream in routing.streams
     ]
     with timing.timed("fleet.shards"):
-        outcome = run_tasks(
-            _simulate_shard_task, tasks, max_workers=max_workers, counter_prefix="fleet"
-        )
-    if not outcome.ok:
-        details = "; ".join(
-            f"node {tasks[f.index][0].node_id}: {f.error}" for f in outcome.failures
-        )
-        raise RuntimeError(f"fleet shard simulation failed: {details}")
-    results: "list[ShardResult]" = list(outcome.results)
+        results = _run_shards(tasks, max_workers)
 
     merged = ServeTelemetry(
         max_batch=config.node.max_batch, queue_capacity=config.node.queue_capacity

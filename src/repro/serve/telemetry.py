@@ -2,9 +2,9 @@
 
 Built on :class:`repro.utils.timing.StreamingHistogram` rather than raw
 sample lists: histograms are fixed-size no matter how long the run, they
-merge exactly across workers (the same property the sweep runner's
-per-process accumulators need), and their percentile estimates are
-deterministic — which is what lets serving goldens be byte-identical.
+merge exactly across fleet shards (pooled or serial), and their
+percentile estimates are deterministic — which is what lets serving
+goldens be byte-identical.
 
 One :class:`ServeTelemetry` instance records one node's run, one hook
 call per event in event order — so its float totals (latency sum,

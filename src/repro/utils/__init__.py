@@ -9,7 +9,6 @@ from repro.utils.rng import derive_seed, rng_for
 from repro.utils.bits import (
     bits_for_magnitude,
     bits_for_signed,
-    clamp_signed,
     signed_range,
 )
 from repro.utils.validation import (
@@ -25,7 +24,6 @@ __all__ = [
     "rng_for",
     "bits_for_magnitude",
     "bits_for_signed",
-    "clamp_signed",
     "signed_range",
     "check_axis",
     "check_positive",

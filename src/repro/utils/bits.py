@@ -124,12 +124,3 @@ def quantize_to_width(
     timing.count("precision.values_clipped", clipped)
     return np.clip(arr, lo, hi), clipped
 
-
-def clamp_signed(values: np.ndarray, bits: int) -> np.ndarray:
-    """Saturate an integer array to the ``bits``-bit signed range.
-
-    Thin wrapper over :func:`quantize_to_width` for callers that only
-    need the saturated array; the clip count still lands on the audited
-    counter.
-    """
-    return quantize_to_width(values, bits, signed=True)[0]

@@ -12,8 +12,8 @@ dragging in a profiler:
 - :func:`count` — bump a named counter (cache hits/misses, bytes, ...).
 - :class:`StreamingHistogram` — a fixed-bin streaming distribution
   accumulator with deterministic percentile estimates.  Histograms with
-  the same binning :meth:`~StreamingHistogram.merge`, so per-worker
-  accumulators (sweep processes, serve telemetry) reduce to one global
+  the same binning :meth:`~StreamingHistogram.merge`, so per-node
+  accumulators (fleet shards' serve telemetry) reduce to one global
   distribution without shipping raw samples.
 - :func:`report` — a formatted table of all timers and counters.
 

@@ -8,7 +8,7 @@ import pytest
 from repro.arch.config import DIFFY_CONFIG, PRA_CONFIG, VAA_CONFIG
 from repro.arch.diffy import DiffyModel
 from repro.arch.pra import PRAModel
-from repro.arch.scnn import SCNNModel, sparsify_weights
+from repro.arch.scnn import SCNNModel
 from repro.arch.vaa import VAAModel
 from repro.utils.rng import rng_for
 
@@ -146,24 +146,3 @@ class TestSCNN:
     def test_sparsity_validated(self):
         with pytest.raises(ValueError):
             SCNNModel(1.0)
-
-    def test_sparsify_weights(self):
-        rng = rng_for(1, "sparse")
-        w = rng.normal(size=(8, 8, 3, 3))
-        sparse = sparsify_weights(w, 0.75, rng)
-        assert abs((sparse == 0).mean() - 0.75) < 0.02
-        # surviving weights unchanged
-        mask = sparse != 0
-        assert np.array_equal(sparse[mask], w[mask])
-
-    def test_sparsify_validates(self):
-        rng = rng_for(2, "sparse")
-        with pytest.raises(ValueError):
-            sparsify_weights(np.ones(4), 1.0, rng)
-
-    def test_sparsify_keeps_existing_zeros(self):
-        rng = rng_for(3, "sparse")
-        w = np.zeros(100)
-        w[:50] = 1.0
-        sparse = sparsify_weights(w, 0.5, rng)
-        assert (sparse == 0).sum() == 50

@@ -136,18 +136,3 @@ class TestBoothTerms:
 
     def test_word_bits_constant(self):
         assert WORD_BITS == 16
-
-
-class TestBoothDigitsDeprecation:
-    def test_alias_warns_and_delegates(self):
-        from repro.core.booth import booth_digits
-
-        with pytest.deprecated_call(match="naf_digits"):
-            terms = booth_digits(1234)
-        assert terms == naf_digits(1234)
-
-    def test_package_export_still_works(self):
-        import repro.core as core
-
-        with pytest.deprecated_call():
-            assert core.booth_digits(-7) == naf_digits(-7)

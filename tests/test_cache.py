@@ -221,7 +221,7 @@ class TestQuarantineCap:
 
 class TestStatsThreadSafety:
     def test_bump_is_atomic_under_contention(self):
-        """Regression: bare ``_STATS.hits += 1`` lost updates when sweep
+        """Regression: bare ``_STATS.hits += 1`` lost updates when
         workers shared the store from threads; the locked read-modify-write
         must count exactly."""
         import threading

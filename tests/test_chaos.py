@@ -3,7 +3,6 @@
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from repro.regression.serialize import canonical_dumps, to_jsonable

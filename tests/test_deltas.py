@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.deltas import (
-    delta_magnitude_stats,
     reconstruct_from_deltas,
     spatial_deltas,
 )
@@ -79,26 +78,3 @@ class TestReconstruct:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             reconstruct_from_deltas(np.array([1, 2]))
-
-
-class TestDeltaMagnitudeStats:
-    def test_smooth_map_compresses(self):
-        y = np.cumsum(np.ones((1, 1, 100)), axis=-1) * 50  # smooth ramp
-        stats = delta_magnitude_stats(y)
-        assert stats["magnitude_ratio"] > 10
-
-    def test_keys_present(self):
-        stats = delta_magnitude_stats(np.zeros((1, 2, 2), dtype=np.int64))
-        for key in (
-            "raw_mean_abs",
-            "delta_mean_abs",
-            "raw_sparsity",
-            "delta_sparsity",
-            "magnitude_ratio",
-        ):
-            assert key in stats
-
-    def test_all_zero_map(self):
-        stats = delta_magnitude_stats(np.zeros((1, 3, 3), dtype=np.int64))
-        assert stats["raw_sparsity"] == 1.0
-        assert stats["magnitude_ratio"] == float("inf")

@@ -10,14 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.deltas import spatial_deltas
 from repro.core.differential import (
-    DifferentialConv2d,
     differential_conv2d,
     keyframe_anchor_mask,
     keyframe_deltas,
     reconstruct_from_keyframes,
-    windows_and_deltas,
 )
-from repro.nn.functional import conv2d_int
+from repro.nn.functional import conv2d_int, im2col
 from repro.utils.rng import rng_for
 
 
@@ -82,49 +80,22 @@ class TestExactness:
             conv2d_int(x, wts), differential_conv2d(x, wts, axis=axis)
         )
 
-
-class TestOperatorClass:
-    def test_callable_matches_function(self):
-        rng = rng_for(5, "op")
-        x, w = _random_case(rng)
-        op = DifferentialConv2d(w, stride=1, padding=1)
-        assert np.array_equal(op(x), differential_conv2d(x, w, None, 1, 1))
-
-    def test_work_summary_x(self):
-        rng = rng_for(6, "ws")
-        x, w = _random_case(rng, c=3, h=10, w=12)
-        op = DifferentialConv2d(w, padding=1)
-        summary = op.work_summary(x)
-        assert summary["total_windows"] == 10 * 12
-        assert summary["raw_windows"] == 10  # one per row
-        assert summary["differential_windows"] == 10 * 11
-        assert summary["reconstruction_adds"] == 10 * 11 * 5
-
-    def test_work_summary_y(self):
-        rng = rng_for(7, "wsy")
-        x, w = _random_case(rng, c=3, h=10, w=12)
-        op = DifferentialConv2d(w, padding=1, axis="y")
-        assert op.work_summary(x)["raw_windows"] == 12  # one per column
-
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
-            DifferentialConv2d(np.zeros((1, 1, 3, 3), dtype=np.int64), axis="diag")
-
-
-class TestWindowsAndDeltas:
-    def test_shapes_align(self):
-        rng = rng_for(8, "wd")
-        x = rng.integers(-10, 10, (2, 6, 7))
-        raw, deltas = windows_and_deltas(x, (3, 3), padding=1)
-        assert raw.shape == deltas.shape == (6, 7, 2, 3, 3)
+            differential_conv2d(
+                np.zeros((1, 3, 3), dtype=np.int64),
+                np.zeros((1, 1, 3, 3), dtype=np.int64),
+                axis="diag",
+            )
 
     def test_delta_windows_are_window_differences(self):
+        # Eq 4's Delta: the window over the spatial deltas equals the raw
+        # window minus its left neighbour, elementwise.
         rng = rng_for(9, "wd2")
         x = rng.integers(-10, 10, (2, 6, 8))
-        raw, deltas = windows_and_deltas(x, (3, 3), padding=0)
-        # For every x >= 1: delta window == raw[x] - raw[x-1] elementwise.
-        diff = raw[:, 1:] - raw[:, :-1]
-        assert np.array_equal(deltas[:, 1:], diff)
+        raw = im2col(x, (3, 3))
+        deltas = im2col(spatial_deltas(x), (3, 3))
+        assert np.array_equal(deltas[:, 1:], raw[:, 1:] - raw[:, :-1])
 
 
 class TestKeyframes:

@@ -1,10 +1,12 @@
 """Tests for fleet-scale serving (repro.serve.fleet.*, ext_fleet)."""
 
 import dataclasses
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import repro.serve.fleet.service as fleet_service
 from repro.regression.serialize import canonical_dumps, to_jsonable
 from repro.serve.fleet import (
     AutoscalePolicy,
@@ -19,6 +21,7 @@ from repro.serve.fleet import (
 from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig, serve_workload
 from repro.serve.workload import WorkloadSpec, generate_diurnal_requests, generate_requests
+from repro.utils import timing
 from tests.oracles import InferenceService
 
 
@@ -251,6 +254,54 @@ class TestRouteRequests:
         assert flagged == outcome.migrations
 
 
+def _no_pool(max_workers):
+    raise OSError("no process pool here")
+
+
+class _DyingPool:
+    """Stand-in process pool whose workers die as soon as it is used."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        raise BrokenProcessPool("worker died")
+
+
+class TestShardPool:
+    """A pool that cannot start or dies still yields the serial report."""
+
+    @pytest.mark.parametrize("pool", [_no_pool, _DyingPool], ids=["oserror", "broken"])
+    def test_pool_failure_falls_back_to_serial(self, monkeypatch, pool):
+        reqs = generate_requests(_spec(session_rate=15.0))
+        cfg = FleetConfig(nodes=4, node=_node())
+        serial = simulate_fleet(reqs, _times(), cfg, 10.0)
+        monkeypatch.setattr(fleet_service, "ProcessPoolExecutor", pool)
+        before = timing.counter_values().get("fleet.pool_fallback", 0)
+        pooled = simulate_fleet(reqs, _times(), cfg, 10.0, max_workers=2)
+        assert _canonical(pooled) == _canonical(serial)
+        assert timing.counter_values().get("fleet.pool_fallback", 0) == before + 1
+
+    def test_shard_error_propagates_without_retry(self, monkeypatch):
+        calls = []
+
+        def failing_shard(stream, *args, **kwargs):
+            calls.append(stream.node_id)
+            raise RuntimeError("injected shard failure")
+
+        monkeypatch.setattr(fleet_service, "simulate_shard", failing_shard)
+        reqs = generate_requests(_spec())
+        with pytest.raises(RuntimeError, match="injected shard failure"):
+            simulate_fleet(reqs, _times(), FleetConfig(nodes=2, node=_node()), 10.0)
+        assert calls == [0]
+
+
 class TestFleetSimulation:
     def test_cold_runs_byte_identical(self):
         reqs = generate_requests(_spec())
@@ -266,6 +317,16 @@ class TestFleetSimulation:
         serial = simulate_fleet(reqs, _times(), cfg, 10.0, max_workers=0)
         pooled = simulate_fleet(reqs, _times(), cfg, 10.0, max_workers=2)
         assert canonical_dumps(to_jsonable(serial)) == canonical_dumps(to_jsonable(pooled))
+
+    @pytest.mark.parametrize(
+        "max_workers, nodes",
+        [(1.5, 2), ("2", 2), (-1, 1), (-1, 2)],
+    )
+    def test_max_workers_validated(self, max_workers, nodes):
+        reqs = generate_requests(_spec())
+        cfg = FleetConfig(nodes=nodes, node=_node())
+        with pytest.raises(ValueError, match="max_workers"):
+            simulate_fleet(reqs, _times(), cfg, 10.0, max_workers=max_workers)
 
     def test_fleet_matches_single_service_at_one_node(self):
         # A 1-node fleet is exactly the single-node service (any policy

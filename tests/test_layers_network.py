@@ -14,7 +14,7 @@ from repro.nn.layers import (
     SpaceToDepth,
     UpsampleNearest,
 )
-from repro.nn.network import Network, trace_network
+from repro.nn.network import Network
 from repro.utils.rng import rng_for
 
 
@@ -204,11 +204,6 @@ class TestTrace:
         assert trace.layer_named("conv2").index == 1
         with pytest.raises(KeyError):
             trace.layer_named("nope")
-
-    def test_trace_network_helper(self, tiny_network):
-        net, imgs = tiny_network
-        traces = trace_network(net, imgs)
-        assert len(traces) == 2
 
     def test_padded_imap(self, tiny_network):
         net, imgs = tiny_network

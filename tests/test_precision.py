@@ -8,7 +8,6 @@ from repro.core.precision import (
     HEADER_BITS,
     MAX_PRECISION,
     group_precisions,
-    profile_network_precisions,
     profiled_precision,
 )
 from repro.utils.bits import signed_range
@@ -107,11 +106,7 @@ class TestGroupPrecisions:
 
 class TestNetworkPrecisions:
     def test_profile_matches_layer_ranges(self, dncnn_trace):
-        precs = profile_network_precisions([dncnn_trace])
+        precs = [profiled_precision([layer.imap]) for layer in dncnn_trace]
         assert len(precs) == 20
         # All within the plausible Table III band for 16b fixed point.
         assert all(4 <= p <= 16 for p in precs)
-
-    def test_requires_traces(self):
-        with pytest.raises(ValueError):
-            profile_network_precisions([])

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from repro.utils.bits import (
     bits_for_magnitude,
     bits_for_signed,
-    clamp_signed,
+    quantize_to_width,
     signed_range,
 )
 from repro.utils.rng import derive_seed, rng_for
@@ -90,14 +90,17 @@ class TestSignedRange:
             signed_range(0)
 
 
-class TestClampSigned:
+class TestQuantizeToWidth:
     def test_saturates_both_ends(self):
-        out = clamp_signed(np.array([-300, 0, 300]), 8)
+        out, clipped = quantize_to_width(np.array([-300, 0, 300]), 8, signed=True)
         assert np.array_equal(out, [-128, 0, 127])
+        assert clipped == 2
 
     def test_passthrough_in_range(self):
         vals = np.array([-128, -1, 0, 127])
-        assert np.array_equal(clamp_signed(vals, 8), vals)
+        out, clipped = quantize_to_width(vals, 8, signed=True)
+        assert np.array_equal(out, vals)
+        assert clipped == 0
 
 
 class TestValidation:
