@@ -19,7 +19,8 @@ fields resolve through the shared memo, so every model evaluating the
 same layer — PRA's raw stream, Diffy's delta stream and raw head
 windows, the serve layer's temporal pricing — reuses one set of arrays.
 :func:`lowering_stats` reports how often the expensive computes actually
-ran versus being served from the memo.
+ran versus being served from the memo; both are ``arch.lowering.*``
+counters in the :mod:`repro.utils.timing` registry.
 
 Memos are keyed by layer *identity* (``id``) and evicted by a weakref
 finalizer when the trace layer is garbage collected, so memoization never
@@ -40,6 +41,7 @@ from repro.core.booth import DEFAULT_ENCODING, WORD_BITS, booth_terms
 from repro.core.deltas import spatial_deltas
 from repro.core.precision import GroupPrecisionEncoding, group_precisions
 from repro.nn.trace import ConvLayerTrace
+from repro.utils import timing
 from repro.utils.bits import quantize_to_width
 
 __all__ = [
@@ -57,10 +59,6 @@ __all__ = [
 
 #: id(layer) -> {memo key: artifact}; entries die with their layer.
 _MEMOS: dict[int, dict[tuple, object]] = {}
-
-#: Lowering telemetry: computes are the expensive one-time stage, reuses
-#: are memo hits handed to a per-frame execute step.
-_LOWER_STATS = {"computed": 0, "reused": 0}
 
 
 def _memo_for(layer: ConvLayerTrace) -> dict[tuple, object]:
@@ -80,21 +78,22 @@ def _memoized(layer: ConvLayerTrace, key: tuple, compute):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
         memo[key] = value
-        _LOWER_STATS["computed"] += 1
+        timing.count("arch.lowering.computed")
     else:
-        _LOWER_STATS["reused"] += 1
+        timing.count("arch.lowering.reused")
     return value
 
 
 def lowering_stats() -> "dict[str, int]":
-    """Snapshot of lowering-stage computes vs memo reuses."""
-    return dict(_LOWER_STATS)
+    """Lowering-stage computes (the expensive one-time stage) vs memo
+    reuses (hits handed to a per-frame execute step)."""
+    counts = timing.counter_values("arch.lowering.")
+    return {k: counts.get(f"arch.lowering.{k}", 0) for k in ("computed", "reused")}
 
 
 def reset_lowering_stats() -> None:
     """Zero the lowering counters (tests, repeated measurements)."""
-    _LOWER_STATS["computed"] = 0
-    _LOWER_STATS["reused"] = 0
+    timing.reset("arch.lowering.")
 
 
 def padded_imap(layer: ConvLayerTrace) -> np.ndarray:

@@ -9,6 +9,9 @@ process.  See :mod:`repro.cache.store` for the design and
 - ``REPRO_CACHE_DIR``   — cache location (default ``~/.cache/repro``),
 - ``REPRO_NO_CACHE=1``  — bypass the store entirely,
 - ``REPRO_PROFILE=1``   — print hit/miss/timing counters at exit.
+
+Store events are ``cache.<namespace>.<event>`` counters in the
+:mod:`repro.utils.timing` registry; :func:`cache_stats` sums them.
 """
 
 from repro.cache.store import (
@@ -20,7 +23,6 @@ from repro.cache.store import (
     clear_memory_caches,
     fetch_or_compute,
     purge,
-    quarantine_cap,
     register_memory_cache,
     reset_stats,
     stable_digest,
@@ -35,7 +37,6 @@ __all__ = [
     "clear_memory_caches",
     "fetch_or_compute",
     "purge",
-    "quarantine_cap",
     "register_memory_cache",
     "reset_stats",
     "stable_digest",

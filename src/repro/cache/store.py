@@ -27,12 +27,14 @@ Design points:
   ``<root>/quarantine/<namespace>/<digest>.pkl`` for post-mortem (torn
   writes, disk corruption, schema bugs all leave evidence), and counted
   in :func:`cache_stats` as ``quarantined``.  The quarantine area is
-  capped at the newest :data:`QUARANTINE_CAP` pickles (override with
-  ``REPRO_QUARANTINE_CAP``); older evidence is evicted oldest-first and
-  counted as ``quarantine_evicted``, so a recurring corruption source
-  cannot grow the cache directory without bound.
-- **Observability** — hits/misses/stores and load/compute timings feed
-  :mod:`repro.utils.timing`; ``REPRO_PROFILE=1`` prints them at exit.
+  capped at the newest :data:`QUARANTINE_CAP` pickles; older evidence is
+  evicted oldest-first and counted as ``quarantine_evicted``, so a
+  recurring corruption source cannot grow the cache directory without
+  bound.
+- **Observability** — every store event is one ``cache.<namespace>.<event>``
+  counter in :mod:`repro.utils.timing` (load/compute timings too);
+  :func:`cache_stats` sums them per event, and ``REPRO_PROFILE=1``
+  prints them at exit.
 
 Payloads are arbitrary picklable objects; numpy arrays round-trip
 bit-exactly through pickle, which is what makes cached traces
@@ -45,7 +47,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -62,7 +63,6 @@ __all__ = [
     "cache_stats",
     "reset_stats",
     "purge",
-    "quarantine_cap",
     "register_memory_cache",
     "clear_memory_caches",
 ]
@@ -78,14 +78,13 @@ _DEFAULT_ROOT = "~/.cache/repro"
 #: interpreter range while still framing large numpy buffers efficiently.
 _PICKLE_PROTOCOL = 4
 
-#: Keep at most this many quarantined pickles (newest by mtime); the
-#: ``REPRO_QUARANTINE_CAP`` environment variable overrides it per call.
+#: Keep at most this many quarantined pickles (newest by mtime).
 QUARANTINE_CAP = 32
 
 
 @dataclass
 class CacheStats:
-    """Process-lifetime counters for the disk store."""
+    """Process-lifetime store counters, summed over namespaces."""
 
     hits: int = 0
     misses: int = 0
@@ -96,19 +95,17 @@ class CacheStats:
     quarantine_evicted: int = 0
 
 
-_STATS = CacheStats()
-
-#: Guards every read-modify-write of ``_STATS``.  The store itself is
-#: already multi-process safe (atomic rename); the counters additionally
-#: need to survive multi-*threaded* workers, where ``x += 1`` on a shared
-#: dataclass is a lost-update race.
-_STATS_LOCK = threading.Lock()
-
-
-def _bump(field_name: str, amount: int = 1) -> None:
-    """Atomically increment one stats counter."""
-    with _STATS_LOCK:
-        setattr(_STATS, field_name, getattr(_STATS, field_name) + amount)
+#: Counter event (the last ``cache.<namespace>.<event>`` component) ->
+#: the :class:`CacheStats` field it adds to.
+_EVENT_FIELD = {
+    "hit": "hits",
+    "miss": "misses",
+    "store": "stores",
+    "bypass": "bypasses",
+    "error": "errors",
+    "quarantined": "quarantined",
+    "evicted": "quarantine_evicted",
+}
 
 
 #: In-process memo caches (``functools.lru_cache`` wrappers and friends)
@@ -166,27 +163,15 @@ def _quarantine(namespace: str, entry: Path) -> None:
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         os.replace(entry, target)
-        _bump("quarantined")
         timing.count(f"cache.{namespace}.quarantined")
     except OSError:
-        _bump("errors")
+        timing.count(f"cache.{namespace}.error")
         return
     _prune_quarantine()
 
 
-def quarantine_cap() -> int:
-    """Maximum quarantined pickles kept (``REPRO_QUARANTINE_CAP`` wins)."""
-    raw = os.environ.get("REPRO_QUARANTINE_CAP", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return QUARANTINE_CAP
-
-
 def _prune_quarantine() -> None:
-    """Evict the oldest quarantined pickles beyond :func:`quarantine_cap`.
+    """Evict the oldest quarantined pickles beyond :data:`QUARANTINE_CAP`.
 
     The quarantine area is forensic evidence, not an archive: the newest
     failures are the ones worth a post-mortem, so eviction is
@@ -203,7 +188,7 @@ def _prune_quarantine() -> None:
             entries.append((path.stat().st_mtime, path))
         except OSError:
             continue
-    excess = len(entries) - quarantine_cap()
+    excess = len(entries) - QUARANTINE_CAP
     if excess <= 0:
         return
     entries.sort()
@@ -212,7 +197,6 @@ def _prune_quarantine() -> None:
             path.unlink()
         except OSError:
             continue
-        _bump("quarantine_evicted")
         timing.count("cache.quarantine.evicted")
 
 
@@ -226,7 +210,6 @@ def fetch_or_compute(
     read nor written.
     """
     if not cache_enabled():
-        _bump("bypasses")
         timing.count(f"cache.{namespace}.bypass")
         with timing.timed(f"cache.{namespace}.compute"):
             return compute()
@@ -237,25 +220,22 @@ def fetch_or_compute(
             with timing.timed(f"cache.{namespace}.load"):
                 with open(path, "rb") as fh:
                     value = pickle.load(fh)
-            _bump("hits")
             timing.count(f"cache.{namespace}.hit")
             return value
         except Exception:
             # Torn/corrupt/incompatible entry: quarantine it for
             # post-mortem, then fall through and recompute.
-            _bump("errors")
             timing.count(f"cache.{namespace}.error")
             _quarantine(namespace, path)
 
-    _bump("misses")
     timing.count(f"cache.{namespace}.miss")
     with timing.timed(f"cache.{namespace}.compute"):
         value = compute()
-    _store(path, value)
+    _store(namespace, path, value)
     return value
 
 
-def _store(path: Path, value: Any) -> None:
+def _store(namespace: str, path: Path, value: Any) -> None:
     """Atomically persist ``value`` at ``path`` (best-effort)."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -270,23 +250,24 @@ def _store(path: Path, value: Any) -> None:
             except OSError:
                 pass
             raise
-        _bump("stores")
+        timing.count(f"cache.{namespace}.store")
     except OSError:
         # A read-only or full filesystem must never break the computation.
-        _bump("errors")
+        timing.count(f"cache.{namespace}.error")
 
 
 def cache_stats() -> CacheStats:
-    """Consistent snapshot of the store counters."""
-    with _STATS_LOCK:
-        return CacheStats(**vars(_STATS))
+    """Consistent snapshot of the store counters, summed over namespaces."""
+    stats = CacheStats()
+    for name, n in timing.counter_values("cache.").items():
+        field_name = _EVENT_FIELD[name.rsplit(".", 1)[1]]
+        setattr(stats, field_name, getattr(stats, field_name) + n)
+    return stats
 
 
 def reset_stats() -> None:
-    """Zero the store counters (tests, repeated measurements)."""
-    with _STATS_LOCK:
-        for field_name in vars(_STATS):
-            setattr(_STATS, field_name, 0)
+    """Zero the store counters and timers (tests, repeated measurements)."""
+    timing.reset("cache.")
 
 
 def purge() -> int:

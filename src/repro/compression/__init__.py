@@ -26,8 +26,6 @@ from repro.compression.codec import (
     Encoded,
     GroupCodec,
     RLEZeroCodec,
-    codec_stats,
-    reset_codec_stats,
 )
 from repro.compression.traffic import (
     LayerTraffic,
@@ -52,8 +50,6 @@ __all__ = [
     "Encoded",
     "GroupCodec",
     "RLEZeroCodec",
-    "codec_stats",
-    "reset_codec_stats",
     "LayerTraffic",
     "network_traffic",
     "normalized_traffic",

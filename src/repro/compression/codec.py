@@ -27,14 +27,14 @@ Both encode and decode are whole-array numpy bit-plane operations
 (:mod:`repro.compression.bitplane`).  The value-at-a-time definition of
 each format lives in ``tests/oracles/`` as the executable spec; the
 property suites hold these codecs byte-identical to it on every stream,
-corrupted and truncated ones included.  :func:`codec_stats` reports
-per-family call counters, mirroring :func:`repro.cache.store.cache_stats`.
+corrupted and truncated ones included.  Every call is counted per
+stream family in the :mod:`repro.utils.timing` registry:
+``codec.<activation|weight>.{encodes,decodes,encoded_bits,decoded_values}``.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,60 +53,16 @@ from repro.utils.validation import (
 )
 
 
-@dataclass
-class CodecStats:
-    """Process-lifetime codec counters."""
-
-    encodes: int = 0
-    decodes: int = 0
-    encoded_bits: int = 0
-    decoded_values: int = 0
-    #: Per-codec-family breakdown ("activation" vs "weight"): each entry
-    #: carries its own encodes/decodes/encoded_bits/decoded_values, so the
-    #: two stream families stay distinguishable once both exist.
-    per_codec: "dict[str, dict[str, int]]" = field(default_factory=dict)
-
-
-_CODEC_STATS = CodecStats()
-_CODEC_STATS_LOCK = threading.Lock()
-
-
 def _note_codec_call(
     kind: str, bits: int, values: int, codec: str = "activation"
 ) -> None:
-    """Record one encode/decode of the ``codec`` stream family."""
-    timing.count(f"codec.{kind}")
-    with _CODEC_STATS_LOCK:
-        bucket = _CODEC_STATS.per_codec.setdefault(
-            codec, {"encodes": 0, "decodes": 0, "encoded_bits": 0, "decoded_values": 0}
-        )
-        if kind == "encode":
-            _CODEC_STATS.encodes += 1
-            _CODEC_STATS.encoded_bits += bits
-            bucket["encodes"] += 1
-            bucket["encoded_bits"] += bits
-        else:
-            _CODEC_STATS.decodes += 1
-            _CODEC_STATS.decoded_values += values
-            bucket["decodes"] += 1
-            bucket["decoded_values"] += values
-
-
-def codec_stats() -> CodecStats:
-    """Consistent snapshot of the codec counters (cache_stats-style)."""
-    with _CODEC_STATS_LOCK:
-        snapshot = CodecStats(**vars(_CODEC_STATS))
-        # Deep-copy the per-codec buckets so callers' snapshots don't
-        # mutate under them as later calls land.
-        snapshot.per_codec = {k: dict(v) for k, v in _CODEC_STATS.per_codec.items()}
-    return snapshot
-
-
-def reset_codec_stats() -> None:
-    """Zero the codec counters (tests, repeated measurements)."""
-    with _CODEC_STATS_LOCK:
-        for field_name, value in vars(CodecStats()).items():
-            setattr(_CODEC_STATS, field_name, value)
+    """Count one encode/decode of the ``codec`` stream family."""
+    if kind == "encode":
+        timing.count(f"codec.{codec}.encodes")
+        timing.count(f"codec.{codec}.encoded_bits", bits)
+    else:
+        timing.count(f"codec.{codec}.decodes")
+        timing.count(f"codec.{codec}.decoded_values", values)
 
 
 def _as_int_stream(name: str, values: np.ndarray, signed: bool) -> np.ndarray:

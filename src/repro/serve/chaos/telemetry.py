@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.serve.telemetry import latency_histogram
-from repro.utils.timing import StreamingHistogram
+from repro.utils.timing import FieldMerge, StreamingHistogram
 from repro.utils.validation import check_positive
 
 __all__ = ["ChaosTelemetry", "DEFAULT_BUCKETS"]
@@ -36,8 +36,10 @@ DEFAULT_BUCKETS = 24
 
 
 @dataclass
-class ChaosTelemetry:
+class ChaosTelemetry(FieldMerge):
     """All chaos counters and distributions of one run (or one node)."""
+
+    __merge_window__ = ("duration_s", "buckets")
 
     duration_s: float
     buckets: int = DEFAULT_BUCKETS
@@ -121,29 +123,6 @@ class ChaosTelemetry:
         with np.errstate(invalid="ignore"):
             out = np.where(served > 0, self.warm_by_bucket / np.maximum(served, 1), 0.0)
         return out
-
-    def merge(self, other: "ChaosTelemetry") -> "ChaosTelemetry":
-        """Fold another node's chaos telemetry in (exact, order-pinned)."""
-        if (self.duration_s, self.buckets) != (other.duration_s, other.buckets):
-            raise ValueError("cannot merge chaos telemetry with different windows")
-        for name in (
-            "warm_attempts",
-            "storage_clean",
-            "storage_corrected",
-            "storage_detected",
-            "storage_silent",
-            "crashes",
-            "crash_shed",
-            "killed_in_flight",
-            "sessions_lost",
-            "sessions_recovered",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.recovery.merge(other.recovery)
-        self.warm_by_bucket += other.warm_by_bucket
-        self.cold_by_bucket += other.cold_by_bucket
-        self.reanchor_by_bucket += other.reanchor_by_bucket
-        return self
 
     def snapshot(self) -> dict:
         """Golden-serializable digest of the chaos run."""

@@ -44,6 +44,7 @@ from repro.serve.fleet.routing import ROUTING_POLICIES, make_router
 from repro.serve.fleet.shard import ShardResult, ShardStream, simulate_shard
 from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig
+from repro.serve.state import StateStats
 from repro.serve.telemetry import CalibTelemetry, ServeTelemetry
 from repro.serve.workload import Request
 
@@ -413,29 +414,17 @@ def simulate_fleet(
     merged = ServeTelemetry(
         max_batch=config.node.max_batch, queue_capacity=config.node.queue_capacity
     )
+    state = StateStats()
     node_reports = []
-    warm = cold = gap = evicted_re = lost_re = cut_re = recal_re = 0
     chaos_merged: Optional[ChaosTelemetry] = None
     calib_merged: Optional[CalibTelemetry] = None
     for res in results:  # ascending node id — the merge order contract
         merged.merge(res.telemetry)
-        warm += res.state.warm
-        cold += res.state.cold
-        gap += res.state.reanchors_gap
-        evicted_re += res.state.reanchors_evicted
-        lost_re += res.state.reanchors_lost
-        cut_re += res.state.reanchors_cut
-        recal_re += res.state.reanchors_recal
+        state.merge(res.state)
         if res.chaos is not None:
-            if chaos_merged is None:
-                chaos_merged = res.chaos
-            else:
-                chaos_merged.merge(res.chaos)
+            chaos_merged = res.chaos if chaos_merged is None else chaos_merged.merge(res.chaos)
         if res.calib is not None:
-            if calib_merged is None:
-                calib_merged = res.calib
-            else:
-                calib_merged.merge(res.calib)
+            calib_merged = res.calib if calib_merged is None else calib_merged.merge(res.calib)
         node_reports.append(
             NodeReport(
                 node_id=res.node_id,
@@ -464,16 +453,16 @@ def simulate_fleet(
         requests_total=len(requests),
         offered_rps=len(requests) / duration_s,
         migrations=routing.migrations,
-        warm_served=warm,
-        cold_served=cold,
-        reanchors_gap=gap,
-        reanchors_evicted=evicted_re,
+        warm_served=state.warm,
+        cold_served=state.cold,
+        reanchors_gap=state.reanchors_gap,
+        reanchors_evicted=state.reanchors_evicted,
         metrics=merged.snapshot(duration_s, workers_total),
         scale_events=routing.scale_events,
         node_reports=tuple(node_reports),
-        reanchors_lost=lost_re,
-        reanchors_cut=cut_re,
-        reanchors_recal=recal_re,
+        reanchors_lost=state.reanchors_lost,
+        reanchors_cut=state.reanchors_cut,
+        reanchors_recal=state.reanchors_recal,
         chaos=chaos_merged.snapshot() if chaos_merged is not None else None,
         calib=calib_merged.snapshot() if calib_merged is not None else None,
     )

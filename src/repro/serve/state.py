@@ -19,10 +19,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.utils.timing import FieldMerge
+
 
 @dataclass
-class StateStats:
-    """Lifetime counters of one store."""
+class StateStats(FieldMerge):
+    """Lifetime counters of one store (every field adds on merge)."""
 
     warm: int = 0  # frames served in temporal mode
     cold: int = 0  # frames served in spatial/raw mode

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.timing import StreamingHistogram
+from repro.utils.timing import FieldMerge, StreamingHistogram
 from repro.utils.validation import check_positive
 
 #: Latency bins: log-spaced from 100 µs to 1000 s.  Log spacing keeps
@@ -41,8 +41,11 @@ def linear_histogram(hi: int) -> StreamingHistogram:
 
 
 @dataclass
-class ServeTelemetry:
+class ServeTelemetry(FieldMerge):
     """All counters and distributions of one simulated serving run."""
+
+    __merge_window__ = ("max_batch", "queue_capacity")
+    __merge_max__ = ("max_queue_depth",)
 
     max_batch: int
     queue_capacity: int
@@ -108,26 +111,6 @@ class ServeTelemetry:
     def goodput_rps(self, duration_s: float) -> float:
         return self.good / duration_s
 
-    def merge(self, other: "ServeTelemetry") -> "ServeTelemetry":
-        """Fold another run's telemetry in (sharded/partitioned serving)."""
-        self.latency.merge(other.latency)
-        self.batch_sizes.merge(other.batch_sizes)
-        self.queue_depths.merge(other.queue_depths)
-        for name in (
-            "arrived",
-            "admitted",
-            "shed_queue_full",
-            "shed_deadline",
-            "completed",
-            "good",
-            "late",
-            "batches",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.busy_s += other.busy_s
-        self.max_queue_depth = max(self.max_queue_depth, other.max_queue_depth)
-        return self
-
     def snapshot(self, duration_s: float, workers: int = 1) -> dict:
         """Golden-serializable digest of the run."""
         lat = self.latency.summary()
@@ -163,7 +146,7 @@ CALIB_PEAK = (1 << 15) - 1
 
 
 @dataclass
-class CalibTelemetry:
+class CalibTelemetry(FieldMerge):
     """Counters of the precision-calibration control loop for one run.
 
     Kept separate from :class:`ServeTelemetry` on purpose: the
@@ -179,6 +162,8 @@ class CalibTelemetry:
     PSNR are exact integer/rational arithmetic and merge exactly across
     fleet nodes (the fleet layer pins ascending node-id merge order).
     """
+
+    __merge_window__ = ("duration_s", "buckets")
 
     duration_s: float
     buckets: int = CALIB_BUCKETS
@@ -295,33 +280,6 @@ class CalibTelemetry:
             return float("inf")
         mse = self.clip_energy / self.values_total
         return 10.0 * math.log10(CALIB_PEAK * CALIB_PEAK / mse)
-
-    def merge(self, other: "CalibTelemetry") -> "CalibTelemetry":
-        """Fold another node's calibration telemetry in (exact)."""
-        if (self.duration_s, self.buckets) != (other.duration_s, other.buckets):
-            raise ValueError("cannot merge calib telemetry with different windows")
-        for name in (
-            "frames",
-            "sampled_frames",
-            "overflow_frames",
-            "clipped_values_served",
-            "clipped_values_averted",
-            "fallback_layer_serves",
-            "trips_overflow",
-            "trips_slack",
-            "swaps",
-            "recalibrations",
-            "traffic_bits",
-            "wide_traffic_bits",
-            "values_total",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.clip_energy += other.clip_energy
-        self.traffic_by_bucket += other.traffic_by_bucket
-        self.overflow_by_bucket += other.overflow_by_bucket
-        self.fallback_by_bucket += other.fallback_by_bucket
-        self.swap_by_bucket += other.swap_by_bucket
-        return self
 
     def snapshot(self) -> dict:
         """Golden-serializable digest of the calibration run."""

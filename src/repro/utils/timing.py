@@ -10,11 +10,16 @@ dragging in a profiler:
   so a report distinguishes time spent synthesizing images *inside* trace
   collection from standalone synthesis.
 - :func:`count` — bump a named counter (cache hits/misses, bytes, ...).
+  This registry is the only counter store: the cache, codec and lowering
+  stats are views over it (``cache.*``, ``codec.*``, ``arch.lowering.*``).
 - :class:`StreamingHistogram` — a fixed-bin streaming distribution
   accumulator with deterministic percentile estimates.  Histograms with
   the same binning :meth:`~StreamingHistogram.merge`, so per-node
   accumulators (fleet shards' serve telemetry) reduce to one global
   distribution without shipping raw samples.
+- :class:`FieldMerge` — the one merge rule of the telemetry records:
+  field by field, numbers and arrays add, histograms merge, window
+  fields must agree and max fields take the max.
 - :func:`report` — a formatted table of all timers and counters.
 
 Setting ``REPRO_PROFILE=1`` in the environment prints the report to
@@ -36,7 +41,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 __all__ = [
@@ -48,6 +53,7 @@ __all__ = [
     "report",
     "profiling_enabled",
     "StreamingHistogram",
+    "FieldMerge",
 ]
 
 
@@ -118,17 +124,19 @@ def timer_stats() -> dict[str, TimerStat]:
         }
 
 
-def counter_values() -> dict[str, int]:
-    """Snapshot of all counters."""
+def counter_values(prefix: str = "") -> dict[str, int]:
+    """Snapshot of the counters whose name starts with ``prefix``."""
     with _REGISTRY.lock:
-        return dict(_REGISTRY.counters)
+        return {k: v for k, v in _REGISTRY.counters.items() if k.startswith(prefix)}
 
 
-def reset() -> None:
-    """Clear all timers and counters (tests and repeated measurements)."""
+def reset(prefix: str = "") -> None:
+    """Clear the timers and counters whose name starts with ``prefix``
+    (all of them by default; tests and repeated measurements)."""
     with _REGISTRY.lock:
-        _REGISTRY.timers.clear()
-        _REGISTRY.counters.clear()
+        for table in (_REGISTRY.timers, _REGISTRY.counters):
+            for name in [k for k in table if k.startswith(prefix)]:
+                del table[name]
 
 
 def report(title: str = "repro timing report") -> str:
@@ -230,21 +238,14 @@ class StreamingHistogram:
     def mean(self) -> float:
         return self.total / self.n if self.n else math.nan
 
-    def same_binning(self, other: "StreamingHistogram") -> bool:
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.bins == other.bins
-            and self.log == other.log
-        )
-
     def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
         """Fold another histogram's samples into this one (in place).
 
         Requires identical binning — that is what makes the merge exact.
         Returns ``self`` so reductions can chain.
         """
-        if not self.same_binning(other):
+        binning = (self.lo, self.hi, self.bins, self.log)
+        if binning != (other.lo, other.hi, other.bins, other.log):
             raise ValueError(
                 f"cannot merge histograms with different bins: "
                 f"[{self.lo}, {self.hi}]x{self.bins}(log={self.log}) vs "
@@ -289,6 +290,41 @@ class StreamingHistogram:
             "p95": self.percentile(95),
             "p99": self.percentile(99),
         }
+
+
+class FieldMerge:
+    """Exact, field-driven :meth:`merge` for dataclass telemetry records.
+
+    Per field: the ``__merge_window__`` fields must be equal, histograms
+    merge, the ``__merge_max__`` fields take the max, and everything else
+    (ints, floats, numpy arrays) adds.  Callers merge in a fixed order
+    (the fleet pins ascending node id), so float totals are reproducible.
+    """
+
+    __merge_window__: tuple[str, ...] = ()
+    __merge_max__: tuple[str, ...] = ()
+
+    def merge(self, other):
+        """Fold ``other`` into this record (in place); returns ``self``."""
+        cls = type(self)
+        for name in cls.__merge_window__:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine != theirs:
+                raise ValueError(
+                    f"cannot merge {cls.__name__} with different windows: "
+                    f"{name} {mine!r} != {theirs!r}"
+                )
+        for f in fields(self):
+            if f.name in cls.__merge_window__:
+                continue
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, StreamingHistogram):
+                mine.merge(theirs)
+            elif f.name in cls.__merge_max__:
+                setattr(self, f.name, max(mine, theirs))
+            else:
+                setattr(self, f.name, mine + theirs)
+        return self
 
 
 def profiling_enabled() -> bool:

@@ -11,6 +11,7 @@ from repro.cache import store
 from repro.data.datasets import dataset
 from repro.experiments.common import traces_for
 from repro.models.registry import prepare_model
+from repro.utils import timing
 
 
 @pytest.fixture()
@@ -194,7 +195,7 @@ class TestQuarantineCap:
             store._quarantine("ns", entry)
 
     def test_oldest_evicted_beyond_cap(self, fresh_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_QUARANTINE_CAP", "5")
+        monkeypatch.setattr(store, "QUARANTINE_CAP", 5)
         self._quarantine_n(9)
         kept = sorted(p.stem for p in (fresh_cache / "quarantine").rglob("*.pkl"))
         assert kept == [f"{i:040d}" for i in range(4, 9)], (
@@ -205,25 +206,20 @@ class TestQuarantineCap:
         assert stats.quarantine_evicted == 4
 
     def test_under_cap_nothing_evicted(self, fresh_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_QUARANTINE_CAP", "5")
+        monkeypatch.setattr(store, "QUARANTINE_CAP", 5)
         self._quarantine_n(3)
         assert len(list((fresh_cache / "quarantine").rglob("*.pkl"))) == 3
         assert store.cache_stats().quarantine_evicted == 0
 
-    def test_cap_env_override_and_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUARANTINE_CAP", raising=False)
-        assert store.quarantine_cap() == store.QUARANTINE_CAP == 32
-        monkeypatch.setenv("REPRO_QUARANTINE_CAP", "7")
-        assert store.quarantine_cap() == 7
-        monkeypatch.setenv("REPRO_QUARANTINE_CAP", "not-a-number")
-        assert store.quarantine_cap() == store.QUARANTINE_CAP
+    def test_cap_default(self):
+        assert store.QUARANTINE_CAP == 32
 
 
 class TestStatsThreadSafety:
-    def test_bump_is_atomic_under_contention(self):
-        """Regression: bare ``_STATS.hits += 1`` lost updates when
-        workers shared the store from threads; the locked read-modify-write
-        must count exactly."""
+    def test_counts_are_atomic_under_contention(self):
+        """Regression: a bare ``stats.hits += 1`` lost updates when
+        workers shared the store from threads; the registry's locked
+        read-modify-write must count exactly."""
         import threading
 
         store.reset_stats()
@@ -233,8 +229,8 @@ class TestStatsThreadSafety:
         def hammer():
             barrier.wait()
             for _ in range(per_thread):
-                store._bump("hits")
-                store._bump("errors", 2)
+                timing.count("cache.ns.hit")
+                timing.count("cache.ns.error", 2)
 
         threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
         for t in threads:
@@ -278,7 +274,7 @@ class TestStatsThreadSafety:
     def test_snapshot_is_independent_copy(self):
         store.reset_stats()
         snap = store.cache_stats()
-        store._bump("hits")
+        timing.count("cache.ns.hit")
         assert snap.hits == 0
         assert store.cache_stats().hits == 1
         store.reset_stats()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression.codec import codec_stats, reset_codec_stats
+from repro.utils import timing
 from repro.weights import MSRCodec
 from tests import oracles
 
@@ -254,31 +254,34 @@ class TestPerCodecStats:
     def test_weight_and_activation_streams_distinguishable(self):
         from repro.compression.codec import GroupCodec
 
-        reset_codec_stats()
+        timing.reset("codec.")
         weights = np.arange(-8, 8, dtype=np.int64)
         activations = np.arange(32, dtype=np.int64)
         msr = MSRCodec(8, 4, 8)
         group = GroupCodec(group_size=16, signed=True)
         msr.decode(msr.encode(weights))
         group.decode(group.encode(activations))
-        stats = codec_stats()
-        assert stats.per_codec["weight"]["encodes"] == 1
-        assert stats.per_codec["weight"]["decodes"] == 1
-        assert stats.per_codec["weight"]["decoded_values"] == weights.size
-        assert stats.per_codec["activation"]["encodes"] == 1
-        assert stats.per_codec["activation"]["decoded_values"] == activations.size
-        # Aggregates still count both families.
-        assert stats.encodes == 2
-        assert stats.decodes == 2
+        stats = timing.counter_values("codec.")
+        assert stats["codec.weight.encodes"] == 1
+        assert stats["codec.weight.decodes"] == 1
+        assert stats["codec.weight.decoded_values"] == weights.size
+        assert stats["codec.activation.encodes"] == 1
+        assert stats["codec.activation.decoded_values"] == activations.size
+        assert stats["codec.weight.encoded_bits"] > 0
+        assert stats["codec.activation.encoded_bits"] > 0
+        # Summed over families, both streams count.
+        assert sum(v for k, v in stats.items() if k.endswith(".encodes")) == 2
+        assert sum(v for k, v in stats.items() if k.endswith(".decodes")) == 2
 
     def test_snapshot_is_isolated_and_reset_clears(self):
-        reset_codec_stats()
+        timing.reset("codec.")
         msr = MSRCodec(8, 4, 8)
         msr.encode(np.arange(-8, 8, dtype=np.int64))
-        snapshot = codec_stats()
-        snapshot.per_codec["weight"]["encodes"] = 999
-        assert codec_stats().per_codec["weight"]["encodes"] == 1
-        reset_codec_stats()
-        stats = codec_stats()
-        assert stats.per_codec == {}
-        assert stats.encodes == 0
+        snapshot = timing.counter_values("codec.")
+        snapshot["codec.weight.encodes"] = 999
+        assert timing.counter_values()["codec.weight.encodes"] == 1
+        timing.count("other.counter")
+        timing.reset("codec.")
+        assert timing.counter_values("codec.") == {}
+        assert timing.counter_values()["other.counter"] == 1
+        timing.reset("other.")
