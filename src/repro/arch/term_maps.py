@@ -18,27 +18,25 @@ stage that is pure array arithmetic over the lowered artifacts.
 fields resolve through the shared memo, so every model evaluating the
 same layer — PRA's raw stream, Diffy's delta stream and raw head
 windows, the serve layer's temporal pricing — reuses one set of arrays.
-:func:`lowering_stats` reports how often the expensive computes actually
-ran versus being served from the memo; both are ``arch.lowering.*``
-counters in the :mod:`repro.utils.timing` registry.
 
-Memos are keyed by layer *identity* (``id``) and evicted by a weakref
-finalizer when the trace layer is garbage collected, so memoization never
-extends an array's lifetime and never leaks across unrelated layers that
-happen to compare equal.  Returned arrays are marked read-only — callers
-share them.
+The memo itself lives in :mod:`repro.core.layer_memo`, keyed by layer
+identity and evicted with the layer; :mod:`repro.compression.footprint`
+reads the same memo for each layer's value range and encoded bits.
+:func:`lowering_stats` reports how often the expensive computes actually
+ran versus being served from that memo, compression lookups included;
+both are ``arch.lowering.*`` counters in the :mod:`repro.utils.timing`
+registry.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache import store as cache_store
 from repro.core.booth import DEFAULT_ENCODING, WORD_BITS, booth_terms
 from repro.core.deltas import spatial_deltas
+from repro.core.layer_memo import clear_memos, memoized
 from repro.core.precision import GroupPrecisionEncoding, group_precisions
 from repro.nn.trace import ConvLayerTrace
 from repro.utils import timing
@@ -57,33 +55,6 @@ __all__ = [
     "clear_term_maps",
 ]
 
-#: id(layer) -> {memo key: artifact}; entries die with their layer.
-_MEMOS: dict[int, dict[tuple, object]] = {}
-
-
-def _memo_for(layer: ConvLayerTrace) -> dict[tuple, object]:
-    key = id(layer)
-    memo = _MEMOS.get(key)
-    if memo is None:
-        memo = _MEMOS[key] = {}
-        weakref.finalize(layer, _MEMOS.pop, key, None)
-    return memo
-
-
-def _memoized(layer: ConvLayerTrace, key: tuple, compute):
-    memo = _memo_for(layer)
-    value = memo.get(key)
-    if value is None:
-        value = compute()
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        memo[key] = value
-        timing.count("arch.lowering.computed")
-    else:
-        timing.count("arch.lowering.reused")
-    return value
-
-
 def lowering_stats() -> "dict[str, int]":
     """Lowering-stage computes (the expensive one-time stage) vs memo
     reuses (hits handed to a per-frame execute step)."""
@@ -98,14 +69,14 @@ def reset_lowering_stats() -> None:
 
 def padded_imap(layer: ConvLayerTrace) -> np.ndarray:
     """The layer's zero-padded imap (memoized, read-only)."""
-    return _memoized(layer, ("padded",), layer.padded_imap)
+    return memoized(layer, ("padded",), layer.padded_imap)
 
 
 def raw_term_map(
     layer: ConvLayerTrace, encoding: str = DEFAULT_ENCODING
 ) -> np.ndarray:
     """Per-activation effectual-term counts of the padded raw imap."""
-    return _memoized(
+    return memoized(
         layer,
         ("raw", encoding),
         lambda: booth_terms(padded_imap(layer), encoding),
@@ -127,7 +98,7 @@ def delta_term_map(
         deltas = spatial_deltas(padded_imap(layer), axis=axis, stride=layer.stride)
         return booth_terms(quantize_to_width(deltas, WORD_BITS)[0], encoding)
 
-    return _memoized(layer, ("delta", axis, encoding), compute)
+    return memoized(layer, ("delta", axis, encoding), compute)
 
 
 def vp_term_map(
@@ -163,7 +134,7 @@ def vp_term_map(
         out[tuple(head)] = raw[tuple(head)]
         return out
 
-    return _memoized(
+    return memoized(
         layer,
         ("vp", axis, encoding, int(threshold), int(recovery_cycles)),
         compute,
@@ -175,11 +146,10 @@ def group_geometry(
 ) -> GroupPrecisionEncoding:
     """Per-group precision geometry of the layer's imap (memoized).
 
-    The dynamic-precision group widths the RawD/DeltaD codecs price the
-    layer's storage with, computed once per ``(group_size, signed)`` and
-    shared by every footprint/traffic evaluation of the same trace.
+    The dynamic-precision group widths of the stored imap, computed once
+    per ``(group_size, signed)`` and shared by every view of the layer.
     """
-    return _memoized(
+    return memoized(
         layer,
         ("geometry", group_size, signed),
         lambda: group_precisions(layer.imap, group_size, signed=signed),
@@ -232,9 +202,6 @@ def lower_layer(
     return LoweredLayer(layer=layer, axis=axis, encoding=encoding)
 
 
-def clear_term_maps() -> None:
-    """Drop every memoized lowering artifact (the arrays, not the traces)."""
-    _MEMOS.clear()
-
-
-cache_store.register_memory_cache(clear_term_maps)
+#: Drops every memoized lowering artifact (the arrays, not the traces),
+#: and with them the compression side's memoized bits and ranges.
+clear_term_maps = clear_memos

@@ -24,10 +24,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.compression.schemes import CompressionScheme, scheme as get_scheme
+from repro.core.layer_memo import memoized
 from repro.core.precision import profiled_precision, profiled_precision_tolerant
 from repro.nn.network import Network
 from repro.nn.shapes import conv_layer_shapes
-from repro.nn.trace import ActivationTrace
+from repro.nn.trace import ActivationTrace, ConvLayerTrace
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,35 @@ def _check_traces(traces: Sequence[ActivationTrace]) -> int:
     return n
 
 
+def _value_range(layer: ConvLayerTrace, which: str) -> tuple:
+    """``(min, max)`` of the layer's imap or omap (memoized), ``()`` if empty."""
+
+    def compute() -> tuple:
+        fmap = getattr(layer, which)
+        return (int(fmap.min()), int(fmap.max())) if fmap.size else ()
+
+    return memoized(layer, ("range", which), compute)
+
+
+def _precisions(
+    traces: Sequence[ActivationTrace], which: str, exact: bool
+) -> list[int]:
+    n = _check_traces(traces)
+    out = []
+    for i in range(n):
+        if exact:
+            # Only the extremes set a lossless width, so fold each layer's
+            # memoized range instead of rescanning its map.
+            ranges = [_value_range(t[i], which) for t in traces]
+            signed = any(r[0] < 0 for r in ranges if r)
+            out.append(profiled_precision((np.array(r) for r in ranges), signed=signed))
+        else:
+            maps = [getattr(t[i], which) for t in traces]
+            signed = any(m.min() < 0 for m in maps if m.size)
+            out.append(profiled_precision_tolerant(maps, signed=signed))
+    return out
+
+
 def imap_precisions(
     traces: Sequence[ActivationTrace], exact: bool = True
 ) -> list[int]:
@@ -65,31 +95,16 @@ def imap_precisions(
     By default covers every traced value losslessly (consistent with the
     lossless dynamic schemes it is compared against); ``exact=False``
     applies the accuracy-tolerant criterion of Judd et al. [3] instead.
+    A layer whose imap is empty in every trace raises ``ValueError``.
     """
-    n = _check_traces(traces)
-    profiler = profiled_precision if exact else profiled_precision_tolerant
-    return [
-        profiler(
-            (t[i].imap for t in traces),
-            signed=any(t[i].imap.min() < 0 for t in traces),
-        )
-        for i in range(n)
-    ]
+    return _precisions(traces, "imap", exact)
 
 
 def omap_precisions(
     traces: Sequence[ActivationTrace], exact: bool = True
 ) -> list[int]:
     """Profiled per-layer omap precisions over the traces."""
-    n = _check_traces(traces)
-    profiler = profiled_precision if exact else profiled_precision_tolerant
-    return [
-        profiler(
-            (t[i].omap for t in traces),
-            signed=any(t[i].omap.min() < 0 for t in traces),
-        )
-        for i in range(n)
-    ]
+    return _precisions(traces, "omap", exact)
 
 
 def layer_bits_per_value(
@@ -99,18 +114,30 @@ def layer_bits_per_value(
     precisions: Optional[Sequence[int]] = None,
     which: str = "imap",
 ) -> float:
-    """Mean encoded bits/value for one layer's imap or omap across traces."""
+    """Mean encoded bits/value for one layer's imap or omap across traces.
+
+    Each trace layer's encoded bits are memoized per scheme
+    (:attr:`CompressionScheme.key`) and profiled precision, so every
+    engine simulated over the same traces prices them once.
+    """
     if which not in ("imap", "omap"):
         raise ValueError(f"which must be 'imap' or 'omap', got {which!r}")
     _check_traces(traces)
     if precisions is None:
-        precisions = (
-            imap_precisions(traces) if which == "imap" else omap_precisions(traces)
-        )
+        precisions = _precisions(traces, which, exact=True)
+    precision = precisions[layer_index]
     ratios = []
     for t in traces:
-        fmap = t[layer_index].imap if which == "imap" else t[layer_index].omap
-        ratios.append(compression.bits_per_value(fmap, precisions[layer_index]))
+        layer = t[layer_index]
+        fmap = getattr(layer, which)
+        if fmap.size == 0:
+            raise ValueError("empty feature map")
+        bits = memoized(
+            layer,
+            ("bits", which, int(precision), compression.key),
+            lambda: compression.encoded_bits(fmap, precision),
+        )
+        ratios.append(bits / fmap.size)
     return float(np.mean(ratios))
 
 

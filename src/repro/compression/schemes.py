@@ -80,6 +80,15 @@ class CompressionScheme:
         """
         raise NotImplementedError
 
+    @property
+    def key(self) -> tuple:
+        """The class and every instance field: all that sets the bit count.
+
+        The name alone is not enough: ``DeltaDynamic(16, axis="y")`` is
+        also named ``DeltaD16``.
+        """
+        return (type(self), *sorted(vars(self).items()))
+
     def bits_per_value(self, fmap: np.ndarray, profiled_precision: int = 16) -> float:
         """Average encoded bits per activation."""
         n = int(np.asarray(fmap).size)

@@ -9,7 +9,9 @@
 - :mod:`repro.core.precision`    — profiled per-layer precisions (Table III)
   and dynamic per-group precision detection (Dynamic Stripes style),
 - :mod:`repro.core.dataflow`     — brick/pallet geometry shared by the
-  accelerator models.
+  accelerator models,
+- :mod:`repro.core.layer_memo`   — the per-trace-layer memo the lowering
+  stage and the compression pricing share.
 """
 
 from repro.core.booth import (

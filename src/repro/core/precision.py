@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.utils.bits import bits_for_magnitude, bits_for_signed, quantize_to_width
+from repro.utils.bits import bits_for_magnitude, quantize_to_width
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -40,33 +40,23 @@ HEADER_BITS = 4
 MAX_PRECISION = 16
 
 
-def _required_bits(values: np.ndarray, signed: bool) -> np.ndarray:
-    if signed:
-        return bits_for_signed(values)
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.size and arr.min() < 0:
-        raise ValueError("unsigned precision requested for values with negatives")
-    return np.maximum(bits_for_magnitude(arr), 1)
-
-
 def profiled_precision(arrays: Iterable[np.ndarray], signed: bool = False) -> int:
     """Smallest width representing every value across ``arrays``.
 
     ``signed`` selects two's-complement (deltas) vs magnitude-only
     (post-ReLU activations) accounting.  Result is clamped to
-    :data:`MAX_PRECISION`.
+    :data:`MAX_PRECISION`: it is the width of one group holding each
+    array's extremes.
     """
-    best = 1
-    seen = False
+    extremes = []
     for arr in arrays:
         a = np.asarray(arr, dtype=np.int64)
-        if a.size == 0:
-            continue
-        seen = True
-        best = max(best, int(_required_bits(np.array([a.min(), a.max()]), signed).max()))
-    if not seen:
+        if a.size:
+            extremes += [a.min(), a.max()]
+    if not extremes:
         raise ValueError("profiled_precision needs at least one non-empty array")
-    return min(best, MAX_PRECISION)
+    enc = group_precisions(np.array(extremes), len(extremes), signed=signed)
+    return int(enc.precisions[0])
 
 
 def profiled_precision_tolerant(
@@ -165,12 +155,24 @@ def group_precisions(
     n = flat.size
     if n == 0:
         return GroupPrecisionEncoding(group_size, np.zeros(0, dtype=np.int64), 0, signed)
-    pad = (-n) % group_size
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad, dtype=np.int64)])
-    bits = _required_bits(flat, signed).reshape(-1, group_size)
+    if signed:
+        # x for x >= 0 and -x - 1 for x < 0: the magnitude whose bit length
+        # plus a sign bit is x's two's-complement width.
+        mags = flat ^ (flat >> 63)
+    elif flat.min() < 0:
+        raise ValueError("unsigned precision requested for values with negatives")
+    else:
+        mags = flat
+    # Width is monotone in the magnitude, so reduce each group to its
+    # largest magnitude first and count bits once per group.  Magnitudes
+    # are non-negative, so the tail group's zero padding never wins.
+    full = n - n % group_size
+    top = mags[:full].reshape(-1, group_size).max(axis=1)
+    if full < n:
+        top = np.append(top, mags[full:].max())
+    bits = bits_for_magnitude(top)
     # A group of all zeros still stores `group_size` 1-bit values: the
     # header cannot encode width 0.
-    precisions = np.minimum(bits.max(axis=1), MAX_PRECISION)
-    return GroupPrecisionEncoding(group_size, precisions, flat.size, signed)
-
+    widths = bits + 1 if signed else np.maximum(bits, 1)
+    precisions = np.minimum(widths, MAX_PRECISION)
+    return GroupPrecisionEncoding(group_size, precisions, len(top) * group_size, signed)

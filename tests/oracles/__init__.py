@@ -1,11 +1,12 @@
 """Executable specifications the production fast paths are tested against.
 
 Production keeps one implementation of each bitstream codec, cycle
-kernel, ECC and serving engine: the whole-array numpy versions in
-:mod:`repro.compression`, :mod:`repro.weights.msr`, :mod:`repro.arch.cycles`
-and :mod:`repro.protect.ecc`, and the shard engine in
+kernel, ECC, group width rule and serving engine: the whole-array numpy
+versions in :mod:`repro.compression`, :mod:`repro.weights.msr`,
+:mod:`repro.arch.cycles`, :mod:`repro.protect.ecc` and
+:mod:`repro.core.precision`, and the shard engine in
 :mod:`repro.serve.fleet.shard`.  This package holds the value-at-a-time,
-loop, bit-matrix and per-event versions they replaced — legible,
+loop, bit-matrix, per-value and per-event versions they replaced — legible,
 obviously correct, slow — as plain functions that take the codec's or
 kernel's parameters, plus the virtual-clock ``InferenceService``.
 The property suites assert production is byte-identical to them;
@@ -31,6 +32,7 @@ from tests.oracles.codecs import (
 )
 from tests.oracles.cycles import lane_term_totals_loops, step_term_maxima_loops
 from tests.oracles.msr import msr_choose_run, msr_decode_flagged, msr_encode
+from tests.oracles.precision import group_widths, required_bits
 from tests.oracles.secded import (
     bits_to_words,
     secded_decode,
@@ -60,6 +62,8 @@ __all__ = [
     "msr_choose_run",
     "msr_encode",
     "msr_decode_flagged",
+    "required_bits",
+    "group_widths",
     "step_term_maxima_loops",
     "lane_term_totals_loops",
     "secded_encode",

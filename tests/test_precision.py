@@ -11,6 +11,17 @@ from repro.core.precision import (
     profiled_precision,
 )
 from repro.utils.bits import signed_range
+from tests import oracles
+
+#: +-2**k and its neighbours, where one more bit starts to be needed.
+_EDGE = st.builds(
+    lambda k, d, sign: sign * (2**k + d),
+    st.integers(0, 40),
+    st.integers(-1, 1),
+    st.sampled_from([-1, 1]),
+)
+#: Values whose groups include all-zero runs and magnitudes up to 2**40.
+_WIDE = st.one_of(st.just(0), st.integers(-(2**40), 2**40), _EDGE)
 
 
 class TestProfiledPrecision:
@@ -102,6 +113,55 @@ class TestGroupPrecisions:
         # Worst case (full-width groups) costs the header on top of 16b.
         enc = group_precisions(np.array([32767] * 32), 16)
         assert enc.total_bits == 32 * 15 + 2 * HEADER_BITS  # 32767 needs 15 magnitude bits
+
+
+class TestGroupPrecisionsOracle:
+    """Production reduces each group first; the spec widths every value."""
+
+    @given(
+        st.lists(_WIDE, max_size=600),
+        st.sampled_from([1, 8, 16, 256]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_signed_matches_per_value_rule(self, values, group):
+        arr = np.array(values, dtype=np.int64)
+        enc = group_precisions(arr, group, signed=True)
+        expected = oracles.group_widths(arr, group, signed=True)
+        assert np.array_equal(enc.precisions, expected)
+        assert enc.values == expected.size * group
+
+    @given(
+        st.lists(st.one_of(st.just(0), st.integers(0, 2**40), _EDGE.map(abs)), max_size=600),
+        st.sampled_from([1, 8, 16, 256]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unsigned_matches_per_value_rule(self, values, group):
+        arr = np.array(values, dtype=np.int64)
+        enc = group_precisions(arr, group, signed=False)
+        expected = oracles.group_widths(arr, group, signed=False)
+        assert np.array_equal(enc.precisions, expected)
+        assert enc.values == expected.size * group
+
+    @pytest.mark.parametrize("group", [1, 8, 16, 256])
+    def test_all_zero_groups_and_ragged_tail(self, group):
+        arr = np.zeros(3 * group + 5, dtype=np.int64)
+        arr[-1] = -(2**40)
+        for signed in (True, False):
+            values = arr if signed else np.abs(arr)
+            enc = group_precisions(values, group, signed=signed)
+            expected = oracles.group_widths(values, group, signed=signed)
+            assert np.array_equal(enc.precisions, expected)
+            assert enc.precisions[0] == 1
+            assert enc.precisions[-1] == MAX_PRECISION
+
+    def test_unsigned_negatives_rejected_like_the_spec(self):
+        arr = np.array([3, -1, 7])
+        for widths in (
+            lambda: group_precisions(arr, 8, signed=False),
+            lambda: oracles.group_widths(arr, 8, signed=False),
+        ):
+            with pytest.raises(ValueError, match="negatives"):
+                widths()
 
 
 class TestNetworkPrecisions:
