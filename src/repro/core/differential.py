@@ -16,18 +16,13 @@ in Diffy.  The tests assert this equality on random integer tensors.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.nn.functional import conv2d_int
 from repro.core.deltas import reconstruct_from_deltas, spatial_deltas
 from repro.utils.validation import check_axis, check_positive
-
-#: Signature of a delta-stream hook: receives the decoded delta array and
-#: returns a (possibly corrupted) copy.  Used by :mod:`repro.faults` to
-#: model bit errors in deltas just before differential reconstruction.
-DeltaHook = Callable[[np.ndarray], np.ndarray]
 
 
 def differential_conv2d(
@@ -38,7 +33,6 @@ def differential_conv2d(
     padding: int = 0,
     dilation: int = 1,
     axis: str = "x",
-    delta_hook: Optional[DeltaHook] = None,
 ) -> np.ndarray:
     """Convolve using differential windows; exact equal to direct conv.
 
@@ -56,12 +50,6 @@ def differential_conv2d(
     axis:
         Differential chain direction: ``"x"`` (along rows, the paper's
         choice) or ``"y"`` (along columns).
-    delta_hook:
-        Optional transform applied to the delta stream before the
-        differential inner products — the fault-injection campaign's
-        "delta" site.  The head (raw) windows of each chain are computed
-        from raw activations and are unaffected; with the default ``None``
-        the result is exactly direct convolution.
     """
     check_axis("axis", axis)
     arr = np.asarray(x, dtype=np.int64)
@@ -73,12 +61,6 @@ def differential_conv2d(
     # Window deltas are the spatial deltas of the (padded) imap at the
     # window stride: adjacent windows differ elementwise by exactly these.
     deltas = spatial_deltas(arr, axis=axis, stride=stride)
-    if delta_hook is not None:
-        deltas = np.asarray(delta_hook(deltas), dtype=np.int64)
-        if deltas.shape != arr.shape:
-            raise ValueError(
-                f"delta_hook changed the delta shape: {deltas.shape} != {arr.shape}"
-            )
 
     # Differential components for every window: inner products on deltas.
     diff = conv2d_int(deltas, w, None, stride=stride, padding=0, dilation=dilation)
@@ -105,28 +87,6 @@ def differential_conv2d(
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.int64).reshape(-1, 1, 1)
     return out
-
-
-def reconstruct_map(
-    deltas: np.ndarray,
-    axis: str = "x",
-    stride: int = 1,
-    delta_hook: Optional[DeltaHook] = None,
-) -> np.ndarray:
-    """Reconstruct a stored feature map from its decoded delta stream.
-
-    This is what the per-SIP Differential Reconstruction engines do with a
-    DeltaD16 map read back from the activation memory: a prefix sum along
-    each chain recovers the raw values exactly.  ``delta_hook`` (applied to
-    the decoded deltas *before* reconstruction) is the fault-injection
-    campaign's "delta" site — an error in one delta is accumulated into
-    every downstream value of its chain, which is precisely the
-    error-amplification effect the campaign measures.
-    """
-    arr = np.asarray(deltas, dtype=np.int64)
-    if delta_hook is not None:
-        arr = np.asarray(delta_hook(arr), dtype=np.int64)
-    return reconstruct_from_deltas(arr, axis=axis, stride=stride)
 
 
 def keyframe_anchor_mask(

@@ -14,6 +14,12 @@ packed streams before decode, decoded deltas before reconstruction — and
 reports corruption metrics per grid point plus the headline
 *run-length amplification*: how much longer corruption streaks become
 under delta storage at equal raw bit-error rates.
+
+Raw16 words and the DeltaD16 stream are stored and read back through the
+protected-storage path (:mod:`repro.protect.stream`, no protection
+enabled; Raw16 is its ``keyframe_interval=1`` layout) and corrupted by
+:func:`repro.faults.inject.corrupt_protected_read`, the same injector
+the ``ext_protection`` and ``ext_chaos`` studies use.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ speculative engine built on it:
   codec (:mod:`repro.weights.msr`): coverage fraction, per-scheme stored
   bits (``Raw16W``/``Raw8W``/``MSR4W``), and a per-layer roundtrip
   smoke, plus a protected round trip through
-  :meth:`repro.arch.memory.MemorySystem.read_weight_stream` (SECDED +
-  stream checksum composing on weights exactly as on activations).
+  :func:`repro.protect.stream.read_stream` (SECDED + stream checksum
+  composing on weights exactly as on activations).
 - **Composed ladders** — Fig 5 footprints and Fig 14 traffic with
   activation x weight scheme pairs ("DeltaD16+MSR4W"), normalized to
   the dense NoCompression+Raw16W corner.
@@ -37,6 +37,7 @@ from repro.compression.traffic import composed_traffic
 from repro.experiments.common import format_table, traces_for
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.registry import prepare_model
+from repro.protect.stream import encode_stream_chunks, read_stream
 from repro.utils.rng import DEFAULT_SEED
 from repro.weights import MSRCodec, network_int8_weights
 from repro.weights.schemes import network_weight_bits
@@ -85,7 +86,7 @@ class WeightStudyResult:
     msr_coverage: float
     #: Encode/decode reproduced every layer's weights exactly.
     roundtrip_ok: bool
-    #: SECDED+checksum round trip through ``read_weight_stream`` corrected
+    #: SECDED+checksum round trip through ``read_stream`` corrected
     #: an injected single-bit storage fault back to the exact weights.
     memory_roundtrip_ok: bool
     #: Stored bits per weight scheme, summed over layers.
@@ -181,14 +182,12 @@ def _memory_roundtrip_ok(sample: np.ndarray) -> bool:
         corrupted[min(7, corrupted.size - 1)] ^= 1 << 3
         return corrupted
 
-    mem = memory_system(DEFAULT_MEMORY).with_ecc().with_fault_hook(flip_one)
     protected = MSRCodec(bits=8, max_msr=4, column_size=256, checksum=True)
-    values, report = mem.read_weight_stream(sample, protected)
-    return (
-        np.array_equal(values, sample)
-        and report.corrected_words == 1
-        and report.flagged_columns == ()
+    encoded = protected.encode(sample)
+    values, flagged, corrected, _ = read_stream(
+        protected, encoded, encode_stream_chunks(encoded), flip_one
     )
+    return np.array_equal(values, sample) and corrected == 1 and not flagged
 
 
 def run(

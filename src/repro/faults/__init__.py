@@ -8,8 +8,11 @@ of the row.  This package quantifies that trade-off:
 
 - :mod:`repro.faults.models` — seeded fault models (single/multi
   bit-flip, stuck-at-0/1, burst) over bit streams;
-- :mod:`repro.faults.inject` — site-level injectors for raw memory
-  words, packed codec streams, and decoded delta maps;
+- :mod:`repro.faults.inject` — site-level injectors for storage words,
+  packed codec streams and decoded delta maps, plus
+  :func:`~repro.faults.inject.corrupt_protected_read`, the one injector
+  into stored maps (:mod:`repro.protect.stream`; Raw16 is the
+  ``keyframe_interval=1`` map);
 - :mod:`repro.faults.metrics` — end-to-end corruption metrics
   (corrupted values, error-run lengths, max error, PSNR);
 - :mod:`repro.faults.campaign` — the rate × site × scheme campaign
@@ -31,7 +34,12 @@ from repro.faults.campaign import (
     run_protected_campaign,
     summarize_protected,
 )
-from repro.faults.inject import inject_deltas, inject_encoded, inject_words
+from repro.faults.inject import (
+    corrupt_protected_read,
+    inject_deltas,
+    inject_encoded,
+    inject_words,
+)
 from repro.faults.metrics import (
     CorruptionMetrics,
     ErrorAccumulator,
@@ -59,6 +67,7 @@ __all__ = [
     "run_length_amplification",
     "run_protected_campaign",
     "summarize_protected",
+    "corrupt_protected_read",
     "inject_deltas",
     "inject_encoded",
     "inject_words",

@@ -9,20 +9,28 @@ reconstructs, and measures end-to-end corruption
 Scheme → site mapping (each site corrupts the representation that scheme
 actually stores):
 
-- ``Raw16`` × ``memory`` — raw 16-bit activation words in the activation
-  memory, read back through
-  :meth:`repro.arch.memory.MemorySystem.read_words`'s fault hook.  A bit
+- ``Raw16`` × ``memory`` — raw 16-bit activation words: the map stored
+  with ``keyframe_interval=1`` (every value an anchor word), corrupted and
+  read back by :func:`repro.faults.inject.corrupt_protected_read`.  A bit
   error corrupts exactly one value.
 - ``RawD16`` × ``stream`` — the packed dynamic-precision bitstream
   (:class:`repro.compression.codec.GroupCodec`, unsigned) corrupted before
-  decode; a header hit desynchronizes the rest of the stream.
-- ``DeltaD16`` × ``stream`` — the packed *delta* bitstream corrupted
-  before decode, then differentially reconstructed; combines stream
-  desync with chain-wide error accumulation.
+  decode; a header hit desynchronizes the rest of the stream.  No
+  protected container stores raw dynamic-precision values, so this site
+  keeps its own codec round trip.
+- ``DeltaD16`` × ``stream`` — the packed *delta* bitstream (the map stored
+  under the ``none`` policy) corrupted before decode, then differentially
+  reconstructed; combines stream desync with chain-wide error
+  accumulation.
 - ``DeltaD16`` × ``delta`` — decoded deltas corrupted just before
-  reconstruction (:func:`repro.core.differential.reconstruct_map`'s
-  ``delta_hook``); isolates the pure error-amplification effect of
-  shipping differences instead of values.
+  reconstruction (:func:`repro.core.deltas.reconstruct_from_deltas`);
+  isolates the pure error-amplification effect of shipping differences
+  instead of values.
+
+The protected campaign reads every variant through the same
+:func:`repro.faults.inject.corrupt_protected_read` /
+:func:`repro.protect.read_protected` path: Raw16 is its policy at
+``keyframe_interval=1``, DeltaD16 the policy itself.
 
 Rates are per stored bit, so schemes are compared at equal raw bit-error
 rates.  Every random draw derives from the root seed through
@@ -31,28 +39,27 @@ rates.  Every random draw derives from the root seed through
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.arch.memory import IDEAL_MEMORY
 from repro.compression.codec import GroupCodec
 from repro.compression.schemes import planar_order
-from repro.core.deltas import spatial_deltas
-from repro.core.differential import reconstruct_map
-from repro.faults.inject import WORD_BITS, inject_deltas, inject_encoded, inject_words
+from repro.core.deltas import reconstruct_from_deltas, spatial_deltas
+from repro.faults.inject import (
+    WORD_BITS,
+    corrupt_protected_read,
+    inject_deltas,
+    inject_encoded,
+)
 from repro.faults.metrics import CorruptionMetrics, ErrorAccumulator
 from repro.faults.models import FaultModel, fault_model
-from repro.protect import (
-    ProtectionPolicy,
-    codeword_bits,
-    protection_policy,
-    read_protected,
-    store_protected,
-)
+from repro.protect import ProtectionPolicy, protection_policy, store_protected
 from repro.utils.rng import DEFAULT_SEED, rng_for
+from repro.utils.validation import check_integer, check_positive, check_unit_interval
 
 __all__ = [
     "SCHEME_SITES",
@@ -142,27 +149,32 @@ class _MapContext:
         self.flat = planar_order(arr)
         self.signed = bool(self.flat.size and self.flat.min() < 0)
         self.deltas = spatial_deltas(arr)
-        self._encoded: dict = {}
+        self._raw_stream = None
         self._protected: dict = {}
 
-    def encoded(self, scheme: str):
-        """Packed stream for one scheme (computed once, reused everywhere)."""
-        if scheme not in self._encoded:
-            if scheme == "RawD16":
-                codec = GroupCodec(group_size=16, signed=self.signed)
-                self._encoded[scheme] = (codec, codec.encode(self.flat))
-            elif scheme == "DeltaD16":
-                codec = GroupCodec(group_size=16, signed=True)
-                self._encoded[scheme] = (codec, codec.encode(planar_order(self.deltas)))
-            else:  # pragma: no cover - guarded by campaign_grid
-                raise ValueError(f"scheme {scheme!r} has no packed stream")
-        return self._encoded[scheme]
+    def raw_stream(self):
+        """RawD16 codec and packed stream (computed once, reused everywhere)."""
+        if self._raw_stream is None:
+            codec = GroupCodec(group_size=16, signed=self.signed)
+            self._raw_stream = (codec, codec.encode(self.flat))
+        return self._raw_stream
 
     def protected(self, policy: ProtectionPolicy):
         """Protected container for one policy (computed once per map)."""
         if policy not in self._protected:
             self._protected[policy] = store_protected(self.fmap, policy)
         return self._protected[policy]
+
+
+#: Schemes a :class:`repro.protect.stream.ProtectedMap` stores.
+_PROTECTABLE = ("Raw16", "DeltaD16")
+
+
+def _storage_policy(scheme: str, policy: ProtectionPolicy) -> ProtectionPolicy:
+    """``policy`` as ``scheme`` stores it: Raw16 is keyframe interval 1."""
+    if scheme == "Raw16":
+        return dataclasses.replace(policy, keyframe_interval=1)
+    return policy
 
 
 def _inject_one(
@@ -173,42 +185,33 @@ def _inject_one(
 ) -> "tuple[np.ndarray, int, int]":
     """Store, corrupt, and reconstruct one map at one grid point.
 
-    Returns ``(observed map, stored bits, fault events)``.
+    Returns ``(observed map, stored bits, fault event count)``.
     """
-    if point.site == "memory":
-        counter = {"faults": 0}
+    if point.site == "delta":
+        corrupted, faults = inject_deltas(ctx.deltas, point.rate, model, rng)
+        return reconstruct_from_deltas(corrupted), corrupted.size * WORD_BITS, faults
 
-        def hook(words: np.ndarray) -> np.ndarray:
-            corrupted, n = inject_words(
-                words, point.rate, model, rng, signed=ctx.signed
-            )
-            counter["faults"] = n
-            return corrupted
-
-        memory = IDEAL_MEMORY.with_fault_hook(hook)
-        observed = memory.read_words(ctx.flat).reshape(ctx.fmap.shape)
-        return observed, ctx.flat.size * WORD_BITS, counter["faults"]
-
-    if point.site == "stream":
-        codec, encoded = ctx.encoded(point.scheme)
+    if point.scheme == "RawD16":
+        codec, encoded = ctx.raw_stream()
         corrupted, faults = inject_encoded(encoded, point.rate, model, rng)
         decoded = codec.decode(corrupted, strict=False).reshape(ctx.fmap.shape)
-        if point.scheme == "DeltaD16":
-            decoded = reconstruct_map(decoded)
         return decoded, encoded.bits, faults
 
-    if point.site == "delta":
-        counter = {"faults": 0}
+    pmap = ctx.protected(_storage_policy(point.scheme, protection_policy("none")))
+    observed, _report, faults = corrupt_protected_read(pmap, point.rate, model, rng)
+    return observed, pmap.stored_bits, faults
 
-        def delta_hook(deltas: np.ndarray) -> np.ndarray:
-            corrupted, n = inject_deltas(deltas, point.rate, model, rng)
-            counter["faults"] = n
-            return corrupted
 
-        observed = reconstruct_map(ctx.deltas, delta_hook=delta_hook)
-        return observed, ctx.deltas.size * WORD_BITS, counter["faults"]
-
-    raise ValueError(f"unknown injection site {point.site!r}")
+def _check_inputs(
+    caller: str, fmaps: Sequence[np.ndarray], rates: Sequence[float], trials: int
+) -> None:
+    """Reject bad campaign arguments before any map is prepared."""
+    if not fmaps:
+        raise ValueError(f"{caller} needs at least one feature map")
+    check_integer("trials", trials)
+    check_positive("trials", trials)
+    for rate in rates:
+        check_unit_interval("rate", rate)
 
 
 def run_campaign(
@@ -226,13 +229,11 @@ def run_campaign(
     :func:`rng_for` stream keyed by the root ``seed``, so re-running with
     the same arguments reproduces every row bit-for-bit.
     """
-    if not fmaps:
-        raise ValueError("run_campaign needs at least one feature map")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_inputs("run_campaign", fmaps, rates, trials)
+    points = campaign_grid(schemes, sites, rates, fault_models)
     contexts = [_MapContext(f) for f in fmaps]
     rows = []
-    for point in campaign_grid(schemes, sites, rates, fault_models):
+    for point in points:
         model = fault_model(point.fault_model)
         acc = ErrorAccumulator()
         stored_bits = 0
@@ -371,92 +372,6 @@ def _resolve_policy(policy: "str | ProtectionPolicy") -> ProtectionPolicy:
     return protection_policy(policy)
 
 
-def _inject_protected(
-    ctx: _MapContext,
-    point: ProtectedPoint,
-    policy: ProtectionPolicy,
-    model: FaultModel,
-    rng: np.random.Generator,
-) -> "tuple[np.ndarray, np.ndarray, int, int, tuple[int, int, int]]":
-    """Store one map under ``policy``, corrupt it, run recovery.
-
-    Returns ``(observed, flagged_mask, stored_bits, faults,
-    (corrected, detected, zeroed_groups))``.
-    """
-    counter = {"faults": 0}
-    if point.scheme == "Raw16":
-        if policy.word_ecc:
-
-            def hook(codes: np.ndarray) -> np.ndarray:
-                corrupted, n = inject_words(
-                    codes, point.rate, model, rng, width=codeword_bits(WORD_BITS)
-                )
-                counter["faults"] += n
-                return corrupted
-
-            memory = IDEAL_MEMORY.with_fault_hook(hook).with_ecc()
-            words, rep = memory.read_words_ecc(ctx.flat, signed=ctx.signed)
-            observed = words.reshape(ctx.fmap.shape)
-            flagged = rep.detected_mask.reshape(ctx.fmap.shape)
-            bits = ctx.flat.size * codeword_bits(WORD_BITS)
-            return observed, flagged, bits, counter["faults"], (rep.corrected, rep.detected, 0)
-
-        def raw_hook(words: np.ndarray) -> np.ndarray:
-            corrupted, n = inject_words(
-                words, point.rate, model, rng, signed=ctx.signed
-            )
-            counter["faults"] += n
-            return corrupted
-
-        memory = IDEAL_MEMORY.with_fault_hook(raw_hook)
-        observed = memory.read_words(ctx.flat).reshape(ctx.fmap.shape)
-        flagged = np.zeros(ctx.fmap.shape, dtype=bool)
-        return observed, flagged, ctx.flat.size * WORD_BITS, counter["faults"], (0, 0, 0)
-
-    if point.scheme != "DeltaD16":
-        raise ValueError(
-            f"protected campaigns support Raw16 and DeltaD16, got {point.scheme!r}"
-        )
-    pmap = ctx.protected(policy)
-
-    def anchor_hook(anchors: np.ndarray) -> np.ndarray:
-        corrupted, n = inject_words(
-            anchors,
-            point.rate,
-            model,
-            rng,
-            width=pmap.anchor_width,
-            signed=pmap.signed and not policy.word_ecc,
-        )
-        counter["faults"] += n
-        return corrupted
-
-    if policy.stream_ecc:
-
-        def stream_hook(codes):
-            corrupted, n = inject_words(
-                codes, point.rate, model, rng, width=codeword_bits(WORD_BITS)
-            )
-            counter["faults"] += n
-            return corrupted
-
-    else:
-
-        def stream_hook(encoded):
-            corrupted, n = inject_encoded(encoded, point.rate, model, rng)
-            counter["faults"] += n
-            return corrupted
-
-    observed, rep = read_protected(pmap, anchor_hook=anchor_hook, stream_hook=stream_hook)
-    return (
-        observed,
-        rep.flagged_mask,
-        pmap.stored_bits,
-        counter["faults"],
-        (rep.corrected, rep.detected, rep.zeroed_groups),
-    )
-
-
 def run_protected_campaign(
     fmaps: Sequence[np.ndarray],
     configs: "Sequence[tuple[str, str | ProtectionPolicy]]" = PROTECTED_CONFIGS,
@@ -475,18 +390,23 @@ def run_protected_campaign(
     so variants pay for their overhead with proportionally more exposure.
     Deterministic under ``seed`` like :func:`run_campaign`.
     """
-    if not fmaps:
-        raise ValueError("run_protected_campaign needs at least one feature map")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_inputs("run_protected_campaign", fmaps, rates, trials)
+    resolved = []
+    for scheme, policy_spec in configs:
+        if scheme not in _PROTECTABLE:
+            raise ValueError(
+                f"protected campaigns support Raw16 and DeltaD16, got {scheme!r}"
+            )
+        policy = _resolve_policy(policy_spec)
+        resolved.append((scheme, policy, _storage_policy(scheme, policy)))
     contexts = [_MapContext(f) for f in fmaps]
+    none = protection_policy("none")
     baselines = {
-        "Raw16": sum(c.flat.size * WORD_BITS for c in contexts),
-        "DeltaD16": sum(c.encoded("DeltaD16")[1].bits for c in contexts),
+        scheme: sum(c.protected(_storage_policy(scheme, none)).stored_bits for c in contexts)
+        for scheme in _PROTECTABLE
     }
     rows = []
-    for scheme, policy_spec in configs:
-        policy = _resolve_policy(policy_spec)
+    for scheme, policy, stored in resolved:
         for model_name in fault_models:
             model = fault_model(model_name)
             for rate in rates:
@@ -510,16 +430,17 @@ def run_protected_campaign(
                             trial,
                             index,
                         )
-                        observed, flagged, bits, n, (c, d, z) = _inject_protected(
-                            ctx, point, policy, model, rng
+                        pmap = ctx.protected(stored)
+                        observed, rep, n = corrupt_protected_read(
+                            pmap, point.rate, model, rng
                         )
                         acc.add(ctx.fmap, observed)
-                        stored_bits += bits
+                        stored_bits += pmap.stored_bits
                         faults += n
-                        corrected += c
-                        detected += d
-                        zeroed += z
-                        silent += int(((observed != ctx.fmap) & ~flagged).sum())
+                        corrected += rep.corrected
+                        detected += rep.detected
+                        zeroed += rep.zeroed_groups
+                        silent += int(((observed != ctx.fmap) & ~rep.flagged_mask).sum())
                 rows.append(
                     ProtectedRow(
                         point=point,

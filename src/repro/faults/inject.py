@@ -1,20 +1,22 @@
 """Site-level fault injection: words, packed streams, delta maps.
 
-The campaign corrupts stored activations at three sites, matching the
-hooks grown in the architecture model:
+The campaigns corrupt stored activations through these injectors:
 
-- :func:`inject_words` — raw activation words as they sit in the
-  activation/off-chip memory (the :meth:`repro.arch.memory.MemorySystem.read_words`
-  hook's payload): each value is a ``width``-bit two's-complement word.
+- :func:`inject_words` — ``width``-bit two's-complement storage words:
+  raw activation words, keyframe anchors, or SECDED codewords.
 - :func:`inject_encoded` — the packed dynamic-precision bitstream of a
   :class:`repro.compression.codec.Encoded` container, before decode.  Only
   payload bits are exposed to faults (byte-padding bits are not stored).
 - :func:`inject_deltas` — a decoded delta map, before differential
-  reconstruction (the ``delta_hook`` site of
-  :func:`repro.core.differential.reconstruct_map`).
+  reconstruction (:func:`repro.core.deltas.reconstruct_from_deltas`).
+- :func:`corrupt_protected_read` — the one injector into a stored map
+  (:class:`repro.protect.stream.ProtectedMap`): it corrupts every stored
+  surface at its stored width and reads the map back through
+  :func:`repro.protect.stream.read_protected`.  Raw16 storage is the
+  ``keyframe_interval=1`` map, so raw words go through here too.
 
-All three return ``(corrupted copy, fault event count)`` and never mutate
-their input.
+The first three return ``(corrupted copy, fault event count)`` and never
+mutate their input.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from repro.faults.models import (
     inject_bits,
     words_to_bits,
 )
+from repro.protect.ecc import codeword_bits
+from repro.protect.stream import ProtectedMap, RecoveryReport, read_protected
 
-__all__ = ["inject_words", "inject_encoded", "inject_deltas"]
+__all__ = ["inject_words", "inject_encoded", "inject_deltas", "corrupt_protected_read"]
 
 #: Hardware storage word width (16-bit fixed point everywhere).
 WORD_BITS = 16
@@ -108,3 +112,52 @@ def inject_deltas(
 ) -> "tuple[np.ndarray, int]":
     """Corrupt a decoded delta map (signed words) before reconstruction."""
     return inject_words(deltas, rate, model, rng, width=width, signed=True)
+
+
+def corrupt_protected_read(
+    pmap: ProtectedMap,
+    rate: float,
+    model: FaultModel,
+    rng: np.random.Generator,
+) -> "tuple[np.ndarray, RecoveryReport, int]":
+    """Inject faults into one stored map and run the recovery ladder.
+
+    Returns ``(observed, report, faults)``.  The injection surface is the
+    map's actual stored form — anchor words at their stored width, the
+    packed stream (or its SECDED codewords under ``stream_ecc``) — the
+    same surfaces :mod:`repro.faults.campaign` attacks.
+    """
+    counter = {"faults": 0}
+
+    def anchor_hook(anchors: np.ndarray) -> np.ndarray:
+        corrupted, n = inject_words(
+            anchors,
+            rate,
+            model,
+            rng,
+            width=pmap.anchor_width,
+            signed=pmap.signed and not pmap.policy.word_ecc,
+        )
+        counter["faults"] += n
+        return corrupted
+
+    if pmap.policy.stream_ecc:
+
+        def stream_hook(codes):
+            corrupted, n = inject_words(
+                codes, rate, model, rng, width=codeword_bits(WORD_BITS)
+            )
+            counter["faults"] += n
+            return corrupted
+
+    else:
+
+        def stream_hook(encoded):
+            corrupted, n = inject_encoded(encoded, rate, model, rng)
+            counter["faults"] += n
+            return corrupted
+
+    observed, report = read_protected(
+        pmap, anchor_hook=anchor_hook, stream_hook=stream_hook
+    )
+    return observed, report, counter["faults"]

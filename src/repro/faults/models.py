@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.bits import bits_to_words, words_to_bits
-from repro.utils.validation import check_in, check_positive
+from repro.utils.validation import check_in, check_positive, check_unit_interval
 
 __all__ = [
     "FaultModel",
@@ -51,8 +51,7 @@ __all__ = [
 
 def select_events(n_bits: int, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli(rate) event positions over ``n_bits`` stream bits."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
+    check_unit_interval("rate", rate)
     if n_bits == 0 or rate == 0.0:
         return np.zeros(0, dtype=np.int64)
     return np.flatnonzero(rng.random(n_bits) < rate).astype(np.int64)

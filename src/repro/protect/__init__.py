@@ -13,9 +13,15 @@ downstream value of its reconstruction chain (measured by
   every K-th chain position stored raw, bounding error runs to K;
 - :mod:`repro.protect.policy` — named compositions of the above;
 - :mod:`repro.protect.stream` — the protected storage container and the
-  graceful-degradation read path tying them together, plus the 16-bit
-  chunk SECDED of packed streams that weight streams in
-  :meth:`repro.arch.memory.MemorySystem.read_weight_stream` share.
+  graceful-degradation read path tying them together: the one store and
+  recover path for stored maps.  Raw16 storage is the
+  ``keyframe_interval=1`` container.  Its stream half,
+  :func:`~repro.protect.stream.read_stream` (16-bit chunk SECDED, then
+  the codec's lenient flagged decode), also reads MSR weight streams.
+
+Stored maps are corrupted only by
+:func:`repro.faults.inject.corrupt_protected_read`, which reads them back
+through :func:`~repro.protect.stream.read_protected`.
 """
 
 from repro.protect.ecc import (
@@ -38,6 +44,7 @@ from repro.protect.stream import (
     encode_stream_chunks,
     protected_bits,
     read_protected,
+    read_stream,
     store_protected,
 )
 
@@ -57,5 +64,6 @@ __all__ = [
     "encode_stream_chunks",
     "protected_bits",
     "read_protected",
+    "read_stream",
     "store_protected",
 ]

@@ -52,6 +52,7 @@ __all__ = [
     "RecoveryReport",
     "store_protected",
     "read_protected",
+    "read_stream",
     "protected_bits",
     "encode_stream_chunks",
     "decode_stream_chunks",
@@ -100,6 +101,43 @@ def decode_stream_chunks(
         for i in np.flatnonzero(report.detected_mask)
     )
     return Encoded(data=data, bits=encoded.bits, values=encoded.values), report, suspect
+
+
+def read_stream(
+    codec,
+    stream: Encoded,
+    codes: Optional[np.ndarray] = None,
+    hook: "Optional[Callable]" = None,
+) -> "tuple[np.ndarray, tuple[int, ...], int, int]":
+    """Read one stored packed stream back through ``codec``'s lenient decode.
+
+    ``codec`` is any codec with ``decode_flagged`` (``GroupCodec`` for
+    activation deltas, ``MSRCodec`` for weights).  ``codes`` are the
+    stream's SECDED chunk codewords (:func:`encode_stream_chunks`) when it
+    is stored under stream ECC, else ``None``.  ``hook`` receives the
+    stored form — the codeword array, or the :class:`Encoded` container
+    itself — and returns a possibly-corrupted copy: the fault-injection
+    surface.
+
+    Returns ``(values, flagged, corrected, detected)``: the decoded
+    values, the groups the codec zero-filled and flagged, and the ECC
+    chunk corrections and detections.
+    """
+    suspect_bits: "tuple[tuple[int, int], ...]" = ()
+    corrected = detected = 0
+    if codes is not None:
+        if hook is not None:
+            codes = np.asarray(hook(codes), dtype=np.int64)
+        # The decoder must not trust any group touching a zero-filled
+        # chunk, CRC pass or not — ECC already localized the damage.
+        stream, rep, suspect_bits = decode_stream_chunks(codes, stream)
+        corrected, detected = rep.corrected, rep.detected
+    elif hook is not None:
+        stream = hook(stream)
+    values, flagged = codec.decode_flagged(
+        stream, strict=False, suspect_bits=suspect_bits
+    )
+    return values, flagged, corrected, detected
 
 
 def _anchor_mask_flat(shape: "tuple[int, ...]", interval: Optional[int]) -> np.ndarray:
@@ -253,29 +291,15 @@ def read_protected(
     else:
         anchor_vals = anchors
 
-    stream_blind_damage = False
-    suspect_bits: "tuple[tuple[int, int], ...]" = ()
-    if pmap.stream_codes is not None:
-        codes = pmap.stream_codes
-        if stream_hook is not None:
-            codes = np.asarray(stream_hook(codes), dtype=np.int64)
-        # The decoder must not trust any group touching a zero-filled
-        # chunk, CRC pass or not — ECC already localized the damage.
-        encoded, rep, suspect_bits = decode_stream_chunks(codes, pmap.stream)
-        corrected += rep.corrected
-        detected += rep.detected
-        # Without group checksums a zero-filled chunk cannot be localized
-        # to specific decoded groups — the whole stream is suspect.
-        stream_blind_damage = rep.detected > 0 and not policy.group_checksum
-    else:
-        encoded = pmap.stream
-        if stream_hook is not None:
-            encoded = stream_hook(encoded)
-
     codec = GroupCodec(pmap.group_size, signed=True, checksum=policy.group_checksum)
-    values, flagged_groups = codec.decode_flagged(
-        encoded, strict=False, suspect_bits=suspect_bits
+    values, flagged_groups, stream_corrected, stream_detected = read_stream(
+        codec, pmap.stream, pmap.stream_codes, stream_hook
     )
+    corrected += stream_corrected
+    detected += stream_detected
+    # Without group checksums a zero-filled chunk cannot be localized
+    # to specific decoded groups — the whole stream is suspect.
+    stream_blind_damage = stream_detected > 0 and not policy.group_checksum
 
     flat = np.zeros(pmap.n_values, dtype=np.int64)
     flat[value_idx] = values

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.serve.workload import Request, WorkloadSpec
 from repro.utils.rng import DEFAULT_SEED, rng_for
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_integer, check_positive, check_unit_interval
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage imports us)
     from repro.serve.chaos.storage import StorageChaos
@@ -87,8 +87,8 @@ class ChaosSpec:
     fault_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.storage_rate < 0.0:
-            raise ValueError(f"storage_rate must be >= 0, got {self.storage_rate}")
+        check_unit_interval("storage_rate", self.storage_rate)
+        check_integer("storage_trials", self.storage_trials)
         check_positive("storage_trials", self.storage_trials)
         for name in ("crashes", "degrades", "bursts"):
             if getattr(self, name) < 0:
@@ -111,6 +111,11 @@ class ChaosSpec:
                 raise ValueError(
                     f"burst_load_mult must be >= 1, got {self.burst_load_mult}"
                 )
+            # Bursts price the ladder at the elevated per-bit rate.
+            check_unit_interval(
+                "storage_rate * burst_fault_mult",
+                self.storage_rate * self.burst_fault_mult,
+            )
 
     @property
     def effective_fault_seed(self) -> int:

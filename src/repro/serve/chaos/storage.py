@@ -10,9 +10,11 @@ injection, and distills the result into serve-path probabilities:
 1. :func:`price_ladder` stores a seeded calibration map under the
    ladder's :class:`~repro.protect.policy.ProtectionPolicy`
    (:func:`repro.protect.store_protected`), corrupts its stored form
-   with a :mod:`repro.faults` model at the requested per-bit rate, runs
-   the full recovery ladder (:func:`repro.protect.read_protected`), and
-   classifies each trial with serving semantics:
+   with a :mod:`repro.faults` model at the requested per-bit rate and
+   runs the full recovery ladder
+   (:func:`repro.faults.inject.corrupt_protected_read`, which reads
+   through :func:`repro.protect.read_protected`), and classifies each
+   trial with serving semantics:
 
    - ``clean`` — nothing flagged, output exact;
    - ``corrected`` — ECC repaired everything, output exact, no flags;
@@ -42,14 +44,15 @@ import numpy as np
 
 from repro.cache import store as cache_store
 from repro.data.video import synthesize_clip
-from repro.faults.inject import WORD_BITS, inject_encoded, inject_words
-from repro.faults.models import FaultModel, fault_model
-from repro.protect import codeword_bits, read_protected, store_protected
+from repro.faults.inject import corrupt_protected_read
+from repro.faults.models import fault_model
+from repro.protect import store_protected
 from repro.protect.policy import ProtectionPolicy, protection_policy
-from repro.protect.stream import ProtectedMap, RecoveryReport
+from repro.protect.stream import RecoveryReport
 from repro.serve.chaos.schedule import BurstWindow
 from repro.utils import timing
 from repro.utils.rng import DEFAULT_SEED, derive_seed, rng_for
+from repro.utils.validation import check_integer, check_positive, check_unit_interval
 
 __all__ = [
     "SERVE_LADDERS",
@@ -119,55 +122,6 @@ def _calibration_map(seed: int, crop: int) -> np.ndarray:
     return np.round(frame * 255.0).astype(np.int64)
 
 
-def corrupt_protected_read(
-    pmap: ProtectedMap,
-    rate: float,
-    model: FaultModel,
-    rng: np.random.Generator,
-) -> "tuple[np.ndarray, RecoveryReport, int]":
-    """Inject faults into one stored map and run the recovery ladder.
-
-    Returns ``(observed, report, faults)``.  The injection surface is the
-    map's actual stored form — anchor words at their stored width, the
-    packed stream (or its SECDED codewords under ``stream_ecc``) — the
-    same surfaces :mod:`repro.faults.campaign` attacks.
-    """
-    counter = {"faults": 0}
-
-    def anchor_hook(anchors: np.ndarray) -> np.ndarray:
-        corrupted, n = inject_words(
-            anchors,
-            rate,
-            model,
-            rng,
-            width=pmap.anchor_width,
-            signed=pmap.signed and not pmap.policy.word_ecc,
-        )
-        counter["faults"] += n
-        return corrupted
-
-    if pmap.policy.stream_ecc:
-
-        def stream_hook(codes):
-            corrupted, n = inject_words(
-                codes, rate, model, rng, width=codeword_bits(WORD_BITS)
-            )
-            counter["faults"] += n
-            return corrupted
-
-    else:
-
-        def stream_hook(encoded):
-            corrupted, n = inject_encoded(encoded, rate, model, rng)
-            counter["faults"] += n
-            return corrupted
-
-    observed, report = read_protected(
-        pmap, anchor_hook=anchor_hook, stream_hook=stream_hook
-    )
-    return observed, report, counter["faults"]
-
-
 def classify_trial(
     truth: np.ndarray, observed: np.ndarray, report: RecoveryReport
 ) -> str:
@@ -207,10 +161,9 @@ def price_ladder(
     """
     policy = serve_ladder(ladder)
     fault_model(fault_model_name)  # fail fast on unknown names
-    if rate < 0.0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_unit_interval("rate", rate)
+    check_integer("trials", trials)
+    check_positive("trials", trials)
     return cache_store.fetch_or_compute(
         "chaos_ladder",
         (ladder, fault_model_name, float(rate), trials, seed, crop),

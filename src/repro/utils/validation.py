@@ -34,6 +34,12 @@ def check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
+def check_unit_interval(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``0 <= value <= 1`` (NaN fails)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
+
 def check_in(name: str, value: object, allowed: Collection) -> None:
     """Raise ``ValueError`` unless ``value`` is a member of ``allowed``."""
     if value not in allowed:

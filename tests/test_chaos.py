@@ -15,6 +15,7 @@ from repro.serve.chaos import (
     overload_requests,
     price_ladder,
     serve_ladder,
+    storage,
 )
 from repro.serve.chaos.campaign import (
     ChaosPoint,
@@ -90,6 +91,26 @@ class TestChaosSpecAndSchedule:
             ChaosSpec(degrades=1, degrade_len_s=1.0, degrade_slowdown=0.5)
         with pytest.raises(ValueError, match="burst_load_mult"):
             ChaosSpec(bursts=1, burst_len_s=1.0, burst_load_mult=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"storage_rate": 1.5}, "storage_rate"),
+            ({"storage_rate": float("nan")}, "storage_rate"),
+            ({"storage_trials": 2.5}, "storage_trials must be an integer"),
+            (
+                {"storage_rate": 0.2, "bursts": 1, "burst_len_s": 1, "burst_fault_mult": 10},
+                r"storage_rate \* burst_fault_mult",
+            ),
+        ],
+    )
+    def test_storage_knobs_fail_at_construction(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ChaosSpec(**kwargs)
+
+    def test_burst_rate_at_the_bound_is_accepted(self):
+        spec = ChaosSpec(storage_rate=0.1, bursts=1, burst_len_s=1.0, burst_fault_mult=10.0)
+        assert spec.storage_rate * spec.burst_fault_mult == 1.0
 
     def test_schedule_is_pure_function_of_spec(self):
         spec = ChaosSpec(
@@ -182,6 +203,24 @@ class TestLadderPricing:
         assert p.p_detected == 0.0
         assert p.p_corrected == 0.0
         assert p.p_silent > 0.0
+
+    @pytest.mark.parametrize(
+        "rate, trials, match",
+        [
+            (2.0, 8, r"rate must be in \[0, 1\]"),
+            (float("nan"), 8, r"rate must be in \[0, 1\]"),
+            (-1e-3, 8, r"rate must be in \[0, 1\]"),
+            (1e-2, 2.5, "trials must be an integer"),
+            (1e-2, 0, "trials must be > 0"),
+        ],
+    )
+    def test_bad_inputs_fail_before_pricing(self, monkeypatch, rate, trials, match):
+        def never(*_args):
+            raise AssertionError("a rejected input reached the pricing compute")
+
+        monkeypatch.setattr(storage, "_price", never)
+        with pytest.raises(ValueError, match=match):
+            price_ladder("full", "flip1", rate, trials=trials, seed=21, crop=16)
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):

@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 from repro.compression.codec import GroupCodec
-from repro.core.differential import reconstruct_map
+from repro.compression.schemes import planar_order
+from repro.core.deltas import reconstruct_from_deltas
 from repro.faults import (
     BitFlip,
     Burst,
     CampaignPoint,
     StuckAt,
     campaign_grid,
+    corrupt_protected_read,
     corruption_metrics,
     error_runs,
     fault_model,
@@ -27,8 +29,16 @@ from repro.faults import (
     inject_words,
     run_campaign,
     run_length_amplification,
+    run_protected_campaign,
 )
 from repro.faults.models import bits_to_words, inject_bits, select_events, words_to_bits
+from repro.protect import (
+    ProtectionPolicy,
+    codeword_bits,
+    secded_decode,
+    secded_encode,
+    store_protected,
+)
 from repro.utils.rng import rng_for
 
 SEED = 0xD1FF
@@ -252,13 +262,11 @@ class TestCampaign:
         # One flipped delta corrupts everything downstream in its row.
         deltas = np.zeros((1, 1, 32), dtype=np.int64)
 
-        def hook(arr):
-            out = arr.copy()
-            out[0, 0, 10] += 1
-            return out
+        flipped = deltas.copy()
+        flipped[0, 0, 10] += 1
 
-        clean = reconstruct_map(deltas)
-        corrupt = reconstruct_map(deltas, delta_hook=hook)
+        clean = reconstruct_from_deltas(deltas)
+        corrupt = reconstruct_from_deltas(flipped)
         runs = error_runs(clean, corrupt)
         assert runs.tolist() == [22]
 
@@ -266,3 +274,71 @@ class TestCampaign:
         assert all(isinstance(r.point, CampaignPoint) for r in rows)
         assert all(r.trials == 2 and r.maps == 1 for r in rows)
         assert all(r.stored_bits > 0 for r in rows)
+
+
+class TestCampaignInputs:
+    """Bad campaign arguments fail at the boundary, before any map work."""
+
+    #: A 2-D map fails when a campaign prepares it, so an argument error
+    #: that surfaces instead proves the check ran first.
+    FLAT_MAP = [np.zeros((4, 8), dtype=np.int64)]
+
+    @pytest.mark.parametrize("run", [run_campaign, run_protected_campaign])
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"trials": 1.5}, "trials must be an integer"),
+            ({"trials": 0}, "trials must be > 0"),
+            ({"rates": (1e-3, 1.5)}, r"rate must be in \[0, 1\]"),
+            ({"rates": (-1e-3,)}, r"rate must be in \[0, 1\]"),
+            ({"rates": (float("nan"),)}, r"rate must be in \[0, 1\]"),
+        ],
+    )
+    def test_rejected_before_maps_are_prepared(self, run, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            run(self.FLAT_MAP, **kwargs)
+
+    def test_fractional_trials_is_a_value_error(self):
+        fmap = np.arange(2 * 4 * 8, dtype=np.int64).reshape(2, 4, 8)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            run_campaign([fmap], trials=1.5)
+
+
+class TestRaw16IsIntervalOne:
+    """Raw16 words read through the interval-1 container are exactly the
+    words ``inject_words`` corrupts, draw for draw."""
+
+    @pytest.mark.parametrize("word_ecc", [False, True])
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("model", ["flip1", "burst4"])
+    def test_corrupt_protected_read_matches_inject_words(self, word_ecc, signed, model):
+        rng = _rng("raw16-identity", word_ecc, signed, model)
+        fmap = rng.integers(-300 if signed else 0, 300, size=(3, 6, 16))
+        words = planar_order(fmap)
+        policy = ProtectionPolicy("raw16", word_ecc=word_ecc, keyframe_interval=1)
+        pmap = store_protected(fmap, policy)
+        assert pmap.signed == signed
+        rate = 2e-2
+
+        observed, report, faults = corrupt_protected_read(
+            pmap, rate, fault_model(model), _rng("draw", word_ecc, signed, model)
+        )
+
+        draw = _rng("draw", word_ecc, signed, model)
+        if word_ecc:
+            codes = secded_encode(words, 16, signed=signed)
+            corrupted, want_faults = inject_words(
+                codes, rate, fault_model(model), draw, width=codeword_bits(16)
+            )
+            want, want_report = secded_decode(corrupted, 16, signed=signed)
+            assert report.corrected == want_report.corrected
+            assert report.detected == want_report.detected
+            want_flags = want_report.detected_mask
+        else:
+            want, want_faults = inject_words(
+                words, rate, fault_model(model), draw, signed=signed
+            )
+            want_flags = np.zeros(words.size, dtype=bool)
+        assert faults == want_faults > 0
+        assert np.array_equal(planar_order(observed), want)
+        assert np.array_equal(planar_order(report.flagged_mask), want_flags)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arch.memory import IDEAL_MEMORY
 from repro.compression.codec import GroupCodec
 from repro.compression.schemes import SCHEMES, planar_order
 from repro.core.deltas import spatial_deltas
@@ -247,29 +246,36 @@ class TestRecoveryLadder:
 
 
 class TestMemoryEcc:
-    def test_read_words_routes_through_secded(self):
-        words = np.arange(-50, 50)
-        flipped = {"n": 0}
+    """Raw16+ECC memory words are the interval-1 ``ecc`` container."""
+
+    POLICY = ProtectionPolicy("raw16-ecc", word_ecc=True, keyframe_interval=1)
+
+    def test_single_flip_in_word_codeword_corrected(self):
+        words = np.arange(-50, 50).reshape(1, 4, 25)
+        pmap = store_protected(words, self.POLICY)
+        seen = {"n": 0}
 
         def hook(codes):
-            flipped["n"] += 1
+            seen["n"] += 1
             return _flip(codes, 5, 3, codeword_bits(16))
 
-        mem = IDEAL_MEMORY.with_fault_hook(hook).with_ecc()
-        assert np.array_equal(mem.read_words(words), words), (
-            "ECC memory must correct the single flipped bit"
+        observed, report = read_protected(pmap, anchor_hook=hook)
+        assert np.array_equal(observed, words), (
+            "ECC word storage must correct the single flipped bit"
         )
-        assert flipped["n"] == 1, "hook must see codewords exactly once"
+        assert report.corrected == 1
+        assert seen["n"] == 1, "hook must see codewords exactly once"
 
-    def test_read_words_ecc_reports(self):
-        words = np.arange(100)
-        mem = IDEAL_MEMORY.with_fault_hook(
-            lambda codes: _flip(_flip(codes, 7, 1, 22), 7, 9, 22)
-        ).with_ecc()
-        out, report = mem.read_words_ecc(words)
+    def test_double_flip_zero_fills_and_flags_one_word(self):
+        words = np.arange(100).reshape(1, 4, 25)
+        pmap = store_protected(words, self.POLICY)
+        observed, report = read_protected(
+            pmap, anchor_hook=lambda codes: _flip(_flip(codes, 7, 1, 22), 7, 9, 22)
+        )
         assert report.detected == 1
-        assert out[7] == 0 and bool(report.detected_mask[7])
-        assert IDEAL_MEMORY.ecc is False, "with_ecc must not mutate the original"
+        assert observed.reshape(-1)[7] == 0
+        # Interval 1: the flag covers exactly the damaged word.
+        assert np.flatnonzero(report.flagged_mask).tolist() == [7]
 
 
 class TestProtectedSchemes:
@@ -328,6 +334,14 @@ class TestProtectedCampaign:
         assert by_policy["none"].overhead == pytest.approx(1.0)
         assert by_policy["ecc"].overhead == pytest.approx(22 / 16)
         assert by_policy["full"].overhead > 1.0
+
+    def test_unsupported_scheme_rejected_before_any_config_runs(self):
+        # A 2-D map fails when it is prepared; the scheme check comes first.
+        with pytest.raises(ValueError, match="support Raw16 and DeltaD16"):
+            run_protected_campaign(
+                [np.zeros((4, 8), dtype=np.int64)],
+                configs=(("Raw16", "none"), ("RawD16", "none")),
+            )
 
     def test_custom_keyframe_policy_accepted(self, fmaps):
         policy = ProtectionPolicy(

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.arch.memory import memory_system
+from repro.compression.bitplane import pack_payload, unpack_payload
+from repro.compression.codec import Encoded
 from repro.compression.footprint import composed_footprints
 from repro.compression.traffic import composed_traffic, network_traffic
 from repro.models.registry import prepare_model
 from repro.nn.shapes import conv_layer_shapes
+from repro.protect.stream import encode_stream_chunks, read_stream
 from repro.utils.bits import signed_range
 from repro.weights import (
     MSRCodec,
@@ -129,60 +131,63 @@ class TestComposedLadders:
 
 
 class TestWeightStreamReads:
+    """Weight streams read back through :func:`repro.protect.stream.read_stream`."""
+
+    CODEC = MSRCodec(8, 4, 64, checksum=True)
+
     def _weights(self):
         rng = np.random.default_rng(5)
         return np.clip(
             (rng.standard_normal(512) * 6).round(), -127, 127
         ).astype(np.int64)
 
+    def _read_ecc(self, hook):
+        encoded = self.CODEC.encode(self._weights())
+        return read_stream(self.CODEC, encoded, encode_stream_chunks(encoded), hook)
+
     def test_clean_roundtrip(self):
-        codec = MSRCodec(8, 4, 64, checksum=True)
-        mem = memory_system("DDR4-3200")
-        values, report = mem.read_weight_stream(self._weights(), codec)
+        encoded = self.CODEC.encode(self._weights())
+        values, flagged, corrected, detected = read_stream(self.CODEC, encoded)
         assert np.array_equal(values, self._weights())
-        assert report.corrected_words == 0
-        assert report.flagged_columns == ()
+        assert corrected == detected == 0
+        assert tuple(flagged) == ()
 
     def test_ecc_corrects_single_flip(self):
-        codec = MSRCodec(8, 4, 64, checksum=True)
-
         def flip_one(codes):
             out = codes.copy()
             out[3] ^= 1 << 2
             return out
 
-        mem = memory_system("DDR4-3200").with_ecc().with_fault_hook(flip_one)
-        values, report = mem.read_weight_stream(self._weights(), codec)
+        values, flagged, corrected, detected = self._read_ecc(flip_one)
         assert np.array_equal(values, self._weights())
-        assert report.corrected_words == 1
-        assert report.detected_words == 0
-        assert report.flagged_columns == ()
+        assert corrected == 1
+        assert detected == 0
+        assert tuple(flagged) == ()
 
     def test_ecc_detection_flags_column(self):
-        codec = MSRCodec(8, 4, 64, checksum=True)
-
         def flip_two(codes):
             out = codes.copy()
             out[3] ^= (1 << 2) | (1 << 9)
             return out
 
-        mem = memory_system("DDR4-3200").with_ecc().with_fault_hook(flip_two)
-        values, report = mem.read_weight_stream(self._weights(), codec)
-        assert report.detected_words == 1
-        assert len(report.flagged_columns) >= 1
+        values, flagged, _corrected, detected = self._read_ecc(flip_two)
+        assert detected == 1
+        assert len(flagged) >= 1
         # Flagged columns zero-fill — never silent garbage.
-        for g in report.flagged_columns:
+        for g in flagged:
             assert not values[g * 64 : (g + 1) * 64].any()
 
     def test_unprotected_fault_caught_by_checksum(self):
-        codec = MSRCodec(8, 4, 64, checksum=True)
+        def flip_bit(encoded):
+            bits = unpack_payload(encoded.data, encoded.bits)
+            bits[40] ^= 1
+            return Encoded(
+                data=pack_payload(bits), bits=encoded.bits, values=encoded.values
+            )
 
-        def flip_bit(bits):
-            out = bits.copy()
-            out[40] ^= 1
-            return out
-
-        mem = memory_system("DDR4-3200").with_fault_hook(flip_bit)
-        _values, report = mem.read_weight_stream(self._weights(), codec)
-        assert len(report.flagged_columns) >= 1
-        assert report.corrected_words == report.detected_words == 0
+        encoded = self.CODEC.encode(self._weights())
+        _values, flagged, corrected, detected = read_stream(
+            self.CODEC, encoded, hook=flip_bit
+        )
+        assert len(flagged) >= 1
+        assert corrected == detected == 0
