@@ -6,6 +6,15 @@ accumulator.  The implementation lowers to ``float64`` matrix multiplies
 for speed, which is exact as long as the accumulation stays below 2**53 —
 asserted at call time (a 16x16-bit product is < 2**31, so up to 2**22
 terms per output are safe; real layers have at most a few thousand).
+
+Because every product and partial sum of :func:`conv2d_int` is an exact
+integer in that range, its summation order is free: it gathers its
+columns tap-major (one strided slice per filter tap), whatever order the
+matrix multiply then adds them in.  :func:`conv2d_float` has no such
+freedom.  Its ``flat @ W.T`` product fixes the float rounding that the
+calibrated biases and fixed-point scales were fitted on, so changing its
+gather or gemm shape changes the models (a tap-major float convolution
+differs by ~1e-15 on a single-filter layer, which runs as a gemv).
 """
 
 from __future__ import annotations
@@ -23,6 +32,41 @@ def _check_chw(x: np.ndarray, name: str = "x") -> np.ndarray:
     return arr
 
 
+def _check_weights(w: np.ndarray, channels: int) -> None:
+    if w.ndim != 4 or w.shape[1] != channels:
+        raise ValueError(f"weights must be (K, C={channels}, Hf, Wf), got {w.shape}")
+
+
+def _check_bias(bias: np.ndarray, filters: int, dtype: type) -> np.ndarray:
+    """``bias`` as a (K, 1, 1) column, or a named error for a wrong length."""
+    b = np.asarray(bias, dtype=dtype)
+    if b.size != filters:
+        raise ValueError(
+            f"bias must hold one value per filter (K={filters}), got shape {b.shape}"
+        )
+    return b.reshape(-1, 1, 1)
+
+
+def _max_magnitude(a: np.ndarray) -> int:
+    """Largest ``|value|`` of an integer array, as an unbounded Python int."""
+    if a.size == 0:
+        return 0
+    return max(abs(int(a.min())), abs(int(a.max())))
+
+
+def _effective_extent(
+    padded_hw: tuple[int, int], kernel: tuple[int, int], dilation: int
+) -> tuple[int, int]:
+    """Dilated kernel extent, checked against an already padded input."""
+    eff_h = (kernel[0] - 1) * dilation + 1
+    eff_w = (kernel[1] - 1) * dilation + 1
+    if padded_hw[0] < eff_h or padded_hw[1] < eff_w:
+        raise ValueError(
+            f"input {padded_hw} too small for effective kernel ({eff_h}, {eff_w})"
+        )
+    return eff_h, eff_w
+
+
 def im2col(
     x: np.ndarray,
     kernel: tuple[int, int],
@@ -38,15 +82,9 @@ def im2col(
     one ``[y, x]`` patch, a *brick* is 16 consecutive channels of it.
     """
     arr = _check_chw(x)
-    hf, wf = kernel
     if padding:
         arr = np.pad(arr, ((0, 0), (padding, padding), (padding, padding)))
-    eff_h = (hf - 1) * dilation + 1
-    eff_w = (wf - 1) * dilation + 1
-    if arr.shape[1] < eff_h or arr.shape[2] < eff_w:
-        raise ValueError(
-            f"input {arr.shape} too small for effective kernel ({eff_h}, {eff_w})"
-        )
+    eff_h, eff_w = _effective_extent(arr.shape[1:], kernel, dilation)
     win = sliding_window_view(arr, (eff_h, eff_w), axis=(1, 2))
     win = win[:, ::stride, ::stride, ::dilation, ::dilation]
     # (C, Ho, Wo, Hf, Wf) -> (Ho, Wo, C, Hf, Wf)
@@ -64,18 +102,16 @@ def conv2d_float(
     """Float convolution of a (C, H, W) input with (K, C, Hf, Wf) weights."""
     arr = _check_chw(x)
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 4 or w.shape[1] != arr.shape[0]:
-        raise ValueError(
-            f"weights must be (K, C={arr.shape[0]}, Hf, Wf), got {w.shape}"
-        )
+    _check_weights(w, arr.shape[0])
     k, c, hf, wf = w.shape
+    b = None if bias is None else _check_bias(bias, k, np.float64)
     cols = im2col(arr.astype(np.float64), (hf, wf), stride, padding, dilation)
     ho, wo = cols.shape[:2]
     flat = cols.reshape(ho * wo, c * hf * wf)
     out = flat @ w.reshape(k, c * hf * wf).T
     out = out.T.reshape(k, ho, wo)
-    if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float64).reshape(-1, 1, 1)
+    if b is not None:
+        out = out + b
     return out
 
 
@@ -97,19 +133,35 @@ def conv2d_int(
     w = np.asarray(weights)
     if not np.issubdtype(arr.dtype, np.integer) or not np.issubdtype(w.dtype, np.integer):
         raise TypeError("conv2d_int requires integer inputs and weights")
-    terms = w.shape[1] * w.shape[2] * w.shape[3]
-    max_prod = float(np.max(np.abs(arr), initial=0)) * float(np.max(np.abs(w), initial=0))
-    if max_prod * terms >= _EXACT_FLOAT_LIMIT:
+    _check_weights(w, arr.shape[0])
+    k, c, hf, wf = w.shape
+    # Python ints: np.abs would wrap INT64_MIN to a negative bound.
+    bound = _max_magnitude(arr) * _max_magnitude(w) * c * hf * wf
+    if bound >= _EXACT_FLOAT_LIMIT:
         raise OverflowError(
             "accumulation may exceed float64 exact-integer range; "
-            f"max|product| * terms = {max_prod * terms:.3g}"
+            f"max|product| * terms = {float(bound):.3g}"
         )
-    out = conv2d_float(
-        arr.astype(np.float64), w.astype(np.float64), None, stride, padding, dilation
-    )
-    acc = out.astype(np.int64)
-    if bias is not None:
-        acc = acc + np.asarray(bias, dtype=np.int64).reshape(-1, 1, 1)
+    b = None if bias is None else _check_bias(bias, k, np.int64)
+    if padding:
+        arr = np.pad(arr, ((0, 0), (padding, padding), (padding, padding)))
+    eff_h, eff_w = _effective_extent(arr.shape[1:], (hf, wf), dilation)
+    ho = (arr.shape[1] - eff_h) // stride + 1
+    wo = (arr.shape[2] - eff_w) // stride + 1
+    # Row (c, i, j) of the column block is tap (i, j)'s strided slice of channel c.
+    cols = np.empty((c, hf, wf, ho, wo), dtype=np.float64)
+    for i in range(hf):
+        for j in range(wf):
+            y0, x0 = i * dilation, j * dilation
+            cols[:, i, j] = arr[
+                :,
+                y0 : y0 + (ho - 1) * stride + 1 : stride,
+                x0 : x0 + (wo - 1) * stride + 1 : stride,
+            ]
+    out = w.reshape(k, -1).astype(np.float64) @ cols.reshape(c * hf * wf, ho * wo)
+    acc = out.astype(np.int64).reshape(k, ho, wo)
+    if b is not None:
+        acc = acc + b
     return acc
 
 

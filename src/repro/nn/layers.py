@@ -162,31 +162,32 @@ class Conv2d(Layer):
         return self.in_channels * self.kernel * self.kernel
 
     # -- float / calibration ---------------------------------------------
-    def _preact_float(self, x: np.ndarray) -> np.ndarray:
-        return F.conv2d_float(
-            x, self.weights, self.bias, self.stride, self.padding, self.dilation
-        )
-
-    def forward_float(self, x: np.ndarray) -> np.ndarray:
-        out = self._preact_float(x)
+    def _bias_relu(self, preact: np.ndarray) -> np.ndarray:
+        """``conv2d_float``'s bias add, then the fused ReLU."""
+        out = preact + self.bias.reshape(-1, 1, 1)
         if self.relu:
             out = np.maximum(out, 0.0)
         return out
 
+    def forward_float(self, x: np.ndarray) -> np.ndarray:
+        return self._bias_relu(
+            F.conv2d_float(x, self.weights, None, self.stride, self.padding, self.dilation)
+        )
+
     def calibrate(self, x: np.ndarray) -> np.ndarray:
         """Fit bias on first sight (if requested) and track output range."""
+        preact = F.conv2d_float(
+            x, self.weights, None, self.stride, self.padding, self.dilation
+        )
         if not self._bias_fitted:
-            preact = F.conv2d_float(
-                x, self.weights, None, self.stride, self.padding, self.dilation
-            )
             # Per-channel bias placing the sparsity_target quantile at zero:
             # after ReLU roughly that fraction of outputs becomes zero.
             q = np.quantile(preact, self.sparsity_target, axis=(1, 2))
             self.bias = -q
             self._bias_fitted = True
-        out = self.forward_float(x)
-        preact_max = float(np.max(np.abs(out))) if out.size else 0.0
-        self._calib_max_abs = max(self._calib_max_abs, preact_max)
+        out = self._bias_relu(preact)
+        out_max = float(np.max(np.abs(out))) if out.size else 0.0
+        self._calib_max_abs = max(self._calib_max_abs, out_max)
         return out
 
     # -- integer ----------------------------------------------------------

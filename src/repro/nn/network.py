@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.nn.fixed_point import INPUT_SCALE, quantize
-from repro.nn.layers import Conv2d, GlobalResidualAdd, Layer
+from repro.nn.fixed_point import ACT_BITS, INPUT_SCALE, quantize
+from repro.nn.layers import Conv2d, GlobalResidualAdd, Layer, _max_scale_for
 from repro.nn.trace import ActivationTrace, ConvLayerTrace
 
 #: Safety margin (integer bits) the shared global activation format keeps
@@ -136,9 +136,6 @@ class Network:
         if count == 0:
             raise ValueError("calibrate() needs at least one image")
         if global_format:
-            from repro.nn.layers import _max_scale_for
-            from repro.nn.fixed_point import ACT_BITS
-
             shared = min(
                 (
                     _max_scale_for(layer._calib_max_abs, ACT_BITS, headroom=1.125)

@@ -1,14 +1,16 @@
 """Executable specifications the production fast paths are tested against.
 
 Production keeps one implementation of each bitstream codec, cycle
-kernel, ECC, group width rule and serving engine: the whole-array numpy
-versions in :mod:`repro.compression`, :mod:`repro.weights.msr`,
-:mod:`repro.arch.cycles`, :mod:`repro.protect.ecc` and
-:mod:`repro.core.precision`, and the shard engine in
+kernel, ECC, group width rule, integer convolution and serving engine:
+the whole-array numpy versions in :mod:`repro.compression`,
+:mod:`repro.weights.msr`, :mod:`repro.arch.cycles`,
+:mod:`repro.protect.ecc`, :mod:`repro.core.precision` and
+:mod:`repro.nn.functional`, and the shard engine in
 :mod:`repro.serve.fleet.shard`.  This package holds the value-at-a-time,
-loop, bit-matrix, per-value and per-event versions they replaced — legible,
-obviously correct, slow — as plain functions that take the codec's or
-kernel's parameters, plus the virtual-clock ``InferenceService``.
+loop, bit-matrix, per-value, window-major and per-event versions they
+replaced — legible, obviously correct, slow — as plain functions that
+take the codec's or kernel's parameters, plus the virtual-clock
+``InferenceService`` and the two-convolution calibration.
 The property suites assert production is byte-identical to them;
 ``benchmarks/codec_bench.py`` and ``benchmarks/weights_bench.py`` time
 production against them.
@@ -30,6 +32,7 @@ from tests.oracles.codecs import (
     rlez_decode,
     rlez_encode,
 )
+from tests.oracles.conv import calibrate_two_pass, conv2d_int
 from tests.oracles.cycles import lane_term_totals_loops, step_term_maxima_loops
 from tests.oracles.msr import msr_choose_run, msr_decode_flagged, msr_encode
 from tests.oracles.precision import group_widths, required_bits
@@ -59,6 +62,8 @@ __all__ = [
     "group_decode_flagged",
     "rlez_encode",
     "rlez_decode",
+    "conv2d_int",
+    "calibrate_two_pass",
     "msr_choose_run",
     "msr_encode",
     "msr_decode_flagged",

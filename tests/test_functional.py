@@ -95,6 +95,40 @@ class TestConv2dInt:
         with pytest.raises(OverflowError):
             F.conv2d_int(x, w)
 
+    def test_overflow_guard_sees_int64_min(self):
+        # np.abs wraps INT64_MIN to itself (negative); the bound must not.
+        x = np.array([[[np.iinfo(np.int64).min, 0], [0, 0]]], dtype=np.int64)
+        with pytest.raises(OverflowError):
+            F.conv2d_int(x, np.ones((1, 1, 2, 2), dtype=np.int64))
+        with pytest.raises(OverflowError):
+            F.conv2d_int(np.ones((1, 2, 2), dtype=np.int64), np.swapaxes(x[None], 0, 1))
+
+    def test_non_4d_weights_named_error(self):
+        with pytest.raises(ValueError, match=r"weights must be \(K, C=1, Hf, Wf\)"):
+            F.conv2d_int(np.ones((1, 4, 4), dtype=np.int64), np.ones((1, 1, 3), dtype=np.int64))
+
+    def test_channel_mismatch_named_error(self):
+        with pytest.raises(ValueError, match=r"weights must be \(K, C=2, Hf, Wf\)"):
+            F.conv2d_int(np.ones((2, 4, 4), dtype=np.int64), np.ones((1, 3, 3, 3), dtype=np.int64))
+
+    def test_wrong_length_bias_named_error(self):
+        x = np.ones((1, 4, 4), dtype=np.int64)
+        w = np.ones((2, 1, 3, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"bias must hold one value per filter \(K=2\)"):
+            F.conv2d_int(x, w, bias=np.array([1, 2, 3]))
+        with pytest.raises(ValueError, match=r"bias must hold one value per filter \(K=2\)"):
+            F.conv2d_float(x, w, bias=np.array([1.0, 2.0, 3.0]))
+
+
+class TestConv2dFloat:
+    def test_wrong_length_bias_named_error(self):
+        with pytest.raises(ValueError, match=r"bias must hold one value per filter \(K=3\)"):
+            F.conv2d_float(np.ones((1, 4, 4)), np.ones((3, 1, 3, 3)), bias=np.ones(2))
+
+    def test_non_4d_weights_named_error(self):
+        with pytest.raises(ValueError, match=r"weights must be"):
+            F.conv2d_float(np.ones((1, 4, 4)), np.ones((3, 3)))
+
 
 class TestReshuffles:
     def test_space_to_depth_roundtrip(self):
