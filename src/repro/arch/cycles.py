@@ -128,26 +128,17 @@ def geometry_occupancies(
     return filter_occ, channel_occ
 
 
-def _brick_tap_view(
+def _tap_span(
     arr: np.ndarray,
     kernel: int,
     stride: int,
     dilation: int,
     out_h: int,
     out_w: int,
-    brick: int,
-) -> np.ndarray:
-    """Zero-copy (bricks, brick, fy, fx, out_h, out_w) view of ``arr``.
-
-    ``arr`` is a (bricks * brick, Hp, Wp) term map; element
-    ``[cb, l, fy, fx, oy, ox]`` of the view is the term count the lane
-    ``l`` of channel-brick ``cb`` streams for weight tap (fy, fx) of the
-    output window (oy, ox) — i.e. every operand of the triple loop in
-    ``tests/oracles/cycles.py``, expressed as strides so the reductions
-    below run in C.
-    """
-    c, hp, wp = arr.shape
-    bricks = c // brick
+) -> tuple[int, int]:
+    """The (rows, columns) every tap of every (out_h, out_w) window reads;
+    ``ValueError`` unless ``arr``'s last two axes hold them."""
+    hp, wp = arr.shape[-2:]
     need_h = (kernel - 1) * dilation + (out_h - 1) * stride + 1
     need_w = (kernel - 1) * dilation + (out_w - 1) * stride + 1
     if need_h > hp or need_w > wp:
@@ -156,11 +147,30 @@ def _brick_tap_view(
             f"kernel={kernel}, stride={stride}, dilation={dilation}, "
             f"out={(out_h, out_w)} (needs {(need_h, need_w)})"
         )
+    return need_h, need_w
+
+
+def _tap_view(
+    arr: np.ndarray,
+    kernel: int,
+    stride: int,
+    dilation: int,
+    out_h: int,
+    out_w: int,
+) -> np.ndarray:
+    """Zero-copy (C, fy, fx, out_h, out_w) view of a (C, Hp, Wp) map.
+
+    Element ``[c, fy, fx, oy, ox]`` of the view is the value channel
+    ``c`` streams for weight tap (fy, fx) of the output window (oy, ox)
+    — i.e. every operand of the loops in ``tests/oracles/cycles.py``,
+    expressed as strides so the reductions below run in C.
+    """
+    _tap_span(arr, kernel, stride, dilation, out_h, out_w)
     sc, sh, sw = arr.strides
     return np.lib.stride_tricks.as_strided(
         arr,
-        shape=(bricks, brick, kernel, kernel, out_h, out_w),
-        strides=(sc * brick, sc, sh * dilation, sw * dilation, sh * stride, sw * stride),
+        shape=(arr.shape[0], kernel, kernel, out_h, out_w),
+        strides=(sc, sh * dilation, sw * dilation, sh * stride, sw * stride),
         writeable=False,
     )
 
@@ -197,21 +207,17 @@ def step_term_maxima(
     # bricks*k*k steps become a pure strided gather of the per-position
     # maxima instead of its own O(brick·out_h·out_w) reduction.
     per_pos_max = arr.reshape(-1, brick, hp, wp).max(axis=1)
-    gathered = _brick_tap_view(
-        per_pos_max, kernel, stride, dilation, out_h, out_w, brick=1
-    )
-    # (bricks, 1, fy, fx, oh, ow) -> C-order copy matches the loop spec's
-    # step ordering s = (cb*kernel + fy)*kernel + fx.
-    maxima = np.ascontiguousarray(gathered, dtype=np.int64).reshape(
-        -1, out_h, out_w
-    )
+    gathered = _tap_view(per_pos_max, kernel, stride, dilation, out_h, out_w)
+    # (bricks, fy, fx, oh, ow) -> C-order copy matches the loop spec's
+    # step ordering s = (cb*kernel + fy)*kernel + fx.  Always a copy: a
+    # 1x1 layer's view is already contiguous, and callers splice into it.
+    maxima = np.array(gathered, dtype=np.int64).reshape(-1, out_h, out_w)
     # Every tap revisits the same channel-summed plane shifted, so the
     # grand total is k*k strided slice-sums of one O(Hp·Wp) plane rather
     # than a sum over the full C·k·k-redundant window view.
     plane = arr.sum(axis=0, dtype=np.int64)[None]
     total_terms = int(
-        _brick_tap_view(plane, kernel, stride, dilation, out_h, out_w, brick=1)
-        .sum(dtype=np.int64)
+        _tap_view(plane, kernel, stride, dilation, out_h, out_w).sum(dtype=np.int64)
     )
     return maxima, total_terms
 
@@ -231,13 +237,26 @@ def lane_term_totals(
     c+2*brick, ... across every weight tap; its busy time for the window
     is the sum of all those term counts.  Returns ``totals`` of shape
     (brick, out_h, out_w) and the grand total.
+
+    The k*k tap sum is separable: ``kernel`` shifted strided adds along x
+    fill a row buffer, then ``kernel`` shifted strided adds along y read
+    it.  The counts are integers, so this order is as exact as any.
     """
     arr = _pad_to_bricks(np.ascontiguousarray(term_map), brick)
     folded = arr.reshape(-1, brick, arr.shape[1], arr.shape[2]).sum(
         axis=0, dtype=np.int64
     )
-    view = _brick_tap_view(folded, kernel, stride, dilation, out_h, out_w, brick)
-    totals = view.sum(axis=(2, 3), dtype=np.int64)[0]
+    need_h, _ = _tap_span(folded, kernel, stride, dilation, out_h, out_w)
+    span_h = (out_h - 1) * stride + 1
+    span_w = (out_w - 1) * stride + 1
+    rows = folded[:, :need_h, 0:span_w:stride].copy()
+    for fx in range(1, kernel):
+        x0 = fx * dilation
+        rows += folded[:, :need_h, x0 : x0 + span_w : stride]
+    totals = rows[:, 0:span_h:stride].copy()
+    for fy in range(1, kernel):
+        y0 = fy * dilation
+        totals += rows[:, y0 : y0 + span_h : stride]
     return totals, int(totals.sum())
 
 
@@ -323,7 +342,10 @@ def serial_layer_cycles(
     given, the *head windows* of each differential chain (the leftmost
     window per row for ``axis="x"``) are re-aggregated from it — this is
     how Diffy's raw-first-window dataflow is modelled without corrupting
-    the overlapping delta windows.
+    the overlapping delta windows.  Under ``lane``/``row`` sync the body
+    terms the head replaces are the head column's (row's) lane totals,
+    read before the splice; step maxima do not sum to terms, so
+    ``column``/``pallet`` sync re-count them over the head windows.
     """
     _, out_h, out_w = layer.omap_shape
     cfg = config
@@ -336,23 +358,20 @@ def serial_layer_cycles(
     )
     if head_term_map is not None:
         if axis == "x":
-            head_agg, head_terms = aggregate_fn(
-                head_term_map, *geom, out_h, 1, cfg.terms_per_filter
-            )
-            body_agg, body_terms = aggregate_fn(
-                term_map, *geom, out_h, 1, cfg.terms_per_filter
-            )
-            aggregate[..., :, 0:1] = head_agg
+            head_out, head = (out_h, 1), (..., slice(None), slice(0, 1))
         elif axis == "y":
-            head_agg, head_terms = aggregate_fn(
-                head_term_map, *geom, 1, out_w, cfg.terms_per_filter
-            )
-            body_agg, body_terms = aggregate_fn(
-                term_map, *geom, 1, out_w, cfg.terms_per_filter
-            )
-            aggregate[..., 0:1, :] = head_agg
+            head_out, head = (1, out_w), (..., slice(0, 1), slice(None))
         else:
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        head_agg, head_terms = aggregate_fn(
+            head_term_map, *geom, *head_out, cfg.terms_per_filter
+        )
+        if aggregate_fn is lane_term_totals:
+            body_terms = aggregate[head].sum()
+        else:
+            _, body_terms = aggregate_fn(
+                term_map, *geom, *head_out, cfg.terms_per_filter
+            )
+        aggregate[head] = head_agg
         total = int(total) - int(body_terms) + int(head_terms)
-        del body_agg
     return assemble_layer_cycles(layer, aggregate, float(total), cfg)

@@ -5,7 +5,8 @@ This is the main entry point of the architecture package.  For one
 combination, :func:`simulate_network`:
 
 1. collects seeded activation traces on crops (cached),
-2. runs the accelerator's cycle model per layer and averages
+2. runs the accelerator's cycle model per layer (once per layer and
+   engine: the records are memoized with the layer) and averages
    cycles-per-window over the traces,
 3. scales to the target resolution (fully-convolutional networks have
    resolution-invariant per-window statistics — see DESIGN.md),
@@ -39,6 +40,7 @@ from repro.arch.vaa import VAAModel
 from repro.cache import store as cache_store
 from repro.compression.footprint import imap_precisions, omap_precisions
 from repro.compression.traffic import LayerTraffic, network_traffic
+from repro.core.layer_memo import instance_key, memoized
 from repro.data.datasets import dataset
 from repro.models.inputs import adapt_input
 from repro.models.registry import get_model_spec, prepare_model
@@ -46,6 +48,7 @@ from repro.nn.shapes import conv_layer_shapes
 from repro.nn.trace import ActivationTrace
 from repro.utils import timing
 from repro.utils.rng import DEFAULT_SEED
+from repro.utils.validation import check_integer, check_positive
 
 #: Default off-chip memory interface of the headline results (Section IV-A).
 DEFAULT_MEMORY = "DDR4-3200"
@@ -164,6 +167,8 @@ def collect_traces(
     any cache lookup, so an explicit ``crop == spec.trace_crop`` and the
     default address the same entry (in memory and on disk).
     """
+    count = check_integer("count", count)
+    check_positive("count", count)
     spec = get_model_spec(model_name)
     size = crop if crop is not None else spec.trace_crop
     return _collect_traces(model_name, dataset_name, count, size, seed)
@@ -218,11 +223,10 @@ def model_for(
         from repro.arch.predict import ValuePredictionModel
 
         return ValuePredictionModel(config or PRA_CONFIG)
-    if accelerator.startswith("SCNN"):
-        sparsity = weight_sparsity
-        if accelerator != "SCNN":
-            sparsity = int(accelerator[4:]) / 100.0
-        return SCNNModel(weight_sparsity=sparsity)
+    if accelerator == "SCNN":
+        return SCNNModel(weight_sparsity=weight_sparsity)
+    if accelerator.startswith("SCNN") and accelerator[4:].isdigit():
+        return SCNNModel(weight_sparsity=int(accelerator[4:]) / 100.0)
     raise ValueError(
         f"unknown accelerator {accelerator!r}; "
         "expected VAA, PRA, Diffy, VP, or SCNN[50|75|90]"
@@ -232,8 +236,18 @@ def model_for(
 def _mean_layer_cycles(
     model, traces: Sequence[ActivationTrace]
 ) -> list[LayerCycles]:
-    """Per-layer cycle records averaged over traces."""
-    per_trace = [[model.layer_cycles(layer) for layer in t] for t in traces]
+    """Per-layer cycle records averaged over traces.
+
+    Each layer's record is memoized under the model's class and every
+    field (:func:`~repro.core.layer_memo.instance_key`): it reads neither
+    the scheme, the memory system nor the resolution, so one engine is
+    priced once per layer however many of those a sweep visits.
+    """
+    key = ("cycles", instance_key(model))
+    per_trace = [
+        [memoized(layer, key, lambda layer=layer: model.layer_cycles(layer)) for layer in t]
+        for t in traces
+    ]
     out = []
     for i in range(len(per_trace[0])):
         records = [pt[i] for pt in per_trace]
@@ -265,8 +279,16 @@ def simulate_network(
     """Simulate one network end to end; see module docstring.
 
     ``memory`` may be a technology name (``"DDR4-3200"``, ``"Ideal"``, ...)
-    or a prebuilt :class:`MemorySystem`.
+    with ``channels`` channels, or a prebuilt :class:`MemorySystem`, which
+    already fixes its channel count.
     """
+    if isinstance(memory, MemorySystem) and channels != 1:
+        raise ValueError(
+            f"channels={channels!r} with a prebuilt MemorySystem; "
+            "pass the technology name, or build it with memory_system(name, channels)"
+        )
+    for name, dim in zip(("height", "width"), resolution):
+        check_positive(f"resolution {name}", dim)
     with timing.timed("sim.simulate_network"):
         return _simulate_network(
             model_name, accelerator, scheme, memory, channels, resolution,

@@ -20,12 +20,13 @@ same layer — PRA's raw stream, Diffy's delta stream and raw head
 windows, the serve layer's temporal pricing — reuses one set of arrays.
 
 The memo itself lives in :mod:`repro.core.layer_memo`, keyed by layer
-identity and evicted with the layer; :mod:`repro.compression.footprint`
-reads the same memo for each layer's value range and encoded bits.
-:func:`lowering_stats` reports how often the expensive computes actually
-ran versus being served from that memo, compression lookups included;
-both are ``arch.lowering.*`` counters in the :mod:`repro.utils.timing`
-registry.
+identity and evicted with the layer; :func:`repro.arch.sim.simulate_network`
+reads the same memo for each layer's cycle record under each engine, and
+:mod:`repro.compression.footprint` for each layer's value range and
+encoded bits.  :func:`lowering_stats` reports how often the expensive
+computes actually ran versus being served from that memo, cycle-record
+and compression lookups included; both are ``arch.lowering.*`` counters
+in the :mod:`repro.utils.timing` registry.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ import math
 import numpy as np
 
 from repro.core.deltas import spatial_deltas
+from repro.core.layer_memo import instance_key
 from repro.core.precision import HEADER_BITS, group_precisions
 from repro.utils.validation import check_positive
 
@@ -82,12 +83,9 @@ class CompressionScheme:
 
     @property
     def key(self) -> tuple:
-        """The class and every instance field: all that sets the bit count.
-
-        The name alone is not enough: ``DeltaDynamic(16, axis="y")`` is
-        also named ``DeltaD16``.
-        """
-        return (type(self), *sorted(vars(self).items()))
+        """The class and every instance field: all that sets the bit count
+        (:func:`repro.core.layer_memo.instance_key`)."""
+        return instance_key(self)
 
     def bits_per_value(self, fmap: np.ndarray, profiled_precision: int = 16) -> float:
         """Average encoded bits per activation."""

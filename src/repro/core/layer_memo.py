@@ -2,13 +2,16 @@
 
 Every artifact the pipeline derives from a traced layer is a pure
 function of that layer: the zero-padded imap and its Booth term maps
-(:mod:`repro.arch.term_maps`), the layer's imap/omap value range and its
-encoded bits under each compression scheme
-(:mod:`repro.compression.footprint`).  :func:`repro.arch.sim.simulate_network`
-evaluates the same traces once per (accelerator, scheme) pair, so each
-artifact would otherwise be recomputed for every engine.  Both packages
-read through :func:`memoized` instead, and each distinct ``(layer, key)``
-is computed exactly once per trace lifetime.
+(:mod:`repro.arch.term_maps`), each cycle model's
+:class:`~repro.arch.cycles.LayerCycles` record (:mod:`repro.arch.sim`),
+the layer's imap/omap value range and its encoded bits under each
+compression scheme (:mod:`repro.compression.footprint`).
+:func:`repro.arch.sim.simulate_network` evaluates the same traces once
+per (accelerator, scheme) pair, so each artifact would otherwise be
+recomputed for every engine or every scheme.  All three read through
+:func:`memoized` instead, and each distinct ``(layer, key)`` is computed
+exactly once per trace lifetime.  A key that names a model or a scheme
+carries :func:`instance_key` of it.
 
 Memos are keyed by layer *identity* (``id``) and evicted by a weakref
 finalizer when the layer is garbage collected, so memoization never
@@ -28,7 +31,7 @@ import numpy as np
 from repro.cache import store as cache_store
 from repro.utils import timing
 
-__all__ = ["memoized", "clear_memos"]
+__all__ = ["memoized", "instance_key", "clear_memos"]
 
 T = TypeVar("T")
 
@@ -58,6 +61,15 @@ def memoized(layer: object, key: tuple, compute: Callable[[], T]) -> T:
     else:
         timing.count("arch.lowering.reused")
     return value
+
+
+def instance_key(obj: object) -> tuple:
+    """The class and every instance field: all that sets what ``obj`` computes.
+
+    The name alone is not enough: ``DeltaDynamic(16, axis="y")`` is also
+    named ``DeltaD16``, and ``DiffyModel(axis="y")`` is also named ``Diffy``.
+    """
+    return (type(obj), *sorted(vars(obj).items()))
 
 
 def clear_memos() -> None:

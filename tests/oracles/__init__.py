@@ -10,7 +10,8 @@ the whole-array numpy versions in :mod:`repro.compression`,
 loop, bit-matrix, per-value, window-major and per-event versions they
 replaced — legible, obviously correct, slow — as plain functions that
 take the codec's or kernel's parameters, plus the virtual-clock
-``InferenceService`` and the two-convolution calibration.
+``InferenceService``, the two-convolution calibration and the
+two-aggregate Diffy head splice.
 The property suites assert production is byte-identical to them;
 ``benchmarks/codec_bench.py`` and ``benchmarks/weights_bench.py`` time
 production against them.
@@ -33,7 +34,11 @@ from tests.oracles.codecs import (
     rlez_encode,
 )
 from tests.oracles.conv import calibrate_two_pass, conv2d_int
-from tests.oracles.cycles import lane_term_totals_loops, step_term_maxima_loops
+from tests.oracles.cycles import (
+    lane_term_totals_loops,
+    serial_layer_cycles_two_aggregates,
+    step_term_maxima_loops,
+)
 from tests.oracles.msr import msr_choose_run, msr_decode_flagged, msr_encode
 from tests.oracles.precision import group_widths, required_bits
 from tests.oracles.secded import (
@@ -71,6 +76,7 @@ __all__ = [
     "group_widths",
     "step_term_maxima_loops",
     "lane_term_totals_loops",
+    "serial_layer_cycles_two_aggregates",
     "secded_encode",
     "secded_decode",
     "words_to_bits",

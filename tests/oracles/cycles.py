@@ -1,13 +1,19 @@
 """Loop transcriptions of the vectorized cycle kernels in
 :mod:`repro.arch.cycles`: one weight tap (and one channel brick) at a
 time, the executable spec ``step_term_maxima`` and ``lane_term_totals``
-are property-tested against."""
+are property-tested against, plus the two-aggregate head splice
+``serial_layer_cycles`` is tested against."""
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
+
+from repro.arch.config import AcceleratorConfig
+from repro.arch.cycles import LayerCycles, assemble_layer_cycles
+from repro.nn.trace import ConvLayerTrace
 
 
 def window_slice(
@@ -76,3 +82,38 @@ def lane_term_totals_loops(
         for fx in range(kernel):
             totals += window_slice(folded, fy, fx, stride, dilation, out_h, out_w)
     return totals, int(totals.sum())
+
+
+def serial_layer_cycles_two_aggregates(
+    layer: ConvLayerTrace,
+    term_map: np.ndarray,
+    config: AcceleratorConfig,
+    head_term_map: Optional[np.ndarray] = None,
+    axis: str = "x",
+) -> LayerCycles:
+    """Reference ``serial_layer_cycles``: the head windows of each chain
+    are aggregated from ``head_term_map`` and spliced in, and the body
+    terms they replace come from a second aggregate of ``term_map`` over
+    the same head windows, under every sync model."""
+    _, out_h, out_w = layer.omap_shape
+    geom = (layer.kernel, layer.stride, layer.dilation)
+    brick = config.terms_per_filter
+    aggregate_fn = (
+        lane_term_totals_loops
+        if config.sync in ("lane", "row")
+        else step_term_maxima_loops
+    )
+    aggregate, total = aggregate_fn(term_map, *geom, out_h, out_w, brick)
+    if head_term_map is not None:
+        if axis == "x":
+            head_agg, head_terms = aggregate_fn(head_term_map, *geom, out_h, 1, brick)
+            _, body_terms = aggregate_fn(term_map, *geom, out_h, 1, brick)
+            aggregate[..., :, 0:1] = head_agg
+        elif axis == "y":
+            head_agg, head_terms = aggregate_fn(head_term_map, *geom, 1, out_w, brick)
+            _, body_terms = aggregate_fn(term_map, *geom, 1, out_w, brick)
+            aggregate[..., 0:1, :] = head_agg
+        else:
+            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        total = int(total) - int(body_terms) + int(head_terms)
+    return assemble_layer_cycles(layer, aggregate, float(total), config)

@@ -1,5 +1,7 @@
 """Tests for the shared cycle-counting machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,16 @@ from repro.arch.cycles import (
     geometry_occupancies,
     lane_term_totals,
     pallet_cycles,
+    serial_layer_cycles,
     step_term_maxima,
 )
-from tests.oracles import lane_term_totals_loops, step_term_maxima_loops
+from repro.arch.term_maps import lower_layer
+from repro.nn.trace import ConvLayerTrace
+from tests.oracles import (
+    lane_term_totals_loops,
+    serial_layer_cycles_two_aggregates,
+    step_term_maxima_loops,
+)
 
 
 def _cfg(**kw):
@@ -185,6 +194,23 @@ geometries = st.tuples(
 )
 
 
+#: Wide lane-totals geometries: every kernel up to 9x9, the dilation-4
+#: extreme, the brick sizes of T_1/T_4/T_16, non-square outputs, and a
+#: spatial margin past the exact window span on either axis.
+wide_geometries = st.tuples(
+    st.integers(min_value=1, max_value=40),   # channels
+    st.integers(min_value=1, max_value=9),    # kernel
+    st.integers(min_value=1, max_value=3),    # stride
+    st.integers(min_value=1, max_value=4),    # dilation
+    st.integers(min_value=1, max_value=7),    # out_h
+    st.integers(min_value=1, max_value=9),    # out_w
+    st.sampled_from([1, 4, 16]),              # brick
+    st.integers(min_value=0, max_value=3),    # row margin
+    st.integers(min_value=0, max_value=3),    # column margin
+    st.integers(min_value=0, max_value=2**32 - 1),  # term-map seed
+)
+
+
 def _random_term_map(seed, c, h, w):
     # Booth term counts of a 16-bit word are 0..8; include the extremes.
     return np.random.default_rng(seed).integers(0, 9, size=(c, h, w)).astype(np.int64)
@@ -210,18 +236,21 @@ class TestVectorizedKernelsMatchLoops:
         assert np.array_equal(maxima, ref_maxima)
         assert total == ref_total
 
-    @settings(max_examples=60, deadline=None)
-    @given(geometries)
+    @settings(max_examples=150, deadline=None)
+    @given(wide_geometries)
     def test_lane_term_totals(self, geom):
-        c, kernel, stride, dilation, out_h, out_w, brick, seed = geom
-        h = (kernel - 1) * dilation + (out_h - 1) * stride + 1
-        w = (kernel - 1) * dilation + (out_w - 1) * stride + 1
+        # The kernel sums taps as x adds then y adds; the loop spec adds
+        # each (fy, fx) tap in turn.  Integer sums: exact either way.
+        c, kernel, stride, dilation, out_h, out_w, brick, mh, mw, seed = geom
+        h = (kernel - 1) * dilation + (out_h - 1) * stride + 1 + mh
+        w = (kernel - 1) * dilation + (out_w - 1) * stride + 1 + mw
         tm = _random_term_map(seed, c, h, w)
         totals, total = lane_term_totals(tm, kernel, stride, dilation, out_h, out_w, brick)
         ref_totals, ref_total = lane_term_totals_loops(
             tm, kernel, stride, dilation, out_h, out_w, brick
         )
         assert totals.shape == ref_totals.shape
+        assert totals.dtype == ref_totals.dtype
         assert np.array_equal(totals, ref_totals)
         assert total == ref_total
 
@@ -266,3 +295,87 @@ class TestVectorizedKernelsMatchLoops:
         tm = _random_term_map(1, 4, 4, 4)
         with pytest.raises(ValueError, match="too small"):
             step_term_maxima(tm, 3, 1, 3, 4, 4, 16)
+
+    @pytest.mark.parametrize("short", ["rows", "columns"])
+    def test_lane_totals_too_small_map_raises(self, short):
+        h, w = (6, 7) if short == "rows" else (7, 6)
+        tm = _random_term_map(2, 4, h, w)
+        with pytest.raises(ValueError, match="too small"):
+            lane_term_totals(tm, 3, 1, 1, 5, 5, 4)
+
+
+def _geometry_layer(c, k_out, kernel, stride, dilation, out_h, out_w):
+    """A trace layer that carries only the geometry the cycle model reads."""
+    return ConvLayerTrace(
+        name="probe",
+        index=0,
+        imap=np.zeros((c, 1, 1), dtype=np.int64),
+        imap_scale=0,
+        omap=np.zeros((k_out, out_h, out_w), dtype=np.int64),
+        omap_scale=0,
+        out_channels=k_out,
+        kernel=kernel,
+        stride=stride,
+        padding=0,
+        dilation=dilation,
+        relu=True,
+    )
+
+
+SYNCS = ("lane", "row", "column", "pallet")
+
+
+class TestHeadSpliceMatchesTwoAggregateSpec:
+    """Under ``lane``/``row`` sync the body terms a head window replaces
+    are read off the aggregate; the spec re-aggregates them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        geometries,
+        st.sampled_from(SYNCS),
+        st.sampled_from(["x", "y"]),
+        st.integers(min_value=1, max_value=80),
+    )
+    def test_constructed_layers(self, geom, sync, axis, k_out):
+        c, kernel, stride, dilation, out_h, out_w, brick, seed = geom
+        h = (kernel - 1) * dilation + (out_h - 1) * stride + 2
+        w = (kernel - 1) * dilation + (out_w - 1) * stride + 3
+        delta = _random_term_map(seed, c, h, w)
+        raw = _random_term_map(seed + 1, c, h, w)
+        layer = _geometry_layer(c, k_out, kernel, stride, dilation, out_h, out_w)
+        cfg = dataclasses.replace(DIFFY_CONFIG, sync=sync, terms_per_filter=brick)
+        got = serial_layer_cycles(layer, delta, cfg, head_term_map=raw, axis=axis)
+        want = serial_layer_cycles_two_aggregates(
+            layer, delta, cfg, head_term_map=raw, axis=axis
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("sync", SYNCS)
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_traced_layers(self, sync, axis, dncnn_trace, ircnn_trace):
+        cfg = dataclasses.replace(DIFFY_CONFIG, sync=sync)
+        dilated = max(ircnn_trace, key=lambda layer: layer.dilation)
+        for layer in (dncnn_trace[0], dncnn_trace[1], dncnn_trace[-1], dilated):
+            lowered = lower_layer(layer, axis=axis)
+            args = (layer, lowered.delta_terms, cfg)
+            got = serial_layer_cycles(*args, head_term_map=lowered.raw_terms, axis=axis)
+            want = serial_layer_cycles_two_aggregates(
+                *args, head_term_map=lowered.raw_terms, axis=axis
+            )
+            assert got == want
+
+    @pytest.mark.parametrize("sync", ["column", "pallet"])
+    def test_one_by_one_layer_without_margin(self, sync):
+        # The step-maxima view of a marginless 1x1 layer is already
+        # contiguous; the splice must still get a writeable copy.
+        layer = _geometry_layer(4, 4, 1, 1, 1, 3, 5)
+        delta, raw = _random_term_map(0, 4, 3, 5), _random_term_map(1, 4, 3, 5)
+        cfg = dataclasses.replace(DIFFY_CONFIG, sync=sync)
+        got = serial_layer_cycles(layer, delta, cfg, head_term_map=raw)
+        assert got == serial_layer_cycles_two_aggregates(layer, delta, cfg, head_term_map=raw)
+
+    def test_unknown_axis(self):
+        layer = _geometry_layer(4, 4, 1, 1, 1, 2, 2)
+        tm = _random_term_map(0, 4, 2, 2)
+        with pytest.raises(ValueError, match="axis must be"):
+            serial_layer_cycles(layer, tm, DIFFY_CONFIG, head_term_map=tm, axis="z")

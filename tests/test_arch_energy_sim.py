@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch.energy import AREA_TABLE, POWER_TABLE, EnergyModel
+from repro.arch.memory import memory_system
 from repro.arch.sim import (
     HD_RESOLUTION,
     collect_traces,
@@ -72,6 +73,11 @@ class TestModelFor:
         with pytest.raises(ValueError):
             model_for("Eyeriss")
 
+    @pytest.mark.parametrize("name", ["SCNNx", "SCNN-50", "SCNN5o"])
+    def test_bad_scnn_suffix_is_an_unknown_accelerator(self, name):
+        with pytest.raises(ValueError, match="unknown accelerator"):
+            model_for(name)
+
 
 class TestCollectTraces:
     def test_cached_and_deterministic(self):
@@ -80,6 +86,15 @@ class TestCollectTraces:
         assert a is b
         assert len(a) == 1
         assert a[0].network == "IRCNN"
+
+    @pytest.mark.parametrize("count", [0, -1, 1.0])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValueError, match="count must be"):
+            collect_traces("IRCNN", "Kodak24", count=count, crop=32)
+
+    def test_simulate_network_rejects_zero_traces(self):
+        with pytest.raises(ValueError, match="count must be > 0"):
+            simulate_network("IRCNN", "Diffy", dataset_name="Kodak24", trace_count=0, crop=32)
 
 
 class TestSimulateNetwork:
@@ -152,3 +167,23 @@ class TestSimulateNetwork:
 
     def test_traffic_positive(self, results):
         assert results["Diffy"].traffic_bytes > 0
+
+
+class TestSimulateNetworkInputs:
+    KW = dict(dataset_name="Kodak24", trace_count=1, crop=32)
+
+    @pytest.mark.parametrize("resolution", [(0, 0), (-4, 10), (1080, 0)])
+    def test_non_positive_resolution_is_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution (height|width) must be > 0"):
+            simulate_network("IRCNN", "Diffy", resolution=resolution, **self.KW)
+
+    def test_prebuilt_memory_with_channels_is_rejected(self):
+        with pytest.raises(ValueError, match="prebuilt MemorySystem"):
+            simulate_network(
+                "IRCNN", "Diffy", memory=memory_system("DDR4-3200"), channels=2, **self.KW
+            )
+
+    def test_prebuilt_memory_equals_its_name(self):
+        built = simulate_network("IRCNN", "Diffy", memory=memory_system("HBM2", 2), **self.KW)
+        named = simulate_network("IRCNN", "Diffy", memory="HBM2", channels=2, **self.KW)
+        assert built == named

@@ -1,19 +1,25 @@
 """The per-layer memo that ``arch`` and ``compression`` share.
 
-Each trace layer's lowering artifacts (term maps) and its encoded bits
-under each scheme live in :mod:`repro.core.layer_memo`: keyed so that
-two schemes with one name still price separately, and gone once the
-layer is.
+Each trace layer's lowering artifacts (term maps), its cycle records
+under each engine and its encoded bits under each scheme live in
+:mod:`repro.core.layer_memo`: keyed so that two schemes or two engines
+with one name still price separately, and gone once the layer is.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 
 import numpy as np
 import pytest
 
-from repro.arch import term_maps
+from repro.arch import sim, term_maps
+from repro.arch.config import PRA_CONFIG
+from repro.arch.diffy import DiffyModel
+from repro.arch.pra import PRAModel
+from repro.arch.predict import ValuePredictionModel
+from repro.arch.scnn import SCNNModel
 from repro.compression.footprint import (
     imap_precisions,
     layer_bits_per_value,
@@ -74,6 +80,65 @@ class TestMemoKey:
         term_maps.reset_lowering_stats()
         assert layer_bits_per_value([trace], 0, DeltaDynamic(16), [16]) == first
         assert term_maps.lowering_stats() == {"computed": 0, "reused": 1}
+
+
+#: Model pairs built with one argument changed; all but SCNN share a name.
+_SPLIT_PAIRS = {
+    "diffy_axis": (DiffyModel(axis="x"), DiffyModel(axis="y")),
+    "vp_threshold": (ValuePredictionModel(threshold=0), ValuePredictionModel(threshold=8)),
+    "vp_recovery": (
+        ValuePredictionModel(recovery_cycles=2),
+        ValuePredictionModel(recovery_cycles=5),
+    ),
+    "vp_enabled": (ValuePredictionModel(), ValuePredictionModel(enabled=False)),
+    "pra_sync": (PRAModel(), PRAModel(dataclasses.replace(PRA_CONFIG, sync="lane"))),
+    "scnn_sparsity": (SCNNModel(0.5), SCNNModel(0.75)),
+}
+
+#: The compression schemes the figure-iteration loop prices every engine under.
+_WARM_SCHEMES = ("NoCompression", "RawD16", "DeltaD16")
+
+
+class TestCycleMemo:
+    @pytest.mark.parametrize("field", sorted(_SPLIT_PAIRS))
+    def test_each_model_field_splits_the_key(self, field, dncnn_trace):
+        layer = dncnn_trace[1]
+        trace = _trace(layer)
+        models = _SPLIT_PAIRS[field]
+        priced = [sim._mean_layer_cycles(m, [trace])[0] for m in models]
+        assert priced == [m.layer_cycles(layer) for m in models]
+        assert priced[0] != priced[1]
+        cycle_keys = {k for k in layer_memo._MEMOS[id(layer)] if k[0] == "cycles"}
+        assert {("cycles", layer_memo.instance_key(m)) for m in models} <= cycle_keys
+
+    @pytest.mark.parametrize("engine", ["VAA", "PRA", "Diffy", "VP"])
+    def test_one_engine_is_priced_once_per_layer_across_schemes(self, engine, monkeypatch):
+        cls = type(sim.model_for(engine))
+        calls = []
+        original = cls.layer_cycles
+
+        def counting(self, layer):
+            calls.append(layer)
+            return original(self, layer)
+
+        monkeypatch.setattr(cls, "layer_cycles", counting)
+        layer_memo.clear_memos()
+        kw = dict(dataset_name="Kodak24", trace_count=2, crop=32)
+        results = [sim.simulate_network("IRCNN", engine, scheme=s, **kw) for s in _WARM_SCHEMES]
+        layers = [layer for t in sim.collect_traces("IRCNN", "Kodak24", 2, 32) for layer in t]
+        assert len(calls) == len(layers)
+        assert {id(layer) for layer in calls} == {id(layer) for layer in layers}
+        assert len({tuple(r.compute_cycles for r in res.layers) for res in results}) == 1
+
+    @pytest.mark.parametrize(
+        "engine", ["VAA", "PRA", "Diffy", "VP", "SCNN", "SCNN50", "SCNN75", "SCNN90"]
+    )
+    def test_every_engine_key_is_hashable(self, engine):
+        hash(layer_memo.instance_key(sim.model_for(engine)))
+
+    def test_schemes_key_by_the_same_rule(self):
+        scheme = DeltaDynamic(16, axis="y")
+        assert scheme.key == layer_memo.instance_key(scheme)
 
 
 class TestMemoLifetime:
