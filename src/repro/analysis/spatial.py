@@ -64,7 +64,8 @@ def heatmap_data(layer: ConvLayerTrace, axis: str = "x") -> HeatmapData:
     terms_raw = booth_terms(imap)
     terms_delta = booth_terms(np.clip(deltas, -(1 << 15), (1 << 15) - 1))
     return HeatmapData(
-        raw=np.abs(imap).mean(axis=0),
+        # |-32768| does not fit int16: take magnitudes at int64.
+        raw=np.abs(imap, dtype=np.int64).mean(axis=0),
         delta=np.abs(deltas).mean(axis=0),
         term_reduction=(terms_raw - terms_delta).astype(np.float64).mean(axis=0),
         mean_terms_raw=float(terms_raw.mean()),

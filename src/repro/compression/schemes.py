@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.deltas import spatial_deltas
 from repro.core.layer_memo import instance_key
 from repro.core.precision import HEADER_BITS, group_precisions
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_integer_array, check_positive
 
 #: Run/skip field width of the RLE token formats.
 RLE_COUNT_BITS = 4
@@ -51,7 +51,7 @@ def storage_order(fmap: np.ndarray) -> np.ndarray:
     This is the AM layout Diffy/PRA/VAA consume (16-channel bricks) and
     the order Dynamic Stripes groups are formed in.
     """
-    arr = np.asarray(fmap, dtype=np.int64)
+    arr = check_integer_array("fmap", fmap)
     if arr.ndim != 3:
         raise ValueError(f"expected (C, H, W) map, got shape {arr.shape}")
     return np.transpose(arr, (1, 2, 0)).reshape(-1)
@@ -63,14 +63,14 @@ def planar_order(fmap: np.ndarray) -> np.ndarray:
     The layout SCNN-style run-length encoders scan: zeros cluster along
     image rows, which is what makes their runs worth encoding at all.
     """
-    arr = np.asarray(fmap, dtype=np.int64)
+    arr = check_integer_array("fmap", fmap)
     if arr.ndim != 3:
         raise ValueError(f"expected (C, H, W) map, got shape {arr.shape}")
     return arr.reshape(-1)
 
 
 class CompressionScheme:
-    """Base class; subclasses implement :meth:`encoded_bits`."""
+    """Base class; subclasses implement :meth:`_bits`."""
 
     name: str = "base"
 
@@ -78,7 +78,12 @@ class CompressionScheme:
         """Bits to store ``fmap`` (a (C, H, W) integer map), metadata included.
 
         ``profiled_precision`` is only consulted by the Profiled scheme.
+        A map that is not an integer array raises ``ValueError``; integer
+        maps keep their own dtype.
         """
+        return self._bits(check_integer_array("fmap", fmap), profiled_precision)
+
+    def _bits(self, fmap: np.ndarray, profiled_precision: int) -> int:
         raise NotImplementedError
 
     @property
@@ -103,8 +108,8 @@ class NoCompression(CompressionScheme):
 
     name = "NoCompression"
 
-    def encoded_bits(self, fmap: np.ndarray, profiled_precision: int = 16) -> int:
-        return int(np.asarray(fmap).size) * 16
+    def _bits(self, fmap: np.ndarray, profiled_precision: int) -> int:
+        return fmap.size * 16
 
 
 class RLEZero(CompressionScheme):
@@ -112,7 +117,7 @@ class RLEZero(CompressionScheme):
 
     name = "RLEz"
 
-    def encoded_bits(self, fmap: np.ndarray, profiled_precision: int = 16) -> int:
+    def _bits(self, fmap: np.ndarray, profiled_precision: int) -> int:
         flat = planar_order(fmap)
         nz = np.flatnonzero(flat)
         token_bits = 16 + RLE_COUNT_BITS
@@ -134,13 +139,13 @@ class RLERepeat(CompressionScheme):
 
     name = "RLE"
 
-    def encoded_bits(self, fmap: np.ndarray, profiled_precision: int = 16) -> int:
+    def _bits(self, fmap: np.ndarray, profiled_precision: int) -> int:
         flat = planar_order(fmap)
         token_bits = 16 + RLE_COUNT_BITS
         if flat.size == 0:
             return 0
         # Run boundaries wherever the value changes.
-        change = np.flatnonzero(np.diff(flat)) + 1
+        change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
         starts = np.concatenate([[0], change])
         ends = np.concatenate([change, [flat.size]])
         lengths = ends - starts
@@ -153,11 +158,11 @@ class Profiled(CompressionScheme):
 
     name = "Profiled"
 
-    def encoded_bits(self, fmap: np.ndarray, profiled_precision: int = 16) -> int:
+    def _bits(self, fmap: np.ndarray, profiled_precision: int) -> int:
         check_positive("profiled_precision", profiled_precision)
         if profiled_precision > 16:
             raise ValueError(f"profiled precision > 16: {profiled_precision}")
-        return int(np.asarray(fmap).size) * profiled_precision
+        return fmap.size * profiled_precision
 
 
 class RawDynamic(CompressionScheme):
@@ -168,7 +173,7 @@ class RawDynamic(CompressionScheme):
         self.group_size = group_size
         self.name = f"RawD{group_size}"
 
-    def encoded_bits(self, fmap: np.ndarray, profiled_precision: int = 16) -> int:
+    def _bits(self, fmap: np.ndarray, profiled_precision: int) -> int:
         flat = planar_order(fmap)
         signed = bool(flat.size and flat.min() < 0)
         return group_precisions(flat, self.group_size, signed=signed).total_bits
@@ -187,11 +192,10 @@ class DeltaDynamic(CompressionScheme):
         self.axis = axis
         self.name = f"DeltaD{group_size}"
 
-    def encoded_bits(self, fmap: np.ndarray, profiled_precision: int = 16) -> int:
-        arr = np.asarray(fmap, dtype=np.int64)
-        if arr.ndim != 3:
-            raise ValueError(f"expected (C, H, W) map, got shape {arr.shape}")
-        deltas = spatial_deltas(arr, axis=self.axis)
+    def _bits(self, fmap: np.ndarray, profiled_precision: int) -> int:
+        if fmap.ndim != 3:
+            raise ValueError(f"expected (C, H, W) map, got shape {fmap.shape}")
+        deltas = spatial_deltas(fmap, axis=self.axis)
         flat = planar_order(deltas)
         return group_precisions(flat, self.group_size, signed=True).total_bits
 
@@ -206,10 +210,10 @@ class RawEcc(CompressionScheme):
 
     name = "Raw16-ECC"
 
-    def encoded_bits(self, fmap: np.ndarray, profiled_precision: int = 16) -> int:
+    def _bits(self, fmap: np.ndarray, profiled_precision: int) -> int:
         from repro.protect.ecc import codeword_bits
 
-        return int(np.asarray(fmap).size) * codeword_bits(16)
+        return fmap.size * codeword_bits(16)
 
 
 class DeltaProtected(CompressionScheme):
@@ -227,7 +231,7 @@ class DeltaProtected(CompressionScheme):
         self.policy_name = policy_name
         self.name = f"DeltaD{group_size}-P"
 
-    def encoded_bits(self, fmap: np.ndarray, profiled_precision: int = 16) -> int:
+    def _bits(self, fmap: np.ndarray, profiled_precision: int) -> int:
         # Function-level import: schemes is imported by the codec that the
         # protect package builds on, so a top-level import would cycle.
         from repro.protect.policy import protection_policy

@@ -29,9 +29,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.utils.validation import check_integer_array
+
 #: Word width the recoder supports (activation/delta storage width).
 WORD_BITS = 16
-_MASK = (1 << WORD_BITS) - 1
 
 #: Radix-4 digit count for a 16-bit word.
 R4_DIGITS = WORD_BITS // 2
@@ -150,16 +151,21 @@ def booth_terms(values: np.ndarray, encoding: str = DEFAULT_ENCODING) -> np.ndar
     """Effectual-term count per element of a signed 16-bit integer array.
 
     This is the number of cycles a PRA/Diffy serial inner-product unit
-    spends on each value (zero values cost zero cycles).
+    spends on each value (zero values cost zero cycles).  An ``int16``
+    array indexes the table through its ``uint16`` view with no range
+    scan; any other integer array is range-checked, then narrowed to that
+    same view.
     """
-    arr = np.asarray(values, dtype=np.int64)
-    lo, hi = -(1 << (WORD_BITS - 1)), (1 << (WORD_BITS - 1)) - 1
-    if arr.size and (arr.min() < lo or arr.max() > hi):
-        raise ValueError(
-            f"values outside signed {WORD_BITS}-bit range: "
-            f"min={arr.min()}, max={arr.max()}"
-        )
-    return term_count_lut64(encoding)[arr & _MASK]
+    arr = check_integer_array("values", values)
+    if arr.dtype != np.int16:
+        lo, hi = -(1 << (WORD_BITS - 1)), (1 << (WORD_BITS - 1)) - 1
+        if arr.size and (arr.min() < lo or arr.max() > hi):
+            raise ValueError(
+                f"values outside signed {WORD_BITS}-bit range: "
+                f"min={arr.min()}, max={arr.max()}"
+            )
+        arr = arr.astype(np.int16)
+    return term_count_lut64(encoding)[arr.view(np.uint16)]
 
 
 def mean_terms(values: np.ndarray, encoding: str = DEFAULT_ENCODING) -> float:

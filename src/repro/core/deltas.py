@@ -12,15 +12,16 @@ Differential Reconstruction engines do in hardware.
 
 Note on ranges: the difference of two 16-bit values needs up to 17 bits in
 the worst case.  Real feature maps are post-ReLU (non-negative), so their
-deltas always fit 16 bits; the general-purpose functions here return int64
-and leave range policy to the caller.
+deltas always fit 16 bits; :func:`spatial_deltas` returns ``int32`` for
+8/16-bit maps (``int64`` for wider ones), :func:`reconstruct_from_deltas`
+returns ``int64``, and both leave range policy to the caller.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_axis, check_positive
+from repro.utils.validation import check_axis, check_integer_array, check_positive
 
 
 def spatial_deltas(fmap: np.ndarray, axis: str = "x", stride: int = 1) -> np.ndarray:
@@ -43,19 +44,21 @@ def spatial_deltas(fmap: np.ndarray, axis: str = "x", stride: int = 1) -> np.nda
     """
     check_axis("axis", axis)
     check_positive("stride", stride)
-    arr = np.asarray(fmap, dtype=np.int64)
+    arr = check_integer_array("fmap", fmap)
     if arr.ndim < 2:
         raise ValueError(f"fmap must have >= 2 dims (H, W), got shape {arr.shape}")
+    # A difference of two n-bit values needs n + 1 bits: 8- and 16-bit
+    # maps difference in int32, anything wider in int64.
+    wide = np.int32 if arr.itemsize <= 2 else np.int64
     ax = arr.ndim - 1 if axis == "x" else arr.ndim - 2
-    if arr.shape[ax] == 0:
-        return arr.copy()
-    out = arr.copy()
-    leading = [slice(None)] * arr.ndim
-    tail = leading.copy()
+    out = np.empty(arr.shape, dtype=wide)
+    lead = [slice(None)] * arr.ndim
+    first, tail, head = lead.copy(), lead.copy(), lead.copy()
+    first[ax] = slice(0, stride)
     tail[ax] = slice(stride, None)
-    head = leading.copy()
     head[ax] = slice(None, -stride if arr.shape[ax] > stride else 0)
-    out[tuple(tail)] = arr[tuple(tail)] - arr[tuple(head)]
+    out[tuple(first)] = arr[tuple(first)]
+    np.subtract(arr[tuple(tail)], arr[tuple(head)], out=out[tuple(tail)], dtype=wide)
     return out
 
 

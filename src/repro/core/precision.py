@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.utils.bits import bits_for_magnitude, quantize_to_width
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_integer_array, check_positive
 
 __all__ = [
     "HEADER_BITS",
@@ -151,14 +151,15 @@ def group_precisions(
     widest member.
     """
     check_positive("group_size", group_size)
-    flat = np.asarray(values, dtype=np.int64).reshape(-1)
+    flat = check_integer_array("values", values).reshape(-1)
     n = flat.size
     if n == 0:
         return GroupPrecisionEncoding(group_size, np.zeros(0, dtype=np.int64), 0, signed)
     if signed:
         # x for x >= 0 and -x - 1 for x < 0: the magnitude whose bit length
-        # plus a sign bit is x's two's-complement width.
-        mags = flat ^ (flat >> 63)
+        # plus a sign bit is x's two's-complement width.  The arithmetic
+        # shift by the sign position keeps the input's own dtype.
+        mags = flat ^ (flat >> (8 * flat.itemsize - 1))
     elif flat.min() < 0:
         raise ValueError("unsigned precision requested for values with negatives")
     else:

@@ -5,9 +5,12 @@ fixed-point numbers.  A :class:`FixedPointTensor` pairs an integer numpy
 array with a *scale*: the number of fractional bits, so that the real value
 of an element ``v`` is ``v / 2**scale``.
 
-Throughout the package the integer carrier dtype is ``int64`` to leave
-headroom for accumulation; the *represented* values always fit the 16-bit
-signed range unless stated otherwise.
+Arithmetic (convolution accumulators, requantization, residual adds)
+runs on ``int64`` carriers to leave headroom; the *represented* values
+always fit the 16-bit signed range unless stated otherwise.  Stored maps
+are narrower: an activation trace keeps each map at its true width
+(:func:`narrowest_copy`, normally ``int16``), and the kernels that read
+traces widen only where their arithmetic needs the extra bits.
 """
 
 from __future__ import annotations
@@ -45,6 +48,23 @@ def quantize(values: np.ndarray, scale: int, bits: int = ACT_BITS) -> np.ndarray
     """
     ints = round_half_away(np.asarray(values, dtype=np.float64) * (1 << scale))
     return quantize_to_width(ints, bits)[0]
+
+
+def narrowest_copy(values: np.ndarray) -> np.ndarray:
+    """A copy of integer ``values`` at the narrowest of ``int16``, ``int32``
+    and ``int64`` that holds every element.
+
+    Only the dtype changes; no value is clipped.  This is how traces store
+    maps: a saturated 16-bit activation map comes back as ``int16``, and a
+    map with any value outside 16 bits stays exact at a wider dtype.
+    """
+    arr = np.asarray(values)
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    for dtype in (np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return arr.astype(dtype)
+    return arr.astype(np.int64)
 
 
 def dequantize(values: np.ndarray, scale: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.nn.fixed_point import ACT_BITS, INPUT_SCALE, quantize
+from repro.nn.fixed_point import ACT_BITS, INPUT_SCALE, narrowest_copy, quantize
 from repro.nn.layers import Conv2d, GlobalResidualAdd, Layer, _max_scale_for
 from repro.nn.trace import ActivationTrace, ConvLayerTrace
 
@@ -181,6 +181,10 @@ class Network:
     def trace(self, image: np.ndarray, scale: int = INPUT_SCALE) -> ActivationTrace:
         """Quantize ``image`` and run integer inference, recording a trace.
 
+        Each map is stored at its true width (:func:`narrowest_copy`), and
+        where one convolution feeds the next with no layer in between, the
+        next imap is the same array as the previous omap.
+
         Parameters
         ----------
         image:
@@ -200,17 +204,21 @@ class Network:
         )
         conv_index = 0
         cur_scale = scale
+        # The stored omap of the previous convolution while ``x`` still
+        # holds its values: the next convolution's imap is that array.
+        stored = None
         for layer in self.layers:
             if isinstance(layer, Conv2d):
-                imap = x.astype(np.int64)
+                imap = stored if stored is not None else narrowest_copy(x)
                 out, out_scale = layer.forward_int(x, cur_scale)
+                stored = narrowest_copy(out)
                 trace.layers.append(
                     ConvLayerTrace(
                         name=layer.name,
                         index=conv_index,
                         imap=imap,
                         imap_scale=cur_scale,
-                        omap=out.astype(np.int64),
+                        omap=stored,
                         omap_scale=out_scale,
                         out_channels=layer.out_channels,
                         kernel=layer.kernel,
@@ -224,6 +232,7 @@ class Network:
                 x, cur_scale = out, out_scale
             else:
                 x, cur_scale = layer.forward_int(x, cur_scale)
+                stored = None
         return trace
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -5,6 +5,14 @@ per-convolution-layer record of the exact 16-bit fixed-point input feature
 map (*imap*), output feature map (*omap*), and the layer geometry.  Every
 measurement in the paper (entropy, term counts, precisions, compression,
 cycle counts) is a function of these traces.
+
+Maps are stored at their true width — ``int16``, or ``int32`` for a map
+with a value outside 16 bits — and where one convolution feeds the next
+directly, the next layer's imap *is* the previous layer's omap array, a
+sharing that survives pickling.  Because one array can belong to two
+layers (and to their memoized lowering artifacts), every map is
+read-only, at construction and again after unpickling.  Kernels that
+compute on the maps widen only where their arithmetic needs it.
 """
 
 from __future__ import annotations
@@ -26,11 +34,12 @@ class ConvLayerTrace:
     index:
         Zero-based convolution-layer index (matching Table III ordering).
     imap, imap_scale:
-        Input feature map as int16-range integers (C, H, W) and its
+        Input feature map as read-only integers (C, H, W) and its
         fixed-point scale.  This is what the accelerator reads from AM.
     omap, omap_scale:
         Post-activation output feature map (K, Ho, Wo) and scale.  This is
-        what Delta_out writes back to AM (and what the next layer reads).
+        what Delta_out writes back to AM (and what the next layer reads:
+        often the very same array).
     out_channels, kernel, stride, padding, dilation, relu:
         Layer geometry.
     """
@@ -47,6 +56,20 @@ class ConvLayerTrace:
     padding: int
     dilation: int
     relu: bool
+
+    def __post_init__(self) -> None:
+        self._freeze_maps()
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickle restores arrays writeable; shared maps must not be.
+        self.__dict__.update(state)
+        self._freeze_maps()
+
+    def _freeze_maps(self) -> None:
+        for name in ("imap", "omap"):
+            arr = np.asarray(getattr(self, name))
+            arr.setflags(write=False)
+            setattr(self, name, arr)
 
     @property
     def in_channels(self) -> int:

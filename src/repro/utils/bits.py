@@ -108,14 +108,18 @@ def quantize_to_width(
     vs the unsigned magnitude range ``[0, 2**width - 1]`` (post-ReLU
     activations under a profiled precision).  When nothing clips, the
     input array is returned as-is (no copy) — the common in-range case
-    costs one min/max pass.
+    costs one min/max pass.  A signed-integer input whose dtype holds the
+    word's range keeps that dtype; anything else is taken at ``int64``.
     """
     if signed:
         lo, hi = signed_range(width)
     else:
         check_positive("width", width)
         lo, hi = 0, (1 << width) - 1
-    arr = np.asarray(values, dtype=np.int64)
+    arr = np.asarray(values)
+    info = np.iinfo(arr.dtype) if arr.dtype.kind == "i" else None
+    if info is None or lo < info.min or hi > info.max:
+        arr = arr.astype(np.int64, copy=False)
     if arr.size == 0:
         return arr, 0
     if lo <= int(arr.min()) and int(arr.max()) <= hi:

@@ -79,6 +79,17 @@ def check_dtype(name: str, array: np.ndarray, kinds: str = "iu") -> np.ndarray:
     return arr
 
 
+def check_integer_array(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as an integer array, at its own width.
+
+    Feature maps and deltas are integers; a float map would be truncated
+    by the integer kernels, so it fails here with ``ValueError`` instead.
+    A bool array passes as its ``uint8`` view (0 and 1).
+    """
+    arr = check_dtype(name, values, kinds="iub")
+    return arr.view(np.uint8) if arr.dtype.kind == "b" else arr
+
+
 def check_shape(
     name: str,
     array: np.ndarray,

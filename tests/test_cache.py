@@ -12,6 +12,7 @@ from repro.data.datasets import dataset
 from repro.experiments.common import traces_for
 from repro.models.registry import prepare_model
 from repro.utils import timing
+from tests.conftest import small_trace
 
 
 @pytest.fixture()
@@ -164,6 +165,59 @@ class TestWarmColdEquivalence:
         assert net_warm is not net_cold, "second call must come from disk"
         trace_warm = net_warm.trace(image)
         _assert_traces_identical([trace_cold], [trace_warm])
+
+
+class TestStoredMapsThroughTheCache:
+    """Traces store int16 maps and each layer's imap is the previous
+    layer's omap array; both survive a disk-cache load, and the loaded
+    maps are read-only again (pickle restores arrays writeable)."""
+
+    MODELS = ("DnCNN", "FFDNet", "IRCNN", "JointNet", "VDSR")
+    CROP = 32
+
+    @pytest.fixture(scope="class")
+    def cold_and_warm(self):
+        cold = {m: small_trace(m, crop=self.CROP) for m in self.MODELS}
+        for m in self.MODELS:
+            collect_traces(m, "HD33", 1, self.CROP)  # stored if not yet on disk
+        store.clear_memory_caches()
+        hits = store.cache_stats().hits
+        warm = {m: collect_traces(m, "HD33", 1, self.CROP)[0] for m in self.MODELS}
+        assert store.cache_stats().hits - hits == len(self.MODELS)
+        return cold, warm
+
+    def test_maps_are_int16(self, cold_and_warm):
+        for traces in cold_and_warm:
+            for trace in traces.values():
+                for layer in trace:
+                    assert layer.imap.dtype == layer.omap.dtype == np.int16
+
+    def test_omap_is_next_imap_on_70_boundaries(self, cold_and_warm):
+        for traces in cold_and_warm:
+            shared, unshared = 0, []
+            for m, trace in traces.items():
+                for prev, layer in zip(trace.layers, trace.layers[1:]):
+                    if prev.omap is layer.imap:
+                        shared += 1
+                    else:
+                        unshared.append((m, prev.name, layer.name))
+            assert shared == 70
+            # A depth-to-space shuffle sits between these two.
+            assert unshared == [("JointNet", "conv_16", "conv_17")]
+
+    def test_loaded_maps_are_read_only(self, cold_and_warm):
+        _, warm = cold_and_warm
+        for trace in warm.values():
+            for layer in trace:
+                for arr in (layer.imap, layer.omap):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[(0,) * arr.ndim] = 1
+
+    def test_warm_equals_cold(self, cold_and_warm):
+        cold, warm = cold_and_warm
+        _assert_traces_identical(
+            [cold[m] for m in self.MODELS], [warm[m] for m in self.MODELS]
+        )
 
 
 class TestCropKeyNormalization:
