@@ -73,10 +73,6 @@ class ChaosTelemetry(FieldMerge):
         self.cold_by_bucket = np.zeros(self.buckets, dtype=np.int64)
         self.reanchor_by_bucket = np.zeros(self.buckets, dtype=np.int64)
 
-    def bucket(self, t: float) -> int:
-        """Bucket index of time ``t`` (tail work clamps into the last)."""
-        return min(self.buckets - 1, max(0, int(t / self.duration_s * self.buckets)))
-
     # ---- recording hooks -------------------------------------------------
 
     def on_storage(self, outcome: str) -> None:
@@ -92,14 +88,25 @@ class ChaosTelemetry(FieldMerge):
         else:
             raise ValueError(f"unknown storage outcome {outcome!r}")
 
-    def on_serve(self, now: float, warm: bool, reanchor: bool) -> None:
-        b = self.bucket(now)
-        if warm:
-            self.warm_by_bucket[b] += 1
-        else:
-            self.cold_by_bucket[b] += 1
-            if reanchor:
-                self.reanchor_by_bucket[b] += 1
+    def record_serves(self, at_s, warm, reanchor) -> None:
+        """Bucket one run's served requests, once: serve time, warm flag,
+        and whether a cold serve re-anchored a resident session.
+
+        A serve at time ``t`` lands in bucket
+        ``min(buckets - 1, max(0, int(t / duration_s * buckets)))`` (tail
+        work clamps into the last), computed elementwise with the same
+        float expression, truncation and clamp.
+        """
+        at_s = np.asarray(at_s, dtype=np.float64)
+        warm = np.asarray(warm, dtype=bool)
+        cold = ~warm
+        pos = np.trunc(at_s / self.duration_s * self.buckets)
+        b = np.clip(pos, 0, self.buckets - 1).astype(np.int64)
+        self.warm_by_bucket += np.bincount(b[warm], minlength=self.buckets)
+        self.cold_by_bucket += np.bincount(b[cold], minlength=self.buckets)
+        self.reanchor_by_bucket += np.bincount(
+            b[cold & np.asarray(reanchor, dtype=bool)], minlength=self.buckets
+        )
 
     def on_crash(self, shed: int, killed: int, lost: int) -> None:
         self.crashes += 1

@@ -15,15 +15,24 @@ The loop walks a time-ordered event sequence over plain Python lists
 dominates).  Ties at one timestamp resolve in a fixed order: a crash,
 then arrivals, then completions in dispatch order, then the wait timer.
 That is the order of the per-event virtual-clock engine kept in
-``tests/oracles/serve.py``, and every telemetry hook fires in the same
-sequence as there — so every counter, histogram bin and float total is
-bit-identical to the oracle, as the equivalence tests assert.
+``tests/oracles/serve.py``.
+
+Telemetry is recorded once per shard, not once per event: the loop
+appends each event's observations to flat ``array.array`` buffers and,
+after quiescence, folds them in with one
+:meth:`ServeTelemetry.record_events` call (and, with chaos, one
+:meth:`ChaosTelemetry.record_serves`).  The fold bins every sample as the
+per-sample ``bisect`` does and adds the float totals left to right in
+event order, so every counter, histogram bin and float total is
+bit-identical to the oracle's per-event hooks, as the equivalence tests
+assert.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -79,6 +88,10 @@ class ShardStream:
         )
         if any(length != n for length in lengths):
             raise ValueError("ShardStream columns must have equal length")
+        # Checked first: NaN compares False, so it passes the order test
+        # below and would only fail deep in the event loop.
+        if not np.isfinite(self.arrival_s).all():
+            raise ValueError("ShardStream arrival_s must be finite (no NaN or inf)")
         if n and bool(np.any(np.diff(self.arrival_s) < 0)):
             raise ValueError("ShardStream arrivals must be sorted by time")
 
@@ -171,6 +184,12 @@ def simulate_shard(
     down = list(chaos.down) if chaos is not None else []
     di = 0  # next crash window index
 
+    # Event buffers, folded into the telemetry once after quiescence.
+    depths, admits = array("q"), array("B")  # per arrival
+    sizes, services = array("q"), array("d")  # per batch, dispatch order
+    latencies, on_time = array("d"), array("B")  # per request, completion order
+    served_at, served_warm, served_reanchor = array("d"), array("B"), array("B")
+
     idle = config.workers
     queue: "list[int]" = []  # admitted request indices, FIFO via head pointer
     head = 0
@@ -216,7 +235,9 @@ def simulate_shard(
                 controller.on_frame(now, s, f, arr[j], state)
             if ctel is not None:
                 warm = mode == "temporal"
-                ctel.on_serve(now, warm, state.stats.reanchors > before)
+                served_at.append(now)
+                served_warm.append(warm)
+                served_reanchor.append(state.stats.reanchors > before)
                 if warm and recovering:
                     t0 = recovering.pop(s, None)
                     if t0 is not None:
@@ -235,7 +256,7 @@ def simulate_shard(
             while head < len(queue) and deadline[queue[head]] < now:
                 head += 1
             if head > expired:
-                telemetry.on_deadline_shed(head - expired)
+                telemetry.shed_deadline += head - expired
             depth = len(queue) - head
             # A full batch goes at once; a partial one once its oldest
             # request has waited max_wait_s.  The wait test is written
@@ -249,7 +270,8 @@ def simulate_shard(
             head += take
             service_s = price(batch, now)
             idle -= 1
-            telemetry.on_batch(take, service_s)
+            sizes.append(take)
+            services.append(service_s)
             heapq.heappush(busy, (now + service_s, seq, batch))
             seq += 1
 
@@ -272,14 +294,16 @@ def simulate_shard(
             if admitted:
                 queue.append(i)
             i += 1
-            telemetry.on_arrival(admitted, len(queue) - head)
+            depths.append(len(queue) - head)
+            admits.append(admitted)
             if admitted and idle:
                 try_dispatch(t_arr)
         elif t_free <= t_wait:
             now, _, batch = heapq.heappop(busy)
             idle += 1
             for j in batch:
-                telemetry.on_completion(now - arr[j], now <= deadline[j])
+                latencies.append(now - arr[j])
+                on_time.append(now <= deadline[j])
             try_dispatch(now)
         else:
             try_dispatch(t_wait)
@@ -291,6 +315,9 @@ def simulate_shard(
         crash(down[di][0])
         di += 1
 
+    telemetry.record_events(depths, admits, sizes, services, latencies, on_time)
+    if ctel is not None:
+        ctel.record_serves(served_at, served_warm, served_reanchor)
     return ShardResult(
         node_id=stream.node_id,
         telemetry=telemetry,

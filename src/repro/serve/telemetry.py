@@ -6,11 +6,16 @@ merge exactly across fleet shards (pooled or serial), and their
 percentile estimates are deterministic — which is what lets serving
 goldens be byte-identical.
 
-One :class:`ServeTelemetry` instance records one node's run, one hook
-call per event in event order — so its float totals (latency sum,
-busy time) are exact functions of the event sequence, not of how a
-caller chunks it.  Its :meth:`snapshot` is the golden-serializable
-digest the experiment and benchmark layers consume.
+One :class:`ServeTelemetry` instance records one node's run.  The shard
+engine buffers what each event observes (queue depth per arrival, size
+and service time per batch, latency per completion) and folds the
+buffers in once, after quiescence, through
+:meth:`ServeTelemetry.record_events`.  The fold is exact: histogram bins
+are the per-sample ``bisect`` bins, and the float totals (latency sum,
+busy time) add left to right in event order, so they are the same
+floats a per-event recorder would produce — not a function of how the
+caller chunks the events.  Its :meth:`snapshot` is the
+golden-serializable digest the experiment and benchmark layers consume.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.timing import FieldMerge, StreamingHistogram
+from repro.utils.timing import FieldMerge, StreamingHistogram, fold_sum
 from repro.utils.validation import check_positive
 
 #: Latency bins: log-spaced from 100 µs to 1000 s.  Log spacing keeps
@@ -67,32 +72,39 @@ class ServeTelemetry(FieldMerge):
         self.batch_sizes = linear_histogram(self.max_batch)
         self.queue_depths = linear_histogram(self.queue_capacity)
 
-    # ---- recording hooks -------------------------------------------------
+    # ---- recording -------------------------------------------------------
 
-    def on_arrival(self, admitted: bool, queue_depth: int) -> None:
-        self.arrived += 1
-        if admitted:
-            self.admitted += 1
-        else:
-            self.shed_queue_full += 1
-        self.queue_depths.record(queue_depth)
-        self.max_queue_depth = max(self.max_queue_depth, queue_depth)
+    def record_events(
+        self, queue_depths, admitted, batch_sizes, service_s, latencies, on_time
+    ) -> None:
+        """Fold one run's buffered events into the record, once.
 
-    def on_deadline_shed(self, count: int) -> None:
-        self.shed_deadline += count
-
-    def on_batch(self, size: int, service_s: float) -> None:
-        self.batches += 1
-        self.batch_sizes.record(size)
-        self.busy_s += service_s
-
-    def on_completion(self, latency_s: float, within_deadline: bool) -> None:
-        self.completed += 1
-        self.latency.record(latency_s)
-        if within_deadline:
-            self.good += 1
-        else:
-            self.late += 1
+        ``queue_depths``/``admitted`` hold one entry per arrival,
+        ``batch_sizes``/``service_s`` one per batch in dispatch order, and
+        ``latencies``/``on_time`` (met the deadline) one per completed
+        request in completion order.  The result equals recording each
+        event as it happened: the histograms go through the exact
+        :meth:`~repro.utils.timing.StreamingHistogram.record_values` and
+        ``busy_s`` through the sequential :func:`~repro.utils.timing.fold_sum`.
+        """
+        depths = np.asarray(queue_depths)
+        arrived = len(depths)
+        admitted_n = int(np.count_nonzero(admitted))
+        self.arrived += arrived
+        self.admitted += admitted_n
+        self.shed_queue_full += arrived - admitted_n
+        self.queue_depths.record_values(depths)
+        if arrived:
+            self.max_queue_depth = max(self.max_queue_depth, int(depths.max()))
+        self.batches += len(batch_sizes)
+        self.batch_sizes.record_values(batch_sizes)
+        self.busy_s = fold_sum(self.busy_s, service_s)
+        completed = len(latencies)
+        good = int(np.count_nonzero(on_time))
+        self.completed += completed
+        self.good += good
+        self.late += completed - good
+        self.latency.record_values(latencies)
 
     # ---- derived metrics -------------------------------------------------
 

@@ -44,6 +44,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
+import numpy as np
+
 __all__ = [
     "timed",
     "count",
@@ -54,6 +56,7 @@ __all__ = [
     "profiling_enabled",
     "StreamingHistogram",
     "FieldMerge",
+    "fold_sum",
 ]
 
 
@@ -209,12 +212,18 @@ class StreamingHistogram:
         self.vmax = -math.inf
 
     def record(self, value: float, weight: int = 1) -> None:
-        """Add ``weight`` samples of ``value`` (out-of-range values clamp)."""
+        """Add ``weight`` samples of ``value`` (out-of-range values clamp).
+
+        ``±inf`` clamps into the end bins like any out-of-range value; NaN
+        has no bin and raises.
+        """
+        v = float(value)
+        if v != v:
+            raise ValueError("cannot record NaN in a histogram")
         if weight < 0:
             raise ValueError(f"weight must be >= 0, got {weight}")
         if weight == 0:
             return
-        v = float(value)
         idx = bisect.bisect_right(self._edges, v) - 1
         idx = min(max(idx, 0), self.bins - 1)
         self.counts[idx] += weight
@@ -224,15 +233,28 @@ class StreamingHistogram:
         self.vmax = max(self.vmax, v)
 
     def record_values(self, values) -> None:
-        """:meth:`record` each value in order (weight 1 each).
+        """:meth:`record` each value in order (weight 1 each), in one pass.
 
-        Exactly a ``record`` loop — counts, extremes and the float
-        ``total`` alike, since the total accumulates in the same order.
-        A numpy array of any shape is taken in flattened order.
+        Exactly a ``record`` loop, bit for bit: ``searchsorted(...,
+        side="right")`` is ``bisect_right``; ``argmin``/``argmax`` pick
+        the first of equal extremes, as the ``min``/``max`` fold keeps
+        the earlier of ``0.0`` and ``-0.0``; and ``total`` is the
+        sequential :func:`fold_sum`, not numpy's pairwise sum.  A numpy
+        array of any shape is taken in flattened order.
         """
-        ravel = getattr(values, "ravel", None)
-        for v in ravel() if ravel is not None else values:
-            self.record(v)
+        v = np.asarray(values, dtype=np.float64).ravel()
+        if not v.size:
+            return
+        if np.isnan(v).any():
+            raise ValueError("cannot record NaN in a histogram")
+        idx = np.searchsorted(np.asarray(self._edges), v, side="right") - 1
+        hits = np.bincount(np.clip(idx, 0, self.bins - 1), minlength=self.bins)
+        for i in np.flatnonzero(hits).tolist():
+            self.counts[i] += int(hits[i])
+        self.n += v.size
+        self.total = fold_sum(self.total, v)
+        self.vmin = min(self.vmin, float(v[v.argmin()]))
+        self.vmax = max(self.vmax, float(v[v.argmax()]))
 
     @property
     def mean(self) -> float:
@@ -290,6 +312,19 @@ class StreamingHistogram:
             "p95": self.percentile(95),
             "p99": self.percentile(99),
         }
+
+
+def fold_sum(start: float, values) -> float:
+    """``start + v[0] + v[1] + ...`` added left to right, as a loop would.
+
+    ``np.cumsum`` accumulates sequentially, so the result is bit-identical
+    to ``total += v`` per value; ``np.sum`` adds pairwise and can differ
+    from that loop in the last ulp.
+    """
+    acc = np.empty(len(values) + 1)
+    acc[0] = start
+    acc[1:] = values
+    return float(np.cumsum(acc, out=acc)[-1])
 
 
 class FieldMerge:

@@ -10,8 +10,8 @@ the whole-array numpy versions in :mod:`repro.compression`,
 loop, bit-matrix, per-value, window-major and per-event versions they
 replaced — legible, obviously correct, slow — as plain functions that
 take the codec's or kernel's parameters, plus the virtual-clock
-``InferenceService``, the two-convolution calibration and the
-two-aggregate Diffy head splice.
+``InferenceService`` with its per-event ``PerEventTelemetry``, the
+two-convolution calibration and the two-aggregate Diffy head splice.
 The property suites assert production is byte-identical to them;
 ``benchmarks/codec_bench.py`` and ``benchmarks/weights_bench.py`` time
 production against them.
@@ -51,6 +51,7 @@ from tests.oracles.serve import (
     BatchPolicy,
     BoundedQueue,
     InferenceService,
+    PerEventTelemetry,
     QueuedRequest,
     VirtualClock,
     batch_ready,
@@ -88,4 +89,5 @@ __all__ = [
     "batch_ready",
     "next_deadline_check",
     "InferenceService",
+    "PerEventTelemetry",
 ]

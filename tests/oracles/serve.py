@@ -20,6 +20,10 @@ The event loop:
 - **completion** — free the worker, record per-request latency and
   deadline outcome, dispatch again.
 
+Telemetry is recorded per event, through :class:`PerEventTelemetry`'s
+hooks, where the production engine buffers the events and folds them
+once per shard.
+
 Fault-free semantics only: the production engine's chaos and
 calibration hooks have no counterpart here.
 """
@@ -201,6 +205,41 @@ def next_deadline_check(queue: BoundedQueue, policy: BatchPolicy) -> Optional[fl
     return oldest + policy.max_wait_s
 
 
+class PerEventTelemetry(ServeTelemetry):
+    """:class:`ServeTelemetry` recorded one hook call per event.
+
+    Each hook records its sample through the scalar
+    :meth:`~repro.utils.timing.StreamingHistogram.record` and adds its
+    float to the running total as the event happens — the spec of the
+    shard engine's buffered :meth:`ServeTelemetry.record_events` fold.
+    """
+
+    def on_arrival(self, admitted: bool, queue_depth: int) -> None:
+        self.arrived += 1
+        if admitted:
+            self.admitted += 1
+        else:
+            self.shed_queue_full += 1
+        self.queue_depths.record(queue_depth)
+        self.max_queue_depth = max(self.max_queue_depth, queue_depth)
+
+    def on_deadline_shed(self, count: int) -> None:
+        self.shed_deadline += count
+
+    def on_batch(self, size: int, service_s: float) -> None:
+        self.batches += 1
+        self.batch_sizes.record(size)
+        self.busy_s += service_s
+
+    def on_completion(self, latency_s: float, within_deadline: bool) -> None:
+        self.completed += 1
+        self.latency.record(latency_s)
+        if within_deadline:
+            self.good += 1
+        else:
+            self.late += 1
+
+
 class InferenceService:
     """One engine's simulated service instance, one event at a time."""
 
@@ -210,7 +249,7 @@ class InferenceService:
         self.policy = BatchPolicy(config.max_batch, config.max_wait_s, config.weight_stream_s)
         self.queue = BoundedQueue(config.queue_capacity)
         self.state = TemporalStateStore(config.state_capacity_bytes, times.state_bytes)
-        self.telemetry = ServeTelemetry(
+        self.telemetry = PerEventTelemetry(
             max_batch=config.max_batch, queue_capacity=config.queue_capacity
         )
         self.clock = VirtualClock()

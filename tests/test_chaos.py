@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.regression.serialize import canonical_dumps, to_jsonable
@@ -256,10 +257,10 @@ class TestChaosTelemetry:
         a = ChaosTelemetry(duration_s=10.0)
         b = ChaosTelemetry(duration_s=10.0)
         a.on_storage("detected")
-        a.on_serve(1.0, warm=True, reanchor=False)
+        a.record_serves([1.0], warm=[True], reanchor=[False])
         a.on_crash(shed=2, killed=1, lost=3)
         b.on_storage("silent")
-        b.on_serve(9.0, warm=False, reanchor=True)
+        b.record_serves([9.0], warm=[False], reanchor=[True])
         b.on_recovery(0.25)
         a.merge(b)
         snap = a.snapshot()
@@ -270,6 +271,30 @@ class TestChaosTelemetry:
         assert snap["sessions_recovered"] == 1
         assert sum(snap["warm_by_bucket"]) == 1
         assert sum(snap["reanchor_by_bucket"]) == 1
+
+    def test_record_serves_buckets_like_the_scalar_rule(self):
+        duration, buckets = 7.3, 24
+        tel = ChaosTelemetry(duration_s=duration, buckets=buckets)
+        rng = np.random.default_rng(4)
+        edges = [k * duration / buckets for k in range(buckets + 1)]
+        at = np.concatenate(
+            [rng.uniform(-1.0, 2 * duration, 5000), edges, np.nextafter(edges, -np.inf), [-0.0]]
+        )
+        warm = rng.random(at.size) < 0.6
+        reanchor = rng.random(at.size) < 0.5
+        tel.record_serves(at, warm, reanchor)
+        want = {k: np.zeros(buckets, dtype=np.int64) for k in ("warm", "cold", "reanchor")}
+        for t, w, r in zip(at.tolist(), warm.tolist(), reanchor.tolist()):
+            b = min(buckets - 1, max(0, int(t / duration * buckets)))
+            if w:
+                want["warm"][b] += 1
+            else:
+                want["cold"][b] += 1
+                if r:
+                    want["reanchor"][b] += 1
+        assert tel.warm_by_bucket.tolist() == want["warm"].tolist()
+        assert tel.cold_by_bucket.tolist() == want["cold"].tolist()
+        assert tel.reanchor_by_bucket.tolist() == want["reanchor"].tolist()
 
     def test_merge_rejects_mismatched_windows(self):
         with pytest.raises(ValueError, match="different windows"):

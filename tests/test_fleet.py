@@ -5,6 +5,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.serve.fleet.service as fleet_service
 from repro.regression.serialize import canonical_dumps, to_jsonable
@@ -195,6 +196,28 @@ class TestShardEquivalence:
         assert res.routed == 0
         assert res.telemetry.arrived == 0
 
+    def test_shard_records_through_record_values(self, monkeypatch):
+        # perfbench attributes serve.telemetry_s by wrapping record_values,
+        # so the shard must record there, once per histogram, and never
+        # through the per-sample record.
+        calls = []
+        record_values = timing.StreamingHistogram.record_values
+
+        def counting(hist, values):
+            calls.append(len(values))
+            record_values(hist, values)
+
+        def per_sample(hist, value, weight=1):
+            raise AssertionError("the shard recorded a single sample")
+
+        monkeypatch.setattr(timing.StreamingHistogram, "record_values", counting)
+        monkeypatch.setattr(timing.StreamingHistogram, "record", per_sample)
+        reqs = generate_requests(_spec())
+        res = simulate_shard(ShardStream.from_requests(0, reqs), _times(), _node())
+        t = res.telemetry
+        assert sorted(calls) == sorted([t.arrived, t.batches, t.completed])
+        assert t.completed > 0
+
     def test_wait_batching_forms_partial_batches(self):
         # Light load: greedy dispatch serves nearly every request alone,
         # while a wait window co-batches requests the greedy node would
@@ -223,6 +246,91 @@ class TestShardEquivalence:
                 frame_index=np.array([0, 1]),
                 migrated=np.array([False, False]),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stream_rejects_non_finite_arrivals(self, bad):
+        # NaN passes the sortedness test (every comparison is False), so
+        # it must be caught by name here, not deep in the event loop.
+        with pytest.raises(ValueError, match="finite"):
+            ShardStream(
+                node_id=0,
+                arrival_s=np.array([0.0, bad, 2.0]),
+                session_id=np.array([1, 1, 1]),
+                frame_index=np.array([0, 1, 2]),
+                migrated=np.array([False, False, False]),
+            )
+
+
+def _telemetry_state(t) -> tuple:
+    """Every ServeTelemetry field; ``repr`` pins the float bits."""
+    hists = tuple(
+        (h.counts, h.n, repr(h.total), repr(h.vmin), repr(h.vmax))
+        for h in (t.latency, t.batch_sizes, t.queue_depths)
+    )
+    counters = tuple(getattr(t, name) for name in TestShardEquivalence.INT_COUNTERS)
+    return hists + counters + (repr(t.busy_s),)
+
+
+class TestTelemetryFold:
+    """The shard's once-per-shard fold equals the oracle's per-event hooks."""
+
+    @staticmethod
+    def _fold_and_oracle(reqs, cfg, times, duration_s=10.0):
+        ref = InferenceService(times, cfg)
+        ref.run(reqs, duration_s)
+        res = simulate_shard(ShardStream.from_requests(0, reqs), times, cfg)
+        assert _telemetry_state(res.telemetry) == _telemetry_state(ref.telemetry)
+        return res.telemetry
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        rate=st.floats(0.5, 40.0),
+        process=st.sampled_from(["poisson", "bursty"]),
+        workers=st.integers(1, 3),
+        max_batch=st.integers(1, 6),
+        wait=st.sampled_from([0.0, 0.003, 0.02, 0.1]),
+        capacity=st.integers(1, 20),
+        deadline=st.floats(0.005, 1.0),
+        state_capacity=st.sampled_from([0, 2000, 8000]),
+        cold=st.floats(0.005, 0.2),
+    )
+    def test_fold_equals_per_event_hooks(
+        self,
+        seed,
+        rate,
+        process,
+        workers,
+        max_batch,
+        wait,
+        capacity,
+        deadline,
+        state_capacity,
+        cold,
+    ):
+        spec = _spec(duration_s=5.0, session_rate=rate, seed=seed, process=process)
+        cfg = _node(
+            workers=workers,
+            max_batch=max_batch,
+            max_wait_s=wait,
+            queue_capacity=capacity,
+            deadline_s=deadline,
+            state_capacity_bytes=state_capacity,
+        )
+        self._fold_and_oracle(generate_requests(spec), cfg, _times(cold=cold), 5.0)
+
+    def test_empty_shard(self):
+        t = self._fold_and_oracle([], _node(), _times())
+        assert t.arrived == 0 and t.latency.n == 0 and t.busy_s == 0.0
+
+    def test_all_shed_stream(self):
+        # A batch never fills (max_batch > queue capacity) and the wait
+        # outlasts the deadline: every request is shed, none completes.
+        cfg = _node(workers=1, max_batch=8, queue_capacity=4, max_wait_s=1.0, deadline_s=0.01)
+        t = self._fold_and_oracle(generate_requests(_spec(session_rate=20.0)), cfg, _times())
+        assert t.arrived > 0 and t.shed == t.arrived
+        assert t.shed_queue_full > 0 and t.shed_deadline > 0
+        assert t.completed == t.batches == t.latency.n == 0
 
 
 class TestRouteRequests:

@@ -159,27 +159,97 @@ class TestStreamingHistogram:
         # The mean's float sum is association-sensitive: equal to 1 ulp.
         assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
 
+    @staticmethod
+    def _state(hist):
+        """Every recorded field; ``repr`` pins float bits, zero signs included."""
+        return (list(hist.counts), hist.n, repr(hist.total), repr(hist.vmin), repr(hist.vmax))
+
     def test_record_values_matches_record_loop(self):
+        for log in (True, False):
+            self._check_record_values_matches_record_loop(log)
+
+    def _check_record_values_matches_record_loop(self, log):
         import numpy as np
 
         rng = np.random.default_rng(23)
-        samples = rng.exponential(0.2, size=2000)
-        # Include exact edge values: a value on a bin edge falls into the
-        # bin above it either way.
-        looped = timing.StreamingHistogram(1e-4, 1e3, 288, log=True)
-        samples = np.concatenate([samples, np.array(looped._edges[:5])])
-        looped = timing.StreamingHistogram(1e-4, 1e3, 288, log=True)
-        at_once = timing.StreamingHistogram(1e-4, 1e3, 288, log=True)
+        lo, hi, bins = (1e-4, 1e3, 288) if log else (-0.5, 16.5, 17)
+        edges = timing.StreamingHistogram(lo, hi, bins, log=log)._edges
+        scale = 0.2 if log else 5.0
+        samples = [
+            *rng.exponential(scale, size=100_000).tolist(),
+            lo, hi, *edges,  # a value on an edge falls into the bin above it
+            lo / 2, lo - 1.0, hi * 2, hi + 1.0,  # below lo / above hi: end bins
+            0, 3, 7, 16,  # Python ints
+            0.0, -0.0,
+        ]
+        order = rng.permutation(len(samples))
+        samples = [samples[k] for k in order]
+
+        def fresh():
+            # Both start from a histogram that already holds samples, so
+            # the vectorized total must continue the existing sum.
+            hist = timing.StreamingHistogram(lo, hi, bins, log=log)
+            for v in (0.37, 2.5, lo * 3):
+                hist.record(v)
+            return hist
+
+        looped, at_once = fresh(), fresh()
         for v in samples:
-            looped.record(float(v))
+            looped.record(v)
         at_once.record_values(samples)
-        assert at_once.counts == looped.counts
-        assert at_once.n == looped.n
-        assert at_once.vmin == looped.vmin
-        assert at_once.vmax == looped.vmax
-        for q in (50, 95, 99):
+        assert self._state(at_once) == self._state(looped)
+        for q in (0, 50, 95, 99, 100):
             assert at_once.percentile(q) == looped.percentile(q)
-        assert at_once.total == looped.total
+        # Later calls continue from the state so far; the last one takes
+        # +inf, which clamps into the top bin and makes the total inf.
+        for tail in (rng.exponential(scale, size=1000), [2.0, float("inf"), 1.0]):
+            for v in tail:
+                looped.record(v)
+            at_once.record_values(tail)
+            assert self._state(at_once) == self._state(looped)
+        assert at_once.total == float("inf")
+
+    def test_record_values_keeps_first_of_equal_extremes(self):
+        # min/max keep the earlier of 0.0 and -0.0; so must the fold.
+        for values in ([0.0, -0.0], [-0.0, 0.0], [-0.0, 0.0, -0.0, 0.0] * 1000):
+            looped = timing.StreamingHistogram(-1.0, 1.0, 4)
+            at_once = timing.StreamingHistogram(-1.0, 1.0, 4)
+            for v in values:
+                looped.record(v)
+            at_once.record_values(values)
+            assert self._state(at_once) == self._state(looped)
+
+    def test_infinities_clamp_into_end_bins(self):
+        for inf in (float("inf"), float("-inf")):
+            looped = timing.StreamingHistogram(0.0, 1.0, 4)
+            at_once = timing.StreamingHistogram(0.0, 1.0, 4)
+            looped.record(0.5)
+            looped.record(inf)
+            at_once.record_values([0.5, inf])
+            assert self._state(at_once) == self._state(looped)
+            assert looped.counts[0 if inf < 0 else -1] == 1
+
+    def test_nan_is_rejected(self):
+        hist = timing.StreamingHistogram(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="NaN"):
+            hist.record(float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            hist.record_values([0.5, float("nan"), 0.7])
+        # Nothing was recorded by either failed call.
+        assert hist.n == 0 and hist.counts == [0] * 4
+        assert hist.vmin == float("inf") and hist.total == 0.0
+
+    def test_fold_sum_is_sequential(self):
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        # Magnitudes over 16 decades: rounding depends on the addition order.
+        values = rng.standard_normal(10_000) * 10.0 ** rng.integers(-8, 9, size=10_000)
+        total = 0.125
+        for v in values.tolist():
+            total += v
+        assert timing.fold_sum(0.125, values) == total
+        assert timing.fold_sum(0.125, []) == 0.125
 
     def test_record_values_empty_and_shape(self):
         import numpy as np
