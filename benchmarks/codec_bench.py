@@ -8,7 +8,9 @@ bit-matrix ``reference`` spec in ``tests/oracles``, recording MB/s and
 the vectorized/reference speedup into ``BENCH_codec.json``.  Exits
 non-zero if any encode+decode speedup falls below ``--min-speedup`` (or
 if the two ever disagree on bytes or decoded values — the benchmark
-double-checks byte-identity on every stream it times).
+double-checks byte-identity on every stream it times, and also compares
+lenient ``GroupCodec`` decodes of one bit-flipped and one truncated
+stream, values and flags, with the spec).
 
 The default size is an HD delta trace (1080x1920 values); ``--smoke``
 drops to 2^16 values for CI, where the gate is 5x rather than 10x
@@ -35,7 +37,7 @@ sys.path.insert(0, str(REPO_ROOT))
 
 from tests import oracles  # noqa: E402
 
-from repro.compression.codec import GroupCodec, RLEZeroCodec  # noqa: E402
+from repro.compression.codec import Encoded, GroupCodec, RLEZeroCodec  # noqa: E402
 from repro.protect.ecc import secded_decode, secded_encode  # noqa: E402
 from repro.utils.rng import DEFAULT_SEED  # noqa: E402
 
@@ -101,6 +103,35 @@ def make_deltas(values: int, seed: int) -> np.ndarray:
     return np.clip(np.round(deltas), -(1 << 15), (1 << 15) - 1).astype(np.int64)
 
 
+def check_damaged_decodes(data: np.ndarray, seed: int) -> "list[str]":
+    """Lenient decodes of damaged streams must match the spec.
+
+    Flips one seeded bit of each ``GroupCodec`` stream (plain and CRC-8)
+    and, separately, drops its last quarter, then compares the decoded
+    values and flags with the spec's.  Returns the names of the checks.
+    """
+    rng = np.random.default_rng(seed)
+    checked = []
+    for checksum in (False, True):
+        codec = GroupCodec(16, signed=True, checksum=checksum)
+        encoded = codec.encode(data)
+        flipped = bytearray(encoded.data)
+        bit = int(rng.integers(encoded.bits))
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        damaged = {
+            "bit_flipped": bytes(flipped),
+            "truncated": encoded.data[: len(encoded.data) * 3 // 4],
+        }
+        for kind, payload in damaged.items():
+            name = f"{'group_checksum' if checksum else 'group_plain'}/{kind}"
+            stream = Encoded(data=payload, bits=encoded.bits, values=encoded.values)
+            ref = oracles.group_decode_flagged(stream, 16, True, checksum, strict=False)
+            if not identical(ref, codec.decode_flagged(stream, strict=False)):
+                raise AssertionError(f"{name}: codec and spec decoded differently")
+            checked.append(name)
+    return checked
+
+
 def time_path(encode, decode, data: np.ndarray, repeats: int) -> dict:
     """Best-of-N cold encode and decode wall times for one implementation."""
     best_enc = best_dec = float("inf")
@@ -155,6 +186,7 @@ def run(values: int, seed: int, repeats: dict) -> dict:
         "bytes_per_value": BYTES_PER_VALUE,
         "seed": seed,
         "cases": cases,
+        "lenient_identity": check_damaged_decodes(data, seed),
     }
 
 

@@ -2,17 +2,36 @@
 
 The wire formats are defined one field at a time (the value-at-a-time
 spec in ``tests/oracles/``); this module implements them as whole-array
-numpy bit-plane operations:
+numpy bit-plane operations on the unpacked stream (one ``uint8`` per
+bit).
+
+**Units.**  A GroupCodec group spans ``HEADER_BITS + group_size*w +
+tail`` bits, with ``tail`` 0 or ``CHECKSUM_BITS`` (8).  Every group
+offset is a sum of such spans, so every field boundary in the stream —
+header, payload, CRC — falls on a multiple of ``u = gcd(HEADER_BITS,
+group_size)``: 4 for the production group of 16, 1 or 2 for odd sizes.
+The codec therefore moves bits ``u`` at a time, as the ``u``-byte
+elements of a ``uint{8u}`` view of the bit array:
 
 - **encode** computes every group width at once (:func:`group_precisions`
-  is already vectorized), lays out per-group bit offsets with one
-  ``cumsum``, scatters header/value/CRC bit planes into a single ``uint8``
-  bit array (one scatter per distinct width, of which there are at most
-  16), and emits bytes with a single ``np.packbits``;
-- **decode** unpacks the stream once with ``np.unpackbits``, walks the
-  variable-width group headers with a cheap O(groups) scan (headers are
-  data-dependent, values are not), then gathers and combines all payload
-  bit planes per distinct width;
+  is already vectorized), lays out the group offsets with one ``cumsum``,
+  builds each width class's bit planes with one ``np.unpackbits`` of the
+  big-endian 16-bit words, scatters header, payload and CRC as units
+  (one scatter per distinct width, of which there are at most 16), and
+  emits bytes with a single ``np.packbits``;
+- **decode** unpacks the stream once, builds the 4-bit header value at
+  every unit offset with one strided pass, and walks that table: each
+  step is ``k += base + q*table[k]`` in units, for as long as a
+  maximal-width group still fits in the buffer.  The last few groups go
+  through a per-group loop that checks every field against the buffer
+  end, so exhaustion, partial groups and desynchronized tails decode
+  exactly as the spec does.  Payload and CRC units are then gathered
+  per distinct width (``u`` times fewer indices than a per-bit gather).
+- **combine**: bit planes become integers through a float32 matmul
+  (:func:`_combine_planes`).  It is exact: a field is at most 24 bits
+  wide (16 in every codec format here), so each partial sum is an
+  integer below 2^24, which float32 holds without rounding.  Signed
+  fields sign-extend as ``(raw ^ s) - s`` with ``s`` the sign bit.
 - **CRC-8** is computed for every group at once by exploiting the GF(2)
   linearity of the CRC register: the checksum of a message is the XOR of
   per-bit-position contributions (``x^(d+8) mod G``), so a whole width
@@ -33,6 +52,7 @@ inputs and keep the codec counters.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -61,6 +81,9 @@ CRC8_POLY = 0x07
 
 #: RLEz token width: 4-bit skip count + 16-bit stored value.
 RLE_TOKEN_BITS = 16 + RLE_COUNT_BITS
+
+#: Widest group a 4-bit ``width - 1`` header can announce.
+_MAX_WIDTH = 1 << HEADER_BITS
 
 #: Scatter/gather index buffers are chunked to about this many elements so
 #: a trace-scale stream never materializes a multi-hundred-MB index matrix.
@@ -110,14 +133,57 @@ def _chunked(indices: np.ndarray, span: int) -> Iterator[np.ndarray]:
         yield indices[i : i + step]
 
 
+@lru_cache(maxsize=None)
 def _bit_weights(width: int) -> np.ndarray:
-    """MSB-first positional weights for combining ``width`` bit planes."""
-    return np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
+    """MSB-first float32 positional weights for ``width`` bit planes."""
+    weights = (2.0 ** np.arange(width - 1, -1, -1)).astype(np.float32)
+    weights.setflags(write=False)
+    return weights
 
 
-def _from_twos_complement_array(raw: np.ndarray, width: int) -> np.ndarray:
-    sign_bit = np.int64(1) << (width - 1)
-    return np.where(raw & sign_bit, raw - (np.int64(1) << width), raw)
+def _combine_planes(planes: np.ndarray) -> np.ndarray:
+    """The unsigned MSB-first value of 0/1 bit planes on the last axis.
+
+    One float32 matmul, exact for fields up to 24 bits wide: every
+    partial sum is an integer below 2^24, which float32 represents
+    without rounding.  Returns ``int64``.
+    """
+    weights = _bit_weights(planes.shape[-1])
+    return (planes.astype(np.float32) @ weights).astype(np.int64)
+
+
+def _sign_extend(raw: np.ndarray, width: int) -> np.ndarray:
+    """Read unsigned ``width``-bit fields as two's complement."""
+    sign = 1 << (width - 1)
+    return (raw ^ sign) - sign
+
+
+def _to_planes(values: np.ndarray, width: int) -> np.ndarray:
+    """The low ``width`` bits of each value as MSB-first 0/1 planes.
+
+    Adds a last axis of length ``width`` (``width <= 16``): the masked
+    values are left-aligned in big-endian 16-bit words, and
+    ``np.unpackbits`` keeps each word's first ``width`` bits.
+    """
+    masked = np.asarray(values, dtype=np.int64) & ((1 << width) - 1)
+    words = np.asarray(masked << (16 - width), dtype=">u2")  # scalars too
+    return np.unpackbits(words[..., None].view(np.uint8), axis=-1, count=width)
+
+
+def _unit(group_size: int) -> int:
+    """Bits per unit: every GroupCodec field starts on a multiple of it."""
+    return gcd(HEADER_BITS, group_size)
+
+
+def _width_crc(width: int, group_size: int) -> "tuple[np.uint8, np.ndarray]":
+    """CRC-8 terms of a width-``width`` group.
+
+    Returns the header's contribution, which every group of the width
+    class shares, and the per-position contributions of the payload bits.
+    """
+    contrib = crc8_contrib(HEADER_BITS + group_size * width)
+    header = _to_planes(width - 1, HEADER_BITS) * contrib[:HEADER_BITS]
+    return np.bitwise_xor.reduce(header), contrib[HEADER_BITS:]
 
 
 # ---------------------------------------------------------------------------
@@ -139,54 +205,36 @@ def group_encode(
     widths = np.asarray(enc.precisions, dtype=np.int64)
     n_groups = widths.size
     tail = CHECKSUM_BITS if checksum else 0
+    u = _unit(group_size)
     spans = HEADER_BITS + widths * group_size + tail
     offsets = np.zeros(n_groups + 1, dtype=np.int64)
     np.cumsum(spans, out=offsets[1:])
     total_bits = int(offsets[-1])
-    bits = np.zeros(total_bits, dtype=np.uint8)
+    bits = np.zeros(-(-total_bits // 8) * 8, dtype=np.uint8)
+    units = bits.view(f"u{u}")
+    starts = offsets[:-1] // u  # each group's first unit
+    hu = HEADER_BITS // u
     if n_groups:
-        header = widths - 1
-        hshift = np.arange(HEADER_BITS - 1, -1, -1, dtype=np.int64)
-        hbits = ((header[:, None] >> hshift) & 1).astype(np.uint8)
-        hpos = offsets[:-1, None] + np.arange(HEADER_BITS, dtype=np.int64)
-        bits[hpos.reshape(-1)] = hbits.reshape(-1)
+        hpos = starts[:, None] + np.arange(hu)
+        units[hpos] = _to_planes(widths - 1, HEADER_BITS).view(units.dtype)
 
         padded = np.zeros(n_groups * group_size, dtype=np.int64)
         padded[: flat.size] = flat
         vals = padded.reshape(n_groups, group_size)
-        cshift = np.arange(CHECKSUM_BITS - 1, -1, -1, dtype=np.int64)
-        for w in map(int, np.unique(widths)):
+        for w in np.unique(widths).tolist():
             sel = np.flatnonzero(widths == w)
             span = group_size * w
-            vshift = np.arange(w - 1, -1, -1, dtype=np.int64)
-            rel = HEADER_BITS + np.arange(span, dtype=np.int64)
+            rel = hu + np.arange(span // u)
             if checksum:
-                contrib = crc8_contrib(HEADER_BITS + span)
-                # All groups in a width class share the same header bits,
-                # hence the same header contribution to their CRC.
-                hdr_crc = 0
-                for i in range(HEADER_BITS):
-                    if (w - 1) >> (HEADER_BITS - 1 - i) & 1:
-                        hdr_crc ^= int(contrib[i])
-                vcontrib = contrib[HEADER_BITS:]
+                hdr_crc, vcontrib = _width_crc(w, group_size)
+                crel = hu + span // u + np.arange(CHECKSUM_BITS // u)
             for chunk in _chunked(sel, span):
-                raw = vals[chunk]
-                if signed:
-                    raw = raw & ((np.int64(1) << w) - 1)
-                planes = ((raw[..., None] >> vshift) & 1).astype(np.uint8)
-                planes = planes.reshape(len(chunk), span)
-                pos = offsets[chunk][:, None] + rel
-                bits[pos.reshape(-1)] = planes.reshape(-1)
+                planes = _to_planes(vals[chunk], w).reshape(len(chunk), span)
+                units[starts[chunk][:, None] + rel] = planes.view(units.dtype)
                 if checksum:
-                    crc = np.bitwise_xor.reduce(planes * vcontrib, axis=1)
-                    crc ^= np.uint8(hdr_crc)
-                    cbits = ((crc[:, None].astype(np.int64) >> cshift) & 1).astype(
-                        np.uint8
-                    )
-                    cpos = (offsets[chunk] + HEADER_BITS + span)[:, None] + np.arange(
-                        CHECKSUM_BITS, dtype=np.int64
-                    )
-                    bits[cpos.reshape(-1)] = cbits.reshape(-1)
+                    crc = np.bitwise_xor.reduce(planes * vcontrib, axis=1) ^ hdr_crc
+                    cplanes = _to_planes(crc, CHECKSUM_BITS)
+                    units[starts[chunk][:, None] + crel] = cplanes.view(units.dtype)
     return np.packbits(bits).tobytes(), total_bits
 
 
@@ -212,27 +260,44 @@ def group_decode_flagged(
     """
     groups = -(-values // group_size)
     tail = CHECKSUM_BITS if checksum else 0
+    u = _unit(group_size)
+    hu = HEADER_BITS // u
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     phys = bits.size
+    units = bits.view(f"u{u}")
 
-    # Header scan: offsets are data-dependent (each group's span depends
-    # on its width), so this walk is sequential — but it is O(groups),
-    # not O(values x bits), and each step is a handful of int ops on the
-    # raw bytes (a 4-bit header straddles at most two of them; the pad
-    # byte keeps the straddling read in bounds at the buffer's edge).
-    padded = data + b"\x00"
-    offsets = np.empty(groups, dtype=np.int64)
-    widths = np.empty(groups, dtype=np.int64)
-    complete = 0
+    # Header table: the 4-bit header read at every unit offset where a
+    # whole header fits in the buffer.  Group offsets are data-dependent,
+    # so the walk stays sequential; each step is one table read and one
+    # add, in units.
+    n_hdr = max(0, (phys - HEADER_BITS) // u + 1)
+    hdr = np.zeros(n_hdr, dtype=np.uint8)
+    for i in range(HEADER_BITS):
+        hdr |= bits[i::u][:n_hdr] << (HEADER_BITS - 1 - i)
+    table = hdr.tobytes()
+    base = (HEADER_BITS + group_size + tail) // u
+    q = group_size // u
+    # A group starting at or before unit ``last_safe`` is complete at any
+    # width, so the fast walk needs no bounds checks.
+    last_safe = (phys - HEADER_BITS - group_size * _MAX_WIDTH - tail) // u
+    starts: "list[int]" = []  # first unit of every complete group
+    append = starts.append
+    k = 0
+    for _g in range(groups):
+        if k > last_safe:
+            break
+        append(k)
+        k += base + q * table[k]
+
+    # The last groups before the buffer end: check every field.
     eof_bits_read: "Optional[int]" = None
     partial: "Optional[tuple[int, int, int]]" = None  # (offset, width, values read)
-    o = 0
-    for _g in range(groups):
+    o = k * u
+    for _g in range(len(starts), groups):
         if o + HEADER_BITS > phys:
             eof_bits_read = o
             break
-        i = o >> 3
-        w = (((padded[i] << 8) | padded[i + 1]) >> (12 - (o & 7)) & 0xF) + 1
+        w = table[o // u] + 1
         payload_end = o + HEADER_BITS + group_size * w
         if payload_end > phys:
             done = (phys - o - HEADER_BITS) // w
@@ -242,49 +307,36 @@ def group_decode_flagged(
         if checksum and payload_end + CHECKSUM_BITS > phys:
             eof_bits_read = payload_end
             break
-        offsets[complete] = o
-        widths[complete] = w
+        append(o // u)
         o = payload_end + tail
-        complete += 1
     bits_read = o if eof_bits_read is None else eof_bits_read
 
+    complete = len(starts)
+    starts_c = np.array(starts, dtype=np.int64)
+    wids_c = hdr[starts_c].astype(np.int64) + 1
     out = np.zeros((groups, group_size), dtype=np.int64)
     rejected = np.zeros(groups, dtype=bool)
-    offs_c = offsets[:complete]
-    wids_c = widths[:complete]
-    for w in (map(int, np.unique(wids_c)) if complete else ()):
+    for w in np.unique(wids_c).tolist():
         sel = np.flatnonzero(wids_c == w)
         span = group_size * w
-        weights = _bit_weights(w)
-        rel = HEADER_BITS + np.arange(span, dtype=np.int64)
+        rel = hu + np.arange(span // u)
         if checksum:
-            contrib = crc8_contrib(HEADER_BITS + span)
-            hdr_crc = 0
-            for i in range(HEADER_BITS):
-                if (w - 1) >> (HEADER_BITS - 1 - i) & 1:
-                    hdr_crc ^= int(contrib[i])
-            vcontrib = contrib[HEADER_BITS:]
-            cweights = _bit_weights(CHECKSUM_BITS)
+            hdr_crc, vcontrib = _width_crc(w, group_size)
+            crel = hu + span // u + np.arange(CHECKSUM_BITS // u)
         for chunk in _chunked(sel, span):
-            pos = offs_c[chunk][:, None] + rel
-            planes = bits[pos.reshape(-1)].reshape(len(chunk), span)
-            raw = planes.reshape(len(chunk), group_size, w).astype(np.int64) @ weights
-            if signed:
-                raw = _from_twos_complement_array(raw, w)
-            out[chunk] = raw
+            first = starts_c[chunk][:, None]
+            planes = units[first + rel].view(np.uint8)
+            raw = _combine_planes(planes.reshape(len(chunk), group_size, w))
+            out[chunk] = _sign_extend(raw, w) if signed else raw
             if checksum:
-                calc = np.bitwise_xor.reduce(planes * vcontrib, axis=1)
-                calc ^= np.uint8(hdr_crc)
-                cpos = (offs_c[chunk] + HEADER_BITS + span)[:, None] + np.arange(
-                    CHECKSUM_BITS, dtype=np.int64
-                )
-                stored = bits[cpos.reshape(-1)].reshape(len(chunk), CHECKSUM_BITS)
-                stored = stored.astype(np.int64) @ cweights
+                calc = np.bitwise_xor.reduce(planes * vcontrib, axis=1) ^ hdr_crc
+                stored = _combine_planes(units[first + crel].view(np.uint8))
                 rejected[chunk] |= stored != calc
 
     if checksum and complete and suspect_bits:
         # A group overlapping a known-damaged bit range is rejected even
         # when its CRC-8 happens to pass (the 2^-8 escape path).
+        offs_c = starts_c * u
         span_end = offs_c + HEADER_BITS + wids_c * group_size + CHECKSUM_BITS
         known_bad = np.zeros(complete, dtype=bool)
         for lo, hi in suspect_bits:
@@ -322,17 +374,9 @@ def group_decode_flagged(
         # managed to shift in before the stream ran dry.
         start, w, done = partial
         if done:
-            weights = _bit_weights(w)
-            pos = (
-                start
-                + HEADER_BITS
-                + np.arange(done, dtype=np.int64)[:, None] * w
-                + np.arange(w, dtype=np.int64)
-            )
-            raw = bits[pos.reshape(-1)].reshape(done, w).astype(np.int64) @ weights
-            if signed:
-                raw = _from_twos_complement_array(raw, w)
-            out[complete, :done] = raw
+            first = start + HEADER_BITS
+            raw = _combine_planes(bits[first : first + done * w].reshape(done, w))
+            out[complete, :done] = _sign_extend(raw, w) if signed else raw
     return out.reshape(-1)[:values].copy(), tuple(flagged)
 
 
@@ -397,9 +441,8 @@ def rlez_decode(
     out = np.zeros(values, dtype=np.int64)
     if n_tokens:
         planes = bits[: n_tokens * RLE_TOKEN_BITS].reshape(n_tokens, RLE_TOKEN_BITS)
-        planes = planes.astype(np.int64)
-        skips = planes[:, :RLE_COUNT_BITS] @ _bit_weights(RLE_COUNT_BITS)
-        vals = _from_twos_complement_array(planes[:, RLE_COUNT_BITS:] @ _bit_weights(16), 16)
+        skips = _combine_planes(planes[:, :RLE_COUNT_BITS])
+        vals = _sign_extend(_combine_planes(planes[:, RLE_COUNT_BITS:]), 16)
         ends = np.cumsum(skips + 1)
         decoded = np.zeros(int(ends[-1]), dtype=np.int64)
         decoded[ends - 1] = vals

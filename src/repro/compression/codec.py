@@ -98,11 +98,17 @@ def _as_int_stream(name: str, values: np.ndarray, signed: bool) -> np.ndarray:
     return flat
 
 
-def _check_encoded(encoded: Encoded) -> None:
-    """Validate the self-consistency of an :class:`Encoded` container."""
-    check_nonnegative("encoded.bits", encoded.bits)
-    check_nonnegative("encoded.values", encoded.values)
-    if len(encoded.data) * 8 < encoded.bits:
+def _check_encoded(encoded: Encoded, strict: bool) -> None:
+    """Validate an :class:`Encoded` container before decoding it.
+
+    ``bits`` and ``values`` must be non-negative integers in both modes.
+    Only ``strict`` also requires the buffer to hold ``bits`` bits:
+    fault campaigns decode truncated streams leniently on purpose.
+    """
+    for name in ("bits", "values"):
+        value = check_integer(f"encoded.{name}", getattr(encoded, name))
+        check_nonnegative(f"encoded.{name}", value)
+    if strict and len(encoded.data) * 8 < encoded.bits:
         raise ValueError(
             f"encoded stream is truncated: {len(encoded.data)} bytes cannot "
             f"hold {encoded.bits} bits"
@@ -185,8 +191,7 @@ class GroupCodec:
         escapes an 8-bit CRC with probability 2^-8, and there is no reason
         to take that bet when the damage location is known.
         """
-        if strict:
-            _check_encoded(encoded)
+        _check_encoded(encoded, strict)
         result = bitplane.group_decode_flagged(
             encoded.data,
             encoded.bits,
@@ -219,8 +224,7 @@ class RLEZeroCodec:
         return Encoded(data=data, bits=bits, values=int(flat.size))
 
     def decode(self, encoded: Encoded, strict: bool = True) -> np.ndarray:
-        if strict:
-            _check_encoded(encoded)
+        _check_encoded(encoded, strict)
         result = bitplane.rlez_decode(
             encoded.data, encoded.bits, encoded.values, strict
         )

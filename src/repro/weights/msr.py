@@ -41,9 +41,9 @@ import numpy as np
 
 from repro.compression.bitplane import (
     CHECKSUM_BITS,
-    _bit_weights,
     _chunked,
-    _from_twos_complement_array,
+    _combine_planes,
+    _sign_extend,
     crc8_contrib,
 )
 from repro.compression.codec import (
@@ -111,6 +111,10 @@ class MSRCodec:
         max_msr = check_integer("max_msr", max_msr)
         column_size = check_integer("column_size", column_size)
         check_positive("column_size", column_size)
+        if column_size >= 1 << 24:
+            # Count and index fields must stay within the 24 bits the
+            # float32 plane combine reads exactly.
+            raise ValueError(f"column_size must be below 2^24, got {column_size}")
         if not 2 <= bits <= 16:
             raise ValueError(f"bits must be in [2, 16], got {bits}")
         if not 1 <= max_msr <= bits - 1:
@@ -299,8 +303,7 @@ class MSRCodec:
         column overlapping a ``suspect_bits`` range even when its CRC-8
         happens to pass.
         """
-        if strict:
-            _check_encoded(encoded)
+        _check_encoded(encoded, strict)
         result = self._unpack(encoded, strict, tuple(suspect_bits))
         _note_codec_call("decode", encoded.bits, encoded.values, codec="weight")
         return result
@@ -318,7 +321,7 @@ class MSRCodec:
         head = self._head_bits
 
         def rd(o: int, w: int) -> int:
-            return int(bitarr[o : o + w] @ _bit_weights(w))
+            return int(_combine_planes(bitarr[o : o + w]))
 
         # Sequential O(columns) header walk: spans are data-dependent
         # (run width and compensation count), values are not.
@@ -376,21 +379,18 @@ class MSRCodec:
             sel = np.flatnonzero(runs_c == r)
             compact = self.bits - r + 1
             span = self.column_size * compact
-            weights = _bit_weights(compact)
             rel = np.arange(span, dtype=np.int64)
             for chunk in _chunked(sel, span):
                 pos = pstarts[chunk][:, None] + rel
                 planes = bitarr[pos.reshape(-1)].reshape(
                     len(chunk), self.column_size, compact
                 )
-                raw = planes.astype(np.int64) @ weights
-                out[chunk] = _from_twos_complement_array(raw, compact)
+                out[chunk] = _sign_extend(_combine_planes(planes), compact)
 
         if self.checksum and complete:
             span_nocrc = head + ms_c * self._entry_bits + (
                 self.bits - runs_c + 1
             ) * self.column_size
-            cweights = _bit_weights(CHECKSUM_BITS)
             for s in map(int, np.unique(span_nocrc)):
                 sel = np.flatnonzero(span_nocrc == s)
                 contrib = crc8_contrib(s)
@@ -401,8 +401,9 @@ class MSRCodec:
                     cpos = (offs_c[chunk] + s)[:, None] + np.arange(
                         CHECKSUM_BITS, dtype=np.int64
                     )
-                    stored = bitarr[cpos.reshape(-1)].reshape(len(chunk), CHECKSUM_BITS)
-                    stored = stored.astype(np.int64) @ cweights
+                    stored = _combine_planes(
+                        bitarr[cpos.reshape(-1)].reshape(len(chunk), CHECKSUM_BITS)
+                    )
                     rejected[chunk] |= stored != calc
             if suspect_bits:
                 span_end = offs_c + span_nocrc + CHECKSUM_BITS
@@ -438,11 +439,8 @@ class MSRCodec:
                 mval * self._entry_bits, dtype=np.int64
             )
             ent = bitarr[pos.reshape(-1)].reshape(len(sel), mval, self._entry_bits)
-            ent = ent.astype(np.int64)
-            idx = ent[:, :, : self._index_bits] @ _bit_weights(self._index_bits)
-            val = _from_twos_complement_array(
-                ent[:, :, self._index_bits :] @ _bit_weights(self.bits), self.bits
-            )
+            idx = _combine_planes(ent[:, :, : self._index_bits])
+            val = _sign_extend(_combine_planes(ent[:, :, self._index_bits :]), self.bits)
             tcol = np.repeat(sel, mval)
             tidx = idx.reshape(-1)
             tval = val.reshape(-1)
@@ -465,14 +463,6 @@ class MSRCodec:
         elif partial is not None:
             pstart, compact, done = partial
             if done:
-                weights = _bit_weights(compact)
-                pos = (
-                    pstart
-                    + np.arange(done, dtype=np.int64)[:, None] * compact
-                    + np.arange(compact, dtype=np.int64)
-                )
-                raw = bitarr[pos.reshape(-1)].reshape(done, compact).astype(np.int64)
-                out[complete, :done] = _from_twos_complement_array(
-                    raw @ weights, compact
-                )
+                planes = bitarr[pstart : pstart + done * compact].reshape(done, compact)
+                out[complete, :done] = _sign_extend(_combine_planes(planes), compact)
         return out.reshape(-1)[: encoded.values].copy(), tuple(flagged)

@@ -8,8 +8,7 @@ encoded bytes, same decoded values and flags, and the same strict-mode
 errors, corrupted and truncated streams included.
 
 Encoders take an already-validated flat ``int64`` stream.  Decoders
-apply the same container check as the production ``decode`` when
-``strict`` is set.
+apply the same container check as the production ``decode``.
 """
 
 from __future__ import annotations
@@ -69,8 +68,7 @@ def group_decode_flagged(
     suspect_bits: "tuple[tuple[int, int], ...]" = (),
 ) -> "tuple[np.ndarray, tuple[int, ...]]":
     """Spec of ``GroupCodec(group_size, signed, checksum).decode_flagged``."""
-    if strict:
-        _check_encoded(encoded)
+    _check_encoded(encoded, strict)
     reader = BitReader(encoded.data)
     out: list[int] = []
     flagged: list[int] = []
@@ -166,8 +164,7 @@ def rlez_encode(flat: np.ndarray) -> Encoded:
 
 def rlez_decode(encoded: Encoded, strict: bool = True) -> np.ndarray:
     """Spec of ``RLEZeroCodec().decode``."""
-    if strict:
-        _check_encoded(encoded)
+    _check_encoded(encoded, strict)
     reader = BitReader(encoded.data)
     out: list[int] = []
     try:

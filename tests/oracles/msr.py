@@ -98,8 +98,7 @@ def msr_decode_flagged(
     suspect_bits: "tuple[tuple[int, int], ...]" = (),
 ) -> "tuple[np.ndarray, tuple[int, ...]]":
     """Spec of ``MSRCodec(bits, max_msr, column_size, checksum).decode_flagged``."""
-    if strict:
-        _check_encoded(encoded)
+    _check_encoded(encoded, strict)
     run_bits, count_bits, index_bits = _field_bits(bits, max_msr, column_size)
     reader = BitReader(encoded.data)
     out: list[int] = []

@@ -223,6 +223,47 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             codec.decode(bad)
 
+    @pytest.mark.parametrize(
+        "codec",
+        [GroupCodec(signed=True), GroupCodec(signed=True, checksum=True),
+         RLEZeroCodec(), MSRCodec()],
+        ids=["group", "group-crc", "rlez", "msr"],
+    )
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("values", -3), ("bits", -1), ("values", 2.0), ("bits", 8.5), ("values", True)],
+    )
+    def test_bad_container_counts_rejected_in_both_modes(
+        self, codec, strict, field, value
+    ):
+        # Lenient decodes tolerate damaged payloads, not a malformed
+        # container: a negative or non-integer count is named up front
+        # instead of decoding to an empty array or a numpy traceback.
+        encoded = codec.encode(np.array([1, -2, 3, 0, 5]))
+        counts = {"bits": encoded.bits, "values": encoded.values, field: value}
+        bad = type(encoded)(data=encoded.data, **counts)
+        with pytest.raises(ValueError, match=f"encoded.{field} must be"):
+            codec.decode(bad, strict=strict)
+
+    @pytest.mark.parametrize(
+        "codec", [GroupCodec(signed=True), RLEZeroCodec(), MSRCodec()],
+        ids=["group", "rlez", "msr"],
+    )
+    def test_only_strict_decodes_check_the_buffer_length(self, codec):
+        encoded = codec.encode(np.arange(-40, 40))
+        short = type(encoded)(
+            data=encoded.data[:-3], bits=encoded.bits, values=encoded.values
+        )
+        with pytest.raises(ValueError, match="truncated"):
+            codec.decode(short)
+        assert codec.decode(short, strict=False).shape == (80,)
+
+    def test_msr_column_size_bounded_by_exact_combine(self):
+        assert MSRCodec(column_size=(1 << 24) - 1).column_size == (1 << 24) - 1
+        with pytest.raises(ValueError, match="column_size must be below 2\\^24"):
+            MSRCodec(column_size=1 << 24)
+
 
 def _flip_stream_bit(encoded, bit):
     """Flip one bit (MSB-first position) of an Encoded payload."""

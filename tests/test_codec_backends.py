@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import term_maps
-from repro.compression.codec import GroupCodec, RLEZeroCodec
+from repro.compression.codec import CHECKSUM_BITS, GroupCodec, RLEZeroCodec
+from repro.core.precision import HEADER_BITS, group_precisions
 from repro.faults.inject import inject_encoded
 from repro.faults.models import BitFlip
 from repro.protect.policy import ProtectionPolicy
@@ -105,6 +106,111 @@ class TestGroupCodecIdentity:
             assert res_ref[1] == res_vec[1]
         else:
             assert res_ref == res_vec
+
+
+def _assert_group_decodes_agree(codec, encoded, strict, suspect_bits=()):
+    """Production and spec agree on values, flags and strict errors."""
+    kind_ref, res_ref = _outcome(
+        lambda: oracles.group_decode_flagged(
+            encoded, codec.group_size, codec.signed, codec.checksum,
+            strict=strict, suspect_bits=suspect_bits,
+        )
+    )
+    kind_vec, res_vec = _outcome(
+        lambda: codec.decode_flagged(encoded, strict=strict, suspect_bits=suspect_bits)
+    )
+    assert kind_ref == kind_vec, (kind_ref, res_ref, kind_vec, res_vec)
+    if kind_ref == "ok":
+        assert np.array_equal(res_ref[0], res_vec[0])
+        assert res_ref[1] == res_vec[1]
+    else:
+        assert res_ref == res_vec
+
+
+def _sparse_wide_deltas(rng, size):
+    """Mostly 2-bit deltas with about one 16-bit outlier per 100 values.
+
+    Most groups are narrow and about one in seven is wide, so the walk
+    both runs long and meets maximal-width groups near every cut.
+    """
+    deltas = rng.integers(-2, 2, size=size)
+    wide = rng.random(size) < 0.01
+    deltas[wide] = rng.integers(-32768, 32768, size=int(wide.sum()))
+    return deltas
+
+
+class TestGroupCodecUnitWalk:
+    """The decoder walks group headers in ``gcd(4, group_size)``-bit units
+    while a maximal-width group still fits, then hands the last groups
+    to a loop that checks every field against the buffer end.  Streams
+    long enough to take both loops must still decode exactly as the
+    spec does."""
+
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(-32768, 32767), st.integers(-8, 8)),
+            min_size=200,
+            max_size=400,
+        ),
+        group=st.sampled_from([1, 2, 3, 4, 6, 8, 16, 33]),
+        checksum=st.booleans(),
+        strict=st.booleans(),
+        flips=st.lists(st.integers(0, 20_000), max_size=4),
+        cut=st.integers(0, 40),
+        suspect=st.lists(
+            st.tuples(st.integers(0, 8000), st.integers(1, 64)), max_size=2
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_long_streams_agree_across_units(
+        self, values, group, checksum, strict, flips, cut, suspect
+    ):
+        codec = GroupCodec(group_size=group, signed=True, checksum=checksum)
+        arr = np.array(values, dtype=np.int64)
+        encoded = codec.encode(arr)
+        assert encoded.data == oracles.group_encode(arr, group, True, checksum).data
+        raw = bytearray(encoded.data)
+        for bit in flips:
+            raw[(bit // 8) % len(raw)] ^= 0x80 >> (bit % 8)
+        corrupt = type(encoded)(
+            data=bytes(raw[: max(0, len(raw) - cut)]),
+            bits=encoded.bits,
+            values=encoded.values,
+        )
+        suspect_bits = tuple((lo, lo + span) for lo, span in suspect)
+        _assert_group_decodes_agree(codec, corrupt, strict, suspect_bits)
+
+    @pytest.mark.parametrize("checksum", [False, True])
+    def test_every_cut_and_header_flip_agrees(self, checksum):
+        """Cut a stream at every byte offset (strict and lenient), and flip
+        the first and last header bit of every group: each moves the
+        hand-off between the two loops or desynchronizes the walk.
+
+        The spec decodes one field at a time and every cut decodes the
+        prefix again, so the cost grows with the square of the stream
+        length; 1,024 values (64 groups) keeps it to seconds.
+        """
+        codec = GroupCodec(group_size=16, signed=True, checksum=checksum)
+        arr = _sparse_wide_deltas(np.random.default_rng(24), 1024)
+        encoded = codec.encode(arr)
+        make = type(encoded)
+        for end in range(len(encoded.data) + 1):
+            cut = make(data=encoded.data[:end], bits=encoded.bits, values=encoded.values)
+            _assert_group_decodes_agree(codec, cut, strict=False)
+            # A container whose bit count matches the cut passes the
+            # strict buffer check, so the decoder itself must raise.
+            _assert_group_decodes_agree(
+                codec, make(data=cut.data, bits=8 * end, values=cut.values), strict=True
+            )
+        widths = np.asarray(group_precisions(arr, 16, signed=True).precisions)
+        spans = HEADER_BITS + 16 * widths + (CHECKSUM_BITS if checksum else 0)
+        starts = np.concatenate([[0], np.cumsum(spans)[:-1]])
+        for bit in (starts[:, None] + [0, HEADER_BITS - 1]).ravel().tolist():
+            raw = bytearray(encoded.data)
+            raw[bit // 8] ^= 0x80 >> (bit % 8)
+            flipped = make(data=bytes(raw), bits=encoded.bits, values=encoded.values)
+            _assert_group_decodes_agree(codec, flipped, strict=False)
+            _assert_group_decodes_agree(codec, flipped, strict=True)
 
 
 class TestRLEZeroIdentity:
