@@ -67,7 +67,8 @@ def heatmap_data(layer: ConvLayerTrace, axis: str = "x") -> HeatmapData:
         # |-32768| does not fit int16: take magnitudes at int64.
         raw=np.abs(imap, dtype=np.int64).mean(axis=0),
         delta=np.abs(deltas).mean(axis=0),
-        term_reduction=(terms_raw - terms_delta).astype(np.float64).mean(axis=0),
+        # Term maps are uint8: subtract signed, where delta may exceed raw.
+        term_reduction=np.subtract(terms_raw, terms_delta, dtype=np.float64).mean(axis=0),
         mean_terms_raw=float(terms_raw.mean()),
         mean_terms_delta=float(terms_delta.mean()),
     )

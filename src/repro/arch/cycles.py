@@ -184,6 +184,14 @@ def _pad_to_bricks(term_map: np.ndarray, brick: int) -> np.ndarray:
     return term_map
 
 
+def _sum_dtype(arr: np.ndarray, terms: int) -> type:
+    """``int32`` if no sum of ``terms`` values of ``arr``'s dtype can
+    overflow it, else ``int64``.  Term maps are ``uint8`` (wider only for
+    a VP map with a huge ``recovery_cycles``), so their lane and channel
+    sums fold in ``int32``, which is exact and faster to reduce into."""
+    return np.int32 if np.iinfo(arr.dtype).max * terms < 2**31 else np.int64
+
+
 def step_term_maxima(
     term_map: np.ndarray,
     kernel: int,
@@ -215,7 +223,7 @@ def step_term_maxima(
     # Every tap revisits the same channel-summed plane shifted, so the
     # grand total is k*k strided slice-sums of one O(Hp·Wp) plane rather
     # than a sum over the full C·k·k-redundant window view.
-    plane = arr.sum(axis=0, dtype=np.int64)[None]
+    plane = arr.sum(axis=0, dtype=_sum_dtype(arr, arr.shape[0]))[None]
     total_terms = int(
         _tap_view(plane, kernel, stride, dilation, out_h, out_w).sum(dtype=np.int64)
     )
@@ -241,10 +249,14 @@ def lane_term_totals(
     The k*k tap sum is separable: ``kernel`` shifted strided adds along x
     fill a row buffer, then ``kernel`` shifted strided adds along y read
     it.  The counts are integers, so this order is as exact as any.
+    Each lane's window total sums ``bricks * kernel**2`` term counts, so
+    it folds in :func:`_sum_dtype`; the grand total is summed in
+    ``int64``.
     """
     arr = _pad_to_bricks(np.ascontiguousarray(term_map), brick)
-    folded = arr.reshape(-1, brick, arr.shape[1], arr.shape[2]).sum(
-        axis=0, dtype=np.int64
+    bricks = arr.shape[0] // brick
+    folded = arr.reshape(bricks, brick, arr.shape[1], arr.shape[2]).sum(
+        axis=0, dtype=_sum_dtype(arr, bricks * kernel**2)
     )
     need_h, _ = _tap_span(folded, kernel, stride, dilation, out_h, out_w)
     span_h = (out_h - 1) * stride + 1
@@ -257,7 +269,7 @@ def lane_term_totals(
     for fy in range(1, kernel):
         y0 = fy * dilation
         totals += rows[:, y0 : y0 + span_h : stride]
-    return totals, int(totals.sum())
+    return totals, int(totals.sum(dtype=np.int64))
 
 
 def _group_pallets(arr: np.ndarray, pallet: int) -> np.ndarray:
@@ -367,7 +379,7 @@ def serial_layer_cycles(
             head_term_map, *geom, *head_out, cfg.terms_per_filter
         )
         if aggregate_fn is lane_term_totals:
-            body_terms = aggregate[head].sum()
+            body_terms = aggregate[head].sum(dtype=np.int64)
         else:
             _, body_terms = aggregate_fn(
                 term_map, *geom, *head_out, cfg.terms_per_filter

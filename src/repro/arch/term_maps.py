@@ -9,6 +9,11 @@ re-indexes the 65536-entry term LUT over it; with it, each distinct
 ``(layer, kind, encoding)`` artifact is computed exactly once per trace
 lifetime.
 
+Every term map is ``uint8`` (:func:`repro.core.booth.booth_terms`): one
+byte per padded activation, the largest per-layer arrays the memo holds.
+The VP map widens only if ``recovery_cycles`` pushes a miss past 255.
+The cycle kernels in :mod:`repro.arch.cycles` widen as they sum.
+
 The module realizes the calibrater-style split the cycle models are built
 on: a one-time per-layer **lowering** stage (zero-padded imap, spatial
 deltas, Booth term LUT gathers, per-group precision geometry — everything
@@ -35,13 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.booth import DEFAULT_ENCODING, WORD_BITS, booth_terms
+from repro.core.booth import DEFAULT_ENCODING, WORD_BITS, booth_terms, term_count_lut
 from repro.core.deltas import spatial_deltas
 from repro.core.layer_memo import clear_memos, memoized
 from repro.core.precision import GroupPrecisionEncoding, group_precisions
 from repro.nn.trace import ConvLayerTrace
 from repro.utils import timing
 from repro.utils.bits import quantize_to_width
+from repro.utils.validation import check_nonnegative
 
 __all__ = [
     "LoweredLayer",
@@ -122,13 +128,18 @@ def vp_term_map(
     (see :class:`repro.arch.predict.ValuePredictionModel`) every position
     streams raw terms and the map degenerates to :func:`raw_term_map`.
     """
+    recovery = int(recovery_cycles)
+    check_nonnegative("recovery_cycles", recovery)
 
     def compute() -> np.ndarray:
         padded = padded_imap(layer)
         raw = raw_term_map(layer, encoding)
         deltas = spatial_deltas(padded, axis=axis, stride=layer.stride)
-        hit = np.abs(deltas) <= threshold
-        out = np.where(hit, 0, raw.astype(np.int64) + recovery_cycles)
+        # The narrowest unsigned dtype holding the costliest miss.
+        worst = int(term_count_lut(encoding).max()) + recovery
+        out = raw.astype(np.min_scalar_type(worst))
+        out += recovery
+        out *= np.abs(deltas) > threshold  # a hit costs nothing
         ax = padded.ndim - 1 if axis == "x" else padded.ndim - 2
         head = [slice(None)] * padded.ndim
         head[ax] = slice(0, min(layer.stride, padded.shape[ax]))
@@ -137,7 +148,7 @@ def vp_term_map(
 
     return memoized(
         layer,
-        ("vp", axis, encoding, int(threshold), int(recovery_cycles)),
+        ("vp", axis, encoding, int(threshold), recovery),
         compute,
     )
 

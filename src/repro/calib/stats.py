@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cache import store as cache_store
-from repro.core.precision import MAX_PRECISION
+from repro.core.precision import MAX_PRECISION, group_maxima
 from repro.data.video import synthesize_clip
 from repro.models.inputs import adapt_input
 from repro.models.registry import get_model_spec, prepare_model
@@ -157,12 +157,9 @@ def _unique_counts(mags: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
 def _layer_stats(name: str, index: int, imaps: "list[np.ndarray]") -> LayerStats:
     flats = [np.asarray(m, dtype=np.int64).reshape(-1) for m in imaps]
     signed = any(int(f.min()) < 0 for f in flats if f.size)
-    mags = np.concatenate([np.abs(f) for f in flats])
-    group_maxes = []
-    for f in flats:
-        pad = (-f.size) % 16
-        g = np.abs(np.concatenate([f, np.zeros(pad, dtype=np.int64)]) if pad else f)
-        group_maxes.append(g.reshape(-1, 16).max(axis=1))
+    abs_flats = [np.abs(f) for f in flats]
+    mags = np.concatenate(abs_flats)
+    group_maxes = [group_maxima(a, 16) for a in abs_flats]
     groups = np.concatenate(group_maxes)
     value_mags, value_counts = _unique_counts(mags)
     group_mags, group_counts = _unique_counts(groups)

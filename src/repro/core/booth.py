@@ -18,9 +18,11 @@ surrounding discussion in Section II-B).  Two recoders are provided:
 Example: 7 = 0b0111 costs three add terms raw, two under either recoding
 (+8, -1).
 
-Per-value term counts are precomputed into 65536-entry lookup tables so
-that counting terms over multi-megabyte activation traces is a single
-fancy index.
+Per-value term counts are precomputed into 65536-entry ``uint8`` lookup
+tables so that counting terms over multi-megabyte activation traces is a
+single fancy index.  A count never exceeds 9, so the term maps stay
+``uint8`` too: one byte per activation.  Consumers that subtract or sum
+them widen first.
 """
 
 from __future__ import annotations
@@ -133,28 +135,14 @@ def term_count_lut(encoding: str = DEFAULT_ENCODING) -> np.ndarray:
     return lut
 
 
-@lru_cache(maxsize=None)
-def term_count_lut64(encoding: str = DEFAULT_ENCODING) -> np.ndarray:
-    """The term-count LUT pre-widened to ``int64`` (read-only).
-
-    The one-time "lowering" form of :func:`term_count_lut`: gathering
-    through an ``int64`` table yields the result dtype directly, so the
-    per-trace hot path is a single fancy index instead of a gather plus a
-    full-array cast pass.
-    """
-    lut = term_count_lut(encoding).astype(np.int64)
-    lut.setflags(write=False)
-    return lut
-
-
 def booth_terms(values: np.ndarray, encoding: str = DEFAULT_ENCODING) -> np.ndarray:
     """Effectual-term count per element of a signed 16-bit integer array.
 
     This is the number of cycles a PRA/Diffy serial inner-product unit
-    spends on each value (zero values cost zero cycles).  An ``int16``
-    array indexes the table through its ``uint16`` view with no range
-    scan; any other integer array is range-checked, then narrowed to that
-    same view.
+    spends on each value (zero values cost zero cycles), as ``uint8``:
+    widen before subtracting or summing.  An ``int16`` array indexes the
+    table through its ``uint16`` view with no range scan; any other
+    integer array is range-checked, then narrowed to that same view.
     """
     arr = check_integer_array("values", values)
     if arr.dtype != np.int16:
@@ -165,7 +153,7 @@ def booth_terms(values: np.ndarray, encoding: str = DEFAULT_ENCODING) -> np.ndar
                 f"min={arr.min()}, max={arr.max()}"
             )
         arr = arr.astype(np.int16)
-    return term_count_lut64(encoding)[arr.view(np.uint16)]
+    return term_count_lut(encoding)[arr.view(np.uint16)]
 
 
 def mean_terms(values: np.ndarray, encoding: str = DEFAULT_ENCODING) -> float:

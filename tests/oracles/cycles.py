@@ -43,6 +43,7 @@ def step_term_maxima_loops(
     brick: int,
 ) -> tuple[np.ndarray, int]:
     """Reference loop implementation of ``step_term_maxima``."""
+    term_map = np.asarray(term_map, dtype=np.int64)
     c = term_map.shape[0]
     bricks = math.ceil(c / brick)
     steps = bricks * kernel * kernel
@@ -70,6 +71,7 @@ def lane_term_totals_loops(
     brick: int,
 ) -> tuple[np.ndarray, int]:
     """Reference loop implementation of ``lane_term_totals``."""
+    term_map = np.asarray(term_map, dtype=np.int64)
     c = term_map.shape[0]
     bricks = math.ceil(c / brick)
     pad = bricks * brick - c

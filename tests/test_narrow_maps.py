@@ -6,10 +6,15 @@ kernel must therefore give the same result on an int16 map as on its
 int64 widening, including at the extremes -32768 and 32767 (whose
 differences need 17 bits and whose magnitudes do not fit int16).  Float
 maps are rejected at every entry point instead of being truncated.
+
+The Booth term maps go one step narrower: a term count never exceeds 9,
+so every term map is ``uint8``, and the cycle kernels that sum them must
+give the same answer as on the map's int64 copy.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -19,11 +24,20 @@ from hypothesis.extra import numpy as hnp
 
 from repro.analysis.potential import potential_speedups
 from repro.analysis.spatial import heatmap_data
-from repro.arch.term_maps import delta_term_map, raw_term_map, vp_term_map
+from repro.arch.config import DIFFY_CONFIG
+from repro.arch.cycles import (
+    lane_term_totals,
+    pallet_cycles,
+    serial_layer_cycles,
+    step_term_maxima,
+)
+from repro.arch.sim import model_for
+from repro.arch.term_maps import delta_term_map, padded_imap, raw_term_map, vp_term_map
 from repro.compression.schemes import SCHEMES, planar_order, storage_order
-from repro.core.booth import booth_terms
+from repro.core import layer_memo
+from repro.core.booth import booth_terms, term_count_lut
 from repro.core.deltas import spatial_deltas
-from repro.core.precision import group_precisions
+from repro.core.precision import group_maxima, group_precisions
 from repro.nn.fixed_point import narrowest_copy, quantize
 from repro.nn.trace import ActivationTrace, ConvLayerTrace
 from repro.utils import timing
@@ -229,3 +243,147 @@ class TestReadOnlySharedMaps:
             assert prev.omap is layer.imap
         out, _ = net.forward_int(quantize(imgs[0], trace.input_scale))
         assert np.array_equal(trace[-1].omap, out)
+
+
+class TestUint8TermMaps:
+    @pytest.mark.parametrize("encoding", ["booth", "naf"])
+    def test_booth_terms_are_uint8(self, encoding):
+        for values in (np.arange(-40, 40, dtype=np.int16), np.array([7, -(2**15)])):
+            assert booth_terms(values, encoding).dtype == np.uint8
+
+    @pytest.mark.parametrize("encoding", ["booth", "naf"])
+    def test_memo_maps_are_uint8(self, encoding):
+        layer = _layer(np.arange(2 * 5 * 6, dtype=np.int16).reshape(2, 5, 6) * 311, 1)
+        assert raw_term_map(layer, encoding).dtype == np.uint8
+        assert delta_term_map(layer, "x", encoding).dtype == np.uint8
+        assert vp_term_map(layer, 0, 2, "x", encoding).dtype == np.uint8
+
+    @pytest.mark.parametrize("encoding", ["booth", "naf"])
+    def test_vp_widens_only_past_uint8(self, encoding):
+        """The costliest miss is the LUT maximum plus the recovery bubble:
+        it fits uint8 up to 255 and needs uint16 one cycle later."""
+        lut = term_count_lut(encoding)
+        costliest = np.array(lut.argmax(), dtype=np.uint16).view(np.int16)
+        layer = _layer(np.full((1, 4, 5), costliest, dtype=np.int16), 1)
+        raw = raw_term_map(layer, encoding).astype(np.int64)
+        deltas = spatial_deltas(padded_imap(layer))
+        fits = 255 - int(lut.max())
+        for recovery, dtype in ((fits, np.uint8), (fits + 1, np.uint16)):
+            vp = vp_term_map(layer, 0, recovery, "x", encoding)
+            want = np.where(deltas == 0, 0, raw + recovery)
+            want[..., :1] = raw[..., :1]
+            assert vp.dtype == dtype
+            assert np.array_equal(vp, want)
+            assert int(vp.max()) == int(lut.max()) + recovery
+
+    def test_negative_recovery_fails_by_name(self):
+        layer = _layer(np.ones((1, 3, 3), dtype=np.int16), 1)
+        with pytest.raises(ValueError, match="recovery_cycles"):
+            vp_term_map(layer, 0, -1)
+
+    def test_heatmap_reduction_is_signed(self):
+        """16384 costs one Booth term, but its delta from 5461, 10923,
+        costs eight: the reduction there is -7, which a uint8 subtraction
+        would wrap to 249."""
+        row = np.array([5461, 16384] * 3, dtype=np.int16)
+        layer = _layer(np.tile(row, (2, 3, 1)), 1)
+        terms_raw = booth_terms(layer.imap).astype(np.int64)
+        deltas = np.clip(spatial_deltas(layer.imap), -(2**15), 2**15 - 1)
+        terms_delta = booth_terms(deltas).astype(np.int64)
+        want = (terms_raw - terms_delta).astype(np.float64).mean(axis=0)
+        got = heatmap_data(layer).term_reduction
+        assert np.array_equal(got, want)
+        assert got[:, 1::2].tolist() == [[-7.0] * 3] * 3
+
+
+class TestGroupMaxima:
+    @given(
+        st.sampled_from([*range(1, 41), 256]),
+        st.sampled_from([np.int16, np.int32, np.int64]),
+        st.integers(0, 5),
+        st.integers(0, 255),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_row_max(self, group, dtype, groups, tail, seed):
+        tail %= group
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(seed)
+        flat = rng.integers(info.min, info.max, groups * group + tail, endpoint=True, dtype=dtype)
+        want = flat[: groups * group].reshape(-1, group).max(axis=1)
+        if tail:
+            want = np.append(want, flat[groups * group :].max())
+        got = group_maxima(flat, group)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+def _uint8_map(seed: int, shape: "tuple[int, int, int]") -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 10, shape, dtype=np.uint8)
+
+
+class TestKernelsReadUint8:
+    """Every cycle kernel gives the same answer on a uint8 term map as on
+    its int64 copy: the int32 lane fold and the int64 totals are exact."""
+
+    GEOMS = [(3, 1, 1, 8, 8, 16), (3, 2, 1, 4, 4, 16), (9, 1, 1, 2, 3, 4), (3, 1, 4, 2, 2, 16)]
+
+    @pytest.mark.parametrize("geom", GEOMS)
+    @pytest.mark.parametrize("kernel_fn", [lane_term_totals, step_term_maxima])
+    def test_aggregates(self, geom, kernel_fn):
+        kernel, stride, dilation, out_h, out_w, brick = geom
+        span = (kernel - 1) * dilation + (max(out_h, out_w) - 1) * stride + 1
+        narrow = _uint8_map(kernel, (37, span, span))
+        got = kernel_fn(narrow, *geom)
+        want = kernel_fn(narrow.astype(np.int64), *geom)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        if kernel_fn is lane_term_totals:
+            assert got[0].dtype == np.int32
+        for sync in ("lane", "row", "column", "pallet"):
+            assert pallet_cycles(got[0], 16, sync) == pallet_cycles(want[0], 16, sync)
+
+    def test_maps_that_could_overflow_int32_fold_in_int64(self):
+        """A VP map with a huge ``recovery_cycles`` is uint32; its lane
+        and channel sums need more than 31 bits."""
+        tm = np.full((32, 5, 5), 2**31, dtype=np.uint32)
+        totals, total = lane_term_totals(tm, 3, 1, 1, 3, 3, 16)
+        assert totals.dtype == np.int64
+        assert (totals == 2 * 9 * 2**31).all()
+        assert total == 16 * 9 * 2 * 9 * 2**31
+        assert step_term_maxima(tm, 3, 1, 1, 3, 3, 16)[1] == total
+
+    @pytest.mark.parametrize("sync", ["lane", "row", "column", "pallet"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_serial_layer_cycles_with_head_splice(self, sync, axis):
+        layer = _layer(np.zeros((20, 9, 11), dtype=np.int16), 1)
+        body, head = _uint8_map(1, (20, 11, 13)), _uint8_map(2, (20, 11, 13))
+        config = dataclasses.replace(DIFFY_CONFIG, sync=sync)
+        got = serial_layer_cycles(layer, body, config, head_term_map=head, axis=axis)
+        wide = serial_layer_cycles(
+            layer, body.astype(np.int64), config, head_term_map=head.astype(np.int64), axis=axis
+        )
+        mixed = serial_layer_cycles(
+            layer, body, config, head_term_map=head.astype(np.int64), axis=axis
+        )
+        assert got == wide == mixed
+
+
+class TestMemoBytes:
+    def test_one_byte_per_padded_activation(self):
+        """Lowering a DnCNN 48 px trace for VAA, PRA, Diffy and VP leaves
+        each layer's raw, delta and VP term maps at one byte per padded
+        activation."""
+        from tests.conftest import small_trace
+
+        trace = small_trace("DnCNN", crop=48)
+        for engine in ("VAA", "PRA", "Diffy", "VP"):
+            model = model_for(engine)
+            for layer in trace:
+                model.layer_cycles(layer)
+        for layer in trace:
+            padded = padded_imap(layer).size
+            by_kind = {}
+            for key, value in layer_memo._MEMOS[id(layer)].items():
+                if key[0] in ("raw", "delta", "vp"):
+                    by_kind[key[0]] = by_kind.get(key[0], 0) + value.nbytes
+            assert by_kind == {"raw": padded, "delta": padded, "vp": padded}, layer.name
