@@ -5,8 +5,10 @@ paper's sample count and resolution range.  Images are deterministic in
 ``(dataset name, index, root seed)``, so every experiment is reproducible
 without storing any pixels on disk.
 
-Full-resolution synthesis of an HD frame takes tens of milliseconds; a
-small LRU cache keeps repeated crops of the same frame cheap.
+Full-resolution synthesis of a 1080x1920 HD frame takes 0.7-0.9 CPU s
+on a 2-CPU Xeon container, and its memory peaks at about twice the
+50 MB image; the disk cache and a small LRU cache keep repeated crops of
+the same frame cheap.
 """
 
 from __future__ import annotations

@@ -18,13 +18,13 @@ description of "nature, city and texture scenes".
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
 
 from repro.utils.rng import DEFAULT_SEED, rng_for
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite_nonnegative, check_integer, check_positive
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,10 @@ class ImageProfile:
     noise_sigma: float = 0.0
     smoothness: float = 1.6
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            check_finite_nonnegative(f.name, getattr(self, f.name))
+
 
 #: Scene profiles referenced by the Table II dataset definitions.
 PROFILES: dict[str, ImageProfile] = {
@@ -72,19 +76,32 @@ PROFILES: dict[str, ImageProfile] = {
 
 
 def _power_law_cloud(rng: np.random.Generator, h: int, w: int, beta: float = 2.0) -> np.ndarray:
-    """Random field with an isotropic 1/f^beta amplitude spectrum in [0,1]."""
+    """Random field with an isotropic 1/f^beta amplitude spectrum in [0,1].
+
+    Each full-size array is allocated once and changed in place, and the
+    inverse transform runs ``irfft2``'s own two stages so the complex
+    half-spectrum is freed before the real field is normalized.
+    """
     fy = np.fft.fftfreq(h)[:, None]
     fx = np.fft.rfftfreq(w)[None, :]
-    radius = np.sqrt(fy * fy + fx * fx)
-    radius[0, 0] = 1.0  # keep DC finite; we normalize afterwards anyway
-    amplitude = radius ** (-beta / 2.0)
-    phase = rng.uniform(0.0, 2.0 * np.pi, amplitude.shape)
-    spectrum = amplitude * np.exp(1j * phase)
-    field = np.fft.irfft2(spectrum, s=(h, w))
+    amplitude = fy * fy + fx * fx
+    np.sqrt(amplitude, out=amplitude)
+    amplitude[0, 0] = 1.0  # keep DC finite; we normalize afterwards anyway
+    amplitude **= -beta / 2.0
+    spectrum = 1j * rng.uniform(0.0, 2.0 * np.pi, amplitude.shape)
+    np.exp(spectrum, out=spectrum)
+    spectrum *= amplitude
+    del amplitude
+    spectrum = np.fft.ifft(spectrum, n=h, axis=0)
+    field = np.fft.irfft(spectrum, n=w, axis=1)
+    del spectrum
     lo, hi = field.min(), field.max()
     if hi - lo < 1e-12:
-        return np.zeros((h, w))
-    return (field - lo) / (hi - lo)
+        field.fill(0.0)
+        return field
+    field -= lo
+    field /= hi - lo
+    return field
 
 
 def _piecewise_regions(rng: np.random.Generator, h: int, w: int, levels: int = 7) -> np.ndarray:
@@ -94,9 +111,11 @@ def _piecewise_regions(rng: np.random.Generator, h: int, w: int, levels: int = 7
     (like objects / sky / ground) with perfectly flat interiors and sharp
     boundaries.
     """
-    base = _power_law_cloud(rng, h, w, beta=2.5)
-    quantized = np.floor(base * levels) / max(levels - 1, 1)
-    return np.clip(quantized, 0.0, 1.0)
+    field = _power_law_cloud(rng, h, w, beta=2.5)
+    field *= levels
+    np.floor(field, out=field)
+    field /= max(levels - 1, 1)
+    return np.clip(field, 0.0, 1.0, out=field)
 
 
 def _geometric_shapes(rng: np.random.Generator, h: int, w: int, count: int) -> np.ndarray:
@@ -113,8 +132,13 @@ def _geometric_shapes(rng: np.random.Generator, h: int, w: int, count: int) -> n
         else:
             r = rng.uniform(0.02, 0.15) * min(h, w)
             cy, cx = rng.uniform(0, h), rng.uniform(0, w)
-            yy, xx = np.ogrid[:h, :w]
-            canvas[(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r] = value
+            # Only pixels within r of the centre pass the test, so it runs
+            # on the disc's bounding box (a pixel wider on each side).
+            y0, y1 = max(int(cy - r) - 1, 0), min(int(cy + r) + 2, h)
+            x0, x1 = max(int(cx - r) - 1, 0), min(int(cx + r) + 2, w)
+            yy, xx = np.ogrid[y0:y1, x0:x1]
+            box = canvas[y0:y1, x0:x1]
+            box[(yy - cy) ** 2 + (xx - cx) ** 2 <= r * r] = value
     return canvas
 
 
@@ -131,9 +155,8 @@ def synthesize_image(
     perturbations, matching the strong cross-channel correlation of RGB
     photographs.
     """
-    check_positive("height", height)
-    check_positive("width", width)
-    check_positive("channels", channels)
+    for name, value in (("height", height), ("width", width), ("channels", channels)):
+        check_positive(name, check_integer(name, value))
     if isinstance(profile, str):
         try:
             profile = PROFILES[profile]
@@ -145,29 +168,36 @@ def synthesize_image(
     megapixels = height * width / 1e6
     shape_count = max(1, int(round(profile.shapes * max(megapixels, 0.05))))
 
-    luma = profile.cloud * _power_law_cloud(rng, height, width)
-    luma = luma + profile.regions * _piecewise_regions(rng, height, width)
-    luma = luma + _geometric_shapes(rng, height, width, shape_count)
+    luma = _power_law_cloud(rng, height, width)
+    luma *= profile.cloud
+    layer = _piecewise_regions(rng, height, width)
+    layer *= profile.regions
+    luma += layer
+    luma += _geometric_shapes(rng, height, width, shape_count)
     if profile.detail > 0:
-        luma = luma + profile.detail * rng.standard_normal((height, width))
+        rng.standard_normal(out=layer)  # the regions buffer, reused
+        layer *= profile.detail
+        luma += layer
+    del layer
 
     sigma = profile.smoothness * height / 1080.0
     if sigma > 0.05:
-        luma = ndimage.gaussian_filter(luma, sigma=sigma)
+        ndimage.gaussian_filter(luma, sigma=sigma, output=luma)
 
     lo, hi = luma.min(), luma.max()
-    luma = (luma - lo) / max(hi - lo, 1e-12)
+    luma -= lo
+    luma /= max(hi - lo, 1e-12)
 
-    planes = []
-    for _ in range(channels):
-        chroma = 0.12 * _power_law_cloud(rng, height, width, beta=2.5) - 0.06
-        planes.append(luma + chroma)
-    image = np.stack(planes, axis=0)
+    image = np.empty((channels, height, width))
+    for plane in image:  # each plane is luma plus its own chroma cloud
+        np.multiply(_power_law_cloud(rng, height, width, beta=2.5), 0.12, out=plane)
+        plane -= 0.06
+        plane += luma
+    del luma
 
     if profile.noise_sigma > 0:
-        image = image + rng.normal(0.0, profile.noise_sigma, image.shape)
-
-    return np.clip(image, 0.0, 1.0)
+        image += rng.normal(0.0, profile.noise_sigma, image.shape)
+    return np.clip(image, 0.0, 1.0, out=image)
 
 
 # ---- input drift schedules (the calibration loop's disturbance) ---------

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.data.synthesis import synthesize_image
 from repro.utils.rng import DEFAULT_SEED, rng_for
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite_nonnegative, check_integer, check_positive
 
 
 def synthesize_clip(
@@ -41,15 +41,15 @@ def synthesize_clip(
         past it, the camera clamps at the scene's right edge and later
         frames hold still there — noise keeps changing, pan stops.
     """
-    check_positive("frames", frames)
-    check_positive("height", height)
-    check_positive("width", width)
+    for name, value in (("frames", frames), ("height", height), ("width", width)):
+        check_positive(name, check_integer(name, value))
+    check_integer("pan_px", pan_px)
     if pan_px < 0:
         raise ValueError(f"pan_px must be >= 0, got {pan_px}")
-    if max_scene_width is not None and max_scene_width < width:
-        raise ValueError(
-            f"max_scene_width must be >= width ({width}), got {max_scene_width}"
-        )
+    check_finite_nonnegative("noise_sigma", noise_sigma)
+    if max_scene_width is not None:
+        if check_integer("max_scene_width", max_scene_width) < width:
+            raise ValueError(f"max_scene_width must be >= width ({width}), got {max_scene_width}")
     rng = rng_for(seed, "clip", profile, frames, height, width, pan_px)
     scene_w = width + pan_px * (frames - 1)
     if max_scene_width is not None:
@@ -61,6 +61,6 @@ def synthesize_clip(
         x0 = min(i * pan_px, max_x0)
         frame = scene[:, :, x0 : x0 + width].copy()
         if noise_sigma > 0:
-            frame = frame + rng.normal(0.0, noise_sigma, frame.shape)
-        clip.append(np.clip(frame, 0.0, 1.0))
+            frame += rng.normal(0.0, noise_sigma, frame.shape)
+        clip.append(np.clip(frame, 0.0, 1.0, out=frame))
     return clip

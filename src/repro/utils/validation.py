@@ -34,6 +34,12 @@ def check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
+def check_finite_nonnegative(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and >= 0 (NaN fails)."""
+    if not 0 <= value < float("inf"):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def check_unit_interval(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``0 <= value <= 1`` (NaN fails)."""
     if not 0.0 <= value <= 1.0:

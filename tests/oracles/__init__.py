@@ -11,7 +11,8 @@ loop, bit-matrix, per-value, window-major and per-event versions they
 replaced — legible, obviously correct, slow — as plain functions that
 take the codec's or kernel's parameters, plus the virtual-clock
 ``InferenceService`` with its per-event ``PerEventTelemetry``, the
-two-convolution calibration and the two-aggregate Diffy head splice.
+two-convolution calibration, the two-aggregate Diffy head splice, and
+the out-of-place image synthesizer (:mod:`tests.oracles.synthesis`).
 The property suites assert production is byte-identical to them;
 ``benchmarks/codec_bench.py`` and ``benchmarks/weights_bench.py`` time
 production against them.
