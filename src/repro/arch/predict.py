@@ -26,7 +26,7 @@ from repro.arch.cycles import LayerCycles, serial_layer_cycles
 from repro.arch.term_maps import lower_layer, padded_imap, vp_term_map
 from repro.core.deltas import spatial_deltas
 from repro.nn.trace import ConvLayerTrace
-from repro.utils.validation import check_nonnegative
+from repro.utils.validation import check_integer, check_nonnegative
 
 __all__ = ["ValuePredictionModel"]
 
@@ -44,13 +44,15 @@ class ValuePredictionModel:
         enabled: bool = True,
         axis: str = "x",
     ):
+        threshold = check_integer("threshold", threshold)
         check_nonnegative("threshold", threshold)
+        recovery_cycles = check_integer("recovery_cycles", recovery_cycles)
         check_nonnegative("recovery_cycles", recovery_cycles)
         if axis not in ("x", "y"):
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
         self.config = config
-        self.threshold = int(threshold)
-        self.recovery_cycles = int(recovery_cycles)
+        self.threshold = threshold
+        self.recovery_cycles = recovery_cycles
         self.enabled = bool(enabled)
         self.axis = axis
 

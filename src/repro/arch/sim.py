@@ -7,12 +7,13 @@ combination, :func:`simulate_network`:
 1. collects seeded activation traces on crops (cached),
 2. runs the accelerator's cycle model per layer (once per layer and
    engine: the records are memoized with the layer) and averages
-   cycles-per-window over the traces,
+   cycles-per-window over the traces (once per trace set and engine),
 3. scales to the target resolution (fully-convolutional networks have
    resolution-invariant per-window statistics — see DESIGN.md),
-4. applies the compression-aware off-chip traffic model and the memory
-   system's bandwidth to get per-layer stalls (double-buffered overlap:
-   layer time = max(compute, memory)),
+4. applies the compression-aware off-chip traffic model (once per trace
+   set, scheme and resolution) and the memory system's bandwidth to get
+   per-layer stalls (double-buffered overlap: layer time = max(compute,
+   memory)),
 5. aggregates into a :class:`NetworkResult` with FPS, utilization
    breakdown, and energy hooks.
 """
@@ -39,8 +40,9 @@ from repro.arch.scnn import SCNNModel
 from repro.arch.vaa import VAAModel
 from repro.cache import store as cache_store
 from repro.compression.footprint import imap_precisions, omap_precisions
+from repro.compression.schemes import scheme as get_scheme
 from repro.compression.traffic import LayerTraffic, network_traffic
-from repro.core.layer_memo import instance_key, memoized
+from repro.core.layer_memo import instance_key, memoized, memoized_set
 from repro.data.datasets import dataset
 from repro.models.inputs import adapt_input
 from repro.models.registry import get_model_spec, prepare_model
@@ -306,14 +308,25 @@ def _simulate_network(
     model = model_for(accelerator, config)
     cfg_freq = getattr(model.config, "frequency_ghz", 1.0)
 
+    # Everything below but the memory system reads only the trace set
+    # (which fixes the network) and one of engine, scheme or resolution,
+    # so a sweep over engines and schemes prices each piece once.
+    compression = get_scheme(scheme) if isinstance(scheme, str) else scheme
+    res = tuple(resolution)
     with timing.timed("sim.layer_cycles"):
-        cycle_records = _mean_layer_cycles(model, traces)
-    shapes = conv_layer_shapes(net, *resolution)
-    precisions = imap_precisions(traces)
-    omap_precs = omap_precisions(traces)
-    traffic = network_traffic(
-        net, traces, scheme, resolution[0], resolution[1], precisions, omap_precs
-    )
+        cycle_records = memoized_set(
+            traces,
+            ("cycles", instance_key(model)),
+            lambda: tuple(_mean_layer_cycles(model, traces)),
+        )
+    shapes = memoized_set(traces, ("shapes", res), lambda: tuple(conv_layer_shapes(net, *res)))
+
+    def price_traffic() -> tuple:
+        precisions = memoized_set(traces, ("precisions", "imap"), lambda: imap_precisions(traces))
+        omap_precs = memoized_set(traces, ("precisions", "omap"), lambda: omap_precisions(traces))
+        return tuple(network_traffic(net, traces, compression, *res, precisions, omap_precs))
+
+    traffic = memoized_set(traces, ("traffic", compression.key, res), price_traffic)
 
     layers = []
     for record, shape, lt in zip(cycle_records, shapes, traffic):

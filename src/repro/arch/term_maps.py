@@ -26,12 +26,13 @@ windows, the serve layer's temporal pricing — reuses one set of arrays.
 
 The memo itself lives in :mod:`repro.core.layer_memo`, keyed by layer
 identity and evicted with the layer; :func:`repro.arch.sim.simulate_network`
-reads the same memo for each layer's cycle record under each engine, and
-:mod:`repro.compression.footprint` for each layer's value range and
-encoded bits.  :func:`lowering_stats` reports how often the expensive
-computes actually ran versus being served from that memo, cycle-record
-and compression lookups included; both are ``arch.lowering.*`` counters
-in the :mod:`repro.utils.timing` registry.
+reads the same memo for each layer's cycle record under each engine (and
+for its per-trace-set records), and :mod:`repro.compression.footprint`
+for each layer's value range and each map's encoded bits.
+:func:`lowering_stats` reports how often the expensive computes actually
+ran versus being served from that memo, cycle-record, trace-set and
+compression lookups included; both are ``arch.lowering.*`` counters in
+the :mod:`repro.utils.timing` registry.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.core.precision import GroupPrecisionEncoding, group_precisions
 from repro.nn.trace import ConvLayerTrace
 from repro.utils import timing
 from repro.utils.bits import quantize_to_width
-from repro.utils.validation import check_nonnegative
+from repro.utils.validation import check_integer, check_nonnegative
 
 __all__ = [
     "LoweredLayer",
@@ -128,7 +129,9 @@ def vp_term_map(
     (see :class:`repro.arch.predict.ValuePredictionModel`) every position
     streams raw terms and the map degenerates to :func:`raw_term_map`.
     """
-    recovery = int(recovery_cycles)
+    threshold = check_integer("threshold", threshold)
+    check_nonnegative("threshold", threshold)
+    recovery = check_integer("recovery_cycles", recovery_cycles)
     check_nonnegative("recovery_cycles", recovery)
 
     def compute() -> np.ndarray:
@@ -148,7 +151,7 @@ def vp_term_map(
 
     return memoized(
         layer,
-        ("vp", axis, encoding, int(threshold), recovery),
+        ("vp", axis, encoding, threshold, recovery),
         compute,
     )
 
@@ -215,5 +218,6 @@ def lower_layer(
 
 
 #: Drops every memoized lowering artifact (the arrays, not the traces),
-#: and with them the compression side's memoized bits and ranges.
+#: and with them the compression side's memoized bits and ranges and
+#: the per-trace-set records.
 clear_term_maps = clear_memos

@@ -116,9 +116,10 @@ def layer_bits_per_value(
 ) -> float:
     """Mean encoded bits/value for one layer's imap or omap across traces.
 
-    Each trace layer's encoded bits are memoized per scheme
-    (:attr:`CompressionScheme.key`) and profiled precision, so every
-    engine simulated over the same traces prices them once.
+    Each map's encoded bits are memoized with the map array itself, per
+    scheme (:attr:`CompressionScheme.key`) and profiled precision, so
+    every engine simulated over the same traces prices them once, and an
+    omap that is also the next layer's imap is encoded once.
     """
     if which not in ("imap", "omap"):
         raise ValueError(f"which must be 'imap' or 'omap', got {which!r}")
@@ -128,13 +129,12 @@ def layer_bits_per_value(
     precision = precisions[layer_index]
     ratios = []
     for t in traces:
-        layer = t[layer_index]
-        fmap = getattr(layer, which)
+        fmap = getattr(t[layer_index], which)
         if fmap.size == 0:
             raise ValueError("empty feature map")
         bits = memoized(
-            layer,
-            ("bits", which, int(precision), compression.key),
+            fmap,
+            ("bits", int(precision), compression.key),
             lambda: compression.encoded_bits(fmap, precision),
         )
         ratios.append(bits / fmap.size)

@@ -10,8 +10,8 @@
   and dynamic per-group precision detection (Dynamic Stripes style),
 - :mod:`repro.core.dataflow`     — brick/pallet geometry shared by the
   accelerator models,
-- :mod:`repro.core.layer_memo`   — the per-trace-layer memo the lowering
-  stage and the compression pricing share.
+- :mod:`repro.core.layer_memo`   — the per-layer, per-map and per-trace-set
+  memo the lowering stage, the cycle models and the compression pricing share.
 """
 
 from repro.core.booth import (

@@ -1,9 +1,9 @@
 """The per-layer memo that ``arch`` and ``compression`` share.
 
-Each trace layer's lowering artifacts (term maps), its cycle records
-under each engine and its encoded bits under each scheme live in
-:mod:`repro.core.layer_memo`: keyed so that two schemes or two engines
-with one name still price separately, and gone once the layer is.
+Each trace layer's lowering artifacts (term maps) and its cycle records
+under each engine, and each map's encoded bits under each scheme, live
+in :mod:`repro.core.layer_memo`: keyed so that two schemes or two engines
+with one name still price separately, and gone once the layer or map is.
 """
 
 from __future__ import annotations
@@ -147,12 +147,15 @@ class TestMemoLifetime:
         trace = _trace(layer)
         term_maps.raw_term_map(layer)
         layer_bits_per_value([trace], 0, RawDynamic(16))
-        key = id(layer)
+        key, map_key = id(layer), id(layer.imap)
         kinds = {k[0] for k in layer_memo._MEMOS[key]}
-        assert {"padded", "raw", "range", "bits"} <= kinds
+        assert {"padded", "raw", "range"} <= kinds
+        # Encoded bits belong to the map itself, which a layer may share.
+        assert {k[0] for k in layer_memo._MEMOS[map_key]} == {"bits"}
         del layer, trace
         gc.collect()
         assert key not in layer_memo._MEMOS
+        assert map_key not in layer_memo._MEMOS
 
 
 class TestEmptyMaps:

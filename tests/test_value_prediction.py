@@ -131,3 +131,28 @@ class TestRegistration:
             ValuePredictionModel(recovery_cycles=-2)
         with pytest.raises(ValueError, match="axis"):
             ValuePredictionModel(axis="z")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("threshold", 1.9),
+            ("recovery_cycles", 2.7),
+            ("recovery_cycles", float("inf")),
+            ("threshold", float("nan")),
+            ("threshold", True),
+        ],
+    )
+    def test_non_integer_arguments_fail_by_name(self, field, value, ramp_layer):
+        """A fractional count is not truncated into a different operating
+        point, and an infinite one fails with a named error."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ValuePredictionModel(**{field: value})
+        args = {"threshold": 0, "recovery_cycles": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            vp_term_map(ramp_layer, **args)
+
+    def test_integer_arguments_keep_their_pricing(self, ramp_layer):
+        vp = ValuePredictionModel(threshold=np.int64(3), recovery_cycles=np.int32(2))
+        assert (vp.threshold, vp.recovery_cycles) == (3, 2)
+        assert type(vp.threshold) is int and type(vp.recovery_cycles) is int
+        assert vp.term_map(ramp_layer) is vp_term_map(ramp_layer, 3, 2)
