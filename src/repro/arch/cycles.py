@@ -18,7 +18,8 @@ synchronization granularity, modelled at three levels:
 
 The cross-lane synchronization loss the paper discusses in IV-A/IV-E is
 exactly the gap between these aggregates and the mean term count; the
-sync-ablation benchmark quantifies it.
+sync ablation quantifies it (its shape is asserted in
+``tests/test_paper_claims.py``).
 """
 
 from __future__ import annotations

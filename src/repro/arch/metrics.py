@@ -72,7 +72,9 @@ def minimum_tiles_for_fps(
     ),
     base_config: AcceleratorConfig = DIFFY_CONFIG,
     resolution: tuple[int, int] = (1080, 1920),
+    dataset_name: str = "HD33",
     trace_count: int = 1,
+    crop: Optional[int] = None,
     seed: int = DEFAULT_SEED,
 ) -> Optional[ScalingChoice]:
     """Smallest hybrid-partitioned configuration sustaining ``target_fps``.
@@ -87,7 +89,8 @@ def minimum_tiles_for_fps(
         )
         ideal = simulate_network(
             model, "Diffy", scheme=scheme, memory="Ideal", config=config,
-            resolution=resolution, trace_count=trace_count, seed=seed,
+            resolution=resolution, dataset_name=dataset_name,
+            trace_count=trace_count, crop=crop, seed=seed,
         )
         if ideal.fps < target_fps:
             continue
@@ -95,7 +98,8 @@ def minimum_tiles_for_fps(
             res = simulate_network(
                 model, "Diffy", scheme=scheme,
                 memory=memory_system(tech, channels), config=config,
-                resolution=resolution, trace_count=trace_count, seed=seed,
+                resolution=resolution, dataset_name=dataset_name,
+                trace_count=trace_count, crop=crop, seed=seed,
             )
             if res.fps >= target_fps:
                 return ScalingChoice(

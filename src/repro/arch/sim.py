@@ -40,6 +40,7 @@ from repro.arch.scnn import SCNNModel
 from repro.arch.vaa import VAAModel
 from repro.cache import store as cache_store
 from repro.compression.footprint import imap_precisions, omap_precisions
+from repro.compression.schemes import CompressionScheme
 from repro.compression.schemes import scheme as get_scheme
 from repro.compression.traffic import LayerTraffic, network_traffic
 from repro.core.layer_memo import instance_key, memoized, memoized_set
@@ -268,7 +269,7 @@ def _mean_layer_cycles(
 def simulate_network(
     model_name: str,
     accelerator: str = "Diffy",
-    scheme: str = DEFAULT_SCHEME,
+    scheme: str | CompressionScheme = DEFAULT_SCHEME,
     memory: str | MemorySystem = DEFAULT_MEMORY,
     channels: int = 1,
     resolution: tuple[int, int] = HD_RESOLUTION,
@@ -280,6 +281,8 @@ def simulate_network(
 ) -> NetworkResult:
     """Simulate one network end to end; see module docstring.
 
+    ``scheme`` may be a registered scheme name or a
+    :class:`CompressionScheme` instance; the result records its ``name``.
     ``memory`` may be a technology name (``"DDR4-3200"``, ``"Ideal"``, ...)
     with ``channels`` channels, or a prebuilt :class:`MemorySystem`, which
     already fixes its channel count.
@@ -349,7 +352,7 @@ def _simulate_network(
     return NetworkResult(
         network=model_name,
         accelerator=model.name,
-        scheme=scheme,
+        scheme=compression.name,
         memory=mem.name,
         resolution=resolution,
         frequency_ghz=cfg_freq,

@@ -21,7 +21,8 @@ CLASSIFICATION_MODEL_NAMES: tuple[str, ...] = tuple(CLASSIFICATION_MODELS)
 DEFAULT_DATASET = "HD33"
 
 #: Default traces per model — enough for stable statistics, fast enough
-#: for benchmarks.
+#: for the committed goldens (``tests/test_paper_claims.py`` asserts the
+#: paper's shapes on them).
 DEFAULT_TRACE_COUNT = 2
 
 

@@ -11,13 +11,10 @@ LPDDR3-1600; IRCNN 12 tiles.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.arch.config import DIFFY_CONFIG
-from repro.arch.memory import memory_system
-from repro.arch.sim import simulate_network
+from repro.arch.metrics import ScalingChoice, minimum_tiles_for_fps
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
@@ -49,44 +46,9 @@ TARGET_FPS = 30.0
 
 
 @dataclass(frozen=True)
-class Fig18Cell:
-    tiles: int
-    memory: str
-    channels: int
-    fps: float
-
-
-@dataclass(frozen=True)
 class Fig18Result:
     #: {network: {scheme: minimal config or None}}
-    grid: dict[str, dict[str, Optional[Fig18Cell]]]
-
-
-def _min_config(
-    model: str, scheme: str, dataset: str, trace_count: int, crop: int | None, seed: int
-) -> Optional[Fig18Cell]:
-    for tiles in TILE_SWEEP:
-        config = dataclasses.replace(
-            DIFFY_CONFIG.with_tiles(tiles), partition="hybrid"
-        )
-        # Check compute feasibility with ideal memory first (cheap pruning):
-        ideal = simulate_network(
-            model, "Diffy", scheme=scheme, memory="Ideal", config=config,
-            dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
-        )
-        if ideal.fps < TARGET_FPS:
-            continue
-        for tech, channels in MEMORY_SWEEP:
-            res = simulate_network(
-                model, "Diffy", scheme=scheme,
-                memory=memory_system(tech, channels), config=config,
-                dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
-            )
-            if res.fps >= TARGET_FPS:
-                return Fig18Cell(
-                    tiles=tiles, memory=tech, channels=channels, fps=res.fps
-                )
-    return None
+    grid: dict[str, dict[str, Optional[ScalingChoice]]]
 
 
 def run(
@@ -97,10 +59,14 @@ def run(
     crop: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> Fig18Result:
-    grid: dict[str, dict[str, Optional[Fig18Cell]]] = {}
+    grid: dict[str, dict[str, Optional[ScalingChoice]]] = {}
     for model in models:
         grid[model] = {
-            scheme: _min_config(model, scheme, dataset, trace_count, crop, seed)
+            scheme: minimum_tiles_for_fps(
+                model, TARGET_FPS, scheme=scheme,
+                tile_sweep=TILE_SWEEP, memory_sweep=MEMORY_SWEEP,
+                dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+            )
             for scheme in schemes
         }
     return Fig18Result(grid=grid)

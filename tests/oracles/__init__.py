@@ -13,9 +13,10 @@ take the codec's or kernel's parameters, plus the virtual-clock
 ``InferenceService`` with its per-event ``PerEventTelemetry``, the
 two-convolution calibration, the two-aggregate Diffy head splice, and
 the out-of-place image synthesizer (:mod:`tests.oracles.synthesis`).
-The property suites assert production is byte-identical to them;
-``benchmarks/codec_bench.py`` and ``benchmarks/weights_bench.py`` time
-production against them.
+The property suites assert production is byte-identical to them, and
+``tests/test_paper_claims.py`` does so for the MSR codec on each model's
+largest layer; ``benchmarks/codec_bench.py`` times production against
+them.
 
 Nothing under ``src/repro`` imports this package
 (``tests/test_oracle_isolation.py`` enforces it).

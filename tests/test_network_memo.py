@@ -10,7 +10,6 @@ result, and none of it may outlive the traces it was computed from.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import weakref
 from collections import Counter
@@ -51,8 +50,7 @@ def _sweep(clear_before_each: bool, resolutions=RESOLUTIONS[:1]) -> str:
                 result = sim.simulate_network(
                     MODEL, engine, scheme, crop=CROP, trace_count=2, resolution=res
                 )
-                # A scheme instance has no canonical form; its label does.
-                results[(*res, engine, label)] = dataclasses.replace(result, scheme=label)
+                results[(*res, engine, label)] = result
     return canonical_dumps(results)
 
 
@@ -63,6 +61,14 @@ def _traces(count: int):
 def test_memoized_sweep_matches_a_cleared_sweep():
     layer_memo.clear_memos()
     assert _sweep(clear_before_each=False) == _sweep(clear_before_each=True)
+
+
+def test_a_scheme_instance_result_serializes_under_its_name():
+    result = sim.simulate_network(
+        MODEL, "Diffy", DeltaDynamic(16, axis="y"), crop=CROP, trace_count=2
+    )
+    assert result.scheme == "DeltaD16"
+    assert '"scheme": "DeltaD16"' in canonical_dumps(result)
 
 
 def test_each_piece_is_computed_once_per_key(monkeypatch):
