@@ -251,19 +251,18 @@ def _mean_layer_cycles(
         [memoized(layer, key, lambda layer=layer: model.layer_cycles(layer)) for layer in t]
         for t in traces
     ]
-    out = []
-    for i in range(len(per_trace[0])):
-        records = [pt[i] for pt in per_trace]
-        ref = records[0]
-        out.append(
-            replace(
-                ref,
-                cycles=float(np.mean([r.cycles for r in records])),
-                useful_terms=float(np.mean([r.useful_terms for r in records])),
-                lane_capacity=float(np.mean([r.lane_capacity for r in records])),
-            )
-        )
-    return out
+    fields = np.array(
+        [[(r.cycles, r.useful_terms, r.lane_capacity) for r in pt] for pt in per_trace],
+        dtype=np.float64,
+    )
+    # Traces on the contiguous last axis, so each mean is numpy's pairwise
+    # sum of one layer's values, as ``np.mean`` of a list was; a strided
+    # axis-0 mean adds sequentially, which differs from 8 traces on.
+    means = np.ascontiguousarray(fields.transpose(1, 2, 0)).mean(axis=-1)
+    return [
+        replace(ref, cycles=c, useful_terms=u, lane_capacity=cap)
+        for ref, (c, u, cap) in zip(per_trace[0], means.tolist())
+    ]
 
 
 def simulate_network(

@@ -23,7 +23,6 @@ from repro.nn.fixed_point import FixedPointTensor, INPUT_SCALE, ACT_BITS
 from repro.nn.functional import (
     conv2d_int,
     conv2d_float,
-    im2col,
     space_to_depth,
     depth_to_space,
     upsample_nearest,
@@ -48,7 +47,6 @@ __all__ = [
     "ACT_BITS",
     "conv2d_int",
     "conv2d_float",
-    "im2col",
     "space_to_depth",
     "depth_to_space",
     "upsample_nearest",

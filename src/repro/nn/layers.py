@@ -163,11 +163,14 @@ class Conv2d(Layer):
 
     # -- float / calibration ---------------------------------------------
     def _bias_relu(self, preact: np.ndarray) -> np.ndarray:
-        """``conv2d_float``'s bias add, then the fused ReLU."""
-        out = preact + self.bias.reshape(-1, 1, 1)
+        """``conv2d_float``'s bias add, then the fused ReLU, in place.
+
+        Consumes ``preact``: the result is that array, overwritten.
+        """
+        preact += self.bias.reshape(-1, 1, 1)
         if self.relu:
-            out = np.maximum(out, 0.0)
-        return out
+            np.maximum(preact, 0.0, out=preact)
+        return preact
 
     def forward_float(self, x: np.ndarray) -> np.ndarray:
         return self._bias_relu(

@@ -1,7 +1,7 @@
 """Executable specifications the production fast paths are tested against.
 
 Production keeps one implementation of each bitstream codec, cycle
-kernel, ECC, group width rule, integer convolution and serving engine:
+kernel, ECC, group width rule, convolution and serving engine:
 the whole-array numpy versions in :mod:`repro.compression`,
 :mod:`repro.weights.msr`, :mod:`repro.arch.cycles`,
 :mod:`repro.protect.ecc`, :mod:`repro.core.precision` and
@@ -35,7 +35,7 @@ from tests.oracles.codecs import (
     rlez_decode,
     rlez_encode,
 )
-from tests.oracles.conv import calibrate_two_pass, conv2d_int
+from tests.oracles.conv import calibrate_two_pass, conv2d_float, conv2d_int, im2col
 from tests.oracles.cycles import (
     lane_term_totals_loops,
     serial_layer_cycles_two_aggregates,
@@ -70,6 +70,8 @@ __all__ = [
     "group_decode_flagged",
     "rlez_encode",
     "rlez_decode",
+    "im2col",
+    "conv2d_float",
     "conv2d_int",
     "calibrate_two_pass",
     "msr_choose_run",

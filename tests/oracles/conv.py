@@ -1,27 +1,80 @@
-"""The window-major integer convolution and the two-pass calibration.
+"""The window-major convolutions and the two-pass calibration.
 
-``repro.nn.functional.conv2d_int`` gathers its columns tap-major, one
-strided slice per filter tap.  :func:`conv2d_int` here is the version it
-replaced: the float convolution's window-major im2col gather and
-``flat @ W.T`` product, cast back to ``int64``.  Both are exact while the
-accumulation stays below 2**53, so they must agree bit for bit.
+``repro.nn.functional`` gathers its convolution columns tap-major, one
+strided slice per filter tap, and multiplies ``W @ cols``.
+:func:`im2col` and :func:`conv2d_float` here are the window-major
+version both convolutions replaced: every output window's patch, and
+``flat @ W.T``.  :func:`conv2d_int` is that float convolution cast back
+to ``int64``.  It is exact while the accumulation stays below 2**53, so
+production must agree with it bit for bit; the float convolutions agree
+to rounding (see the ``repro.nn.functional`` docstring).
 
 ``Conv2d.calibrate`` convolves once per image, adding the fitted bias
 and the ReLU to the pre-activation it used for the bias fit.
 :func:`calibrate_two_pass` is the version it replaced: it convolves for
-the quantile, then runs ``conv2d_float(x, W, bias)`` again for the
-output.  Bind it as ``Conv2d.calibrate`` to calibrate a whole network
-the old way.
+the quantile, then runs :func:`conv2d_float` again for the output.
+Bind it as ``Conv2d.calibrate`` to calibrate a whole network the old
+way.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.nn.functional import conv2d_float
+from numpy.lib.stride_tricks import sliding_window_view
 
 #: float64 represents every integer below this exactly.
 EXACT_FLOAT_LIMIT = float(1 << 53)
+
+
+def im2col(
+    x: np.ndarray,
+    kernel: tuple[int, int],
+    stride: int = 1,
+    padding: int = 0,
+    dilation: int = 1,
+) -> np.ndarray:
+    """Extract convolution patches from a (C, H, W) array.
+
+    Returns an array of shape ``(Ho, Wo, C, Hf, Wf)`` where each
+    ``[y, x]`` slice is the input window that produces output ``(y, x)``.
+    This layout maps directly onto the paper's terminology: a *window* is
+    one ``[y, x]`` patch, a *brick* is 16 consecutive channels of it.
+    """
+    arr = np.asarray(x)
+    if arr.ndim != 3:
+        raise ValueError(f"x must be a (C, H, W) array, got shape {arr.shape}")
+    if padding:
+        arr = np.pad(arr, ((0, 0), (padding, padding), (padding, padding)))
+    eff_h = (kernel[0] - 1) * dilation + 1
+    eff_w = (kernel[1] - 1) * dilation + 1
+    if arr.shape[1] < eff_h or arr.shape[2] < eff_w:
+        raise ValueError(f"input {arr.shape[1:]} too small for effective kernel ({eff_h}, {eff_w})")
+    win = sliding_window_view(arr, (eff_h, eff_w), axis=(1, 2))
+    win = win[:, ::stride, ::stride, ::dilation, ::dilation]
+    # (C, Ho, Wo, Hf, Wf) -> (Ho, Wo, C, Hf, Wf)
+    return np.transpose(win, (1, 2, 0, 3, 4))
+
+
+def conv2d_float(
+    x: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray | None = None,
+    stride: int = 1,
+    padding: int = 0,
+    dilation: int = 1,
+) -> np.ndarray:
+    """Float convolution of a (C, H, W) input with (K, C, Hf, Wf) weights."""
+    arr = np.asarray(x)
+    w = np.asarray(weights, dtype=np.float64)
+    k, c, hf, wf = w.shape
+    cols = im2col(arr.astype(np.float64), (hf, wf), stride, padding, dilation)
+    ho, wo = cols.shape[:2]
+    flat = cols.reshape(ho * wo, c * hf * wf)
+    out = flat @ w.reshape(k, c * hf * wf).T
+    out = out.T.reshape(k, ho, wo)
+    if bias is not None:
+        out = out + np.asarray(bias, dtype=np.float64).reshape(-1, 1, 1)
+    return out
 
 
 def conv2d_int(
@@ -32,7 +85,7 @@ def conv2d_int(
     padding: int = 0,
     dilation: int = 1,
 ) -> np.ndarray:
-    """Exact integer convolution through the float im2col path."""
+    """Exact integer convolution through :func:`conv2d_float`."""
     arr = np.asarray(x)
     w = np.asarray(weights)
     if not np.issubdtype(arr.dtype, np.integer) or not np.issubdtype(w.dtype, np.integer):

@@ -15,8 +15,9 @@ from repro.core.differential import (
     keyframe_deltas,
     reconstruct_from_keyframes,
 )
-from repro.nn.functional import conv2d_int, im2col
+from repro.nn.functional import conv2d_int
 from repro.utils.rng import rng_for
+from tests.oracles import im2col
 
 
 def _random_case(rng, c=4, h=12, w=13, k=3, filters=5):

@@ -6,38 +6,41 @@ from scipy import signal
 
 from repro.nn import functional as F
 from repro.utils.rng import rng_for
+from tests import oracles
 
 
 class TestIm2col:
+    """The window-major patch layout the conv oracles are written in."""
+
     def test_shape(self):
         x = np.arange(2 * 5 * 6).reshape(2, 5, 6)
-        cols = F.im2col(x, (3, 3))
+        cols = oracles.im2col(x, (3, 3))
         assert cols.shape == (3, 4, 2, 3, 3)
 
     def test_window_contents(self):
         x = np.arange(1 * 4 * 4).reshape(1, 4, 4)
-        cols = F.im2col(x, (2, 2))
+        cols = oracles.im2col(x, (2, 2))
         assert np.array_equal(cols[0, 0, 0], [[0, 1], [4, 5]])
         assert np.array_equal(cols[1, 2, 0], [[6, 7], [10, 11]])
 
     def test_stride(self):
         x = np.arange(1 * 6 * 6).reshape(1, 6, 6)
-        cols = F.im2col(x, (2, 2), stride=2)
+        cols = oracles.im2col(x, (2, 2), stride=2)
         assert cols.shape == (3, 3, 1, 2, 2)
 
     def test_dilation(self):
         x = np.arange(1 * 5 * 5).reshape(1, 5, 5)
-        cols = F.im2col(x, (2, 2), dilation=2)
+        cols = oracles.im2col(x, (2, 2), dilation=2)
         assert cols.shape == (3, 3, 1, 2, 2)
         assert np.array_equal(cols[0, 0, 0], [[0, 2], [10, 12]])
 
     def test_too_small_raises(self):
         with pytest.raises(ValueError, match="too small"):
-            F.im2col(np.zeros((1, 2, 2)), (3, 3))
+            oracles.im2col(np.zeros((1, 2, 2)), (3, 3))
 
     def test_rejects_non_chw(self):
         with pytest.raises(ValueError):
-            F.im2col(np.zeros((4, 4)), (2, 2))
+            oracles.im2col(np.zeros((4, 4)), (2, 2))
 
 
 class TestConv2dInt:
@@ -128,6 +131,41 @@ class TestConv2dFloat:
     def test_non_4d_weights_named_error(self):
         with pytest.raises(ValueError, match=r"weights must be"):
             F.conv2d_float(np.ones((1, 4, 4)), np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("conv", [F.conv2d_int, F.conv2d_float], ids=["int", "float"])
+class TestConvGeometry:
+    """Both convolutions share one column gather, which checks the geometry."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"dilation": 0}, "dilation must be > 0"),
+            ({"dilation": -1}, "dilation must be > 0"),
+            ({"stride": 0}, "stride must be > 0"),
+            ({"stride": -2}, "stride must be > 0"),
+            ({"padding": -1}, "padding must be >= 0"),
+            ({"stride": 1.5}, "stride must be an integer"),
+            ({"dilation": 2.0}, "dilation must be an integer"),
+            ({"padding": 1.0}, "padding must be an integer"),
+            ({"padding": True}, "padding must be an integer"),
+        ],
+    )
+    def test_bad_geometry_named_error(self, conv, kwargs, message):
+        x = np.ones((1, 6, 6), dtype=np.int64)
+        w = np.ones((1, 1, 3, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match=message):
+            conv(x, w, **kwargs)
+
+    def test_numpy_integer_geometry_accepted(self, conv):
+        x = np.arange(36, dtype=np.int64).reshape(1, 6, 6)
+        w = np.ones((1, 1, 3, 3), dtype=np.int64)
+        got = conv(x, w, stride=np.int64(2), padding=np.int32(1), dilation=np.uint8(1))
+        assert np.array_equal(got, conv(x, w, stride=2, padding=1, dilation=1))
+
+    def test_too_small_raises(self, conv):
+        with pytest.raises(ValueError, match="too small"):
+            conv(np.zeros((1, 2, 2), dtype=np.int64), np.ones((1, 1, 3, 3), dtype=np.int64))
 
 
 class TestReshuffles:

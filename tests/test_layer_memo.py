@@ -16,6 +16,7 @@ import pytest
 
 from repro.arch import sim, term_maps
 from repro.arch.config import PRA_CONFIG
+from repro.arch.cycles import LayerCycles
 from repro.arch.diffy import DiffyModel
 from repro.arch.pra import PRAModel
 from repro.arch.predict import ValuePredictionModel
@@ -139,6 +140,49 @@ class TestCycleMemo:
     def test_schemes_key_by_the_same_rule(self):
         scheme = DeltaDynamic(16, axis="y")
         assert scheme.key == layer_memo.instance_key(scheme)
+
+
+class TestMeanLayerCycles:
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 12])
+    def test_each_field_is_the_np_mean_of_its_traces(self, count):
+        # From 8 values on, numpy's pairwise sum and a sequential sum differ.
+        rng = np.random.default_rng(count)
+        empty = np.zeros((1, 2, 2), dtype=np.int64)
+        traces = [[_layer(empty, empty) for _ in range(4)] for _ in range(count)]
+        records = {
+            id(layer): LayerCycles(
+                name="probe",
+                index=i,
+                cycles=float(rng.random() * 10.0 ** rng.integers(0, 12)),
+                windows=4,
+                useful_terms=float(rng.random() * 1e7),
+                lane_capacity=float(rng.random() * 1e9),
+                filter_occupancy=1.0,
+                channel_occupancy=1.0,
+            )
+            for t in traces
+            for i, layer in enumerate(t)
+        }
+
+        class TableModel:
+            """Reads each layer's record from ``records`` (no instance fields)."""
+
+            def layer_cycles(self, layer):
+                return records[id(layer)]
+
+        got = sim._mean_layer_cycles(TableModel(), traces)
+        assert len(got) == 4
+        for i, rec in enumerate(got):
+            column = [records[id(t[i])] for t in traces]
+            assert rec.cycles == float(np.mean([r.cycles for r in column]))
+            assert rec.useful_terms == float(np.mean([r.useful_terms for r in column]))
+            assert rec.lane_capacity == float(np.mean([r.lane_capacity for r in column]))
+            assert rec == dataclasses.replace(
+                column[0],
+                cycles=rec.cycles,
+                useful_terms=rec.useful_terms,
+                lane_capacity=rec.lane_capacity,
+            )
 
 
 class TestMemoLifetime:
