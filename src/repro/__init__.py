@@ -16,7 +16,7 @@ Package tour (see DESIGN.md for the full inventory):
 - :mod:`repro.compression` — activation storage schemes and traffic,
 - :mod:`repro.arch` — VAA/PRA/Diffy/SCNN simulators, memory and energy,
 - :mod:`repro.analysis` — the value-stream studies of Figs 1-4,
-- :mod:`repro.experiments` — one runnable module per paper table/figure.
+- :mod:`repro.experiments` — one module per paper table/figure, run by ``run_all``.
 
 Quick start::
 

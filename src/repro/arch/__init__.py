@@ -27,7 +27,6 @@ from repro.arch.energy import EnergyModel, POWER_TABLE, AREA_TABLE
 from repro.arch.metrics import (
     ScalingChoice,
     UtilizationRow,
-    max_realtime_megapixels,
     minimum_tiles_for_fps,
     utilization_report,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "AREA_TABLE",
     "ScalingChoice",
     "UtilizationRow",
-    "max_realtime_megapixels",
     "minimum_tiles_for_fps",
     "utilization_report",
     "LayerResult",

@@ -4,9 +4,7 @@ Helpers the evaluation experiments and example scenarios share:
 
 - :func:`utilization_report` — Fig 12-style per-layer breakdown rows,
 - :func:`minimum_tiles_for_fps` — the Fig 18 search (smallest scaled
-  configuration meeting a frame-rate target),
-- :func:`max_realtime_megapixels` — the Fig 17 question inverted: the
-  largest resolution a configuration sustains at a target frame rate.
+  configuration meeting a frame-rate target.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.arch.config import DIFFY_CONFIG, AcceleratorConfig
-from repro.arch.memory import MemorySystem, memory_system
+from repro.arch.memory import memory_system
 from repro.arch.sim import NetworkResult, simulate_network
 from repro.utils.rng import DEFAULT_SEED
 from repro.utils.validation import check_positive
@@ -107,43 +105,3 @@ def minimum_tiles_for_fps(
                 )
     return None
 
-
-def max_realtime_megapixels(
-    model: str,
-    target_fps: float = 30.0,
-    scheme: str = "DeltaD16",
-    memory: str | MemorySystem = "DDR4-3200",
-    aspect: tuple[int, int] = (3, 4),
-    trace_count: int = 1,
-    seed: int = DEFAULT_SEED,
-    tolerance_px: int = 32,
-) -> float:
-    """Largest resolution (in megapixels) sustained at ``target_fps``.
-
-    Bisects the frame height at the given aspect ratio.  Execution time is
-    monotone in resolution under the analytical scaling model, so the
-    bisection is exact up to ``tolerance_px`` of height.
-    """
-    check_positive("target_fps", target_fps)
-
-    def fps_at(height: int) -> float:
-        width = height * aspect[1] // aspect[0]
-        res = simulate_network(
-            model, "Diffy", scheme=scheme, memory=memory,
-            resolution=(height, width), trace_count=trace_count, seed=seed,
-        )
-        return res.fps
-
-    lo, hi = 64, 2160
-    if fps_at(lo) < target_fps:
-        return 0.0
-    if fps_at(hi) >= target_fps:
-        lo = hi
-    while hi - lo > tolerance_px:
-        mid = (lo + hi) // 2
-        if fps_at(mid) >= target_fps:
-            lo = mid
-        else:
-            hi = mid
-    width = lo * aspect[1] // aspect[0]
-    return lo * width / 1e6

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.arch.config import DIFFY_CONFIG, PRA_CONFIG
 from repro.arch.diffy import DiffyModel
@@ -27,14 +28,12 @@ from repro.compression.traffic import normalized_traffic
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    DEFAULT_TRACE_COUNT,
     format_table,
     geomean,
     traces_for,
 )
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.registry import prepare_model
-from repro.utils.rng import DEFAULT_SEED
 
 SYNC_MODELS = ("row", "lane", "column", "pallet")
 
@@ -50,11 +49,12 @@ class SyncAblationResult:
 
 
 def run_sync(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> SyncAblationResult:
     pra: dict[str, list[float]] = {s: [] for s in SYNC_MODELS}
     diffy: dict[str, list[float]] = {s: [] for s in SYNC_MODELS}
@@ -108,11 +108,12 @@ class AxisAblationResult:
 
 
 def run_axis(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> AxisAblationResult:
     cycles: dict[str, dict[str, float]] = {}
     for model in models:
@@ -149,12 +150,13 @@ class GroupSizeAblationResult:
 
 
 def run_group_size(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
     resolution: tuple[int, int] = (1080, 1920),
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> GroupSizeAblationResult:
     schemes = ("DeltaD256", "DeltaD16", "RawD8", "RawD16", "RawD256")
     ratios = {}
@@ -198,11 +200,12 @@ class SelectiveResult:
 
 
 def run_selective(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> list[SelectiveResult]:
     """Choose, per layer, the faster of differential and raw processing.
 
@@ -238,7 +241,7 @@ def run_selective(
     return out
 
 
-def format_selective(results: list[SelectiveResult]) -> str:
+def format_selective(results: Sequence[SelectiveResult]) -> str:
     rows = [
         (
             r.network,
@@ -268,13 +271,7 @@ class AblationsResult:
 
 def compute(profile: Profile | None = None) -> AblationsResult:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    kw = dict(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    kw = resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES)
     return AblationsResult(
         sync=run_sync(**kw),
         axis=run_axis(**kw),
@@ -283,15 +280,12 @@ def compute(profile: Profile | None = None) -> AblationsResult:
     )
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_sync(run_sync()))
-    print()
-    print(format_axis(run_axis()))
-    print()
-    print(format_group_size(run_group_size()))
-    print()
-    print(format_selective(run_selective()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def format_result(result: AblationsResult) -> str:
+    return "\n\n".join(
+        (
+            format_sync(result.sync),
+            format_axis(result.axis),
+            format_group_size(result.group_size),
+            format_selective(result.selective),
+        )
+    )

@@ -45,7 +45,6 @@ from repro.serve.chaos.schedule import ChaosSpec, generate_schedule, overload_re
 from repro.serve.latency import measure_service_times
 from repro.serve.service import ServeConfig
 from repro.serve.workload import WorkloadSpec, apply_scene_dynamics, generate_requests
-from repro.utils.rng import DEFAULT_SEED
 
 #: Engines compared under chaos (the paper's baseline vs its design).
 CHAOS_ENGINES = ("VAA", "Diffy")
@@ -209,8 +208,10 @@ class ChaosStudyResult:
 
 
 def run(
-    model: str = "DnCNN",
-    crop: int = 64,
+    *,
+    model: str,
+    crop: int,
+    seed: int,
     engines: tuple = CHAOS_ENGINES,
     ladders: tuple = FULL_LADDERS,
     rates: tuple = FULL_RATES,
@@ -225,7 +226,6 @@ def run(
     deadline_units: float = 2.5,
     queue_capacity: int = 32,
     resolution: tuple = HD_RESOLUTION,
-    seed: int = DEFAULT_SEED,
     max_workers: int = 0,
 ) -> ChaosStudyResult:
     """Sweep protection ladder × fault rate under one chaos timeline.
@@ -333,12 +333,10 @@ def compute(profile: "Profile | None" = None) -> ChaosStudyResult:
     p = resolve_profile(profile)
     full = p.name == "full"
     return run(
-        model=p.pick_models(("DnCNN",))[0],
-        crop=p.pick_crop(64),
+        **p.one_model_kwargs(64),
         ladders=FULL_LADDERS if full else CI_LADDERS,
         rates=FULL_RATES if full else CI_RATES,
         nodes=FULL_NODES if full else CI_NODES,
-        seed=p.seed,
     )
 
 
@@ -390,11 +388,3 @@ def format_result(result: ChaosStudyResult) -> str:
         + f"{100 * recovery['warm_fraction_in_storm']:.0f}% in the storm -> "
         + f"{100 * recovery['warm_fraction_after']:.0f}% after"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

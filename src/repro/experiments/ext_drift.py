@@ -56,7 +56,6 @@ from repro.serve.workload import (
     apply_scene_dynamics,
     generate_vfr_requests,
 )
-from repro.utils.rng import DEFAULT_SEED
 
 #: VAA is measured only for the time unit; the fleet serves on Diffy
 #: (the design whose profiled precisions the drift attacks).
@@ -326,8 +325,10 @@ class DriftStudyResult:
 
 
 def run(
-    model: str = "DnCNN",
-    crop: int = 64,
+    *,
+    model: str,
+    crop: int,
+    seed: int,
     modes: tuple = CALIB_MODES,
     magnitudes: tuple = FULL_MAGNITUDES,
     nodes: int = FULL_NODES,
@@ -342,7 +343,6 @@ def run(
     recalib_delay_units: float = 2.0,
     cooldown_units: float = 4.0,
     resolution: tuple = HD_RESOLUTION,
-    seed: int = DEFAULT_SEED,
     max_workers: int = 0,
 ) -> DriftStudyResult:
     """Sweep calibration mode × drift magnitude on one seeded workload.
@@ -441,11 +441,9 @@ def compute(profile: "Profile | None" = None) -> DriftStudyResult:
     p = resolve_profile(profile)
     full = p.name == "full"
     return run(
-        model=p.pick_models(("DnCNN",))[0],
-        crop=p.pick_crop(64),
+        **p.one_model_kwargs(64),
         magnitudes=FULL_MAGNITUDES if full else CI_MAGNITUDES,
         nodes=FULL_NODES if full else CI_NODES,
-        seed=p.seed,
     )
 
 
@@ -497,11 +495,3 @@ def format_result(result: DriftStudyResult) -> str:
         + f"\n\nzero clipped served under control: {result.zero_clipped_under_control}"
         + f"\nrecovery (adaptive): {recovery or 'n/a (no drifting magnitudes)'}"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

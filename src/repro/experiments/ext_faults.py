@@ -38,7 +38,6 @@ from repro.faults.campaign import (
     run_length_amplification,
     summarize,
 )
-from repro.utils.rng import DEFAULT_SEED
 
 #: Channels kept per traced map — keeps codec round trips cheap while the
 #: row statistics (the part faults interact with) stay those of real maps.
@@ -74,12 +73,13 @@ class FaultStudyResult:
 
 
 def run(
-    model: str = "DnCNN",
-    crop: int = 64,
+    *,
+    model: str,
+    crop: int,
+    seed: int,
     rates: tuple = DEFAULT_RATES,
     fault_models: tuple = DEFAULT_FAULT_MODELS,
     trials: int = 2,
-    seed: int = DEFAULT_SEED,
 ) -> FaultStudyResult:
     """Trace ``model`` and run the fault campaign on sampled omaps."""
     traces = traces_for(model, count=1, crop=crop, seed=seed)
@@ -108,12 +108,7 @@ def run(
 
 def compute(profile: "Profile | None" = None) -> FaultStudyResult:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        model=p.pick_models(("DnCNN",))[0],
-        crop=p.pick_crop(64),
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).one_model_kwargs(64))
 
 
 def format_result(result: FaultStudyResult) -> str:
@@ -143,11 +138,3 @@ def format_result(result: FaultStudyResult) -> str:
         "chain; raw storage confines it to one value"
     )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -39,7 +39,6 @@ from repro.serve.fleet.routing import ROUTING_POLICIES
 from repro.serve.latency import measure_service_times
 from repro.serve.service import ServeConfig
 from repro.serve.workload import WorkloadSpec, generate_diurnal_requests, generate_requests
-from repro.utils.rng import DEFAULT_SEED
 
 #: Engines compared at fleet scale (the paper's baseline vs its design).
 FLEET_ENGINES = ("VAA", "Diffy")
@@ -159,8 +158,10 @@ def _static_cell(report: FleetReport, nodes: int) -> FleetCell:
 
 
 def run(
-    model: str = "DnCNN",
-    crop: int = 64,
+    *,
+    model: str,
+    crop: int,
+    seed: int,
     engines: tuple = FLEET_ENGINES,
     policies: tuple = ROUTING_POLICIES,
     node_counts: tuple = FULL_NODE_COUNTS,
@@ -169,7 +170,6 @@ def run(
     frames_per_session: int = 6,
     duration_units: float = 40.0,
     resolution: tuple = HD_RESOLUTION,
-    seed: int = DEFAULT_SEED,
     max_workers: int = 0,
 ) -> FleetStudyResult:
     """Sweep routing policy × node count on one seeded workload.
@@ -282,10 +282,8 @@ def compute(profile: "Profile | None" = None) -> FleetStudyResult:
     """Profile-scaled entry point for the golden-regression harness."""
     p = resolve_profile(profile)
     return run(
-        model=p.pick_models(("DnCNN",))[0],
-        crop=p.pick_crop(64),
+        **p.one_model_kwargs(64),
         node_counts=FULL_NODE_COUNTS if p.name == "full" else CI_NODE_COUNTS,
-        seed=p.seed,
     )
 
 
@@ -340,11 +338,3 @@ def format_result(result: FleetStudyResult) -> str:
         + f"\nDiffy goodput / VAA goodput (state-aware, {result.ref_nodes} nodes): "
         + f"{result.diffy_over_vaa_goodput:.2f}x"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -38,7 +38,6 @@ from repro.faults.campaign import (
 )
 from repro.models.registry import prepare_model
 from repro.protect import ProtectionPolicy
-from repro.utils.rng import DEFAULT_SEED
 
 #: Channels kept per traced map (matches ``ext_faults``).
 MAP_CHANNELS = 8
@@ -136,12 +135,13 @@ class ProtectionStudyResult:
 
 
 def run(
-    model: str = "DnCNN",
-    crop: int = 64,
+    *,
+    model: str,
+    crop: int,
+    seed: int,
     rates: tuple = DEFAULT_RATES,
     fault_models: tuple = ("flip1", "burst4"),
     trials: int = 2,
-    seed: int = DEFAULT_SEED,
 ) -> ProtectionStudyResult:
     """Trace ``model`` and run the protected campaign on sampled omaps."""
     traces = traces_for(model, count=1, crop=crop, seed=seed)
@@ -186,12 +186,7 @@ def run(
 
 def compute(profile: "Profile | None" = None) -> ProtectionStudyResult:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        model=p.pick_models(("DnCNN",))[0],
-        crop=p.pick_crop(64),
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).one_model_kwargs(64))
 
 
 _COLUMNS = [
@@ -240,11 +235,3 @@ def format_result(result: ProtectionStudyResult) -> str:
         f"full-ladder overhead {result.full_ladder_overhead:.2f}x DeltaD16"
     )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

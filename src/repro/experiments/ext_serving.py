@@ -27,7 +27,6 @@ from repro.experiments.profiles import Profile, resolve_profile
 from repro.serve.latency import DEFAULT_ENGINES, measure_service_times
 from repro.serve.service import ServeConfig, ServingReport, serve_workload
 from repro.serve.workload import WorkloadSpec, generate_requests
-from repro.utils.rng import DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,10 @@ class ServingStudyResult:
 
 
 def run(
-    model: str = "DnCNN",
-    crop: int = 64,
+    *,
+    model: str,
+    crop: int,
+    seed: int,
     engines: tuple = DEFAULT_ENGINES,
     workers: int = 2,
     load_factor: float = 1.5,
@@ -74,7 +75,6 @@ def run(
     duration_units: float = 40.0,
     process: str = "poisson",
     resolution: tuple = HD_RESOLUTION,
-    seed: int = DEFAULT_SEED,
 ) -> ServingStudyResult:
     """Serve one seeded workload on every engine and compare outcomes.
 
@@ -128,12 +128,7 @@ def run(
 
 def compute(profile: "Profile | None" = None) -> ServingStudyResult:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        model=p.pick_models(("DnCNN",))[0],
-        crop=p.pick_crop(64),
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).one_model_kwargs(64))
 
 
 def format_result(result: ServingStudyResult) -> str:
@@ -177,11 +172,3 @@ def format_result(result: ServingStudyResult) -> str:
         f"{result.diffy_over_vaa_goodput:.2f}x "
         "(load set to 1.5x VAA capacity: VAA must shed, Diffy must not)"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

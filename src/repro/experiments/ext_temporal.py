@@ -23,7 +23,6 @@ from repro.experiments.common import format_table, geomean
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.inputs import adapt_input
 from repro.models.registry import get_model_spec, prepare_model
-from repro.utils.rng import DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -62,11 +61,12 @@ class TemporalResult:
 
 
 def run_one(
-    model: str = "DnCNN",
+    *,
+    model: str,
+    crop: int,
+    seed: int,
     pan_px: int = 2,
-    crop: int = 64,
     frames: int = 3,
-    seed: int = DEFAULT_SEED,
 ) -> TemporalResult:
     """Trace a clip and compare processing modes for one motion level."""
     spec = get_model_spec(model)
@@ -92,23 +92,19 @@ def run_one(
 
 
 def run(
-    model: str = "DnCNN",
+    *,
+    model: str,
+    crop: int,
+    seed: int,
     pans: tuple[int, ...] = (0, 1, 2, 4, 8),
-    crop: int = 64,
-    seed: int = DEFAULT_SEED,
 ) -> list[TemporalResult]:
     """Sweep scene motion; temporal-vs-spatial crossover is the story."""
-    return [run_one(model, pan, crop, seed=seed) for pan in pans]
+    return [run_one(model=model, crop=crop, seed=seed, pan_px=pan) for pan in pans]
 
 
 def compute(profile: Profile | None = None) -> list[TemporalResult]:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        model=p.pick_models(("DnCNN",))[0],
-        crop=p.pick_crop(64),
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).one_model_kwargs(64))
 
 
 def format_result(results: list[TemporalResult]) -> str:
@@ -131,11 +127,3 @@ def format_result(results: list[TemporalResult]) -> str:
         f"\nframe buffer for temporal mode: {results[0].frame_buffer_kb:.0f} KB "
         "of previous-frame activations (CBInfer's storage cost)"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -38,7 +38,6 @@ from repro.experiments.common import format_table, traces_for
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.registry import prepare_model
 from repro.protect.stream import encode_stream_chunks, read_stream
-from repro.utils.rng import DEFAULT_SEED
 from repro.weights import MSRCodec, network_int8_weights
 from repro.weights.schemes import network_weight_bits
 
@@ -191,9 +190,10 @@ def _memory_roundtrip_ok(sample: np.ndarray) -> bool:
 
 
 def run(
-    model: str = "DnCNN",
-    crop: int = 64,
-    seed: int = DEFAULT_SEED,
+    *,
+    model: str,
+    crop: int,
+    seed: int,
 ) -> WeightStudyResult:
     """Quantize ``model``'s weights, compact, and sweep the VP curve."""
     net = prepare_model(model, seed)
@@ -261,12 +261,7 @@ def run(
 
 def compute(profile: "Profile | None" = None) -> WeightStudyResult:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        model=p.pick_models(("DnCNN",))[0],
-        crop=p.pick_crop(64),
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).one_model_kwargs(64))
 
 
 def format_result(result: WeightStudyResult) -> str:
@@ -320,11 +315,3 @@ def format_result(result: WeightStudyResult) -> str:
         f"{result.serve_overhead_ratio:.3f}x dense"
     )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

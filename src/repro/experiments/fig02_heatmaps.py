@@ -18,7 +18,6 @@ from repro.data.datasets import dataset
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.inputs import adapt_input
 from repro.models.registry import get_model_spec, prepare_model
-from repro.utils.rng import DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,11 @@ class Fig2Result:
 
 
 def run(
-    model: str = "DnCNN",
+    *,
+    model: str,
+    crop: int,
+    seed: int,
     layer_name: str = "conv_3",
-    crop: int = 128,
-    seed: int = DEFAULT_SEED,
 ) -> Fig2Result:
     """Trace ``model`` on the Barbara stand-in and extract layer heatmaps."""
     spec = get_model_spec(model)
@@ -52,12 +52,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> Fig2Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        model=p.pick_models(("DnCNN",))[0],
-        crop=p.pick_crop(128),
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).one_model_kwargs(128))
 
 
 def format_result(result: Fig2Result) -> str:
@@ -88,11 +83,3 @@ def save_heatmaps(result: Fig2Result, path_prefix: str) -> list[str]:
         np.save(path, arr)
         paths.append(path)
     return paths
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,12 +12,10 @@ from repro.analysis.terms import TermStats, trace_term_stats
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    DEFAULT_TRACE_COUNT,
     format_table,
     traces_for,
 )
 from repro.experiments.profiles import Profile, resolve_profile
-from repro.utils.rng import DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -27,11 +25,12 @@ class Fig3Result:
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Fig3Result:
     """Accumulate term histograms over every model's traces."""
     traces = []
@@ -42,13 +41,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> Fig3Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(result: Fig3Result) -> str:
@@ -74,11 +67,3 @@ def format_result(result: Fig3Result) -> str:
         f"delta={stats.mean_terms_delta:.2f}"
     )
     return table + summary
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

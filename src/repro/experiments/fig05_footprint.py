@@ -13,12 +13,10 @@ from repro.compression.footprint import imap_precisions, normalized_footprints
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    DEFAULT_TRACE_COUNT,
     format_table,
     traces_for,
 )
 from repro.experiments.profiles import Profile, resolve_profile
-from repro.utils.rng import DEFAULT_SEED
 
 #: The six approaches of Fig 5, in presentation order.
 FIG5_SCHEMES = ("NoCompression", "RLEz", "RLE", "Profiled", "RawD16", "DeltaD16")
@@ -36,12 +34,13 @@ class Fig5Result:
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
     schemes: tuple[str, ...] = FIG5_SCHEMES,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Fig5Result:
     ratios = {}
     for model in models:
@@ -53,13 +52,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> Fig5Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(result: Fig5Result) -> str:
@@ -74,11 +67,3 @@ def format_result(result: Fig5Result) -> str:
         rows,
         title="Fig 5: off-chip imap footprint (normalized to 16b storage)",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -2,23 +2,27 @@
 
 HD inputs, DDR4-3200 (Section IV-A).  The paper: PRA reaches ~5x with
 DeltaD16 (5.1x ideal); Diffy 7.1x over VAA / 1.41x over PRA; only
-JointNet keeps noticeable stalls (~8.2%) under DeltaD16.
+JointNet keeps noticeable stalls (~8.2%) under DeltaD16.  Per layer,
+Diffy/PRA has a mean of 1.42x and a standard deviation of 0.32.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.arch.diffy import DiffyModel
+from repro.arch.pra import PRAModel
 from repro.arch.sim import simulate_network
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    DEFAULT_TRACE_COUNT,
     format_table,
     geomean,
+    traces_for,
 )
 from repro.experiments.profiles import Profile, resolve_profile
-from repro.utils.rng import DEFAULT_SEED
 
 #: Compression regimes of Fig 11 ("Ideal" = infinite off-chip bandwidth).
 FIG11_SCHEMES = ("NoCompression", "Profiled", "DeltaD16", "Ideal")
@@ -37,6 +41,8 @@ class Fig11Row:
 class Fig11Result:
     rows: tuple[Fig11Row, ...]
     memory: str
+    #: Per-layer Diffy/PRA statistics (:func:`per_layer_diffy_over_pra`).
+    per_layer: dict[str, float]
 
     def mean_speedup(self, accelerator: str, scheme: str) -> float:
         key = {"PRA": "pra", "Diffy": "diffy"}[accelerator]
@@ -44,11 +50,12 @@ class Fig11Result:
 
 
 def per_layer_diffy_over_pra(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> dict[str, float]:
     """Per-layer Diffy/PRA cycle ratios across all models' layers.
 
@@ -57,12 +64,6 @@ def per_layer_diffy_over_pra(
     layers ... by at most 10%."  Returns mean, std, the worst layer ratio,
     and the fraction of layers where Diffy loses to PRA.
     """
-    import numpy as np
-
-    from repro.arch.diffy import DiffyModel
-    from repro.arch.pra import PRAModel
-    from repro.experiments.common import traces_for
-
     diffy_model, pra_model = DiffyModel(), PRAModel()
     ratios = []
     for model in models:
@@ -94,13 +95,14 @@ def _simulate(model, accelerator, scheme, memory, dataset, trace_count, crop, se
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     memory: str = "DDR4-3200",
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
     schemes: tuple[str, ...] = FIG11_SCHEMES,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Fig11Result:
     rows = []
     for model in models:
@@ -120,18 +122,15 @@ def run(
         rows.append(
             Fig11Row(network=model, pra=pra, diffy=diffy, diffy_stall_fraction=diffy_stall)
         )
-    return Fig11Result(rows=tuple(rows), memory=memory)
+    per_layer = per_layer_diffy_over_pra(
+        models=models, trace_count=trace_count, crop=crop, seed=seed, dataset=dataset
+    )
+    return Fig11Result(rows=tuple(rows), memory=memory, per_layer=per_layer)
 
 
 def compute(profile: Profile | None = None) -> Fig11Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(result: Fig11Result) -> str:
@@ -154,24 +153,14 @@ def format_result(result: Fig11Result) -> str:
         title=f"Fig 11: speedup over VAA (HD, {result.memory})",
     )
     ratio = result.mean_speedup("Diffy", "DeltaD16") / result.mean_speedup("PRA", "DeltaD16")
+    stats = result.per_layer
     return table + (
         f"\nDiffy/PRA at DeltaD16 = {ratio:.2f}x (paper: 1.41x); "
         f"stalls: " + ", ".join(
             f"{r.network}={r.diffy_stall_fraction * 100:.1f}%" for r in result.rows
         )
-    )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-    stats = per_layer_diffy_over_pra()
-    print(
-        f"per-layer Diffy/PRA: mean {stats['mean']:.2f} std {stats['std']:.2f} "
+        + f"\nper-layer Diffy/PRA: mean {stats['mean']:.2f} std {stats['std']:.2f} "
         f"(paper: 1.42 / 0.32); worst layer {stats['min']:.2f}x, "
-        f"{stats['fraction_slower'] * 100:.0f}% of layers slower than PRA "
+        f"{stats['fraction_slower'] * 100:.1f}% of layers slower than PRA "
         "(paper: a few noncritical layers, at most 10% slower)"
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

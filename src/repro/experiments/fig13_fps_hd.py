@@ -18,7 +18,6 @@ from repro.experiments.common import (
     format_table,
 )
 from repro.experiments.profiles import Profile, resolve_profile
-from repro.utils.rng import DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -31,13 +30,14 @@ class Fig13Row:
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     scheme: str = "DeltaD16",
     memory: str = "DDR4-3200",
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = 3,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> list[Fig13Row]:
     rows = []
     for model in models:
@@ -75,13 +75,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> list[Fig13Row]:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(rows: list[Fig13Row]) -> str:
@@ -99,11 +93,3 @@ def format_result(rows: list[Fig13Row]) -> str:
         table_rows,
         title="Fig 13: HD (1920x1080) frame rates (paper: VAA 0.7-3.9, PRA 2.6-18.9, Diffy 3.9-28.5)",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

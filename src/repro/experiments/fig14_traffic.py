@@ -13,13 +13,11 @@ from repro.compression.traffic import normalized_traffic
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    DEFAULT_TRACE_COUNT,
     format_table,
     traces_for,
 )
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.registry import prepare_model
-from repro.utils.rng import DEFAULT_SEED
 
 #: The Fig 14 scheme sweep.
 FIG14_SCHEMES = (
@@ -47,13 +45,14 @@ class Fig14Result:
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
     resolution: tuple[int, int] = (1080, 1920),
     schemes: tuple[str, ...] = FIG14_SCHEMES,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Fig14Result:
     ratios = {}
     for model in models:
@@ -65,13 +64,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> Fig14Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(result: Fig14Result) -> str:
@@ -93,11 +86,3 @@ def format_result(result: Fig14Result) -> str:
             "(paper: 1.27x-1.43x)"
         )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

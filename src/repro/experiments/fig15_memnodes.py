@@ -15,11 +15,9 @@ from repro.arch.sim import simulate_network
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    DEFAULT_TRACE_COUNT,
     format_table,
 )
 from repro.experiments.profiles import Profile, resolve_profile
-from repro.utils.rng import DEFAULT_SEED
 
 FIG15_SCHEMES = ("NoCompression", "Profiled", "DeltaD16")
 
@@ -39,14 +37,15 @@ class Fig15Result:
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     nodes: tuple[str, ...] = FIG15_NODES,
     schemes: tuple[str, ...] = FIG15_SCHEMES,
     channels: int = 1,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Fig15Result:
     grid: dict[str, dict[str, dict[str, Fig15Cell]]] = {}
     for model in models:
@@ -75,13 +74,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> Fig15Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(result: Fig15Result) -> str:
@@ -103,11 +96,3 @@ def format_result(result: Fig15Result) -> str:
             )
         )
     return "\n\n".join(blocks)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,12 +16,10 @@ from repro.arch.sim import simulate_network
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    DEFAULT_TRACE_COUNT,
     format_table,
     geomean,
 )
 from repro.experiments.profiles import Profile, resolve_profile
-from repro.utils.rng import DEFAULT_SEED
 
 #: T_x sweep of Fig 16.
 FIG16_TERMS = (1, 2, 4, 8, 16)
@@ -38,12 +36,13 @@ class Fig16Result:
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     terms: tuple[int, ...] = FIG16_TERMS,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Fig16Result:
     speedups: dict[str, dict[int, float]] = {}
     for model in models:
@@ -65,13 +64,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> Fig16Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(result: Fig16Result) -> str:
@@ -85,11 +78,3 @@ def format_result(result: Fig16Result) -> str:
         rows,
         title="Fig 16: Diffy speedup over an equally-configured VAA per tiling",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from repro.arch.sim import simulate_network
 from repro.experiments.common import (
     CI_MODEL_NAMES,
-    DEFAULT_TRACE_COUNT,
     format_table,
 )
 from repro.experiments.profiles import Profile, resolve_profile
-from repro.utils.rng import DEFAULT_SEED
 
 #: Resolution sweep in megapixels (height, width).
 FIG17_RESOLUTIONS: tuple[tuple[int, int], ...] = (
@@ -46,14 +44,15 @@ class Fig17Result:
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     resolutions: tuple[tuple[int, int], ...] = FIG17_RESOLUTIONS,
     scheme: str = "DeltaD16",
     memory: str = "DDR4-3200",
     dataset: str = "Kodak24",
-    trace_count: int = DEFAULT_TRACE_COUNT,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Fig17Result:
     fps: dict[str, dict[tuple[int, int], float]] = {}
     for model in models:
@@ -70,13 +69,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> Fig17Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(result: Fig17Result) -> str:
@@ -94,11 +87,3 @@ def format_result(result: Fig17Result) -> str:
         headers, rows,
         title="Fig 17: Diffy FPS at low resolutions (30 FPS = real time)",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

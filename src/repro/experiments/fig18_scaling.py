@@ -18,11 +18,9 @@ from repro.arch.metrics import ScalingChoice, minimum_tiles_for_fps
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    DEFAULT_TRACE_COUNT,
     format_table,
 )
 from repro.experiments.profiles import Profile, resolve_profile
-from repro.utils.rng import DEFAULT_SEED
 
 #: Tile counts to consider, smallest first.
 TILE_SWEEP = (4, 8, 12, 16, 24, 32, 48, 64)
@@ -52,12 +50,13 @@ class Fig18Result:
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     schemes: tuple[str, ...] = FIG18_SCHEMES,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Fig18Result:
     grid: dict[str, dict[str, Optional[ScalingChoice]]] = {}
     for model in models:
@@ -74,13 +73,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> Fig18Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(result: Fig18Result) -> str:
@@ -100,11 +93,3 @@ def format_result(result: Fig18Result) -> str:
         rows,
         title="Fig 18: minimum Diffy configuration for 30 FPS HD",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,13 +14,11 @@ from repro.arch.pra import PRAModel
 from repro.arch.sim import simulate_network
 from repro.experiments.common import (
     CLASSIFICATION_MODEL_NAMES,
-    DEFAULT_TRACE_COUNT,
     format_table,
     geomean,
     traces_for,
 )
 from repro.experiments.profiles import Profile, resolve_profile
-from repro.utils.rng import DEFAULT_SEED
 
 #: Classification inputs: ImageNet-scale frames.
 CLS_RESOLUTION = (224, 224)
@@ -59,13 +57,14 @@ class Fig19Result:
 
 
 def run(
-    models: tuple[str, ...] = CLASSIFICATION_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     dataset: str = "Kodak24",
-    trace_count: int = DEFAULT_TRACE_COUNT,
     scheme: str = "DeltaD16",
     memory: str = "DDR4-3200",
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Fig19Result:
     rows = []
     for model in models:
@@ -94,13 +93,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> Fig19Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CLASSIFICATION_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CLASSIFICATION_MODEL_NAMES))
 
 
 def format_result(result: Fig19Result) -> str:
@@ -126,11 +119,3 @@ def format_result(result: Fig19Result) -> str:
         rows,
         title="Fig 19: classification models (paper: 6.1x over VAA, 1.16x over PRA, >2.1x early layers)",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

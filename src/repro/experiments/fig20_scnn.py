@@ -16,12 +16,10 @@ from repro.arch.sim import simulate_network
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    DEFAULT_TRACE_COUNT,
     format_table,
     geomean,
 )
 from repro.experiments.profiles import Profile, resolve_profile
-from repro.utils.rng import DEFAULT_SEED
 
 #: Weight-sparsity sweep of Fig 20.
 SCNN_SPARSITIES = (0.0, 0.5, 0.75, 0.9)
@@ -41,13 +39,14 @@ class Fig20Result:
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     sparsities: tuple[float, ...] = SCNN_SPARSITIES,
     memory: str = "DDR4-3200",
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Fig20Result:
     speedups: dict[str, dict[float, float]] = {}
     for model in models:
@@ -70,13 +69,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> Fig20Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(result: Fig20Result) -> str:
@@ -94,11 +87,3 @@ def format_result(result: Fig20Result) -> str:
         rows,
         title="Fig 20: Diffy speedup over SCNN per weight-sparsity assumption",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

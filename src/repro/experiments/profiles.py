@@ -2,10 +2,11 @@
 
 A :class:`Profile` bundles the knobs shared by all experiment modules —
 trace count, crop size, seed, and an optional model subset — so the same
-`compute()` entry point can run at CI scale (small crops, few traces,
-committed goldens) or at paper scale (the module defaults used for the
-reported numbers).  The regression harness keys goldens by
-``profile.name``.
+`compute()` entry point can run at CI scale (small crops, few traces) or
+at paper scale (each model's own crop, the numbers ``run_all`` reports).
+Experiment ``run()`` functions take these knobs without defaults; the
+profile is the only place their values live.  The regression harness
+keys goldens by ``profile.name``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ class Profile:
     name:
         Key used for golden storage (``goldens/<name>/<experiment>.json``).
     trace_count:
-        Traces per model (experiments with their own default still obey
-        the profile so results stay comparable across experiments).
+        Traces per model, for every model-sweep experiment.
     crop:
-        Input crop edge in pixels; ``None`` keeps each model's default
-        ``trace_crop`` (and each experiment's own crop default).
+        Input crop edge in pixels; ``None`` keeps each model's own
+        ``trace_crop`` (and each one-model experiment's own crop).
     seed:
         Root RNG seed for weights, inputs, and calibration.
     models:
@@ -51,6 +51,27 @@ class Profile:
         """The crop this profile uses, else an experiment's own default."""
         return self.crop if self.crop is not None else default
 
+    def sweep_kwargs(self, default_models: "tuple[str, ...]") -> dict:
+        """``models``, ``trace_count``, ``crop`` and ``seed`` for a model-sweep ``run()``."""
+        return dict(
+            models=self.pick_models(default_models),
+            trace_count=self.trace_count,
+            crop=self.crop,
+            seed=self.seed,
+        )
+
+    def one_model_kwargs(self, default_crop: int) -> dict:
+        """``model``, ``crop`` and ``seed`` for a one-model ``run()``.
+
+        The model is the profile's first, else DnCNN, the paper's running
+        example and the network every one-model experiment studies.
+        """
+        return dict(
+            model=self.pick_models(("DnCNN",))[0],
+            crop=self.pick_crop(default_crop),
+            seed=self.seed,
+        )
+
     def describe(self) -> dict:
         """JSON-friendly description embedded in golden files."""
         return asdict(self)
@@ -61,8 +82,8 @@ class Profile:
 #: they weaken but survive at lower resolution).
 CI_PROFILE = Profile(name="ci", trace_count=DEFAULT_TRACE_COUNT, crop=48)
 
-#: Paper scale: every experiment module's own defaults (model-default
-#: crops, default trace counts) — what `run_all` reports.
+#: Paper scale: each model's own ``trace_crop`` and each one-model
+#: experiment's own crop — what ``run_all`` reports.
 FULL_PROFILE = Profile(name="full", trace_count=DEFAULT_TRACE_COUNT, crop=None)
 
 #: Named profiles accepted by the regression CLI.

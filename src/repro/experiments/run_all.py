@@ -3,6 +3,8 @@
     python -m repro.experiments.run_all            # everything
     python -m repro.experiments.run_all fig11 t5   # substring filters
 
+Each report is ``format_result(compute(FULL_PROFILE))``: the numbers the
+committed ``goldens/full`` file holds, never a second set of defaults.
 The heavy experiments share cached traces, so the full sweep is much
 cheaper than the sum of its parts.  The experiment list itself lives in
 :mod:`repro.regression.registry`, shared with the golden-result checker
@@ -20,13 +22,22 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-from repro.regression.registry import EXPERIMENT_SPECS
+from repro.experiments.profiles import FULL_PROFILE
+from repro.regression.registry import EXPERIMENT_SPECS, ExperimentSpec
+
+
+def print_report(spec: ExperimentSpec) -> None:
+    """Print one experiment's full-profile report."""
+    module = spec.load()
+    print(module.format_result(module.compute(FULL_PROFILE)))
+
 
 #: Ordered registry: id -> callable printing that experiment's report.
 EXPERIMENTS: dict[str, Callable[[], None]] = {
-    exp_id: spec.main for exp_id, spec in EXPERIMENT_SPECS.items()
+    exp_id: partial(print_report, spec) for exp_id, spec in EXPERIMENT_SPECS.items()
 }
 
 

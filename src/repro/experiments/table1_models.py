@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from repro.experiments.common import CI_MODEL_NAMES, format_table
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.registry import build_model
-from repro.utils.rng import DEFAULT_SEED
 
 #: Paper values for the comparison column (conv layers, relu layers,
 #: max total filter size per layer in KB).
@@ -34,7 +33,7 @@ class Table1Row:
     total_weights_kb: float
 
 
-def run(models: tuple[str, ...] = CI_MODEL_NAMES, seed: int = DEFAULT_SEED) -> list[Table1Row]:
+def run(*, models: tuple[str, ...], seed: int) -> list[Table1Row]:
     rows = []
     for name in models:
         net = build_model(name, seed)
@@ -85,11 +84,3 @@ def format_result(rows: list[Table1Row]) -> str:
         table_rows,
         title="Table I: CI-DNNs studied",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

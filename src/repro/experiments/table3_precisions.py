@@ -15,12 +15,10 @@ from repro.compression.footprint import imap_precisions
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    DEFAULT_TRACE_COUNT,
     format_table,
     traces_for,
 )
 from repro.experiments.profiles import Profile, resolve_profile
-from repro.utils.rng import DEFAULT_SEED
 
 #: Paper Table III (per-layer precision strings) for side-by-side display.
 PAPER_TABLE3 = {
@@ -50,11 +48,12 @@ class Table3Row:
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> list[Table3Row]:
     rows = []
     for model in models:
@@ -65,13 +64,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> list[Table3Row]:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(rows: list[Table3Row]) -> str:
@@ -90,11 +83,3 @@ def format_result(rows: list[Table3Row]) -> str:
         table_rows,
         title="Table III: profile-derived per-layer activation precisions",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -48,11 +48,3 @@ def format_result(configs: dict[str, AcceleratorConfig]) -> str:
         rows,
         title="Table IV: accelerator configurations",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,7 +15,6 @@ from repro.compression.footprint import am_requirement_bytes
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    DEFAULT_TRACE_COUNT,
     format_table,
     human_bytes,
     round_up_pow2,
@@ -23,7 +22,6 @@ from repro.experiments.common import (
 )
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.registry import build_model, prepare_model
-from repro.utils.rng import DEFAULT_SEED
 
 #: Table V storage schemes, in presentation order.
 TABLE5_SCHEMES = ("NoCompression", "Profiled", "RawD16", "DeltaD16")
@@ -45,13 +43,14 @@ class Table5Result:
 
 
 def run(
-    models: tuple[str, ...] = CI_MODEL_NAMES,
+    *,
+    models: tuple[str, ...],
+    trace_count: int,
+    crop: int | None,
+    seed: int,
     dataset: str = DEFAULT_DATASET,
-    trace_count: int = DEFAULT_TRACE_COUNT,
     resolution: tuple[int, int] = (1080, 1920),
     schemes: tuple[str, ...] = TABLE5_SCHEMES,
-    crop: int | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> Table5Result:
     am: dict[str, float] = {s: 0.0 for s in schemes}
     for model in models:
@@ -67,13 +66,7 @@ def run(
 
 def compute(profile: Profile | None = None) -> Table5Result:
     """Profile-scaled entry point for the golden-regression harness."""
-    p = resolve_profile(profile)
-    return run(
-        models=p.pick_models(CI_MODEL_NAMES),
-        trace_count=p.trace_count,
-        crop=p.crop,
-        seed=p.seed,
-    )
+    return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
 
 
 def format_result(result: Table5Result) -> str:
@@ -103,11 +96,3 @@ def format_result(result: Table5Result) -> str:
         f"\nDeltaD16 vs Profiled: -{deltad_vs_prof * 100:.0f}% (paper -55%); "
         f"vs RawD16: -{deltad_vs_rawd * 100:.0f}% (paper -32%)"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -54,11 +54,3 @@ def format_result(result: Table7Result) -> str:
         f"\nnormalized to VAA: Diffy {result.ratios['Diffy']:.2f}x (paper 1.24x), "
         f"PRA {result.ratios['PRA']:.2f}x (paper 1.33x)"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

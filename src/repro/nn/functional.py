@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.utils.validation import check_integer, check_nonnegative, check_positive
+from repro.utils.validation import check_integer, check_nonnegative, check_positive_integer
 
 _EXACT_FLOAT_LIMIT = float(1 << 53)
 
@@ -73,10 +73,8 @@ def _tap_columns(
     Row ``(c, i, j)`` is tap ``(i, j)``'s strided slice of channel ``c``
     after zero padding.  Returns the block and the output size ``Ho, Wo``.
     """
-    stride = check_integer("stride", stride)
-    check_positive("stride", stride)
-    dilation = check_integer("dilation", dilation)
-    check_positive("dilation", dilation)
+    stride = check_positive_integer("stride", stride)
+    dilation = check_positive_integer("dilation", dilation)
     padding = check_integer("padding", padding)
     check_nonnegative("padding", padding)
     if padding:
@@ -191,13 +189,15 @@ def depth_to_space(x: np.ndarray, factor: int) -> np.ndarray:
 def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
     """Nearest-neighbour upsampling of a (C, H, W) array."""
     arr = _check_chw(x)
+    factor = check_positive_integer("factor", factor)
     return np.repeat(np.repeat(arr, factor, axis=1), factor, axis=2)
 
 
 def max_pool2d(x: np.ndarray, kernel: int, stride: int | None = None) -> np.ndarray:
-    """Max pooling over a (C, H, W) array (valid padding)."""
+    """Max pooling over a (C, H, W) array (valid padding); ``stride`` defaults to ``kernel``."""
     arr = _check_chw(x)
-    stride = stride or kernel
+    kernel = check_positive_integer("kernel", kernel)
+    stride = kernel if stride is None else check_positive_integer("stride", stride)
     win = sliding_window_view(arr, (kernel, kernel), axis=(1, 2))
     win = win[:, ::stride, ::stride]
     return win.max(axis=(-1, -2))

@@ -24,7 +24,12 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.fixed_point import ACT_BITS, requantize_shift, round_half_away
 from repro.utils.bits import signed_range
-from repro.utils.validation import check_positive
+from repro.utils.validation import (
+    check_integer,
+    check_nonnegative,
+    check_positive,
+    check_positive_integer,
+)
 
 #: Upper bound on fractional bits for weights; avoids absurd scales when a
 #: synthetic filter bank happens to have tiny magnitudes.
@@ -110,8 +115,11 @@ class Conv2d(Layer):
         check_positive("in_channels", in_channels)
         check_positive("out_channels", out_channels)
         check_positive("kernel", kernel)
-        check_positive("stride", stride)
-        check_positive("dilation", dilation)
+        stride = check_positive_integer("stride", stride)
+        dilation = check_positive_integer("dilation", dilation)
+        if padding is not None:
+            padding = check_integer("padding", padding)
+            check_nonnegative("padding", padding)
         w = np.asarray(weights, dtype=np.float64)
         expected = (out_channels, in_channels, kernel, kernel)
         if w.shape != expected:

@@ -1,8 +1,9 @@
-"""The experiment registry: id -> module with ``compute`` and ``main``.
+"""The experiment registry: id -> module with ``compute`` and ``format_result``.
 
-Single source of truth shared by ``repro.experiments.run_all`` (report
-printing) and the regression CLI (golden checking).  Modules import
-lazily so ``python -m repro.regression list`` stays instant.
+Single source of truth shared by ``repro.experiments.run_all`` (which
+prints ``format_result(compute(FULL_PROFILE))``) and the regression CLI
+(which pins ``compute(profile)`` in a golden).  Modules import lazily so
+``python -m repro.regression list`` stays instant.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _EXPERIMENT_MODULES: "tuple[tuple[str, str], ...]" = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment and its entry points."""
+    """One registered experiment and its module."""
 
     exp_id: str
     module_name: str
@@ -61,11 +62,6 @@ class ExperimentSpec:
     def compute(self) -> Callable:
         """Profile-scaled computation returning a serializable result."""
         return self.load().compute
-
-    @property
-    def main(self) -> "Callable[[], None]":
-        """Report-printing CLI entry point."""
-        return self.load().main
 
 
 #: Ordered registry keyed by experiment id.

@@ -28,6 +28,13 @@ def check_integer(name: str, value: object) -> int:
     return int(value)
 
 
+def check_positive_integer(name: str, value: object) -> int:
+    """:func:`check_integer` plus :func:`check_positive`; return it as ``int``."""
+    value = check_integer(name, value)
+    check_positive(name, value)
+    return value
+
+
 def check_nonnegative(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` is >= 0."""
     if not value >= 0:

@@ -30,6 +30,7 @@ from repro.serve.fleet import FleetConfig, ShardStream, simulate_fleet, simulate
 from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig
 from repro.serve.workload import WorkloadSpec, apply_scene_dynamics, generate_requests
+from repro.utils.rng import DEFAULT_SEED
 
 
 def _times(cold=0.05, warm=0.01, overhead=0.004, state_bytes=1000, engine="Diffy"):
@@ -579,7 +580,9 @@ class TestExtChaosStudy:
         from repro.experiments import ext_chaos
 
         return ext_chaos.run(
+            model="DnCNN",
             crop=32,
+            seed=DEFAULT_SEED,
             ladders=("none", "full"),
             rates=(0.0, 1e-3),
             nodes=2,
@@ -615,4 +618,4 @@ class TestExtChaosStudy:
         from repro.experiments import ext_chaos
 
         with pytest.raises(ValueError, match="VAA"):
-            ext_chaos.run(engines=("Diffy",))
+            ext_chaos.run(model="DnCNN", crop=32, seed=DEFAULT_SEED, engines=("Diffy",))

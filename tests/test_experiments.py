@@ -2,9 +2,12 @@
 
 Each experiment runs with minimal workloads (one model, tiny traces) to
 verify the plumbing end to end: parameters flow, results have the right
-structure, and the formatted reports render.  The benchmark suite covers
-the full-shape assertions at realistic workloads.
+structure, and the formatted reports render.  ``tests/test_paper_claims.py``
+asserts the paper's shapes on the committed goldens.  ``run()`` has no
+defaults for its scale knobs, so every call here names them.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,23 +36,32 @@ from repro.experiments import (
     table6_power,
     table7_area,
 )
+from repro.experiments.profiles import FULL_PROFILE
+from repro.regression.registry import ExperimentSpec
+from repro.utils.rng import DEFAULT_SEED
 
 ONE = ("IRCNN",)  # the smallest CI model: 7 layers
+#: The scale knobs of a model-sweep ``run()``: one model, one trace, its own crop.
+SMALL = dict(models=ONE, trace_count=1, crop=None, seed=DEFAULT_SEED)
 
 
 class TestMotivationExperiments:
     def test_fig01(self):
-        result = fig01_entropy.run(models=ONE, trace_count=1)
+        result = fig01_entropy.run(**SMALL)
         assert len(result.stats) == 1
         assert "H(A)" in fig01_entropy.format_result(result)
 
     def test_fig02(self):
-        result = fig02_heatmaps.run(model="IRCNN", layer_name="conv_2", crop=48)
+        result = fig02_heatmaps.run(
+            model="IRCNN", layer_name="conv_2", crop=48, seed=DEFAULT_SEED
+        )
         assert result.layer == "conv_2"
         assert "terms per delta" in fig02_heatmaps.format_result(result)
 
     def test_fig02_save_heatmaps(self, tmp_path):
-        result = fig02_heatmaps.run(model="IRCNN", layer_name="conv_2", crop=48)
+        result = fig02_heatmaps.run(
+            model="IRCNN", layer_name="conv_2", crop=48, seed=DEFAULT_SEED
+        )
         paths = fig02_heatmaps.save_heatmaps(result, str(tmp_path / "fig2"))
         assert len(paths) == 3
         import numpy as np
@@ -57,29 +69,29 @@ class TestMotivationExperiments:
         assert np.load(paths[0]).ndim == 2
 
     def test_fig03(self):
-        result = fig03_term_cdf.run(models=ONE, trace_count=1)
+        result = fig03_term_cdf.run(**SMALL)
         assert result.stats.hist_raw.sum() > 0
         assert "sparsity" in fig03_term_cdf.format_result(result)
 
     def test_fig04(self):
-        result = fig04_potential.run(models=ONE, trace_count=1)
+        result = fig04_potential.run(**SMALL)
         assert result.mean_delta > result.mean_raw > 1.0
         fig04_potential.format_result(result)
 
     def test_fig05(self):
-        result = fig05_footprint.run(models=ONE, trace_count=1)
+        result = fig05_footprint.run(**SMALL)
         assert result.ratios["IRCNN"]["NoCompression"] == pytest.approx(1.0)
         fig05_footprint.format_result(result)
 
 
 class TestStructureTables:
     def test_table1(self):
-        rows = table1_models.run(models=ONE)
+        rows = table1_models.run(models=ONE, seed=DEFAULT_SEED)
         assert rows[0].conv_layers == 7
         table1_models.format_result(rows)
 
     def test_table3(self):
-        rows = table3_precisions.run(models=ONE, trace_count=1)
+        rows = table3_precisions.run(**SMALL)
         assert len(rows[0].precisions) == 7
         assert rows[0].max_precision <= 16
         table3_precisions.format_result(rows)
@@ -92,41 +104,37 @@ class TestStructureTables:
 
 class TestPerformanceExperiments:
     def test_fig11(self):
-        result = fig11_speedup.run(
-            models=ONE, trace_count=1, schemes=("DeltaD16", "Ideal")
-        )
+        result = fig11_speedup.run(**SMALL, schemes=("DeltaD16", "Ideal"))
         row = result.rows[0]
         assert row.diffy["DeltaD16"] > 1.0
-        assert "geomean" in fig11_speedup.format_result(result)
+        assert result.per_layer == fig11_speedup.per_layer_diffy_over_pra(**SMALL)
+        text = fig11_speedup.format_result(result)
+        assert "geomean" in text and "per-layer Diffy/PRA" in text
 
     def test_fig12(self):
-        result = fig12_utilization.run(models=ONE, trace_count=1)
+        result = fig12_utilization.run(**SMALL)
         layers = result.networks["IRCNN"]
         assert len(layers) == 7
         fig12_utilization.format_result(result)
 
     def test_fig13(self):
-        rows = fig13_fps_hd.run(models=ONE, trace_count=1)
+        rows = fig13_fps_hd.run(**SMALL)
         assert rows[0].vaa_fps < rows[0].diffy_fps
         fig13_fps_hd.format_result(rows)
 
     def test_table5(self):
-        result = table5_onchip.run(models=ONE, trace_count=1)
+        result = table5_onchip.run(**SMALL)
         assert result.am_bytes["DeltaD16"] < result.am_bytes["NoCompression"]
         assert result.wm_bytes > 0
         table5_onchip.format_result(result)
 
     def test_fig14(self):
-        result = fig14_traffic.run(
-            models=ONE, trace_count=1, schemes=("NoCompression", "DeltaD16")
-        )
+        result = fig14_traffic.run(**SMALL, schemes=("NoCompression", "DeltaD16"))
         assert result.ratios["IRCNN"]["DeltaD16"] < 1.0
         fig14_traffic.format_result(result)
 
     def test_fig15(self):
-        result = fig15_memnodes.run(
-            models=ONE, nodes=("LPDDR3-1600", "HBM2"), trace_count=1
-        )
+        result = fig15_memnodes.run(**SMALL, nodes=("LPDDR3-1600", "HBM2"))
         cells = result.grid["IRCNN"]
         assert (
             cells["HBM2"]["DeltaD16"].speedup_over_vaa
@@ -135,7 +143,7 @@ class TestPerformanceExperiments:
         fig15_memnodes.format_result(result)
 
     def test_table6(self):
-        result = table6_power.run(models=ONE, trace_count=1)
+        result = table6_power.run(**SMALL)
         assert result.efficiencies["Diffy"] > 1.0
         table6_power.format_result(result)
 
@@ -145,25 +153,25 @@ class TestPerformanceExperiments:
         table7_area.format_result(result)
 
     def test_fig16(self):
-        result = fig16_tiling.run(models=ONE, terms=(1, 16), trace_count=1)
+        result = fig16_tiling.run(**SMALL, terms=(1, 16))
         assert result.mean_speedup(1) > result.mean_speedup(16)
         fig16_tiling.format_result(result)
 
     def test_fig17(self):
-        result = fig17_lowres.run(
-            models=ONE, resolutions=((240, 320), (480, 512)), trace_count=1
-        )
+        result = fig17_lowres.run(**SMALL, resolutions=((240, 320), (480, 512)))
         fps = result.fps["IRCNN"]
         assert fps[(240, 320)] > fps[(480, 512)]
         fig17_lowres.format_result(result)
 
     def test_fig19(self):
-        result = fig19_classification.run(models=("AlexNet",), trace_count=1)
+        result = fig19_classification.run(
+            models=("AlexNet",), trace_count=1, crop=None, seed=DEFAULT_SEED
+        )
         assert result.rows[0].diffy_over_vaa > 1.0
         fig19_classification.format_result(result)
 
     def test_fig20(self):
-        result = fig20_scnn.run(models=ONE, sparsities=(0.0, 0.9), trace_count=1)
+        result = fig20_scnn.run(**SMALL, sparsities=(0.0, 0.9))
         speeds = result.speedups["IRCNN"]
         assert speeds[0.0] >= speeds[0.9]
         fig20_scnn.format_result(result)
@@ -171,34 +179,50 @@ class TestPerformanceExperiments:
 
 class TestAblations:
     def test_sync(self):
-        result = ablations.run_sync(models=ONE, trace_count=1)
+        result = ablations.run_sync(**SMALL)
         assert result.diffy["row"] >= result.diffy["pallet"]
         ablations.format_sync(result)
 
     def test_axis(self):
-        result = ablations.run_axis(models=ONE, trace_count=1)
+        result = ablations.run_axis(**SMALL)
         assert 0.5 < result.ratio("IRCNN") < 2.0
         ablations.format_axis(result)
 
     def test_group_size(self):
-        result = ablations.run_group_size(models=ONE, trace_count=1)
+        result = ablations.run_group_size(**SMALL)
         assert result.ratios["IRCNN"]["DeltaD16"] < 1.0
         ablations.format_group_size(result)
 
     def test_selective(self):
-        results = ablations.run_selective(models=ONE, trace_count=1)
+        results = ablations.run_selective(**SMALL)
         assert results[0].selective_cycles <= results[0].diffy_cycles
         ablations.format_selective(results)
+
+    def test_format_result_joins_the_four_reports(self):
+        result = ablations.AblationsResult(
+            sync=ablations.run_sync(**SMALL),
+            axis=ablations.run_axis(**SMALL),
+            group_size=ablations.run_group_size(**SMALL),
+            selective=tuple(ablations.run_selective(**SMALL)),
+        )
+        assert ablations.format_result(result) == "\n\n".join(
+            (
+                ablations.format_sync(result.sync),
+                ablations.format_axis(result.axis),
+                ablations.format_group_size(result.group_size),
+                ablations.format_selective(result.selective),
+            )
+        )
 
 
 class TestTemporalExtension:
     def test_run_one(self):
-        result = ext_temporal.run_one(model="IRCNN", pan_px=0, crop=48)
+        result = ext_temporal.run_one(model="IRCNN", crop=48, seed=DEFAULT_SEED, pan_px=0)
         assert result.temporal_speedup > result.spatial_speedup
         assert sum(result.mode_counts.values()) == 7
 
     def test_sweep_and_format(self):
-        results = ext_temporal.run(model="IRCNN", pans=(0, 4), crop=48)
+        results = ext_temporal.run(model="IRCNN", crop=48, seed=DEFAULT_SEED, pans=(0, 4))
         assert results[0].temporal_speedup > results[1].temporal_speedup
         assert "frame buffer" in ext_temporal.format_result(results)
 
@@ -207,7 +231,9 @@ class TestExtFaults:
     def test_campaign_over_real_traces(self):
         from repro.experiments import ext_faults
 
-        result = ext_faults.run(model="DnCNN", crop=48, rates=(1e-3,), trials=1)
+        result = ext_faults.run(
+            model="DnCNN", crop=48, seed=DEFAULT_SEED, rates=(1e-3,), trials=1
+        )
         assert result.stored_values > 0
         assert result.amplification, "campaign must produce comparable pairs"
         assert result.min_amplification > 3.0, (
@@ -224,6 +250,7 @@ class TestExtProtection:
         result = ext_protection.run(
             model="DnCNN",
             crop=48,
+            seed=DEFAULT_SEED,
             rates=(1e-4,),
             fault_models=("flip1",),
             trials=1,
@@ -263,6 +290,29 @@ class TestRunAll:
         assert run_all.main(["table4"]) == 0
         out = capsys.readouterr().out
         assert "Table IV" in out and "done in" in out
+
+    def test_report_is_the_full_profile_golden(self, capsys):
+        """Each report is ``format_result(compute("full"))``, the numbers
+        ``goldens/full`` pins, not a second set of ``run()`` defaults."""
+        assert run_all.main(["table4", "table7"]) == 0
+        out = capsys.readouterr().out
+        for module in (table4_configs, table7_area):
+            report = module.format_result(module.compute("full"))
+            assert f"\n{report}\n" in out
+        assert "all 2 experiments passed" in out
+
+    def test_report_computes_at_the_full_profile(self, capsys, monkeypatch):
+        """table4 and table7 ignore the profile; a stand-in module shows
+        which profile ``run_all`` hands to ``compute``."""
+        seen = []
+        stand_in = SimpleNamespace(
+            compute=lambda profile: seen.append(profile) or profile.name,
+            format_result=lambda result: f"report at {result}",
+        )
+        monkeypatch.setattr(ExperimentSpec, "load", lambda spec: stand_in)
+        assert run_all.main(["fig11"]) == 0
+        assert seen == [FULL_PROFILE]
+        assert "report at full" in capsys.readouterr().out
 
     def test_keeps_going_past_failures(self, capsys, monkeypatch):
         """One broken experiment must not hide the others' reports."""
@@ -308,7 +358,7 @@ class TestRunAll:
 
 class TestPerLayerStatistic:
     def test_per_layer_diffy_over_pra(self):
-        stats = fig11_speedup.per_layer_diffy_over_pra(models=ONE, trace_count=1)
+        stats = fig11_speedup.per_layer_diffy_over_pra(**SMALL)
         # Paper IV-A: mean 1.42 +/- 0.32, no layer loses more than 10%.
         assert 1.1 < stats["mean"] < 2.0
         assert stats["std"] < 0.6

@@ -23,6 +23,7 @@ from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig, serve_workload
 from repro.serve.workload import WorkloadSpec, generate_diurnal_requests, generate_requests
 from repro.utils import timing
+from repro.utils.rng import DEFAULT_SEED
 from tests.oracles import InferenceService
 
 
@@ -561,7 +562,9 @@ class TestExtFleetStudy:
         from repro.experiments import ext_fleet
 
         return ext_fleet.run(
+            model="DnCNN",
             crop=32,
+            seed=DEFAULT_SEED,
             node_counts=(1, 2),
             duration_units=20.0,
             max_workers=0,
@@ -595,4 +598,4 @@ class TestExtFleetStudy:
         from repro.experiments import ext_fleet
 
         with pytest.raises(ValueError, match="VAA"):
-            ext_fleet.run(engines=("Diffy",))
+            ext_fleet.run(model="DnCNN", crop=32, seed=DEFAULT_SEED, engines=("Diffy",))

@@ -208,3 +208,35 @@ class TestReshuffles:
         out = F.max_pool2d(x, 3, 2)
         assert out.shape == (1, 2, 2)
         assert out[0, 0, 0] == 12
+
+    @pytest.mark.parametrize(
+        "kernel, stride, message",
+        [
+            (2, 0, "stride must be > 0"),
+            (2, -1, "stride must be > 0"),
+            (2, 1.0, "stride must be an integer"),
+            (0, None, "kernel must be > 0"),
+            (-2, None, "kernel must be > 0"),
+            (2.0, None, "kernel must be an integer"),
+            (True, None, "kernel must be an integer"),
+        ],
+    )
+    def test_max_pool_bad_geometry_named_error(self, kernel, stride, message):
+        with pytest.raises(ValueError, match=message):
+            F.max_pool2d(np.arange(16).reshape(1, 4, 4), kernel, stride)
+
+    def test_max_pool_numpy_integer_geometry_accepted(self):
+        x = np.arange(25).reshape(1, 5, 5)
+        assert np.array_equal(F.max_pool2d(x, np.int64(3), np.uint8(2)), F.max_pool2d(x, 3, 2))
+
+    @pytest.mark.parametrize(
+        "factor, message",
+        [
+            (0, "factor must be > 0"),
+            (-1, "factor must be > 0"),
+            (2.0, "factor must be an integer"),
+        ],
+    )
+    def test_upsample_bad_factor_named_error(self, factor, message):
+        with pytest.raises(ValueError, match=message):
+            F.upsample_nearest(np.ones((1, 2, 2)), factor)

@@ -44,6 +44,21 @@ class TestConv2d:
         with pytest.raises(ValueError, match="weights shape"):
             Conv2d("bad", 3, 8, 3, np.zeros((8, 3, 5, 5)))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"stride": 0}, "stride must be > 0"),
+            ({"stride": 1.5}, "stride must be an integer"),
+            ({"dilation": 0}, "dilation must be > 0"),
+            ({"dilation": 2.0}, "dilation must be an integer"),
+            ({"padding": -1}, "padding must be >= 0"),
+            ({"padding": 1.0}, "padding must be an integer"),
+        ],
+    )
+    def test_geometry_validated_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Conv2d("bad", 3, 8, 3, np.zeros((8, 3, 3, 3)), **kwargs)
+
     def test_sparsity_target_validated(self):
         with pytest.raises(ValueError, match="sparsity_target"):
             Conv2d("bad", 3, 8, 3, np.zeros((8, 3, 3, 3)), sparsity_target=1.5)

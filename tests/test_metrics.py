@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arch.metrics import (
-    max_realtime_megapixels,
     minimum_tiles_for_fps,
     utilization_report,
 )
@@ -45,12 +44,3 @@ class TestMinimumTilesForFps:
         with pytest.raises(ValueError):
             minimum_tiles_for_fps("IRCNN", target_fps=0.0)
 
-
-class TestMaxRealtimeMegapixels:
-    def test_monotone_in_target(self):
-        easy = max_realtime_megapixels("IRCNN", target_fps=10.0, tolerance_px=128)
-        hard = max_realtime_megapixels("IRCNN", target_fps=60.0, tolerance_px=128)
-        assert easy >= hard > 0.0
-
-    def test_impossible_target(self):
-        assert max_realtime_megapixels("DnCNN", target_fps=1e6) == 0.0

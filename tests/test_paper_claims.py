@@ -219,7 +219,11 @@ def test_table4_configs(profile):
 
 def test_fig11_speedup(profile):
     g = golden("fig11", profile)
-    result = Fig11Result(rows=tuple(rebuild(Fig11Row, r) for r in g["rows"]), memory=g["memory"])
+    result = Fig11Result(
+        rows=tuple(rebuild(Fig11Row, r) for r in g["rows"]),
+        memory=g["memory"],
+        per_layer=g["per_layer"],
+    )
     diffy = result.mean_speedup("Diffy", "DeltaD16")
     pra = result.mean_speedup("PRA", "DeltaD16")
     # The paper's headline shape: Diffy > PRA > 1, a >1.2x gap between
@@ -232,6 +236,17 @@ def test_fig11_speedup(profile):
     # VDSR is the top speedup (high activation sparsity).
     by_net = {r.network: r for r in result.rows}
     assert by_net["VDSR"].diffy["DeltaD16"] == max(r.diffy["DeltaD16"] for r in result.rows)
+
+
+def test_fig11_per_layer_diffy_over_pra(profile):
+    stats = golden("fig11", profile)["per_layer"]
+    # Paper IV-A: per layer, Diffy/PRA is "fairly uniform with a mean of
+    # 1.42x and a standard deviation of 0.32"; Diffy loses to PRA only on
+    # a few noncritical layers, by at most 10%.
+    assert 1.1 < stats["mean"] < 2.0
+    assert stats["std"] < 0.6
+    assert stats["min"] > 0.85
+    assert stats["fraction_slower"] < 0.25
 
 
 def test_fig12_utilization(profile):

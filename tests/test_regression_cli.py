@@ -7,6 +7,7 @@ fast; one trace-backed experiment exercises the profile plumbing.
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
@@ -52,13 +53,47 @@ class TestProfiles:
         assert q.pick_models(("a", "b")) == ("a", "b")
         assert q.pick_crop(128) == 128
 
+    def test_run_kwargs(self):
+        p = Profile(name="t", trace_count=3, crop=32, seed=7, models=("IRCNN", "VDSR"))
+        assert p.sweep_kwargs(("a",)) == dict(
+            models=("IRCNN", "VDSR"), trace_count=3, crop=32, seed=7
+        )
+        assert p.one_model_kwargs(64) == dict(model="IRCNN", crop=32, seed=7)
+        q = Profile(name="u", seed=5)
+        assert q.sweep_kwargs(("a",)) == dict(
+            models=("a",), trace_count=q.trace_count, crop=None, seed=5
+        )
+        assert q.one_model_kwargs(64) == dict(model="DnCNN", crop=64, seed=5)
+
+
+#: ``run()`` knobs whose values only a :class:`Profile` may supply.
+SCALE_KNOBS = ("models", "model", "trace_count", "crop", "seed")
+
 
 class TestRegistry:
-    def test_every_spec_has_compute_and_main(self):
-        for spec in EXPERIMENT_SPECS.values():
+    def test_every_module_has_one_entry_point_and_no_scale_defaults(self):
+        """``compute`` + ``format_result`` is the only way in: no module
+        keeps a ``main``, and no ``run*`` function defaults a scale knob
+        (a default could drift from the profile the goldens pin)."""
+        for exp_id, spec in EXPERIMENT_SPECS.items():
             module = spec.load()
-            assert callable(module.compute)
-            assert callable(module.main)
+            assert callable(module.compute), exp_id
+            assert callable(module.format_result), exp_id
+            assert not hasattr(module, "main"), exp_id
+            runs = [
+                fn
+                for name, fn in inspect.getmembers(module, inspect.isfunction)
+                if name.startswith("run") and fn.__module__ == module.__name__
+            ]
+            assert runs, exp_id
+            for fn in runs:
+                params = inspect.signature(fn).parameters
+                defaulted = [
+                    knob
+                    for knob in SCALE_KNOBS
+                    if knob in params and params[knob].default is not inspect.Parameter.empty
+                ]
+                assert not defaulted, f"{exp_id}.{fn.__name__} defaults {defaulted}"
 
     def test_select_specs_substring_filter(self):
         assert list(select_specs(["table"])) == [
