@@ -1,9 +1,9 @@
 """Cold encode/decode throughput benchmark: production codec vs the spec.
 
 Times a cold ``GroupCodec`` encode+decode pass (plain and per-group
-CRC-8), the ``RLEZeroCodec`` zero-skip path and the SECDED round trip of
-the 16-bit words on a seeded Laplacian delta map, once through the
-production (``vectorized``) path and once through the value-at-a-time or
+CRC-8) and the SECDED round trip of the 16-bit words on a seeded
+Laplacian delta map, once through the production (``vectorized``) path
+and once through the value-at-a-time or
 bit-matrix ``reference`` spec in ``tests/oracles``, recording MB/s and
 the vectorized/reference speedup into ``BENCH_codec.json``.  Exits
 non-zero if any encode+decode speedup falls below ``--min-speedup`` (or
@@ -37,7 +37,7 @@ sys.path.insert(0, str(REPO_ROOT))
 
 from tests import oracles  # noqa: E402
 
-from repro.compression.codec import Encoded, GroupCodec, RLEZeroCodec  # noqa: E402
+from repro.compression.codec import Encoded, GroupCodec  # noqa: E402
 from repro.protect.ecc import secded_decode, secded_encode  # noqa: E402
 from repro.utils.rng import DEFAULT_SEED  # noqa: E402
 
@@ -53,14 +53,6 @@ def _group_case(checksum: bool) -> dict:
             lambda data: oracles.group_encode(data, 16, True, checksum),
             lambda enc: oracles.group_decode_flagged(enc, 16, True, checksum)[0],
         ),
-    }
-
-
-def _rle_case() -> dict:
-    codec = RLEZeroCodec()
-    return {
-        "vectorized": (codec.encode, codec.decode),
-        "reference": (oracles.rlez_encode, oracles.rlez_decode),
     }
 
 
@@ -81,7 +73,6 @@ def _secded_case() -> dict:
 CASES = (
     ("group_plain", lambda: _group_case(checksum=False)),
     ("group_checksum", lambda: _group_case(checksum=True)),
-    ("rle_zero", _rle_case),
     ("secded", _secded_case),
 )
 

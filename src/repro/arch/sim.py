@@ -51,7 +51,7 @@ from repro.nn.shapes import conv_layer_shapes
 from repro.nn.trace import ActivationTrace
 from repro.utils import timing
 from repro.utils.rng import DEFAULT_SEED
-from repro.utils.validation import check_integer, check_positive
+from repro.utils.validation import check_positive, check_positive_integer
 
 #: Default off-chip memory interface of the headline results (Section IV-A).
 DEFAULT_MEMORY = "DDR4-3200"
@@ -170,8 +170,7 @@ def collect_traces(
     any cache lookup, so an explicit ``crop == spec.trace_crop`` and the
     default address the same entry (in memory and on disk).
     """
-    count = check_integer("count", count)
-    check_positive("count", count)
+    count = check_positive_integer("count", count)
     spec = get_model_spec(model_name)
     size = crop if crop is not None else spec.trace_crop
     return _collect_traces(model_name, dataset_name, count, size, seed)

@@ -14,9 +14,8 @@ never *miss* an overflow.  The split here mirrors that asymmetry:
 
 Sampling is decided by hashing ``(session_id, frame_index)`` through
 :func:`repro.utils.rng.derive_seed` — a pure function of the frame's
-identity, independent of arrival order, worker count, or which fleet
-node serves the session, so every golden stays byte-identical across
-parallelism settings.
+identity, independent of arrival order or which fleet node serves the
+session, so every golden stays byte-identical across shard layouts.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from repro.compression.footprint import (
 from repro.compression.codec import (
     Encoded,
     GroupCodec,
-    RLEZeroCodec,
 )
 from repro.compression.traffic import (
     LayerTraffic,
@@ -49,7 +48,6 @@ __all__ = [
     "am_requirement_bytes",
     "Encoded",
     "GroupCodec",
-    "RLEZeroCodec",
     "LayerTraffic",
     "network_traffic",
     "normalized_traffic",

@@ -44,9 +44,8 @@ including lenient decodes of corrupted and truncated streams (the
 contract :mod:`repro.faults` and :mod:`repro.protect` rely on).
 
 This module is the low-level layer; callers go through the
-:class:`~repro.compression.codec.GroupCodec` /
-:class:`~repro.compression.codec.RLEZeroCodec` APIs, which validate
-inputs and keep the codec counters.
+:class:`~repro.compression.codec.GroupCodec` API, which validates inputs
+and keeps the codec counters.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.compression.schemes import RLE_COUNT_BITS, _RLE_SPAN
 from repro.core.precision import HEADER_BITS, group_precisions
 
 __all__ = [
@@ -66,8 +64,6 @@ __all__ = [
     "crc8_contrib",
     "group_encode",
     "group_decode_flagged",
-    "rlez_encode",
-    "rlez_decode",
     "unpack_payload",
     "pack_payload",
 ]
@@ -78,9 +74,6 @@ CHECKSUM_BITS = 8
 
 #: The CRC-8 generator polynomial (low 8 bits of x^8 + x^2 + x + 1).
 CRC8_POLY = 0x07
-
-#: RLEz token width: 4-bit skip count + 16-bit stored value.
-RLE_TOKEN_BITS = 16 + RLE_COUNT_BITS
 
 #: Widest group a 4-bit ``width - 1`` header can announce.
 _MAX_WIDTH = 1 << HEADER_BITS
@@ -378,77 +371,6 @@ def group_decode_flagged(
             raw = _combine_planes(bits[first : first + done * w].reshape(done, w))
             out[complete, :done] = _sign_extend(raw, w) if signed else raw
     return out.reshape(-1)[:values].copy(), tuple(flagged)
-
-
-# ---------------------------------------------------------------------------
-# RLEZeroCodec (zero-skipping token format)
-# ---------------------------------------------------------------------------
-
-
-def rlez_encode(flat: np.ndarray) -> "tuple[bytes, int]":
-    """Pack a validated flat int64 stream into (skip, value) tokens.
-
-    Byte-identical to the spec: a nonzero value preceded by ``z`` zeros
-    emits ``z // 16`` escape tokens (skip 15, stored zero) then
-    ``(z % 16, value)``; trailing zeros emit escape tokens whose last
-    carries the remainder.
-    """
-    n = flat.size
-    nz = np.flatnonzero(flat)
-    span = _RLE_SPAN + 1
-    if nz.size:
-        prev = np.empty_like(nz)
-        prev[0] = -1
-        prev[1:] = nz[:-1]
-        gaps = nz - prev - 1
-        trailing = n - int(nz[-1]) - 1
-    else:
-        gaps = np.zeros(0, dtype=np.int64)
-        trailing = n
-    n_escapes = gaps // span
-    n_trail = -(-trailing // span)
-    total = int(n_escapes.sum()) + nz.size + n_trail
-    if total == 0:
-        return b"", 0
-    skips = np.full(total, _RLE_SPAN, dtype=np.int64)
-    stored = np.zeros(total, dtype=np.int64)
-    if nz.size:
-        real_idx = np.cumsum(n_escapes + 1) - 1
-        skips[real_idx] = gaps % span
-        stored[real_idx] = flat[nz]
-    if trailing % span:
-        skips[-1] = trailing % span - 1
-    tokens = (skips << 16) | (stored & 0xFFFF)
-    shifts = np.arange(RLE_TOKEN_BITS - 1, -1, -1, dtype=np.int64)
-    planes = ((tokens[:, None] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(planes.reshape(-1)).tobytes(), total * RLE_TOKEN_BITS
-
-
-def rlez_decode(
-    data: bytes, stream_bits: int, values: int, strict: bool
-) -> np.ndarray:
-    """Bit-plane ``RLEZeroCodec.decode`` (post-validation)."""
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    phys = bits.size
-    attempted = -(-stream_bits // RLE_TOKEN_BITS)
-    n_tokens = min(attempted, phys // RLE_TOKEN_BITS)
-    if n_tokens < attempted and strict:
-        start = n_tokens * RLE_TOKEN_BITS
-        bits_read = start + RLE_COUNT_BITS if start + RLE_COUNT_BITS <= phys else start
-        raise ValueError(
-            f"corrupt stream: exhausted after {bits_read} of {stream_bits} bits"
-        )
-    out = np.zeros(values, dtype=np.int64)
-    if n_tokens:
-        planes = bits[: n_tokens * RLE_TOKEN_BITS].reshape(n_tokens, RLE_TOKEN_BITS)
-        skips = _combine_planes(planes[:, :RLE_COUNT_BITS])
-        vals = _sign_extend(_combine_planes(planes[:, RLE_COUNT_BITS:]), 16)
-        ends = np.cumsum(skips + 1)
-        decoded = np.zeros(int(ends[-1]), dtype=np.int64)
-        decoded[ends - 1] = vals
-        keep = min(values, decoded.size)
-        out[:keep] = decoded[:keep]
-    return out
 
 
 # ---------------------------------------------------------------------------

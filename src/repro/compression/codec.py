@@ -7,7 +7,7 @@ round-trip property (``decode(encode(x)) == x``) is exercised by
 hypothesis tests; ``encoded bits == scheme.encoded_bits`` ties the codecs
 to the accounting used by every footprint/traffic experiment.
 
-Formats implemented:
+Format implemented:
 
 - :class:`GroupCodec` — the dynamic per-group precision format of
   RawD{g}/DeltaD{g}: a 4-bit width header per group followed by
@@ -16,17 +16,15 @@ Formats implemented:
   and payload bits, the detection rung of the :mod:`repro.protect`
   ladder: a lenient decode zero-fills and *flags* mismatching groups
   instead of silently desynchronizing.
-- :class:`RLEZeroCodec` — the (4-bit skip, 16-bit value) token format of
-  RLEz, escape tokens included.
 
-Both operate on flat integer streams (use
+It operates on flat integer streams (use
 :func:`repro.compression.schemes.storage_order` /
 :func:`repro.compression.schemes.planar_order` to linearize maps).
 
-Both encode and decode are whole-array numpy bit-plane operations
+Encode and decode are whole-array numpy bit-plane operations
 (:mod:`repro.compression.bitplane`).  The value-at-a-time definition of
-each format lives in ``tests/oracles/`` as the executable spec; the
-property suites hold these codecs byte-identical to it on every stream,
+the format lives in ``tests/oracles/`` as the executable spec; the
+property suites hold the codec byte-identical to it on every stream,
 corrupted and truncated ones included.  Every call is counted per
 stream family in the :mod:`repro.utils.timing` registry:
 ``codec.<activation|weight>.{encodes,decodes,encoded_bits,decoded_values}``.
@@ -40,7 +38,6 @@ import numpy as np
 
 from repro.compression import bitplane
 from repro.compression.bitplane import CHECKSUM_BITS  # noqa: F401  (public re-export)
-from repro.compression.schemes import RLE_COUNT_BITS
 from repro.core.precision import MAX_PRECISION
 from repro.utils import timing
 from repro.utils.validation import (
@@ -48,7 +45,7 @@ from repro.utils.validation import (
     check_finite,
     check_integer,
     check_nonnegative,
-    check_positive,
+    check_positive_integer,
     check_shape,
 )
 
@@ -135,9 +132,7 @@ class GroupCodec:
     def __init__(
         self, group_size: int = 16, signed: bool = False, checksum: bool = False
     ):
-        group_size = check_integer("group_size", group_size)
-        check_positive("group_size", group_size)
-        self.group_size = group_size
+        self.group_size = check_positive_integer("group_size", group_size)
         self.signed = signed
         self.checksum = checksum
 
@@ -201,32 +196,6 @@ class GroupCodec:
             self.checksum,
             strict,
             tuple(suspect_bits),
-        )
-        _note_codec_call("decode", encoded.bits, encoded.values)
-        return result
-
-
-class RLEZeroCodec:
-    """Zero-skipping RLE codec: (4-bit skip, 16-bit value) tokens.
-
-    A token contributes ``skip`` zeros followed by its value; runs of
-    zeros longer than 15 are carried by escape tokens whose stored value
-    is itself zero.  The encoded size matches ``RLEZero.encoded_bits`` on
-    the same stream.
-    """
-
-    TOKEN_BITS = 16 + RLE_COUNT_BITS
-
-    def encode(self, values: np.ndarray) -> Encoded:
-        flat = _as_int_stream("values", values, signed=True)
-        data, bits = bitplane.rlez_encode(flat)
-        _note_codec_call("encode", bits, int(flat.size))
-        return Encoded(data=data, bits=bits, values=int(flat.size))
-
-    def decode(self, encoded: Encoded, strict: bool = True) -> np.ndarray:
-        _check_encoded(encoded, strict)
-        result = bitplane.rlez_decode(
-            encoded.data, encoded.bits, encoded.values, strict
         )
         _note_codec_call("decode", encoded.bits, encoded.values)
         return result

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.compression.schemes import CompressionScheme, scheme as get_scheme
 from repro.core.layer_memo import memoized
-from repro.core.precision import profiled_precision, profiled_precision_tolerant
+from repro.core.precision import profiled_precision
 from repro.nn.network import Network
 from repro.nn.shapes import conv_layer_shapes
 from repro.nn.trace import ActivationTrace, ConvLayerTrace
@@ -68,43 +68,31 @@ def _value_range(layer: ConvLayerTrace, which: str) -> tuple:
     return memoized(layer, ("range", which), compute)
 
 
-def _precisions(
-    traces: Sequence[ActivationTrace], which: str, exact: bool
-) -> list[int]:
+def _precisions(traces: Sequence[ActivationTrace], which: str) -> list[int]:
     n = _check_traces(traces)
     out = []
     for i in range(n):
-        if exact:
-            # Only the extremes set a lossless width, so fold each layer's
-            # memoized range instead of rescanning its map.
-            ranges = [_value_range(t[i], which) for t in traces]
-            signed = any(r[0] < 0 for r in ranges if r)
-            out.append(profiled_precision((np.array(r) for r in ranges), signed=signed))
-        else:
-            maps = [getattr(t[i], which) for t in traces]
-            signed = any(m.min() < 0 for m in maps if m.size)
-            out.append(profiled_precision_tolerant(maps, signed=signed))
+        # Only the extremes set a lossless width, so fold each layer's
+        # memoized range instead of rescanning its map.
+        ranges = [_value_range(t[i], which) for t in traces]
+        signed = any(r[0] < 0 for r in ranges if r)
+        out.append(profiled_precision((np.array(r) for r in ranges), signed=signed))
     return out
 
 
-def imap_precisions(
-    traces: Sequence[ActivationTrace], exact: bool = True
-) -> list[int]:
+def imap_precisions(traces: Sequence[ActivationTrace]) -> list[int]:
     """Profiled per-layer imap precisions over the traces (Table III).
 
-    By default covers every traced value losslessly (consistent with the
-    lossless dynamic schemes it is compared against); ``exact=False``
-    applies the accuracy-tolerant criterion of Judd et al. [3] instead.
-    A layer whose imap is empty in every trace raises ``ValueError``.
+    Covers every traced value losslessly (consistent with the lossless
+    dynamic schemes it is compared against).  A layer whose imap is
+    empty in every trace raises ``ValueError``.
     """
-    return _precisions(traces, "imap", exact)
+    return _precisions(traces, "imap")
 
 
-def omap_precisions(
-    traces: Sequence[ActivationTrace], exact: bool = True
-) -> list[int]:
+def omap_precisions(traces: Sequence[ActivationTrace]) -> list[int]:
     """Profiled per-layer omap precisions over the traces."""
-    return _precisions(traces, "omap", exact)
+    return _precisions(traces, "omap")
 
 
 def layer_bits_per_value(
@@ -125,7 +113,7 @@ def layer_bits_per_value(
         raise ValueError(f"which must be 'imap' or 'omap', got {which!r}")
     _check_traces(traces)
     if precisions is None:
-        precisions = _precisions(traces, which, exact=True)
+        precisions = _precisions(traces, which)
     precision = precisions[layer_index]
     ratios = []
     for t in traces:

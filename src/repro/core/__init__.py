@@ -16,8 +16,6 @@
 
 from repro.core.booth import (
     booth_terms,
-    naf_digits,
-    r4_booth_digits,
     term_count_lut,
 )
 from repro.core.deltas import spatial_deltas, reconstruct_from_deltas
@@ -36,8 +34,6 @@ from repro.core.dataflow import BRICK_SIZE, PALLET_SIZE
 
 __all__ = [
     "booth_terms",
-    "naf_digits",
-    "r4_booth_digits",
     "term_count_lut",
     "spatial_deltas",
     "reconstruct_from_deltas",

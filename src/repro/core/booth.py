@@ -22,7 +22,8 @@ Per-value term counts are precomputed into 65536-entry ``uint8`` lookup
 tables so that counting terms over multi-megabyte activation traces is a
 single fancy index.  A count never exceeds 9, so the term maps stay
 ``uint8`` too: one byte per activation.  Consumers that subtract or sum
-them widen first.
+them widen first.  The digit-at-a-time recoders that list each term
+live in ``tests/oracles/booth.py`` as the tables' spec.
 """
 
 from __future__ import annotations
@@ -39,57 +40,8 @@ WORD_BITS = 16
 #: Radix-4 digit count for a 16-bit word.
 R4_DIGITS = WORD_BITS // 2
 
-#: Radix-4 Booth digit value per bit triplet (b_{2i+1}, b_{2i}, b_{2i-1}).
-_R4_TABLE = (0, 1, 1, 2, -2, -1, -1, 0)
-
 #: Default encoding used across the package.
 DEFAULT_ENCODING = "booth"
-
-
-def naf_digits(value: int) -> list[int]:
-    """NAF recoding of a signed integer into signed power-of-two terms.
-
-    Returns the list of signed terms (each ``±2**k``) whose sum is
-    ``value``.  The representation is minimal and has no two adjacent
-    nonzero digits.
-
-    >>> naf_digits(7)
-    [-1, 8]
-    >>> naf_digits(0)
-    []
-    """
-    v = int(value)
-    terms = []
-    k = 0
-    while v != 0:
-        if v & 1:
-            digit = 2 - (v & 3)  # +1 if v % 4 == 1, -1 if v % 4 == 3
-            terms.append(digit << k if digit > 0 else -(1 << k))
-            v -= digit
-        v >>= 1
-        k += 1
-    return terms
-
-
-def r4_booth_digits(value: int) -> list[int]:
-    """Radix-4 modified Booth terms (signed powers of two) of a value.
-
-    >>> sum(r4_booth_digits(-12345)) == -12345
-    True
-    """
-    v = int(value)
-    if not -(1 << (WORD_BITS - 1)) <= v <= (1 << (WORD_BITS - 1)) - 1:
-        raise ValueError(f"value {v} outside signed {WORD_BITS}-bit range")
-    terms = []
-    for i in range(R4_DIGITS):
-        if i == 0:
-            triplet = (v & 3) << 1  # b1 b0, with b_{-1} = 0
-        else:
-            triplet = (v >> (2 * i - 1)) & 7
-        digit = _R4_TABLE[triplet]
-        if digit:
-            terms.append(digit * (1 << (2 * i)))
-    return terms
 
 
 def _naf_counts_for_all_words() -> np.ndarray:

@@ -27,7 +27,6 @@ __all__ = [
     "HEADER_BITS",
     "MAX_PRECISION",
     "profiled_precision",
-    "profiled_precision_tolerant",
     "GroupPrecisionEncoding",
     "group_maxima",
     "group_precisions",
@@ -58,46 +57,6 @@ def profiled_precision(arrays: Iterable[np.ndarray], signed: bool = False) -> in
         raise ValueError("profiled_precision needs at least one non-empty array")
     enc = group_precisions(np.array(extremes), len(extremes), signed=signed)
     return int(enc.precisions[0])
-
-
-def profiled_precision_tolerant(
-    arrays: Iterable[np.ndarray],
-    signed: bool = False,
-    clip_quantile: float = 0.999,
-    lsb_tolerance: float = 0.005,
-) -> int:
-    """Accuracy-tolerant profiled precision (how Judd et al. profile [3]).
-
-    The paper's profiled precisions are the smallest widths *at which the
-    network's output quality does not degrade* — not exact value coverage.
-    Two relaxations model that criterion without a task metric:
-
-    - the covered range is the ``clip_quantile`` magnitude (rare outliers
-      saturate harmlessly),
-    - the least-significant step is allowed to be as coarse as
-      ``lsb_tolerance`` of the nonzero-value RMS (quantization noise far
-      below the signal level does not affect output quality).
-
-    The result is the width of ``quantile / step`` plus a sign bit if
-    requested, clamped to [1, MAX_PRECISION].
-    """
-    mags = []
-    for arr in arrays:
-        a = np.abs(np.asarray(arr, dtype=np.int64)).reshape(-1)
-        if a.size:
-            mags.append(a)
-    if not mags:
-        raise ValueError("profiled_precision_tolerant needs non-empty arrays")
-    flat = np.concatenate(mags)
-    top = float(np.quantile(flat, clip_quantile))
-    nonzero = flat[flat > 0]
-    if nonzero.size == 0:
-        return 1
-    rms = float(np.sqrt(np.mean(nonzero.astype(np.float64) ** 2)))
-    step = max(rms * lsb_tolerance * np.sqrt(12.0), 1.0)
-    levels = max(top / step, 1.0)
-    bits = int(np.ceil(np.log2(levels + 1.0))) + (1 if signed else 0)
-    return int(np.clip(bits, 1, MAX_PRECISION))
 
 
 @dataclass(frozen=True)

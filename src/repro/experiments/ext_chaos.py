@@ -24,8 +24,8 @@ corruption split (``full`` must show zero silent), and crash recovery —
 the re-anchor spike when a node's state dies and the warm-fraction
 climb as sessions re-anchor and go warm again.
 
-All cells are byte-deterministic across cold runs and worker counts, so
-the experiment carries ci/full goldens.
+All cells are byte-deterministic across cold runs, so the experiment
+carries ci/full goldens.
 """
 
 from __future__ import annotations
@@ -226,7 +226,6 @@ def run(
     deadline_units: float = 2.5,
     queue_capacity: int = 32,
     resolution: tuple = HD_RESOLUTION,
-    max_workers: int = 0,
 ) -> ChaosStudyResult:
     """Sweep protection ladder × fault rate under one chaos timeline.
 
@@ -304,7 +303,6 @@ def run(
         nodes=nodes,
         session_ttl_s=session_ttl_s,
         seed=seed,
-        max_workers=max_workers,
     )
     return ChaosStudyResult(
         model=model,

@@ -22,7 +22,7 @@ Two sweeps over one identical seeded workload:
   drained at the trough, and every scale-down's migration/re-anchor
   cost shows up in the report rather than being assumed free.
 
-All cells are byte-deterministic across runs and worker counts (see
+All cells are byte-deterministic across runs (see
 :mod:`repro.serve.fleet.service`), which is what lets this experiment
 carry ci/full goldens.
 """
@@ -170,7 +170,6 @@ def run(
     frames_per_session: int = 6,
     duration_units: float = 40.0,
     resolution: tuple = HD_RESOLUTION,
-    max_workers: int = 0,
 ) -> FleetStudyResult:
     """Sweep routing policy × node count on one seeded workload.
 
@@ -216,9 +215,7 @@ def run(
                     session_ttl_s=session_ttl_s,
                     seed=seed,
                 )
-                report = simulate_fleet(
-                    requests, times[engine], config, spec.duration_s, max_workers=max_workers
-                )
+                report = simulate_fleet(requests, times[engine], config, spec.duration_s)
                 cells.append(_static_cell(report, nodes))
 
     # Diurnal + autoscale scenario: mean load sized for the reference
@@ -240,9 +237,7 @@ def run(
             autoscale=scaler,
             seed=seed,
         )
-        report = simulate_fleet(
-            diurnal, times[engine], config, spec.duration_s, max_workers=max_workers
-        )
+        report = simulate_fleet(diurnal, times[engine], config, spec.duration_s)
         ups = sum(1 for e in report.scale_events if e.action == "add")
         downs = sum(1 for e in report.scale_events if e.action == "drain")
         autoscale_cells.append(

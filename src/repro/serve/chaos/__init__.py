@@ -5,7 +5,7 @@ storage faults against per-session temporal state (priced through the
 real protection ladders of :mod:`repro.protect`), node crash/degrade
 events against the fleet, and correlated fault+load bursts — all drawn
 ahead of time from a seeded :class:`ChaosSchedule` so a chaos run is
-byte-identical across cold runs and worker counts.
+byte-identical across cold runs.
 
 The grid driver lives in :mod:`repro.serve.chaos.campaign` (imported
 directly, not here, to keep this package import-light for the serve and

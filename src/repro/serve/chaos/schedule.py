@@ -5,8 +5,8 @@ node crashes, degraded-node windows, correlated fault+load bursts — is
 drawn ahead of the simulation from one :func:`repro.utils.rng.rng_for`
 stream keyed by the spec's seed, then pinned into a frozen
 :class:`ChaosSchedule`.  The simulation itself draws no randomness, so a
-chaos run is byte-identical across cold runs and worker counts, exactly
-like the fault-free fleet.
+chaos run is byte-identical across cold runs, exactly like the
+fault-free fleet.
 
 Three event classes, matching the three injection levels:
 
@@ -66,7 +66,7 @@ class ChaosSpec:
     names the serve-path protection ladder.  Event counts of zero
     disable the corresponding fault class.  ``fault_seed`` (defaulting
     to ``seed``) drives only the per-request storage-outcome draws, so a
-    resumed campaign can verify it reruns the exact fault pattern.
+    chaos-grid point keeps its fault pattern whatever other points ran.
     """
 
     storage_rate: float = 0.0

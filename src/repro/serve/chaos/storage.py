@@ -27,7 +27,7 @@ injection, and distills the result into serve-path probabilities:
 2. :class:`StorageChaos` replays those probabilities per warm request,
    with the outcome drawn from a hash of ``(fault_seed, session_id,
    frame_index)`` — keyed by content, never by processing order, so a
-   chaos run is byte-identical across worker counts and shard layouts.
+   chaos run is byte-identical across shard layouts.
 
 The ladder's storage overhead also rides along: protected state is
 bigger, so a protected store fits fewer resident sessions under the same
@@ -217,8 +217,8 @@ class StorageChaos:
 
     ``outcome`` is consulted once per warm-eligible request (the only
     reads that touch stored temporal state).  The draw hashes the request
-    identity, so the same request gets the same outcome on any worker
-    count, any shard layout, and any resume — the property every other
+    identity, so the same request gets the same outcome on any shard
+    layout and in any grid — the property every other
     deterministic subsystem here is built on.
     """
 

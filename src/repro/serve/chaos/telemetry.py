@@ -16,7 +16,7 @@ postmortem actually asks for:
   recovery.
 
 Merging is exact and pinned to ascending node-id order by the fleet
-layer, so chaos reports are byte-identical across worker counts.
+layer, so chaos reports are byte-identical across runs.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ The pieces:
   autoscaler driving node add/drain/remove under diurnal load.
 - :mod:`repro.serve.fleet.service` — the orchestration: one routing
   pass over the global arrival stream, independent per-shard clocks run
-  serially or on a process pool, telemetry merged exactly in node-id
-  order so results are invariant to worker count.
+  serially in node-id order, telemetry merged exactly in that order so
+  results are byte-identical across runs.
 """
 
 from repro.serve.fleet.autoscale import Autoscaler, AutoscalePolicy, ScaleEvent

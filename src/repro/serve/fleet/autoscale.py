@@ -13,7 +13,7 @@ never waved away.
 Everything is a pure function of the arrival stream and the policy:
 the controller observes only arrival timestamps, all tie-breaks are by
 node id, and new nodes take ids from a monotone counter — which is what
-keeps fleet goldens byte-identical across runs and worker counts.
+keeps fleet goldens byte-identical across runs.
 """
 
 from __future__ import annotations

@@ -10,21 +10,17 @@ substream.  The split here exploits that:
    here: the policy's tables, the autoscaler's windowed rate estimate,
    migration detection.  Output is a columnar substream per node.
 2. **Shard pass** — each substream runs through the shard
-   engine (:mod:`repro.serve.fleet.shard`) *independently*, so shards
-   can run on a process pool, with a serial fallback when no pool is
-   available.
+   engine (:mod:`repro.serve.fleet.shard`) *independently*, serially
+   in-process in ascending node-id order.
 3. **Merge** — per-node telemetry folds into one
    :class:`~repro.serve.telemetry.ServeTelemetry` in ascending node-id
    order.  Histogram merges are exact and the order is pinned, so the
-   fleet report is byte-identical whether shards ran serially or on
-   any number of workers.
+   fleet report is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -41,7 +37,7 @@ from repro.serve.chaos.storage import StorageChaos, price_ladder, serve_ladder
 from repro.serve.chaos.telemetry import ChaosTelemetry
 from repro.serve.fleet.autoscale import AutoscalePolicy, Autoscaler, ScaleEvent
 from repro.serve.fleet.routing import ROUTING_POLICIES, make_router
-from repro.serve.fleet.shard import ShardResult, ShardStream, simulate_shard
+from repro.serve.fleet.shard import ShardStream, simulate_shard
 from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig
 from repro.serve.state import StateStats
@@ -53,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; the calib spec is
     from repro.calib.recalibrate import CalibSpec
 from repro.utils import timing
 from repro.utils.rng import DEFAULT_SEED
-from repro.utils.validation import check_integer, check_nonnegative, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = [
     "FleetConfig",
@@ -313,48 +309,17 @@ def route_requests(
     )
 
 
-def _simulate_shard_task(
-    arg: "tuple[ShardStream, ServiceTimes, ServeConfig, Optional[NodeChaos], object]",
-) -> ShardResult:
-    """Module-level shard task (pool workers pickle it by reference)."""
-    stream, times, node_config, chaos, calib = arg
-    return simulate_shard(stream, times, node_config, chaos=chaos, calib=calib)
-
-
-def _run_shards(tasks: list, max_workers: int) -> "list[ShardResult]":
-    """Run every shard task; results come back in task order.
-
-    Two or more tasks with ``max_workers > 0`` go to a process pool.  A
-    pool that cannot start (``OSError``) or dies (``BrokenProcessPool``)
-    falls back to serial in-process execution.  A shard that raises is
-    not retried: shards are deterministic, so its error propagates.
-    """
-    if max_workers and len(tasks) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(_simulate_shard_task, tasks))
-        except (OSError, BrokenProcessPool):
-            timing.count("fleet.pool_fallback")
-    return [_simulate_shard_task(task) for task in tasks]
-
-
 def simulate_fleet(
     requests: Sequence[Request],
     times: ServiceTimes,
     config: FleetConfig,
     duration_s: Optional[float] = None,
-    max_workers: int = 0,
 ) -> FleetReport:
-    """Serve one workload on the fleet; deterministic across worker counts.
+    """Serve one workload on the fleet; deterministic across runs.
 
-    ``max_workers=0`` runs shards serially in-process; any positive
-    value fans them out over a process pool (serial fallback when the
-    pool is unavailable).  Both paths produce byte-identical reports:
-    shards are independent and the merge order is pinned to ascending
-    node id.
+    Shards run serially in-process in ascending node-id order, which is
+    also the merge order.
     """
-    max_workers = check_integer("max_workers", max_workers)
-    check_nonnegative("max_workers", max_workers)
     if duration_s is None:
         duration_s = max((r.arrival_s for r in requests), default=0.0) or 1.0
     check_positive("duration_s", duration_s)
@@ -404,12 +369,13 @@ def simulate_fleet(
             degrade=schedule.degrade_windows(node_id),
         )
 
-    tasks = [
-        (stream, times, config.node, node_chaos(stream.node_id), config.calib)
-        for stream in routing.streams
-    ]
     with timing.timed("fleet.shards"):
-        results = _run_shards(tasks, max_workers)
+        results = [
+            simulate_shard(
+                stream, times, config.node, chaos=node_chaos(stream.node_id), calib=config.calib
+            )
+            for stream in routing.streams
+        ]
 
     merged = ServeTelemetry(
         max_batch=config.node.max_batch, queue_capacity=config.node.queue_capacity

@@ -2,7 +2,7 @@
 
 Built on :class:`repro.utils.timing.StreamingHistogram` rather than raw
 sample lists: histograms are fixed-size no matter how long the run, they
-merge exactly across fleet shards (pooled or serial), and their
+merge exactly across fleet shards, and their
 percentile estimates are deterministic — which is what lets serving
 goldens be byte-identical.
 

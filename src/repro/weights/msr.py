@@ -53,7 +53,7 @@ from repro.compression.codec import (
     _note_codec_call,
 )
 from repro.utils.bits import signed_range
-from repro.utils.validation import check_integer, check_positive
+from repro.utils.validation import check_integer, check_positive_integer
 
 __all__ = ["MSRCodec", "MSRLayout"]
 
@@ -109,8 +109,7 @@ class MSRCodec:
     ):
         bits = check_integer("bits", bits)
         max_msr = check_integer("max_msr", max_msr)
-        column_size = check_integer("column_size", column_size)
-        check_positive("column_size", column_size)
+        column_size = check_positive_integer("column_size", column_size)
         if column_size >= 1 << 24:
             # Count and index fields must stay within the 24 bits the
             # float32 plane combine reads exactly.

@@ -11,8 +11,11 @@ loop, bit-matrix, per-value, window-major and per-event versions they
 replaced — legible, obviously correct, slow — as plain functions that
 take the codec's or kernel's parameters, plus the virtual-clock
 ``InferenceService`` with its per-event ``PerEventTelemetry``, the
-two-convolution calibration, the two-aggregate Diffy head splice, and
-the out-of-place image synthesizer (:mod:`tests.oracles.synthesis`).
+two-convolution calibration, the two-aggregate Diffy head splice, the
+out-of-place image synthesizer (:mod:`tests.oracles.synthesis`), the
+digit-level Booth/NAF recoders behind ``term_count_lut``
+(:mod:`tests.oracles.booth`), and the only implementation of the RLEz
+token format, whose size ``RLEZero.encoded_bits`` prices.
 The property suites assert production is byte-identical to them, and
 ``tests/test_paper_claims.py`` does so for the MSR codec on each model's
 largest layer; ``benchmarks/codec_bench.py`` times production against
@@ -29,6 +32,7 @@ from tests.oracles.bitio import (
     crc8_bits_bitwise,
     crc8_table,
 )
+from tests.oracles.booth import naf_digits, r4_booth_digits
 from tests.oracles.codecs import (
     group_decode_flagged,
     group_encode,
@@ -66,6 +70,8 @@ __all__ = [
     "crc8_bits",
     "crc8_bits_bitwise",
     "crc8_table",
+    "naf_digits",
+    "r4_booth_digits",
     "group_encode",
     "group_decode_flagged",
     "rlez_encode",

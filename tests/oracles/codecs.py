@@ -1,11 +1,13 @@
-"""Value-at-a-time GroupCodec and RLEZeroCodec: the wire-format spec.
+"""Value-at-a-time GroupCodec and RLEz token format: the wire-format spec.
 
 Each function walks the stream one field at a time through
 :class:`~tests.oracles.bitio.BitWriter` / :class:`~tests.oracles.bitio.BitReader`
-and takes the codec's parameters explicitly.  The production codecs in
-:mod:`repro.compression.codec` must match them byte for byte: same
-encoded bytes, same decoded values and flags, and the same strict-mode
-errors, corrupted and truncated streams included.
+and takes the codec's parameters explicitly.  The production
+``GroupCodec`` in :mod:`repro.compression.codec` must match the group
+functions byte for byte: same encoded bytes, same decoded values and
+flags, and the same strict-mode errors, corrupted and truncated streams
+included.  The RLEz functions are the only implementation of that
+format; they prove the price ``schemes.RLEZero.encoded_bits`` charges.
 
 Encoders take an already-validated flat ``int64`` stream.  Decoders
 apply the same container check as the production ``decode``.
@@ -137,7 +139,12 @@ def group_decode_flagged(
 
 
 def rlez_encode(flat: np.ndarray) -> Encoded:
-    """Spec of ``RLEZeroCodec().encode``: one (skip, value) token at a time."""
+    """Encode RLEz (4-bit skip, 16-bit value) tokens, one at a time.
+
+    A token contributes ``skip`` zeros followed by its value; zero runs
+    longer than 15 are carried by escape tokens whose stored value is
+    itself zero.
+    """
     writer = BitWriter()
     pending_zeros = 0
 
@@ -163,7 +170,7 @@ def rlez_encode(flat: np.ndarray) -> Encoded:
 
 
 def rlez_decode(encoded: Encoded, strict: bool = True) -> np.ndarray:
-    """Spec of ``RLEZeroCodec().decode``."""
+    """Decode :func:`rlez_encode` tokens back to ``encoded.values`` values."""
     _check_encoded(encoded, strict)
     reader = BitReader(encoded.data)
     out: list[int] = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import term_maps
-from repro.compression.codec import CHECKSUM_BITS, GroupCodec, RLEZeroCodec
+from repro.compression.codec import CHECKSUM_BITS, GroupCodec
 from repro.core.precision import HEADER_BITS, group_precisions
 from repro.faults.inject import inject_encoded
 from repro.faults.models import BitFlip
@@ -26,9 +26,6 @@ def _outcome(fn):
 
 values_st = st.lists(st.integers(-32768, 32767), min_size=0, max_size=200)
 unsigned_st = st.lists(st.integers(0, 32767), min_size=0, max_size=200)
-sparse_st = st.lists(
-    st.one_of(st.just(0), st.integers(-32768, 32767)), min_size=0, max_size=200
-)
 
 
 class TestGroupCodecIdentity:
@@ -211,45 +208,6 @@ class TestGroupCodecUnitWalk:
             flipped = make(data=bytes(raw), bits=encoded.bits, values=encoded.values)
             _assert_group_decodes_agree(codec, flipped, strict=False)
             _assert_group_decodes_agree(codec, flipped, strict=True)
-
-
-class TestRLEZeroIdentity:
-    @given(values=sparse_st)
-    @settings(max_examples=60, deadline=None)
-    def test_streams_byte_identical(self, values):
-        codec = RLEZeroCodec()
-        arr = np.array(values, dtype=np.int64)
-        ref = oracles.rlez_encode(arr)
-        vec = codec.encode(arr)
-        assert ref.data == vec.data
-        assert (ref.bits, ref.values) == (vec.bits, vec.values)
-        assert np.array_equal(oracles.rlez_decode(ref), codec.decode(ref))
-
-    @given(
-        values=st.lists(
-            st.one_of(st.just(0), st.integers(-100, 100)), min_size=1, max_size=120
-        ),
-        strict=st.booleans(),
-        cut=st.integers(1, 8),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_truncated_streams_agree(self, values, strict, cut):
-        codec = RLEZeroCodec()
-        encoded = codec.encode(np.array(values, dtype=np.int64))
-        truncated = type(encoded)(
-            data=encoded.data[: max(0, len(encoded.data) - cut)],
-            bits=encoded.bits,
-            values=encoded.values,
-        )
-        kind_ref, res_ref = _outcome(
-            lambda: oracles.rlez_decode(truncated, strict=strict)
-        )
-        kind_vec, res_vec = _outcome(lambda: codec.decode(truncated, strict=strict))
-        assert kind_ref == kind_vec
-        if kind_ref == "ok":
-            assert np.array_equal(res_ref, res_vec)
-        else:
-            assert res_ref == res_vec
 
 
 class TestCRC8:
