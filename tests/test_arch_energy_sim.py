@@ -87,7 +87,7 @@ class TestCollectTraces:
         assert len(a) == 1
         assert a[0].network == "IRCNN"
 
-    @pytest.mark.parametrize("count", [0, -1, 1.0])
+    @pytest.mark.parametrize("count", [0, -1, 1.0, 1.5, True])
     def test_count_must_be_a_positive_integer(self, count):
         with pytest.raises(ValueError, match="count must be"):
             collect_traces("IRCNN", "Kodak24", count=count, crop=32)
