@@ -4,8 +4,10 @@ Times a cold ``GroupCodec`` encode+decode pass (plain and per-group
 CRC-8) and the SECDED round trip of the 16-bit words on a seeded
 Laplacian delta map, once through the production (``vectorized``) path
 and once through the value-at-a-time or
-bit-matrix ``reference`` spec in ``tests/oracles``, recording MB/s and
-the vectorized/reference speedup into ``BENCH_codec.json``.  Exits
+bit-matrix ``reference`` spec in ``tests/oracles``, measuring MB/s and
+the vectorized/reference speedup.  ``--out`` writes the result JSON to a
+file; without it nothing is written, so a smoke run cannot overwrite the
+committed HD record in ``BENCH_codec.json``.  Exits
 non-zero if any encode+decode speedup falls below ``--min-speedup`` (or
 if the two ever disagree on bytes or decoded values — the benchmark
 double-checks byte-identity on every stream it times, and also compares
@@ -18,7 +20,8 @@ because the reference path's fixed costs amortize less.
 
 Usage::
 
-    python benchmarks/codec_bench.py [--smoke] [--min-speedup 5] [--json]
+    python benchmarks/codec_bench.py [--smoke] [--min-speedup 5] [--json] [--out FILE]
+    python benchmarks/codec_bench.py --out BENCH_codec.json  # the HD record
 """
 
 from __future__ import annotations
@@ -193,8 +196,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_codec.json"),
-        help="where to write the result JSON",
+        "--out", default=None,
+        help="write the result JSON to this file (default: write no file)",
     )
     parser.add_argument(
         "--json", action="store_true", help="print the result JSON to stdout"
@@ -212,7 +215,8 @@ def main(argv=None) -> int:
     result = run(values, args.seed, repeats)
     result["min_speedup"] = min_speedup
     result["smoke"] = args.smoke
-    Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    if args.out is not None:
+        Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
 
     failures = []
     for name, case in result["cases"].items():
@@ -236,7 +240,7 @@ def main(argv=None) -> int:
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print(f"ok: wrote {args.out}", file=sys.stderr)
+    print(f"ok: wrote {args.out}" if args.out is not None else "ok", file=sys.stderr)
     return 0
 
 

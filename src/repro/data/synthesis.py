@@ -13,6 +13,12 @@ the Diffy paper:
 The synthesizer composes these ingredients.  Each *profile* (nature, city,
 texture, noisy) weights them differently, mirroring the paper's HD33
 description of "nature, city and texture scenes".
+
+scipy serves only the Gaussian blur here, so :func:`synthesize_image`
+imports it when called rather than at module level: ``import repro``
+reaches this module, and a process that reads its images, models and
+traces from the cache never synthesizes one, so it should not pay
+scipy's start-up time and memory.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import bisect
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.rng import DEFAULT_SEED, rng_for
 from repro.utils.validation import check_finite_nonnegative, check_integer, check_positive
@@ -182,6 +187,8 @@ def synthesize_image(
 
     sigma = profile.smoothness * height / 1080.0
     if sigma > 0.05:
+        from scipy import ndimage
+
         ndimage.gaussian_filter(luma, sigma=sigma, output=luma)
 
     lo, hi = luma.min(), luma.max()

@@ -7,12 +7,16 @@ The zoo's networks consume different input formats:
 - VDSR takes a bicubically *pre-upscaled* low-resolution image (its input
   already has the target resolution but low-pass content — which is why
   its layer-1 activations are so smooth).
+
+The VDSR upscale is the one place here that needs scipy, so
+:func:`bicubic_upscaled` imports it when called: ``import repro`` reaches
+this module, and a process that reads VDSR's traces from the cache never
+upscales an image.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 
 def identity(image: np.ndarray) -> np.ndarray:
@@ -47,6 +51,8 @@ def bicubic_upscaled(image: np.ndarray, factor: int = 2) -> np.ndarray:
     _, h, w = image.shape
     if h % factor or w % factor:
         raise ValueError(f"dimensions {(h, w)} not divisible by factor {factor}")
+    from scipy import ndimage
+
     low = image.reshape(image.shape[0], h // factor, factor, w // factor, factor).mean(
         axis=(2, 4)
     )

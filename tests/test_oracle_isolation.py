@@ -5,6 +5,11 @@ compare production against; if any ``repro`` module imported them, the
 spec would stop being independent of what it checks.  The same import
 sweep checks that each module's ``__all__`` names only attributes the
 module defines, so a deletion cannot leave a dangling re-export behind.
+
+It also checks that importing ``repro`` does not load scipy.  Only image
+synthesis (the Gaussian blur) and VDSR's bicubic upscale call it, so a
+process that reads its models and traces from the cache must never pay
+for it; a two-process pair on a private cache checks that end to end.
 """
 
 import json
@@ -33,7 +38,19 @@ for name in names:
         if not hasattr(module, export)
     ]
 leaked = sorted(m for m in sys.modules if m == "tests" or m.startswith("tests."))
-print(json.dumps({"modules": len(names), "leaked": leaked, "dangling": dangling}))
+scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps({"modules": len(names), "leaked": leaked, "dangling": dangling, "scipy": scipy}))
+"""
+
+# Prepares IRCNN and traces one small crop, then reports which scipy
+# modules the process loaded.  Cold, this synthesizes the calibration and
+# trace images; on a filled cache both calls are hits.
+_PIPELINE = """
+import json, sys
+from repro import collect_traces, prepare_model
+prepare_model("IRCNN", 1)
+collect_traces("IRCNN", "Kodak24", count=1, crop=16, seed=1)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
@@ -60,3 +77,26 @@ def test_no_repro_module_loads_the_oracles(probe):
 
 def test_every_exported_name_resolves(probe):
     assert probe["dangling"] == []
+
+
+def test_importing_repro_does_not_load_scipy(probe):
+    assert probe["scipy"] == []
+
+
+def test_a_cache_hit_process_does_not_load_scipy(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_CACHE"}
+    env.update(PYTHONPATH=str(REPO / "src"), REPRO_CACHE_DIR=str(tmp_path))
+
+    def loaded_scipy() -> list:
+        proc = subprocess.run(
+            [sys.executable, "-c", _PIPELINE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return json.loads(proc.stdout)
+
+    # The cold run synthesizes images, so the check can see a load.
+    assert "scipy" in loaded_scipy()
+    assert loaded_scipy() == []
