@@ -2,10 +2,11 @@
 
 Runs a representative experiment twice in fresh subprocesses sharing one
 disk cache directory: the first run populates the cache, the second must
-be served from it.  Exits non-zero when the warm run is slower than the
-threshold — a coarse guard that catches cache regressions (broken keys,
-schema churn, serialization failures) without being flaky on loaded CI
-machines.
+be served from it.  The summary also reports how many megabytes the
+cold run left in the cache.  Exits non-zero when the warm run is slower
+than the threshold — a coarse guard that catches cache regressions
+(broken keys, schema churn, serialization failures) without being flaky
+on loaded CI machines.
 
 Usage::
 
@@ -50,6 +51,11 @@ def _run_once(cache_dir: str, crop: int) -> float:
     return time.perf_counter() - start
 
 
+def _disk_mb(cache_dir: str) -> float:
+    """Megabytes of files under ``cache_dir``."""
+    return sum(p.stat().st_size for p in Path(cache_dir).rglob("*") if p.is_file()) / 1e6
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--crop", type=int, default=64)
@@ -70,6 +76,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-cache-smoke-") as cache_dir:
         cold_s = _run_once(cache_dir, args.crop)
+        cache_mb = _disk_mb(cache_dir)
         warm_s = _run_once(cache_dir, args.crop)
 
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
@@ -78,13 +85,15 @@ def main(argv=None) -> int:
         "cold_s": round(cold_s, 3),
         "warm_s": round(warm_s, 3),
         "speedup": round(speedup, 2),
+        "cache_mb": round(cache_mb, 2),
     }
     if args.json:
         print(json.dumps(summary))
     else:
         print(
             f"cache smoke: cold {cold_s:.2f}s, warm {warm_s:.2f}s "
-            f"({speedup:.1f}x, threshold {args.min_speedup:.1f}x)"
+            f"({speedup:.1f}x, threshold {args.min_speedup:.1f}x), "
+            f"cache {cache_mb:.2f} MB"
         )
 
     if warm_s > args.warm_ceiling_s:

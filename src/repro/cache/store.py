@@ -1,7 +1,7 @@
 """Content-addressed on-disk cache for seeded, deterministic artifacts.
 
 Everything this reproduction computes is a pure function of a root seed
-and a handful of structural parameters: synthetic images, calibrated
+and a handful of structural parameters: dataset crops, calibrated
 model weights, activation traces.  Recomputing them per process is the
 dominant cost of every experiment (profiling a cold
 ``simulate_network("DnCNN", "Diffy")`` puts ~80% of the wall time in
@@ -69,7 +69,7 @@ __all__ = [
 
 #: Bump when the content or layout of any cached artifact changes; every
 #: key hashes this in, so stale entries are never read again.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 #: Default cache location under the user's home (XDG-style).
 _DEFAULT_ROOT = "~/.cache/repro"

@@ -3,12 +3,16 @@
 Each dataset is a seeded, lazily generated collection of images with the
 paper's sample count and resolution range.  Images are deterministic in
 ``(dataset name, index, root seed)``, so every experiment is reproducible
-without storing any pixels on disk.
+without storing any whole frame on disk.
 
 Full-resolution synthesis of a 1080x1920 HD frame takes 0.7-0.9 CPU s
 on a 2-CPU Xeon container, and its memory peaks at about twice the
-50 MB image; the disk cache and a small LRU cache keep repeated crops of
-the same frame cheap.
+50 MB image.  Frames therefore live only in a small in-process LRU
+cache, which keeps repeated crops of one frame cheap within a process.
+What the disk cache persists is each crop, at its own size: a 48x48
+trace crop costs 55 KB on disk, not its 50 MB source frame.  The price
+is that a fresh process asking for a crop it never cached (a new size,
+position or seed) synthesizes the frame again.
 """
 
 from __future__ import annotations
@@ -65,7 +69,11 @@ class Dataset:
             )
 
     def image(self, index: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-        """Full-resolution image ``index`` as a (3, H, W) float array."""
+        """Full-resolution image ``index`` as a read-only (3, H, W) float array.
+
+        Frames are kept only in the in-process LRU cache, never on disk,
+        so the first call in a process synthesizes the frame.
+        """
         self._check_index(index)
         return _cached_image(self.name, index, seed)
 
@@ -80,9 +88,11 @@ class Dataset:
 
         If ``at`` is None the crop position is drawn from a seeded stream,
         so repeated calls with the same arguments return the same pixels.
+        The crop is a contiguous, read-only copy of the frame's pixels,
+        persisted in the disk cache under its dataset, index, seed,
+        position and size; a cache hit does not synthesize the frame.
         """
-        img = self.image(index, seed)
-        _, h, w = img.shape
+        h, w = self.resolution(index)
         if size > h or size > w:
             raise ValueError(f"crop size {size} exceeds image size {(h, w)}")
         if at is None:
@@ -93,7 +103,15 @@ class Dataset:
             y0, x0 = at
             if y0 + size > h or x0 + size > w:
                 raise ValueError(f"crop at {at} of size {size} exceeds {(h, w)}")
-        return img[:, y0 : y0 + size, x0 : x0 + size]
+        crop = cache_store.fetch_or_compute(
+            "crops",
+            (self.name, index, seed, y0, x0, size),
+            lambda: np.ascontiguousarray(
+                self.image(index, seed)[:, y0 : y0 + size, x0 : x0 + size]
+            ),
+        )
+        crop.setflags(write=False)
+        return crop
 
     def crops(
         self, size: int, count: int, seed: int = DEFAULT_SEED
@@ -104,20 +122,14 @@ class Dataset:
 
 @lru_cache(maxsize=12)
 def _cached_image(name: str, index: int, seed: int) -> np.ndarray:
-    img = cache_store.fetch_or_compute(
-        "images", (name, index, seed), lambda: _synthesize(name, index, seed)
-    )
-    img.setflags(write=False)
-    return img
-
-
-def _synthesize(name: str, index: int, seed: int) -> np.ndarray:
     ds = dataset(name)
     h, w = ds.resolution(index)
     profile = ds.profiles[index % len(ds.profiles)]
     rng = rng_for(seed, "image", name, index)
     with timing.timed("data.synthesize_image"):
-        return synthesize_image(rng, h, w, profile)
+        img = synthesize_image(rng, h, w, profile)
+    img.setflags(write=False)
+    return img
 
 
 cache_store.register_memory_cache(_cached_image.cache_clear)

@@ -22,7 +22,12 @@ from typing import Optional
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.fixed_point import ACT_BITS, requantize_shift, round_half_away
+from repro.nn.fixed_point import (
+    ACT_BITS,
+    narrowest_copy,
+    requantize_shift,
+    round_half_away,
+)
 from repro.utils.bits import signed_range
 from repro.utils.validation import (
     check_integer,
@@ -205,7 +210,11 @@ class Conv2d(Layer):
     def quantize(self, in_scale: int) -> int:
         max_w = float(np.max(np.abs(self.weights)))
         self.weight_scale = min(_max_scale_for(max_w, ACT_BITS), _MAX_WEIGHT_SCALE)
-        self.int_weights = round_half_away(self.weights * (1 << self.weight_scale))
+        # Stored at the datapath's 16-bit width (the scale above makes
+        # every weight fit); conv2d_int widens them for the gemm.
+        self.int_weights = narrowest_copy(
+            round_half_away(self.weights * (1 << self.weight_scale))
+        )
         acc_scale = in_scale + self.weight_scale
         self.int_bias = round_half_away(self.bias * float(2.0**acc_scale))
         if self.forced_out_scale is not None:
@@ -352,6 +361,12 @@ class GlobalResidualAdd(Layer):
         if x_int is not None:
             self._input_int = x_int
             self._input_scale = scale
+
+    def unbind_input(self) -> None:
+        """Called by the network when a pass ends, to drop its input."""
+        self._input_float = None
+        self._input_int = None
+        self._input_scale = None
 
     @staticmethod
     def _center_crop(ref: np.ndarray, target_hw: tuple[int, int]) -> np.ndarray:

@@ -9,6 +9,7 @@ objects for the accelerator models.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -104,10 +105,21 @@ class Network:
                 f"got shape {x.shape}"
             )
 
-    def _bind_residual_inputs(self, x_float=None, x_int=None, scale=None) -> None:
-        for layer in self.layers:
-            if isinstance(layer, GlobalResidualAdd):
-                layer.bind_input(x_float=x_float, x_int=x_int, scale=scale)
+    @contextmanager
+    def _residual_inputs_bound(self, x_float=None, x_int=None, scale=None):
+        """Expose the input to every residual add for the length of one pass.
+
+        The adds drop it when the pass ends, so a cached or pickled network
+        never carries the last input it calibrated on or traced.
+        """
+        adds = [layer for layer in self.layers if isinstance(layer, GlobalResidualAdd)]
+        for add in adds:
+            add.bind_input(x_float=x_float, x_int=x_int, scale=scale)
+        try:
+            yield
+        finally:
+            for add in adds:
+                add.unbind_input()
 
     def calibrate(
         self, images: Iterable[np.ndarray], global_format: bool = True
@@ -128,10 +140,10 @@ class Network:
         count = 0
         for image in images:
             self._check_input(image)
-            self._bind_residual_inputs(x_float=image)
-            x = image
-            for layer in self.layers:
-                x = layer.calibrate(x)
+            with self._residual_inputs_bound(x_float=image):
+                x = image
+                for layer in self.layers:
+                    x = layer.calibrate(x)
             count += 1
         if count == 0:
             raise ValueError("calibrate() needs at least one image")
@@ -161,9 +173,9 @@ class Network:
     def forward_float(self, x: np.ndarray) -> np.ndarray:
         """Float-mode inference (available before and after quantization)."""
         self._check_input(x)
-        self._bind_residual_inputs(x_float=x)
-        for layer in self.layers:
-            x = layer.forward_float(x)
+        with self._residual_inputs_bound(x_float=x):
+            for layer in self.layers:
+                x = layer.forward_float(x)
         return x
 
     def forward_int(
@@ -173,9 +185,9 @@ class Network:
         if not self._quantized:
             raise RuntimeError(f"{self.name}: calibrate() must run before forward_int")
         self._check_input(x)
-        self._bind_residual_inputs(x_int=x, scale=scale)
-        for layer in self.layers:
-            x, scale = layer.forward_int(x, scale)
+        with self._residual_inputs_bound(x_int=x, scale=scale):
+            for layer in self.layers:
+                x, scale = layer.forward_int(x, scale)
         return x, scale
 
     def trace(self, image: np.ndarray, scale: int = INPUT_SCALE) -> ActivationTrace:
@@ -196,7 +208,6 @@ class Network:
             raise RuntimeError(f"{self.name}: calibrate() must run before trace")
         self._check_input(image)
         x = quantize(image, scale)
-        self._bind_residual_inputs(x_int=x, scale=scale)
         trace = ActivationTrace(
             network=self.name,
             input_shape=tuple(image.shape),  # type: ignore[arg-type]
@@ -207,32 +218,33 @@ class Network:
         # The stored omap of the previous convolution while ``x`` still
         # holds its values: the next convolution's imap is that array.
         stored = None
-        for layer in self.layers:
-            if isinstance(layer, Conv2d):
-                imap = stored if stored is not None else narrowest_copy(x)
-                out, out_scale = layer.forward_int(x, cur_scale)
-                stored = narrowest_copy(out)
-                trace.layers.append(
-                    ConvLayerTrace(
-                        name=layer.name,
-                        index=conv_index,
-                        imap=imap,
-                        imap_scale=cur_scale,
-                        omap=stored,
-                        omap_scale=out_scale,
-                        out_channels=layer.out_channels,
-                        kernel=layer.kernel,
-                        stride=layer.stride,
-                        padding=layer.padding,
-                        dilation=layer.dilation,
-                        relu=layer.relu,
+        with self._residual_inputs_bound(x_int=x, scale=scale):
+            for layer in self.layers:
+                if isinstance(layer, Conv2d):
+                    imap = stored if stored is not None else narrowest_copy(x)
+                    out, out_scale = layer.forward_int(x, cur_scale)
+                    stored = narrowest_copy(out)
+                    trace.layers.append(
+                        ConvLayerTrace(
+                            name=layer.name,
+                            index=conv_index,
+                            imap=imap,
+                            imap_scale=cur_scale,
+                            omap=stored,
+                            omap_scale=out_scale,
+                            out_channels=layer.out_channels,
+                            kernel=layer.kernel,
+                            stride=layer.stride,
+                            padding=layer.padding,
+                            dilation=layer.dilation,
+                            relu=layer.relu,
+                        )
                     )
-                )
-                conv_index += 1
-                x, cur_scale = out, out_scale
-            else:
-                x, cur_scale = layer.forward_int(x, cur_scale)
-                stored = None
+                    conv_index += 1
+                    x, cur_scale = out, out_scale
+                else:
+                    x, cur_scale = layer.forward_int(x, cur_scale)
+                    stored = None
         return trace
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -26,6 +26,15 @@ def fresh_cache(tmp_path, monkeypatch):
     store.clear_memory_caches()
 
 
+def _synthesis_calls() -> int:
+    """How many frames this process has synthesized, at any timer nesting."""
+    return sum(
+        stat.calls
+        for path, stat in timing.timer_stats().items()
+        if path.rsplit("/", 1)[-1] == "data.synthesize_image"
+    )
+
+
 def _assert_traces_identical(a, b):
     assert len(a) == len(b)
     for ta, tb in zip(a, b):
@@ -127,12 +136,27 @@ class TestStore:
 class TestWarmColdEquivalence:
     """The headline invariant: cached results are bit-identical."""
 
-    def test_images_round_trip(self, fresh_cache):
-        cold = dataset("Kodak24").image(0)
+    def test_crops_round_trip(self, fresh_cache):
+        cold = dataset("Kodak24").crop(0, 32)
         store.clear_memory_caches()
-        warm = dataset("Kodak24").image(0)
+        hits = store.cache_stats().hits
+        warm = dataset("Kodak24").crop(0, 32)
+        assert store.cache_stats().hits == hits + 1
         assert warm.dtype == cold.dtype
         assert np.array_equal(warm, cold)
+        for crop in (cold, warm):
+            assert crop.flags.c_contiguous and not crop.flags.writeable
+        assert (fresh_cache / "crops").is_dir()
+        assert not (fresh_cache / "images").exists(), "frames must stay off disk"
+
+    def test_cached_crop_does_not_synthesize(self, fresh_cache):
+        before = _synthesis_calls()
+        dataset("HD33").crop(0, 48)
+        assert _synthesis_calls() == before + 1
+        store.clear_memory_caches()
+        crop = dataset("HD33").crop(0, 48)
+        assert _synthesis_calls() == before + 1, "a cache-hit crop synthesized its frame"
+        assert crop.shape == (3, 48, 48)
 
     def test_traces_warm_equals_cold(self, fresh_cache):
         cold = traces_for("DnCNN", count=1, crop=48)

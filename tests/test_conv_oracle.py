@@ -75,6 +75,16 @@ class TestConv2dIntOracle:
     def test_matches_window_major_spec(self, case):
         _assert_same_conv(*case)
 
+    @settings(max_examples=50, deadline=None)
+    @given(conv_cases())
+    def test_int16_weights_equal_int64_weights(self, case):
+        x, w, bias, stride, padding, dilation = case
+        narrow = w.astype(np.int16)  # the drawn weights already fit 16 bits
+        want = F.conv2d_int(x, w, bias, stride, padding, dilation)
+        got = F.conv2d_int(x, narrow, bias, stride, padding, dilation)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize(
         "c, k, hf, wf", [(1, 1, 3, 3), (1, 4, 3, 3), (4, 1, 3, 3), (1, 1, 1, 1), (3, 2, 1, 3)]
     )

@@ -1,5 +1,7 @@
 """Tests for layers, calibration, quantization, and trace capture."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,60 @@ class TestTrace:
         padded = layer.padded_imap()
         assert padded.shape == (3, 34, 34)
         assert padded[:, 0, :].max() == 0
+
+
+def _residual_network():
+    gen = rng_for(6, "residual-net")
+    layers = [
+        conv(gen, "conv1", 3, 8, sparsity=0.4),
+        conv(gen, "conv2", 8, 3, relu=False, gain=0.2),
+        GlobalResidualAdd("residual"),
+    ]
+    return Network("residual", layers, input_channels=3)
+
+
+def _residual_inputs(net):
+    (add,) = [layer for layer in net.layers if isinstance(layer, GlobalResidualAdd)]
+    return add._input_float, add._input_int, add._input_scale
+
+
+class TestResidualInputsUnbound:
+    """A residual add sees the network input only while a pass runs."""
+
+    IMAGES = [rng_for(6, "residual-img", i).random((3, 16, 16)) for i in range(2)]
+
+    def test_calibrated_pickle_holds_no_input(self):
+        net = _residual_network()
+        net.calibrate(self.IMAGES)
+        assert _residual_inputs(net) == (None, None, None)
+        assert _residual_inputs(pickle.loads(pickle.dumps(net))) == (None, None, None)
+
+    def test_every_pass_unbinds(self):
+        net = _residual_network()
+        net.calibrate(self.IMAGES)
+        net.forward_float(self.IMAGES[0])
+        net.forward_int(quantize(self.IMAGES[0], INPUT_SCALE))
+        net.trace(self.IMAGES[1])
+        assert _residual_inputs(net) == (None, None, None)
+
+    def test_failed_pass_unbinds(self):
+        gen = rng_for(7, "mismatch")
+        net = Network("bad", [conv(gen, "c", 3, 4), GlobalResidualAdd("r")], 3)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            net.forward_float(self.IMAGES[0])
+        assert _residual_inputs(net) == (None, None, None)
+
+    def test_traced_twice_identically(self):
+        net = _residual_network()
+        net.calibrate(self.IMAGES)
+        first, second = net.trace(self.IMAGES[0]), net.trace(self.IMAGES[0])
+        assert len(first) == len(second) == 2
+        for a, b in zip(first, second):
+            assert a.imap.dtype == b.imap.dtype and a.omap.dtype == b.omap.dtype
+            assert np.array_equal(a.imap, b.imap) and np.array_equal(a.omap, b.omap)
+        x = quantize(self.IMAGES[0], INPUT_SCALE)
+        (out1, scale1), (out2, scale2) = net.forward_int(x), net.forward_int(x)
+        assert scale1 == scale2 and np.array_equal(out1, out2)
 
 
 class TestSynthFilterBank:

@@ -92,6 +92,11 @@ class TestRegistry:
     def test_prepared_model_is_quantized(self):
         assert prepare_model("IRCNN").is_quantized
 
+    @pytest.mark.parametrize("name", sorted(CI_MODELS))
+    def test_prepared_weights_are_16_bit(self, name):
+        for layer in prepare_model(name).conv_layers:
+            assert layer.int_weights.dtype == np.int16, layer.name
+
     def test_build_model_seed_changes_weights(self):
         a = build_model("IRCNN", seed=1)
         b = build_model("IRCNN", seed=2)
