@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.arch.config import AcceleratorConfig, DIFFY_CONFIG
 from repro.arch.cycles import LayerCycles, serial_layer_cycles
-from repro.arch.term_maps import delta_term_map, lower_layer
+from repro.arch.term_maps import delta_term_map, raw_term_map
 from repro.nn.trace import ConvLayerTrace
 
 
@@ -54,16 +54,15 @@ class DiffyModel:
         spliced over the delta-based ones, because a head window's *taps*
         overlap positions that later windows consume as deltas.
 
-        Both term maps come from the layer's lowered view, so repeated
+        Both term maps come from the per-layer lowering memo, so repeated
         evaluations (sweeps, campaigns, serving) execute over one shared
         set of lowered artifacts.
         """
-        lowered = lower_layer(layer, axis=self.axis)
         return serial_layer_cycles(
             layer,
-            lowered.delta_terms,
+            delta_term_map(layer, axis=self.axis),
             self.config,
-            head_term_map=lowered.raw_terms,
+            head_term_map=raw_term_map(layer),
             axis=self.axis,
         )
 

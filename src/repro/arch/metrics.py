@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.arch.config import DIFFY_CONFIG, AcceleratorConfig
+from repro.arch.config import DIFFY_CONFIG
 from repro.arch.memory import memory_system
 from repro.arch.sim import NetworkResult, simulate_network
 from repro.utils.rng import DEFAULT_SEED
@@ -68,27 +68,25 @@ def minimum_tiles_for_fps(
         ("HBM2", 1),
         ("HBM3", 1),
     ),
-    base_config: AcceleratorConfig = DIFFY_CONFIG,
     resolution: tuple[int, int] = (1080, 1920),
-    dataset_name: str = "HD33",
     trace_count: int = 1,
     crop: Optional[int] = None,
     seed: int = DEFAULT_SEED,
 ) -> Optional[ScalingChoice]:
-    """Smallest hybrid-partitioned configuration sustaining ``target_fps``.
+    """Smallest hybrid-partitioned Diffy configuration sustaining ``target_fps``.
 
-    Returns None when no swept point reaches the target.  Tiles are tried
+    Traces come from :func:`simulate_network`'s default dataset.  Returns
+    None when no swept point reaches the target.  Tiles are tried
     smallest-first, then memories cheapest-first, mirroring Fig 18's axes.
     """
     check_positive("target_fps", target_fps)
     for tiles in tile_sweep:
         config = dataclasses.replace(
-            base_config.with_tiles(tiles), partition="hybrid"
+            DIFFY_CONFIG.with_tiles(tiles), partition="hybrid"
         )
         ideal = simulate_network(
             model, "Diffy", scheme=scheme, memory="Ideal", config=config,
-            resolution=resolution, dataset_name=dataset_name,
-            trace_count=trace_count, crop=crop, seed=seed,
+            resolution=resolution, trace_count=trace_count, crop=crop, seed=seed,
         )
         if ideal.fps < target_fps:
             continue
@@ -96,8 +94,7 @@ def minimum_tiles_for_fps(
             res = simulate_network(
                 model, "Diffy", scheme=scheme,
                 memory=memory_system(tech, channels), config=config,
-                resolution=resolution, dataset_name=dataset_name,
-                trace_count=trace_count, crop=crop, seed=seed,
+                resolution=resolution, trace_count=trace_count, crop=crop, seed=seed,
             )
             if res.fps >= target_fps:
                 return ScalingChoice(

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.arch.config import AcceleratorConfig, PRA_CONFIG
 from repro.arch.cycles import LayerCycles, serial_layer_cycles
-from repro.arch.term_maps import lower_layer, raw_term_map
+from repro.arch.term_maps import raw_term_map
 from repro.nn.trace import ConvLayerTrace
 
 
@@ -36,5 +36,4 @@ class PRAModel:
         return raw_term_map(layer)
 
     def layer_cycles(self, layer: ConvLayerTrace) -> LayerCycles:
-        lowered = lower_layer(layer)
-        return serial_layer_cycles(layer, lowered.raw_terms, self.config)
+        return serial_layer_cycles(layer, raw_term_map(layer), self.config)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.arch.config import AcceleratorConfig, PRA_CONFIG
 from repro.arch.cycles import LayerCycles, serial_layer_cycles
-from repro.arch.term_maps import lower_layer, padded_imap, vp_term_map
+from repro.arch.term_maps import padded_imap, raw_term_map, vp_term_map
 from repro.core.deltas import spatial_deltas
 from repro.nn.trace import ConvLayerTrace
 from repro.utils.validation import check_integer, check_nonnegative
@@ -59,7 +59,7 @@ class ValuePredictionModel:
     def term_map(self, layer: ConvLayerTrace) -> np.ndarray:
         """Per-activation charged term counts (speculation applied)."""
         if not self.enabled:
-            return lower_layer(layer, axis=self.axis).raw_terms
+            return raw_term_map(layer)
         return vp_term_map(
             layer, self.threshold, self.recovery_cycles, axis=self.axis
         )

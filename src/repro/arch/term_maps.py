@@ -18,11 +18,11 @@ The module realizes the calibrater-style split the cycle models are built
 on: a one-time per-layer **lowering** stage (zero-padded imap, spatial
 deltas, Booth term LUT gathers, per-group precision geometry — everything
 that is a pure function of the trace) feeding a per-frame **execute**
-stage that is pure array arithmetic over the lowered artifacts.
-:class:`LoweredLayer` is the façade over that stage: a cheap view whose
-fields resolve through the shared memo, so every model evaluating the
-same layer — PRA's raw stream, Diffy's delta stream and raw head
-windows, the serve layer's temporal pricing — reuses one set of arrays.
+stage that is pure array arithmetic over the lowered artifacts.  Each
+accessor here resolves through the shared memo, so every model
+evaluating the same layer — PRA's raw stream, Diffy's delta stream and
+raw head windows, the serve layer's temporal pricing — reuses one set
+of arrays.
 
 The memo itself lives in :mod:`repro.core.layer_memo`, keyed by layer
 identity and evicted with the layer; :func:`repro.arch.sim.simulate_network`
@@ -37,13 +37,11 @@ the :mod:`repro.utils.timing` registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.booth import DEFAULT_ENCODING, WORD_BITS, booth_terms, term_count_lut
 from repro.core.deltas import spatial_deltas
-from repro.core.layer_memo import clear_memos, memoized
+from repro.core.layer_memo import memoized
 from repro.core.precision import GroupPrecisionEncoding, group_precisions
 from repro.nn.trace import ConvLayerTrace
 from repro.utils import timing
@@ -51,8 +49,6 @@ from repro.utils.bits import quantize_to_width
 from repro.utils.validation import check_integer, check_nonnegative
 
 __all__ = [
-    "LoweredLayer",
-    "lower_layer",
     "lowering_stats",
     "reset_lowering_stats",
     "padded_imap",
@@ -60,8 +56,8 @@ __all__ = [
     "delta_term_map",
     "vp_term_map",
     "group_geometry",
-    "clear_term_maps",
 ]
+
 
 def lowering_stats() -> "dict[str, int]":
     """Lowering-stage computes (the expensive one-time stage) vs memo
@@ -169,55 +165,3 @@ def group_geometry(
         ("geometry", group_size, signed),
         lambda: group_precisions(layer.imap, group_size, signed=signed),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class LoweredLayer:
-    """Cheap view of one layer's lowered (memoized) artifacts.
-
-    Constructing the view costs nothing; each accessor resolves through
-    the per-layer memo, so the expensive computes run at most once per
-    trace lifetime no matter how many accelerator/scheme evaluations
-    execute over it.  The view deliberately does not cache arrays itself:
-    holding them here would extend their lifetime past the trace's.
-    """
-
-    layer: ConvLayerTrace
-    axis: str = "x"
-    encoding: str = DEFAULT_ENCODING
-
-    @property
-    def padded(self) -> np.ndarray:
-        """Zero-padded imap (shared, read-only)."""
-        return padded_imap(self.layer)
-
-    @property
-    def raw_terms(self) -> np.ndarray:
-        """Effectual-term counts of the raw stream (PRA; Diffy heads)."""
-        return raw_term_map(self.layer, self.encoding)
-
-    @property
-    def delta_terms(self) -> np.ndarray:
-        """Effectual-term counts of the spatial-delta stream (Diffy)."""
-        return delta_term_map(self.layer, self.axis, self.encoding)
-
-    def group_geometry(
-        self, group_size: int = 16, signed: bool = False
-    ) -> GroupPrecisionEncoding:
-        """Dynamic-precision group widths of the stored imap."""
-        return group_geometry(self.layer, group_size, signed=signed)
-
-
-def lower_layer(
-    layer: ConvLayerTrace, axis: str = "x", encoding: str = DEFAULT_ENCODING
-) -> LoweredLayer:
-    """The lowering entry point: a :class:`LoweredLayer` view of ``layer``."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return LoweredLayer(layer=layer, axis=axis, encoding=encoding)
-
-
-#: Drops every memoized lowering artifact (the arrays, not the traces),
-#: and with them the compression side's memoized bits and ranges and
-#: the per-trace-set records.
-clear_term_maps = clear_memos

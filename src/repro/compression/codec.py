@@ -18,7 +18,6 @@ Format implemented:
   instead of silently desynchronizing.
 
 It operates on flat integer streams (use
-:func:`repro.compression.schemes.storage_order` /
 :func:`repro.compression.schemes.planar_order` to linearize maps).
 
 Encode and decode are whole-array numpy bit-plane operations

@@ -1,10 +1,9 @@
 """Bit-exact activation compression schemes (Section II-E, III-F).
 
 Every scheme answers one question: *how many bits does this feature map
-occupy in storage / on the bus, metadata included?*  Feature maps are laid
-out in brick order — channel innermost, i.e. ``(H, W, C)`` flattened — the
-natural layout for an accelerator that consumes 16-channel bricks and the
-layout Dynamic Stripes groups are formed in.
+occupy in storage / on the bus, metadata included?*  Every scheme scans
+a feature map in planar order (:func:`planar_order`: ``(C, H, W)``
+flattened, width innermost).
 
 Schemes
 -------
@@ -35,7 +34,7 @@ import numpy as np
 
 from repro.core.deltas import spatial_deltas
 from repro.core.layer_memo import instance_key
-from repro.core.precision import HEADER_BITS, group_precisions
+from repro.core.precision import group_precisions
 from repro.utils.validation import check_integer_array, check_positive
 
 #: Run/skip field width of the RLE token formats.
@@ -43,18 +42,6 @@ RLE_COUNT_BITS = 4
 
 #: Values a single RLE token can cover (15 skipped + the stored value).
 _RLE_SPAN = (1 << RLE_COUNT_BITS) - 1
-
-
-def storage_order(fmap: np.ndarray) -> np.ndarray:
-    """Flatten a (C, H, W) map to brick order (channel innermost).
-
-    This is the AM layout Diffy/PRA/VAA consume (16-channel bricks) and
-    the order Dynamic Stripes groups are formed in.
-    """
-    arr = check_integer_array("fmap", fmap)
-    if arr.ndim != 3:
-        raise ValueError(f"expected (C, H, W) map, got shape {arr.shape}")
-    return np.transpose(arr, (1, 2, 0)).reshape(-1)
 
 
 def planar_order(fmap: np.ndarray) -> np.ndarray:
@@ -257,10 +244,6 @@ SCHEMES: dict[str, CompressionScheme] = {
         DeltaProtected(16),
     )
 }
-
-#: Per-group header width re-export for traffic metadata accounting.
-GROUP_HEADER_BITS = HEADER_BITS
-
 
 def scheme(name: str) -> CompressionScheme:
     """Look up a compression scheme by name."""

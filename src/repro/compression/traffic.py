@@ -109,7 +109,6 @@ def normalized_traffic(
     scheme_names: Sequence[str],
     height: int,
     width: int,
-    activations_only: bool = False,
 ) -> dict[str, float]:
     """Fig 14: total off-chip traffic per scheme, normalized to NoCompression."""
     precisions = imap_precisions(traces)
@@ -119,8 +118,6 @@ def normalized_traffic(
         layers = network_traffic(
             network, traces, name, height, width, precisions, omap_precs
         )
-        if activations_only:
-            return sum(layer.activation_bytes for layer in layers)
         return sum(layer.total_bytes for layer in layers)
 
     baseline = total("NoCompression")

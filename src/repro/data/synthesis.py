@@ -286,14 +286,19 @@ class DriftSchedule:
         )
 
 
+#: A drift schedule starts on the base profile; each event switches to a
+#: shift profile with :data:`PROFILE_SHIFT_PROBABILITY` and ramps its gain
+#: over :data:`RAMP_FRACTION` of its slot.
+DRIFT_BASE_PROFILE = "nature"
+DRIFT_SHIFT_PROFILES = ("city", "noisy")
+PROFILE_SHIFT_PROBABILITY = 0.5
+RAMP_FRACTION = 0.25
+
+
 def generate_drift_schedule(
     duration_s: float,
     magnitude: float,
     events: int = 2,
-    base_profile: str = "nature",
-    shift_profiles: "tuple[str, ...]" = ("city", "noisy"),
-    profile_shift_probability: float = 0.5,
-    ramp_fraction: float = 0.25,
     seed: int = DEFAULT_SEED,
 ) -> DriftSchedule:
     """Seeded drift timeline: gain ramps plus scene-distribution shifts.
@@ -303,8 +308,8 @@ def generate_drift_schedule(
     log-magnitude is drawn uniformly in the *upper half* of
     ``[0, log(magnitude)]`` with a random sign — every event is a real
     excursion (brightness up or down), never a near-identity wiggle —
-    over ``ramp_fraction`` of its slot, and with
-    ``profile_shift_probability`` also switches the scene profile.
+    over :data:`RAMP_FRACTION` of its slot, and with
+    :data:`PROFILE_SHIFT_PROBABILITY` also switches the scene profile.
     ``magnitude=1.0`` yields the identity schedule (gain
     pinned at 1.0, base profile throughout) — the no-drift control every
     false-positive property is checked against.  Pure function of its
@@ -314,22 +319,13 @@ def generate_drift_schedule(
     if magnitude < 1.0:
         raise ValueError(f"magnitude must be >= 1 (1 = no drift), got {magnitude}")
     check_positive("events", events)
-    if not 0.0 <= profile_shift_probability <= 1.0:
-        raise ValueError(
-            f"profile_shift_probability must be in [0, 1], got {profile_shift_probability}"
-        )
-    if not 0.0 < ramp_fraction <= 1.0:
-        raise ValueError(f"ramp_fraction must be in (0, 1], got {ramp_fraction}")
-    for name in (base_profile, *shift_profiles):
-        if name not in PROFILES:
-            raise ValueError(f"unknown profile {name!r}; available: {sorted(PROFILES)}")
-    phases = [DriftPhase(0.0, 1.0, 1.0, 0.0, base_profile)]
+    phases = [DriftPhase(0.0, 1.0, 1.0, 0.0, DRIFT_BASE_PROFILE)]
     if magnitude == 1.0:
         return DriftSchedule(duration_s, tuple(phases))
     rng = rng_for(seed, "drift-schedule", magnitude, events)
     slot = duration_s / (events + 1)
     gain = 1.0
-    profile = base_profile
+    profile = DRIFT_BASE_PROFILE
     log_mag = float(np.log(magnitude))
     for k in range(events):
         # Event k lands in the middle half of its slot, jittered.
@@ -337,8 +333,8 @@ def generate_drift_schedule(
         excursion = float(rng.uniform(0.5 * log_mag, log_mag))
         sign = 1.0 if rng.random() < 0.5 else -1.0
         target = float(np.exp(sign * excursion))
-        if rng.random() < profile_shift_probability and shift_profiles:
-            profile = str(shift_profiles[int(rng.integers(len(shift_profiles)))])
-        phases.append(DriftPhase(start, gain, target, ramp_fraction * slot, profile))
+        if rng.random() < PROFILE_SHIFT_PROBABILITY:
+            profile = DRIFT_SHIFT_PROFILES[int(rng.integers(len(DRIFT_SHIFT_PROFILES)))]
+        phases.append(DriftPhase(start, gain, target, RAMP_FRACTION * slot, profile))
         gain = target
     return DriftSchedule(duration_s, tuple(phases))

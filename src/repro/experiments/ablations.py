@@ -54,25 +54,24 @@ def run_sync(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
 ) -> SyncAblationResult:
     pra: dict[str, list[float]] = {s: [] for s in SYNC_MODELS}
     diffy: dict[str, list[float]] = {s: [] for s in SYNC_MODELS}
     for model in models:
         vaa = simulate_network(
             model, "VAA", scheme="NoCompression", memory="Ideal",
-            dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+            dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         for sync in SYNC_MODELS:
             pra_res = simulate_network(
                 model, "PRA", scheme="DeltaD16", memory="Ideal",
                 config=dataclasses.replace(PRA_CONFIG, sync=sync),
-                dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+                dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
             )
             diffy_res = simulate_network(
                 model, "Diffy", scheme="DeltaD16", memory="Ideal",
                 config=dataclasses.replace(DIFFY_CONFIG, sync=sync),
-                dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+                dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
             )
             pra[sync].append(pra_res.speedup_over(vaa))
             diffy[sync].append(diffy_res.speedup_over(vaa))
@@ -113,11 +112,10 @@ def run_axis(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
 ) -> AxisAblationResult:
     cycles: dict[str, dict[str, float]] = {}
     for model in models:
-        traces = traces_for(model, dataset, trace_count, crop, seed=seed)
+        traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
         cycles[model] = {}
         for axis in ("x", "y"):
             diffy = DiffyModel(axis=axis)
@@ -155,14 +153,13 @@ def run_group_size(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
     resolution: tuple[int, int] = (1080, 1920),
 ) -> GroupSizeAblationResult:
     schemes = ("DeltaD256", "DeltaD16", "RawD8", "RawD16", "RawD256")
     ratios = {}
     for model in models:
         net = prepare_model(model, seed)
-        traces = traces_for(model, dataset, trace_count, crop, seed=seed)
+        traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
         ratios[model] = normalized_traffic(net, traces, schemes, *resolution)
     return GroupSizeAblationResult(ratios=ratios, schemes=schemes)
 
@@ -205,7 +202,6 @@ def run_selective(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
 ) -> list[SelectiveResult]:
     """Choose, per layer, the faster of differential and raw processing.
 
@@ -215,7 +211,7 @@ def run_selective(
     """
     out = []
     for model in models:
-        traces = traces_for(model, dataset, trace_count, crop, seed=seed)
+        traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
         diffy_model = DiffyModel()
         pra_model = PRAModel()
         diffy_total = pra_total = selective_total = 0.0

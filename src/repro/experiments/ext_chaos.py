@@ -61,6 +61,11 @@ FULL_RATES = (0.0, 1e-3, 3e-3, 1e-2)
 CI_NODES = 2
 FULL_NODES = 4
 
+#: Deadline (in units) sized so queueing delay under saturation sits just
+#: under it — the regime where the extra cold serves a fault storm forces
+#: actually move goodput instead of hiding inside queue slack.
+DEADLINE_UNITS = 2.5
+
 
 @dataclass(frozen=True)
 class ChaosStudyResult:
@@ -220,10 +225,6 @@ def run(
     load_factor: float = 1.15,
     frames_per_session: int = 8,
     duration_units: float = 40.0,
-    #: Deadline sized so queueing delay under saturation sits just under
-    #: it — the regime where the extra cold serves a fault storm forces
-    #: actually move goodput instead of hiding inside queue slack.
-    deadline_units: float = 2.5,
     queue_capacity: int = 32,
     resolution: tuple = HD_RESOLUTION,
 ) -> ChaosStudyResult:
@@ -289,7 +290,7 @@ def run(
         max_batch=4,
         max_wait_s=0.0,
         queue_capacity=queue_capacity,
-        deadline_s=deadline_units * unit,
+        deadline_s=DEADLINE_UNITS * unit,
         state_capacity_bytes=48 * times[engines[0]].state_bytes,
     )
     session_ttl_s = (2.0 * frames_per_session + 8.0) * unit

@@ -18,9 +18,10 @@ speculative engine built on it:
   curve over a threshold sweep: hit fraction, prediction MSE, and mean
   frame cycles versus PRA (disabled ⇒ byte-identical to PRA by
   construction, pinned in the goldens).
-- **Serve pricing** — the ratio a compressed weight stream shrinks the
-  per-batch weight-load overhead by (the ``weight_stream_s`` serve knob
-  prices batches with it when opted in).
+- **Serve pricing** — the ratio a compressed MSR4W weight stream would
+  shrink the per-batch weight-load overhead by over :data:`DEFAULT_MEMORY`
+  (the serve stack itself prices batches with the measured dense
+  ``ServiceTimes.batch_overhead_s``).
 """
 
 from __future__ import annotations

@@ -43,11 +43,10 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
 ) -> Fig1Result:
     """Measure Fig 1's entropies over seeded traces of each model."""
     stats = tuple(
-        trace_entropy_stats(traces_for(model, dataset, trace_count, crop, seed=seed))
+        trace_entropy_stats(traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed))
         for model in models
     )
     return Fig1Result(stats=stats)

@@ -30,12 +30,11 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
 ) -> Fig3Result:
     """Accumulate term histograms over every model's traces."""
     traces = []
     for model in models:
-        traces.extend(traces_for(model, dataset, trace_count, crop, seed=seed))
+        traces.extend(traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed))
     return Fig3Result(stats=trace_term_stats(traces), models=models)
 
 

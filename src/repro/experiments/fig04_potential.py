@@ -39,11 +39,10 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
 ) -> Fig4Result:
     return Fig4Result(
         potentials=tuple(
-            potential_speedups(traces_for(model, dataset, trace_count, crop, seed=seed))
+            potential_speedups(traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed))
             for model in models
         )
     )

@@ -39,12 +39,11 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
     schemes: tuple[str, ...] = FIG5_SCHEMES,
 ) -> Fig5Result:
     ratios = {}
     for model in models:
-        traces = traces_for(model, dataset, trace_count, crop, seed=seed)
+        traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
         precisions = imap_precisions(traces)
         ratios[model] = normalized_footprints(traces, schemes, precisions)
     return Fig5Result(ratios=ratios)

@@ -55,7 +55,6 @@ def per_layer_diffy_over_pra(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
 ) -> dict[str, float]:
     """Per-layer Diffy/PRA cycle ratios across all models' layers.
 
@@ -67,7 +66,7 @@ def per_layer_diffy_over_pra(
     diffy_model, pra_model = DiffyModel(), PRAModel()
     ratios = []
     for model in models:
-        for trace in traces_for(model, dataset, trace_count, crop, seed=seed):
+        for trace in traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed):
             for layer in trace:
                 pra = pra_model.layer_cycles(layer).cycles
                 diffy = diffy_model.layer_cycles(layer).cycles
@@ -82,15 +81,15 @@ def per_layer_diffy_over_pra(
     }
 
 
-def _simulate(model, accelerator, scheme, memory, dataset, trace_count, crop, seed):
+def _simulate(model, accelerator, scheme, memory, trace_count, crop, seed):
     if scheme == "Ideal":
         return simulate_network(
             model, accelerator, scheme="NoCompression", memory="Ideal",
-            dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+            dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
     return simulate_network(
         model, accelerator, scheme=scheme, memory=memory,
-        dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+        dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
     )
 
 
@@ -101,20 +100,19 @@ def run(
     crop: int | None,
     seed: int,
     memory: str = "DDR4-3200",
-    dataset: str = DEFAULT_DATASET,
     schemes: tuple[str, ...] = FIG11_SCHEMES,
 ) -> Fig11Result:
     rows = []
     for model in models:
         # VAA is compute-bound; its compression scheme is irrelevant to
         # performance (the paper makes the same observation).
-        vaa = _simulate(model, "VAA", "NoCompression", memory, dataset, trace_count, crop, seed)
+        vaa = _simulate(model, "VAA", "NoCompression", memory, trace_count, crop, seed)
         pra = {}
         diffy = {}
         diffy_stall = 0.0
         for scheme in schemes:
-            pra_res = _simulate(model, "PRA", scheme, memory, dataset, trace_count, crop, seed)
-            diffy_res = _simulate(model, "Diffy", scheme, memory, dataset, trace_count, crop, seed)
+            pra_res = _simulate(model, "PRA", scheme, memory, trace_count, crop, seed)
+            diffy_res = _simulate(model, "Diffy", scheme, memory, trace_count, crop, seed)
             pra[scheme] = pra_res.speedup_over(vaa)
             diffy[scheme] = diffy_res.speedup_over(vaa)
             if scheme == "DeltaD16":
@@ -123,7 +121,7 @@ def run(
             Fig11Row(network=model, pra=pra, diffy=diffy, diffy_stall_fraction=diffy_stall)
         )
     per_layer = per_layer_diffy_over_pra(
-        models=models, trace_count=trace_count, crop=crop, seed=seed, dataset=dataset
+        models=models, trace_count=trace_count, crop=crop, seed=seed
     )
     return Fig11Result(rows=tuple(rows), memory=memory, per_layer=per_layer)
 

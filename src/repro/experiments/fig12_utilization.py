@@ -48,13 +48,12 @@ def run(
     seed: int,
     scheme: str = "DeltaD16",
     memory: str = "DDR4-3200",
-    dataset: str = DEFAULT_DATASET,
 ) -> Fig12Result:
     networks = {}
     for model in models:
         res = simulate_network(
             model, "Diffy", scheme=scheme, memory=memory,
-            dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+            dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         networks[model] = [
             LayerUtilization(

@@ -37,27 +37,26 @@ def run(
     seed: int,
     scheme: str = "DeltaD16",
     memory: str = "DDR4-3200",
-    dataset: str = DEFAULT_DATASET,
 ) -> list[Fig13Row]:
     rows = []
     for model in models:
         vaa = simulate_network(
             model, "VAA", scheme="NoCompression", memory=memory,
-            dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+            dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         pra = simulate_network(
             model, "PRA", scheme=scheme, memory=memory,
-            dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+            dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         diffy = simulate_network(
             model, "Diffy", scheme=scheme, memory=memory,
-            dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+            dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         # Content variance: per-image FPS across single-trace runs.
         per_image = [
             simulate_network(
                 model, "Diffy", scheme=scheme, memory=memory,
-                dataset_name=dataset, trace_count=1, crop=crop, seed=seed + i,
+                dataset_name=DEFAULT_DATASET, trace_count=1, crop=crop, seed=seed + i,
             ).fps
             for i in range(2)
         ]

@@ -50,14 +50,13 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
     resolution: tuple[int, int] = (1080, 1920),
     schemes: tuple[str, ...] = FIG14_SCHEMES,
 ) -> Fig14Result:
     ratios = {}
     for model in models:
         net = prepare_model(model, seed)
-        traces = traces_for(model, dataset, trace_count, crop, seed=seed)
+        traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
         ratios[model] = normalized_traffic(net, traces, schemes, *resolution)
     return Fig14Result(ratios=ratios, resolution=resolution)
 

@@ -45,17 +45,16 @@ def run(
     nodes: tuple[str, ...] = FIG15_NODES,
     schemes: tuple[str, ...] = FIG15_SCHEMES,
     channels: int = 1,
-    dataset: str = DEFAULT_DATASET,
 ) -> Fig15Result:
     grid: dict[str, dict[str, dict[str, Fig15Cell]]] = {}
     for model in models:
         vaa = simulate_network(
             model, "VAA", scheme="NoCompression", memory="Ideal",
-            dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+            dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         best = simulate_network(
             model, "Diffy", scheme="NoCompression", memory="Ideal",
-            dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+            dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         grid[model] = {}
         for node in nodes:
@@ -63,7 +62,7 @@ def run(
             for scheme in schemes:
                 res = simulate_network(
                     model, "Diffy", scheme=scheme, memory=node, channels=channels,
-                    dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+                    dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
                 )
                 grid[model][node][scheme] = Fig15Cell(
                     speedup_over_vaa=res.speedup_over(vaa),

@@ -42,7 +42,6 @@ def run(
     crop: int | None,
     seed: int,
     terms: tuple[int, ...] = FIG16_TERMS,
-    dataset: str = DEFAULT_DATASET,
 ) -> Fig16Result:
     speedups: dict[str, dict[int, float]] = {}
     for model in models:
@@ -51,12 +50,12 @@ def run(
             vaa = simulate_network(
                 model, "VAA", scheme="NoCompression", memory="Ideal",
                 config=VAA_CONFIG.with_terms(t),
-                dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+                dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
             )
             diffy = simulate_network(
                 model, "Diffy", scheme="DeltaD16", memory="Ideal",
                 config=DIFFY_CONFIG.with_terms(t),
-                dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+                dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
             )
             speedups[model][t] = diffy.speedup_over(vaa)
     return Fig16Result(speedups=speedups, terms=terms)

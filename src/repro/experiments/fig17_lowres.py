@@ -27,6 +27,9 @@ FIG17_RESOLUTIONS: tuple[tuple[int, int], ...] = (
 
 REAL_TIME_FPS = 30.0
 
+#: The sub-HD frames the resolution sweep traces.
+FIG17_DATASET = "Kodak24"
+
 
 @dataclass(frozen=True)
 class Fig17Result:
@@ -52,7 +55,6 @@ def run(
     resolutions: tuple[tuple[int, int], ...] = FIG17_RESOLUTIONS,
     scheme: str = "DeltaD16",
     memory: str = "DDR4-3200",
-    dataset: str = "Kodak24",
 ) -> Fig17Result:
     fps: dict[str, dict[tuple[int, int], float]] = {}
     for model in models:
@@ -60,7 +62,7 @@ def run(
         for resolution in resolutions:
             res = simulate_network(
                 model, "Diffy", scheme=scheme, memory=memory,
-                resolution=resolution, dataset_name=dataset,
+                resolution=resolution, dataset_name=FIG17_DATASET,
                 trace_count=trace_count, crop=crop, seed=seed,
             )
             fps[model][resolution] = res.fps

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.arch.metrics import ScalingChoice, minimum_tiles_for_fps
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    DEFAULT_DATASET,
-    format_table,
-)
+from repro.experiments.common import CI_MODEL_NAMES, format_table
 from repro.experiments.profiles import Profile, resolve_profile
 
 #: Tile counts to consider, smallest first.
@@ -56,7 +52,6 @@ def run(
     crop: int | None,
     seed: int,
     schemes: tuple[str, ...] = FIG18_SCHEMES,
-    dataset: str = DEFAULT_DATASET,
 ) -> Fig18Result:
     grid: dict[str, dict[str, Optional[ScalingChoice]]] = {}
     for model in models:
@@ -64,7 +59,7 @@ def run(
             scheme: minimum_tiles_for_fps(
                 model, TARGET_FPS, scheme=scheme,
                 tile_sweep=TILE_SWEEP, memory_sweep=MEMORY_SWEEP,
-                dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+                trace_count=trace_count, crop=crop, seed=seed,
             )
             for scheme in schemes
         }

@@ -23,6 +23,9 @@ from repro.experiments.profiles import Profile, resolve_profile
 #: Classification inputs: ImageNet-scale frames.
 CLS_RESOLUTION = (224, 224)
 
+#: Frames traced for the classification models.
+FIG19_DATASET = "Kodak24"
+
 
 @dataclass(frozen=True)
 class Fig19Row:
@@ -62,21 +65,20 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = "Kodak24",
     scheme: str = "DeltaD16",
     memory: str = "DDR4-3200",
 ) -> Fig19Result:
     rows = []
     for model in models:
         kw = dict(
-            dataset_name=dataset, trace_count=trace_count,
+            dataset_name=FIG19_DATASET, trace_count=trace_count,
             resolution=CLS_RESOLUTION, crop=crop, seed=seed, memory=memory,
         )
         vaa = simulate_network(model, "VAA", scheme="NoCompression", **kw)
         pra = simulate_network(model, "PRA", scheme=scheme, **kw)
         diffy = simulate_network(model, "Diffy", scheme=scheme, **kw)
         # Early-layer comparison straight from the cycle models.
-        traces = traces_for(model, dataset, trace_count, crop, seed=seed)
+        traces = traces_for(model, FIG19_DATASET, trace_count, crop, seed=seed)
         first = traces[0][0]
         pra_first = PRAModel().layer_cycles(first).cycles
         diffy_first = DiffyModel().layer_cycles(first).cycles

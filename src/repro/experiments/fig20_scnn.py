@@ -46,13 +46,12 @@ def run(
     seed: int,
     sparsities: tuple[float, ...] = SCNN_SPARSITIES,
     memory: str = "DDR4-3200",
-    dataset: str = DEFAULT_DATASET,
 ) -> Fig20Result:
     speedups: dict[str, dict[float, float]] = {}
     for model in models:
         diffy = simulate_network(
             model, "Diffy", scheme="DeltaD16", memory=memory,
-            dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+            dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         speedups[model] = {}
         for sparsity in sparsities:
@@ -61,7 +60,7 @@ def run(
             )
             scnn = simulate_network(
                 model, accel, scheme="RLEz", memory=memory,
-                dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+                dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
             )
             speedups[model][sparsity] = diffy.speedup_over(scnn)
     return Fig20Result(speedups=speedups, sparsities=sparsities)

@@ -53,11 +53,10 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
 ) -> list[Table3Row]:
     rows = []
     for model in models:
-        traces = traces_for(model, dataset, trace_count, crop, seed=seed)
+        traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
         rows.append(Table3Row(network=model, precisions=tuple(imap_precisions(traces))))
     return rows
 

@@ -48,14 +48,13 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    dataset: str = DEFAULT_DATASET,
     resolution: tuple[int, int] = (1080, 1920),
     schemes: tuple[str, ...] = TABLE5_SCHEMES,
 ) -> Table5Result:
     am: dict[str, float] = {s: 0.0 for s in schemes}
     for model in models:
         net = prepare_model(model, seed)
-        traces = traces_for(model, dataset, trace_count, crop, seed=seed)
+        traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
         for scheme in schemes:
             req = am_requirement_bytes(net, traces, scheme, *resolution)
             am[scheme] = max(am[scheme], req)

@@ -38,7 +38,6 @@ def run(
     seed: int,
     scheme: str = "DeltaD16",
     memory: str = "DDR4-3200",
-    dataset: str = DEFAULT_DATASET,
 ) -> Table6Result:
     energy = EnergyModel()
     speedups = {}
@@ -47,11 +46,11 @@ def run(
         for model in models:
             vaa = simulate_network(
                 model, "VAA", scheme="NoCompression", memory=memory,
-                dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+                dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
             )
             res = simulate_network(
                 model, accel, scheme=scheme, memory=memory,
-                dataset_name=dataset, trace_count=trace_count, crop=crop, seed=seed,
+                dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
             )
             ratios.append(res.speedup_over(vaa))
         speedups[accel] = geomean(ratios)

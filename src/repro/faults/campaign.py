@@ -267,14 +267,12 @@ def run_campaign(
     return rows
 
 
-def run_length_amplification(
-    rows: Sequence[CampaignRow],
-    delta_site: str = "delta",
-) -> "dict[str, float]":
+def run_length_amplification(rows: Sequence[CampaignRow]) -> "dict[str, float]":
     """Error-run-length ratio DeltaD16 / Raw16 at matched (model, rate).
 
     The headline number of the study: how much longer corruption streaks
-    become when storage ships deltas instead of raw words.  Pairs where
+    become when storage ships deltas instead of raw words (the delta
+    site against the raw words in memory).  Pairs where
     either side observed no error runs are omitted (nothing to compare).
     """
     raw = {
@@ -284,7 +282,7 @@ def run_length_amplification(
     }
     out: "dict[str, float]" = {}
     for row in rows:
-        if row.point.scheme != "DeltaD16" or row.point.site != delta_site:
+        if row.point.scheme != "DeltaD16" or row.point.site != "delta":
             continue
         base = raw.get((row.point.fault_model, row.point.rate))
         if base and row.metrics.mean_run_length:

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.compression.bitplane import pack_payload, unpack_payload
 from repro.compression.codec import Encoded
+from repro.core.booth import WORD_BITS
 from repro.faults.models import (
     FaultModel,
     bits_to_words,
@@ -35,9 +36,6 @@ from repro.protect.ecc import codeword_bits
 from repro.protect.stream import ProtectedMap, RecoveryReport, read_protected
 
 __all__ = ["inject_words", "inject_encoded", "inject_deltas", "corrupt_protected_read"]
-
-#: Hardware storage word width (16-bit fixed point everywhere).
-WORD_BITS = 16
 
 
 def _to_unsigned(arr: np.ndarray, width: int) -> np.ndarray:

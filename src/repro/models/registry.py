@@ -111,33 +111,33 @@ def build_model(name: str, seed: int = DEFAULT_SEED) -> Network:
     return get_model_spec(name).builder(seed)
 
 
+#: Seeded crops each model calibrates on, and the dataset they come from.
+CALIB_COUNT = 2
+CALIB_DATASET = "Kodak24"
+
+
 @lru_cache(maxsize=32)
-def prepare_model(
-    name: str,
-    seed: int = DEFAULT_SEED,
-    calib_count: int = 2,
-    calib_dataset: str = "Kodak24",
-) -> Network:
+def prepare_model(name: str, seed: int = DEFAULT_SEED) -> Network:
     """Build and calibrate a model on seeded synthetic crops.
 
-    The calibration crops come from ``calib_dataset`` at the model's
-    ``trace_crop`` size and pass through its input adapter.  The returned
-    network is cached (in memory per process, and as a pickled calibrated
-    network in the :mod:`repro.cache` disk store); treat it as read-only.
+    The :data:`CALIB_COUNT` calibration crops come from
+    :data:`CALIB_DATASET` at the model's ``trace_crop`` size and pass
+    through its input adapter.  The returned network is cached (in memory
+    per process, and as a pickled calibrated network in the
+    :mod:`repro.cache` disk store); treat it as read-only.
     """
     get_model_spec(name)  # fail fast on unknown names, before any disk I/O
     return cache_store.fetch_or_compute(
         "models",
-        (name, seed, calib_count, calib_dataset),
-        lambda: _calibrate(name, seed, calib_count, calib_dataset),
+        (name, seed, CALIB_COUNT, CALIB_DATASET),
+        lambda: _calibrate(name, seed),
     )
 
 
-def _calibrate(name: str, seed: int, calib_count: int, calib_dataset: str) -> Network:
+def _calibrate(name: str, seed: int) -> Network:
     spec = get_model_spec(name)
     net = spec.builder(seed)
-    ds = dataset(calib_dataset)
-    crops = ds.crops(spec.trace_crop, calib_count, seed=seed)
+    crops = dataset(CALIB_DATASET).crops(spec.trace_crop, CALIB_COUNT, seed=seed)
     with timing.timed("models.calibrate"):
         net.calibrate([adapt_input(spec.input_adapter, crop) for crop in crops])
     return net

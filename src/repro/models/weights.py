@@ -25,6 +25,10 @@ def _binomial_kernel(size: int) -> np.ndarray:
     return k2d / k2d.sum()
 
 
+#: Range each filter's removed fraction of net DC response is drawn from.
+DC_SUPPRESSION = (0.7, 1.0)
+
+
 def synth_filter_bank(
     rng: np.random.Generator,
     out_channels: int,
@@ -32,7 +36,6 @@ def synth_filter_bank(
     kernel: int,
     smoothness: float = 0.5,
     gain: float = 1.0,
-    dc_suppression: tuple[float, float] = (0.7, 1.0),
 ) -> np.ndarray:
     """Random (K, C, k, k) filter bank with controllable low-pass bias.
 
@@ -40,8 +43,8 @@ def synth_filter_bank(
     pre-activation variance stays roughly constant through the network —
     keeping 16-bit fixed point comfortable at any depth.
 
-    ``dc_suppression`` draws, per filter, the fraction of its net DC
-    response to remove (uniform in the given range).  Trained
+    Each filter of a spatial kernel loses a fraction of its net DC
+    response, drawn uniformly from :data:`DC_SUPPRESSION`.  Trained
     image-reconstruction filters are predominantly band-pass *feature
     detectors* that retain only a small DC component: flat image regions
     then produce small, slowly-varying activations across all channels.
@@ -55,11 +58,6 @@ def synth_filter_bank(
     check_nonnegative("smoothness", smoothness)
     if smoothness > 1:
         raise ValueError(f"smoothness must be <= 1, got {smoothness}")
-    lo, hi = dc_suppression
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ValueError(
-            f"dc_suppression must satisfy 0 <= lo <= hi <= 1, got {dc_suppression}"
-        )
     white = rng.standard_normal((out_channels, in_channels, kernel, kernel))
     if kernel > 1 and smoothness > 0:
         lowpass = _binomial_kernel(kernel)
@@ -70,8 +68,8 @@ def synth_filter_bank(
         bank = (1.0 - smoothness) * white + smoothness * smooth
     else:
         bank = white
-    if kernel > 1 and hi > 0:
-        suppress = rng.uniform(lo, hi, (out_channels, 1, 1, 1))
+    if kernel > 1:
+        suppress = rng.uniform(*DC_SUPPRESSION, (out_channels, 1, 1, 1))
         bank = bank - suppress * bank.mean(axis=(1, 2, 3), keepdims=True)
     fan_in = in_channels * kernel * kernel
     std = bank.std()
@@ -93,16 +91,13 @@ def conv(
     smoothness: float = 0.5,
     gain: float = 1.0,
     padding: int | None = None,
-    dc_suppression: tuple[float, float] = (0.7, 1.0),
 ) -> Conv2d:
     """Build one synthetic convolution layer.
 
     ``sparsity`` sets the post-ReLU zero fraction the calibration pass will
     fit the bias for (ignored for linear layers).
     """
-    weights = synth_filter_bank(
-        rng, out_channels, in_channels, kernel, smoothness, gain, dc_suppression
-    )
+    weights = synth_filter_bank(rng, out_channels, in_channels, kernel, smoothness, gain)
     return Conv2d(
         name,
         in_channels,

@@ -38,7 +38,7 @@ from repro.utils.validation import (
 
 #: Upper bound on fractional bits for weights; avoids absurd scales when a
 #: synthetic filter bank happens to have tiny magnitudes.
-_MAX_WEIGHT_SCALE = 24
+MAX_WEIGHT_SCALE = 24
 
 
 def _max_scale_for(max_abs: float, bits: int, headroom: float = 1.0) -> int:
@@ -209,7 +209,7 @@ class Conv2d(Layer):
     # -- integer ----------------------------------------------------------
     def quantize(self, in_scale: int) -> int:
         max_w = float(np.max(np.abs(self.weights)))
-        self.weight_scale = min(_max_scale_for(max_w, ACT_BITS), _MAX_WEIGHT_SCALE)
+        self.weight_scale = min(_max_scale_for(max_w, ACT_BITS), MAX_WEIGHT_SCALE)
         # Stored at the datapath's 16-bit width (the scale above makes
         # every weight fit); conv2d_int widens them for the gemm.
         self.int_weights = narrowest_copy(

@@ -121,21 +121,18 @@ class Network:
             for add in adds:
                 add.unbind_input()
 
-    def calibrate(
-        self, images: Iterable[np.ndarray], global_format: bool = True
-    ) -> None:
+    def calibrate(self, images: Iterable[np.ndarray]) -> None:
         """Run the float calibration pass over ``images``.
 
         Fits sparsity-controlling biases (first image) and tracks per-layer
         output ranges (all images), then freezes fixed-point scales.
 
-        With ``global_format`` (the default) all convolution outputs share
-        one network-wide fixed-point format — the format a DaDianNao-style
-        16-bit datapath actually uses.  The layer with the widest dynamic
-        range sets the scale, and narrower layers occupy fewer bits of the
-        word; this is exactly what makes the paper's profiled per-layer
-        precisions (Table III) land well below 16.  Setting it to False
-        gives each layer its own optimal scale instead.
+        All convolution outputs share one network-wide fixed-point format
+        — the format a DaDianNao-style 16-bit datapath actually uses.  The
+        layer with the widest dynamic range sets the scale, and narrower
+        layers occupy fewer bits of the word; this is exactly what makes
+        the paper's profiled per-layer precisions (Table III) land well
+        below 16.
         """
         count = 0
         for image in images:
@@ -147,24 +144,23 @@ class Network:
             count += 1
         if count == 0:
             raise ValueError("calibrate() needs at least one image")
-        if global_format:
-            shared = min(
-                (
-                    _max_scale_for(layer._calib_max_abs, ACT_BITS, headroom=1.125)
-                    for layer in self.conv_layers
-                    if layer._calib_max_abs > 0
-                ),
-                default=None,
-            )
-            if shared is not None:
-                # A deployment format leaves safety margin above the
-                # calibration maximum (calibration set != field data); two
-                # extra integer bits is the conventional choice and is what
-                # leaves Table III's profiled precisions below the 16-bit
-                # word even for the widest layer.
-                shared -= GLOBAL_FORMAT_MARGIN_BITS
-                for layer in self.conv_layers:
-                    layer.forced_out_scale = int(np.clip(shared, 0, 15))
+        shared = min(
+            (
+                _max_scale_for(layer._calib_max_abs, ACT_BITS, headroom=1.125)
+                for layer in self.conv_layers
+                if layer._calib_max_abs > 0
+            ),
+            default=None,
+        )
+        if shared is not None:
+            # A deployment format leaves safety margin above the
+            # calibration maximum (calibration set != field data); two
+            # extra integer bits is the conventional choice and is what
+            # leaves Table III's profiled precisions below the 16-bit
+            # word even for the widest layer.
+            shared -= GLOBAL_FORMAT_MARGIN_BITS
+            for layer in self.conv_layers:
+                layer.forced_out_scale = int(np.clip(shared, 0, 15))
         scale = INPUT_SCALE
         for layer in self.layers:
             scale = layer.quantize(scale)

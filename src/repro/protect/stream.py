@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.compression.codec import CHECKSUM_BITS, Encoded, GroupCodec
 from repro.compression.schemes import planar_order
+from repro.core.booth import WORD_BITS
 from repro.core.differential import (
     keyframe_anchor_mask,
     keyframe_deltas,
@@ -57,9 +58,6 @@ __all__ = [
     "encode_stream_chunks",
     "decode_stream_chunks",
 ]
-
-#: Raw storage word width (anchors, stream ECC chunks).
-WORD_BITS = 16
 
 
 def _clip_payload(data: bytes, bits: int) -> bytes:

@@ -3,10 +3,7 @@
 Goldens must be byte-identical across runs, so serialization is strict:
 
 - dataclasses become plain dicts of their fields, plus any derived
-  metrics the class opts into via a ``__golden_properties__`` tuple;
-  fields named in a ``__golden_omit_none__`` tuple are skipped while
-  they hold ``None`` (how a class grows an optional knob without
-  rewriting every golden that serializes it),
+  metrics the class opts into via a ``__golden_properties__`` tuple,
 - every float is rounded to a fixed number of significant digits
   (:data:`SIG_DIGITS`) so irrelevant last-bit noise never churns a file,
 - NaN/infinity become the sentinel strings ``"NaN"`` / ``"Infinity"`` /
@@ -76,11 +73,9 @@ def to_jsonable(obj: Any, sig: int = SIG_DIGITS, _path: str = "$") -> Any:
     if isinstance(obj, np.ndarray):
         return to_jsonable(obj.tolist(), sig, _path)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        omit_none = getattr(type(obj), "__golden_omit_none__", ())
         out = {
             f.name: to_jsonable(getattr(obj, f.name), sig, f"{_path}/{f.name}")
             for f in dataclasses.fields(obj)
-            if not (f.name in omit_none and getattr(obj, f.name) is None)
         }
         for prop in getattr(type(obj), "__golden_properties__", ()):
             out[prop] = to_jsonable(getattr(obj, prop), sig, f"{_path}/{prop}")

@@ -164,7 +164,7 @@ def simulate_shard(
     max_batch = config.max_batch
     max_wait_s = config.max_wait_s
     capacity = config.queue_capacity
-    overhead_s = config.batch_overhead_s(times)
+    overhead_s = times.batch_overhead_s
     telemetry = ServeTelemetry(max_batch=max_batch, queue_capacity=capacity)
     storage = chaos.storage if chaos is not None else None
     state_bytes = times.state_bytes

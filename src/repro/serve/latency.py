@@ -26,12 +26,12 @@ Batches additionally pay one weight-stream load from off-chip memory
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.arch.cycles import LayerCycles, serial_layer_cycles
-from repro.arch.memory import MemorySystem, memory_system
+from repro.arch.memory import memory_system
 from repro.arch.sim import DEFAULT_MEMORY, HD_RESOLUTION, model_for
 from repro.arch.term_maps import padded_imap
 from repro.cache import store as cache_store
@@ -52,6 +52,8 @@ DEFAULT_ENGINES = ("VAA", "PRA", "Diffy")
 #: previous frame is resident.
 DIFFERENTIAL_ENGINES = frozenset({"Diffy"})
 
+#: Pixels the measured clip pans per frame.
+PAN_PX = 1
 
 
 @dataclass(frozen=True)
@@ -133,40 +135,24 @@ def measure_service_times(
     engines: Sequence[str] = DEFAULT_ENGINES,
     crop: int = 64,
     frames: int = 3,
-    pan_px: int = 1,
     resolution: tuple[int, int] = HD_RESOLUTION,
-    memory: "str | MemorySystem" = DEFAULT_MEMORY,
     seed: int = DEFAULT_SEED,
-    weight_scheme: Optional[str] = None,
 ) -> dict[str, ServiceTimes]:
     """Measure cold/warm service times for each engine on one model.
 
     Pure function of its arguments (the clip, weights and calibration are
     all seeded), so the result is disk-cached; a cold run recomputes the
-    identical values.
-
-    ``weight_scheme`` names a ``repro.weights`` scheme to price the
-    per-batch weight-stream load (``batch_overhead_s``) under; the
-    default keeps the dense 16-bit filters — same cache key, same floats,
-    byte-identical to every existing caller.
+    identical values.  The clip pans :data:`PAN_PX` pixels per frame and
+    weights stream from :data:`repro.arch.sim.DEFAULT_MEMORY`.
     """
     if frames < 2:
         raise ValueError(f"need >= 2 frames to measure warm service, got {frames}")
-    mem = memory if isinstance(memory, MemorySystem) else memory_system(memory)
-    key: tuple = (
-        model_name, tuple(engines), crop, frames, pan_px, resolution, mem.name, seed,
-    )
-    if weight_scheme is not None:
-        # Suffix only when set: the default key (and its on-disk entries)
-        # predates the knob and must keep resolving byte-identically.
-        key = key + (("weights", weight_scheme),)
+    engines = tuple(engines)
+    key = (model_name, engines, crop, frames, PAN_PX, resolution, DEFAULT_MEMORY, seed)
     return cache_store.fetch_or_compute(
         "serve_times",
         key,
-        lambda: _measure(
-            model_name, tuple(engines), crop, frames, pan_px, resolution, mem, seed,
-            weight_scheme,
-        ),
+        lambda: _measure(model_name, engines, crop, frames, resolution, seed),
     )
 
 
@@ -175,24 +161,17 @@ def _measure(
     engines: tuple,
     crop: int,
     frames: int,
-    pan_px: int,
     resolution: tuple,
-    mem: MemorySystem,
     seed: int,
-    weight_scheme: Optional[str] = None,
 ) -> dict[str, ServiceTimes]:
     spec = get_model_spec(model_name)
     net = prepare_model(model_name, seed)
-    clip = synthesize_clip(frames, crop, crop, pan_px=pan_px, seed=seed)
+    clip = synthesize_clip(frames, crop, crop, pan_px=PAN_PX, seed=seed)
     with timing.timed("serve.trace_clip"):
         traces = [net.trace(adapt_input(spec.input_adapter, f)) for f in clip]
     shapes = conv_layer_shapes(net, *resolution)
-    if weight_scheme is None:
-        weight_bytes: float = sum(s.weight_bytes for s in shapes)
-    else:
-        from repro.weights.schemes import network_weight_bytes
-
-        weight_bytes = network_weight_bytes(net, weight_scheme)
+    weight_bytes = sum(s.weight_bytes for s in shapes)
+    mem = memory_system(DEFAULT_MEMORY)
     state_bytes = sum(s.imap_values * 2 for s in shapes)
     out = {}
     for engine in engines:

@@ -43,13 +43,6 @@ class ServeConfig:
     #: Total bytes of per-session temporal state the service may keep
     #: resident (0 disables temporal serving entirely).
     state_capacity_bytes: int = 0
-    #: Optional per-batch weight-stream load time (e.g. a compressed MSR4W
-    #: stream) replacing the measured dense ``batch_overhead_s``.
-    #: ``None`` keeps every existing golden byte-identical.
-    weight_stream_s: Optional[float] = None
-
-    #: Serialized configs predate the knob; omit it until it is set.
-    __golden_omit_none__ = ("weight_stream_s",)
 
     def __post_init__(self) -> None:
         check_positive("workers", self.workers)
@@ -60,18 +53,6 @@ class ServeConfig:
         check_positive("max_batch", self.max_batch)
         if self.max_wait_s < 0:
             raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
-        if self.weight_stream_s is not None and self.weight_stream_s < 0:
-            raise ValueError(f"weight_stream_s must be >= 0, got {self.weight_stream_s}")
-
-    def batch_overhead_s(self, times: ServiceTimes) -> float:
-        """Per-batch fixed cost: one weight-stream load.
-
-        ``weight_stream_s`` overrides the engine's measured dense
-        overhead when set; unset, the measured float is used unchanged.
-        """
-        if self.weight_stream_s is not None:
-            return self.weight_stream_s
-        return times.batch_overhead_s
 
 
 @dataclass(frozen=True)
@@ -137,7 +118,7 @@ def serve_workload(
         offered_rps=len(requests) / duration_s,
         cold_service_s=times.cold_s,
         warm_service_s=times.warm_s,
-        batch_overhead_s=config.batch_overhead_s(times),
+        batch_overhead_s=times.batch_overhead_s,
         metrics=result.telemetry.snapshot(duration_s, config.workers),
         warm_served=stats.warm,
         cold_served=stats.cold,

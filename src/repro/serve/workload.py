@@ -129,12 +129,18 @@ def offered_rps(requests: list[Request], spec: WorkloadSpec) -> float:
     return len(requests) / spec.duration_s
 
 
+#: A motion burst holds ``motion=BURST_MOTION`` for ``BURST_FRAMES`` frames.
+BURST_FRAMES = 3
+BURST_MOTION = 2.0
+
+#: Inter-frame interval multipliers a VFR session switches between.
+VFR_INTERVAL_SCALES = (0.5, 1.0, 2.0)
+
+
 def apply_scene_dynamics(
     requests: "list[Request]",
     cut_probability: float = 0.0,
     burst_probability: float = 0.0,
-    burst_frames: int = 3,
-    burst_motion: float = 2.0,
     seed: int = DEFAULT_SEED,
 ) -> "list[Request]":
     """Overlay seeded scene cuts and motion bursts on a generated workload.
@@ -149,7 +155,7 @@ def apply_scene_dynamics(
 
     - each non-head frame starts a new scene with ``cut_probability``;
     - each frame starts a motion burst with ``burst_probability``; a
-      burst holds ``motion=burst_motion`` for ``burst_frames`` frames
+      burst holds ``motion=BURST_MOTION`` for :data:`BURST_FRAMES` frames
       (bursts overlap by extension, they do not stack).
 
     Returns a new request list in the same order.  With both
@@ -159,9 +165,6 @@ def apply_scene_dynamics(
     for name, p in (("cut_probability", cut_probability), ("burst_probability", burst_probability)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {p}")
-    check_positive("burst_frames", burst_frames)
-    if burst_motion < 1.0:
-        raise ValueError(f"burst_motion must be >= 1, got {burst_motion}")
     if cut_probability == 0.0 and burst_probability == 0.0:
         return list(requests)
     frames_by_session: "dict[int, set[int]]" = {}
@@ -174,8 +177,8 @@ def apply_scene_dynamics(
         for f in sorted(frames_by_session[sid]):
             cut = rng.random() < cut_probability and f > 0
             if rng.random() < burst_probability:
-                burst_until = max(burst_until, f + burst_frames - 1)
-            motion = burst_motion if f <= burst_until else 1.0
+                burst_until = max(burst_until, f + BURST_FRAMES - 1)
+            motion = BURST_MOTION if f <= burst_until else 1.0
             dynamics[(sid, f)] = (cut, motion)
     return [
         Request(
@@ -192,7 +195,6 @@ def apply_scene_dynamics(
 
 def generate_vfr_requests(
     spec: WorkloadSpec,
-    interval_scales: "tuple[float, ...]" = (0.5, 1.0, 2.0),
     switch_probability: float = 0.1,
     seed: "int | None" = None,
 ) -> list[Request]:
@@ -202,7 +204,7 @@ def generate_vfr_requests(
     thermal throttling, tab focus): after each frame the session switches
     with ``switch_probability`` to a fresh inter-frame interval —
     ``spec.frame_interval_s`` times a uniformly drawn entry of
-    ``interval_scales``.  A faster cadence packs more frames into the
+    :data:`VFR_INTERVAL_SCALES`.  A faster cadence packs more frames into the
     same service capacity; a slower one stretches the session and widens
     the re-anchor exposure window — both move the drift detector's
     observation cadence, which is why the calibration experiments use
@@ -217,10 +219,6 @@ def generate_vfr_requests(
     """
     if not 0.0 <= switch_probability <= 1.0:
         raise ValueError(f"switch_probability must be in [0, 1], got {switch_probability}")
-    if not interval_scales:
-        raise ValueError("interval_scales must be non-empty")
-    for s in interval_scales:
-        check_positive("interval_scales entry", s)
     vfr_seed = spec.seed if seed is None else seed
     if switch_probability == 0.0:
         # Bit-identical fall-through (same floats, not just same times).
@@ -233,7 +231,7 @@ def generate_vfr_requests(
         for f in range(spec.frames_per_session):
             requests.append(Request(session_id=sid, frame_index=f, arrival_s=t))
             if switch_probability and rng.random() < switch_probability:
-                scale = float(interval_scales[int(rng.integers(len(interval_scales)))])
+                scale = VFR_INTERVAL_SCALES[int(rng.integers(len(VFR_INTERVAL_SCALES)))]
                 interval = spec.frame_interval_s * scale
             t += interval
     requests.sort(key=lambda r: (r.arrival_s, r.session_id, r.frame_index))

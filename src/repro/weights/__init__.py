@@ -25,7 +25,6 @@ from repro.weights.schemes import (
     WEIGHT_SCHEMES,
     WeightScheme,
     network_weight_bits,
-    network_weight_bytes,
     weight_scheme,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "msr_coverage",
     "network_int8_weights",
     "network_weight_bits",
-    "network_weight_bytes",
     "quantize_weights_int8",
     "weight_scale_int8",
     "weight_scheme",

@@ -5,8 +5,7 @@ axis: ``Raw16W`` is the dense 16-bit baseline every existing ladder
 already prices (``LayerShape.weight_bytes``), ``Raw8W`` the calibrated
 INT8 layout, and ``MSR4W`` the MSR-compacted INT8 stream.  Pricing is
 exact — ``MSR4W`` accounts via the codec's per-column layout, not a
-ratio estimate — so the Fig 5/Fig 14 composed ladders and the serve
-weight-stream knob all agree to the bit.
+ratio estimate — so the Fig 5/Fig 14 composed ladders agree to the bit.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "WEIGHT_SCHEMES",
     "WeightScheme",
     "network_weight_bits",
-    "network_weight_bytes",
     "weight_scheme",
 ]
 
@@ -91,7 +89,3 @@ def network_weight_bits(network, scheme_name: str) -> "dict[str, int]":
         out[layer.name] = scheme.encoded_bits(int_w)
     return out
 
-
-def network_weight_bytes(network, scheme_name: str) -> float:
-    """Total network weight storage in bytes under a named scheme."""
-    return sum(network_weight_bits(network, scheme_name).values()) / 8.0

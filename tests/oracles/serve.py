@@ -123,13 +123,11 @@ class BatchPolicy:
     how long the oldest queued request may wait for co-batching before a
     partial batch is dispatched anyway.  ``max_wait_s=0`` degenerates to
     greedy per-arrival dispatch (batches form only while workers are
-    busy).  ``weight_stream_s``, when set, replaces the measured dense
-    per-batch overhead.
+    busy).
     """
 
     max_batch: int = 4
     max_wait_s: float = 0.0
-    weight_stream_s: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -246,7 +244,7 @@ class InferenceService:
     def __init__(self, times: ServiceTimes, config: ServeConfig):
         self.times = times
         self.config = config
-        self.policy = BatchPolicy(config.max_batch, config.max_wait_s, config.weight_stream_s)
+        self.policy = BatchPolicy(config.max_batch, config.max_wait_s)
         self.queue = BoundedQueue(config.queue_capacity)
         self.state = TemporalStateStore(config.state_capacity_bytes, times.state_bytes)
         self.telemetry = PerEventTelemetry(
@@ -284,12 +282,6 @@ class InferenceService:
 
     # ---- scheduling ------------------------------------------------------
 
-    def _batch_overhead_s(self) -> float:
-        """Per-batch fixed cost: one weight-stream load."""
-        if self.policy.weight_stream_s is not None:
-            return self.policy.weight_stream_s
-        return self.times.batch_overhead_s
-
     def _try_dispatch(self) -> None:
         now = self.clock.now
         while self.idle_workers > 0:
@@ -299,7 +291,7 @@ class InferenceService:
             if not batch_ready(self.queue, self.policy, now):
                 break
             batch = self.queue.take(self.policy.max_batch)
-            service_s = self._batch_overhead_s()
+            service_s = self.times.batch_overhead_s
             for item in batch:
                 request = item.request
                 mode = self.state.serve(
@@ -342,7 +334,7 @@ class InferenceService:
             offered_rps=len(requests) / duration_s,
             cold_service_s=self.times.cold_s,
             warm_service_s=self.times.warm_s,
-            batch_overhead_s=self._batch_overhead_s(),
+            batch_overhead_s=self.times.batch_overhead_s,
             metrics=self.telemetry.snapshot(duration_s, self.config.workers),
             warm_served=stats.warm,
             cold_served=stats.cold,

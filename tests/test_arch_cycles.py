@@ -15,7 +15,7 @@ from repro.arch.cycles import (
     serial_layer_cycles,
     step_term_maxima,
 )
-from repro.arch.term_maps import lower_layer
+from repro.arch.term_maps import delta_term_map, raw_term_map
 from repro.nn.trace import ConvLayerTrace
 from tests.oracles import (
     lane_term_totals_loops,
@@ -356,12 +356,10 @@ class TestHeadSpliceMatchesTwoAggregateSpec:
         cfg = dataclasses.replace(DIFFY_CONFIG, sync=sync)
         dilated = max(ircnn_trace, key=lambda layer: layer.dilation)
         for layer in (dncnn_trace[0], dncnn_trace[1], dncnn_trace[-1], dilated):
-            lowered = lower_layer(layer, axis=axis)
-            args = (layer, lowered.delta_terms, cfg)
-            got = serial_layer_cycles(*args, head_term_map=lowered.raw_terms, axis=axis)
-            want = serial_layer_cycles_two_aggregates(
-                *args, head_term_map=lowered.raw_terms, axis=axis
-            )
+            args = (layer, delta_term_map(layer, axis=axis), cfg)
+            raw = raw_term_map(layer)
+            got = serial_layer_cycles(*args, head_term_map=raw, axis=axis)
+            want = serial_layer_cycles_two_aggregates(*args, head_term_map=raw, axis=axis)
             assert got == want
 
     @pytest.mark.parametrize("sync", ["column", "pallet"])

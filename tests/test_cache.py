@@ -11,6 +11,7 @@ from repro.cache import store
 from repro.data.datasets import dataset
 from repro.experiments.common import traces_for
 from repro.models.registry import prepare_model
+from repro.serve.latency import measure_service_times
 from repro.utils import timing
 from tests.conftest import small_trace
 
@@ -256,6 +257,46 @@ class TestCropKeyNormalization:
         assert a is b, "normalized keys must hit the same memo entry"
         trace_entries = list((fresh_cache / "traces").rglob("*.pkl"))
         assert len(trace_entries) == 1
+
+
+class TestPinnedKeys:
+    """The disk keys of calibrated models and measured service times are
+    pinned tuples: a changed key silently orphans every entry a restored
+    cache holds, so the cost of a refactor would show only as a cold CI."""
+
+    @pytest.fixture()
+    def keys(self, monkeypatch):
+        recorded = []
+
+        def record(namespace, key, compute):
+            recorded.append((namespace, key))
+            return {}
+
+        store.clear_memory_caches()
+        monkeypatch.setattr(store, "fetch_or_compute", record)
+        yield recorded
+        store.clear_memory_caches()
+
+    def test_schema_version(self):
+        assert store.CACHE_SCHEMA_VERSION == 3
+
+    def test_prepare_model_key(self, keys):
+        prepare_model("IRCNN", 7)
+        assert keys == [("models", ("IRCNN", 7, 2, "Kodak24"))]
+
+    def test_measure_service_times_key(self, keys):
+        measure_service_times("IRCNN", engines=["VAA", "Diffy"], crop=32, seed=5)
+        measure_service_times("DnCNN")
+        assert keys == [
+            (
+                "serve_times",
+                ("IRCNN", ("VAA", "Diffy"), 32, 3, 1, (1080, 1920), "DDR4-3200", 5),
+            ),
+            (
+                "serve_times",
+                ("DnCNN", ("VAA", "PRA", "Diffy"), 64, 3, 1, (1080, 1920), "DDR4-3200", 0xD1FF),
+            ),
+        ]
 
 
 class TestQuarantineCap:

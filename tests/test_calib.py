@@ -21,7 +21,14 @@ from repro.calib.recalibrate import (
 from repro.calib.shadow import FrameSample, Reservoir, ShadowCounters
 from repro.calib.stats import CalibStats, _layer_stats
 from repro.core.precision import MAX_PRECISION
-from repro.data.synthesis import DriftPhase, DriftSchedule, generate_drift_schedule
+from repro.data.synthesis import (
+    DRIFT_BASE_PROFILE,
+    DRIFT_SHIFT_PROFILES,
+    RAMP_FRACTION,
+    DriftPhase,
+    DriftSchedule,
+    generate_drift_schedule,
+)
 from repro.serve.state import TemporalStateStore
 from repro.serve.telemetry import CalibTelemetry
 
@@ -292,13 +299,46 @@ class TestController:
         assert ctl.table.version == 0
 
 
+class TestDriftSchedule:
+    def test_identity_schedule_holds_the_base_profile(self):
+        sched = generate_drift_schedule(30.0, 1.0)
+        assert sched.phases == (DriftPhase(0.0, 1.0, 1.0, 0.0, DRIFT_BASE_PROFILE),)
+
+    def test_events_ramp_and_shift_within_fixed_bounds(self):
+        duration, magnitude, events = 60.0, 3.0, 6
+        slot = duration / (events + 1)
+        log_mag = float(np.log(magnitude))
+        shifted = set()
+        for seed in range(4):
+            sched = generate_drift_schedule(duration, magnitude, events=events, seed=seed)
+            head, *rest = sched.phases
+            assert head == DriftPhase(0.0, 1.0, 1.0, 0.0, DRIFT_BASE_PROFILE)
+            assert len(rest) == events
+            prev = head
+            for k, phase in enumerate(rest):
+                # Each event sits in the middle half of its own slot.
+                assert abs(phase.start_s - slot * (k + 1)) <= 0.25 * slot
+                assert phase.ramp_s == RAMP_FRACTION * slot
+                # Gains chain, and every excursion is a real one.
+                assert phase.gain0 == prev.gain1
+                excursion = abs(float(np.log(phase.gain1)))
+                assert 0.5 * log_mag - 1e-12 <= excursion <= log_mag + 1e-12
+                assert phase.profile in (prev.profile, *DRIFT_SHIFT_PROFILES)
+                shifted.add(phase.profile)
+                prev = phase
+        assert shifted & set(DRIFT_SHIFT_PROFILES)
+
+
 class TestCalibSpec:
     def test_validates_mode_and_profile_coverage(self):
         sched = generate_drift_schedule(10.0, 1.0)
         with pytest.raises(ValueError):
             CalibSpec(model="DnCNN", schedule=sched, mode="off")
-        shifted = generate_drift_schedule(10.0, 2.0, base_profile="texture")
-        with pytest.raises(ValueError):
+        shifted = DriftSchedule(
+            10.0,
+            (DriftPhase(0.0, 1.0, 1.0, 0.0, "nature"), DriftPhase(5.0, 1.0, 2.0, 1.0, "texture")),
+        )
+        with pytest.raises(ValueError, match="texture"):
             CalibSpec(model="DnCNN", schedule=shifted, profiles=("nature",))
 
 

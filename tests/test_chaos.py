@@ -28,7 +28,13 @@ from repro.serve.chaos.telemetry import ChaosTelemetry
 from repro.serve.fleet import FleetConfig, ShardStream, simulate_fleet, simulate_shard
 from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig
-from repro.serve.workload import WorkloadSpec, apply_scene_dynamics, generate_requests
+from repro.serve.workload import (
+    BURST_FRAMES,
+    BURST_MOTION,
+    WorkloadSpec,
+    apply_scene_dynamics,
+    generate_requests,
+)
 from repro.utils.rng import DEFAULT_SEED
 
 
@@ -400,6 +406,32 @@ class TestSceneDynamics:
         assert any(r.scene_cut for r in a)
         assert all(not r.scene_cut for r in a if r.frame_index == 0)
         assert any(r.motion > 1.0 for r in a)
+
+    def test_bursts_hold_burst_motion_for_burst_frames(self):
+        spec = _spec(frames_per_session=12)
+        reqs = apply_scene_dynamics(generate_requests(spec), burst_probability=0.1, seed=7)
+        by_session = {}
+        for r in reqs:
+            by_session.setdefault(r.session_id, []).append(r)
+        runs = 0
+        for frames in by_session.values():
+            frames.sort(key=lambda r: r.frame_index)
+            motions = [r.motion for r in frames]
+            assert set(motions) <= {1.0, BURST_MOTION}
+            # A burst never ends early: each run of burst frames is at
+            # least BURST_FRAMES long unless the clip ends first.
+            f = 0
+            while f < len(motions):
+                if motions[f] == 1.0:
+                    f += 1
+                    continue
+                end = f
+                while end < len(motions) and motions[end] == BURST_MOTION:
+                    end += 1
+                assert end - f >= BURST_FRAMES or end == len(motions)
+                runs += 1
+                f = end
+        assert runs > 0
 
     def test_reanchors_spike_at_scene_cuts(self):
         # The satellite regression: with no shed/eviction pressure, every

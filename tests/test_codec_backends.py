@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import term_maps
 from repro.compression.codec import CHECKSUM_BITS, GroupCodec
+from repro.core.layer_memo import clear_memos
 from repro.core.precision import HEADER_BITS, group_precisions
 from repro.faults.inject import inject_encoded
 from repro.faults.models import BitFlip
@@ -227,14 +228,20 @@ class TestCRC8:
 class TestLowering:
     def test_repeat_evaluations_reuse_lowered_artifacts(self, dncnn_trace):
         layer = dncnn_trace[2]
-        term_maps.clear_term_maps()
+        clear_memos()
         term_maps.reset_lowering_stats()
-        lowered = term_maps.lower_layer(layer)
-        first = (lowered.padded, lowered.raw_terms, lowered.delta_terms)
+
+        def lowered():
+            return (
+                term_maps.padded_imap(layer),
+                term_maps.raw_term_map(layer),
+                term_maps.delta_term_map(layer),
+            )
+
+        first = lowered()
         computed_once = term_maps.lowering_stats()["computed"]
-        # A second evaluation — fresh view, same layer — recomputes nothing.
-        again = term_maps.lower_layer(layer)
-        second = (again.padded, again.raw_terms, again.delta_terms)
+        # A second evaluation of the same layer recomputes nothing.
+        second = lowered()
         stats = term_maps.lowering_stats()
         assert stats["computed"] == computed_once
         assert stats["reused"] >= 3
@@ -244,13 +251,13 @@ class TestLowering:
 
     def test_group_geometry_memoized(self, dncnn_trace):
         layer = dncnn_trace[2]
-        term_maps.clear_term_maps()
-        geo = term_maps.lower_layer(layer).group_geometry(16, signed=False)
+        clear_memos()
+        geo = term_maps.group_geometry(layer, 16)
         assert geo is term_maps.group_geometry(layer, 16, signed=False)
 
-    def test_lower_layer_validates_axis(self, dncnn_trace):
+    def test_delta_term_map_validates_axis(self, dncnn_trace):
         with pytest.raises(ValueError, match="axis"):
-            term_maps.lower_layer(dncnn_trace[0], axis="z")
+            term_maps.delta_term_map(dncnn_trace[0], axis="z")
 
 
 class TestDownstreamIdentity:

@@ -19,8 +19,8 @@ from repro.compression.schemes import (
     RLERepeat,
     RLEZero,
     RawDynamic,
+    planar_order,
     scheme,
-    storage_order,
 )
 from repro.compression.traffic import network_traffic, normalized_traffic
 from repro.models.registry import prepare_model
@@ -31,16 +31,15 @@ def _map(values):
     return arr.reshape(1, 1, -1)
 
 
-class TestStorageOrder:
-    def test_channel_innermost(self):
+class TestPlanarOrder:
+    def test_width_innermost(self):
         fmap = np.arange(2 * 2 * 2).reshape(2, 2, 2)
-        flat = storage_order(fmap)
-        # (y,x,c) order: (0,0,c0),(0,0,c1),(0,1,c0)...
-        assert np.array_equal(flat, [0, 4, 1, 5, 2, 6, 3, 7])
+        # (c,y,x) order: one feature-map row after another.
+        assert np.array_equal(planar_order(fmap), np.arange(8))
 
     def test_rejects_non_3d(self):
         with pytest.raises(ValueError):
-            storage_order(np.zeros((2, 2)))
+            planar_order(np.zeros((2, 2)))
 
 
 class TestNoCompression:

@@ -169,20 +169,25 @@ class TestShardEquivalence:
             assert _canonical(served) == _canonical(ref), wait
             assert ref.metrics["completed"] > 0
 
-    def test_weight_stream_prices_every_batch(self):
-        # A fleet configured for a compressed weight stream prices its
-        # batches with it, exactly as the single-node service does.
+    def test_batch_overhead_prices_every_batch(self):
+        # Every dispatched batch pays the measured per-batch weight load,
+        # in the shard engine, the single-node service and a 1-node fleet.
         reqs = generate_requests(_spec())
-        cfg = _node(weight_stream_s=0.001)
-        ref = InferenceService(_times(), cfg)
+        cfg = _node(workers=8, queue_capacity=512, deadline_s=100.0)
+        free = simulate_shard(ShardStream.from_requests(0, reqs), _times(overhead=0.0), cfg)
+        paid = simulate_shard(ShardStream.from_requests(0, reqs), _times(overhead=0.002), cfg)
+        ref = InferenceService(_times(overhead=0.002), cfg)
         ref.run(reqs, 10.0)
-        res = simulate_shard(ShardStream.from_requests(0, reqs), _times(), cfg)
-        assert res.telemetry.busy_s == ref.telemetry.busy_s
-        fleet = simulate_fleet(reqs, _times(), FleetConfig(nodes=1, node=cfg), 10.0)
-        served = serve_workload(reqs, _times(), cfg, duration_s=10.0)
+        assert paid.telemetry.busy_s == ref.telemetry.busy_s
+        # With idle workers to spare, batches form identically either way.
+        assert paid.telemetry.batch_sizes.counts == free.telemetry.batch_sizes.counts
+        batches = paid.telemetry.batches
+        assert batches > 0
+        assert paid.telemetry.busy_s - free.telemetry.busy_s == pytest.approx(0.002 * batches)
+        served = serve_workload(reqs, _times(overhead=0.002), cfg, duration_s=10.0)
+        fleet = simulate_fleet(reqs, _times(overhead=0.002), FleetConfig(nodes=1, node=cfg), 10.0)
+        assert served.batch_overhead_s == 0.002
         assert fleet.metrics["utilization"] == served.metrics["utilization"]
-        dense = serve_workload(reqs, _times(), _node(), duration_s=10.0)
-        assert served.metrics["utilization"] < dense.metrics["utilization"]
 
     def test_telemetry_identical_under_shedding_pressure(self):
         cfg = _node(workers=1, queue_capacity=3, deadline_s=0.1, state_capacity_bytes=3000)

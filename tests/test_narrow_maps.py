@@ -33,7 +33,7 @@ from repro.arch.cycles import (
 )
 from repro.arch.sim import model_for
 from repro.arch.term_maps import delta_term_map, padded_imap, raw_term_map, vp_term_map
-from repro.compression.schemes import SCHEMES, planar_order, storage_order
+from repro.compression.schemes import SCHEMES, planar_order
 from repro.core import layer_memo
 from repro.core.booth import booth_terms, term_count_lut
 from repro.core.deltas import spatial_deltas
@@ -177,10 +177,9 @@ class TestFloatMapsRejected:
         with pytest.raises(ValueError, match="values must have"):
             group_precisions(self.FLOATS.reshape(-1))
 
-    def test_storage_orders(self):
-        for order in (storage_order, planar_order):
-            with pytest.raises(ValueError, match="fmap must have"):
-                order(self.FLOATS)
+    def test_planar_order(self):
+        with pytest.raises(ValueError, match="fmap must have"):
+            planar_order(self.FLOATS)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_every_scheme(self, name):

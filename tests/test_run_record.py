@@ -60,10 +60,10 @@ class TestRunRecord:
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         assert store.fetch_or_compute("record", (1,), lambda: 10) == 10
 
-        # Lowering: the first view computes, the second reuses.
+        # Lowering: the first lookup computes, the second reuses.
         layer = _tiny_layer()
-        padded = term_maps.lower_layer(layer).padded
-        assert term_maps.lower_layer(layer).padded is padded
+        padded = term_maps.padded_imap(layer)
+        assert term_maps.padded_imap(layer) is padded
 
         # Codecs: one activation and one weight round-trip.
         group = GroupCodec(group_size=16, signed=True)

@@ -7,11 +7,13 @@ from repro.serve.latency import ServiceTimes, measure_service_times
 from repro.serve.service import ServeConfig, serve_workload
 from repro.serve.state import TemporalStateStore
 from repro.serve.workload import (
+    VFR_INTERVAL_SCALES,
     Request,
     WorkloadSpec,
     diurnal_rate,
     generate_diurnal_requests,
     generate_requests,
+    generate_vfr_requests,
     offered_rps,
 )
 from tests.oracles.serve import (
@@ -207,6 +209,33 @@ class TestWorkload:
             generate_diurnal_requests(spec, amplitude=0.5, period_s=0.0)
         with pytest.raises(ValueError, match="poisson"):
             generate_diurnal_requests(self.spec(process="bursty"), 0.5, 10.0)
+
+    def test_vfr_without_switches_is_the_fixed_rate_workload(self):
+        spec = self.spec()
+        assert generate_vfr_requests(spec, switch_probability=0.0) == generate_requests(spec)
+
+    def test_vfr_intervals_come_from_the_scale_set(self):
+        spec = self.spec(frames_per_session=12)
+        reqs = generate_vfr_requests(spec, switch_probability=1.0)
+        fixed = generate_requests(spec)
+        assert len(reqs) == len(fixed)
+        by_session = {}
+        for r in reqs:
+            by_session.setdefault(r.session_id, []).append(r)
+        heads = {r.session_id: r.arrival_s for r in fixed if r.frame_index == 0}
+        allowed = [spec.frame_interval_s * s for s in VFR_INTERVAL_SCALES]
+        seen = set()
+        for sid, frames in by_session.items():
+            frames.sort(key=lambda r: r.frame_index)
+            # Session starts are the fixed-rate generator's, to the bit.
+            assert frames[0].arrival_s == heads[sid]
+            for a, b in zip(frames, frames[1:]):
+                gap = b.arrival_s - a.arrival_s
+                match = [i for i, iv in enumerate(allowed) if gap == pytest.approx(iv)]
+                assert match, gap
+                seen.update(match)
+        # Every scale is drawn somewhere, so the cadence really varies.
+        assert seen == set(range(len(VFR_INTERVAL_SCALES)))
 
 
 class TestTemporalStateStore:

@@ -8,6 +8,7 @@ from repro.compression.codec import Encoded
 from repro.compression.footprint import composed_footprints
 from repro.compression.traffic import composed_traffic, network_traffic
 from repro.models.registry import prepare_model
+from repro.nn.layers import MAX_WEIGHT_SCALE
 from repro.nn.shapes import conv_layer_shapes
 from repro.protect.stream import encode_stream_chunks, read_stream
 from repro.utils.bits import signed_range
@@ -16,7 +17,6 @@ from repro.weights import (
     msr_coverage,
     network_int8_weights,
     network_weight_bits,
-    network_weight_bytes,
     quantize_weights_int8,
     weight_scale_int8,
     weight_scheme,
@@ -47,6 +47,15 @@ class TestQuantization:
         ints, scale = quantize_weights_int8(np.zeros(16))
         assert scale == 0 and not ints.any()
 
+    def test_scale_capped_like_the_datapath(self):
+        # Tiny filters would ask for an absurd shift; INT8 calibration
+        # stops at the same cap the 16-bit datapath's weights use.
+        weights = np.full(16, 2e-7)
+        assert weight_scale_int8(weights) == MAX_WEIGHT_SCALE
+        ints, scale = quantize_weights_int8(weights)
+        assert scale == MAX_WEIGHT_SCALE
+        assert ints.tolist() == [3] * 16  # 2e-7 * 2**24 = 3.36
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             weight_scale_int8(np.array([1.0, np.inf]))
@@ -67,9 +76,6 @@ class TestWeightSchemes:
         bits = network_weight_bits(net, "Raw16W")
         shapes = conv_layer_shapes(net, 32, 32)
         assert sum(bits.values()) == sum(s.weight_bytes * 8 for s in shapes)
-        assert network_weight_bytes(net, "Raw16W") == sum(
-            s.weight_bytes for s in shapes
-        )
 
     def test_msr_beats_raw8(self, tiny_network):
         net, _ = tiny_network
