@@ -107,10 +107,9 @@ class EntropyStats:
         return self.h_raw / self.h_delta if self.h_delta > 0 else float("inf")
 
 
-def trace_entropy_stats(
-    traces: Sequence[ActivationTrace], axis: str = "x"
-) -> EntropyStats:
-    """Average H(A), H(A|A'), H(Delta) across all imaps of the traces.
+def trace_entropy_stats(traces: Sequence[ActivationTrace]) -> EntropyStats:
+    """Average H(A), H(A|A'), H(Delta) across all imaps of the traces,
+    with neighbours along x.
 
     Layer entropies are weighted by value count, i.e. the statistics
     describe the network's whole activation stream, as in Fig 1.
@@ -123,8 +122,8 @@ def trace_entropy_stats(
         for layer in trace:
             n = layer.imap.size
             h_raw += entropy(layer.imap) * n
-            h_cond += conditional_entropy_adjacent(layer.imap, axis) * n
-            h_del += delta_entropy(layer.imap, axis) * n
+            h_cond += conditional_entropy_adjacent(layer.imap) * n
+            h_del += delta_entropy(layer.imap) * n
             weight += n
     return EntropyStats(
         network=traces[0].network,

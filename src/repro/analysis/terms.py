@@ -16,7 +16,8 @@ from repro.core.booth import WORD_BITS, booth_terms
 from repro.core.deltas import spatial_deltas
 from repro.nn.trace import ActivationTrace
 
-#: NAF of a 16-bit value has at most ceil((WORD_BITS + 1) / 2) nonzero digits.
+#: Largest histogram bin.  Radix-4 Booth needs at most 8 terms per 16-bit
+#: word, so the last bin stays empty; it keeps the Fig 3 histograms' length.
 MAX_TERMS = (WORD_BITS + 2) // 2
 
 
@@ -72,11 +73,11 @@ class TermStats:
         return float((self.hist_delta * n).sum() / self.hist_delta.sum())
 
 
-def trace_term_stats(traces: Sequence[ActivationTrace], axis: str = "x") -> TermStats:
+def trace_term_stats(traces: Sequence[ActivationTrace]) -> TermStats:
     """Accumulate Fig 3's histograms over every imap of every trace.
 
-    The delta stream follows the paper's dataflow: the first value of each
-    chain stays raw (it is what the hardware actually processes).
+    The delta stream follows the paper's dataflow (chains along x): the
+    first value of each chain stays raw (it is what the hardware actually processes).
     """
     if not traces:
         raise ValueError("need at least one trace")
@@ -86,6 +87,6 @@ def trace_term_stats(traces: Sequence[ActivationTrace], axis: str = "x") -> Term
     for trace in traces:
         for layer in trace:
             hist_raw += term_histogram(layer.imap)
-            deltas = np.clip(spatial_deltas(layer.imap, axis=axis), clip_lo, clip_hi)
+            deltas = np.clip(spatial_deltas(layer.imap), clip_lo, clip_hi)
             hist_delta += term_histogram(deltas)
     return TermStats(hist_raw=hist_raw, hist_delta=hist_delta)

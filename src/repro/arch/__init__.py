@@ -24,12 +24,7 @@ from repro.arch.pra import PRAModel
 from repro.arch.diffy import DiffyModel
 from repro.arch.scnn import SCNNModel
 from repro.arch.energy import EnergyModel, POWER_TABLE, AREA_TABLE
-from repro.arch.metrics import (
-    ScalingChoice,
-    UtilizationRow,
-    minimum_tiles_for_fps,
-    utilization_report,
-)
+from repro.arch.metrics import ScalingChoice, minimum_tiles_for_fps
 from repro.arch.sim import LayerResult, NetworkResult, simulate_network, model_for
 
 __all__ = [
@@ -51,9 +46,7 @@ __all__ = [
     "POWER_TABLE",
     "AREA_TABLE",
     "ScalingChoice",
-    "UtilizationRow",
     "minimum_tiles_for_fps",
-    "utilization_report",
     "LayerResult",
     "NetworkResult",
     "simulate_network",

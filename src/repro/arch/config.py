@@ -79,11 +79,6 @@ class AcceleratorConfig:
         """Peak 16x16b MAC-equivalents per cycle across all tiles."""
         return self.tiles * self.filters_per_tile * self.terms_per_filter
 
-    @property
-    def concurrent_filters(self) -> int:
-        """Filters processed concurrently across all tiles."""
-        return self.tiles * self.filters_per_tile
-
     def with_tiles(self, tiles: int) -> "AcceleratorConfig":
         """This configuration scaled to a different tile count."""
         return replace(self, tiles=tiles, name=f"{self.name}x{tiles}")

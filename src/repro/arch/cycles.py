@@ -72,10 +72,6 @@ class LayerCycles:
     channel_occupancy: float
 
     @property
-    def cycles_per_window(self) -> float:
-        return self.cycles / self.windows if self.windows else 0.0
-
-    @property
     def lane_occupancy(self) -> float:
         """Fraction of available lane-cycles doing useful term work."""
         if self.lane_capacity <= 0:

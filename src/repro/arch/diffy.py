@@ -25,6 +25,7 @@ from repro.arch.config import AcceleratorConfig, DIFFY_CONFIG
 from repro.arch.cycles import LayerCycles, serial_layer_cycles
 from repro.arch.term_maps import delta_term_map, raw_term_map
 from repro.nn.trace import ConvLayerTrace
+from repro.utils.validation import check_axis
 
 
 class DiffyModel:
@@ -33,8 +34,7 @@ class DiffyModel:
     name = "Diffy"
 
     def __init__(self, config: AcceleratorConfig = DIFFY_CONFIG, axis: str = "x"):
-        if axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        check_axis("axis", axis)
         self.config = config
         self.axis = axis
 
@@ -65,9 +65,3 @@ class DiffyModel:
             head_term_map=raw_term_map(layer),
             axis=self.axis,
         )
-
-    def reconstruction_adds(self, layer: ConvLayerTrace) -> int:
-        """DR cascade additions for the layer (one per differential output)."""
-        k, out_h, out_w = layer.omap_shape
-        differential = out_h * (out_w - 1) if self.axis == "x" else (out_h - 1) * out_w
-        return differential * k

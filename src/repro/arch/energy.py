@@ -85,14 +85,6 @@ AREA_TABLE: dict[str, ComponentBreakdown] = {
 class EnergyModel:
     """Turns execution times into on-chip energy and efficiency ratios."""
 
-    def __init__(
-        self,
-        power_table: dict[str, ComponentBreakdown] | None = None,
-        area_table: dict[str, ComponentBreakdown] | None = None,
-    ):
-        self.power_table = dict(power_table or POWER_TABLE)
-        self.area_table = dict(area_table or AREA_TABLE)
-
     def _lookup(self, table: dict[str, ComponentBreakdown], name: str) -> ComponentBreakdown:
         try:
             return table[name]
@@ -104,11 +96,11 @@ class EnergyModel:
 
     def power_w(self, accelerator: str) -> ComponentBreakdown:
         """Component power breakdown (Table VI)."""
-        return self._lookup(self.power_table, accelerator)
+        return self._lookup(POWER_TABLE, accelerator)
 
     def area_mm2(self, accelerator: str) -> ComponentBreakdown:
         """Component area breakdown (Table VII)."""
-        return self._lookup(self.area_table, accelerator)
+        return self._lookup(AREA_TABLE, accelerator)
 
     def onchip_energy_j(self, accelerator: str, time_s: float) -> float:
         """On-chip energy for an execution of ``time_s`` seconds."""
@@ -116,27 +108,10 @@ class EnergyModel:
             raise ValueError(f"time_s must be >= 0, got {time_s}")
         return self.power_w(accelerator).total * time_s
 
-    def efficiency_vs(
-        self,
-        accelerator: str,
-        time_s: float,
-        baseline: str = "VAA",
-        baseline_time_s: float | None = None,
-    ) -> float:
-        """On-chip energy efficiency of ``accelerator`` relative to baseline.
+    def power_ratio(self, accelerator: str) -> float:
+        """Total-power ratio accelerator/VAA (Table VI 'Normalized')."""
+        return self.power_w(accelerator).total / self.power_w("VAA").total
 
-        > 1 means the accelerator finishes the same work with less energy.
-        """
-        if baseline_time_s is None:
-            raise ValueError("baseline_time_s is required")
-        return self.onchip_energy_j(baseline, baseline_time_s) / self.onchip_energy_j(
-            accelerator, time_s
-        )
-
-    def power_ratio(self, accelerator: str, baseline: str = "VAA") -> float:
-        """Total-power ratio accelerator/baseline (Table VI 'Normalized')."""
-        return self.power_w(accelerator).total / self.power_w(baseline).total
-
-    def area_ratio(self, accelerator: str, baseline: str = "VAA") -> float:
-        """Total-area ratio accelerator/baseline (Table VII 'Normalized')."""
-        return self.area_mm2(accelerator).total / self.area_mm2(baseline).total
+    def area_ratio(self, accelerator: str) -> float:
+        """Total-area ratio accelerator/VAA (Table VII 'Normalized')."""
+        return self.area_mm2(accelerator).total / self.area_mm2("VAA").total

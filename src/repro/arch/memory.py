@@ -96,11 +96,6 @@ class MemorySystem:
             raise ValueError(f"num_bytes must be >= 0, got {num_bytes}")
         return num_bytes / self.bandwidth_bytes_per_s
 
-    def transfer_energy_j(self, num_bytes: float) -> float:
-        """Energy to move ``num_bytes`` across the interface."""
-        return num_bytes * 8 * self.technology.energy_pj_per_bit * 1e-12
-
-
 #: An effectively infinite memory system (the "Ideal" bars of Fig 11).
 IDEAL_MEMORY = MemorySystem(MemoryTechnology("Ideal", 1e9, 0.0), channels=1)
 

@@ -26,7 +26,7 @@ from repro.arch.cycles import LayerCycles, serial_layer_cycles
 from repro.arch.term_maps import padded_imap, raw_term_map, vp_term_map
 from repro.core.deltas import spatial_deltas
 from repro.nn.trace import ConvLayerTrace
-from repro.utils.validation import check_integer, check_nonnegative
+from repro.utils.validation import check_axis, check_integer, check_nonnegative
 
 __all__ = ["ValuePredictionModel"]
 
@@ -48,8 +48,7 @@ class ValuePredictionModel:
         check_nonnegative("threshold", threshold)
         recovery_cycles = check_integer("recovery_cycles", recovery_cycles)
         check_nonnegative("recovery_cycles", recovery_cycles)
-        if axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        check_axis("axis", axis)
         self.config = config
         self.threshold = threshold
         self.recovery_cycles = recovery_cycles

@@ -28,8 +28,6 @@ The shared simulation driver applies the RLEz traffic model for SCNN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.arch.cycles import LayerCycles
@@ -37,33 +35,17 @@ from repro.nn.trace import ConvLayerTrace
 from repro.utils.validation import check_positive
 
 
-@dataclass(frozen=True)
-class SCNNConfig:
-    """SCNN structural parameters, peak-normalized to the Table IV designs.
+#: SCNN structure, peak-normalized to the Table IV designs: 8x8 PEs x
+#: (4x4) multipliers = 1024 multiplies/cycle, matching the 1K MAC/cycle
+#: peak of VAA/PRA/Diffy.  SCNN runs at their 1 GHz clock.
+PE_ROWS = 8
+PE_COLS = 8
+F_VECTOR = 4
+I_VECTOR = 4
+MULTIPLIERS = PE_ROWS * PE_COLS * F_VECTOR * I_VECTOR
 
-    8x8 PEs x (4x4) multipliers = 1024 multiplies/cycle, matching the 1K
-    MAC/cycle peak of VAA/PRA/Diffy.
-    """
-
-    name: str = "SCNN"
-    pe_rows: int = 8
-    pe_cols: int = 8
-    f_vector: int = 4
-    i_vector: int = 4
-    frequency_ghz: float = 1.0
-    #: Crossbar / accumulator-bank contention and halo derate.
-    contention: float = 1.18
-
-    @property
-    def pes(self) -> int:
-        return self.pe_rows * self.pe_cols
-
-    @property
-    def multipliers(self) -> int:
-        return self.pes * self.f_vector * self.i_vector
-
-
-DEFAULT_SCNN_CONFIG = SCNNConfig()
+#: Crossbar / accumulator-bank contention and halo derate.
+CONTENTION = 1.18
 
 
 def _pe_nonzeros(imap: np.ndarray, pe_rows: int, pe_cols: int) -> np.ndarray:
@@ -90,17 +72,10 @@ def _pe_nonzeros(imap: np.ndarray, pe_rows: int, pe_cols: int) -> np.ndarray:
 class SCNNModel:
     """Cycle model of SCNN at a given weight sparsity."""
 
-    def __init__(
-        self,
-        weight_sparsity: float = 0.0,
-        config: SCNNConfig = DEFAULT_SCNN_CONFIG,
-        seed: int = 0,
-    ):
+    def __init__(self, weight_sparsity: float = 0.0):
         if not 0.0 <= weight_sparsity < 1.0:
             raise ValueError(f"weight_sparsity must be in [0, 1), got {weight_sparsity}")
         self.weight_sparsity = weight_sparsity
-        self.config = config
-        self.seed = seed
         self.name = (
             "SCNN"
             if weight_sparsity == 0.0
@@ -121,15 +96,14 @@ class SCNNModel:
         return np.full(layer.in_channels, max(int(round(surviving)), 0), dtype=np.int64)
 
     def layer_cycles(self, layer: ConvLayerTrace) -> LayerCycles:
-        cfg = self.config
-        counts = _pe_nonzeros(layer.imap, cfg.pe_rows, cfg.pe_cols)  # (pes, C)
+        counts = _pe_nonzeros(layer.imap, PE_ROWS, PE_COLS)  # (pes, C)
         w_nnz = self._weight_nnz_per_channel(layer)  # (C,)
-        act_groups = np.ceil(counts / cfg.i_vector)  # (pes, C)
-        w_groups = np.ceil(w_nnz / cfg.f_vector)  # (C,)
+        act_groups = np.ceil(counts / I_VECTOR)  # (pes, C)
+        w_groups = np.ceil(w_nnz / F_VECTOR)  # (C,)
         per_pe_cycles = (act_groups * w_groups[None, :]).sum(axis=1)
-        cycles = float(per_pe_cycles.max()) * cfg.contention
+        cycles = float(per_pe_cycles.max()) * CONTENTION
         useful_products = float((counts.sum(axis=0) * w_nnz).sum())
-        capacity = cycles * cfg.multipliers
+        capacity = cycles * MULTIPLIERS
         _, out_h, out_w = layer.omap_shape
         return LayerCycles(
             name=layer.name,

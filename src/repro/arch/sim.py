@@ -132,10 +132,6 @@ class NetworkResult:
         return sum(layer.stall_s for layer in self.layers)
 
     @property
-    def total_cycles(self) -> float:
-        return sum(layer.compute_cycles for layer in self.layers)
-
-    @property
     def fps(self) -> float:
         """Frames per second at the simulated resolution."""
         return 1.0 / self.total_time_s if self.total_time_s > 0 else float("inf")
@@ -204,11 +200,7 @@ def _trace_crops(
 cache_store.register_memory_cache(_collect_traces.cache_clear)
 
 
-def model_for(
-    accelerator: str,
-    config: Optional[AcceleratorConfig] = None,
-    weight_sparsity: float = 0.0,
-):
+def model_for(accelerator: str, config: Optional[AcceleratorConfig] = None):
     """Instantiate a cycle model by accelerator name.
 
     ``accelerator`` is one of ``"VAA"``, ``"PRA"``, ``"Diffy"``, ``"VP"``
@@ -226,7 +218,7 @@ def model_for(
 
         return ValuePredictionModel(config or PRA_CONFIG)
     if accelerator == "SCNN":
-        return SCNNModel(weight_sparsity=weight_sparsity)
+        return SCNNModel()
     if accelerator.startswith("SCNN") and accelerator[4:].isdigit():
         return SCNNModel(weight_sparsity=int(accelerator[4:]) / 100.0)
     raise ValueError(
@@ -307,7 +299,8 @@ def _simulate_network(
     traces = collect_traces(model_name, dataset_name, trace_count, crop, seed)
     net = prepare_model(model_name, seed)
     model = model_for(accelerator, config)
-    cfg_freq = getattr(model.config, "frequency_ghz", 1.0)
+    # SCNN has no AcceleratorConfig; it runs at the Table IV designs' 1 GHz.
+    cfg_freq = model.config.frequency_ghz if hasattr(model, "config") else 1.0
 
     # Everything below but the memory system reads only the trace set
     # (which fixes the network) and one of engine, scheme or resolution,

@@ -6,7 +6,7 @@ term map for the head windows, and :func:`repro.arch.sim.simulate_network`
 evaluates the same traces once per (accelerator, scheme) combination.
 Without memoization each evaluation re-pads the multi-megabyte imap and
 re-indexes the 65536-entry term LUT over it; with it, each distinct
-``(layer, kind, encoding)`` artifact is computed exactly once per trace
+``(layer, kind)`` artifact is computed exactly once per trace
 lifetime.
 
 Every term map is ``uint8`` (:func:`repro.core.booth.booth_terms`): one
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.booth import DEFAULT_ENCODING, WORD_BITS, booth_terms, term_count_lut
+from repro.core.booth import WORD_BITS, booth_terms, term_count_lut
 from repro.core.deltas import spatial_deltas
 from repro.core.layer_memo import memoized
 from repro.core.precision import GroupPrecisionEncoding, group_precisions
@@ -76,20 +76,12 @@ def padded_imap(layer: ConvLayerTrace) -> np.ndarray:
     return memoized(layer, ("padded",), layer.padded_imap)
 
 
-def raw_term_map(
-    layer: ConvLayerTrace, encoding: str = DEFAULT_ENCODING
-) -> np.ndarray:
+def raw_term_map(layer: ConvLayerTrace) -> np.ndarray:
     """Per-activation effectual-term counts of the padded raw imap."""
-    return memoized(
-        layer,
-        ("raw", encoding),
-        lambda: booth_terms(padded_imap(layer), encoding),
-    )
+    return memoized(layer, ("raw",), lambda: booth_terms(padded_imap(layer)))
 
 
-def delta_term_map(
-    layer: ConvLayerTrace, axis: str = "x", encoding: str = DEFAULT_ENCODING
-) -> np.ndarray:
+def delta_term_map(layer: ConvLayerTrace, axis: str = "x") -> np.ndarray:
     """Term counts of the spatial-delta imap (Diffy's stream).
 
     Deltas of adjacent 16-bit values can transiently need 17 bits; the
@@ -100,9 +92,9 @@ def delta_term_map(
 
     def compute() -> np.ndarray:
         deltas = spatial_deltas(padded_imap(layer), axis=axis, stride=layer.stride)
-        return booth_terms(quantize_to_width(deltas, WORD_BITS)[0], encoding)
+        return booth_terms(quantize_to_width(deltas, WORD_BITS)[0])
 
-    return memoized(layer, ("delta", axis, encoding), compute)
+    return memoized(layer, ("delta", axis), compute)
 
 
 def vp_term_map(
@@ -110,7 +102,6 @@ def vp_term_map(
     threshold: int,
     recovery_cycles: int,
     axis: str = "x",
-    encoding: str = DEFAULT_ENCODING,
 ) -> np.ndarray:
     """Term counts under speculative value prediction (Shomron & Weiser).
 
@@ -132,10 +123,10 @@ def vp_term_map(
 
     def compute() -> np.ndarray:
         padded = padded_imap(layer)
-        raw = raw_term_map(layer, encoding)
+        raw = raw_term_map(layer)
         deltas = spatial_deltas(padded, axis=axis, stride=layer.stride)
         # The narrowest unsigned dtype holding the costliest miss.
-        worst = int(term_count_lut(encoding).max()) + recovery
+        worst = int(term_count_lut().max()) + recovery
         out = raw.astype(np.min_scalar_type(worst))
         out += recovery
         out *= np.abs(deltas) > threshold  # a hit costs nothing
@@ -145,11 +136,7 @@ def vp_term_map(
         out[tuple(head)] = raw[tuple(head)]
         return out
 
-    return memoized(
-        layer,
-        ("vp", axis, encoding, threshold, recovery),
-        compute,
-    )
+    return memoized(layer, ("vp", axis, threshold, recovery), compute)
 
 
 def group_geometry(

@@ -19,7 +19,6 @@ import math
 from repro.arch.config import AcceleratorConfig, VAA_CONFIG
 from repro.arch.cycles import LayerCycles, filter_passes, geometry_occupancies
 from repro.arch.term_maps import padded_imap
-from repro.core.booth import booth_terms
 from repro.nn.trace import ConvLayerTrace
 
 
@@ -56,7 +55,3 @@ class VAAModel:
             filter_occupancy=filter_occ,
             channel_occupancy=channel_occ,
         )
-
-    def mean_terms(self, layer: ConvLayerTrace) -> float:
-        """Average effectual terms per activation (diagnostics)."""
-        return float(booth_terms(layer.imap).mean())

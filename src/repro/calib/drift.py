@@ -39,6 +39,10 @@ from repro.utils.validation import check_positive
 __all__ = ["DriftConfig", "DriftDetector"]
 
 
+#: Minimum unused bits for a shadowed frame to count as slack.
+SLACK_MARGIN_BITS = 2
+
+
 @dataclass(frozen=True)
 class DriftConfig:
     """Thresholds and smoothing of the drift detector (golden-stable)."""
@@ -54,13 +58,11 @@ class DriftConfig:
     #: Overflow EWMA below which a tripped layer re-arms.
     overflow_clear: float = 0.1
     #: Slack-rate EWMA that trips a layer (fraction of shadowed frames
-    #: whose measured width sits >= ``slack_margin_bits`` under the
+    #: whose measured width sits >= ``SLACK_MARGIN_BITS`` under the
     #: served width).
     slack_trip: float = 0.6
     #: Slack-rate EWMA below which a tripped layer re-arms.
     slack_clear: float = 0.3
-    #: Minimum unused bits for a shadowed frame to count as slack.
-    slack_margin_bits: int = 2
     #: Shadowed observations required before slack may trip (cold-start
     #: guard: one wide-looking frame must not trigger a narrowing).
     min_sampled: int = 3
@@ -78,7 +80,6 @@ class DriftConfig:
                 raise ValueError(
                     f"{label}_clear must be in [0, {label}_trip), got {clear}"
                 )
-        check_positive("slack_margin_bits", self.slack_margin_bits)
         check_positive("min_sampled", self.min_sampled)
 
 
@@ -175,9 +176,6 @@ class DriftDetector:
 
     def overflow_ewma(self, layer: int) -> float:
         return self._overflow[layer].ewma
-
-    def slack_ewma(self, layer: int) -> float:
-        return self._slack[layer].ewma
 
     def reset(self) -> None:
         """Forget all smoothed state (called after every table swap)."""

@@ -28,10 +28,10 @@ the detector trips.  Static policies serve the clip and pay in PSNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.calib.drift import DriftConfig, DriftDetector
+from repro.calib.drift import SLACK_MARGIN_BITS, DriftDetector
 from repro.calib.shadow import FrameSample, ShadowCounters
 from repro.calib.stats import (
     DEFAULT_CALIB_PROFILES,
@@ -55,6 +55,9 @@ __all__ = [
     "CalibrationController",
     "CalibSpec",
 ]
+
+#: Frames per profile the offline calibration statistics are built from.
+PROFILE_FRAMES = 2
 
 #: Serving policies the controller can price.
 #:
@@ -156,24 +159,19 @@ class CalibSpec:
     schedule: DriftSchedule
     mode: str = "adaptive"
     crop: int = 48
-    profile_frames: int = 2
     profiles: "tuple[str, ...]" = DEFAULT_CALIB_PROFILES
     sample_period: int = 4
-    reservoir_capacity: int = 64
     #: Wall-clock cost of a measured recalibration pass.
     recalib_delay_s: float = 0.05
     #: Post-swap window during which new trips are ignored.
     cooldown_s: float = 0.0
-    drift: DriftConfig = field(default_factory=DriftConfig)
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.mode not in CALIB_MODES:
             raise ValueError(f"mode must be one of {CALIB_MODES}, got {self.mode!r}")
         check_positive("crop", self.crop)
-        check_positive("profile_frames", self.profile_frames)
         check_positive("sample_period", self.sample_period)
-        check_positive("reservoir_capacity", self.reservoir_capacity)
         check_positive("recalib_delay_s", self.recalib_delay_s)
         if self.cooldown_s < 0.0:
             raise ValueError(f"cooldown_s must be >= 0, got {self.cooldown_s}")
@@ -191,7 +189,7 @@ class CalibSpec:
             self.model,
             profiles=self.profiles,
             crop=self.crop,
-            frames=self.profile_frames,
+            frames=PROFILE_FRAMES,
             seed=self.seed,
         )
         return CalibrationController(
@@ -199,10 +197,8 @@ class CalibSpec:
             schedule=self.schedule,
             mode=self.mode,
             sample_period=self.sample_period,
-            reservoir_capacity=self.reservoir_capacity,
             recalib_delay_s=self.recalib_delay_s,
             cooldown_s=self.cooldown_s,
-            drift=self.drift,
             seed=self.seed,
         )
 
@@ -224,10 +220,8 @@ class CalibrationController:
         schedule: DriftSchedule,
         mode: str = "adaptive",
         sample_period: int = 4,
-        reservoir_capacity: int = 64,
         recalib_delay_s: float = 0.05,
         cooldown_s: float = 0.0,
-        drift: "DriftConfig | None" = None,
         seed: int = DEFAULT_SEED,
     ) -> None:
         if mode not in CALIB_MODES:
@@ -238,8 +232,8 @@ class CalibrationController:
         self.recalib_delay_s = recalib_delay_s
         self.cooldown_s = cooldown_s
         self.recalibrator = Recalibrator(stats)
-        self.detector = DriftDetector(stats.n_layers, drift)
-        self.shadow = ShadowCounters(sample_period, reservoir_capacity, seed)
+        self.detector = DriftDetector(stats.n_layers)
+        self.shadow = ShadowCounters(sample_period, seed)
         self.telemetry = CalibTelemetry(duration_s=schedule.duration_s)
         if mode == "static_wide":
             table = CalibrationTable(0, (MAX_PRECISION,) * stats.n_layers, "wide")
@@ -382,7 +376,7 @@ class CalibrationController:
         key = (profile, gain, table.version)
         rows = self._price_memo.get(key)
         if rows is None:
-            margin = self.detector.config.slack_margin_bits
+            margin = SLACK_MARGIN_BITS
             rows = []
             for layer, width in zip(self.stats.layers(profile), table.widths):
                 rows.append(

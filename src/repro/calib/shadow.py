@@ -75,6 +75,10 @@ class Reservoir:
         self._frames.clear()
 
 
+#: Sampled frames the recalibration corpus keeps.
+RESERVOIR_CAPACITY = 64
+
+
 class ShadowCounters:
     """Deterministic frame sampler feeding the drift detector.
 
@@ -84,16 +88,11 @@ class ShadowCounters:
     it commutes with any partitioning of the request stream.
     """
 
-    def __init__(
-        self,
-        sample_period: int = 4,
-        reservoir_capacity: int = 64,
-        seed: int = DEFAULT_SEED,
-    ) -> None:
+    def __init__(self, sample_period: int = 4, seed: int = DEFAULT_SEED) -> None:
         check_positive("sample_period", sample_period)
         self.sample_period = sample_period
         self.seed = seed
-        self.reservoir = Reservoir(reservoir_capacity)
+        self.reservoir = Reservoir(RESERVOIR_CAPACITY)
         self.frames = 0
         self.sampled = 0
 

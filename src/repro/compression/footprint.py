@@ -41,10 +41,6 @@ class LayerFootprint:
     bits: int
 
     @property
-    def bits_per_value(self) -> float:
-        return self.bits / self.values if self.values else 0.0
-
-    @property
     def bytes(self) -> float:
         return self.bits / 8.0
 
@@ -175,7 +171,6 @@ def composed_footprints(
     network: Network,
     traces: Sequence[ActivationTrace],
     pairs: Sequence[tuple[str, str]],
-    precisions: Optional[Sequence[int]] = None,
 ) -> dict[str, float]:
     """Fig 5 extended with the weight axis.
 
@@ -187,8 +182,7 @@ def composed_footprints(
     """
     from repro.weights.schemes import network_weight_bits
 
-    if precisions is None:
-        precisions = imap_precisions(traces)
+    precisions = imap_precisions(traces)
     act_totals: dict[str, int] = {}
     wgt_totals: dict[str, int] = {}
 

@@ -79,13 +79,6 @@ class CompressionScheme:
         (:func:`repro.core.layer_memo.instance_key`)."""
         return instance_key(self)
 
-    def bits_per_value(self, fmap: np.ndarray, profiled_precision: int = 16) -> float:
-        """Average encoded bits per activation."""
-        n = int(np.asarray(fmap).size)
-        if n == 0:
-            raise ValueError("empty feature map")
-        return self.encoded_bits(fmap, profiled_precision) / n
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<scheme {self.name}>"
 
@@ -204,7 +197,7 @@ class RawEcc(CompressionScheme):
 
 
 class DeltaProtected(CompressionScheme):
-    """DeltaD{g} under a protection policy (:mod:`repro.protect`).
+    """DeltaD{g} under the ``full`` protection policy (:mod:`repro.protect`).
 
     Prices the full protected container of
     :func:`repro.protect.stream.protected_bits`: SECDED keyframe anchors,
@@ -212,10 +205,9 @@ class DeltaProtected(CompressionScheme):
     bounding DeltaD16's error runs.
     """
 
-    def __init__(self, group_size: int = 16, policy_name: str = "full"):
+    def __init__(self, group_size: int = 16):
         check_positive("group_size", group_size)
         self.group_size = group_size
-        self.policy_name = policy_name
         self.name = f"DeltaD{group_size}-P"
 
     def _bits(self, fmap: np.ndarray, profiled_precision: int) -> int:
@@ -224,7 +216,7 @@ class DeltaProtected(CompressionScheme):
         from repro.protect.policy import protection_policy
         from repro.protect.stream import protected_bits
 
-        return protected_bits(fmap, protection_policy(self.policy_name), self.group_size)
+        return protected_bits(fmap, protection_policy("full"), self.group_size)
 
 
 #: Named scheme registry covering every scheme in Figs 5 and 14.
@@ -244,6 +236,7 @@ SCHEMES: dict[str, CompressionScheme] = {
         DeltaProtected(16),
     )
 }
+
 
 def scheme(name: str) -> CompressionScheme:
     """Look up a compression scheme by name."""

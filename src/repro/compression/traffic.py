@@ -42,10 +42,6 @@ class LayerTraffic:
     weight_bytes: float
 
     @property
-    def activation_bytes(self) -> float:
-        return self.imap_bytes + self.omap_bytes
-
-    @property
     def total_bytes(self) -> float:
         return self.imap_bytes + self.omap_bytes + self.weight_bytes
 

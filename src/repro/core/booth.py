@@ -3,27 +3,19 @@
 PRA — and therefore Diffy — multiplies a weight by an activation one
 *effectual term* at a time: the activation is recoded into signed powers of
 two and each nonzero term costs one cycle on a shifter/adder (Eq 2 and the
-surrounding discussion in Section II-B).  Two recoders are provided:
+surrounding discussion in Section II-B).  The recoder is PRA's radix-4
+modified Booth: the activation's 16 bits become 8 signed digits in
+{-2, -1, 0, +1, +2}, each nonzero digit a signed power of two.  This is
+what PRA's offset generators implement in hardware.
 
-``"booth"`` (default)
-    Radix-4 modified Booth: the activation's 16 bits become 8 signed
-    digits in {-2, -1, 0, +1, +2}, each nonzero digit a signed power of
-    two.  This is what PRA's offset generators implement in hardware.
+Example: 7 = 0b0111 costs three add terms raw, two recoded (+8, -1).
 
-``"naf"``
-    Non-adjacent form (canonical signed digit): the *minimal* signed
-    power-of-two representation.  Cheaper in terms but more expensive to
-    generate; kept as the idealized ablation.
-
-Example: 7 = 0b0111 costs three add terms raw, two under either recoding
-(+8, -1).
-
-Per-value term counts are precomputed into 65536-entry ``uint8`` lookup
-tables so that counting terms over multi-megabyte activation traces is a
-single fancy index.  A count never exceeds 9, so the term maps stay
+Per-value term counts are precomputed into a 65536-entry ``uint8`` lookup
+table so that counting terms over multi-megabyte activation traces is a
+single fancy index.  A count never exceeds 8, so the term maps stay
 ``uint8`` too: one byte per activation.  Consumers that subtract or sum
-them widen first.  The digit-at-a-time recoders that list each term
-live in ``tests/oracles/booth.py`` as the tables' spec.
+them widen first.  The digit-at-a-time recoder that lists each term
+lives in ``tests/oracles/booth.py`` as the table's spec.
 """
 
 from __future__ import annotations
@@ -39,24 +31,6 @@ WORD_BITS = 16
 
 #: Radix-4 digit count for a 16-bit word.
 R4_DIGITS = WORD_BITS // 2
-
-#: Default encoding used across the package.
-DEFAULT_ENCODING = "booth"
-
-
-def _naf_counts_for_all_words() -> np.ndarray:
-    """Vectorized NAF nonzero-digit count for every 16-bit pattern."""
-    raw = np.arange(1 << WORD_BITS, dtype=np.int64)
-    values = np.where(raw >= (1 << (WORD_BITS - 1)), raw - (1 << WORD_BITS), raw)
-    counts = np.zeros(values.shape, dtype=np.uint8)
-    v = values.copy()
-    # NAF digit extraction; a 16-bit signed value needs at most 17 rounds.
-    for _ in range(WORD_BITS + 2):
-        odd = (v & 1).astype(bool)
-        digit = np.where(odd, 2 - (v & 3), 0)
-        counts += odd.astype(np.uint8)
-        v = (v - digit) >> 1
-    return counts
 
 
 def _r4_counts_for_all_words() -> np.ndarray:
@@ -75,19 +49,14 @@ def _r4_counts_for_all_words() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def term_count_lut(encoding: str = DEFAULT_ENCODING) -> np.ndarray:
+def term_count_lut() -> np.ndarray:
     """The (read-only) 65536-entry effectual-term-count lookup table."""
-    if encoding == "booth":
-        lut = _r4_counts_for_all_words()
-    elif encoding == "naf":
-        lut = _naf_counts_for_all_words()
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}; expected 'booth' or 'naf'")
+    lut = _r4_counts_for_all_words()
     lut.setflags(write=False)
     return lut
 
 
-def booth_terms(values: np.ndarray, encoding: str = DEFAULT_ENCODING) -> np.ndarray:
+def booth_terms(values: np.ndarray) -> np.ndarray:
     """Effectual-term count per element of a signed 16-bit integer array.
 
     This is the number of cycles a PRA/Diffy serial inner-product unit
@@ -105,12 +74,4 @@ def booth_terms(values: np.ndarray, encoding: str = DEFAULT_ENCODING) -> np.ndar
                 f"min={arr.min()}, max={arr.max()}"
             )
         arr = arr.astype(np.int16)
-    return term_count_lut(encoding)[arr.view(np.uint16)]
-
-
-def mean_terms(values: np.ndarray, encoding: str = DEFAULT_ENCODING) -> float:
-    """Average effectual terms per value (Fig 2 caption statistic)."""
-    arr = np.asarray(values)
-    if arr.size == 0:
-        raise ValueError("mean_terms needs a non-empty array")
-    return float(booth_terms(arr, encoding).mean())
+    return term_count_lut()[arr.view(np.uint16)]

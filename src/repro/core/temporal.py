@@ -90,8 +90,9 @@ class FrameSequenceTrace:
     def frames(self) -> int:
         return len(self.traces)
 
-    def layer_mode_stats(self, frame: int = 1, axis: str = "x") -> list[LayerModeStats]:
-        """Mean effectual terms per value for each mode, per layer.
+    def layer_mode_stats(self, frame: int = 1) -> list[LayerModeStats]:
+        """Mean effectual terms per value for each mode (spatial deltas
+        along x), per layer.
 
         ``frame`` indexes the *current* frame (>= 1); the previous frame
         supplies the temporal reference.
@@ -102,7 +103,7 @@ class FrameSequenceTrace:
         out = []
         for layer_cur, layer_prev in zip(cur, prev):
             imap = layer_cur.imap
-            spatial = quantize_to_width(spatial_deltas(imap, axis=axis), WORD_BITS)[0]
+            spatial = quantize_to_width(spatial_deltas(imap), WORD_BITS)[0]
             temporal = temporal_deltas(imap, layer_prev.imap)
             out.append(
                 LayerModeStats(

@@ -29,7 +29,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro.utils.rng import DEFAULT_SEED, rng_for
-from repro.utils.validation import check_finite_nonnegative, check_integer, check_positive
+from repro.utils.validation import (
+    check_finite_nonnegative,
+    check_positive,
+    check_positive_integer,
+)
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,11 @@ def _power_law_cloud(rng: np.random.Generator, h: int, w: int, beta: float = 2.0
     return field
 
 
-def _piecewise_regions(rng: np.random.Generator, h: int, w: int, levels: int = 7) -> np.ndarray:
+#: Intensity levels of the piecewise-constant region layer.
+REGION_LEVELS = 7
+
+
+def _piecewise_regions(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     """Piecewise-constant field: a smooth cloud quantized to a few levels.
 
     The level sets of a smooth random field give organically shaped regions
@@ -117,9 +125,9 @@ def _piecewise_regions(rng: np.random.Generator, h: int, w: int, levels: int = 7
     boundaries.
     """
     field = _power_law_cloud(rng, h, w, beta=2.5)
-    field *= levels
+    field *= REGION_LEVELS
     np.floor(field, out=field)
-    field /= max(levels - 1, 1)
+    field /= REGION_LEVELS - 1
     return np.clip(field, 0.0, 1.0, out=field)
 
 
@@ -161,7 +169,7 @@ def synthesize_image(
     photographs.
     """
     for name, value in (("height", height), ("width", width), ("channels", channels)):
-        check_positive(name, check_integer(name, value))
+        check_positive_integer(name, value)
     if isinstance(profile, str):
         try:
             profile = PROFILES[profile]
@@ -276,15 +284,6 @@ class DriftSchedule:
     def profile(self, t: float) -> str:
         """Scene-profile name in force at time ``t``."""
         return self._phase(t).profile
-
-    @property
-    def is_static(self) -> bool:
-        """True when the schedule never leaves gain 1.0 / the base profile."""
-        base = self.phases[0].profile
-        return all(
-            p.gain0 == 1.0 and p.gain1 == 1.0 and p.profile == base for p in self.phases
-        )
-
 
 #: A drift schedule starts on the base profile; each event switches to a
 #: shift profile with :data:`PROFILE_SHIFT_PROBABILITY` and ramps its gain

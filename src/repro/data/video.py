@@ -12,7 +12,11 @@ import numpy as np
 
 from repro.data.synthesis import synthesize_image
 from repro.utils.rng import DEFAULT_SEED, rng_for
-from repro.utils.validation import check_finite_nonnegative, check_integer, check_positive
+from repro.utils.validation import (
+    check_finite_nonnegative,
+    check_integer,
+    check_positive_integer,
+)
 
 
 def synthesize_clip(
@@ -42,7 +46,7 @@ def synthesize_clip(
         frames hold still there — noise keeps changing, pan stops.
     """
     for name, value in (("frames", frames), ("height", height), ("width", width)):
-        check_positive(name, check_integer(name, value))
+        check_positive_integer(name, value)
     check_integer("pan_px", pan_px)
     if pan_px < 0:
         raise ValueError(f"pan_px must be >= 0, got {pan_px}")

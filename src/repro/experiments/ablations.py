@@ -23,7 +23,7 @@ from typing import Sequence
 from repro.arch.config import DIFFY_CONFIG, PRA_CONFIG
 from repro.arch.diffy import DiffyModel
 from repro.arch.pra import PRAModel
-from repro.arch.sim import simulate_network
+from repro.arch.sim import HD_RESOLUTION, simulate_network
 from repro.compression.traffic import normalized_traffic
 from repro.experiments.common import (
     CI_MODEL_NAMES,
@@ -153,14 +153,13 @@ def run_group_size(
     trace_count: int,
     crop: int | None,
     seed: int,
-    resolution: tuple[int, int] = (1080, 1920),
 ) -> GroupSizeAblationResult:
     schemes = ("DeltaD256", "DeltaD16", "RawD8", "RawD16", "RawD256")
     ratios = {}
     for model in models:
         net = prepare_model(model, seed)
         traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
-        ratios[model] = normalized_traffic(net, traces, schemes, *resolution)
+        ratios[model] = normalized_traffic(net, traces, schemes, *HD_RESOLUTION)
     return GroupSizeAblationResult(ratios=ratios, schemes=schemes)
 
 

@@ -66,6 +66,14 @@ FULL_NODES = 4
 #: actually move goodput instead of hiding inside queue slack.
 DEADLINE_UNITS = 2.5
 
+#: Node shape and offered load: two workers and a 32-deep queue per node,
+#: 8-frame sessions, load at 1.15x the fleet's cold capacity on its
+#: fastest engine (see :func:`run`).
+WORKERS = 2
+QUEUE_CAPACITY = 32
+FRAMES_PER_SESSION = 8
+LOAD_FACTOR = 1.15
+
 
 @dataclass(frozen=True)
 class ChaosStudyResult:
@@ -221,18 +229,13 @@ def run(
     ladders: tuple = FULL_LADDERS,
     rates: tuple = FULL_RATES,
     nodes: int = FULL_NODES,
-    workers: int = 2,
-    load_factor: float = 1.15,
-    frames_per_session: int = 8,
     duration_units: float = 40.0,
-    queue_capacity: int = 32,
-    resolution: tuple = HD_RESOLUTION,
 ) -> ChaosStudyResult:
     """Sweep protection ladder × fault rate under one chaos timeline.
 
     Time constants scale with VAA's measured cold service time (the
     *unit*), as in the serving and fleet studies.  Offered load is sized
-    differently: ``load_factor`` × the fleet's cold capacity on the
+    differently: ``LOAD_FACTOR`` × the fleet's cold capacity on the
     *fastest* engine — the differential design the fleet is provisioned
     for.  That puts the Diffy cells at mild saturation, where every
     re-anchor a fault forces (and every request a crash or degrade
@@ -241,15 +244,13 @@ def run(
     """
     if "VAA" not in engines:
         raise ValueError("the chaos study needs VAA (its cold time is the unit)")
-    times = measure_service_times(
-        model, engines=engines, crop=crop, resolution=resolution, seed=seed
-    )
+    times = measure_service_times(model, engines=engines, crop=crop, seed=seed)
     unit = times["VAA"].cold_s
     provision_s = min(t.cold_s for t in times.values())
     spec = WorkloadSpec(
         duration_s=duration_units * unit,
-        session_rate=load_factor * nodes * workers / provision_s / frames_per_session,
-        frames_per_session=frames_per_session,
+        session_rate=LOAD_FACTOR * nodes * WORKERS / provision_s / FRAMES_PER_SESSION,
+        frames_per_session=FRAMES_PER_SESSION,
         frame_interval_s=2.0 * unit,
         seed=seed,
     )
@@ -286,14 +287,14 @@ def run(
     # enough that the protection ladders' storage overhead still costs
     # real residency.
     node_config = ServeConfig(
-        workers=workers,
+        workers=WORKERS,
         max_batch=4,
         max_wait_s=0.0,
-        queue_capacity=queue_capacity,
+        queue_capacity=QUEUE_CAPACITY,
         deadline_s=DEADLINE_UNITS * unit,
         state_capacity_bytes=48 * times[engines[0]].state_bytes,
     )
-    session_ttl_s = (2.0 * frames_per_session + 8.0) * unit
+    session_ttl_s = (2.0 * FRAMES_PER_SESSION + 8.0) * unit
     grid: ChaosGridResult = run_chaos_grid(
         merged,
         times,
@@ -308,15 +309,15 @@ def run(
     return ChaosStudyResult(
         model=model,
         crop=crop,
-        resolution=tuple(resolution),
+        resolution=HD_RESOLUTION,
         seed=seed,
         engines=tuple(engines),
         ladders=tuple(ladders),
         rates=tuple(float(r) for r in rates),
         nodes=nodes,
-        workers=workers,
-        load_factor=load_factor,
-        frames_per_session=frames_per_session,
+        workers=WORKERS,
+        load_factor=LOAD_FACTOR,
+        frames_per_session=FRAMES_PER_SESSION,
         duration_units=duration_units,
         duration_s=spec.duration_s,
         offered_rps=grid.offered_rps,

@@ -81,6 +81,16 @@ DRIFT_EVENTS = 2
 RECALIB_DELAY_UNITS = 2.0
 COOLDOWN_UNITS = 4.0
 
+#: Node shape and workload: two workers and a 32-deep queue per node,
+#: 10-frame sessions over 48 units, load at 1.0x the fleet's Diffy cold
+#: capacity (see :func:`run`), and a calibration sample every 4th frame.
+WORKERS = 2
+QUEUE_CAPACITY = 32
+FRAMES_PER_SESSION = 10
+DURATION_UNITS = 48.0
+LOAD_FACTOR = 1.0
+SAMPLE_PERIOD = 4
+
 #: Buckets of settling grace after the last drift ramp ends: one for
 #: the bucket the ramp end lands in, one for the detector's EWMA lag
 #: plus the scheduled recalibration delay.
@@ -340,34 +350,25 @@ def run(
     seed: int,
     magnitudes: tuple = FULL_MAGNITUDES,
     nodes: int = FULL_NODES,
-    workers: int = 2,
-    load_factor: float = 1.0,
-    frames_per_session: int = 10,
-    duration_units: float = 48.0,
-    queue_capacity: int = 32,
-    sample_period: int = 4,
-    resolution: tuple = HD_RESOLUTION,
 ) -> DriftStudyResult:
     """Sweep every calibration mode × drift magnitude on one seeded workload.
 
     Time constants scale with VAA's measured cold service time (the
     *unit*), as in the other serving studies; offered load is sized to
-    ``load_factor`` × the fleet's Diffy cold capacity, so the fleet is
+    ``LOAD_FACTOR`` × the fleet's Diffy cold capacity, so the fleet is
     comfortably provisioned and differences between cells come from the
     calibration policy, not queueing collapse.  The workload is
     variable-frame-rate (sessions renegotiate cadence mid-stream) with
     scene cuts and motion bursts overlaid — the drift detector must
     hold its false-positive guarantee under all of that churn.
     """
-    times = measure_service_times(
-        model, engines=DRIFT_ENGINES, crop=crop, resolution=resolution, seed=seed
-    )
+    times = measure_service_times(model, engines=DRIFT_ENGINES, crop=crop, seed=seed)
     unit = times["VAA"].cold_s
     serve_times = times["Diffy"]
     spec = WorkloadSpec(
-        duration_s=duration_units * unit,
-        session_rate=load_factor * nodes * workers / serve_times.cold_s / frames_per_session,
-        frames_per_session=frames_per_session,
+        duration_s=DURATION_UNITS * unit,
+        session_rate=LOAD_FACTOR * nodes * WORKERS / serve_times.cold_s / FRAMES_PER_SESSION,
+        frames_per_session=FRAMES_PER_SESSION,
         frame_interval_s=2.0 * unit,
         seed=seed,
     )
@@ -378,14 +379,14 @@ def run(
         seed=seed,
     )
     node_config = ServeConfig(
-        workers=workers,
+        workers=WORKERS,
         max_batch=4,
         max_wait_s=0.0,
-        queue_capacity=queue_capacity,
+        queue_capacity=QUEUE_CAPACITY,
         deadline_s=DEADLINE_UNITS * unit,
         state_capacity_bytes=48 * serve_times.state_bytes,
     )
-    session_ttl_s = (2.0 * frames_per_session + 8.0) * unit
+    session_ttl_s = (2.0 * FRAMES_PER_SESSION + 8.0) * unit
     cells = []
     for mode in CALIB_MODES:
         for magnitude in magnitudes:
@@ -396,7 +397,7 @@ def run(
                 ),
                 mode=mode,
                 crop=crop,
-                sample_period=sample_period,
+                sample_period=SAMPLE_PERIOD,
                 recalib_delay_s=RECALIB_DELAY_UNITS * unit,
                 cooldown_s=COOLDOWN_UNITS * unit,
                 seed=seed,
@@ -418,19 +419,19 @@ def run(
     return DriftStudyResult(
         model=model,
         crop=crop,
-        resolution=tuple(resolution),
+        resolution=HD_RESOLUTION,
         seed=seed,
         modes=CALIB_MODES,
         magnitudes=tuple(float(m) for m in magnitudes),
         nodes=nodes,
-        workers=workers,
-        load_factor=load_factor,
-        frames_per_session=frames_per_session,
-        duration_units=duration_units,
+        workers=WORKERS,
+        load_factor=LOAD_FACTOR,
+        frames_per_session=FRAMES_PER_SESSION,
+        duration_units=DURATION_UNITS,
         duration_s=spec.duration_s,
         offered_rps=len(requests) / spec.duration_s,
         drift_events=DRIFT_EVENTS,
-        sample_period=sample_period,
+        sample_period=SAMPLE_PERIOD,
         recalib_delay_units=RECALIB_DELAY_UNITS,
         cooldown_units=COOLDOWN_UNITS,
         node_config=node_config,

@@ -78,7 +78,6 @@ def run(
     crop: int,
     seed: int,
     rates: tuple = DEFAULT_RATES,
-    fault_models: tuple = DEFAULT_FAULT_MODELS,
     trials: int = 2,
 ) -> FaultStudyResult:
     """Trace ``model`` and run the fault campaign on sampled omaps."""
@@ -91,7 +90,7 @@ def run(
         schemes=("Raw16", "RawD16", "DeltaD16"),
         sites=("memory", "stream", "delta"),
         rates=rates,
-        fault_models=fault_models,
+        fault_models=DEFAULT_FAULT_MODELS,
         trials=trials,
         seed=seed,
     )

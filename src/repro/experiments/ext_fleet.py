@@ -13,7 +13,7 @@ Two sweeps over one identical seeded workload:
 
 - **static fleet** — every (engine × routing policy × node count) cell
   serves the same arrival stream.  Offered load is pinned to
-  ``load_factor`` × the VAA cold capacity of the *reference* fleet size
+  ``LOAD_FACTOR`` × the VAA cold capacity of the *reference* fleet size
   (the middle of the node sweep), so small fleets are overloaded and
   large ones comfortable; the routing ladder is read at the reference
   size where the policies actually separate.
@@ -46,6 +46,12 @@ FLEET_ENGINES = ("VAA", "Diffy")
 #: Node sweeps per profile scale.
 CI_NODE_COUNTS = (1, 2, 4)
 FULL_NODE_COUNTS = (1, 2, 4, 8, 16)
+
+#: Node shape and offered load: two workers per node, 6-frame sessions,
+#: load at 1.4x the VAA cold capacity of the reference fleet size.
+WORKERS = 2
+FRAMES_PER_SESSION = 6
+LOAD_FACTOR = 1.4
 
 
 @dataclass(frozen=True)
@@ -163,50 +169,43 @@ def run(
     crop: int,
     seed: int,
     engines: tuple = FLEET_ENGINES,
-    policies: tuple = ROUTING_POLICIES,
     node_counts: tuple = FULL_NODE_COUNTS,
-    workers: int = 2,
-    load_factor: float = 1.4,
-    frames_per_session: int = 6,
     duration_units: float = 40.0,
-    resolution: tuple = HD_RESOLUTION,
 ) -> FleetStudyResult:
     """Sweep routing policy × node count on one seeded workload.
 
     Time constants scale with VAA's measured cold service time (the
     *unit*), exactly as in :mod:`repro.experiments.ext_serving`: frames
-    every 2 units, deadlines of 4 units, offered load ``load_factor`` ×
+    every 2 units, deadlines of 4 units, offered load ``LOAD_FACTOR`` ×
     the VAA cold capacity of the reference (middle) fleet size.
     """
     if "VAA" not in engines:
         raise ValueError("the fleet study needs VAA (its cold time is the unit)")
-    times = measure_service_times(
-        model, engines=engines, crop=crop, resolution=resolution, seed=seed
-    )
+    times = measure_service_times(model, engines=engines, crop=crop, seed=seed)
     unit = times["VAA"].cold_s
     node_counts = tuple(sorted(node_counts))
     ref_nodes = node_counts[len(node_counts) // 2]
-    offered_target = load_factor * ref_nodes * workers / unit
+    offered_target = LOAD_FACTOR * ref_nodes * WORKERS / unit
     spec = WorkloadSpec(
         duration_s=duration_units * unit,
-        session_rate=offered_target / frames_per_session,
-        frames_per_session=frames_per_session,
+        session_rate=offered_target / FRAMES_PER_SESSION,
+        frames_per_session=FRAMES_PER_SESSION,
         frame_interval_s=2.0 * unit,
         seed=seed,
     )
     requests = generate_requests(spec)
     node_config = ServeConfig(
-        workers=workers,
+        workers=WORKERS,
         max_batch=4,
         max_wait_s=0.0,
         queue_capacity=16,
         deadline_s=4.0 * unit,
         state_capacity_bytes=8 * times[engines[0]].state_bytes,
     )
-    session_ttl_s = (2.0 * frames_per_session + 8.0) * unit
+    session_ttl_s = (2.0 * FRAMES_PER_SESSION + 8.0) * unit
     cells = []
     for engine in engines:
-        for policy in policies:
+        for policy in ROUTING_POLICIES:
             for nodes in node_counts:
                 config = FleetConfig(
                     nodes=nodes,
@@ -225,7 +224,7 @@ def run(
         min_nodes=1,
         max_nodes=max(node_counts),
         eval_interval_s=4.0 * unit,
-        target_rps_per_node=workers / unit,
+        target_rps_per_node=WORKERS / unit,
     )
     autoscale_cells = []
     for engine in engines:
@@ -257,14 +256,14 @@ def run(
     return FleetStudyResult(
         model=model,
         crop=crop,
-        resolution=tuple(resolution),
+        resolution=HD_RESOLUTION,
         seed=seed,
         engines=tuple(engines),
-        policies=tuple(policies),
+        policies=ROUTING_POLICIES,
         node_counts=node_counts,
         ref_nodes=ref_nodes,
-        load_factor=load_factor,
-        frames_per_session=frames_per_session,
+        load_factor=LOAD_FACTOR,
+        frames_per_session=FRAMES_PER_SESSION,
         duration_units=duration_units,
         node_config=node_config,
         offered_rps=len(requests) / spec.duration_s,

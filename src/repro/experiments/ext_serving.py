@@ -10,7 +10,7 @@ identical service knobs, so the only variable is the engine's measured
 per-frame service time (cycle models × clock, scaled to HD).
 
 The offered load is set *above* VAA's capacity and *below* Diffy's
-(``load_factor`` × VAA capacity): VAA must shed, Diffy must not — the
+(``LOAD_FACTOR`` × VAA capacity): VAA must shed, Diffy must not — the
 serving restatement of the paper's speedup claim.  Warm sessions serve
 temporal deltas when their previous-frame state is resident (bounded by
 a memory cap), which is where the per-session state interacts with
@@ -27,6 +27,13 @@ from repro.experiments.profiles import Profile, resolve_profile
 from repro.serve.latency import DEFAULT_ENGINES, measure_service_times
 from repro.serve.service import ServeConfig, ServingReport, serve_workload
 from repro.serve.workload import WorkloadSpec, generate_requests
+
+#: Node shape and offered load: two workers, 6-frame sessions over 40
+#: units, load at 1.5x VAA's cold capacity.
+WORKERS = 2
+FRAMES_PER_SESSION = 6
+DURATION_UNITS = 40.0
+LOAD_FACTOR = 1.5
 
 
 @dataclass(frozen=True)
@@ -68,56 +75,46 @@ def run(
     model: str,
     crop: int,
     seed: int,
-    engines: tuple = DEFAULT_ENGINES,
-    workers: int = 2,
-    load_factor: float = 1.5,
-    frames_per_session: int = 6,
-    duration_units: float = 40.0,
-    process: str = "poisson",
-    resolution: tuple = HD_RESOLUTION,
 ) -> ServingStudyResult:
     """Serve one seeded workload on every engine and compare outcomes.
 
     Every time constant scales with VAA's measured cold service time (the
     *unit*), so the same story — VAA saturated, Diffy comfortable — holds
-    at any crop/profile: offered load is ``load_factor`` × VAA capacity,
+    at any crop/profile: offered load is ``LOAD_FACTOR`` × VAA capacity,
     sessions stream a frame every 2 units, deadlines are 4 units, and the
-    run lasts ``duration_units`` units.
+    run lasts ``DURATION_UNITS`` units.
     """
-    times = measure_service_times(
-        model, engines=engines, crop=crop, resolution=resolution, seed=seed
-    )
+    times = measure_service_times(model, engines=DEFAULT_ENGINES, crop=crop, seed=seed)
     unit = times["VAA"].cold_s
-    offered_target = load_factor * workers / unit
+    offered_target = LOAD_FACTOR * WORKERS / unit
     spec = WorkloadSpec(
-        duration_s=duration_units * unit,
-        session_rate=offered_target / frames_per_session,
-        frames_per_session=frames_per_session,
+        duration_s=DURATION_UNITS * unit,
+        session_rate=offered_target / FRAMES_PER_SESSION,
+        frames_per_session=FRAMES_PER_SESSION,
         frame_interval_s=2.0 * unit,
-        process=process,
         burst_on_s=4.0 * unit,
         burst_off_s=4.0 * unit,
         seed=seed,
     )
     requests = generate_requests(spec)
     config = ServeConfig(
-        workers=workers,
+        workers=WORKERS,
         max_batch=4,
         max_wait_s=0.25 * unit,
         queue_capacity=16,
         deadline_s=4.0 * unit,
         # Room for ~8 resident sessions: above the ~6 concurrently live
         # ones, so eviction pressure exists but warm serving dominates.
-        state_capacity_bytes=8 * times[engines[0]].state_bytes,
+        state_capacity_bytes=8 * times[DEFAULT_ENGINES[0]].state_bytes,
     )
     reports = tuple(
         serve_workload(requests, times[engine], config, duration_s=spec.duration_s)
-        for engine in engines
+        for engine in DEFAULT_ENGINES
     )
     return ServingStudyResult(
         model=model,
         crop=crop,
-        resolution=tuple(resolution),
+        resolution=HD_RESOLUTION,
         seed=seed,
         workload=spec,
         config=config,

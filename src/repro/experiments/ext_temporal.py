@@ -60,21 +60,25 @@ class TemporalResult:
         return self.raw_terms / self.combined_terms
 
 
+#: Clip length: modes are compared on the last frame, which has two
+#: predecessors.
+FRAMES = 3
+
+
 def run_one(
     *,
     model: str,
     crop: int,
     seed: int,
-    pan_px: int = 2,
-    frames: int = 3,
+    pan_px: int,
 ) -> TemporalResult:
     """Trace a clip and compare processing modes for one motion level."""
     spec = get_model_spec(model)
     net = prepare_model(model, seed)
-    clip = synthesize_clip(frames, crop, crop, pan_px=pan_px, seed=seed)
+    clip = synthesize_clip(FRAMES, crop, crop, pan_px=pan_px, seed=seed)
     traces = tuple(net.trace(adapt_input(spec.input_adapter, f)) for f in clip)
     seq = FrameSequenceTrace(traces)
-    stats = seq.layer_mode_stats(frame=frames - 1)
+    stats = seq.layer_mode_stats(frame=FRAMES - 1)
     counts: dict[str, int] = {"raw": 0, "spatial": 0, "temporal": 0}
     for s in stats:
         counts[s.best_mode] += 1

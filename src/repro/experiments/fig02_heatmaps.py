@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analysis.spatial import HeatmapData, heatmap_data
 from repro.data.datasets import dataset
 from repro.experiments.profiles import Profile, resolve_profile
@@ -69,17 +67,3 @@ def format_result(result: Fig2Result) -> str:
         f"{result.edge_fraction_negative * 100:.1f}%",
     ]
     return "\n".join(lines)
-
-
-def save_heatmaps(result: Fig2Result, path_prefix: str) -> list[str]:
-    """Persist the three arrays as .npy files for external plotting."""
-    paths = []
-    for name, arr in (
-        ("raw", result.heatmaps.raw),
-        ("delta", result.heatmaps.delta),
-        ("term_reduction", result.heatmaps.term_reduction),
-    ):
-        path = f"{path_prefix}_{name}.npy"
-        np.save(path, arr)
-        paths.append(path)
-    return paths

@@ -39,13 +39,12 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    schemes: tuple[str, ...] = FIG5_SCHEMES,
 ) -> Fig5Result:
     ratios = {}
     for model in models:
         traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
         precisions = imap_precisions(traces)
-        ratios[model] = normalized_footprints(traces, schemes, precisions)
+        ratios[model] = normalized_footprints(traces, FIG5_SCHEMES, precisions)
     return Fig5Result(ratios=ratios)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.arch.diffy import DiffyModel
 from repro.arch.pra import PRAModel
-from repro.arch.sim import simulate_network
+from repro.arch.sim import DEFAULT_MEMORY, simulate_network
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
@@ -81,14 +81,14 @@ def per_layer_diffy_over_pra(
     }
 
 
-def _simulate(model, accelerator, scheme, memory, trace_count, crop, seed):
+def _simulate(model, accelerator, scheme, trace_count, crop, seed):
     if scheme == "Ideal":
         return simulate_network(
             model, accelerator, scheme="NoCompression", memory="Ideal",
             dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
     return simulate_network(
-        model, accelerator, scheme=scheme, memory=memory,
+        model, accelerator, scheme=scheme,
         dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
     )
 
@@ -99,20 +99,19 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    memory: str = "DDR4-3200",
     schemes: tuple[str, ...] = FIG11_SCHEMES,
 ) -> Fig11Result:
     rows = []
     for model in models:
         # VAA is compute-bound; its compression scheme is irrelevant to
         # performance (the paper makes the same observation).
-        vaa = _simulate(model, "VAA", "NoCompression", memory, trace_count, crop, seed)
+        vaa = _simulate(model, "VAA", "NoCompression", trace_count, crop, seed)
         pra = {}
         diffy = {}
         diffy_stall = 0.0
         for scheme in schemes:
-            pra_res = _simulate(model, "PRA", scheme, memory, trace_count, crop, seed)
-            diffy_res = _simulate(model, "Diffy", scheme, memory, trace_count, crop, seed)
+            pra_res = _simulate(model, "PRA", scheme, trace_count, crop, seed)
+            diffy_res = _simulate(model, "Diffy", scheme, trace_count, crop, seed)
             pra[scheme] = pra_res.speedup_over(vaa)
             diffy[scheme] = diffy_res.speedup_over(vaa)
             if scheme == "DeltaD16":
@@ -123,7 +122,7 @@ def run(
     per_layer = per_layer_diffy_over_pra(
         models=models, trace_count=trace_count, crop=crop, seed=seed
     )
-    return Fig11Result(rows=tuple(rows), memory=memory, per_layer=per_layer)
+    return Fig11Result(rows=tuple(rows), memory=DEFAULT_MEMORY, per_layer=per_layer)
 
 
 def compute(profile: Profile | None = None) -> Fig11Result:

@@ -46,13 +46,11 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    scheme: str = "DeltaD16",
-    memory: str = "DDR4-3200",
 ) -> Fig12Result:
     networks = {}
     for model in models:
         res = simulate_network(
-            model, "Diffy", scheme=scheme, memory=memory,
+            model, "Diffy", scheme="DeltaD16",
             dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         networks[model] = [

@@ -35,27 +35,25 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    scheme: str = "DeltaD16",
-    memory: str = "DDR4-3200",
 ) -> list[Fig13Row]:
     rows = []
     for model in models:
         vaa = simulate_network(
-            model, "VAA", scheme="NoCompression", memory=memory,
+            model, "VAA", scheme="NoCompression",
             dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         pra = simulate_network(
-            model, "PRA", scheme=scheme, memory=memory,
+            model, "PRA", scheme="DeltaD16",
             dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         diffy = simulate_network(
-            model, "Diffy", scheme=scheme, memory=memory,
+            model, "Diffy", scheme="DeltaD16",
             dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         # Content variance: per-image FPS across single-trace runs.
         per_image = [
             simulate_network(
-                model, "Diffy", scheme=scheme, memory=memory,
+                model, "Diffy", scheme="DeltaD16",
                 dataset_name=DEFAULT_DATASET, trace_count=1, crop=crop, seed=seed + i,
             ).fps
             for i in range(2)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arch.sim import HD_RESOLUTION
 from repro.compression.traffic import normalized_traffic
 from repro.experiments.common import (
     CI_MODEL_NAMES,
@@ -50,15 +51,14 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    resolution: tuple[int, int] = (1080, 1920),
     schemes: tuple[str, ...] = FIG14_SCHEMES,
 ) -> Fig14Result:
     ratios = {}
     for model in models:
         net = prepare_model(model, seed)
         traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
-        ratios[model] = normalized_traffic(net, traces, schemes, *resolution)
-    return Fig14Result(ratios=ratios, resolution=resolution)
+        ratios[model] = normalized_traffic(net, traces, schemes, *HD_RESOLUTION)
+    return Fig14Result(ratios=ratios, resolution=HD_RESOLUTION)
 
 
 def compute(profile: Profile | None = None) -> Fig14Result:

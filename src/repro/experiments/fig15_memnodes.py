@@ -43,8 +43,6 @@ def run(
     crop: int | None,
     seed: int,
     nodes: tuple[str, ...] = FIG15_NODES,
-    schemes: tuple[str, ...] = FIG15_SCHEMES,
-    channels: int = 1,
 ) -> Fig15Result:
     grid: dict[str, dict[str, dict[str, Fig15Cell]]] = {}
     for model in models:
@@ -59,16 +57,16 @@ def run(
         grid[model] = {}
         for node in nodes:
             grid[model][node] = {}
-            for scheme in schemes:
+            for scheme in FIG15_SCHEMES:
                 res = simulate_network(
-                    model, "Diffy", scheme=scheme, memory=node, channels=channels,
+                    model, "Diffy", scheme=scheme, memory=node,
                     dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
                 )
                 grid[model][node][scheme] = Fig15Cell(
                     speedup_over_vaa=res.speedup_over(vaa),
                     fraction_of_max=best.total_time_s / res.total_time_s,
                 )
-    return Fig15Result(grid=grid, nodes=nodes, schemes=schemes)
+    return Fig15Result(grid=grid, nodes=nodes, schemes=FIG15_SCHEMES)
 
 
 def compute(profile: Profile | None = None) -> Fig15Result:

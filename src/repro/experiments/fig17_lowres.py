@@ -53,15 +53,13 @@ def run(
     crop: int | None,
     seed: int,
     resolutions: tuple[tuple[int, int], ...] = FIG17_RESOLUTIONS,
-    scheme: str = "DeltaD16",
-    memory: str = "DDR4-3200",
 ) -> Fig17Result:
     fps: dict[str, dict[tuple[int, int], float]] = {}
     for model in models:
         fps[model] = {}
         for resolution in resolutions:
             res = simulate_network(
-                model, "Diffy", scheme=scheme, memory=memory,
+                model, "Diffy", scheme="DeltaD16",
                 resolution=resolution, dataset_name=FIG17_DATASET,
                 trace_count=trace_count, crop=crop, seed=seed,
             )

@@ -51,7 +51,6 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    schemes: tuple[str, ...] = FIG18_SCHEMES,
 ) -> Fig18Result:
     grid: dict[str, dict[str, Optional[ScalingChoice]]] = {}
     for model in models:
@@ -61,7 +60,7 @@ def run(
                 tile_sweep=TILE_SWEEP, memory_sweep=MEMORY_SWEEP,
                 trace_count=trace_count, crop=crop, seed=seed,
             )
-            for scheme in schemes
+            for scheme in FIG18_SCHEMES
         }
     return Fig18Result(grid=grid)
 

@@ -65,18 +65,16 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    scheme: str = "DeltaD16",
-    memory: str = "DDR4-3200",
 ) -> Fig19Result:
     rows = []
     for model in models:
         kw = dict(
             dataset_name=FIG19_DATASET, trace_count=trace_count,
-            resolution=CLS_RESOLUTION, crop=crop, seed=seed, memory=memory,
+            resolution=CLS_RESOLUTION, crop=crop, seed=seed,
         )
         vaa = simulate_network(model, "VAA", scheme="NoCompression", **kw)
-        pra = simulate_network(model, "PRA", scheme=scheme, **kw)
-        diffy = simulate_network(model, "Diffy", scheme=scheme, **kw)
+        pra = simulate_network(model, "PRA", scheme="DeltaD16", **kw)
+        diffy = simulate_network(model, "Diffy", scheme="DeltaD16", **kw)
         # Early-layer comparison straight from the cycle models.
         traces = traces_for(model, FIG19_DATASET, trace_count, crop, seed=seed)
         first = traces[0][0]

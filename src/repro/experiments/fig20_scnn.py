@@ -45,12 +45,11 @@ def run(
     crop: int | None,
     seed: int,
     sparsities: tuple[float, ...] = SCNN_SPARSITIES,
-    memory: str = "DDR4-3200",
 ) -> Fig20Result:
     speedups: dict[str, dict[float, float]] = {}
     for model in models:
         diffy = simulate_network(
-            model, "Diffy", scheme="DeltaD16", memory=memory,
+            model, "Diffy", scheme="DeltaD16",
             dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
         )
         speedups[model] = {}
@@ -59,7 +58,7 @@ def run(
                 "SCNN" if sparsity == 0.0 else f"SCNN{int(round(sparsity * 100))}"
             )
             scnn = simulate_network(
-                model, accel, scheme="RLEz", memory=memory,
+                model, accel, scheme="RLEz",
                 dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
             )
             speedups[model][sparsity] = diffy.speedup_over(scnn)

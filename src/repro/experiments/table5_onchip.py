@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arch.sim import HD_RESOLUTION
 from repro.compression.footprint import am_requirement_bytes
 from repro.experiments.common import (
     CI_MODEL_NAMES,
@@ -38,8 +39,8 @@ class Table5Result:
     wm_bytes: float
     resolution: tuple[int, int]
 
-    def ratio(self, scheme: str, baseline: str = "NoCompression") -> float:
-        return self.am_bytes[scheme] / self.am_bytes[baseline]
+    def ratio(self, scheme: str) -> float:
+        return self.am_bytes[scheme] / self.am_bytes["NoCompression"]
 
 
 def run(
@@ -48,19 +49,17 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    resolution: tuple[int, int] = (1080, 1920),
-    schemes: tuple[str, ...] = TABLE5_SCHEMES,
 ) -> Table5Result:
-    am: dict[str, float] = {s: 0.0 for s in schemes}
+    am: dict[str, float] = {s: 0.0 for s in TABLE5_SCHEMES}
     for model in models:
         net = prepare_model(model, seed)
         traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
-        for scheme in schemes:
-            req = am_requirement_bytes(net, traces, scheme, *resolution)
+        for scheme in TABLE5_SCHEMES:
+            req = am_requirement_bytes(net, traces, scheme, *HD_RESOLUTION)
             am[scheme] = max(am[scheme], req)
     # WM: the largest per-layer filter set, double buffered (Section III-F).
     wm = 2.0 * max(build_model(m, seed).max_layer_filter_bytes() for m in models)
-    return Table5Result(am_bytes=am, wm_bytes=wm, resolution=resolution)
+    return Table5Result(am_bytes=am, wm_bytes=wm, resolution=HD_RESOLUTION)
 
 
 def compute(profile: Profile | None = None) -> Table5Result:

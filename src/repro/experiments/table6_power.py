@@ -36,8 +36,6 @@ def run(
     trace_count: int,
     crop: int | None,
     seed: int,
-    scheme: str = "DeltaD16",
-    memory: str = "DDR4-3200",
 ) -> Table6Result:
     energy = EnergyModel()
     speedups = {}
@@ -45,11 +43,11 @@ def run(
         ratios = []
         for model in models:
             vaa = simulate_network(
-                model, "VAA", scheme="NoCompression", memory=memory,
+                model, "VAA", scheme="NoCompression",
                 dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
             )
             res = simulate_network(
-                model, accel, scheme=scheme, memory=memory,
+                model, accel, scheme="DeltaD16",
                 dataset_name=DEFAULT_DATASET, trace_count=trace_count, crop=crop, seed=seed,
             )
             ratios.append(res.speedup_over(vaa))

@@ -59,7 +59,7 @@ from repro.faults.metrics import CorruptionMetrics, ErrorAccumulator
 from repro.faults.models import FaultModel, fault_model
 from repro.protect import ProtectionPolicy, protection_policy, store_protected
 from repro.utils.rng import DEFAULT_SEED, rng_for
-from repro.utils.validation import check_integer, check_positive, check_unit_interval
+from repro.utils.validation import check_positive_integer, check_unit_interval
 
 __all__ = [
     "SCHEME_SITES",
@@ -208,8 +208,7 @@ def _check_inputs(
     """Reject bad campaign arguments before any map is prepared."""
     if not fmaps:
         raise ValueError(f"{caller} needs at least one feature map")
-    check_integer("trials", trials)
-    check_positive("trials", trials)
+    check_positive_integer("trials", trials)
     for rate in rates:
         check_unit_interval("rate", rate)
 

@@ -106,10 +106,9 @@ def inject_deltas(
     rate: float,
     model: FaultModel,
     rng: np.random.Generator,
-    width: int = WORD_BITS,
 ) -> "tuple[np.ndarray, int]":
-    """Corrupt a decoded delta map (signed words) before reconstruction."""
-    return inject_words(deltas, rate, model, rng, width=width, signed=True)
+    """Corrupt a decoded delta map (signed 16-bit words) before reconstruction."""
+    return inject_words(deltas, rate, model, rng, width=WORD_BITS, signed=True)
 
 
 def corrupt_protected_read(

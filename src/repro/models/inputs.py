@@ -40,8 +40,12 @@ def bayer_mosaic(image: np.ndarray) -> np.ndarray:
     return mosaic
 
 
-def bicubic_upscaled(image: np.ndarray, factor: int = 2) -> np.ndarray:
-    """Downsample by ``factor`` (box) then bicubically upscale back.
+#: VDSR's super-resolution factor.
+UPSCALE_FACTOR = 2
+
+
+def bicubic_upscaled(image: np.ndarray) -> np.ndarray:
+    """Downsample by ``UPSCALE_FACTOR`` (box) then bicubically upscale back.
 
     Produces exactly the input VDSR sees: full resolution, low-resolution
     content.
@@ -49,6 +53,7 @@ def bicubic_upscaled(image: np.ndarray, factor: int = 2) -> np.ndarray:
     if image.ndim != 3:
         raise ValueError(f"expected (C, H, W) image, got {image.shape}")
     _, h, w = image.shape
+    factor = UPSCALE_FACTOR
     if h % factor or w % factor:
         raise ValueError(f"dimensions {(h, w)} not divisible by factor {factor}")
     from scipy import ndimage

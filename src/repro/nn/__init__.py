@@ -4,7 +4,7 @@ The Diffy accelerator operates on 16-bit fixed-point activation streams.
 This subpackage provides everything needed to *generate* those streams
 without an external deep-learning framework:
 
-- :mod:`repro.nn.fixed_point` — the :class:`FixedPointTensor` value type,
+- :mod:`repro.nn.fixed_point` — 16-bit fixed-point quantization,
 - :mod:`repro.nn.functional`  — exact integer convolution and resampling,
 - :mod:`repro.nn.layers`      — layer objects (Conv2d, pooling, reshuffles),
 - :mod:`repro.nn.network`     — sequential networks with float calibration
@@ -19,7 +19,7 @@ arithmetic so that every downstream measurement (Booth term counts, dynamic
 precisions, delta statistics) is a bit-exact property of the value stream.
 """
 
-from repro.nn.fixed_point import FixedPointTensor, INPUT_SCALE, ACT_BITS
+from repro.nn.fixed_point import INPUT_SCALE, ACT_BITS
 from repro.nn.functional import (
     conv2d_int,
     conv2d_float,
@@ -42,7 +42,6 @@ from repro.nn.network import Network
 from repro.nn.trace import ActivationTrace, ConvLayerTrace
 
 __all__ = [
-    "FixedPointTensor",
     "INPUT_SCALE",
     "ACT_BITS",
     "conv2d_int",

@@ -32,10 +32,10 @@ from repro.utils.validation import check_integer, check_nonnegative, check_posit
 _EXACT_FLOAT_LIMIT = float(1 << 53)
 
 
-def _check_chw(x: np.ndarray, name: str = "x") -> np.ndarray:
+def _check_chw(x: np.ndarray) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 3:
-        raise ValueError(f"{name} must be a (C, H, W) array, got shape {arr.shape}")
+        raise ValueError(f"x must be a (C, H, W) array, got shape {arr.shape}")
     return arr
 
 

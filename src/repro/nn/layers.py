@@ -165,15 +165,6 @@ class Conv2d(Layer):
         wo = (w + 2 * self.padding - eff) // self.stride + 1
         return (self.out_channels, ho, wo)
 
-    @property
-    def effective_kernel(self) -> int:
-        """Kernel extent after dilation (a dilated 3x3 at d=4 spans 9)."""
-        return (self.kernel - 1) * self.dilation + 1
-
-    def macs_per_window(self) -> int:
-        """Multiply-accumulates per output activation (zero-padded taps count)."""
-        return self.in_channels * self.kernel * self.kernel
-
     # -- float / calibration ---------------------------------------------
     def _bias_relu(self, preact: np.ndarray) -> np.ndarray:
         """``conv2d_float``'s bias add, then the fused ReLU, in place.

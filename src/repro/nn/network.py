@@ -186,23 +186,20 @@ class Network:
                 x, scale = layer.forward_int(x, scale)
         return x, scale
 
-    def trace(self, image: np.ndarray, scale: int = INPUT_SCALE) -> ActivationTrace:
-        """Quantize ``image`` and run integer inference, recording a trace.
+    def trace(self, image: np.ndarray) -> ActivationTrace:
+        """Quantize ``image`` at :data:`INPUT_SCALE` and run integer
+        inference, recording a trace.
 
         Each map is stored at its true width (:func:`narrowest_copy`), and
         where one convolution feeds the next with no layer in between, the
         next imap is the same array as the previous omap.
 
-        Parameters
-        ----------
-        image:
-            Float (C, H, W) image with values roughly in [0, 1].
-        scale:
-            Fixed-point scale for the input (default :data:`INPUT_SCALE`).
+        ``image`` is a float (C, H, W) image with values roughly in [0, 1].
         """
         if not self._quantized:
             raise RuntimeError(f"{self.name}: calibrate() must run before trace")
         self._check_input(image)
+        scale = INPUT_SCALE
         x = quantize(image, scale)
         trace = ActivationTrace(
             network=self.name,

@@ -119,14 +119,6 @@ class ActivationTrace:
     def __getitem__(self, idx: int) -> ConvLayerTrace:
         return self.layers[idx]
 
-    @property
-    def total_macs(self) -> int:
-        return sum(layer.macs for layer in self.layers)
-
-    @property
-    def total_imap_values(self) -> int:
-        return sum(int(np.prod(layer.imap_shape)) for layer in self.layers)
-
     def layer_named(self, name: str) -> ConvLayerTrace:
         for layer in self.layers:
             if layer.name == name:

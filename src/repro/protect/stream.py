@@ -197,12 +197,9 @@ class RecoveryReport:
     flagged_mask: np.ndarray
 
 
-def store_protected(
-    fmap: np.ndarray,
-    policy: ProtectionPolicy,
-    group_size: int = 16,
-) -> ProtectedMap:
-    """Store a (C, H, W) integer map under ``policy``.
+def store_protected(fmap: np.ndarray, policy: ProtectionPolicy) -> ProtectedMap:
+    """Store a (C, H, W) integer map under ``policy``, in DeltaD16's
+    16-value groups.
 
     With the null policy this produces exactly the DeltaD16 stream the
     unprotected campaign stores (same bytes); with ``keyframe_interval=1``
@@ -217,7 +214,7 @@ def store_protected(
     mask = _anchor_mask_flat(arr.shape, interval)
     flat = planar_order(keyframe_deltas(arr, interval))
     anchor_vals = flat[mask]
-    codec = GroupCodec(group_size, signed=True, checksum=policy.group_checksum)
+    codec = GroupCodec(16, signed=True, checksum=policy.group_checksum)
     stream = codec.encode(flat[~mask])
     anchors = (
         secded_encode(anchor_vals, WORD_BITS, signed=signed)
@@ -228,7 +225,7 @@ def store_protected(
     return ProtectedMap(
         shape=tuple(arr.shape),
         policy=policy,
-        group_size=group_size,
+        group_size=16,
         signed=signed,
         anchors=anchors,
         stream=stream,

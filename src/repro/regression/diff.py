@@ -27,11 +27,10 @@ def _join(path: str, key: Any) -> str:
 
 @dataclass(frozen=True)
 class ToleranceRule:
-    """Float tolerance for every path matching ``pattern``."""
+    """Relative float tolerance for every path matching ``pattern``."""
 
     pattern: str
     rtol: float
-    atol: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class DiffConfig:
     def tolerance_for(self, path: str) -> "tuple[float, float]":
         for rule in self.rules:
             if fnmatchcase(path, rule.pattern):
-                return rule.rtol, rule.atol
+                return rule.rtol, 0.0
         return self.default_rtol, self.default_atol
 
 

@@ -67,13 +67,3 @@ def write_golden(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(canonical_text, encoding="utf-8")
     return path
-
-
-def available_goldens(
-    profile_name: str, root: "str | os.PathLike | None" = None
-) -> "tuple[str, ...]":
-    """Experiment ids that have a committed golden for ``profile_name``."""
-    directory = goldens_root(root) / profile_name
-    if not directory.is_dir():
-        return ()
-    return tuple(sorted(p.stem for p in directory.glob("*.json")))

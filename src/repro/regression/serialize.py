@@ -62,23 +62,23 @@ def canonical_key(key: Any) -> str:
     raise UnserializableError(f"cannot canonicalize mapping key {key!r}")
 
 
-def to_jsonable(obj: Any, sig: int = SIG_DIGITS, _path: str = "$") -> Any:
+def to_jsonable(obj: Any, _path: str = "$") -> Any:
     """Reduce ``obj`` to canonical JSON-compatible Python structures."""
     if obj is None or isinstance(obj, (bool, str, np.bool_)):
         return bool(obj) if isinstance(obj, np.bool_) else obj
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return round_float(obj, sig)
+        return round_float(obj)
     if isinstance(obj, np.ndarray):
-        return to_jsonable(obj.tolist(), sig, _path)
+        return to_jsonable(obj.tolist(), _path)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {
-            f.name: to_jsonable(getattr(obj, f.name), sig, f"{_path}/{f.name}")
+            f.name: to_jsonable(getattr(obj, f.name), f"{_path}/{f.name}")
             for f in dataclasses.fields(obj)
         }
         for prop in getattr(type(obj), "__golden_properties__", ()):
-            out[prop] = to_jsonable(getattr(obj, prop), sig, f"{_path}/{prop}")
+            out[prop] = to_jsonable(getattr(obj, prop), f"{_path}/{prop}")
         return out
     if isinstance(obj, Mapping):
         out = {}
@@ -88,25 +88,25 @@ def to_jsonable(obj: Any, sig: int = SIG_DIGITS, _path: str = "$") -> Any:
                 raise UnserializableError(
                     f"mapping keys collide after canonicalization at {_path}: {ckey!r}"
                 )
-            out[ckey] = to_jsonable(value, sig, f"{_path}/{ckey}")
+            out[ckey] = to_jsonable(value, f"{_path}/{ckey}")
         return out
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v, sig, f"{_path}/{i}") for i, v in enumerate(obj)]
+        return [to_jsonable(v, f"{_path}/{i}") for i, v in enumerate(obj)]
     if isinstance(obj, (set, frozenset)):
-        items = [to_jsonable(v, sig, _path) for v in obj]
+        items = [to_jsonable(v, _path) for v in obj]
         return sorted(items, key=lambda v: json.dumps(v, sort_keys=True))
     raise UnserializableError(
         f"cannot serialize {type(obj).__name__} at {_path}: {obj!r}"
     )
 
 
-def canonical_dumps(obj: Any, sig: int = SIG_DIGITS) -> str:
+def canonical_dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, 2-space indent, trailing newline.
 
     Two calls with equal inputs produce byte-identical output — that is
     the contract goldens (and their diffs) rely on.
     """
-    jsonable = to_jsonable(obj, sig)
+    jsonable = to_jsonable(obj)
     return (
         json.dumps(
             jsonable,

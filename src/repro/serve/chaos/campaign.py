@@ -164,7 +164,6 @@ def run_chaos_grid(
     node_config: ServeConfig,
     duration_s: float,
     nodes: int = 2,
-    routing: str = "state_aware",
     session_ttl_s: Optional[float] = None,
     seed: int = DEFAULT_SEED,
 ) -> ChaosGridResult:
@@ -189,7 +188,7 @@ def run_chaos_grid(
             )
             config = FleetConfig(
                 nodes=nodes,
-                routing=routing,
+                routing="state_aware",
                 node=node_config,
                 session_ttl_s=session_ttl_s,
                 chaos=spec,

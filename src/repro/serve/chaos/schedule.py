@@ -30,7 +30,13 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.serve.workload import Request, WorkloadSpec
 from repro.utils.rng import DEFAULT_SEED, rng_for
-from repro.utils.validation import check_integer, check_positive, check_unit_interval
+from repro.utils.validation import (
+    check_integer,
+    check_nonnegative,
+    check_positive,
+    check_positive_integer,
+    check_unit_interval,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage imports us)
     from repro.serve.chaos.storage import StorageChaos
@@ -88,11 +94,10 @@ class ChaosSpec:
 
     def __post_init__(self) -> None:
         check_unit_interval("storage_rate", self.storage_rate)
-        check_integer("storage_trials", self.storage_trials)
-        check_positive("storage_trials", self.storage_trials)
+        check_positive_integer("storage_trials", self.storage_trials)
         for name in ("crashes", "degrades", "bursts"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            check_integer(name, getattr(self, name))
+            check_nonnegative(name, getattr(self, name))
         if self.crashes:
             check_positive("crash_downtime_s", self.crash_downtime_s)
         if self.degrades:
@@ -160,14 +165,6 @@ class ChaosSchedule:
     crashes: "tuple[NodeCrash, ...]"
     degrades: "tuple[DegradeWindow, ...]"
     bursts: "tuple[BurstWindow, ...]"
-
-    def burst_active(self, t: float) -> bool:
-        return any(w.start_s <= t < w.end_s for w in self.bursts)
-
-    def crash_windows(self, node_id: int) -> "tuple[tuple[float, float], ...]":
-        return tuple(
-            (c.crash_s, c.restart_s) for c in self.crashes if c.node_id == node_id
-        )
 
     def degrade_windows(self, node_id: int) -> "tuple[tuple[float, float, float], ...]":
         return tuple(

@@ -52,7 +52,7 @@ from repro.protect.stream import RecoveryReport
 from repro.serve.chaos.schedule import BurstWindow
 from repro.utils import timing
 from repro.utils.rng import DEFAULT_SEED, derive_seed, rng_for
-from repro.utils.validation import check_integer, check_positive, check_unit_interval
+from repro.utils.validation import check_positive_integer, check_unit_interval
 
 __all__ = [
     "SERVE_LADDERS",
@@ -162,8 +162,7 @@ def price_ladder(
     policy = serve_ladder(ladder)
     fault_model(fault_model_name)  # fail fast on unknown names
     check_unit_interval("rate", rate)
-    check_integer("trials", trials)
-    check_positive("trials", trials)
+    check_positive_integer("trials", trials)
     return cache_store.fetch_or_compute(
         "chaos_ladder",
         (ladder, fault_model_name, float(rate), trials, seed, crop),

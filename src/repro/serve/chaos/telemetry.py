@@ -125,12 +125,6 @@ class ChaosTelemetry(FieldMerge):
         """Silent corruptions per warm state read (the SLO)."""
         return self.storage_silent / self.warm_attempts if self.warm_attempts else 0.0
 
-    def warm_fraction_by_bucket(self) -> np.ndarray:
-        served = self.warm_by_bucket + self.cold_by_bucket
-        with np.errstate(invalid="ignore"):
-            out = np.where(served > 0, self.warm_by_bucket / np.maximum(served, 1), 0.0)
-        return out
-
     def snapshot(self) -> dict:
         """Golden-serializable digest of the chaos run."""
         rec = self.recovery.summary()

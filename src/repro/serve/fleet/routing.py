@@ -267,7 +267,6 @@ def make_router(
     policy: str,
     nodes: Sequence[int],
     seed: int = DEFAULT_SEED,
-    vnodes: int = 64,
     est_service_s: float = 1.0,
     session_ttl_s: Optional[float] = None,
 ) -> Router:
@@ -275,7 +274,7 @@ def make_router(
     if policy == "random":
         return RandomRouter(nodes, seed=seed)
     if policy == "hash":
-        return ConsistentHashRouter(nodes, vnodes=vnodes)
+        return ConsistentHashRouter(nodes)
     if policy == "least_loaded":
         return LeastLoadedRouter(nodes, est_service_s=est_service_s)
     if policy == "state_aware":

@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; the calib spec is
     from repro.calib.recalibrate import CalibSpec
 from repro.utils import timing
 from repro.utils.rng import DEFAULT_SEED
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_integer
 
 __all__ = [
     "FleetConfig",
@@ -68,15 +68,9 @@ class FleetConfig:
     nodes: int = 4
     routing: str = "state_aware"
     node: ServeConfig = field(default_factory=ServeConfig)
-    #: Virtual nodes per physical node on the consistent-hash ring.
-    vnodes: int = 64
     #: Idle time after which a routing-table session entry expires
     #: (None = never; the state stores still evict under their byte cap).
     session_ttl_s: Optional[float] = None
-    #: Front-end per-request service estimate for least-loaded routing
-    #: (None = the engine's cold time, the only cost a state-blind
-    #: front end can assume).
-    est_service_s: Optional[float] = None
     autoscale: Optional[AutoscalePolicy] = None
     #: Chaos scenario to execute during the run (None = fault-free).
     chaos: Optional[ChaosSpec] = None
@@ -86,15 +80,13 @@ class FleetConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        check_positive("nodes", self.nodes)
+        check_positive_integer("nodes", self.nodes)
         if self.chaos is not None:
             serve_ladder(self.chaos.protection)  # fail fast on unknown ladders
         if self.routing not in ROUTING_POLICIES:
             raise ValueError(f"routing must be one of {ROUTING_POLICIES}, got {self.routing!r}")
         if self.session_ttl_s is not None:
             check_positive("session_ttl_s", self.session_ttl_s)
-        if self.est_service_s is not None:
-            check_positive("est_service_s", self.est_service_s)
 
 
 @dataclass(frozen=True)
@@ -249,8 +241,8 @@ def route_requests(
         config.routing,
         range(config.nodes),
         seed=config.seed,
-        vnodes=config.vnodes,
-        est_service_s=config.est_service_s or times.cold_s,
+        # A state-blind front end can only assume the engine's cold time.
+        est_service_s=times.cold_s,
         session_ttl_s=config.session_ttl_s,
     )
     scaler = None

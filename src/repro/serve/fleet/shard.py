@@ -99,16 +99,16 @@ class ShardStream:
         return len(self.arrival_s)
 
     @classmethod
-    def from_requests(cls, node_id, requests, migrated=None):
-        """Build a stream from :class:`~repro.serve.workload.Request` objects."""
+    def from_requests(cls, node_id, requests):
+        """Build a stream from :class:`~repro.serve.workload.Request` objects,
+        none of them migrated."""
         reqs = list(requests)
-        flags = list(migrated) if migrated is not None else [False] * len(reqs)
         return cls(
             node_id=int(node_id),
             arrival_s=np.array([r.arrival_s for r in reqs], dtype=np.float64),
             session_id=np.array([r.session_id for r in reqs], dtype=np.int64),
             frame_index=np.array([r.frame_index for r in reqs], dtype=np.int64),
-            migrated=np.array(flags, dtype=bool),
+            migrated=np.zeros(len(reqs), dtype=bool),
             scene_cut=np.array([r.scene_cut for r in reqs], dtype=bool),
             motion=np.array([r.motion for r in reqs], dtype=np.float64),
         )

@@ -86,10 +86,6 @@ class ServiceTimes:
             return self.cold_s
         raise ValueError(f"unknown service mode {mode!r}")
 
-    @property
-    def warm_speedup(self) -> float:
-        return self.cold_s / self.warm_s if self.warm_s else float("inf")
-
 
 def temporal_term_map(layer: ConvLayerTrace, previous: ConvLayerTrace) -> np.ndarray:
     """Booth term counts of the padded temporal-delta imap."""

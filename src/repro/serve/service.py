@@ -22,7 +22,13 @@ from typing import Optional, Sequence
 
 from repro.serve.latency import ServiceTimes
 from repro.serve.workload import Request
-from repro.utils.validation import check_positive
+from repro.utils.validation import (
+    check_finite_nonnegative,
+    check_integer,
+    check_nonnegative,
+    check_positive,
+    check_positive_integer,
+)
 
 
 @dataclass(frozen=True)
@@ -45,14 +51,12 @@ class ServeConfig:
     state_capacity_bytes: int = 0
 
     def __post_init__(self) -> None:
-        check_positive("workers", self.workers)
-        check_positive("queue_capacity", self.queue_capacity)
+        for name in ("workers", "max_batch", "queue_capacity"):
+            check_positive_integer(name, getattr(self, name))
         check_positive("deadline_s", self.deadline_s)
-        if self.state_capacity_bytes < 0:
-            raise ValueError(f"state_capacity_bytes must be >= 0, got {self.state_capacity_bytes}")
-        check_positive("max_batch", self.max_batch)
-        if self.max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
+        check_finite_nonnegative("max_wait_s", self.max_wait_s)
+        check_integer("state_capacity_bytes", self.state_capacity_bytes)
+        check_nonnegative("state_capacity_bytes", self.state_capacity_bytes)
 
 
 @dataclass(frozen=True)

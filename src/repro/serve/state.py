@@ -108,10 +108,6 @@ class TemporalStateStore:
     def resident_bytes(self) -> int:
         return len(self._resident) * self.bytes_per_session
 
-    @property
-    def max_sessions(self) -> int:
-        return self.capacity_bytes // self.bytes_per_session
-
     def set_version(self, version: int) -> None:
         """Install a new calibration-table version (atomic swap point).
 

@@ -42,11 +42,6 @@ class Request:
     #: a motion burst scales the warm service time toward cold.
     motion: float = 1.0
 
-    @property
-    def is_session_head(self) -> bool:
-        """First frame of its session (never has temporal state)."""
-        return self.frame_index == 0
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:

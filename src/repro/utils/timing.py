@@ -142,10 +142,11 @@ def reset(prefix: str = "") -> None:
                 del table[name]
 
 
-def report(title: str = "repro timing report") -> str:
+def report() -> str:
     """Human-readable table of accumulated timers and counters."""
     timers = timer_stats()
     counters = counter_values()
+    title = "repro timing report"
     lines = [title, "=" * len(title)]
     if timers:
         width = max(len(p) for p in timers)

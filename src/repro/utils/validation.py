@@ -6,7 +6,7 @@ of the public API fails loudly and early.
 
 from __future__ import annotations
 
-from typing import Collection, Optional
+from typing import Collection
 
 import numpy as np
 
@@ -103,17 +103,10 @@ def check_integer_array(name: str, values: np.ndarray) -> np.ndarray:
     return arr.view(np.uint8) if arr.dtype.kind == "b" else arr
 
 
-def check_shape(
-    name: str,
-    array: np.ndarray,
-    ndim: Optional[int] = None,
-    min_ndim: Optional[int] = None,
-) -> np.ndarray:
-    """Raise ``ValueError`` unless ``array``'s rank matches the constraint."""
+def check_shape(name: str, array: np.ndarray, min_ndim: int) -> np.ndarray:
+    """Raise ``ValueError`` unless ``array`` has at least ``min_ndim`` dims."""
     arr = np.asarray(array)
-    if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"{name} must have {ndim} dims, got shape {arr.shape}")
-    if min_ndim is not None and arr.ndim < min_ndim:
+    if arr.ndim < min_ndim:
         raise ValueError(f"{name} must have >= {min_ndim} dims, got shape {arr.shape}")
     return arr
 

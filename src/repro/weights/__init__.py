@@ -16,7 +16,6 @@ package adds the weight axis:
 
 from repro.weights.msr import MSRCodec
 from repro.weights.quant import (
-    msr_coverage,
     network_int8_weights,
     quantize_weights_int8,
     weight_scale_int8,
@@ -32,7 +31,6 @@ __all__ = [
     "MSRCodec",
     "WEIGHT_SCHEMES",
     "WeightScheme",
-    "msr_coverage",
     "network_int8_weights",
     "network_weight_bits",
     "quantize_weights_int8",

@@ -205,24 +205,6 @@ class MSRCodec:
         lay = self._layout(flat)
         return 1.0 - int(lay.comp_counts.sum()) / flat.size
 
-    def column_stats(self, values: np.ndarray) -> dict:
-        """Telemetry summary: columns, compensation, run histogram."""
-        flat = self._validated(values)
-        lay = self._layout(flat)
-        hist = {
-            int(r): int(n)
-            for r, n in zip(*np.unique(lay.runs, return_counts=True))
-        }
-        compensated = int(lay.comp_counts.sum())
-        return {
-            "columns": lay.columns,
-            "compensated": compensated,
-            "coverage": 1.0 - compensated / flat.size if flat.size else 1.0,
-            "run_histogram": hist,
-            "total_bits": lay.total_bits,
-            "bits_per_weight": lay.total_bits / flat.size if flat.size else 0.0,
-        }
-
     # ---- encode ----------------------------------------------------------
 
     def encode(self, values: np.ndarray) -> Encoded:

@@ -19,7 +19,6 @@ from repro.nn.layers import MAX_WEIGHT_SCALE
 from repro.utils.bits import signed_range
 
 __all__ = [
-    "msr_coverage",
     "network_int8_weights",
     "quantize_weights_int8",
     "weight_scale_int8",
@@ -72,20 +71,6 @@ def quantize_weights_int8(weights: np.ndarray) -> "tuple[np.ndarray, int]":
             f"calibrated scale {scale} clips weights to [{q.min()}, {q.max()}]"
         )
     return q.reshape(-1), scale
-
-
-def msr_coverage(int_weights: np.ndarray, bits: int = 8, msr: int = 4) -> float:
-    """Fraction of weights whose top ``msr`` bits are a sign run.
-
-    This is the fixed-width coverage figure the related work reports
-    (in-band for a ``bits - msr + 1``-bit compact path); the adaptive
-    codec's realized coverage is at least as high.
-    """
-    flat = np.asarray(int_weights, dtype=np.int64).reshape(-1)
-    if not flat.size:
-        return 1.0
-    lo, hi = signed_range(bits - msr + 1)
-    return float(((flat >= lo) & (flat <= hi)).mean())
 
 
 def network_int8_weights(network) -> "dict[str, tuple[np.ndarray, int]]":

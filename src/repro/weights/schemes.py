@@ -53,8 +53,8 @@ class MSRWeights(WeightScheme):
 
     name = "MSR4W"
 
-    def __init__(self, bits: int = 8, max_msr: int = 4, column_size: int = 256):
-        self.codec = MSRCodec(bits=bits, max_msr=max_msr, column_size=column_size)
+    def __init__(self):
+        self.codec = MSRCodec(bits=8, max_msr=4, column_size=256)
 
     def encoded_bits(self, int_weights: np.ndarray) -> int:
         return self.codec.encoded_bits(np.asarray(int_weights, dtype=np.int64))

@@ -13,7 +13,7 @@ take the codec's or kernel's parameters, plus the virtual-clock
 ``InferenceService`` with its per-event ``PerEventTelemetry``, the
 two-convolution calibration, the two-aggregate Diffy head splice, the
 out-of-place image synthesizer (:mod:`tests.oracles.synthesis`), the
-digit-level Booth/NAF recoders behind ``term_count_lut``
+digit-level Booth recoder behind ``term_count_lut``
 (:mod:`tests.oracles.booth`), and the only implementation of the RLEz
 token format, whose size ``RLEZero.encoded_bits`` prices.
 The property suites assert production is byte-identical to them, and
@@ -32,7 +32,7 @@ from tests.oracles.bitio import (
     crc8_bits_bitwise,
     crc8_table,
 )
-from tests.oracles.booth import naf_digits, r4_booth_digits
+from tests.oracles.booth import r4_booth_digits
 from tests.oracles.codecs import (
     group_decode_flagged,
     group_encode,
@@ -70,7 +70,6 @@ __all__ = [
     "crc8_bits",
     "crc8_bits_bitwise",
     "crc8_table",
-    "naf_digits",
     "r4_booth_digits",
     "group_encode",
     "group_decode_flagged",

@@ -31,9 +31,6 @@ class TestConfigs:
         assert DIFFY_CONFIG.windows_per_tile == 16
         assert VAA_CONFIG.windows_per_tile == 1
 
-    def test_concurrent_filters(self):
-        assert DIFFY_CONFIG.concurrent_filters == 64
-
     def test_with_tiles(self):
         scaled = DIFFY_CONFIG.with_tiles(32)
         assert scaled.tiles == 32
@@ -86,11 +83,6 @@ class TestMemory:
     def test_ideal_memory_is_instant_enough(self):
         assert memory_system("Ideal").transfer_time_s(1e12) < 1e-5
         assert IDEAL_MEMORY.technology.energy_pj_per_bit == 0.0
-
-    def test_transfer_energy(self):
-        mem = memory_system("DDR4-3200")
-        # 1 byte = 8 bits at 20 pJ/bit.
-        assert mem.transfer_energy_j(1) == pytest.approx(160e-12)
 
     def test_unknown_technology(self):
         with pytest.raises(KeyError, match="unknown memory technology"):

@@ -90,12 +90,6 @@ class TestPRADiffy:
         with pytest.raises(ValueError):
             DiffyModel(axis="t")
 
-    def test_reconstruction_adds(self, dncnn_trace):
-        layer = dncnn_trace[3]
-        adds = DiffyModel().reconstruction_adds(layer)
-        k, h, w = layer.omap_shape
-        assert adds == h * (w - 1) * k
-
     def test_sync_models_ordering(self, dncnn_trace):
         layer = dncnn_trace[3]
         results = {}

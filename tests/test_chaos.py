@@ -115,6 +115,18 @@ class TestChaosSpecAndSchedule:
         with pytest.raises(ValueError, match=match):
             ChaosSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"crashes": 1.5, "crash_downtime_s": 1.0}, "crashes"),
+            ({"degrades": 1.5, "degrade_len_s": 1.0}, "degrades"),
+            ({"bursts": 0.5, "burst_len_s": 1.0}, "bursts"),
+        ],
+    )
+    def test_fractional_event_counts_fail_at_construction(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ChaosSpec(**kwargs)
+
     def test_burst_rate_at_the_bound_is_accepted(self):
         spec = ChaosSpec(storage_rate=0.1, bursts=1, burst_len_s=1.0, burst_fault_mult=10.0)
         assert spec.storage_rate * spec.burst_fault_mult == 1.0
@@ -157,7 +169,9 @@ class TestChaosSpecAndSchedule:
         spec = ChaosSpec(crashes=8, crash_downtime_s=5.0, seed=1)
         schedule = generate_schedule(spec, 40.0, range(2))
         for node in range(2):
-            windows = sorted(schedule.crash_windows(node))
+            windows = sorted(
+                (c.crash_s, c.restart_s) for c in schedule.crashes if c.node_id == node
+            )
             for (_, end), (start, _) in zip(windows, windows[1:]):
                 assert start >= end
 

@@ -46,9 +46,6 @@ class TestNoCompression:
     def test_16_bits_per_value(self):
         assert NoCompression().encoded_bits(_map([0, 1, 2])) == 48
 
-    def test_bits_per_value(self):
-        assert NoCompression().bits_per_value(_map([5])) == 16.0
-
 
 class TestRLEZero:
     def test_dense_map_pays_overhead(self):
@@ -204,6 +201,6 @@ class TestTraffic:
     def test_activations_dominate_at_hd(self, dncnn_trace):
         net = prepare_model("DnCNN")
         layers = network_traffic(net, [dncnn_trace], "NoCompression", 1080, 1920)
-        act = sum(l.activation_bytes for l in layers)
+        act = sum(l.imap_bytes + l.omap_bytes for l in layers)
         wts = sum(l.weight_bytes for l in layers)
         assert act > 50 * wts  # Section III-F: imaps/omaps dominate

@@ -58,16 +58,6 @@ class TestMotivationExperiments:
         assert result.layer == "conv_2"
         assert "terms per delta" in fig02_heatmaps.format_result(result)
 
-    def test_fig02_save_heatmaps(self, tmp_path):
-        result = fig02_heatmaps.run(
-            model="IRCNN", layer_name="conv_2", crop=48, seed=DEFAULT_SEED
-        )
-        paths = fig02_heatmaps.save_heatmaps(result, str(tmp_path / "fig2"))
-        assert len(paths) == 3
-        import numpy as np
-
-        assert np.load(paths[0]).ndim == 2
-
     def test_fig03(self):
         result = fig03_term_cdf.run(**SMALL)
         assert result.stats.hist_raw.sum() > 0

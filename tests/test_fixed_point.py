@@ -1,17 +1,10 @@
-"""Tests for the fixed-point tensor type and requantization."""
+"""Tests for fixed-point quantization and requantization."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.nn.fixed_point import (
-    ACT_BITS,
-    FixedPointTensor,
-    dequantize,
-    quantize,
-    requantize_shift,
-    round_half_away,
-)
+from repro.nn.fixed_point import quantize, requantize_shift, round_half_away
 
 
 class TestRoundHalfAway:
@@ -41,13 +34,13 @@ class TestQuantize:
         rng = np.random.default_rng(0)
         vals = rng.uniform(-1, 1, 1000)
         q = quantize(vals, 12)
-        back = dequantize(q, 12)
+        back = q / 2**12
         assert np.abs(back - vals).max() <= 0.5 / 2**12 + 1e-12
 
     @given(st.floats(min_value=-0.999, max_value=0.999), st.integers(min_value=0, max_value=15))
     def test_quantize_dequantize_within_half_lsb(self, v, scale):
         q = quantize(np.array([v]), scale)
-        assert abs(dequantize(q, scale)[0] - v) <= 0.5 / 2**scale + 1e-12
+        assert abs(q[0] / 2**scale - v) <= 0.5 / 2**scale + 1e-12
 
 
 class TestRequantizeShift:
@@ -77,25 +70,3 @@ class TestRequantizeShift:
         expected = int(round_half_away(np.array([v / 2**shift]))[0])
         expected = max(-32768, min(32767, expected))
         assert got == expected
-
-
-class TestFixedPointTensor:
-    def test_from_float_and_back(self):
-        t = FixedPointTensor.from_float(np.array([0.25, -0.5]), scale=8)
-        assert np.array_equal(t.values, [64, -128])
-        assert np.allclose(t.to_float(), [0.25, -0.5])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of 16-bit"):
-            FixedPointTensor(np.array([1 << 16]), scale=0)
-
-    def test_accepts_boundaries(self):
-        FixedPointTensor(np.array([-32768, 32767]), scale=0)
-
-    def test_default_bits(self):
-        t = FixedPointTensor(np.array([1]), scale=0)
-        assert t.bits == ACT_BITS
-
-    def test_shape_property(self):
-        t = FixedPointTensor(np.zeros((2, 3), dtype=np.int64), scale=4)
-        assert t.shape == (2, 3)

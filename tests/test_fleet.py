@@ -493,6 +493,10 @@ class TestFleetSimulation:
         with pytest.raises(ValueError, match="nodes"):
             FleetConfig(nodes=0)
 
+    def test_fractional_node_count_fails_at_construction(self):
+        with pytest.raises(ValueError, match="nodes must be an integer"):
+            FleetConfig(nodes=1.5)
+
 
 class TestAutoscaler:
     def _policy(self, **kw):

@@ -36,7 +36,6 @@ class TestConv2d:
         layer = conv(gen, "d", 4, 4, dilation=3)
         assert layer.padding == 3
         assert layer.out_shape((4, 16, 16)) == (4, 16, 16)
-        assert layer.effective_kernel == 7
 
     def test_out_shape_checks_channels(self):
         with pytest.raises(ValueError, match="expected 3 channels"):
@@ -86,9 +85,6 @@ class TestConv2d:
         err = np.abs(out_f - out_i / 2**scale).max()
         # Error accumulates through 3 layers of rounding; stays small.
         assert err < 0.05 * max(np.abs(out_f).max(), 1.0)
-
-    def test_macs_per_window(self):
-        assert _conv().macs_per_window() == 3 * 9
 
 
 class TestReshuffleLayers:

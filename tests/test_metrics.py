@@ -1,24 +1,8 @@
-"""Tests for the derived-metric and design-space search helpers."""
+"""Tests for the Fig 18 design-space search."""
 
 import pytest
 
-from repro.arch.metrics import (
-    minimum_tiles_for_fps,
-    utilization_report,
-)
-from repro.arch.sim import simulate_network
-
-SIM_KW = dict(dataset_name="Kodak24", trace_count=1, crop=32)
-
-
-class TestUtilizationReport:
-    def test_rows_partition(self):
-        res = simulate_network("IRCNN", "Diffy", **SIM_KW)
-        rows = utilization_report(res)
-        assert len(rows) == 7
-        for row in rows:
-            assert row.useful + row.idle + row.stall == pytest.approx(1.0)
-        assert sum(r.time_share for r in rows) == pytest.approx(1.0)
+from repro.arch.metrics import minimum_tiles_for_fps
 
 
 class TestMinimumTilesForFps:

@@ -51,10 +51,6 @@ class TestTable1Structure:
         net = build_model("IRCNN")
         assert [layer.dilation for layer in net.conv_layers] == [1, 2, 3, 4, 3, 2, 1]
 
-    def test_ircnn_effective_kernels(self):
-        net = build_model("IRCNN")
-        assert [l.effective_kernel for l in net.conv_layers] == [3, 5, 7, 9, 7, 5, 3]
-
     def test_resolution_preserved_by_ci_models(self):
         for name in CI_MODELS:
             net = build_model(name)

@@ -102,7 +102,6 @@ class TestInt16EqualsInt64:
         wide = narrow.astype(np.int64)
 
         assert np.array_equal(booth_terms(narrow), booth_terms(wide))
-        assert np.array_equal(booth_terms(narrow, "naf"), booth_terms(wide, "naf"))
 
         deltas = spatial_deltas(narrow, axis=axis, stride=stride)
         assert deltas.dtype == np.int32
@@ -245,30 +244,27 @@ class TestReadOnlySharedMaps:
 
 
 class TestUint8TermMaps:
-    @pytest.mark.parametrize("encoding", ["booth", "naf"])
-    def test_booth_terms_are_uint8(self, encoding):
+    def test_booth_terms_are_uint8(self):
         for values in (np.arange(-40, 40, dtype=np.int16), np.array([7, -(2**15)])):
-            assert booth_terms(values, encoding).dtype == np.uint8
+            assert booth_terms(values).dtype == np.uint8
 
-    @pytest.mark.parametrize("encoding", ["booth", "naf"])
-    def test_memo_maps_are_uint8(self, encoding):
+    def test_memo_maps_are_uint8(self):
         layer = _layer(np.arange(2 * 5 * 6, dtype=np.int16).reshape(2, 5, 6) * 311, 1)
-        assert raw_term_map(layer, encoding).dtype == np.uint8
-        assert delta_term_map(layer, "x", encoding).dtype == np.uint8
-        assert vp_term_map(layer, 0, 2, "x", encoding).dtype == np.uint8
+        assert raw_term_map(layer).dtype == np.uint8
+        assert delta_term_map(layer, "x").dtype == np.uint8
+        assert vp_term_map(layer, 0, 2, "x").dtype == np.uint8
 
-    @pytest.mark.parametrize("encoding", ["booth", "naf"])
-    def test_vp_widens_only_past_uint8(self, encoding):
+    def test_vp_widens_only_past_uint8(self):
         """The costliest miss is the LUT maximum plus the recovery bubble:
         it fits uint8 up to 255 and needs uint16 one cycle later."""
-        lut = term_count_lut(encoding)
+        lut = term_count_lut()
         costliest = np.array(lut.argmax(), dtype=np.uint16).view(np.int16)
         layer = _layer(np.full((1, 4, 5), costliest, dtype=np.int16), 1)
-        raw = raw_term_map(layer, encoding).astype(np.int64)
+        raw = raw_term_map(layer).astype(np.int64)
         deltas = spatial_deltas(padded_imap(layer))
         fits = 255 - int(lut.max())
         for recovery, dtype in ((fits, np.uint8), (fits + 1, np.uint16)):
-            vp = vp_term_map(layer, 0, recovery, "x", encoding)
+            vp = vp_term_map(layer, 0, recovery, "x")
             want = np.where(deltas == 0, 0, raw + recovery)
             want[..., :1] = raw[..., :1]
             assert vp.dtype == dtype

@@ -12,9 +12,9 @@ from repro.nn.layers import MAX_WEIGHT_SCALE
 from repro.nn.shapes import conv_layer_shapes
 from repro.protect.stream import encode_stream_chunks, read_stream
 from repro.utils.bits import signed_range
+from repro.weights.quant import COMPACT_BITS
 from repro.weights import (
     MSRCodec,
-    msr_coverage,
     network_int8_weights,
     network_weight_bits,
     quantize_weights_int8,
@@ -40,7 +40,8 @@ class TestQuantization:
         ints, _scale = quantize_weights_int8(weights)
         # The quantile calibration parks the bulk of the distribution
         # inside the 5-bit in-band range MSR-4 compacts to.
-        assert msr_coverage(ints, bits=8, msr=4) >= 0.95
+        lo, hi = signed_range(COMPACT_BITS)
+        assert ((ints >= lo) & (ints <= hi)).mean() >= 0.95
 
     def test_zero_weights(self):
         assert weight_scale_int8(np.zeros(16)) == 0
