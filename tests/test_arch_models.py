@@ -8,6 +8,7 @@ import pytest
 from repro.arch.config import DIFFY_CONFIG, PRA_CONFIG, VAA_CONFIG
 from repro.arch.diffy import DiffyModel
 from repro.arch.pra import PRAModel
+from repro.arch.predict import ValuePredictionModel
 from repro.arch.scnn import SCNNModel
 from repro.arch.vaa import VAAModel
 from repro.utils.rng import rng_for
@@ -89,6 +90,11 @@ class TestPRADiffy:
     def test_diffy_invalid_axis(self):
         with pytest.raises(ValueError):
             DiffyModel(axis="t")
+
+    @pytest.mark.parametrize("model", [DiffyModel, ValuePredictionModel])
+    def test_axis_uses_the_shared_rule(self, model):
+        with pytest.raises(ValueError, match=r"axis must be one of \['x', 'y'\], got 't'"):
+            model(axis="t")
 
     def test_sync_models_ordering(self, dncnn_trace):
         layer = dncnn_trace[3]

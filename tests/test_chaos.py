@@ -105,6 +105,7 @@ class TestChaosSpecAndSchedule:
             ({"storage_rate": 1.5}, "storage_rate"),
             ({"storage_rate": float("nan")}, "storage_rate"),
             ({"storage_trials": 2.5}, "storage_trials must be an integer"),
+            ({"storage_trials": 0}, "storage_trials must be > 0"),
             (
                 {"storage_rate": 0.2, "bursts": 1, "burst_len_s": 1, "burst_fault_mult": 10},
                 r"storage_rate \* burst_fault_mult",
@@ -126,6 +127,15 @@ class TestChaosSpecAndSchedule:
     def test_fractional_event_counts_fail_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ChaosSpec(**kwargs)
+
+    @pytest.mark.parametrize("field", ["crashes", "degrades", "bursts"])
+    def test_negative_event_counts_fail_at_construction(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            ChaosSpec(**{field: -1})
+
+    def test_bool_event_count_fails_at_construction(self):
+        with pytest.raises(ValueError, match="crashes must be an integer"):
+            ChaosSpec(crashes=True, crash_downtime_s=1.0)
 
     def test_burst_rate_at_the_bound_is_accepted(self):
         spec = ChaosSpec(storage_rate=0.1, bursts=1, burst_len_s=1.0, burst_fault_mult=10.0)
@@ -233,6 +243,7 @@ class TestLadderPricing:
             (-1e-3, 8, r"rate must be in \[0, 1\]"),
             (1e-2, 2.5, "trials must be an integer"),
             (1e-2, 0, "trials must be > 0"),
+            (1e-2, True, "trials must be an integer"),
         ],
     )
     def test_bad_inputs_fail_before_pricing(self, monkeypatch, rate, trials, match):

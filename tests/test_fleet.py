@@ -497,6 +497,13 @@ class TestFleetSimulation:
         with pytest.raises(ValueError, match="nodes must be an integer"):
             FleetConfig(nodes=1.5)
 
+    def test_bool_node_count_fails_at_construction(self):
+        with pytest.raises(ValueError, match="nodes must be an integer"):
+            FleetConfig(nodes=True)
+
+    def test_numpy_integer_node_count_passes(self):
+        assert FleetConfig(nodes=np.int64(3)).nodes == 3
+
 
 class TestAutoscaler:
     def _policy(self, **kw):

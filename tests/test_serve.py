@@ -530,6 +530,31 @@ class TestServeConfigValidation:
         with pytest.raises(ValueError, match=field):
             ServeConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("workers", 0, "workers must be > 0"),
+            ("workers", True, "workers must be an integer"),
+            ("max_batch", 0, "max_batch must be > 0"),
+            ("queue_capacity", -1, "queue_capacity must be > 0"),
+            ("deadline_s", 0.0, "deadline_s must be > 0"),
+            ("max_wait_s", -0.1, "max_wait_s must be finite and >= 0"),
+            ("state_capacity_bytes", -1, "state_capacity_bytes must be >= 0"),
+        ],
+    )
+    def test_out_of_range_value_fails_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ServeConfig(**{field: value})
+
+    def test_numpy_integer_counts_pass(self):
+        config = ServeConfig(
+            workers=np.int64(3),
+            max_batch=np.int32(2),
+            queue_capacity=np.int16(8),
+            state_capacity_bytes=np.int64(0),
+        )
+        assert (config.workers, config.max_batch, config.queue_capacity) == (3, 2, 8)
+
 
 class TestServiceTimesModel:
     def test_request_s_and_validation(self):
