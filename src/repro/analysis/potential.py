@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.booth import WORD_BITS, booth_terms
 from repro.core.deltas import spatial_deltas
 from repro.nn.trace import ActivationTrace
+from repro.utils.bits import quantize_to_width
 
 
 @dataclass(frozen=True)
@@ -55,13 +54,12 @@ def potential_speedups(traces: Sequence[ActivationTrace], axis: str = "x") -> Po
     total_values = 0
     terms_raw = 0
     terms_delta = 0
-    clip_lo, clip_hi = -(1 << (WORD_BITS - 1)), (1 << (WORD_BITS - 1)) - 1
     for trace in traces:
         for layer in trace:
             imap = layer.imap
             total_values += imap.size
             terms_raw += int(booth_terms(imap).sum())
-            deltas = np.clip(spatial_deltas(imap, axis=axis), clip_lo, clip_hi)
+            deltas = quantize_to_width(spatial_deltas(imap, axis=axis), WORD_BITS)[0]
             terms_delta += int(booth_terms(deltas).sum())
     all_terms = total_values * WORD_BITS
     return PotentialSpeedups(

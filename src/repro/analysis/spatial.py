@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.booth import booth_terms
+from repro.core.booth import WORD_BITS, booth_terms
 from repro.core.deltas import spatial_deltas
 from repro.nn.trace import ConvLayerTrace
+from repro.utils.bits import quantize_to_width
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def heatmap_data(layer: ConvLayerTrace, axis: str = "x") -> HeatmapData:
     imap = layer.imap
     deltas = spatial_deltas(imap, axis=axis)
     terms_raw = booth_terms(imap)
-    terms_delta = booth_terms(np.clip(deltas, -(1 << 15), (1 << 15) - 1))
+    terms_delta = booth_terms(quantize_to_width(deltas, WORD_BITS)[0])
     return HeatmapData(
         # |-32768| does not fit int16: take magnitudes at int64.
         raw=np.abs(imap, dtype=np.int64).mean(axis=0),

@@ -175,18 +175,23 @@ def _tap_view(
 def _pad_to_bricks(term_map: np.ndarray, brick: int) -> np.ndarray:
     """Channel-pad to a brick multiple.  Zero lanes are inert: term counts
     are nonnegative, so padding changes neither maxima nor sums."""
-    pad = (-term_map.shape[0]) % brick
+    channels = term_map.shape[0]
+    pad = (-channels) % brick
     if pad:
-        return np.pad(term_map, ((0, pad), (0, 0), (0, 0)))
+        padded = np.zeros((channels + pad, *term_map.shape[1:]), dtype=term_map.dtype)
+        padded[:channels] = term_map
+        return padded
     return term_map
 
 
 def _sum_dtype(arr: np.ndarray, terms: int) -> type:
-    """``int32`` if no sum of ``terms`` values of ``arr``'s dtype can
-    overflow it, else ``int64``.  Term maps are ``uint8`` (wider only for
-    a VP map with a huge ``recovery_cycles``), so their lane and channel
-    sums fold in ``int32``, which is exact and faster to reduce into."""
-    return np.int32 if np.iinfo(arr.dtype).max * terms < 2**31 else np.int64
+    """The narrowest of ``int16``, ``int32`` and ``int64`` that no sum of
+    ``terms`` values of ``arr``'s dtype can overflow.  Term maps are
+    ``uint8`` (wider only for a VP map with a huge ``recovery_cycles``),
+    so a 3x3 layer of up to 224 channels folds its lane sums in
+    ``int16``: exact, and half the bytes of ``int32`` to add and read."""
+    bound = np.iinfo(arr.dtype).max * terms
+    return np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
 
 
 def step_term_maxima(
@@ -247,14 +252,18 @@ def lane_term_totals(
     fill a row buffer, then ``kernel`` shifted strided adds along y read
     it.  The counts are integers, so this order is as exact as any.
     Each lane's window total sums ``bricks * kernel**2`` term counts, so
-    it folds in :func:`_sum_dtype`; the grand total is summed in
-    ``int64``.
+    it folds in :func:`_sum_dtype`, one slice add per brick (a tail
+    brick fills only its lanes: missing channels add nothing); the grand
+    total is summed in ``int64``.
     """
-    arr = _pad_to_bricks(np.ascontiguousarray(term_map), brick)
-    bricks = arr.shape[0] // brick
-    folded = arr.reshape(bricks, brick, arr.shape[1], arr.shape[2]).sum(
-        axis=0, dtype=_sum_dtype(arr, bricks * kernel**2)
+    channels = term_map.shape[0]
+    bricks = -(-channels // brick)
+    folded = np.zeros(
+        (brick, *term_map.shape[1:]), dtype=_sum_dtype(term_map, bricks * kernel**2)
     )
+    for c0 in range(0, channels, brick):
+        lanes = term_map[c0 : c0 + brick]
+        folded[: len(lanes)] += lanes
     need_h, _ = _tap_span(folded, kernel, stride, dilation, out_h, out_w)
     span_h = (out_h - 1) * stride + 1
     span_w = (out_w - 1) * stride + 1
@@ -271,10 +280,12 @@ def lane_term_totals(
 
 def _group_pallets(arr: np.ndarray, pallet: int) -> np.ndarray:
     """Pad the window axis (last) to a pallet multiple and group it."""
-    pad = (-arr.shape[-1]) % pallet
+    width = arr.shape[-1]
+    pad = (-width) % pallet
     if pad:
-        widths = [(0, 0)] * (arr.ndim - 1) + [(0, pad)]
-        arr = np.pad(arr, widths)
+        padded = np.zeros((*arr.shape[:-1], width + pad), dtype=arr.dtype)
+        padded[..., :width] = arr
+        arr = padded
     return arr.reshape(*arr.shape[:-1], -1, pallet)
 
 
@@ -288,17 +299,22 @@ def pallet_cycles(
     shape (brick, out_h, out_w).  Windows are grouped into pallets of
     ``pallet`` consecutive columns (tail pallets run with idle columns).
     """
+    if sync == "row":
+        # Lanes buffer across pallet boundaries; window columns are
+        # assigned round-robin along the row (Section III-E), so column
+        # phase j accumulates every pallet's j-th window and the row
+        # completes when its busiest (lane, phase) does.  One slice add
+        # per pallet; a tail pallet's idle columns add nothing.
+        phase_totals = np.zeros((*maxima.shape[:-1], pallet), dtype=np.int64)
+        for x0 in range(0, maxima.shape[-1], pallet):
+            columns = maxima[..., x0 : x0 + pallet]
+            phase_totals[..., : columns.shape[-1]] += columns
+        # (brick, out_h, pallet) -> busiest lane, then busiest phase, per row.
+        return float(phase_totals.max(axis=0).max(axis=-1).sum())
     grouped = _group_pallets(maxima, pallet)
     if sync == "lane":
         # (brick, out_h, pallets, pallet) -> slowest lane over the pallet.
         per_pallet = grouped.max(axis=(0, -1))
-    elif sync == "row":
-        # Lanes buffer across pallet boundaries; window columns are
-        # assigned round-robin along the row (Section III-E), so column
-        # phase j accumulates every pallet's j-th window and the row
-        # completes when its busiest (lane, phase) does.
-        phase_totals = grouped.sum(axis=-2)  # (brick, out_h, pallet)
-        per_pallet = phase_totals.max(axis=(0, -1))  # per row
     elif sync == "column":
         column_totals = grouped.sum(axis=0)  # (out_h, pallets, pallet)
         per_pallet = column_totals.max(axis=-1)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.arch.config import AcceleratorConfig, PRA_CONFIG
 from repro.arch.cycles import LayerCycles, serial_layer_cycles
-from repro.arch.term_maps import padded_imap, raw_term_map, vp_term_map
+from repro.arch.term_maps import raw_term_map, vp_term_map
 from repro.core.deltas import spatial_deltas
 from repro.nn.trace import ConvLayerTrace
 from repro.utils.validation import check_axis, check_integer, check_nonnegative
@@ -75,7 +75,7 @@ class ValuePredictionModel:
         the output-exactness cost the threshold buys its hit rate with
         (0 at ``threshold=0``).
         """
-        padded = padded_imap(layer)
+        padded = layer.padded_imap()
         deltas = spatial_deltas(padded, axis=self.axis, stride=layer.stride)
         ax = padded.ndim - 1 if self.axis == "x" else padded.ndim - 2
         predictable = np.ones(padded.shape, dtype=bool)

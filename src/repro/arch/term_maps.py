@@ -4,19 +4,23 @@ PRA streams the *raw* imap's effectual terms; Diffy streams the *delta*
 imap's — but Diffy's raw-first-window-of-row dataflow also needs the raw
 term map for the head windows, and :func:`repro.arch.sim.simulate_network`
 evaluates the same traces once per (accelerator, scheme) combination.
-Without memoization each evaluation re-pads the multi-megabyte imap and
-re-indexes the 65536-entry term LUT over it; with it, each distinct
-``(layer, kind)`` artifact is computed exactly once per trace
-lifetime.
+Without memoization each evaluation re-takes the spatial deltas and
+re-gathers the 65536-entry term LUT over the multi-megabyte imap; with
+it, each distinct ``(layer, kind)`` artifact is computed exactly once
+per trace lifetime.
 
 Every term map is ``uint8`` (:func:`repro.core.booth.booth_terms`): one
-byte per padded activation, the largest per-layer arrays the memo holds.
-The VP map widens only if ``recovery_cycles`` pushes a miss past 255.
-The cycle kernels in :mod:`repro.arch.cycles` widen as they sum.
+byte per padded activation, and the only per-layer arrays the memo
+holds.  The VP map widens only if ``recovery_cycles`` pushes a miss past
+255.  The cycle kernels in :mod:`repro.arch.cycles` widen as they sum.
+No padded ``int16`` imap is kept: the raw map counts the stored imap's
+terms and zero-pads the counts (a zero word costs zero terms), and the
+delta and VP maps difference a padded imap that lives only while they
+are computed.
 
 The module realizes the calibrater-style split the cycle models are built
-on: a one-time per-layer **lowering** stage (zero-padded imap, spatial
-deltas, Booth term LUT gathers, per-group precision geometry — everything
+on: a one-time per-layer **lowering** stage (spatial deltas, Booth term
+LUT gathers, per-group precision geometry — everything
 that is a pure function of the trace) feeding a per-frame **execute**
 stage that is pure array arithmetic over the lowered artifacts.  Each
 accessor here resolves through the shared memo, so every model
@@ -52,6 +56,7 @@ __all__ = [
     "lowering_stats",
     "reset_lowering_stats",
     "padded_imap",
+    "pad_term_map",
     "raw_term_map",
     "delta_term_map",
     "vp_term_map",
@@ -72,13 +77,29 @@ def reset_lowering_stats() -> None:
 
 
 def padded_imap(layer: ConvLayerTrace) -> np.ndarray:
-    """The layer's zero-padded imap (memoized, read-only)."""
+    """The layer's zero-padded imap (memoized, read-only).  No term map
+    reads it, so lowering leaves no ``int16`` copy in the memo."""
     return memoized(layer, ("padded",), layer.padded_imap)
+
+
+def pad_term_map(layer: ConvLayerTrace, terms: np.ndarray) -> np.ndarray:
+    """Term counts of the stored imap, zero-padded as the imap is.
+
+    A zero word costs zero Booth terms, so this is the term map of the
+    padded imap without padding (or casting) the imap itself.
+    """
+    p = layer.padding
+    if p == 0:
+        return terms
+    c, h, w = terms.shape
+    out = np.zeros((c, h + 2 * p, w + 2 * p), dtype=terms.dtype)
+    out[:, p : p + h, p : p + w] = terms
+    return out
 
 
 def raw_term_map(layer: ConvLayerTrace) -> np.ndarray:
     """Per-activation effectual-term counts of the padded raw imap."""
-    return memoized(layer, ("raw",), lambda: booth_terms(padded_imap(layer)))
+    return memoized(layer, ("raw",), lambda: pad_term_map(layer, booth_terms(layer.imap)))
 
 
 def delta_term_map(layer: ConvLayerTrace, axis: str = "x") -> np.ndarray:
@@ -87,12 +108,14 @@ def delta_term_map(layer: ConvLayerTrace, axis: str = "x") -> np.ndarray:
     Deltas of adjacent 16-bit values can transiently need 17 bits; the
     hardware's delta datapath is one bit wider internally, but the Booth
     recoder works on 16-bit storage words, so values saturate — post-ReLU
-    maps never hit this in practice.
+    maps never hit this in practice.  The saturated deltas are narrowed
+    to ``int16``, which they fit, so the gather skips a range scan.
     """
 
     def compute() -> np.ndarray:
-        deltas = spatial_deltas(padded_imap(layer), axis=axis, stride=layer.stride)
-        return booth_terms(quantize_to_width(deltas, WORD_BITS)[0])
+        deltas = spatial_deltas(layer.padded_imap(), axis=axis, stride=layer.stride)
+        saturated = quantize_to_width(deltas, WORD_BITS)[0]
+        return booth_terms(saturated.astype(np.int16))
 
     return memoized(layer, ("delta", axis), compute)
 
@@ -122,7 +145,7 @@ def vp_term_map(
     check_nonnegative("recovery_cycles", recovery)
 
     def compute() -> np.ndarray:
-        padded = padded_imap(layer)
+        padded = layer.padded_imap()
         raw = raw_term_map(layer)
         deltas = spatial_deltas(padded, axis=axis, stride=layer.stride)
         # The narrowest unsigned dtype holding the costliest miss.

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.arch.config import AcceleratorConfig, VAA_CONFIG
 from repro.arch.cycles import LayerCycles, filter_passes, geometry_occupancies
-from repro.arch.term_maps import padded_imap
 from repro.nn.trace import ConvLayerTrace
 
 
@@ -42,9 +43,10 @@ class VAAModel:
         cycles = base * passes
         filter_occ, channel_occ = geometry_occupancies(layer, cfg)
         # "Useful work" for VAA's utilization view counts nonzero-activation
-        # lanes; VAA spends the lane-cycle regardless.
-        padded = padded_imap(layer)
-        useful = float((padded != 0).sum()) * layer.kernel**2 / max(layer.stride**2, 1)
+        # lanes; VAA spends the lane-cycle regardless.  The zero padding
+        # adds none, so the stored imap's count is the padded map's.
+        nonzero = np.count_nonzero(layer.imap)
+        useful = float(nonzero) * layer.kernel**2 / max(layer.stride**2, 1)
         return LayerCycles(
             name=layer.name,
             index=layer.index,

@@ -12,7 +12,7 @@ Example: 7 = 0b0111 costs three add terms raw, two recoded (+8, -1).
 
 Per-value term counts are precomputed into a 65536-entry ``uint8`` lookup
 table so that counting terms over multi-megabyte activation traces is a
-single fancy index.  A count never exceeds 8, so the term maps stay
+single ``take`` gather.  A count never exceeds 8, so the term maps stay
 ``uint8`` too: one byte per activation.  Consumers that subtract or sum
 them widen first.  The digit-at-a-time recoder that lists each term
 lives in ``tests/oracles/booth.py`` as the table's spec.
@@ -64,6 +64,8 @@ def booth_terms(values: np.ndarray) -> np.ndarray:
     widen before subtracting or summing.  An ``int16`` array indexes the
     table through its ``uint16`` view with no range scan; any other
     integer array is range-checked, then narrowed to that same view.
+    The gather is ``take``, which reads that ``uint16`` index as it is;
+    fancy indexing would first cast it to ``intp`` (~1.7x slower).
     """
     arr = check_integer_array("values", values)
     if arr.dtype != np.int16:
@@ -74,4 +76,4 @@ def booth_terms(values: np.ndarray) -> np.ndarray:
                 f"min={arr.min()}, max={arr.max()}"
             )
         arr = arr.astype(np.int16)
-    return term_count_lut()[arr.view(np.uint16)]
+    return term_count_lut().take(arr.view(np.uint16))

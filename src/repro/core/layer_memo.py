@@ -1,7 +1,7 @@
 """The trace memo: pure functions of a trace layer or trace set, computed once.
 
 Every artifact the pipeline derives from a traced layer is a pure
-function of that layer: the zero-padded imap and its Booth term maps
+function of that layer: its Booth term maps
 (:mod:`repro.arch.term_maps`), each cycle model's
 :class:`~repro.arch.cycles.LayerCycles` record (:mod:`repro.arch.sim`)
 and the layer's imap/omap value range (:mod:`repro.compression.footprint`).

@@ -35,15 +35,17 @@ def temporal_deltas(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
     Both maps must share shape and fixed-point scale (true for traces of
     the same quantized network).  The result saturates to the 16-bit
     storage word like the spatial-delta datapath does, through the
-    audited narrowing point so any clip is counted.
+    audited narrowing point so any clip is counted, and is returned as
+    ``int16``.  Maps of up to 16 bits difference in ``int32``.
     """
-    cur = np.asarray(current, dtype=np.int64)
-    prev = np.asarray(previous, dtype=np.int64)
+    cur, prev = np.asarray(current), np.asarray(previous)
     if cur.shape != prev.shape:
         raise ValueError(
             f"frame maps must share a shape, got {cur.shape} vs {prev.shape}"
         )
-    return quantize_to_width(cur - prev, WORD_BITS)[0]
+    wide = np.int32 if max(cur.itemsize, prev.itemsize) <= 2 else np.int64
+    saturated = quantize_to_width(np.subtract(cur, prev, dtype=wide), WORD_BITS)[0]
+    return saturated.astype(np.int16)
 
 
 @dataclass(frozen=True)

@@ -33,16 +33,16 @@ import numpy as np
 from repro.arch.cycles import LayerCycles, serial_layer_cycles
 from repro.arch.memory import memory_system
 from repro.arch.sim import DEFAULT_MEMORY, HD_RESOLUTION, model_for
-from repro.arch.term_maps import padded_imap
+from repro.arch.term_maps import pad_term_map
 from repro.cache import store as cache_store
-from repro.core.booth import WORD_BITS, booth_terms
+from repro.core.booth import booth_terms
+from repro.core.temporal import temporal_deltas
 from repro.data.video import synthesize_clip
 from repro.models.inputs import adapt_input
 from repro.models.registry import get_model_spec, prepare_model
 from repro.nn.shapes import LayerShape, conv_layer_shapes
 from repro.nn.trace import ActivationTrace, ConvLayerTrace
 from repro.utils import timing
-from repro.utils.bits import quantize_to_width
 from repro.utils.rng import DEFAULT_SEED
 
 #: The Fig 13 engines, in the paper's order.
@@ -88,10 +88,12 @@ class ServiceTimes:
 
 
 def temporal_term_map(layer: ConvLayerTrace, previous: ConvLayerTrace) -> np.ndarray:
-    """Booth term counts of the padded temporal-delta imap."""
-    cur = np.asarray(padded_imap(layer), dtype=np.int64)
-    prev = np.asarray(padded_imap(previous), dtype=np.int64)
-    return booth_terms(quantize_to_width(cur - prev, WORD_BITS)[0])
+    """Booth term counts of the padded temporal-delta imap.
+
+    Both frames pad with zeros, whose difference costs no terms, so the
+    stored imaps are differenced and the counts padded afterwards.
+    """
+    return pad_term_map(layer, booth_terms(temporal_deltas(layer.imap, previous.imap)))
 
 
 def _frame_time_s(

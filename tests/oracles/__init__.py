@@ -14,7 +14,8 @@ take the codec's or kernel's parameters, plus the virtual-clock
 two-convolution calibration, the two-aggregate Diffy head splice, the
 out-of-place image synthesizer (:mod:`tests.oracles.synthesis`), the
 digit-level Booth recoder behind ``term_count_lut``
-(:mod:`tests.oracles.booth`), and the only implementation of the RLEz
+(:mod:`tests.oracles.booth`), the padded-imap term-map lowering
+(:mod:`tests.oracles.lowering`), and the only implementation of the RLEz
 token format, whose size ``RLEZero.encoded_bits`` prices.
 The property suites assert production is byte-identical to them, and
 ``tests/test_paper_claims.py`` does so for the MSR codec on each model's

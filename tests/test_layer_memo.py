@@ -193,7 +193,9 @@ class TestMemoLifetime:
         layer_bits_per_value([trace], 0, RawDynamic(16))
         key, map_key = id(layer), id(layer.imap)
         kinds = {k[0] for k in layer_memo._MEMOS[key]}
-        assert {"padded", "raw", "range"} <= kinds
+        assert {"raw", "range"} <= kinds
+        # The raw term map is lowered from the stored imap: no padded copy.
+        assert "padded" not in kinds
         # Encoded bits belong to the map itself, which a layer may share.
         assert {k[0] for k in layer_memo._MEMOS[map_key]} == {"bits"}
         del layer, trace

@@ -291,6 +291,22 @@ class TestUint8TermMaps:
         assert got[:, 1::2].tolist() == [[-7.0] * 3] * 3
 
 
+class TestAnalysisClipsAreCounted:
+    """Fig 2's heatmaps and Fig 4's potentials saturate their deltas
+    through ``quantize_to_width``, so every clip reaches the counter."""
+
+    def test_overflowing_deltas_raise_the_counter(self):
+        # Deltas along x: 65535, -65535 and 32768 all overflow int16.
+        row = np.array([-(2**15), 2**15 - 1, -(2**15), 0], dtype=np.int16)
+        layer = _layer(np.tile(row, (2, 3, 1)), 1)
+        deltas = spatial_deltas(layer.imap)
+        overflowing = int(np.count_nonzero((deltas < -(2**15)) | (deltas > 2**15 - 1)))
+        assert overflowing == 2 * 3 * 3
+        assert _clipped(lambda: heatmap_data(layer))[1] == overflowing
+        trace = ActivationTrace("probe", layer.imap_shape, 0, [layer])
+        assert _clipped(lambda: potential_speedups([trace]))[1] == overflowing
+
+
 class TestGroupMaxima:
     @given(
         st.sampled_from([*range(1, 41), 256]),
@@ -319,7 +335,8 @@ def _uint8_map(seed: int, shape: "tuple[int, int, int]") -> np.ndarray:
 
 class TestKernelsReadUint8:
     """Every cycle kernel gives the same answer on a uint8 term map as on
-    its int64 copy: the int32 lane fold and the int64 totals are exact."""
+    its int64 copy: the int16 (or, for deep or wide-kernel layers, int32)
+    lane fold and the int64 totals are exact."""
 
     GEOMS = [(3, 1, 1, 8, 8, 16), (3, 2, 1, 4, 4, 16), (9, 1, 1, 2, 3, 4), (3, 1, 4, 2, 2, 16)]
 
@@ -333,7 +350,9 @@ class TestKernelsReadUint8:
         want = kernel_fn(narrow.astype(np.int64), *geom)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
         if kernel_fn is lane_term_totals:
-            assert got[0].dtype == np.int32
+            bricks = -(-narrow.shape[0] // brick)
+            fits_int16 = 255 * bricks * kernel**2 < 2**15
+            assert got[0].dtype == (np.int16 if fits_int16 else np.int32)
         for sync in ("lane", "row", "column", "pallet"):
             assert pallet_cycles(got[0], 16, sync) == pallet_cycles(want[0], 16, sync)
 
@@ -367,7 +386,9 @@ class TestMemoBytes:
     def test_one_byte_per_padded_activation(self):
         """Lowering a DnCNN 48 px trace for VAA, PRA, Diffy and VP leaves
         each layer's raw, delta and VP term maps at one byte per padded
-        activation."""
+        activation, keeps no padded imap, and holds at most three bytes
+        per padded activation in all.  ``padded_imap`` is called only
+        after those checks, since it memoizes the padded copy."""
         from tests.conftest import small_trace
 
         trace = small_trace("DnCNN", crop=48)
@@ -375,10 +396,19 @@ class TestMemoBytes:
             model = model_for(engine)
             for layer in trace:
                 model.layer_cycles(layer)
+        sizes = []
         for layer in trace:
-            padded = padded_imap(layer).size
+            c, h, w = layer.imap_shape
+            p = layer.padding
+            padded = c * (h + 2 * p) * (w + 2 * p)
+            sizes.append(padded)
+            memo = layer_memo._MEMOS[id(layer)]
+            assert ("padded",) not in memo, layer.name
+            arrays = [v.nbytes for v in memo.values() if isinstance(v, np.ndarray)]
+            assert sum(arrays) <= 3 * padded, layer.name
             by_kind = {}
-            for key, value in layer_memo._MEMOS[id(layer)].items():
+            for key, value in memo.items():
                 if key[0] in ("raw", "delta", "vp"):
                     by_kind[key[0]] = by_kind.get(key[0], 0) + value.nbytes
             assert by_kind == {"raw": padded, "delta": padded, "vp": padded}, layer.name
+        assert [padded_imap(layer).size for layer in trace] == sizes
