@@ -4,8 +4,9 @@ Two numbers track how much code the reproduction carries beyond what its
 goldens use:
 
 * **settable values**: every keyword default (``def f(x=1)``, including
-  keyword-only defaults) plus every dataclass field with a default,
-  counted by an AST walk over ``src/repro``;
+  keyword-only defaults) plus every dataclass field with a default that
+  ``__init__`` takes (``field(init=False, ...)`` accumulators are state,
+  not knobs), counted by an AST walk over ``src/repro``;
 * **uncalled def lines**: a ``sys.setprofile`` hook records every code
   object entered while ``python -m repro.regression check`` runs at
   ``--profile ci`` and then ``--profile full``, from an empty private
@@ -73,8 +74,21 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _is_knob(stmt: ast.stmt) -> bool:
+    """A dataclass field with a default that ``__init__`` takes."""
+    if not isinstance(stmt, ast.AnnAssign) or stmt.value is None:
+        return False
+    value = stmt.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return not any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in value.keywords
+        )
+    return True
+
+
 def settable_values(paths: "list[Path] | None" = None) -> int:
-    """Keyword defaults plus dataclass fields with a default."""
+    """Keyword defaults plus dataclass fields with an ``__init__`` default."""
     count = 0
     for path in paths if paths is not None else _sources():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -82,10 +96,7 @@ def settable_values(paths: "list[Path] | None" = None) -> int:
                 count += len(node.args.defaults)
                 count += sum(d is not None for d in node.args.kw_defaults)
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                count += sum(
-                    isinstance(stmt, ast.AnnAssign) and stmt.value is not None
-                    for stmt in node.body
-                )
+                count += sum(_is_knob(stmt) for stmt in node.body)
     return count
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.booth import WORD_BITS, booth_terms
 from repro.core.deltas import spatial_deltas
 from repro.nn.trace import ActivationTrace
+from repro.utils.bits import quantize_to_width
 
 #: Largest histogram bin.  Radix-4 Booth needs at most 8 terms per 16-bit
 #: word, so the last bin stays empty; it keeps the Fig 3 histograms' length.
@@ -78,15 +79,16 @@ def trace_term_stats(traces: Sequence[ActivationTrace]) -> TermStats:
 
     The delta stream follows the paper's dataflow (chains along x): the
     first value of each chain stays raw (it is what the hardware actually processes).
+    Deltas saturate to the 16-bit word through
+    :func:`repro.utils.bits.quantize_to_width`, so every clip is counted.
     """
     if not traces:
         raise ValueError("need at least one trace")
     hist_raw = np.zeros(MAX_TERMS + 1, dtype=np.int64)
     hist_delta = np.zeros(MAX_TERMS + 1, dtype=np.int64)
-    clip_lo, clip_hi = -(1 << (WORD_BITS - 1)), (1 << (WORD_BITS - 1)) - 1
     for trace in traces:
         for layer in trace:
             hist_raw += term_histogram(layer.imap)
-            deltas = np.clip(spatial_deltas(layer.imap), clip_lo, clip_hi)
+            deltas = quantize_to_width(spatial_deltas(layer.imap), WORD_BITS)[0]
             hist_delta += term_histogram(deltas)
     return TermStats(hist_raw=hist_raw, hist_delta=hist_delta)

@@ -19,8 +19,6 @@ later pallets, via round-robin hand-off — is differential.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.arch.config import AcceleratorConfig, DIFFY_CONFIG
 from repro.arch.cycles import LayerCycles, serial_layer_cycles
 from repro.arch.term_maps import delta_term_map, raw_term_map
@@ -37,14 +35,6 @@ class DiffyModel:
         check_axis("axis", axis)
         self.config = config
         self.axis = axis
-
-    def term_map(self, layer: ConvLayerTrace) -> np.ndarray:
-        """Term counts of the delta imap (16-bit saturated; memoized).
-
-        See :func:`repro.arch.term_maps.delta_term_map` for the saturation
-        note and the memoization shared with repeated evaluations.
-        """
-        return delta_term_map(layer, axis=self.axis)
 
     def layer_cycles(self, layer: ConvLayerTrace) -> LayerCycles:
         """Cycle accounting with the raw-first-window-of-row dataflow.

@@ -11,8 +11,6 @@ bit-exact term counts of the trace.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.arch.config import AcceleratorConfig, PRA_CONFIG
 from repro.arch.cycles import LayerCycles, serial_layer_cycles
 from repro.arch.term_maps import raw_term_map
@@ -26,14 +24,6 @@ class PRAModel:
 
     def __init__(self, config: AcceleratorConfig = PRA_CONFIG):
         self.config = config
-
-    def term_map(self, layer: ConvLayerTrace) -> np.ndarray:
-        """Per-activation effectual-term counts of the padded raw imap.
-
-        Memoized per layer and shared with Diffy's head-window accounting
-        (see :mod:`repro.arch.term_maps`).
-        """
-        return raw_term_map(layer)
 
     def layer_cycles(self, layer: ConvLayerTrace) -> LayerCycles:
         return serial_layer_cycles(layer, raw_term_map(layer), self.config)

@@ -47,7 +47,7 @@ import hashlib
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -86,13 +86,13 @@ QUARANTINE_CAP = 32
 class CacheStats:
     """Process-lifetime store counters, summed over namespaces."""
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    bypasses: int = 0
-    errors: int = 0
-    quarantined: int = 0
-    quarantine_evicted: int = 0
+    hits: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
+    stores: int = field(default=0, init=False)
+    bypasses: int = field(default=0, init=False)
+    errors: int = field(default=0, init=False)
+    quarantined: int = field(default=0, init=False)
+    quarantine_evicted: int = field(default=0, init=False)
 
 
 #: Counter event (the last ``cache.<namespace>.<event>`` component) ->

@@ -147,12 +147,12 @@ class FrameOutcome:
 
 @dataclass(frozen=True)
 class CalibSpec:
-    """Picklable recipe for one controller (fleet workers build their own).
+    """The settings of one calibration controller, validated once here.
 
-    Everything a process needs to reconstruct an identical controller:
-    the profiled statistics are disk-cached by
-    :func:`repro.calib.stats.collect_calib_stats`, so each worker's
-    :meth:`build` is cheap and deterministic.
+    Each fleet node builds its own controller from the spec with
+    :meth:`build`; the profiled statistics it needs are disk-cached by
+    :func:`repro.calib.stats.collect_calib_stats`, so every node's build
+    is cheap and identical.
     """
 
     model: str
@@ -185,21 +185,15 @@ class CalibSpec:
             )
 
     def build(self) -> "CalibrationController":
-        stats = collect_calib_stats(
-            self.model,
-            profiles=self.profiles,
-            crop=self.crop,
-            frames=PROFILE_FRAMES,
-            seed=self.seed,
-        )
         return CalibrationController(
-            stats=stats,
-            schedule=self.schedule,
-            mode=self.mode,
-            sample_period=self.sample_period,
-            recalib_delay_s=self.recalib_delay_s,
-            cooldown_s=self.cooldown_s,
-            seed=self.seed,
+            self,
+            collect_calib_stats(
+                self.model,
+                profiles=self.profiles,
+                crop=self.crop,
+                frames=PROFILE_FRAMES,
+                seed=self.seed,
+            ),
         )
 
 
@@ -210,32 +204,24 @@ class CalibrationController:
     ``now`` (completes any due measured pass) and :meth:`on_frame` for
     every served frame.  All decisions are pure functions of the frame's
     identity, its arrival time and the controller's own history, so runs
-    are deterministic across workers and arrival interleavings within a
-    node.
+    are deterministic across arrival interleavings within a node.
+
+    The mode, drift schedule, sample period, recalibration delay,
+    cooldown and seed come from ``spec``; ``stats`` are the profiled
+    statistics the tables are priced against.
     """
 
-    def __init__(
-        self,
-        stats: CalibStats,
-        schedule: DriftSchedule,
-        mode: str = "adaptive",
-        sample_period: int = 4,
-        recalib_delay_s: float = 0.05,
-        cooldown_s: float = 0.0,
-        seed: int = DEFAULT_SEED,
-    ) -> None:
-        if mode not in CALIB_MODES:
-            raise ValueError(f"mode must be one of {CALIB_MODES}, got {mode!r}")
+    def __init__(self, spec: CalibSpec, stats: CalibStats) -> None:
         self.stats = stats
-        self.schedule = schedule
-        self.mode = mode
-        self.recalib_delay_s = recalib_delay_s
-        self.cooldown_s = cooldown_s
+        self.schedule = spec.schedule
+        self.mode = spec.mode
+        self.recalib_delay_s = spec.recalib_delay_s
+        self.cooldown_s = spec.cooldown_s
         self.recalibrator = Recalibrator(stats)
         self.detector = DriftDetector(stats.n_layers)
-        self.shadow = ShadowCounters(sample_period, seed)
-        self.telemetry = CalibTelemetry(duration_s=schedule.duration_s)
-        if mode == "static_wide":
+        self.shadow = ShadowCounters(spec.sample_period, spec.seed)
+        self.telemetry = CalibTelemetry(duration_s=spec.schedule.duration_s)
+        if spec.mode == "static_wide":
             table = CalibrationTable(0, (MAX_PRECISION,) * stats.n_layers, "wide")
         else:
             table = CalibrationTable(0, stats.profiled_widths(), "profiled")

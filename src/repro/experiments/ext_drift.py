@@ -373,7 +373,7 @@ def run(
         seed=seed,
     )
     requests = apply_scene_dynamics(
-        generate_vfr_requests(spec, switch_probability=0.15, seed=seed),
+        generate_vfr_requests(spec, switch_probability=0.15),
         cut_probability=0.02,
         burst_probability=0.05,
         seed=seed,

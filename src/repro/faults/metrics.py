@@ -15,7 +15,7 @@ so a campaign row reports one coherent set of numbers per grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,14 +80,14 @@ class CorruptionMetrics:
 class ErrorAccumulator:
     """Streaming aggregation of corruption metrics over many map pairs."""
 
-    values: int = 0
-    corrupted: int = 0
-    runs: int = 0
-    max_run: int = 0
-    max_abs: int = 0
-    sum_abs: float = 0.0
-    sum_sq: float = 0.0
-    peak: int = 0
+    values: int = field(default=0, init=False)
+    corrupted: int = field(default=0, init=False)
+    runs: int = field(default=0, init=False)
+    max_run: int = field(default=0, init=False)
+    max_abs: int = field(default=0, init=False)
+    sum_abs: float = field(default=0.0, init=False)
+    sum_sq: float = field(default=0.0, init=False)
+    peak: int = field(default=0, init=False)
 
     def add(self, reference: np.ndarray, observed: np.ndarray) -> None:
         """Fold one (reference, observed) map pair into the aggregate."""

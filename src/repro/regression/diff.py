@@ -69,7 +69,7 @@ class Deviation:
 @dataclass
 class _Walk:
     config: DiffConfig
-    deviations: "list[Deviation]" = field(default_factory=list)
+    deviations: "list[Deviation]" = field(default_factory=list, init=False)
 
     def note(self, path: str, kind: str, expected: Any, actual: Any, detail: str = ""):
         self.deviations.append(Deviation(path, kind, expected, actual, detail))

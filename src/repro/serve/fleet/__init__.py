@@ -40,7 +40,6 @@ from repro.serve.fleet.service import (
     route_requests,
     simulate_fleet,
 )
-from repro.serve.fleet.shard import ShardResult, ShardStream, simulate_shard
 
 __all__ = [
     "AutoscalePolicy",
@@ -58,7 +57,4 @@ __all__ = [
     "NodeReport",
     "route_requests",
     "simulate_fleet",
-    "ShardStream",
-    "ShardResult",
-    "simulate_shard",
 ]

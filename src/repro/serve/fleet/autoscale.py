@@ -72,9 +72,9 @@ class Autoscaler:
     policy: AutoscalePolicy
     router: Router
     next_node_id: int
-    events: "list[ScaleEvent]" = field(default_factory=list)
-    _window_count: int = 0
-    _next_eval_s: float = 0.0
+    events: "list[ScaleEvent]" = field(default_factory=list, init=False)
+    _window_count: int = field(default=0, init=False)
+    _next_eval_s: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         self._next_eval_s = self.policy.eval_interval_s

@@ -8,7 +8,7 @@ substream.  The split here exploits that:
 1. **Routing pass** (:func:`route_requests`) — one deterministic walk
    over the time-sorted arrival stream.  All cross-node coupling lives
    here: the policy's tables, the autoscaler's windowed rate estimate,
-   migration detection.  Output is a columnar substream per node.
+   migration detection.  Output is each node's routed requests.
 2. **Shard pass** — each substream runs through the shard
    engine (:mod:`repro.serve.fleet.shard`) *independently*, serially
    in-process in ascending node-id order.
@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
-
-import numpy as np
 
 from repro.serve.chaos.schedule import (
     ChaosSchedule,
@@ -42,7 +40,7 @@ from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig
 from repro.serve.state import StateStats
 from repro.serve.telemetry import CalibTelemetry, ServeTelemetry
-from repro.serve.workload import Request
+from repro.serve.workload import Request, check_arrivals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; the calib spec is
     # duck-typed (shards call .build()), so serve never imports calib.
@@ -232,11 +230,13 @@ def route_requests(
 ) -> RoutingOutcome:
     """One deterministic routing pass over the time-sorted arrival stream.
 
-    With a chaos ``schedule`` the pass also executes the crash/restart
-    timeline: before routing each request, every topology event at or
-    before its arrival is applied (chaos events fire before the
-    autoscaler's evaluation at tied timestamps).
+    The stream is checked first (:func:`repro.serve.workload.check_arrivals`),
+    before any routing.  With a chaos ``schedule`` the pass also executes
+    the crash/restart timeline: before routing each request, every
+    topology event at or before its arrival is applied (chaos events fire
+    before the autoscaler's evaluation at tied timestamps).
     """
+    check_arrivals(requests)
     router = make_router(
         config.routing,
         range(config.nodes),
@@ -249,9 +249,8 @@ def route_requests(
     if config.autoscale is not None:
         scaler = Autoscaler(config.autoscale, router, next_node_id=config.nodes)
     topology = _TopologyEvents(router, schedule)
-    columns: "dict[int, tuple[list, list, list, list, list, list]]" = {
-        n: ([], [], [], [], [], []) for n in range(config.nodes)
-    }
+    routed: "dict[int, list[Request]]" = {n: [] for n in range(config.nodes)}
+    migrated_in: "dict[int, int]" = {}
     last_node: "dict[int, int]" = {}
     migrations = 0
     peak = len(router.active_nodes)
@@ -263,33 +262,17 @@ def route_requests(
                 peak = max(peak, len(router.active_nodes))
             node = router.route(request.session_id, request.arrival_s)
             previous = last_node.get(request.session_id)
-            migrated = previous is not None and previous != node
-            if migrated:
+            if previous is not None and previous != node:
                 migrations += 1
+                migrated_in[node] = migrated_in.get(node, 0) + 1
             last_node[request.session_id] = node
-            if node not in columns:
-                columns[node] = ([], [], [], [], [], [])
-            arr, sid, fidx, mig, cut, mot = columns[node]
-            arr.append(request.arrival_s)
-            sid.append(request.session_id)
-            fidx.append(request.frame_index)
-            mig.append(migrated)
-            cut.append(request.scene_cut)
-            mot.append(request.motion)
+            routed.setdefault(node, []).append(request)
         # Late events (after the last arrival) still settle the final
         # topology — a node restarting during the drain must count as up.
         topology.apply_until(math.inf)
     streams = tuple(
-        ShardStream(
-            node_id=node,
-            arrival_s=np.asarray(arr, dtype=np.float64),
-            session_id=np.asarray(sid, dtype=np.int64),
-            frame_index=np.asarray(fidx, dtype=np.int64),
-            migrated=np.asarray(mig, dtype=bool),
-            scene_cut=np.asarray(cut, dtype=bool),
-            motion=np.asarray(mot, dtype=np.float64),
-        )
-        for node, (arr, sid, fidx, mig, cut, mot) in sorted(columns.items())
+        ShardStream(node, reqs, migrated_in.get(node, 0))
+        for node, reqs in sorted(routed.items())
     )
     return RoutingOutcome(
         streams=streams,
@@ -310,10 +293,12 @@ def simulate_fleet(
     """Serve one workload on the fleet; deterministic across runs.
 
     Shards run serially in-process in ascending node-id order, which is
-    also the merge order.
+    also the merge order.  The stream is checked before its default
+    duration is read from it.
     """
+    check_arrivals(requests)
     if duration_s is None:
-        duration_s = max((r.arrival_s for r in requests), default=0.0) or 1.0
+        duration_s = (requests[-1].arrival_s if requests else 0.0) or 1.0
     check_positive("duration_s", duration_s)
     schedule = None
     storage = None
@@ -376,7 +361,8 @@ def simulate_fleet(
     node_reports = []
     chaos_merged: Optional[ChaosTelemetry] = None
     calib_merged: Optional[CalibTelemetry] = None
-    for res in results:  # ascending node id — the merge order contract
+    # Ascending node id — the merge order contract.
+    for stream, res in zip(routing.streams, results):
         merged.merge(res.telemetry)
         state.merge(res.state)
         if res.chaos is not None:
@@ -385,9 +371,9 @@ def simulate_fleet(
             calib_merged = res.calib if calib_merged is None else calib_merged.merge(res.calib)
         node_reports.append(
             NodeReport(
-                node_id=res.node_id,
-                routed=res.routed,
-                migrated_in=res.migrated_in,
+                node_id=stream.node_id,
+                routed=len(stream.requests),
+                migrated_in=stream.migrated_in,
                 completed=res.telemetry.completed,
                 shed=res.telemetry.shed,
                 warm_served=res.state.warm,

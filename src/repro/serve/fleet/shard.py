@@ -34,9 +34,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.serve.chaos.schedule import NodeChaos
 from repro.serve.chaos.telemetry import ChaosTelemetry
@@ -44,6 +42,7 @@ from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig
 from repro.serve.state import StateStats, TemporalStateStore
 from repro.serve.telemetry import CalibTelemetry, ServeTelemetry
+from repro.serve.workload import Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; the controller spec
     # is duck-typed (built via .build()) so serve never imports calib.
@@ -54,77 +53,28 @@ __all__ = ["ShardStream", "ShardResult", "simulate_shard"]
 
 @dataclass(frozen=True)
 class ShardStream:
-    """The arrival substream one router pass assigned to one node.
+    """The requests one routing pass assigned to one node, in arrival order.
 
-    Columnar (one array per field) so streams pickle compactly into
-    pool workers.  ``migrated`` marks requests whose session previously
-    lived on another node (router-observed; the node's state store
-    independently confirms the cold re-anchor).
-    ``scene_cut``/``motion`` carry the per-frame video dynamics of
-    :func:`repro.serve.workload.apply_scene_dynamics`; omitting them
-    yields the static-pan defaults (no cuts, baseline motion).
+    ``migrated_in`` counts the requests whose session last landed on
+    another node (router-observed; the node's state store independently
+    confirms the cold re-anchor).  Streams are built only from streams
+    :func:`repro.serve.workload.check_arrivals` has passed, so the
+    engine does not re-check them.
     """
 
     node_id: int
-    arrival_s: np.ndarray
-    session_id: np.ndarray
-    frame_index: np.ndarray
-    migrated: np.ndarray
-    scene_cut: Optional[np.ndarray] = None
-    motion: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        n = len(self.arrival_s)
-        if self.scene_cut is None:
-            object.__setattr__(self, "scene_cut", np.zeros(n, dtype=bool))
-        if self.motion is None:
-            object.__setattr__(self, "motion", np.ones(n, dtype=np.float64))
-        lengths = (
-            len(self.session_id),
-            len(self.frame_index),
-            len(self.migrated),
-            len(self.scene_cut),
-            len(self.motion),
-        )
-        if any(length != n for length in lengths):
-            raise ValueError("ShardStream columns must have equal length")
-        # Checked first: NaN compares False, so it passes the order test
-        # below and would only fail deep in the event loop.
-        if not np.isfinite(self.arrival_s).all():
-            raise ValueError("ShardStream arrival_s must be finite (no NaN or inf)")
-        if n and bool(np.any(np.diff(self.arrival_s) < 0)):
-            raise ValueError("ShardStream arrivals must be sorted by time")
-
-    def __len__(self) -> int:
-        return len(self.arrival_s)
-
-    @classmethod
-    def from_requests(cls, node_id, requests):
-        """Build a stream from :class:`~repro.serve.workload.Request` objects,
-        none of them migrated."""
-        reqs = list(requests)
-        return cls(
-            node_id=int(node_id),
-            arrival_s=np.array([r.arrival_s for r in reqs], dtype=np.float64),
-            session_id=np.array([r.session_id for r in reqs], dtype=np.int64),
-            frame_index=np.array([r.frame_index for r in reqs], dtype=np.int64),
-            migrated=np.zeros(len(reqs), dtype=bool),
-            scene_cut=np.array([r.scene_cut for r in reqs], dtype=bool),
-            motion=np.array([r.motion for r in reqs], dtype=np.float64),
-        )
+    requests: "Sequence[Request]"
+    migrated_in: int
 
 
 @dataclass
 class ShardResult:
-    """One node's simulated outcome (telemetry merges across nodes)."""
+    """What the engine measured on one node (telemetry merges across nodes)."""
 
-    node_id: int
     telemetry: ServeTelemetry
     state: StateStats
-    routed: int
-    migrated_in: int
-    chaos: Optional[ChaosTelemetry] = None
-    calib: Optional[CalibTelemetry] = None
+    chaos: Optional[ChaosTelemetry]
+    calib: Optional[CalibTelemetry]
 
 
 def simulate_shard(
@@ -145,8 +95,8 @@ def simulate_shard(
     path and float is identical to before — the fault-free goldens do
     not move.
 
-    With ``calib`` (a picklable :class:`repro.calib.recalibrate.CalibSpec`)
-    the node builds its own precision-calibration controller — its
+    With ``calib`` (a :class:`repro.calib.recalibrate.CalibSpec`) the
+    node builds its own precision-calibration controller — its
     decisions are pure functions of frame identity and arrival time, so
     every node observes the identical drift — and runs the control loop
     on every served frame; its counters land in the result's ``calib``
@@ -154,13 +104,10 @@ def simulate_shard(
     so resident sessions re-anchor cold (priced as ``reanchors_recal``).
     Without ``calib`` nothing changes.
     """
-    n = len(stream)
-    arr = stream.arrival_s.tolist()
-    sid = stream.session_id.tolist()
-    fidx = stream.frame_index.tolist()
-    cut = stream.scene_cut.tolist()
-    motion = stream.motion.tolist()
-    deadline = (stream.arrival_s + config.deadline_s).tolist()
+    reqs = stream.requests
+    n = len(reqs)
+    arr = [r.arrival_s for r in reqs]
+    deadline = [t + config.deadline_s for t in arr]
     max_batch = config.max_batch
     max_wait_s = config.max_wait_s
     capacity = config.queue_capacity
@@ -218,7 +165,8 @@ def simulate_shard(
             # batch: every frame in it is served under one table generation.
             controller.advance(now, state)
         for j in batch:
-            s, f, is_cut = sid[j], fidx[j], cut[j]
+            r = reqs[j]
+            s, f, is_cut = r.session_id, r.frame_index, r.scene_cut
             if storage is not None and not is_cut and state.is_warm(s, f):
                 outcome = storage.outcome(s, f, now)
                 ctel.on_storage(outcome)
@@ -230,9 +178,9 @@ def simulate_shard(
             if ctel is not None:
                 before = state.stats.reanchors
             mode = state.serve(s, f, scene_cut=is_cut)
-            service_s += times.request_s(mode, motion[j])
+            service_s += times.request_s(mode, r.motion)
             if controller is not None:
-                controller.on_frame(now, s, f, arr[j], state)
+                controller.on_frame(now, s, f, r.arrival_s, state)
             if ctel is not None:
                 warm = mode == "temporal"
                 served_at.append(now)
@@ -319,11 +267,8 @@ def simulate_shard(
     if ctel is not None:
         ctel.record_serves(served_at, served_warm, served_reanchor)
     return ShardResult(
-        node_id=stream.node_id,
         telemetry=telemetry,
         state=state.stats,
-        routed=n,
-        migrated_in=int(np.count_nonzero(stream.migrated)),
         chaos=ctel,
         calib=controller.telemetry if controller is not None else None,
     )

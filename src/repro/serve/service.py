@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.serve.latency import ServiceTimes
-from repro.serve.workload import Request
+from repro.serve.workload import Request, check_arrivals
 from repro.utils.validation import (
     check_finite_nonnegative,
     check_integer,
@@ -106,15 +106,17 @@ def serve_workload(
     ``duration_s`` is the workload's generation window — the normalizer
     for offered load, goodput and utilization (default: the last
     arrival).  The engine runs until every admitted request has
-    completed or been shed, so tail requests are fully accounted.
+    completed or been shed, so tail requests are fully accounted.  The
+    stream is checked first (:func:`repro.serve.workload.check_arrivals`).
     """
     # Imported here: the fleet package imports ServeConfig from this module.
     from repro.serve.fleet.shard import ShardStream, simulate_shard
 
+    check_arrivals(requests)
     if duration_s is None:
-        duration_s = max((r.arrival_s for r in requests), default=0.0) or 1.0
+        duration_s = (requests[-1].arrival_s if requests else 0.0) or 1.0
     check_positive("duration_s", duration_s)
-    result = simulate_shard(ShardStream.from_requests(0, requests), times, config)
+    result = simulate_shard(ShardStream(0, requests, 0), times, config)
     stats = result.state
     return ServingReport(
         engine=times.engine,

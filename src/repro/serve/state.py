@@ -17,7 +17,7 @@ costs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.utils.timing import FieldMerge
 
@@ -26,28 +26,28 @@ from repro.utils.timing import FieldMerge
 class StateStats(FieldMerge):
     """Lifetime counters of one store (every field adds on merge)."""
 
-    warm: int = 0  # frames served in temporal mode
-    cold: int = 0  # frames served in spatial/raw mode
-    insertions: int = 0
-    evictions: int = 0
+    warm: int = field(default=0, init=False)  # frames served in temporal mode
+    cold: int = field(default=0, init=False)  # frames served in spatial/raw mode
+    insertions: int = field(default=0, init=False)
+    evictions: int = field(default=0, init=False)
     #: Cold serves that re-anchor a session which *had* state here: the
     #: previous frame is resident but non-contiguous (shed frame gap)...
-    reanchors_gap: int = 0
+    reanchors_gap: int = field(default=0, init=False)
     #: ...or the session's state was evicted under the byte cap and the
     #: session is being re-admitted.  Both pay a cold frame that a larger
     #: store would not have charged — the honest migration/eviction cost.
-    reanchors_evicted: int = 0
+    reanchors_evicted: int = field(default=0, init=False)
     #: Cold serves forced because the session's resident state was
     #: invalidated (detected storage corruption, node crash) — the
     #: protection ladder's re-anchor cost, paid instead of serving wrong.
-    reanchors_lost: int = 0
+    reanchors_lost: int = field(default=0, init=False)
     #: Cold serves forced by a scene cut: the temporal delta is useless
     #: across a cut, so the service re-anchors even with state resident.
-    reanchors_cut: int = 0
+    reanchors_cut: int = field(default=0, init=False)
     #: Cold serves forced by a calibration-table swap: resident state was
     #: written under an older precision table, so the session re-anchors
     #: under the new one — recalibration downtime, priced honestly.
-    reanchors_recal: int = 0
+    reanchors_recal: int = field(default=0, init=False)
 
     @property
     def reanchors(self) -> int:

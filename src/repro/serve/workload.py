@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.utils.rng import DEFAULT_SEED, rng_for
 from repro.utils.validation import check_positive
@@ -119,6 +119,26 @@ def generate_requests(spec: WorkloadSpec) -> list[Request]:
     return requests
 
 
+def check_arrivals(requests: "Sequence[Request]") -> None:
+    """Reject a stream whose arrivals are not finite and non-decreasing.
+
+    The serving entry points call this before any routing or event: the
+    engine walks arrivals in order, and a NaN (which compares False, so
+    it passes an order test) or a step back in time would only fail, or
+    silently misprice, deep in the event loop.
+    """
+    previous = -math.inf
+    for k, r in enumerate(requests):
+        t = r.arrival_s
+        if not math.isfinite(t):
+            raise ValueError(f"arrival_s must be finite (no NaN or inf), got {t} at index {k}")
+        if t < previous:
+            raise ValueError(
+                f"arrival_s must be sorted by time, got {t} after {previous} at index {k}"
+            )
+        previous = t
+
+
 def offered_rps(requests: list[Request], spec: WorkloadSpec) -> float:
     """Offered request rate over the generation window."""
     return len(requests) / spec.duration_s
@@ -191,7 +211,6 @@ def apply_scene_dynamics(
 def generate_vfr_requests(
     spec: WorkloadSpec,
     switch_probability: float = 0.1,
-    seed: "int | None" = None,
 ) -> list[Request]:
     """Frame requests with seeded mid-session frame-rate switches.
 
@@ -207,20 +226,19 @@ def generate_vfr_requests(
 
     Session start times are exactly those of :func:`generate_requests`
     (same arrival process, same draws); per-session switches come from an
-    :func:`rng_for` stream keyed by the session id alone, so the overlay
-    is order- and worker-independent.  ``switch_probability=0`` returns
+    :func:`rng_for` stream keyed by ``spec.seed`` and the session id
+    alone, so the overlay is order-independent.  ``switch_probability=0`` returns
     the identical request list to :func:`generate_requests`, so existing
     workload-dependent goldens are untouched.
     """
     if not 0.0 <= switch_probability <= 1.0:
         raise ValueError(f"switch_probability must be in [0, 1], got {switch_probability}")
-    vfr_seed = spec.seed if seed is None else seed
     if switch_probability == 0.0:
         # Bit-identical fall-through (same floats, not just same times).
         return generate_requests(spec)
     requests = []
     for sid, start in enumerate(_session_starts(spec)):
-        rng = rng_for(vfr_seed, "serve-vfr", sid)
+        rng = rng_for(spec.seed, "serve-vfr", sid)
         interval = spec.frame_interval_s
         t = start
         for f in range(spec.frames_per_session):

@@ -74,9 +74,9 @@ class TimerStat:
 
 @dataclass
 class _Registry:
-    timers: dict[str, TimerStat] = field(default_factory=dict)
-    counters: dict[str, int] = field(default_factory=dict)
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    timers: dict[str, TimerStat] = field(default_factory=dict, init=False)
+    counters: dict[str, int] = field(default_factory=dict, init=False)
+    lock: threading.Lock = field(default_factory=threading.Lock, init=False)
 
 
 _REGISTRY = _Registry()
@@ -174,10 +174,9 @@ class StreamingHistogram:
     construction; samples outside the range clamp into the end bins (the
     exact ``min``/``max`` are tracked separately, and percentile results
     are clamped to them, so the tails never report values no sample had).
-    State is plain Python (int counts), so instances pickle cheaply and
-    :meth:`merge` across processes is exact — two workers recording
-    disjoint sample streams merge to the same histogram as one worker
-    recording both.
+    Counts are plain Python ints, so :meth:`merge` is exact: two
+    histograms of disjoint sample streams (two fleet nodes, say) merge to
+    the same histogram as one that recorded both.
 
     Percentiles use the nearest-rank rule with linear interpolation
     inside the selected bin: deterministic, order-independent, and within

@@ -218,7 +218,8 @@ class TestRecalibrator:
 def controller(stats, schedule, mode="adaptive", **kw):
     kw.setdefault("sample_period", 1)  # shadow every frame: tiny tests
     kw.setdefault("recalib_delay_s", 5.0)
-    return CalibrationController(stats=stats, schedule=schedule, mode=mode, **kw)
+    spec = CalibSpec(model=stats.model, schedule=schedule, mode=mode, **kw)
+    return CalibrationController(spec, stats)
 
 
 def drive(ctl, t0, t1, step=1.0, sid=1):

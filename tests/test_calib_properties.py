@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.calib.drift import DriftConfig, DriftDetector
-from repro.calib.recalibrate import CalibrationController, Recalibrator
+from repro.calib.recalibrate import CalibrationController, CalibSpec, Recalibrator
 from repro.calib.shadow import FrameSample
 from repro.calib.stats import CalibStats, _layer_stats
 from repro.data.synthesis import DriftPhase, DriftSchedule
@@ -141,14 +141,15 @@ class TestControllerSafety:
     ):
         stats = _random_stats(stats_seed, n_layers=3)
         schedule = _random_schedule(sched_seed)
-        ctl = CalibrationController(
-            stats=stats,
+        spec = CalibSpec(
+            model=stats.model,
             schedule=schedule,
             mode="adaptive",
             sample_period=2,
             recalib_delay_s=2.0,
             seed=stats_seed,
         )
+        ctl = CalibrationController(spec, stats)
         versions = []
         t = 0.0
         frame = 0

@@ -25,7 +25,8 @@ from repro.serve.chaos.campaign import (
 )
 from repro.serve.chaos.schedule import BurstWindow
 from repro.serve.chaos.telemetry import ChaosTelemetry
-from repro.serve.fleet import FleetConfig, ShardStream, simulate_fleet, simulate_shard
+from repro.serve.fleet import FleetConfig, simulate_fleet
+from repro.serve.fleet.shard import ShardStream, simulate_shard
 from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig
 from repro.serve.workload import (
@@ -338,7 +339,7 @@ class TestChaosTelemetry:
 
 class TestShardChaos:
     def _stream(self, spec=None):
-        return ShardStream.from_requests(0, generate_requests(spec or _spec()))
+        return ShardStream(0, generate_requests(spec or _spec()), 0)
 
     def test_eventless_chaos_matches_no_chaos(self):
         stream, times, cfg = self._stream(), _times(), _node()
@@ -464,8 +465,8 @@ class TestSceneDynamics:
         reqs = generate_requests(_spec())
         cut = apply_scene_dynamics(reqs, cut_probability=0.25, seed=7)
         cfg = _node(workers=8, queue_capacity=512, deadline_s=100.0, state_capacity_bytes=10**9)
-        plain = simulate_shard(ShardStream.from_requests(0, reqs), _times(), cfg)
-        cuts = simulate_shard(ShardStream.from_requests(0, cut), _times(), cfg)
+        plain = simulate_shard(ShardStream(0, reqs, 0), _times(), cfg)
+        cuts = simulate_shard(ShardStream(0, cut, 0), _times(), cfg)
         n_cuts = sum(r.scene_cut for r in cut)
         assert n_cuts > 0
         assert plain.state.reanchors_cut == 0

@@ -1,6 +1,7 @@
 """Tests for fleet-scale serving (repro.serve.fleet.*, ext_fleet)."""
 
 import dataclasses
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -13,15 +14,19 @@ from repro.serve.fleet import (
     AutoscalePolicy,
     Autoscaler,
     FleetConfig,
-    ShardStream,
     make_router,
     route_requests,
     simulate_fleet,
-    simulate_shard,
 )
+from repro.serve.fleet.shard import ShardStream, simulate_shard
 from repro.serve.latency import ServiceTimes
 from repro.serve.service import ServeConfig, serve_workload
-from repro.serve.workload import WorkloadSpec, generate_diurnal_requests, generate_requests
+from repro.serve.workload import (
+    Request,
+    WorkloadSpec,
+    generate_diurnal_requests,
+    generate_requests,
+)
 from repro.utils import timing
 from repro.utils.rng import DEFAULT_SEED
 from tests.oracles import InferenceService
@@ -86,7 +91,7 @@ class TestShardEquivalence:
         reqs = generate_requests(spec)
         ref = InferenceService(times, cfg)
         report = ref.run(reqs, spec.duration_s)
-        res = simulate_shard(ShardStream.from_requests(0, reqs), times, cfg)
+        res = simulate_shard(ShardStream(0, reqs, 0), times, cfg)
         for name in self.INT_COUNTERS:
             assert getattr(res.telemetry, name) == getattr(ref.telemetry, name), name
         # Histogram counts are bit-identical, so percentiles are too.
@@ -174,8 +179,8 @@ class TestShardEquivalence:
         # in the shard engine, the single-node service and a 1-node fleet.
         reqs = generate_requests(_spec())
         cfg = _node(workers=8, queue_capacity=512, deadline_s=100.0)
-        free = simulate_shard(ShardStream.from_requests(0, reqs), _times(overhead=0.0), cfg)
-        paid = simulate_shard(ShardStream.from_requests(0, reqs), _times(overhead=0.002), cfg)
+        free = simulate_shard(ShardStream(0, reqs, 0), _times(overhead=0.0), cfg)
+        paid = simulate_shard(ShardStream(0, reqs, 0), _times(overhead=0.002), cfg)
         ref = InferenceService(_times(overhead=0.002), cfg)
         ref.run(reqs, 10.0)
         assert paid.telemetry.busy_s == ref.telemetry.busy_s
@@ -197,10 +202,10 @@ class TestShardEquivalence:
         self._assert_equivalent(_node(state_capacity_bytes=0), _spec(), _times())
 
     def test_empty_stream(self):
-        res = simulate_shard(ShardStream.from_requests(3, []), _times(), _node())
-        assert res.node_id == 3
-        assert res.routed == 0
+        res = simulate_shard(ShardStream(3, [], 0), _times(), _node())
         assert res.telemetry.arrived == 0
+        assert res.state.warm == res.state.cold == 0
+        assert res.chaos is None and res.calib is None
 
     def test_shard_records_through_record_values(self, monkeypatch):
         # perfbench attributes serve.telemetry_s by wrapping record_values,
@@ -219,7 +224,7 @@ class TestShardEquivalence:
         monkeypatch.setattr(timing.StreamingHistogram, "record_values", counting)
         monkeypatch.setattr(timing.StreamingHistogram, "record", per_sample)
         reqs = generate_requests(_spec())
-        res = simulate_shard(ShardStream.from_requests(0, reqs), _times(), _node())
+        res = simulate_shard(ShardStream(0, reqs, 0), _times(), _node())
         t = res.telemetry
         assert sorted(calls) == sorted([t.arrived, t.batches, t.completed])
         assert t.completed > 0
@@ -229,42 +234,33 @@ class TestShardEquivalence:
         # while a wait window co-batches requests the greedy node would
         # have started at once.
         reqs = generate_requests(_spec(session_rate=4.0))
-        stream = ShardStream.from_requests(0, reqs)
+        stream = ShardStream(0, reqs, 0)
         greedy = simulate_shard(stream, _times(), _node())
         waiting = simulate_shard(stream, _times(), _node(max_wait_s=0.05))
         assert waiting.telemetry.completed == greedy.telemetry.completed == len(reqs)
         assert waiting.telemetry.batches < greedy.telemetry.batches
 
     def test_stream_validation(self):
-        with pytest.raises(ValueError, match="equal length"):
-            ShardStream(
-                node_id=0,
-                arrival_s=np.array([0.0, 1.0]),
-                session_id=np.array([1]),
-                frame_index=np.array([0, 1]),
-                migrated=np.array([False, False]),
-            )
-        with pytest.raises(ValueError, match="sorted"):
-            ShardStream(
-                node_id=0,
-                arrival_s=np.array([1.0, 0.0]),
-                session_id=np.array([1, 1]),
-                frame_index=np.array([0, 1]),
-                migrated=np.array([False, False]),
-            )
+        reqs = [Request(1, 0, 1.0), Request(1, 1, 0.0)]
+        with pytest.raises(ValueError, match="arrival_s must be sorted"):
+            serve_workload(reqs, _times(), _node())
+        with pytest.raises(ValueError, match="arrival_s must be sorted"):
+            simulate_fleet(reqs, _times(), FleetConfig(nodes=2, node=_node()))
 
+    @pytest.mark.parametrize("at", [0, 1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_stream_rejects_non_finite_arrivals(self, bad):
+    def test_stream_rejects_non_finite_arrivals(self, bad, at):
         # NaN passes the sortedness test (every comparison is False), so
-        # it must be caught by name here, not deep in the event loop.
-        with pytest.raises(ValueError, match="finite"):
-            ShardStream(
-                node_id=0,
-                arrival_s=np.array([0.0, bad, 2.0]),
-                session_id=np.array([1, 1, 1]),
-                frame_index=np.array([0, 1, 2]),
-                migrated=np.array([False, False, False]),
-            )
+        # it must be caught by name at the entry point, not deep in the
+        # event loop; first in the stream it would otherwise become the
+        # default duration.
+        arrivals = [0.0, 1.0, 2.0]
+        arrivals[at] = bad
+        reqs = [Request(1, f, t) for f, t in enumerate(arrivals)]
+        with pytest.raises(ValueError, match="arrival_s must be finite"):
+            serve_workload(reqs, _times(), _node())
+        with pytest.raises(ValueError, match="arrival_s must be finite"):
+            simulate_fleet(reqs, _times(), FleetConfig(nodes=2, node=_node()))
 
 
 def _telemetry_state(t) -> tuple:
@@ -284,7 +280,7 @@ class TestTelemetryFold:
     def _fold_and_oracle(reqs, cfg, times, duration_s=10.0):
         ref = InferenceService(times, cfg)
         ref.run(reqs, duration_s)
-        res = simulate_shard(ShardStream.from_requests(0, reqs), times, cfg)
+        res = simulate_shard(ShardStream(0, reqs, 0), times, cfg)
         assert _telemetry_state(res.telemetry) == _telemetry_state(ref.telemetry)
         return res.telemetry
 
@@ -343,11 +339,13 @@ class TestRouteRequests:
     def test_partition_is_exact(self):
         reqs = generate_requests(_spec())
         outcome = route_requests(reqs, _times(), FleetConfig(nodes=4, routing="hash"))
-        assert sum(len(s) for s in outcome.streams) == len(reqs)
+        routed = [r for s in outcome.streams for r in s.requests]
+        key = attrgetter("arrival_s", "session_id", "frame_index")
+        assert sorted(routed, key=key) == sorted(reqs, key=key)
         assert [s.node_id for s in outcome.streams] == sorted(s.node_id for s in outcome.streams)
         for stream in outcome.streams:
-            arr = stream.arrival_s
-            assert np.all(np.diff(arr) >= 0)
+            arr = [r.arrival_s for r in stream.requests]
+            assert arr == sorted(arr)
 
     def test_sticky_policies_never_migrate_static_fleet(self):
         reqs = generate_requests(_spec())
@@ -361,11 +359,34 @@ class TestRouteRequests:
             outcome = route_requests(reqs, _times(), FleetConfig(nodes=4, routing=policy))
             assert outcome.migrations > 0, policy
 
-    def test_migrated_flags_sum_to_migrations(self):
+    def test_migrated_in_sums_to_migrations(self):
         reqs = generate_requests(_spec())
         outcome = route_requests(reqs, _times(), FleetConfig(nodes=4, routing="random"))
-        flagged = sum(int(np.count_nonzero(s.migrated)) for s in outcome.streams)
-        assert flagged == outcome.migrations
+        assert sum(s.migrated_in for s in outcome.streams) == outcome.migrations
+        assert outcome.migrations > 0
+
+    def test_out_of_order_stream_rejected_before_routing(self):
+        # Each node's share of this stream is sorted, so only a check of
+        # the whole stream catches it going back in time.
+        reqs = [Request(0, 0, 5.0), Request(1, 0, 1.0), Request(0, 1, 6.0), Request(1, 1, 2.0)]
+        cfg = FleetConfig(nodes=2, routing="hash", node=_node())
+        shares = [
+            [r.arrival_s for r in s.requests]
+            for s in route_requests(sorted(reqs, key=lambda r: r.arrival_s), _times(), cfg).streams
+        ]
+        assert {tuple(a) for a in shares} == {(1.0, 2.0), (5.0, 6.0)}
+        with pytest.raises(ValueError, match="arrival_s"):
+            route_requests(reqs, _times(), cfg)
+        with pytest.raises(ValueError, match="arrival_s"):
+            simulate_fleet(reqs, _times(), cfg)
+
+    def test_non_finite_arrival_rejected_before_routing(self):
+        reqs = generate_requests(_spec())
+        reqs[len(reqs) // 2] = dataclasses.replace(reqs[len(reqs) // 2], arrival_s=float("nan"))
+        timing.reset("fleet.route")
+        with pytest.raises(ValueError, match="arrival_s must be finite"):
+            simulate_fleet(reqs, _times(), FleetConfig(nodes=2, node=_node()), 10.0)
+        assert "fleet.route" not in timing.timer_stats()
 
 
 class TestFleetSimulation:
@@ -411,12 +432,12 @@ class TestFleetSimulation:
         reqs = generate_requests(_spec(session_rate=15.0))
         cfg = FleetConfig(nodes=4, routing=policy, node=_node())
         fleet = simulate_fleet(reqs, _times(), cfg, 10.0)
-        streams = route_requests(reqs, _times(), cfg).streams
-        alone = {s.node_id: simulate_shard(s, _times(), cfg.node) for s in reversed(streams)}
+        streams = {s.node_id: s for s in route_requests(reqs, _times(), cfg).streams}
+        alone = {n: simulate_shard(s, _times(), cfg.node) for n, s in reversed(streams.items())}
         assert sorted(alone) == [n.node_id for n in fleet.node_reports]
         for node in fleet.node_reports:
-            res = alone[node.node_id]
-            assert (node.routed, node.migrated_in) == (res.routed, res.migrated_in)
+            res, stream = alone[node.node_id], streams[node.node_id]
+            assert (node.routed, node.migrated_in) == (len(stream.requests), stream.migrated_in)
             assert (node.completed, node.shed) == (res.telemetry.completed, res.telemetry.shed)
             assert (node.warm_served, node.cold_served) == (res.state.warm, res.state.cold)
 

@@ -24,6 +24,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.analysis.potential import potential_speedups
 from repro.analysis.spatial import heatmap_data
+from repro.analysis.terms import term_histogram, trace_term_stats
 from repro.arch.config import DIFFY_CONFIG
 from repro.arch.cycles import (
     lane_term_totals,
@@ -292,8 +293,9 @@ class TestUint8TermMaps:
 
 
 class TestAnalysisClipsAreCounted:
-    """Fig 2's heatmaps and Fig 4's potentials saturate their deltas
-    through ``quantize_to_width``, so every clip reaches the counter."""
+    """Fig 2's heatmaps, Fig 3's term statistics and Fig 4's potentials
+    saturate their deltas through ``quantize_to_width``, so every clip
+    reaches the counter."""
 
     def test_overflowing_deltas_raise_the_counter(self):
         # Deltas along x: 65535, -65535 and 32768 all overflow int16.
@@ -305,6 +307,17 @@ class TestAnalysisClipsAreCounted:
         assert _clipped(lambda: heatmap_data(layer))[1] == overflowing
         trace = ActivationTrace("probe", layer.imap_shape, 0, [layer])
         assert _clipped(lambda: potential_speedups([trace]))[1] == overflowing
+
+    def test_fig3_term_stats_count_their_clips(self):
+        # Neighbours at +-32767 differ by 65534 along x: two of the three
+        # deltas per row overflow int16, and Fig 3 counts them as they clip.
+        row = np.array([-(2**15 - 1), 2**15 - 1, -(2**15 - 1), 0], dtype=np.int16)
+        layer = _layer(np.tile(row, (2, 3, 1)), 1)
+        trace = ActivationTrace("probe", layer.imap_shape, 0, [layer])
+        stats, clipped = _clipped(lambda: trace_term_stats([trace]))
+        assert clipped == 2 * 3 * 2
+        saturated = np.clip(spatial_deltas(layer.imap), -(2**15), 2**15 - 1)
+        assert np.array_equal(stats.hist_delta, term_histogram(saturated))
 
 
 class TestGroupMaxima:
