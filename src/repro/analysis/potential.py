@@ -34,6 +34,9 @@ class PotentialSpeedups:
     raw_effectual: float
     delta_effectual: float
 
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("delta_over_raw",)
+
     @property
     def delta_over_raw(self) -> float:
         """How much of DeltaE's edge comes purely from delta encoding."""

@@ -45,6 +45,26 @@ class HeatmapData:
     mean_terms_raw: float
     mean_terms_delta: float
 
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = (
+        "raw_mean",
+        "delta_mean",
+        "term_reduction_mean",
+        "potential_work_reduction",
+    )
+
+    @property
+    def raw_mean(self) -> float:
+        return float(self.raw.mean())
+
+    @property
+    def delta_mean(self) -> float:
+        return float(self.delta.mean())
+
+    @property
+    def term_reduction_mean(self) -> float:
+        return float(self.term_reduction.mean())
+
     @property
     def potential_work_reduction(self) -> float:
         """Raw/delta mean-term ratio ("potential to reduce work by 1.9x")."""

@@ -47,6 +47,16 @@ class TermStats:
     hist_raw: np.ndarray
     hist_delta: np.ndarray
 
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = (
+        "cdf_raw",
+        "cdf_delta",
+        "sparsity_raw",
+        "sparsity_delta",
+        "mean_terms_raw",
+        "mean_terms_delta",
+    )
+
     @property
     def cdf_raw(self) -> np.ndarray:
         return term_cdf(self.hist_raw)

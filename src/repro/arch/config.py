@@ -74,6 +74,9 @@ class AcceleratorConfig:
         check_in("sync", self.sync, ("lane", "row", "column", "pallet"))
         check_in("partition", self.partition, ("filters", "hybrid"))
 
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("peak_macs_per_cycle",)
+
     @property
     def peak_macs_per_cycle(self) -> int:
         """Peak 16x16b MAC-equivalents per cycle across all tiles."""

@@ -51,7 +51,7 @@ from repro.nn.shapes import conv_layer_shapes
 from repro.nn.trace import ActivationTrace
 from repro.utils import timing
 from repro.utils.rng import DEFAULT_SEED
-from repro.utils.validation import check_positive, check_positive_integer
+from repro.utils.validation import check_positive, check_positive_integer, check_seed
 
 #: Default off-chip memory interface of the headline results (Section IV-A).
 DEFAULT_MEMORY = "DDR4-3200"
@@ -168,8 +168,8 @@ def collect_traces(
     """
     count = check_positive_integer("count", count)
     spec = get_model_spec(model_name)
-    size = crop if crop is not None else spec.trace_crop
-    return _collect_traces(model_name, dataset_name, count, size, seed)
+    size = spec.trace_crop if crop is None else check_positive_integer("crop", crop)
+    return _collect_traces(model_name, dataset_name, count, size, check_seed("seed", seed))
 
 
 @lru_cache(maxsize=64)

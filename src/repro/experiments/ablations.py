@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.arch.config import DIFFY_CONFIG, PRA_CONFIG
 from repro.arch.diffy import DiffyModel
@@ -28,7 +27,6 @@ from repro.compression.traffic import normalized_traffic
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    format_table,
     geomean,
     traces_for,
 )
@@ -81,18 +79,6 @@ def run_sync(
     )
 
 
-def format_sync(result: SyncAblationResult) -> str:
-    rows = [
-        (sync, f"{result.pra[sync]:.2f}x", f"{result.diffy[sync]:.2f}x")
-        for sync in SYNC_MODELS
-    ]
-    return format_table(
-        ["sync granularity", "PRA/VAA", "Diffy/VAA"],
-        rows,
-        title="Ablation: cross-lane synchronization granularity",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Delta-axis ablation
 # ---------------------------------------------------------------------------
@@ -101,9 +87,13 @@ class AxisAblationResult:
     #: {network: {axis: total Diffy cycles}}
     cycles: dict[str, dict[str, float]]
 
-    def ratio(self, network: str) -> float:
-        """Y-axis cycles over X-axis cycles (1.0 = equivalent)."""
-        return self.cycles[network]["y"] / self.cycles[network]["x"]
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("y_over_x",)
+
+    @property
+    def y_over_x(self) -> dict[str, float]:
+        """{network: Y-axis cycles over X-axis cycles} (1.0 = equivalent)."""
+        return {net: c["y"] / c["x"] for net, c in self.cycles.items()}
 
 
 def run_axis(
@@ -124,17 +114,6 @@ def run_axis(
                 total += sum(diffy.layer_cycles(layer).cycles for layer in trace)
             cycles[model][axis] = total
     return AxisAblationResult(cycles=cycles)
-
-
-def format_axis(result: AxisAblationResult) -> str:
-    rows = [
-        (model, f"{result.ratio(model):.3f}") for model in result.cycles
-    ]
-    return format_table(
-        ["network", "Y-axis / X-axis cycles"],
-        rows,
-        title="Ablation: differential chain axis (1.0 = equivalent)",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +140,6 @@ def run_group_size(
         traces = traces_for(model, DEFAULT_DATASET, trace_count, crop, seed=seed)
         ratios[model] = normalized_traffic(net, traces, schemes, *HD_RESOLUTION)
     return GroupSizeAblationResult(ratios=ratios, schemes=schemes)
-
-
-def format_group_size(result: GroupSizeAblationResult) -> str:
-    rows = [
-        [model] + [f"{result.ratios[model][s] * 100:.0f}%" for s in result.schemes]
-        for model in result.ratios
-    ]
-    return format_table(
-        ["network"] + list(result.schemes),
-        rows,
-        title="Ablation: dynamic-precision group size (traffic vs NoCompression)",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +203,6 @@ def run_selective(
     return out
 
 
-def format_selective(results: Sequence[SelectiveResult]) -> str:
-    rows = [
-        (
-            r.network,
-            r.layers_reverted,
-            f"{r.improvement_over_diffy * 100:.2f}%",
-        )
-        for r in results
-    ]
-    return format_table(
-        ["network", "layers reverted", "cycles saved vs always-differential"],
-        rows,
-        title="Ablation: selective per-layer differential convolution "
-        "(paper: below 1% at best)",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Combined entry point for the golden-regression harness
 # ---------------------------------------------------------------------------
@@ -272,15 +222,4 @@ def compute(profile: Profile | None = None) -> AblationsResult:
         axis=run_axis(**kw),
         group_size=run_group_size(**kw),
         selective=tuple(run_selective(**kw)),
-    )
-
-
-def format_result(result: AblationsResult) -> str:
-    return "\n\n".join(
-        (
-            format_sync(result.sync),
-            format_axis(result.axis),
-            format_group_size(result.group_size),
-            format_selective(result.selective),
-        )
     )

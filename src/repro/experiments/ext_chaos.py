@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.sim import HD_RESOLUTION
-from repro.experiments.common import format_table
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.serve.chaos.campaign import (
     ChaosCell,
@@ -337,54 +336,4 @@ def compute(profile: "Profile | None" = None) -> ChaosStudyResult:
         ladders=FULL_LADDERS if full else CI_LADDERS,
         rates=FULL_RATES if full else CI_RATES,
         nodes=FULL_NODES if full else CI_NODES,
-    )
-
-
-def format_result(result: ChaosStudyResult) -> str:
-    rows = [
-        (
-            c.engine,
-            c.ladder,
-            f"{c.rate:g}",
-            f"{c.goodput_rps:.2f}",
-            f"{100 * c.warm_fraction:.0f}%",
-            str(c.storage_corrected),
-            str(c.storage_detected),
-            str(c.storage_silent),
-            str(c.sessions_recovered),
-            f"{c.recovery_p99_ms:.0f}",
-        )
-        for c in result.cells
-    ]
-    h, w = result.resolution
-    table = format_table(
-        [
-            "engine",
-            "ladder",
-            "rate",
-            "goodput rps",
-            "warm",
-            "corrected",
-            "detected",
-            "silent",
-            "recovered",
-            "rec p99 ms",
-        ],
-        rows,
-        title=(
-            f"Extension: chaos under load — {result.model} at {w}x{h}, "
-            f"{result.nodes} nodes, 1 crash + 1 degrade + 1 fault/load burst"
-        ),
-    )
-    recovery = result.crash_recovery
-    silent = ", ".join(f"{l}={n}" for l, n in result.silent_by_ladder.items())
-    return (
-        table
-        + f"\n\nsilent corruptions by ladder (all rates): {silent}"
-        + "\ncrash recovery (Diffy, full ladder, fault-free): "
-        + f"{recovery['reanchors_in_storm']} re-anchors in the storm window "
-        + f"(buckets {recovery['crash_bucket']}-{recovery['restart_bucket']}, "
-        + f"{recovery['reanchors_per_bucket_before']:.1f}/bucket before), warm fraction "
-        + f"{100 * recovery['warm_fraction_in_storm']:.0f}% in the storm -> "
-        + f"{100 * recovery['warm_fraction_after']:.0f}% after"
     )

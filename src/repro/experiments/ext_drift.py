@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from repro.arch.sim import HD_RESOLUTION
 from repro.calib.recalibrate import CALIB_MODES, CalibSpec
 from repro.data.synthesis import generate_drift_schedule
-from repro.experiments.common import format_table
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.serve.fleet.service import FleetConfig, FleetReport, simulate_fleet
 from repro.serve.latency import measure_service_times
@@ -131,6 +130,14 @@ class DriftCell:
     overflow_by_bucket: tuple
     fallback_by_bucket: tuple
     swap_by_bucket: tuple
+
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("trips",)
+
+    @property
+    def trips(self) -> int:
+        """Recalibration triggers of either kind (overflow or slack)."""
+        return self.trips_overflow + self.trips_slack
 
 
 def _cell(mode: str, magnitude: float, report: FleetReport) -> DriftCell:
@@ -447,54 +454,4 @@ def compute(profile: "Profile | None" = None) -> DriftStudyResult:
         **p.one_model_kwargs(64),
         magnitudes=FULL_MAGNITUDES if full else CI_MAGNITUDES,
         nodes=FULL_NODES if full else CI_NODES,
-    )
-
-
-def format_result(result: DriftStudyResult) -> str:
-    rows = [
-        (
-            c.mode,
-            f"{c.magnitude:g}",
-            f"{c.goodput_rps:.2f}",
-            f"{100 * c.warm_fraction:.0f}%",
-            str(c.clipped_values_served),
-            str(c.clipped_values_averted),
-            str(c.trips_overflow + c.trips_slack),
-            str(c.swaps),
-            str(c.reanchors_recal),
-            f"{c.psnr_db:.1f}" if c.psnr_db != float("inf") else "inf",
-            f"{100 * c.traffic_ratio_vs_wide:.1f}%",
-        )
-        for c in result.cells
-    ]
-    h, w = result.resolution
-    table = format_table(
-        [
-            "mode",
-            "drift",
-            "goodput rps",
-            "warm",
-            "clip served",
-            "clip averted",
-            "trips",
-            "swaps",
-            "recal reanchors",
-            "psnr db",
-            "traffic vs raw",
-        ],
-        rows,
-        title=(
-            f"Extension: precision drift and recovery — {result.model} at {w}x{h}, "
-            f"Diffy fleet of {result.nodes} nodes, {result.drift_events} drift events"
-        ),
-    )
-    recovery = ", ".join(
-        f"x{m}: last fallback bucket {r['last_active_bucket']} <= {r['recovery_deadline_bucket']}"
-        f" ({r['recalibrations']} recal)"
-        for m, r in result.recovery.items()
-    )
-    return (
-        table
-        + f"\n\nzero clipped served under control: {result.zero_clipped_under_control}"
-        + f"\nrecovery (adaptive): {recovery or 'n/a (no drifting magnitudes)'}"
     )

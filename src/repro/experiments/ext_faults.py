@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.common import format_table, traces_for
+from repro.experiments.common import traces_for
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.faults.campaign import (
     DEFAULT_FAULT_MODELS,
@@ -36,7 +36,6 @@ from repro.faults.campaign import (
     CampaignRow,
     run_campaign,
     run_length_amplification,
-    summarize,
 )
 
 #: Channels kept per traced map — keeps codec round trips cheap while the
@@ -108,32 +107,3 @@ def run(
 def compute(profile: "Profile | None" = None) -> FaultStudyResult:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).one_model_kwargs(64))
-
-
-def format_result(result: FaultStudyResult) -> str:
-    table = format_table(
-        [
-            "scheme",
-            "site",
-            "fault",
-            "rate/bit",
-            "events",
-            "corrupted",
-            "mean run",
-            "max run",
-            "PSNR dB",
-        ],
-        summarize(result.rows),
-        title=(
-            f"Extension: fault injection over {result.model} omaps "
-            f"(layers {list(result.layers)}, {result.stored_values} values/map set)"
-        ),
-    )
-    lines = [table, "", "error-run amplification (DeltaD16 deltas vs Raw16 words):"]
-    for key, ratio in result.amplification.items():
-        lines.append(f"  {key:16s} {ratio:6.1f}x longer corruption runs")
-    lines.append(
-        "a delta-storage bit error corrupts the rest of its reconstruction "
-        "chain; raw storage confines it to one value"
-    )
-    return "\n".join(lines)

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.sim import HD_RESOLUTION
-from repro.experiments.common import format_table
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.serve.fleet import AutoscalePolicy, FleetConfig, FleetReport, simulate_fleet
 from repro.serve.fleet.routing import ROUTING_POLICIES
@@ -278,57 +277,4 @@ def compute(profile: "Profile | None" = None) -> FleetStudyResult:
     return run(
         **p.one_model_kwargs(64),
         node_counts=FULL_NODE_COUNTS if p.name == "full" else CI_NODE_COUNTS,
-    )
-
-
-def format_result(result: FleetStudyResult) -> str:
-    rows = []
-    for c in result.cells:
-        rows.append(
-            (
-                c.engine,
-                c.policy,
-                str(c.nodes),
-                f"{c.goodput_rps:.2f}",
-                f"{100 * c.shed_rate:.1f}%",
-                f"{c.p99_ms:.0f}",
-                f"{100 * c.warm_fraction:.0f}%",
-                str(c.migrations),
-            )
-        )
-    h, w = result.resolution
-    table = format_table(
-        ["engine", "routing", "nodes", "goodput rps", "shed", "p99 ms", "warm", "migrations"],
-        rows,
-        title=(
-            f"Extension: fleet serving — {result.model} at {w}x{h}, "
-            f"offered load fixed at {result.load_factor}x the {result.ref_nodes}-node "
-            "VAA cold capacity"
-        ),
-    )
-    auto_rows = [
-        (
-            a.engine,
-            f"{a.goodput_rps:.2f}",
-            f"{100 * a.shed_rate:.1f}%",
-            f"{100 * a.warm_fraction:.0f}%",
-            str(a.migrations),
-            f"+{a.scale_ups}/-{a.scale_downs}",
-            str(a.peak_nodes),
-        )
-        for a in result.autoscale
-    ]
-    auto = format_table(
-        ["engine", "goodput rps", "shed", "warm", "migrations", "scale +/-", "peak nodes"],
-        auto_rows,
-        title="Diurnal load with watermark autoscaling (state-aware routing)",
-    )
-    ladder = ", ".join(f"{p}={100 * v:.0f}%" for p, v in result.warm_fraction_ladder.items())
-    return (
-        table
-        + "\n\n"
-        + auto
-        + f"\n\nwarm fraction by routing policy (Diffy, {result.ref_nodes} nodes): {ladder}"
-        + f"\nDiffy goodput / VAA goodput (state-aware, {result.ref_nodes} nodes): "
-        + f"{result.diffy_over_vaa_goodput:.2f}x"
     )

@@ -27,14 +27,13 @@ import numpy as np
 
 from repro.compression.footprint import normalized_footprints
 from repro.compression.traffic import normalized_traffic
-from repro.experiments.common import format_table, traces_for
+from repro.experiments.common import traces_for
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.faults.campaign import (
     DEFAULT_RATES,
     PROTECTED_CONFIGS,
     ProtectedRow,
     run_protected_campaign,
-    summarize_protected,
 )
 from repro.models.registry import prepare_model
 from repro.protect import ProtectionPolicy
@@ -187,51 +186,3 @@ def run(
 def compute(profile: "Profile | None" = None) -> ProtectionStudyResult:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).one_model_kwargs(64))
-
-
-_COLUMNS = [
-    "scheme",
-    "policy",
-    "fault",
-    "rate/bit",
-    "overhead",
-    "events",
-    "corrected",
-    "detected",
-    "silent",
-    "corrupted",
-    "max run",
-    "PSNR dB",
-]
-
-
-def format_result(result: ProtectionStudyResult) -> str:
-    grid = format_table(
-        _COLUMNS,
-        summarize_protected(result.rows),
-        title=(
-            f"Extension: protected fault campaign over {result.model} omaps "
-            f"(layers {list(result.layers)}, {result.stored_values} values/map set)"
-        ),
-    )
-    curve = format_table(
-        _COLUMNS,
-        summarize_protected(result.curve_rows),
-        title=(
-            f"keyframe tradeoff curve (flip1 @ {CURVE_RATE:g}/bit; "
-            "kf<K>e = SECDED anchors, kf<K>p = unprotected anchors)"
-        ),
-    )
-    lines = [grid, "", curve, ""]
-    lines.append("protected storage in Fig 5 / Fig 14 terms (vs 16b raw):")
-    for name in PROTECTED_SCHEMES:
-        lines.append(
-            f"  {name:16s} footprint {result.footprints[name]:.3f}  "
-            f"traffic {result.traffic[name]:.3f}"
-        )
-    lines.append(
-        f"raw+ECC silent corruptions under flip1: {result.raw_ecc_silent}; "
-        f"ECC-anchored keyframe run bound held: {result.keyframe_bound_ok}; "
-        f"full-ladder overhead {result.full_ladder_overhead:.2f}x DeltaD16"
-    )
-    return "\n".join(lines)

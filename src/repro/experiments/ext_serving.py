@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.sim import HD_RESOLUTION
-from repro.experiments.common import format_table
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.serve.latency import DEFAULT_ENGINES, measure_service_times
 from repro.serve.service import ServeConfig, ServingReport, serve_workload
@@ -126,46 +125,3 @@ def run(
 def compute(profile: "Profile | None" = None) -> ServingStudyResult:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).one_model_kwargs(64))
-
-
-def format_result(result: ServingStudyResult) -> str:
-    rows = []
-    for r in result.reports:
-        m = r.metrics
-        rows.append(
-            (
-                r.engine,
-                f"{r.offered_rps:.2f}",
-                f"{r.goodput_rps:.2f}",
-                f"{100 * r.shed_rate:.1f}%",
-                f"{m['latency_ms']['p50']:.0f}",
-                f"{m['latency_ms']['p95']:.0f}",
-                f"{m['latency_ms']['p99']:.0f}",
-                f"{m['mean_batch_size']:.2f}",
-                f"{100 * r.warm_fraction:.0f}%",
-            )
-        )
-    h, w = result.resolution
-    table = format_table(
-        [
-            "engine",
-            "offered rps",
-            "goodput rps",
-            "shed",
-            "p50 ms",
-            "p95 ms",
-            "p99 ms",
-            "batch",
-            "warm",
-        ],
-        rows,
-        title=(
-            f"Extension: streaming-inference service — {result.model} at {w}x{h}, "
-            f"identical offered load ({result.workload.process} sessions)"
-        ),
-    )
-    return table + (
-        f"\nDiffy goodput / VAA goodput at equal load: "
-        f"{result.diffy_over_vaa_goodput:.2f}x "
-        "(load set to 1.5x VAA capacity: VAA must shed, Diffy must not)"
-    )

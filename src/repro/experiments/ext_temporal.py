@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.core.temporal import FrameSequenceTrace
 from repro.data.video import synthesize_clip
-from repro.experiments.common import format_table, geomean
+from repro.experiments.common import geomean
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.inputs import adapt_input
 from repro.models.registry import get_model_spec, prepare_model
@@ -109,25 +109,3 @@ def run(
 def compute(profile: Profile | None = None) -> list[TemporalResult]:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).one_model_kwargs(64))
-
-
-def format_result(results: list[TemporalResult]) -> str:
-    rows = [
-        (
-            f"{r.pan_px}px/frame",
-            f"{r.spatial_speedup:.2f}x",
-            f"{r.temporal_speedup:.2f}x",
-            f"{r.combined_speedup:.2f}x",
-            f"{r.mode_counts['spatial']}/{r.mode_counts['temporal']}/{r.mode_counts['raw']}",
-        )
-        for r in results
-    ]
-    table = format_table(
-        ["motion", "spatial (Diffy)", "temporal (CBInfer)", "combined", "layers s/t/r"],
-        rows,
-        title=f"Extension: spatio-temporal differential processing — {results[0].model}",
-    )
-    return table + (
-        f"\nframe buffer for temporal mode: {results[0].frame_buffer_kb:.0f} KB "
-        "of previous-frame activations (CBInfer's storage cost)"
-    )

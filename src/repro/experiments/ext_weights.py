@@ -35,7 +35,7 @@ from repro.arch.predict import ValuePredictionModel
 from repro.arch.sim import DEFAULT_MEMORY, model_for
 from repro.compression.footprint import composed_footprints
 from repro.compression.traffic import composed_traffic
-from repro.experiments.common import format_table, traces_for
+from repro.experiments.common import traces_for
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.registry import prepare_model
 from repro.protect.stream import encode_stream_chunks, read_stream
@@ -112,6 +112,8 @@ class WeightStudyResult:
         "vp_hits_monotone",
         "vp_cycles_monotone",
         "vp_disabled_matches_pra",
+        "bits_per_weight",
+        "bits_vs_raw16w",
     )
 
     @property
@@ -150,6 +152,16 @@ class WeightStudyResult:
     def vp_disabled_matches_pra(self) -> bool:
         """Disabled prediction degenerates to PRA exactly."""
         return self.vp_disabled_mean_cycles == self.pra_mean_cycles
+
+    @property
+    def bits_per_weight(self) -> dict:
+        """Stored bits per INT8 weight, per scheme."""
+        return {name: bits / self.weight_values for name, bits in self.scheme_bits.items()}
+
+    @property
+    def bits_vs_raw16w(self) -> dict:
+        """Stored bits per scheme relative to Raw16W."""
+        return {name: bits / self.scheme_bits["Raw16W"] for name, bits in self.scheme_bits.items()}
 
 
 def _mean_frame_cycles(model, traces) -> float:
@@ -263,56 +275,3 @@ def run(
 def compute(profile: "Profile | None" = None) -> WeightStudyResult:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).one_model_kwargs(64))
-
-
-def format_result(result: WeightStudyResult) -> str:
-    scheme_rows = [
-        [
-            name,
-            f"{result.scheme_bits[name]}",
-            f"{result.scheme_bits[name] / result.weight_values:.2f}",
-            f"{result.scheme_bits[name] / result.scheme_bits['Raw16W']:.3f}",
-        ]
-        for name in WEIGHT_SCHEME_NAMES
-    ]
-    schemes = format_table(
-        ["scheme", "stored bits", "bits/weight", "vs Raw16W"],
-        scheme_rows,
-        title=(
-            f"Extension: weight compression over {result.model} "
-            f"({result.weight_values} INT8 weights, MSR coverage "
-            f"{result.msr_coverage:.4f})"
-        ),
-    )
-    vp_table = format_table(
-        ["threshold", "hit frac", "pred MSE", "mean cycles", "vs PRA"],
-        [
-            [
-                f"{row.threshold}",
-                f"{row.hit_fraction:.4f}",
-                f"{row.mse:.2f}",
-                f"{row.mean_cycles:.0f}",
-                f"{row.cycles_vs_pra:.3f}",
-            ]
-            for row in result.vp_rows
-        ],
-        title=(
-            "value-prediction tradeoff (recovery "
-            f"{VP_RECOVERY_CYCLES} cycles/miss; disabled == PRA: "
-            f"{result.vp_disabled_matches_pra})"
-        ),
-    )
-    lines = [schemes, "", vp_table, ""]
-    lines.append("composed ladders (vs NoCompression+Raw16W):")
-    for act, wgt in COMPOSED_PAIRS:
-        key = f"{act}+{wgt}"
-        lines.append(
-            f"  {key:24s} footprint {result.footprints[key]:.3f}  "
-            f"traffic {result.traffic[key]:.3f}"
-        )
-    lines.append(
-        f"roundtrip ok: {result.roundtrip_ok}; protected memory roundtrip: "
-        f"{result.memory_roundtrip_ok}; serve weight-load ratio "
-        f"{result.serve_overhead_ratio:.3f}x dense"
-    )
-    return "\n".join(lines)

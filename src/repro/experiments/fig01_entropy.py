@@ -12,7 +12,6 @@ from repro.analysis.entropy import EntropyStats, trace_entropy_stats
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    format_table,
     geomean,
     traces_for,
 )
@@ -55,32 +54,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig1Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Fig1Result) -> str:
-    rows = [
-        (
-            s.network,
-            s.h_raw,
-            s.h_conditional,
-            s.h_delta,
-            f"{s.compression_conditional:.2f}x",
-            f"{s.compression_delta:.2f}x",
-        )
-        for s in result.stats
-    ]
-    rows.append(
-        (
-            "average",
-            "",
-            "",
-            "",
-            f"{result.mean_compression_conditional:.2f}x",
-            f"{result.mean_compression_delta:.2f}x",
-        )
-    )
-    return format_table(
-        ["network", "H(A)", "H(A|A')", "H(D)", "H(A)/H(A|A')", "H(A)/H(D)"],
-        rows,
-        title="Fig 1: activation stream entropies (bits/value)",
-    )

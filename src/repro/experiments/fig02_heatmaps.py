@@ -26,6 +26,9 @@ class Fig2Result:
     layer: str
     heatmaps: HeatmapData
 
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("edge_fraction_negative",)
+
     @property
     def edge_fraction_negative(self) -> float:
         """Fraction of pixels where deltas *cost* extra terms (edges)."""
@@ -51,19 +54,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig2Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).one_model_kwargs(128))
-
-
-def format_result(result: Fig2Result) -> str:
-    hm = result.heatmaps
-    lines = [
-        f"Fig 2: {result.model} {result.layer} on synthetic Barbara",
-        f"  (a) raw |activation| heatmap   mean={hm.raw.mean():.1f}  max={hm.raw.max():.1f}",
-        f"  (b) |delta| heatmap            mean={hm.delta.mean():.1f}  max={hm.delta.max():.1f}",
-        f"  (c) term reduction             mean={hm.term_reduction.mean():.2f} terms/activation",
-        f"  avg terms per activation = {hm.mean_terms_raw:.2f}  (paper: 3.65)",
-        f"  avg terms per delta      = {hm.mean_terms_delta:.2f}  (paper: 1.9)",
-        f"  potential work reduction = {hm.potential_work_reduction:.2f}x (paper: 1.9x)",
-        f"  pixels where deltas cost extra terms (edges): "
-        f"{result.edge_fraction_negative * 100:.1f}%",
-    ]
-    return "\n".join(lines)

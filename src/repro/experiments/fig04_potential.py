@@ -13,7 +13,6 @@ from repro.analysis.potential import PotentialSpeedups, potential_speedups
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    format_table,
     geomean,
     traces_for,
 )
@@ -24,6 +23,9 @@ from repro.experiments.profiles import Profile, resolve_profile
 class Fig4Result:
     potentials: tuple[PotentialSpeedups, ...]
 
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("mean_raw", "mean_delta", "mean_delta_over_raw")
+
     @property
     def mean_raw(self) -> float:
         return geomean(p.raw_effectual for p in self.potentials)
@@ -31,6 +33,10 @@ class Fig4Result:
     @property
     def mean_delta(self) -> float:
         return geomean(p.delta_effectual for p in self.potentials)
+
+    @property
+    def mean_delta_over_raw(self) -> float:
+        return self.mean_delta / self.mean_raw
 
 
 def run(
@@ -51,24 +57,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig4Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Fig4Result) -> str:
-    rows = [
-        (
-            p.network,
-            f"{p.raw_effectual:.2f}x",
-            f"{p.delta_effectual:.2f}x",
-            f"{p.delta_over_raw:.2f}x",
-        )
-        for p in result.potentials
-    ]
-    rows.append(
-        ("average", f"{result.mean_raw:.2f}x", f"{result.mean_delta:.2f}x",
-         f"{result.mean_delta / result.mean_raw:.2f}x")
-    )
-    return format_table(
-        ["network", "RawE / ALL", "DeltaE / ALL", "DeltaE / RawE"],
-        rows,
-        title="Fig 4: potential work-reduction speedups",
-    )

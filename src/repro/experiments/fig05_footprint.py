@@ -10,12 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compression.footprint import imap_precisions, normalized_footprints
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    DEFAULT_DATASET,
-    format_table,
-    traces_for,
-)
+from repro.experiments.common import CI_MODEL_NAMES, DEFAULT_DATASET, traces_for
 from repro.experiments.profiles import Profile, resolve_profile
 
 #: The six approaches of Fig 5, in presentation order.
@@ -28,9 +23,14 @@ class Fig5Result:
 
     ratios: dict[str, dict[str, float]]
 
-    def scheme_mean(self, scheme: str) -> float:
-        vals = [r[scheme] for r in self.ratios.values()]
-        return sum(vals) / len(vals)
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("scheme_means",)
+
+    @property
+    def scheme_means(self) -> dict[str, float]:
+        """{scheme: footprint ratio averaged over the networks}."""
+        per_net = list(self.ratios.values())
+        return {s: sum(r[s] for r in per_net) / len(per_net) for s in per_net[0]}
 
 
 def run(
@@ -51,17 +51,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig5Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Fig5Result) -> str:
-    schemes = list(next(iter(result.ratios.values())))
-    rows = [
-        [model] + [f"{result.ratios[model][s] * 100:.1f}%" for s in schemes]
-        for model in result.ratios
-    ]
-    rows.append(["average"] + [f"{result.scheme_mean(s) * 100:.1f}%" for s in schemes])
-    return format_table(
-        ["network"] + schemes,
-        rows,
-        title="Fig 5: off-chip imap footprint (normalized to 16b storage)",
-    )

@@ -18,7 +18,6 @@ from repro.arch.sim import DEFAULT_MEMORY, simulate_network
 from repro.experiments.common import (
     CI_MODEL_NAMES,
     DEFAULT_DATASET,
-    format_table,
     geomean,
     traces_for,
 )
@@ -44,9 +43,25 @@ class Fig11Result:
     #: Per-layer Diffy/PRA statistics (:func:`per_layer_diffy_over_pra`).
     per_layer: dict[str, float]
 
-    def mean_speedup(self, accelerator: str, scheme: str) -> float:
-        key = {"PRA": "pra", "Diffy": "diffy"}[accelerator]
-        return geomean(getattr(row, key)[scheme] for row in self.rows)
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("mean_speedup", "diffy_over_pra")
+
+    @property
+    def mean_speedup(self) -> dict[str, dict[str, float]]:
+        """{accelerator: {scheme: geomean speedup over VAA}}."""
+        return {
+            accel: {
+                s: geomean(getattr(row, accel.lower())[s] for row in self.rows)
+                for s in self.rows[0].pra
+            }
+            for accel in ("PRA", "Diffy")
+        }
+
+    @property
+    def diffy_over_pra(self) -> float:
+        """Headline Diffy/PRA at DeltaD16 (paper: 1.41x)."""
+        means = self.mean_speedup
+        return means["Diffy"]["DeltaD16"] / means["PRA"]["DeltaD16"]
 
 
 def per_layer_diffy_over_pra(
@@ -128,36 +143,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig11Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Fig11Result) -> str:
-    schemes = list(result.rows[0].pra)
-    headers = ["network"] + [f"PRA {s}" for s in schemes] + [f"Diffy {s}" for s in schemes]
-    table_rows = []
-    for row in result.rows:
-        table_rows.append(
-            [row.network]
-            + [f"{row.pra[s]:.2f}x" for s in schemes]
-            + [f"{row.diffy[s]:.2f}x" for s in schemes]
-        )
-    table_rows.append(
-        ["geomean"]
-        + [f"{result.mean_speedup('PRA', s):.2f}x" for s in schemes]
-        + [f"{result.mean_speedup('Diffy', s):.2f}x" for s in schemes]
-    )
-    table = format_table(
-        headers, table_rows,
-        title=f"Fig 11: speedup over VAA (HD, {result.memory})",
-    )
-    ratio = result.mean_speedup("Diffy", "DeltaD16") / result.mean_speedup("PRA", "DeltaD16")
-    stats = result.per_layer
-    return table + (
-        f"\nDiffy/PRA at DeltaD16 = {ratio:.2f}x (paper: 1.41x); "
-        f"stalls: " + ", ".join(
-            f"{r.network}={r.diffy_stall_fraction * 100:.1f}%" for r in result.rows
-        )
-        + f"\nper-layer Diffy/PRA: mean {stats['mean']:.2f} std {stats['std']:.2f} "
-        f"(paper: 1.42 / 0.32); worst layer {stats['min']:.2f}x, "
-        f"{stats['fraction_slower'] * 100:.1f}% of layers slower than PRA "
-        "(paper: a few noncritical layers, at most 10% slower)"
-    )

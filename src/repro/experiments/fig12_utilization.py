@@ -14,11 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.sim import simulate_network
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    DEFAULT_DATASET,
-    format_table,
-)
+from repro.experiments.common import CI_MODEL_NAMES, DEFAULT_DATASET
 from repro.experiments.profiles import Profile, resolve_profile
 
 
@@ -68,25 +64,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig12Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Fig12Result) -> str:
-    blocks = []
-    for network, layers in result.networks.items():
-        rows = [
-            (
-                l.layer,
-                f"{l.useful * 100:.0f}%",
-                f"{l.idle * 100:.0f}%",
-                f"{l.stall * 100:.0f}%",
-            )
-            for l in layers
-        ]
-        blocks.append(
-            format_table(
-                ["layer", "useful", "idle", "stall"],
-                rows,
-                title=f"Fig 12: Diffy lane utilization — {network}",
-            )
-        )
-    return "\n\n".join(blocks)

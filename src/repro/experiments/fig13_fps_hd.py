@@ -12,11 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.sim import simulate_network
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    DEFAULT_DATASET,
-    format_table,
-)
+from repro.experiments.common import CI_MODEL_NAMES, DEFAULT_DATASET
 from repro.experiments.profiles import Profile, resolve_profile
 
 
@@ -73,20 +69,3 @@ def run(
 def compute(profile: Profile | None = None) -> list[Fig13Row]:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(rows: list[Fig13Row]) -> str:
-    table_rows = [
-        (
-            r.network,
-            f"{r.vaa_fps:.2f}",
-            f"{r.pra_fps:.2f}",
-            f"{r.diffy_fps:.2f} +/- {r.diffy_fps_std:.2f}",
-        )
-        for r in rows
-    ]
-    return format_table(
-        ["network", "VAA FPS", "PRA FPS", "Diffy FPS"],
-        table_rows,
-        title="Fig 13: HD (1920x1080) frame rates (paper: VAA 0.7-3.9, PRA 2.6-18.9, Diffy 3.9-28.5)",
-    )

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 from repro.arch.sim import HD_RESOLUTION
 from repro.compression.traffic import normalized_traffic
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    DEFAULT_DATASET,
-    format_table,
-    traces_for,
-)
+from repro.experiments.common import CI_MODEL_NAMES, DEFAULT_DATASET, traces_for
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.registry import prepare_model
 
@@ -40,9 +35,20 @@ class Fig14Result:
     ratios: dict[str, dict[str, float]]
     resolution: tuple[int, int]
 
-    def scheme_mean(self, scheme: str) -> float:
-        vals = [r[scheme] for r in self.ratios.values()]
-        return sum(vals) / len(vals)
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("scheme_means", "deltad16_improvement_over_rawd16")
+
+    @property
+    def scheme_means(self) -> dict[str, float]:
+        """{scheme: traffic ratio averaged over the networks}."""
+        per_net = list(self.ratios.values())
+        return {s: sum(r[s] for r in per_net) / len(per_net) for s in per_net[0]}
+
+    @property
+    def deltad16_improvement_over_rawd16(self) -> float:
+        """Mean RawD16 traffic over mean DeltaD16 traffic (paper: 1.27x-1.43x)."""
+        means = self.scheme_means
+        return means["RawD16"] / means["DeltaD16"]
 
 
 def run(
@@ -64,24 +70,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig14Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Fig14Result) -> str:
-    schemes = list(next(iter(result.ratios.values())))
-    rows = [
-        [model] + [f"{result.ratios[model][s] * 100:.0f}%" for s in schemes]
-        for model in result.ratios
-    ]
-    rows.append(["average"] + [f"{result.scheme_mean(s) * 100:.0f}%" for s in schemes])
-    table = format_table(
-        ["network"] + schemes,
-        rows,
-        title="Fig 14: off-chip traffic normalized to NoCompression (HD)",
-    )
-    if "RawD16" in schemes and "DeltaD16" in schemes:
-        improvement = result.scheme_mean("RawD16") / result.scheme_mean("DeltaD16")
-        table += (
-            f"\nDeltaD16 traffic improvement over RawD16: {improvement:.2f}x "
-            "(paper: 1.27x-1.43x)"
-        )
-    return table

@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 from repro.arch.memory import FIG15_NODES
 from repro.arch.sim import simulate_network
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    DEFAULT_DATASET,
-    format_table,
-)
+from repro.experiments.common import CI_MODEL_NAMES, DEFAULT_DATASET
 from repro.experiments.profiles import Profile, resolve_profile
 
 FIG15_SCHEMES = ("NoCompression", "Profiled", "DeltaD16")
@@ -72,24 +68,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig15Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Fig15Result) -> str:
-    blocks = []
-    for model, per_node in result.grid.items():
-        rows = []
-        for node in result.nodes:
-            cells = per_node[node]
-            rows.append(
-                [node]
-                + [f"{cells[s].speedup_over_vaa:.2f}x" for s in result.schemes]
-                + [f"{cells['DeltaD16'].fraction_of_max * 100:.0f}%"]
-            )
-        blocks.append(
-            format_table(
-                ["memory"] + list(result.schemes) + ["DeltaD16 % of max"],
-                rows,
-                title=f"Fig 15: Diffy vs memory node — {model}",
-            )
-        )
-    return "\n\n".join(blocks)

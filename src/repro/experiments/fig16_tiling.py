@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 from repro.arch.config import DIFFY_CONFIG, VAA_CONFIG
 from repro.arch.sim import simulate_network
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    DEFAULT_DATASET,
-    format_table,
-    geomean,
-)
+from repro.experiments.common import CI_MODEL_NAMES, DEFAULT_DATASET, geomean
 from repro.experiments.profiles import Profile, resolve_profile
 
 #: T_x sweep of Fig 16.
@@ -31,8 +26,13 @@ class Fig16Result:
     speedups: dict[str, dict[int, float]]
     terms: tuple[int, ...]
 
-    def mean_speedup(self, t: int) -> float:
-        return geomean(v[t] for v in self.speedups.values())
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("mean_speedup",)
+
+    @property
+    def mean_speedup(self) -> dict[int, float]:
+        """{T_x: geomean Diffy-over-VAA speedup over the networks}."""
+        return {t: geomean(v[t] for v in self.speedups.values()) for t in self.terms}
 
 
 def run(
@@ -64,16 +64,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig16Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Fig16Result) -> str:
-    rows = [
-        [model] + [f"{result.speedups[model][t]:.2f}x" for t in result.terms]
-        for model in result.speedups
-    ]
-    rows.append(["geomean"] + [f"{result.mean_speedup(t):.2f}x" for t in result.terms])
-    return format_table(
-        ["network"] + [f"T_{t}" for t in result.terms],
-        rows,
-        title="Fig 16: Diffy speedup over an equally-configured VAA per tiling",
-    )

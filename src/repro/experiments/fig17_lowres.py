@@ -10,10 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.sim import simulate_network
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    format_table,
-)
+from repro.experiments.common import CI_MODEL_NAMES
 from repro.experiments.profiles import Profile, resolve_profile
 
 #: Resolution sweep in megapixels (height, width).
@@ -37,13 +34,19 @@ class Fig17Result:
     fps: dict[str, dict[tuple[int, int], float]]
     resolutions: tuple[tuple[int, int], ...]
 
-    def real_time_limit_mp(self, network: str) -> float:
-        """Largest swept resolution (MP) still at >= 30 FPS (0 if none)."""
-        best = 0.0
-        for (h, w), fps in self.fps[network].items():
-            if fps >= REAL_TIME_FPS:
-                best = max(best, h * w / 1e6)
-        return best
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("real_time_limit_mp",)
+
+    @property
+    def real_time_limit_mp(self) -> dict[str, float]:
+        """{network: largest swept resolution (MP) still at >= 30 FPS, 0 if none}."""
+        return {
+            network: max(
+                [h * w / 1e6 for (h, w), fps in per_res.items() if fps >= REAL_TIME_FPS],
+                default=0.0,
+            )
+            for network, per_res in self.fps.items()
+        }
 
 
 def run(
@@ -70,20 +73,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig17Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Fig17Result) -> str:
-    headers = ["network"] + [
-        f"{h * w / 1e6:.2f}MP" for (h, w) in result.resolutions
-    ] + ["real-time up to"]
-    rows = []
-    for model, per_res in result.fps.items():
-        rows.append(
-            [model]
-            + [f"{per_res[r]:.1f}" for r in result.resolutions]
-            + [f"{result.real_time_limit_mp(model):.2f}MP"]
-        )
-    return format_table(
-        headers, rows,
-        title="Fig 17: Diffy FPS at low resolutions (30 FPS = real time)",
-    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.arch.metrics import ScalingChoice, minimum_tiles_for_fps
-from repro.experiments.common import CI_MODEL_NAMES, format_table
+from repro.experiments.common import CI_MODEL_NAMES
 from repro.experiments.profiles import Profile, resolve_profile
 
 #: Tile counts to consider, smallest first.
@@ -68,22 +68,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig18Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Fig18Result) -> str:
-    schemes = list(next(iter(result.grid.values())))
-    rows = []
-    for model, per_scheme in result.grid.items():
-        row = [model]
-        for scheme in schemes:
-            cell = per_scheme[scheme]
-            if cell is None:
-                row.append("unreachable")
-            else:
-                row.append(f"{cell.tiles}t {cell.memory}x{cell.channels} ({cell.fps:.0f}fps)")
-        rows.append(row)
-    return format_table(
-        ["network"] + schemes,
-        rows,
-        title="Fig 18: minimum Diffy configuration for 30 FPS HD",
-    )

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from repro.arch.diffy import DiffyModel
 from repro.arch.pra import PRAModel
 from repro.arch.sim import simulate_network
-from repro.experiments.common import (
-    CLASSIFICATION_MODEL_NAMES,
-    format_table,
-    geomean,
-    traces_for,
-)
+from repro.experiments.common import CLASSIFICATION_MODEL_NAMES, geomean, traces_for
 from repro.experiments.profiles import Profile, resolve_profile
 
 #: Classification inputs: ImageNet-scale frames.
@@ -94,28 +89,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig19Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CLASSIFICATION_MODEL_NAMES))
-
-
-def format_result(result: Fig19Result) -> str:
-    rows = [
-        (
-            r.network,
-            f"{r.diffy_over_vaa:.2f}x",
-            f"{r.diffy_over_pra:.2f}x",
-            f"{r.first_layer_diffy_over_pra:.2f}x",
-        )
-        for r in result.rows
-    ]
-    rows.append(
-        (
-            "geomean",
-            f"{result.mean_over_vaa:.2f}x",
-            f"{result.mean_over_pra:.2f}x",
-            f"{result.mean_first_layer_over_pra:.2f}x",
-        )
-    )
-    return format_table(
-        ["network", "Diffy/VAA", "Diffy/PRA", "layer-1 Diffy/PRA"],
-        rows,
-        title="Fig 19: classification models (paper: 6.1x over VAA, 1.16x over PRA, >2.1x early layers)",
-    )

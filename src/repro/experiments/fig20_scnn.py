@@ -13,19 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.sim import simulate_network
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    DEFAULT_DATASET,
-    format_table,
-    geomean,
-)
+from repro.experiments.common import CI_MODEL_NAMES, DEFAULT_DATASET, geomean
 from repro.experiments.profiles import Profile, resolve_profile
 
 #: Weight-sparsity sweep of Fig 20.
 SCNN_SPARSITIES = (0.0, 0.5, 0.75, 0.9)
-
-#: Paper's average Diffy-over-SCNN speedups for the sweep.
-PAPER_FIG20 = {0.0: 5.4, 0.5: 4.5, 0.75: 2.4, 0.9: 1.04}
 
 
 @dataclass(frozen=True)
@@ -34,8 +26,13 @@ class Fig20Result:
     speedups: dict[str, dict[float, float]]
     sparsities: tuple[float, ...]
 
-    def mean_speedup(self, sparsity: float) -> float:
-        return geomean(v[sparsity] for v in self.speedups.values())
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("mean_speedup",)
+
+    @property
+    def mean_speedup(self) -> dict[float, float]:
+        """{sparsity: geomean Diffy-over-SCNN speedup over the networks}."""
+        return {s: geomean(v[s] for v in self.speedups.values()) for s in self.sparsities}
 
 
 def run(
@@ -68,20 +65,3 @@ def run(
 def compute(profile: Profile | None = None) -> Fig20Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Fig20Result) -> str:
-    labels = [f"SCNN{int(s * 100)}" if s else "SCNN0" for s in result.sparsities]
-    rows = [
-        [model] + [f"{result.speedups[model][s]:.2f}x" for s in result.sparsities]
-        for model in result.speedups
-    ]
-    rows.append(
-        ["geomean"] + [f"{result.mean_speedup(s):.2f}x" for s in result.sparsities]
-    )
-    rows.append(["paper avg"] + [f"{PAPER_FIG20[s]:.2f}x" for s in result.sparsities])
-    return format_table(
-        ["network"] + labels,
-        rows,
-        title="Fig 20: Diffy speedup over SCNN per weight-sparsity assumption",
-    )

@@ -12,21 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compression.footprint import imap_precisions
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    DEFAULT_DATASET,
-    format_table,
-    traces_for,
-)
+from repro.experiments.common import CI_MODEL_NAMES, DEFAULT_DATASET, traces_for
 from repro.experiments.profiles import Profile, resolve_profile
-
-#: Paper Table III (per-layer precision strings) for side-by-side display.
-PAPER_TABLE3 = {
-    "DnCNN": "9-9-10-11-10-10-10-10-9-9-9-9-9-11-13",
-    "FFDNet": "10-10-10-10-10-10-10-9-9",
-    "IRCNN": "9-9-8-7-8-7-8",
-    "VDSR": "9-10-9-7-7-7-7-7-7-7-7-7-7-7-7-8",
-}
 
 
 @dataclass(frozen=True)
@@ -34,9 +21,8 @@ class Table3Row:
     network: str
     precisions: tuple[int, ...]
 
-    @property
-    def as_string(self) -> str:
-        return "-".join(str(p) for p in self.precisions)
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("mean_precision",)
 
     @property
     def max_precision(self) -> int:
@@ -64,21 +50,3 @@ def run(
 def compute(profile: Profile | None = None) -> list[Table3Row]:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(rows: list[Table3Row]) -> str:
-    table_rows = []
-    for r in rows:
-        table_rows.append(
-            (
-                r.network,
-                r.as_string,
-                f"{r.mean_precision:.1f}",
-                PAPER_TABLE3.get(r.network, "-"),
-            )
-        )
-    return format_table(
-        ["network", "measured per-layer precisions", "mean", "paper"],
-        table_rows,
-        title="Table III: profile-derived per-layer activation precisions",
-    )

@@ -9,26 +9,17 @@ HD); the scheme-to-scheme ratios are the reproducible claim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.arch.sim import HD_RESOLUTION
 from repro.compression.footprint import am_requirement_bytes
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    DEFAULT_DATASET,
-    format_table,
-    human_bytes,
-    round_up_pow2,
-    traces_for,
-)
+from repro.experiments.common import CI_MODEL_NAMES, DEFAULT_DATASET, traces_for
 from repro.experiments.profiles import Profile, resolve_profile
 from repro.models.registry import build_model, prepare_model
 
 #: Table V storage schemes, in presentation order.
 TABLE5_SCHEMES = ("NoCompression", "Profiled", "RawD16", "DeltaD16")
-
-#: Paper AM sizes for the comparison row (KB).
-PAPER_AM_KB = {"NoCompression": 964, "Profiled": 782, "RawD16": 514, "DeltaD16": 348}
 
 
 @dataclass(frozen=True)
@@ -39,8 +30,23 @@ class Table5Result:
     wm_bytes: float
     resolution: tuple[int, int]
 
-    def ratio(self, scheme: str) -> float:
-        return self.am_bytes[scheme] / self.am_bytes["NoCompression"]
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("ratios", "deltad16_savings", "am_pow2_bytes")
+
+    @property
+    def ratios(self) -> dict[str, float]:
+        """{scheme: AM requirement relative to 16b storage}."""
+        return {s: b / self.am_bytes["NoCompression"] for s, b in self.am_bytes.items()}
+
+    @property
+    def deltad16_savings(self) -> dict[str, float]:
+        """DeltaD16's AM saving over Profiled and RawD16 (paper: 55% / 32%)."""
+        return {s: 1 - self.am_bytes["DeltaD16"] / self.am_bytes[s] for s in ("Profiled", "RawD16")}
+
+    @property
+    def am_pow2_bytes(self) -> dict[str, int]:
+        """Each AM requirement rounded up to a power of two (Section IV-C)."""
+        return {s: 1 << math.ceil(math.log2(b)) for s, b in self.am_bytes.items()}
 
 
 def run(
@@ -65,32 +71,3 @@ def run(
 def compute(profile: Profile | None = None) -> Table5Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Table5Result) -> str:
-    rows = []
-    for scheme, req in result.am_bytes.items():
-        rows.append(
-            (
-                scheme,
-                human_bytes(req),
-                f"{result.ratio(scheme) * 100:.0f}%",
-                f"{PAPER_AM_KB[scheme]}KB" if scheme in PAPER_AM_KB else "-",
-                f"{PAPER_AM_KB[scheme] / PAPER_AM_KB['NoCompression'] * 100:.0f}%"
-                if scheme in PAPER_AM_KB
-                else "-",
-                human_bytes(round_up_pow2(req)),
-            )
-        )
-    table = format_table(
-        ["scheme", "AM needed", "vs 16b", "paper AM", "paper vs 16b", "rounded pow2"],
-        rows,
-        title=f"Table V: on-chip storage at {result.resolution[1]}x{result.resolution[0]}",
-    )
-    deltad_vs_prof = 1 - result.am_bytes["DeltaD16"] / result.am_bytes["Profiled"]
-    deltad_vs_rawd = 1 - result.am_bytes["DeltaD16"] / result.am_bytes["RawD16"]
-    return table + (
-        f"\nWM (double-buffered worst layer): {human_bytes(result.wm_bytes)} (paper 324KB)"
-        f"\nDeltaD16 vs Profiled: -{deltad_vs_prof * 100:.0f}% (paper -55%); "
-        f"vs RawD16: -{deltad_vs_rawd * 100:.0f}% (paper -32%)"
-    )

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 from repro.arch.energy import EnergyModel
 from repro.arch.sim import simulate_network
-from repro.experiments.common import (
-    CI_MODEL_NAMES,
-    DEFAULT_DATASET,
-    format_table,
-    geomean,
-)
+from repro.experiments.common import CI_MODEL_NAMES, DEFAULT_DATASET, geomean
 from repro.experiments.profiles import Profile, resolve_profile
 
 
@@ -67,26 +62,3 @@ def run(
 def compute(profile: Profile | None = None) -> Table6Result:
     """Profile-scaled entry point for the golden-regression harness."""
     return run(**resolve_profile(profile).sweep_kwargs(CI_MODEL_NAMES))
-
-
-def format_result(result: Table6Result) -> str:
-    components = [k for k in result.breakdowns["Diffy"] if k != "total"]
-    rows = [
-        [comp] + [f"{result.breakdowns[d][comp]:.2f}" for d in ("Diffy", "PRA", "VAA")]
-        for comp in components
-    ]
-    rows.append(
-        ["total"] + [f"{result.breakdowns[d]['total']:.2f}" for d in ("Diffy", "PRA", "VAA")]
-    )
-    table = format_table(
-        ["component [W]", "Diffy", "PRA", "VAA"],
-        rows,
-        title="Table VI: power breakdown",
-    )
-    eff = result.efficiencies
-    return table + (
-        f"\nmeasured speedups: Diffy {result.speedups['Diffy']:.2f}x, "
-        f"PRA {result.speedups['PRA']:.2f}x"
-        f"\nenergy efficiency vs VAA: Diffy {eff['Diffy']:.2f}x (paper 1.83x), "
-        f"PRA {eff['PRA']:.2f}x (paper 1.34x)"
-    )

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.energy import EnergyModel
-from repro.experiments.common import format_table
 from repro.experiments.profiles import Profile, resolve_profile
 
 
@@ -34,23 +33,3 @@ def compute(profile: Profile | None = None) -> Table7Result:
     """Static layout-model table; the profile carries no knobs for it."""
     resolve_profile(profile)
     return run()
-
-
-def format_result(result: Table7Result) -> str:
-    components = [k for k in result.breakdowns["Diffy"] if k != "total"]
-    rows = [
-        [comp] + [f"{result.breakdowns[d][comp]:.2f}" for d in ("Diffy", "PRA", "VAA")]
-        for comp in components
-    ]
-    rows.append(
-        ["total"] + [f"{result.breakdowns[d]['total']:.2f}" for d in ("Diffy", "PRA", "VAA")]
-    )
-    table = format_table(
-        ["component [mm2]", "Diffy", "PRA", "VAA"],
-        rows,
-        title="Table VII: area breakdown (65nm)",
-    )
-    return table + (
-        f"\nnormalized to VAA: Diffy {result.ratios['Diffy']:.2f}x (paper 1.24x), "
-        f"PRA {result.ratios['PRA']:.2f}x (paper 1.33x)"
-    )

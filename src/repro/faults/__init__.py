@@ -32,7 +32,6 @@ from repro.faults.campaign import (
     run_campaign,
     run_length_amplification,
     run_protected_campaign,
-    summarize_protected,
 )
 from repro.faults.inject import (
     corrupt_protected_read,
@@ -66,7 +65,6 @@ __all__ = [
     "run_campaign",
     "run_length_amplification",
     "run_protected_campaign",
-    "summarize_protected",
     "corrupt_protected_read",
     "inject_deltas",
     "inject_encoded",

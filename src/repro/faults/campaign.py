@@ -72,7 +72,6 @@ __all__ = [
     "ProtectedPoint",
     "ProtectedRow",
     "run_protected_campaign",
-    "summarize_protected",
 ]
 
 #: Injection sites valid for each storage scheme (see module docstring).
@@ -290,27 +289,6 @@ def run_length_amplification(rows: Sequence[CampaignRow]) -> "dict[str, float]":
     return out
 
 
-def summarize(rows: Sequence[CampaignRow]) -> "list[tuple[str, ...]]":
-    """Rows flattened for table formatting (scheme/site/model/rate + metrics)."""
-    out = []
-    for r in rows:
-        m = r.metrics
-        out.append(
-            (
-                r.point.scheme,
-                r.point.site,
-                r.point.fault_model,
-                f"{r.point.rate:g}",
-                str(r.faults),
-                f"{m.corrupted_fraction:.2%}",
-                f"{m.mean_run_length:.1f}",
-                str(m.max_run_length),
-                f"{m.psnr_db:.1f}" if np.isfinite(m.psnr_db) else "inf",
-            )
-        )
-    return out
-
-
 #: Default protected-vs-unprotected variant grid: the two storage schemes
 #: the paper compares, each with and without its natural protection.
 PROTECTED_CONFIGS: "tuple[tuple[str, str], ...]" = (
@@ -356,6 +334,9 @@ class ProtectedRow:
     #: the silent-corruption count a protection scheme is judged by.
     silent_values: int
     metrics: CorruptionMetrics
+
+    #: Derived metrics the golden serializer records alongside the fields.
+    __golden_properties__ = ("overhead",)
 
     @property
     def overhead(self) -> float:
@@ -454,28 +435,3 @@ def run_protected_campaign(
                     )
                 )
     return rows
-
-
-def summarize_protected(rows: Sequence[ProtectedRow]) -> "list[tuple[str, ...]]":
-    """Protected rows flattened for table formatting."""
-    out = []
-    for r in rows:
-        m = r.metrics
-        out.append(
-            (
-                r.point.scheme,
-                r.point.policy,
-                r.point.fault_model,
-                f"{r.point.rate:g}",
-                f"{r.overhead:.2f}x",
-                str(r.faults),
-                str(r.corrected),
-                str(r.detected),
-                str(r.silent_values),
-                f"{m.corrupted_fraction:.2%}",
-                str(m.max_run_length),
-                f"{m.psnr_db:.1f}" if np.isfinite(m.psnr_db) else "inf",
-            )
-        )
-    return out
-

@@ -19,6 +19,7 @@ from repro.models.inputs import adapt_input
 from repro.nn.network import Network
 from repro.utils import timing
 from repro.utils.rng import DEFAULT_SEED
+from repro.utils.validation import check_seed
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,6 @@ CALIB_COUNT = 2
 CALIB_DATASET = "Kodak24"
 
 
-@lru_cache(maxsize=32)
 def prepare_model(name: str, seed: int = DEFAULT_SEED) -> Network:
     """Build and calibrate a model on seeded synthetic crops.
 
@@ -124,9 +124,16 @@ def prepare_model(name: str, seed: int = DEFAULT_SEED) -> Network:
     :data:`CALIB_DATASET` at the model's ``trace_crop`` size and pass
     through its input adapter.  The returned network is cached (in memory
     per process, and as a pickled calibrated network in the
-    :mod:`repro.cache` disk store); treat it as read-only.
+    :mod:`repro.cache` disk store); treat it as read-only.  The name and
+    seed are checked before either cache is consulted, so ``1.5`` or
+    ``True`` can never alias seed 1 under a second key.
     """
-    get_model_spec(name)  # fail fast on unknown names, before any disk I/O
+    get_model_spec(name)
+    return _prepare_model(name, check_seed("seed", seed))
+
+
+@lru_cache(maxsize=32)
+def _prepare_model(name: str, seed: int) -> Network:
     return cache_store.fetch_or_compute(
         "models",
         (name, seed, CALIB_COUNT, CALIB_DATASET),
@@ -143,5 +150,5 @@ def _calibrate(name: str, seed: int) -> Network:
     return net
 
 
-cache_store.register_memory_cache(prepare_model.cache_clear)
+cache_store.register_memory_cache(_prepare_model.cache_clear)
 

@@ -1,8 +1,8 @@
-"""The experiment registry: id -> module with ``compute`` and ``format_result``.
+"""The experiment registry: id -> module with a ``compute(profile)`` entry point.
 
 Single source of truth shared by ``repro.experiments.run_all`` (which
-prints ``format_result(compute(FULL_PROFILE))``) and the regression CLI
-(which pins ``compute(profile)`` in a golden).  Modules import lazily so
+renders ``compute(FULL_PROFILE)``) and the regression CLI (which pins
+``compute(profile)`` in a golden).  Modules import lazily so
 ``python -m repro.regression list`` stays instant.
 """
 

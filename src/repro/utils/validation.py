@@ -35,6 +35,16 @@ def check_positive_integer(name: str, value: object) -> int:
     return value
 
 
+def check_seed(name: str, value: object) -> int:
+    """Raise ``ValueError`` unless ``value`` is a non-negative integer; return it as ``int``.
+
+    Bools fail (:func:`check_integer`), so ``True`` cannot alias seed 1.
+    """
+    value = check_integer(name, value)
+    check_nonnegative(name, value)
+    return value
+
+
 def check_nonnegative(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` is >= 0."""
     if not value >= 0:

@@ -259,6 +259,43 @@ class TestCropKeyNormalization:
         assert len(trace_entries) == 1
 
 
+def _work_calls() -> int:
+    """Frames synthesized plus networks calibrated, at any timer nesting."""
+    return sum(
+        stat.calls
+        for path, stat in timing.timer_stats().items()
+        if path.rsplit("/", 1)[-1] in ("data.synthesize_image", "models.calibrate")
+    )
+
+
+class TestSeedAndCropAtTheBoundary:
+    """A bad seed or crop fails with a ``ValueError`` naming it, before
+    any cache lookup, synthesis or calibration."""
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: prepare_model("DnCNN", 1.5), "seed"),
+            (lambda: prepare_model("DnCNN", -1), "seed"),
+            (lambda: prepare_model("DnCNN", True), "seed"),
+            (lambda: collect_traces("IRCNN", "Kodak24", 1, 48, seed=2.0), "seed"),
+            (lambda: collect_traces("IRCNN", "Kodak24", 1, 48, seed=-3), "seed"),
+            (lambda: collect_traces("IRCNN", "Kodak24", 1, -4, seed=1), "crop"),
+            (lambda: collect_traces("IRCNN", "Kodak24", 1, 2.5, seed=1), "crop"),
+            (lambda: collect_traces("IRCNN", "Kodak24", 1, 0, seed=1), "crop"),
+        ],
+    )
+    def test_rejected_before_any_work(self, fresh_cache, call, name):
+        before = _work_calls()
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            call()
+        assert _work_calls() == before
+        assert not any(fresh_cache.iterdir()), "a rejected call touched the disk cache"
+
+    def test_numpy_seed_shares_the_int_entry(self, fresh_cache):
+        assert prepare_model("IRCNN", np.int64(3)) is prepare_model("IRCNN", 3)
+
+
 class TestPinnedKeys:
     """The disk keys of calibrated models and measured service times are
     pinned tuples: a changed key silently orphans every entry a restored

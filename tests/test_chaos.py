@@ -643,14 +643,6 @@ class TestExtChaosStudy:
         recovery = study.crash_recovery
         assert set(recovery) >= {"spiked", "recovered", "reanchors_in_storm"}
 
-    def test_format_result(self, study):
-        from repro.experiments import ext_chaos
-
-        text = ext_chaos.format_result(study)
-        assert "chaos under load" in text
-        assert "silent corruptions by ladder" in text
-        assert "crash recovery" in text
-
     def test_serializable(self, study):
         dump = canonical_dumps(to_jsonable(study))
         assert "silent_under_full" in dump

@@ -1,12 +1,15 @@
 """Integration tests for the experiment modules.
 
 Each experiment runs with minimal workloads (one model, tiny traces) to
-verify the plumbing end to end: parameters flow, results have the right
-structure, and the formatted reports render.  ``tests/test_paper_claims.py``
+verify the plumbing end to end: parameters flow and results have the
+right structure.  ``run_all`` renders every committed golden document in
+full, and ``tests/test_paper_claims.py``
 asserts the paper's shapes on the committed goldens.  ``run()`` has no
 defaults for its scale knobs, so every call here names them.
 """
 
+import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -37,7 +40,9 @@ from repro.experiments import (
     table7_area,
 )
 from repro.experiments.profiles import FULL_PROFILE
-from repro.regression.registry import ExperimentSpec
+from repro.regression.goldens import goldens_root, read_golden
+from repro.regression.registry import EXPERIMENT_SPECS, ExperimentSpec
+from repro.regression.serialize import canonical_dumps, to_jsonable
 from repro.utils.rng import DEFAULT_SEED
 
 ONE = ("IRCNN",)  # the smallest CI model: 7 layers
@@ -49,47 +54,39 @@ class TestMotivationExperiments:
     def test_fig01(self):
         result = fig01_entropy.run(**SMALL)
         assert len(result.stats) == 1
-        assert "H(A)" in fig01_entropy.format_result(result)
 
     def test_fig02(self):
         result = fig02_heatmaps.run(
             model="IRCNN", layer_name="conv_2", crop=48, seed=DEFAULT_SEED
         )
         assert result.layer == "conv_2"
-        assert "terms per delta" in fig02_heatmaps.format_result(result)
 
     def test_fig03(self):
         result = fig03_term_cdf.run(**SMALL)
         assert result.stats.hist_raw.sum() > 0
-        assert "sparsity" in fig03_term_cdf.format_result(result)
 
     def test_fig04(self):
         result = fig04_potential.run(**SMALL)
         assert result.mean_delta > result.mean_raw > 1.0
-        fig04_potential.format_result(result)
 
     def test_fig05(self):
         result = fig05_footprint.run(**SMALL)
         assert result.ratios["IRCNN"]["NoCompression"] == pytest.approx(1.0)
-        fig05_footprint.format_result(result)
 
 
 class TestStructureTables:
     def test_table1(self):
         rows = table1_models.run(models=ONE, seed=DEFAULT_SEED)
         assert rows[0].conv_layers == 7
-        table1_models.format_result(rows)
 
     def test_table3(self):
         rows = table3_precisions.run(**SMALL)
         assert len(rows[0].precisions) == 7
         assert rows[0].max_precision <= 16
-        table3_precisions.format_result(rows)
 
     def test_table4(self):
         configs = table4_configs.run()
         assert "Diffy" in configs
-        assert "1024" in table4_configs.format_result(configs)
 
 
 class TestPerformanceExperiments:
@@ -98,30 +95,25 @@ class TestPerformanceExperiments:
         row = result.rows[0]
         assert row.diffy["DeltaD16"] > 1.0
         assert result.per_layer == fig11_speedup.per_layer_diffy_over_pra(**SMALL)
-        text = fig11_speedup.format_result(result)
-        assert "geomean" in text and "per-layer Diffy/PRA" in text
+        assert set(result.mean_speedup["Diffy"]) == {"DeltaD16", "Ideal"}
 
     def test_fig12(self):
         result = fig12_utilization.run(**SMALL)
         layers = result.networks["IRCNN"]
         assert len(layers) == 7
-        fig12_utilization.format_result(result)
 
     def test_fig13(self):
         rows = fig13_fps_hd.run(**SMALL)
         assert rows[0].vaa_fps < rows[0].diffy_fps
-        fig13_fps_hd.format_result(rows)
 
     def test_table5(self):
         result = table5_onchip.run(**SMALL)
         assert result.am_bytes["DeltaD16"] < result.am_bytes["NoCompression"]
         assert result.wm_bytes > 0
-        table5_onchip.format_result(result)
 
     def test_fig14(self):
         result = fig14_traffic.run(**SMALL, schemes=("NoCompression", "DeltaD16"))
         assert result.ratios["IRCNN"]["DeltaD16"] < 1.0
-        fig14_traffic.format_result(result)
 
     def test_fig15(self):
         result = fig15_memnodes.run(**SMALL, nodes=("LPDDR3-1600", "HBM2"))
@@ -130,79 +122,52 @@ class TestPerformanceExperiments:
             cells["HBM2"]["DeltaD16"].speedup_over_vaa
             >= cells["LPDDR3-1600"]["DeltaD16"].speedup_over_vaa
         )
-        fig15_memnodes.format_result(result)
 
     def test_table6(self):
         result = table6_power.run(**SMALL)
         assert result.efficiencies["Diffy"] > 1.0
-        table6_power.format_result(result)
 
     def test_table7(self):
         result = table7_area.run()
         assert result.ratios["Diffy"] < result.ratios["PRA"]
-        table7_area.format_result(result)
 
     def test_fig16(self):
         result = fig16_tiling.run(**SMALL, terms=(1, 16))
-        assert result.mean_speedup(1) > result.mean_speedup(16)
-        fig16_tiling.format_result(result)
+        assert result.mean_speedup[1] > result.mean_speedup[16]
 
     def test_fig17(self):
         result = fig17_lowres.run(**SMALL, resolutions=((240, 320), (480, 512)))
         fps = result.fps["IRCNN"]
         assert fps[(240, 320)] > fps[(480, 512)]
-        fig17_lowres.format_result(result)
 
     def test_fig19(self):
         result = fig19_classification.run(
             models=("AlexNet",), trace_count=1, crop=None, seed=DEFAULT_SEED
         )
         assert result.rows[0].diffy_over_vaa > 1.0
-        fig19_classification.format_result(result)
 
     def test_fig20(self):
         result = fig20_scnn.run(**SMALL, sparsities=(0.0, 0.9))
         speeds = result.speedups["IRCNN"]
         assert speeds[0.0] >= speeds[0.9]
-        fig20_scnn.format_result(result)
 
 
 class TestAblations:
     def test_sync(self):
         result = ablations.run_sync(**SMALL)
         assert result.diffy["row"] >= result.diffy["pallet"]
-        ablations.format_sync(result)
 
     def test_axis(self):
         result = ablations.run_axis(**SMALL)
-        assert 0.5 < result.ratio("IRCNN") < 2.0
-        ablations.format_axis(result)
+        assert 0.5 < result.y_over_x["IRCNN"] < 2.0
 
     def test_group_size(self):
         result = ablations.run_group_size(**SMALL)
         assert result.ratios["IRCNN"]["DeltaD16"] < 1.0
-        ablations.format_group_size(result)
 
     def test_selective(self):
         results = ablations.run_selective(**SMALL)
         assert results[0].selective_cycles <= results[0].diffy_cycles
-        ablations.format_selective(results)
-
-    def test_format_result_joins_the_four_reports(self):
-        result = ablations.AblationsResult(
-            sync=ablations.run_sync(**SMALL),
-            axis=ablations.run_axis(**SMALL),
-            group_size=ablations.run_group_size(**SMALL),
-            selective=tuple(ablations.run_selective(**SMALL)),
-        )
-        assert ablations.format_result(result) == "\n\n".join(
-            (
-                ablations.format_sync(result.sync),
-                ablations.format_axis(result.axis),
-                ablations.format_group_size(result.group_size),
-                ablations.format_selective(result.selective),
-            )
-        )
 
 
 class TestTemporalExtension:
@@ -211,10 +176,9 @@ class TestTemporalExtension:
         assert result.temporal_speedup > result.spatial_speedup
         assert sum(result.mode_counts.values()) == 7
 
-    def test_sweep_and_format(self):
+    def test_sweep(self):
         results = ext_temporal.run(model="IRCNN", crop=48, seed=DEFAULT_SEED, pans=(0, 4))
         assert results[0].temporal_speedup > results[1].temporal_speedup
-        assert "frame buffer" in ext_temporal.format_result(results)
 
 
 class TestExtFaults:
@@ -229,8 +193,6 @@ class TestExtFaults:
         assert result.min_amplification > 3.0, (
             "delta storage must show measurably longer error runs than raw"
         )
-        text = ext_faults.format_result(result)
-        assert "DeltaD16" in text and "amplification" in text
 
 
 class TestExtProtection:
@@ -256,8 +218,6 @@ class TestExtProtection:
         # Protected schemes are priced in the paper's own comparisons.
         assert result.footprints["Raw16-ECC"] == pytest.approx(22 / 16)
         assert result.footprints["DeltaD16-P"] > result.footprints["DeltaD16"]
-        text = ext_protection.format_result(result)
-        assert "DeltaD16-P" in text and "kf2e" in text
 
 
 class TestRunAll:
@@ -279,16 +239,17 @@ class TestRunAll:
     def test_filtered_run(self, capsys):
         assert run_all.main(["table4"]) == 0
         out = capsys.readouterr().out
-        assert "Table IV" in out and "done in" in out
+        assert "filters_per_tile" in out and "done in" in out
 
     def test_report_is_the_full_profile_golden(self, capsys):
-        """Each report is ``format_result(compute("full"))``, the numbers
+        """Each report renders ``compute("full")``, the document
         ``goldens/full`` pins, not a second set of ``run()`` defaults."""
         assert run_all.main(["table4", "table7"]) == 0
         out = capsys.readouterr().out
-        for module in (table4_configs, table7_area):
-            report = module.format_result(module.compute("full"))
-            assert f"\n{report}\n" in out
+        for exp_id, module in (("table4", table4_configs), ("table7", table7_area)):
+            result = to_jsonable(module.compute("full"))
+            assert json.loads(canonical_dumps(result)) == read_golden(exp_id, "full")["result"]
+            assert f"\n{run_all.render(result)}\n" in out
         assert "all 2 experiments passed" in out
 
     def test_report_computes_at_the_full_profile(self, capsys, monkeypatch):
@@ -296,13 +257,12 @@ class TestRunAll:
         which profile ``run_all`` hands to ``compute``."""
         seen = []
         stand_in = SimpleNamespace(
-            compute=lambda profile: seen.append(profile) or profile.name,
-            format_result=lambda result: f"report at {result}",
+            compute=lambda profile: seen.append(profile) or {"profile": profile.name},
         )
         monkeypatch.setattr(ExperimentSpec, "load", lambda spec: stand_in)
         assert run_all.main(["fig11"]) == 0
         assert seen == [FULL_PROFILE]
-        assert "report at full" in capsys.readouterr().out
+        assert "\nprofile: full\n" in capsys.readouterr().out
 
     def test_keeps_going_past_failures(self, capsys, monkeypatch):
         """One broken experiment must not hide the others' reports."""
@@ -344,6 +304,64 @@ class TestRunAll:
         )
         assert run_all.main([]) == 125
         capsys.readouterr()
+
+
+#: Every committed golden document, both profiles.
+GOLDEN_DOCUMENTS = sorted(goldens_root().glob("*/*.json"))
+
+
+def _numeric_leaves(tree):
+    """JSON text of every number in a golden tree (bools are not numbers)."""
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        for item in tree:
+            yield from _numeric_leaves(item)
+    elif isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        yield json.dumps(tree)
+
+
+class TestRender:
+    def test_layout(self):
+        tree = {
+            "rows": [
+                {"network": "A", "speedup": {"PRA": 1, "Diffy": 2.5}},
+                {"network": "B", "speedup": {"PRA": 3, "Diffy": 0.125}},
+            ],
+            "grid": {"A": {"x": 1, "y": [2, 3]}, "B": {"x": 4, "y": [5]}},
+            "mean": 1.25,
+            "bins": [1, 2],
+            "matrix": [[1, 2], [3, 4]],
+        }
+        assert run_all.render(tree) == (
+            "rows:\n"
+            "  network  speedup/PRA  speedup/Diffy\n"
+            "  A        1            2.5\n"
+            "  B        3            0.125\n"
+            "grid:\n"
+            "     x  y\n"
+            "  A  1  2 3\n"
+            "  B  4  5\n"
+            "mean: 1.25\n"
+            "bins: 1 2\n"
+            "matrix:\n"
+            "  1 2\n"
+            "  3 4"
+        )
+
+    def test_every_committed_golden_is_covered(self):
+        assert len(GOLDEN_DOCUMENTS) == 2 * len(EXPERIMENT_SPECS)
+
+    @pytest.mark.parametrize(
+        "path", GOLDEN_DOCUMENTS, ids=lambda p: f"{p.parent.name}/{p.stem}"
+    )
+    def test_prints_every_numeric_leaf(self, path):
+        """The report of a golden shows each of its numbers, as the
+        golden's own text, with no compute."""
+        result = json.loads(path.read_text())["result"]
+        shown = Counter(run_all.render(result).split())
+        missing = Counter(_numeric_leaves(result)) - shown
+        assert not missing, f"{path.name}: not printed: {sorted(missing)[:10]}"
 
 
 class TestPerLayerStatistic:

@@ -609,14 +609,6 @@ class TestExtFleetStudy:
         assert study.diffy_over_vaa_goodput > 1.0
         assert set(study.autoscale_summary) == set(study.engines)
 
-    def test_format_result(self, study):
-        from repro.experiments import ext_fleet
-
-        text = ext_fleet.format_result(study)
-        assert "fleet serving" in text
-        assert "state_aware" in text
-        assert "autoscaling" in text
-
     def test_serializable(self, study):
         a = canonical_dumps(to_jsonable(study))
         assert "diffy_goodput_by_nodes" in a

@@ -152,7 +152,7 @@ def test_fig01_entropy(profile):
 def test_fig02_heatmaps(profile):
     g = golden("fig02", profile)
     maps = {k: np.asarray(v) if isinstance(v, list) else v for k, v in g["heatmaps"].items()}
-    result = Fig2Result(model=g["model"], layer=g["layer"], heatmaps=HeatmapData(**maps))
+    result = Fig2Result(model=g["model"], layer=g["layer"], heatmaps=rebuild(HeatmapData, maps))
     hm = result.heatmaps
     # Paper: deltas are much smaller than raw values; processing them
     # reduces work; edges (negative reduction) are a minority of pixels.
@@ -186,13 +186,13 @@ def test_fig05_footprint(profile):
     result = rebuild(Fig5Result, golden("fig05", profile))
     # Paper's ordering on average: DeltaD16 < RawD16 < Profiled < 16b.
     assert (
-        result.scheme_mean("DeltaD16")
-        < result.scheme_mean("RawD16")
-        < result.scheme_mean("Profiled")
+        result.scheme_means["DeltaD16"]
+        < result.scheme_means["RawD16"]
+        < result.scheme_means["Profiled"]
         < 1.0
     )
     # RLE variants are far less effective than the dynamic schemes.
-    assert result.scheme_mean("RLEz") > result.scheme_mean("RawD16")
+    assert result.scheme_means["RLEz"] > result.scheme_means["RawD16"]
 
 
 def test_table3_precisions(profile):
@@ -224,15 +224,15 @@ def test_fig11_speedup(profile):
         memory=g["memory"],
         per_layer=g["per_layer"],
     )
-    diffy = result.mean_speedup("Diffy", "DeltaD16")
-    pra = result.mean_speedup("PRA", "DeltaD16")
+    diffy = result.mean_speedup["Diffy"]["DeltaD16"]
+    pra = result.mean_speedup["PRA"]["DeltaD16"]
     # The paper's headline shape: Diffy > PRA > 1, a >1.2x gap between
     # them, and DeltaD16 recovering nearly all of the Ideal performance.
     assert diffy > pra > 2.0
     assert 1.15 < diffy / pra < 1.8
-    assert diffy >= 0.9 * result.mean_speedup("Diffy", "Ideal")
+    assert diffy >= 0.9 * result.mean_speedup["Diffy"]["Ideal"]
     # Compression matters: NoCompression leaves performance on the table.
-    assert result.mean_speedup("Diffy", "NoCompression") < diffy
+    assert result.mean_speedup["Diffy"]["NoCompression"] < diffy
     # VDSR is the top speedup (high activation sparsity).
     by_net = {r.network: r for r in result.rows}
     assert by_net["VDSR"].diffy["DeltaD16"] == max(r.diffy["DeltaD16"] for r in result.rows)
@@ -293,13 +293,13 @@ def test_table5_onchip(profile):
 
 def test_fig14_traffic(profile):
     result = rebuild(Fig14Result, golden("fig14", profile))
-    mean = result.scheme_mean
+    mean = result.scheme_means
     # Paper's qualitative ordering: dynamic schemes beat Profiled beat RLE;
     # finer raw groups help; DeltaD16 at least matches RawD16.
-    assert mean("DeltaD16") <= mean("RawD16") + 1e-9
-    assert mean("RawD8") < mean("RawD256")
-    assert mean("RawD16") < mean("Profiled") < 1.0
-    assert mean("RLEz") > mean("RawD16")
+    assert mean["DeltaD16"] <= mean["RawD16"] + 1e-9
+    assert mean["RawD8"] < mean["RawD256"]
+    assert mean["RawD16"] < mean["Profiled"] < 1.0
+    assert mean["RLEz"] > mean["RawD16"]
     # VDSR compresses best (highest sparsity), as in the paper.
     assert result.ratios["VDSR"]["RawD16"] == min(r["RawD16"] for r in result.ratios.values())
 
@@ -361,7 +361,7 @@ def test_fig16_tiling(profile):
     result = Fig16Result(speedups=rekey(g["speedups"], int), terms=tuple(g["terms"]))
     # Paper: T_1 removes cross-lane sync, lifting the mean speedup
     # (7.1x -> 11.9x, a ~1.7x uplift); monotone in between.
-    t1, t4, t16 = (result.mean_speedup(t) for t in (1, 4, 16))
+    t1, t4, t16 = (result.mean_speedup[t] for t in (1, 4, 16))
     assert t1 > t4 > t16
     assert 1.3 < t1 / t16 < 2.3
 
@@ -378,8 +378,8 @@ def test_fig17_lowres(profile):
         assert all(a >= b for a, b in zip(fps, fps[1:])), model
     # Paper: real-time is reachable at low resolutions for every model;
     # DnCNN is the most constrained.
-    assert result.real_time_limit_mp("IRCNN") > 0.0
-    assert result.real_time_limit_mp("DnCNN") <= result.real_time_limit_mp("IRCNN")
+    assert result.real_time_limit_mp["IRCNN"] > 0.0
+    assert result.real_time_limit_mp["DnCNN"] <= result.real_time_limit_mp["IRCNN"]
 
 
 def test_fig18_scaling(profile):
@@ -413,7 +413,7 @@ def test_fig19_classification(profile):
 def test_fig20_scnn(profile):
     g = golden("fig20", profile)
     result = Fig20Result(speedups=rekey(g["speedups"], float), sparsities=tuple(g["sparsities"]))
-    means = [result.mean_speedup(s) for s in result.sparsities]
+    means = [result.mean_speedup[s] for s in result.sparsities]
     # Paper: Diffy wins at every sparsity level (5.4x .. 1.04x), with the
     # advantage shrinking monotonically as SCNN's models get sparser.
     assert all(m >= 0.9 for m in means)
@@ -441,7 +441,7 @@ def test_ablation_axis(profile):
     result = rebuild(AxisAblationResult, golden("ablations", profile)["axis"])
     # Section III-C: either dimension works; cycles within ~25%.
     for model in result.cycles:
-        assert 0.75 < result.ratio(model) < 1.35
+        assert 0.75 < result.y_over_x[model] < 1.35
 
 
 def test_ablation_group_size(profile):

@@ -72,13 +72,14 @@ SCALE_KNOBS = ("models", "model", "trace_count", "crop", "seed")
 
 class TestRegistry:
     def test_every_module_has_one_entry_point_and_no_scale_defaults(self):
-        """``compute`` + ``format_result`` is the only way in: no module
-        keeps a ``main``, and no ``run*`` function defaults a scale knob
-        (a default could drift from the profile the goldens pin)."""
+        """``compute`` is the only way in: no module keeps a ``main`` or a
+        report formatter of its own (``run_all`` renders every result), and
+        no ``run*`` function defaults a scale knob (a default could drift
+        from the profile the goldens pin)."""
         for exp_id, spec in EXPERIMENT_SPECS.items():
             module = spec.load()
             assert callable(module.compute), exp_id
-            assert callable(module.format_result), exp_id
+            assert not hasattr(module, "format_result"), exp_id
             assert not hasattr(module, "main"), exp_id
             runs = [
                 fn
