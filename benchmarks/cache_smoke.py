@@ -3,7 +3,9 @@
 Runs a representative experiment twice in fresh subprocesses sharing one
 disk cache directory: the first run populates the cache, the second must
 be served from it.  The summary also reports how many megabytes the
-cold run left in the cache.  Exits non-zero when the warm run is slower
+cold run left in the cache, in total and per namespace (``crops``,
+``models``, ``traces``, ...), so a cache that grows shows where.  Exits
+non-zero when the warm run is slower
 than the threshold — a coarse guard that catches cache regressions
 (broken keys, schema churn, serialization failures) without being flaky
 on loaded CI machines.
@@ -51,9 +53,15 @@ def _run_once(cache_dir: str, crop: int) -> float:
     return time.perf_counter() - start
 
 
-def _disk_mb(cache_dir: str) -> float:
-    """Megabytes of files under ``cache_dir``."""
-    return sum(p.stat().st_size for p in Path(cache_dir).rglob("*") if p.is_file()) / 1e6
+def _namespace_mb(cache_dir: str) -> "dict[str, float]":
+    """Megabytes of files under ``cache_dir``, by top-level directory."""
+    root = Path(cache_dir)
+    sizes: "dict[str, int]" = {}
+    for p in root.rglob("*"):
+        if p.is_file():
+            namespace = p.relative_to(root).parts[0] if p.parent != root else "."
+            sizes[namespace] = sizes.get(namespace, 0) + p.stat().st_size
+    return {name: size / 1e6 for name, size in sorted(sizes.items())}
 
 
 def main(argv=None) -> int:
@@ -76,8 +84,10 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-cache-smoke-") as cache_dir:
         cold_s = _run_once(cache_dir, args.crop)
-        cache_mb = _disk_mb(cache_dir)
+        namespace_mb = _namespace_mb(cache_dir)
         warm_s = _run_once(cache_dir, args.crop)
+
+    cache_mb = sum(namespace_mb.values())
 
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     summary = {
@@ -86,14 +96,16 @@ def main(argv=None) -> int:
         "warm_s": round(warm_s, 3),
         "speedup": round(speedup, 2),
         "cache_mb": round(cache_mb, 2),
+        "namespace_mb": {name: round(mb, 2) for name, mb in namespace_mb.items()},
     }
     if args.json:
         print(json.dumps(summary))
     else:
+        by_namespace = ", ".join(f"{name} {mb:.2f}" for name, mb in namespace_mb.items())
         print(
             f"cache smoke: cold {cold_s:.2f}s, warm {warm_s:.2f}s "
             f"({speedup:.1f}x, threshold {args.min_speedup:.1f}x), "
-            f"cache {cache_mb:.2f} MB"
+            f"cache {cache_mb:.2f} MB ({by_namespace})"
         )
 
     if warm_s > args.warm_ceiling_s:

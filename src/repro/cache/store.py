@@ -69,7 +69,7 @@ __all__ = [
 
 #: Bump when the content or layout of any cached artifact changes; every
 #: key hashes this in, so stale entries are never read again.
-CACHE_SCHEMA_VERSION = 3
+CACHE_SCHEMA_VERSION = 4
 
 #: Default cache location under the user's home (XDG-style).
 _DEFAULT_ROOT = "~/.cache/repro"

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.nn.functional import conv2d_int
 from repro.core.deltas import reconstruct_from_deltas, spatial_deltas
-from repro.utils.validation import check_axis, check_positive
+from repro.utils.validation import check_axis, check_integer_array, check_positive
 
 
 def differential_conv2d(
@@ -50,10 +50,13 @@ def differential_conv2d(
     axis:
         Differential chain direction: ``"x"`` (along rows, the paper's
         choice) or ``"y"`` (along columns).
+
+    A float ``x`` or ``weights`` (even one of whole numbers, or NaN)
+    raises ``ValueError`` naming the argument, before any convolution.
     """
     check_axis("axis", axis)
-    arr = np.asarray(x, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.int64)
+    arr = check_integer_array("x", x).astype(np.int64, copy=False)
+    w = check_integer_array("weights", weights).astype(np.int64, copy=False)
 
     if padding:
         arr = np.pad(arr, ((0, 0), (padding, padding), (padding, padding)))

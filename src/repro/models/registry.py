@@ -3,7 +3,9 @@
 ``prepare_model`` is the workhorse used by experiments and tests: it
 builds a model, calibrates it on seeded synthetic crops, and caches the
 result so repeated measurements across experiments reuse one quantized
-network.
+network.  The prepared network keeps only what integer inference reads
+(``int16`` weights, biases and scales); :func:`float_weights` rebuilds
+its float filters from the seed for the few readers that need them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from repro.cache import store as cache_store
+from repro.core import layer_memo
 from repro.data.datasets import dataset
 from repro.models import ci, classification
 from repro.models.inputs import adapt_input
@@ -109,7 +114,29 @@ def get_model_spec(name: str) -> ModelSpec:
 
 def build_model(name: str, seed: int = DEFAULT_SEED) -> Network:
     """Build (but do not calibrate) a model by name."""
-    return get_model_spec(name).builder(seed)
+    net = get_model_spec(name).builder(seed)
+    net.seed = seed
+    return net
+
+
+def float_weights(network: Network) -> dict[str, np.ndarray]:
+    """Each conv layer's float filter bank, by layer name.
+
+    A prepared network released its filters after calibration, so they
+    are rebuilt with ``build_model(network.name, network.seed)``, once per
+    network (:func:`repro.core.layer_memo.memoized`).
+    """
+    layers = network.conv_layers
+    if all(layer.weights is not None for layer in layers):
+        return {layer.name: layer.weights for layer in layers}
+    return layer_memo.memoized(
+        network,
+        ("float_weights",),
+        lambda: {
+            layer.name: layer.weights
+            for layer in build_model(network.name, network.seed).conv_layers
+        },
+    )
 
 
 #: Seeded crops each model calibrates on, and the dataset they come from.
@@ -124,9 +151,11 @@ def prepare_model(name: str, seed: int = DEFAULT_SEED) -> Network:
     :data:`CALIB_DATASET` at the model's ``trace_crop`` size and pass
     through its input adapter.  The returned network is cached (in memory
     per process, and as a pickled calibrated network in the
-    :mod:`repro.cache` disk store); treat it as read-only.  The name and
-    seed are checked before either cache is consulted, so ``1.5`` or
-    ``True`` can never alias seed 1 under a second key.
+    :mod:`repro.cache` disk store); treat it as read-only.  Its conv
+    layers hold ``int16`` weights only: the float filters are released
+    after calibration, so read them through :func:`float_weights`.  The
+    name and seed are checked before either cache is consulted, so
+    ``1.5`` or ``True`` can never alias seed 1 under a second key.
     """
     get_model_spec(name)
     return _prepare_model(name, check_seed("seed", seed))
@@ -143,10 +172,13 @@ def _prepare_model(name: str, seed: int) -> Network:
 
 def _calibrate(name: str, seed: int) -> Network:
     spec = get_model_spec(name)
-    net = spec.builder(seed)
+    net = build_model(name, seed)
     crops = dataset(CALIB_DATASET).crops(spec.trace_crop, CALIB_COUNT, seed=seed)
     with timing.timed("models.calibrate"):
         net.calibrate([adapt_input(spec.input_adapter, crop) for crop in crops])
+    # Inference reads int_weights only; the seed rebuilds the float filters.
+    for layer in net.conv_layers:
+        layer.weights = None
     return net
 
 

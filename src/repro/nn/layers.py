@@ -97,7 +97,10 @@ class Conv2d(Layer):
         If set and ``relu`` is true, calibration fits per-channel biases so
         that roughly this fraction of post-ReLU outputs is zero.
     weights, bias:
-        Float filter bank (K, C, Hf, Wf) and per-channel bias (K,).
+        Float filter bank (K, C, Hf, Wf) and per-channel bias (K,).  A
+        prepared network releases ``weights`` (sets it to ``None``) once
+        :meth:`quantize` has made ``int_weights``; every float pass then
+        fails with a ``RuntimeError`` naming the layer.
     """
 
     is_conv = True
@@ -140,7 +143,7 @@ class Conv2d(Layer):
         self.dilation = dilation
         self.relu = relu
         self.sparsity_target = sparsity_target
-        self.weights = w
+        self.weights: Optional[np.ndarray] = w
         self.bias = (
             np.zeros(out_channels) if bias is None else np.asarray(bias, dtype=np.float64)
         )
@@ -176,15 +179,26 @@ class Conv2d(Layer):
             np.maximum(preact, 0.0, out=preact)
         return preact
 
+    def _float_weights(self) -> np.ndarray:
+        """The float filter bank; a ``RuntimeError`` once it is released."""
+        if self.weights is None:
+            raise RuntimeError(
+                f"{self.name}: float weights were released after calibration; "
+                "rebuild the network with build_model(name, seed)"
+            )
+        return self.weights
+
     def forward_float(self, x: np.ndarray) -> np.ndarray:
         return self._bias_relu(
-            F.conv2d_float(x, self.weights, None, self.stride, self.padding, self.dilation)
+            F.conv2d_float(
+                x, self._float_weights(), None, self.stride, self.padding, self.dilation
+            )
         )
 
     def calibrate(self, x: np.ndarray) -> np.ndarray:
         """Fit bias on first sight (if requested) and track output range."""
         preact = F.conv2d_float(
-            x, self.weights, None, self.stride, self.padding, self.dilation
+            x, self._float_weights(), None, self.stride, self.padding, self.dilation
         )
         if not self._bias_fitted:
             # Per-channel bias placing the sparsity_target quantile at zero:
@@ -199,12 +213,13 @@ class Conv2d(Layer):
 
     # -- integer ----------------------------------------------------------
     def quantize(self, in_scale: int) -> int:
-        max_w = float(np.max(np.abs(self.weights)))
+        weights = self._float_weights()
+        max_w = float(np.max(np.abs(weights)))
         self.weight_scale = min(_max_scale_for(max_w, ACT_BITS), MAX_WEIGHT_SCALE)
         # Stored at the datapath's 16-bit width (the scale above makes
         # every weight fit); conv2d_int widens them for the gemm.
         self.int_weights = narrowest_copy(
-            round_half_away(self.weights * (1 << self.weight_scale))
+            round_half_away(weights * (1 << self.weight_scale))
         )
         acc_scale = in_scale + self.weight_scale
         self.int_bias = round_half_away(self.bias * float(2.0**acc_scale))

@@ -4,13 +4,16 @@ A :class:`Network` is built from float-weight layers, *calibrated* on a
 small set of images (which fits sparsity-controlling biases and records
 activation ranges), *quantized* (freezing per-layer fixed-point scales),
 and then run in exact integer mode producing :class:`ActivationTrace`
-objects for the accelerator models.
+objects for the accelerator models.  A prepared network
+(:func:`repro.models.registry.prepare_model`) keeps only what integer
+inference reads: its float filters are released, and float passes fail
+until the network is rebuilt from its seed.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +55,8 @@ class Network:
         self.layers = list(layers)
         self.input_channels = input_channels
         self.task = task
+        #: The seed :func:`repro.models.registry.build_model` built it from.
+        self.seed: Optional[int] = None
         self._quantized = False
 
     # -- introspection -----------------------------------------------------
@@ -98,6 +103,14 @@ class Network:
         )
 
     # -- lifecycle ----------------------------------------------------------
+    def _check_float_weights(self) -> None:
+        """Fail before any float work if the conv filters were released."""
+        if any(layer.weights is None for layer in self.conv_layers):
+            raise RuntimeError(
+                f"{self.name}: float weights were released after calibration; "
+                f"rebuild the network with build_model({self.name!r}, {self.seed})"
+            )
+
     def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 3 or x.shape[0] != self.input_channels:
             raise ValueError(
@@ -134,6 +147,7 @@ class Network:
         the paper's profiled per-layer precisions (Table III) land well
         below 16.
         """
+        self._check_float_weights()
         count = 0
         for image in images:
             self._check_input(image)
@@ -167,7 +181,13 @@ class Network:
         self._quantized = True
 
     def forward_float(self, x: np.ndarray) -> np.ndarray:
-        """Float-mode inference (available before and after quantization)."""
+        """Float-mode inference, before or after quantization.
+
+        Needs the float filters, so a prepared network (whose filters were
+        released after calibration) raises ``RuntimeError``; rebuild it
+        with ``build_model(name, seed)`` first.
+        """
+        self._check_float_weights()
         self._check_input(x)
         with self._residual_inputs_bound(x_float=x):
             for layer in self.layers:

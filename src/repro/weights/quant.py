@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.models.registry import float_weights
 from repro.nn.fixed_point import round_half_away
 from repro.nn.layers import MAX_WEIGHT_SCALE
 from repro.utils.bits import signed_range
@@ -74,8 +75,12 @@ def quantize_weights_int8(weights: np.ndarray) -> "tuple[np.ndarray, int]":
 
 
 def network_int8_weights(network) -> "dict[str, tuple[np.ndarray, int]]":
-    """Per-conv-layer ``(int_weights, scale)`` for a network's filters."""
+    """Per-conv-layer ``(int_weights, scale)`` for a network's filters.
+
+    A prepared network's filters are rebuilt from its seed
+    (:func:`repro.models.registry.float_weights`).
+    """
     return {
-        layer.name: quantize_weights_int8(layer.weights)
-        for layer in network.conv_layers
+        name: quantize_weights_int8(weights)
+        for name, weights in float_weights(network).items()
     }

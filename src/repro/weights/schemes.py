@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.weights.msr import MSRCodec
-from repro.weights.quant import quantize_weights_int8
+from repro.weights.quant import network_int8_weights
 
 __all__ = [
     "WEIGHT_SCHEMES",
@@ -83,9 +83,8 @@ def network_weight_bits(network, scheme_name: str) -> "dict[str, int]":
     baseline the activation-only ladders already charge.
     """
     scheme = weight_scheme(scheme_name)
-    out: "dict[str, int]" = {}
-    for layer in network.conv_layers:
-        int_w, _scale = quantize_weights_int8(layer.weights)
-        out[layer.name] = scheme.encoded_bits(int_w)
-    return out
+    return {
+        name: scheme.encoded_bits(int_w)
+        for name, (int_w, _scale) in network_int8_weights(network).items()
+    }
 

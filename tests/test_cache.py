@@ -192,6 +192,27 @@ class TestWarmColdEquivalence:
         _assert_traces_identical([trace_cold], [trace_warm])
 
 
+class TestPreparedModelHoldsNoFloatWeights:
+    """A calibrated network is cached with its float filters released: the
+    one computed in this process and the one loaded from disk look alike."""
+
+    @staticmethod
+    def _assert_released(net):
+        for layer in net.conv_layers:
+            assert layer.weights is None, layer.name
+            assert layer.int_weights.dtype == np.int16, layer.name
+
+    def test_fresh_and_reloaded(self, fresh_cache):
+        fresh = prepare_model("DnCNN", 1)
+        self._assert_released(fresh)
+        store.clear_memory_caches()
+        hits = store.cache_stats().hits
+        loaded = prepare_model("DnCNN", 1)
+        assert loaded is not fresh and store.cache_stats().hits == hits + 1
+        self._assert_released(loaded)
+        assert loaded.seed == fresh.seed == 1
+
+
 class TestStoredMapsThroughTheCache:
     """Traces store int16 maps and each layer's imap is the previous
     layer's omap array; both survive a disk-cache load, and the loaded
@@ -315,7 +336,7 @@ class TestPinnedKeys:
         store.clear_memory_caches()
 
     def test_schema_version(self):
-        assert store.CACHE_SCHEMA_VERSION == 3
+        assert store.CACHE_SCHEMA_VERSION == 4
 
     def test_prepare_model_key(self, keys):
         prepare_model("IRCNN", 7)
@@ -434,3 +455,20 @@ class TestStatsThreadSafety:
         assert snap.hits == 0
         assert store.cache_stats().hits == 1
         store.reset_stats()
+
+
+def test_cache_smoke_sizes_each_namespace(fresh_cache):
+    """``benchmarks/cache_smoke.py`` splits the cache's megabytes by
+    namespace, so a cache that grows shows which stage grew it."""
+    import importlib.util
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "benchmarks" / "cache_smoke.py"
+    spec = importlib.util.spec_from_file_location("cache_smoke", script)
+    smoke = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(smoke)
+    store.fetch_or_compute("alpha", ("k",), lambda: np.zeros(1000))
+    store.fetch_or_compute("beta", ("k",), lambda: np.zeros(10))
+    sizes = smoke._namespace_mb(str(fresh_cache))
+    assert list(sizes) == ["alpha", "beta"]
+    assert sizes["alpha"] > 8000 / 1e6 > sizes["beta"] > 0

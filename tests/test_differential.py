@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import differential
 from repro.core.deltas import spatial_deltas
 from repro.core.differential import (
     differential_conv2d,
@@ -88,6 +89,20 @@ class TestExactness:
                 np.zeros((1, 1, 3, 3), dtype=np.int64),
                 axis="diag",
             )
+
+    @pytest.mark.parametrize("arg", ["x", "weights"])
+    @pytest.mark.parametrize("bad", [0.7, np.nan], ids=["fraction", "nan"])
+    def test_float_input_fails_naming_the_argument(self, arg, bad, monkeypatch):
+        monkeypatch.setattr(
+            differential, "conv2d_int", lambda *a, **k: pytest.fail("convolved a float input")
+        )
+        args = {
+            "x": np.ones((1, 3, 3), dtype=np.int64),
+            "weights": np.ones((1, 1, 3, 3), dtype=np.int64),
+        }
+        args[arg] = np.full(args[arg].shape, bad)
+        with pytest.raises(ValueError, match=rf"^{arg} must have .*integer.* got float"):
+            differential_conv2d(**args)
 
     def test_delta_windows_are_window_differences(self):
         # Eq 4's Delta: the window over the spatial deltas equals the raw

@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.cache.store import clear_memory_caches
+from repro.models import registry
 from repro.models.inputs import adapt_input, bayer_mosaic, bicubic_upscaled
 from repro.models.registry import (
     ALL_MODELS,
     CI_MODELS,
     CLASSIFICATION_MODELS,
     build_model,
+    float_weights,
     get_model_spec,
     list_models,
     prepare_model,
 )
+from repro.nn import functional as F
+from repro.weights import network_int8_weights, network_weight_bits
 
 
 class TestTable1Structure:
@@ -102,6 +107,74 @@ class TestRegistry:
         a = build_model("IRCNN", seed=3)
         b = build_model("IRCNN", seed=3)
         assert np.array_equal(a.conv_layers[0].weights, b.conv_layers[0].weights)
+
+
+class TestReleasedFloatWeights:
+    """A prepared network keeps int16 weights only; the float filters come
+    back from its seed, and a float pass fails before any convolution."""
+
+    @pytest.mark.parametrize("name", ["DnCNN", "IRCNN"])
+    def test_int8_weights_match_the_built_network(self, name):
+        got = network_int8_weights(prepare_model(name, 2))
+        want = network_int8_weights(build_model(name, 2))
+        assert list(got) == list(want)
+        for layer, (ints, scale) in want.items():
+            assert got[layer][0].dtype == ints.dtype, layer
+            assert np.array_equal(got[layer][0], ints), layer
+            assert got[layer][1] == scale, layer
+
+    def test_filters_rebuild_once_per_network(self, monkeypatch):
+        clear_memory_caches()  # a network no earlier test has rebuilt
+        net = prepare_model("IRCNN", 2)
+        calls = []
+        real = registry.build_model
+        monkeypatch.setattr(
+            registry, "build_model", lambda *args: calls.append(args) or real(*args)
+        )
+        first = float_weights(net)
+        network_weight_bits(net, "MSR4W")
+        network_int8_weights(net)
+        assert calls == [("IRCNN", 2)]
+        assert float_weights(net) is first
+        assert all(layer.weights is None for layer in net.conv_layers)
+
+    def test_built_network_returns_its_own_filters(self):
+        net = build_model("IRCNN", 2)
+        assert net.seed == 2
+        for layer in net.conv_layers:
+            assert float_weights(net)[layer.name] is layer.weights
+
+    @pytest.mark.parametrize(
+        "float_pass",
+        [
+            lambda net: net.forward_float(np.zeros((3, 16, 16))),
+            lambda net: net.calibrate([np.zeros((3, 16, 16))]),
+        ],
+        ids=["forward_float", "calibrate"],
+    )
+    def test_network_float_pass_names_the_rebuild(self, float_pass, monkeypatch):
+        net = prepare_model("IRCNN", 2)
+        monkeypatch.setattr(
+            F, "conv2d_float", lambda *a, **k: pytest.fail("convolved a released network")
+        )
+        with pytest.raises(RuntimeError, match=r"IRCNN.*build_model\('IRCNN', 2\)"):
+            float_pass(net)
+
+    @pytest.mark.parametrize(
+        "float_pass",
+        [
+            lambda layer: layer.forward_float(np.zeros((layer.in_channels, 8, 8))),
+            lambda layer: layer.calibrate(np.zeros((layer.in_channels, 8, 8))),
+            lambda layer: layer.quantize(8),
+        ],
+        ids=["forward_float", "calibrate", "quantize"],
+    )
+    def test_layer_float_pass_names_the_layer(self, float_pass):
+        layer = prepare_model("IRCNN", 2).conv_layers[0]
+        before = (layer.weight_scale, layer.out_scale, layer.int_weights)
+        with pytest.raises(RuntimeError, match=rf"{layer.name}: .*build_model"):
+            float_pass(layer)
+        assert (layer.weight_scale, layer.out_scale, layer.int_weights) == before
 
 
 class TestInputAdapters:
